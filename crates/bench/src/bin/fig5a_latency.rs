@@ -103,8 +103,6 @@ fn main() {
         let (shards, sync_mode) = match mode {
             IngestMode::SingleMutex => (0, "none"),
             IngestMode::ShardedSeqlock(n) => (n, "seqlock"),
-            IngestMode::Sharded(n) => (n, "shared"),
-            IngestMode::ShardedReplicated(n) => (n, "replicated"),
         };
         let json = format!(
             "{{\n  \"schema\": \"freshtrack/dbsim-latency-table/v1\",\n  \

@@ -35,10 +35,8 @@
 //!
 //! A third mode, `--sync-cost`, isolates **per-sync-event ingestion
 //! cost** (single-threaded feed, no contention) for the single-mutex
-//! baseline and sharded ingestion at `N ∈ {1, 2, 4, 8}` under both
-//! sync-skeleton constructions — the replicated "before" against the
-//! two-plane "after", interleaved in one invocation so the pair comes
-//! from one sitting:
+//! baseline and sharded ingestion at `N ∈ {1, 2, 4, 8}`, interleaved in
+//! one invocation so all points come from one sitting:
 //!
 //! ```text
 //! record_baseline --sync-cost --out BENCH_sync_cost.json
@@ -56,9 +54,8 @@
 //! A fifth mode, `--segments`, measures the **segmented `.ftb` v2
 //! store**: v2 vs v1 encode throughput and size overhead, the
 //! footer-seek open latency, checkpointed pipelined replay
-//! (`analyze_segments`, jobs ∈ {1, 2}) against both the sequential
-//! pass and the retired wave scheduler
-//! (`analyze_segments_waves`, jobs = 1) over the same bytes, and the
+//! (`analyze_segments`, jobs ∈ {1, 2}) against the sequential pass over
+//! the same bytes, and the
 //! `.ftc` incremental pair — a cold cached run vs a re-analysis that
 //! resumes a sidecar left by a ~95% prefix of the same corpus (the
 //! append case the cache exists for) — with report parity asserted
@@ -82,14 +79,9 @@
 //!
 //! A seventh mode, `--access-cost`, measures **per-access ingestion
 //! cost** across sampling rates — the trajectory of the lock-free skip
-//! path (ARCHITECTURE.md invariant 10). Every point is measured twice
-//! in the same invocation: `inline_ns` wraps the detector in
-//! [`freshtrack_bench::access_stream::InlineDecision`], which disables
-//! the hoisted decider so every access pays slot admission, shard
-//! routing, and the shard (or batch) lock before the engine decides
-//! inline (the pre-hoist pipeline); `hoisted_ns` is the current path,
-//! where the pure `(seed, EventId)` decision runs before any lock and a
-//! sampled-out access returns after two relaxed atomic bumps. Points:
+//! path (ARCHITECTURE.md invariant 10): `hoisted_ns`, where the pure
+//! `(seed, EventId)` decision runs before any lock and a sampled-out
+//! access returns after two relaxed atomic bumps. Points:
 //! rates {0, 0.003, 0.03, 1} × {single_mutex, seqlock N ∈ {1, 4}} ×
 //! batch {1, 32}:
 //!
@@ -108,7 +100,7 @@ use freshtrack_bench::{
 use freshtrack_clock::{
     ClockSnapshot, FreshnessClock, OrderedList, SharedClock, ThreadId, VectorClock,
 };
-use freshtrack_core::{Detector, DjitDetector, OrderedListDetector, SplitDetector, SyncMode};
+use freshtrack_core::{Detector, DjitDetector, OrderedListDetector, SplitDetector};
 use freshtrack_sampling::{AlwaysSampler, BernoulliSampler};
 use freshtrack_trace::{
     read_trace, read_trace_binary, write_trace, write_trace_binary, BinaryEventReader, EventReader,
@@ -533,12 +525,11 @@ fn dbsim_point_json(run: &OnlineRun) -> String {
     )
 }
 
-/// The `--dbsim` mode: single-mutex vs sharded dbsim latency, with
-/// both sync-skeleton constructions (two-plane and replicated) in the
+/// The `--dbsim` mode: single-mutex vs sharded dbsim latency across the
 /// shard sweep.
 ///
 /// All points (both configs, the single-mutex baseline and every shard
-/// count × sync mode) are measured in **interleaved rounds** —
+/// count) are measured in **interleaved rounds** —
 /// round-robin over the whole point set, `FT_ROUNDS` times — and each
 /// point keeps its best round by 1%-trimmed mean (the raw mean is
 /// hostage to lock-holder preemption on a time-shared host — see
@@ -554,12 +545,6 @@ fn run_dbsim_scaling(mix: &str, out_path: Option<String>) {
     let rounds = env_or("FT_ROUNDS", 6u32).max(1);
     let configs = [OnlineConfig::Ft, OnlineConfig::So(0.03)];
     let modes: Vec<IngestMode> = std::iter::once(IngestMode::SingleMutex)
-        .chain(SHARD_SWEEP.iter().map(|&n| IngestMode::Sharded(n)))
-        .chain(
-            SHARD_SWEEP
-                .iter()
-                .map(|&n| IngestMode::ShardedReplicated(n)),
-        )
         .chain(SHARD_SWEEP.iter().map(|&n| IngestMode::ShardedSeqlock(n)))
         .collect();
 
@@ -589,42 +574,30 @@ fn run_dbsim_scaling(mix: &str, out_path: Option<String>) {
         let base = best[c][0].as_ref().expect("at least one round");
         let base_us = base.trimmed_mean_us;
         eprintln!("[{label}] single_mutex  trimmed mean {base_us:>9.1} us");
-        let mut shared_lines = Vec::new();
-        let mut replicated_lines = Vec::new();
         let mut seqlock_lines = Vec::new();
-        for (m, mode) in modes.iter().enumerate().skip(1) {
-            let (n, tag, lines) = match mode {
-                IngestMode::Sharded(n) => (n, "shared", &mut shared_lines),
-                IngestMode::ShardedReplicated(n) => (n, "replicated", &mut replicated_lines),
-                IngestMode::ShardedSeqlock(n) => (n, "seqlock", &mut seqlock_lines),
-                IngestMode::SingleMutex => {
-                    unreachable!("mode list starts with the single-mutex baseline")
-                }
-            };
-            let run = best[c][m].as_ref().expect("at least one round");
+        for (&n, best) in SHARD_SWEEP.iter().zip(&best[c][1..]) {
+            let run = best.as_ref().expect("at least one round");
             let us = run.trimmed_mean_us;
             let speedup = base_us / us.max(0.001);
             eprintln!(
-                "[{label}] sharded n={n:<2} ({tag:<10})  trimmed mean {us:>9.1} us  ({speedup:.2}x vs mutex)"
+                "[{label}] sharded n={n:<2}  trimmed mean {us:>9.1} us  ({speedup:.2}x vs mutex)"
             );
-            lines.push(format!("          \"{}\": {}", n, dbsim_point_json(run)));
+            seqlock_lines.push(format!("          \"{}\": {}", n, dbsim_point_json(run)));
         }
         sections.push(format!(
-            "    \"{}\": {{\n      \"single_mutex\": {},\n      \"shard_scaling\": {{\n        \"shared\": {{\n{}\n        }},\n        \"replicated\": {{\n{}\n        }},\n        \"seqlock\": {{\n{}\n        }}\n      }}\n    }}",
+            "    \"{}\": {{\n      \"single_mutex\": {},\n      \"shard_scaling\": {{\n        \"seqlock\": {{\n{}\n        }}\n      }}\n    }}",
             json_escape(&label),
             dbsim_point_json(base),
-            shared_lines.join(",\n"),
-            replicated_lines.join(",\n"),
             seqlock_lines.join(",\n")
         ));
     }
 
     let json = format!(
-        "{{\n  \"schema\": \"freshtrack/dbsim-latency/v3\",\n  \
+        "{{\n  \"schema\": \"freshtrack/dbsim-latency/v4\",\n  \
          \"benchmark\": \"dbsim_shard_scaling\",\n  \
          \"workload\": \"{}\",\n  \"workers\": {},\n  \"txns_per_worker\": {},\n  \
          \"seed\": {},\n  \"rounds\": {},\n  \"batch\": {},\n  \
-         \"note\": \"per-transaction latency in us; single_mutex is the paper-faithful OnlineDetector path, shard_scaling.shared.N is the two-plane ShardedOnlineDetector with mutex-slot views, shard_scaling.seqlock.N the lock-free seqlock publication (FT_BATCH accesses per shard-lock acquisition), shard_scaling.replicated.N the legacy replicated-skeleton construction; every point is the best of FT_ROUNDS interleaved rounds by trimmed_mean_us (mean over the fastest 99% of transactions) — the comparison statistic, because on this time-shared 1-core host the raw mean is dominated by workers descheduled mid-critical-section (the v2 file's non-monotonic shard sweep, e.g. shared N=2 slower than N=4, was exactly this preemption tail: p50/p95 were flat across N and hash-routing balance was verified to within 0.2%); p99_us shows where that tail begins\",\n  \
+         \"note\": \"per-transaction latency in us; single_mutex is the paper-faithful OnlineDetector path, shard_scaling.seqlock.N the two-plane ShardedOnlineDetector with lock-free seqlock publication (FT_BATCH accesses per shard-lock acquisition); every point is the best of FT_ROUNDS interleaved rounds by trimmed_mean_us (mean over the fastest 99% of transactions) — the comparison statistic, because on a time-shared host the raw mean is dominated by workers descheduled mid-critical-section; p99_us shows where that tail begins\",\n  \
          \"configs\": {{\n{}\n  }}\n}}\n",
         json_escape(mix),
         options.workers,
@@ -651,11 +624,8 @@ fn run_dbsim_scaling(mix: &str, out_path: Option<String>) {
 /// Acquire/release pairs per `--sync-cost` measurement round.
 const SYNC_COST_PAIRS: u32 = 20_000;
 
-fn sync_cost_point<D: SplitDetector + 'static>(
-    detector: D,
-    point: Option<(SyncMode, usize)>,
-) -> f64 {
-    let facade = sync_stream::Facade::new(detector, point);
+fn sync_cost_point<D: SplitDetector + 'static>(detector: D, shards: Option<usize>) -> f64 {
+    let facade = sync_stream::Facade::new(detector, shards);
     if let sync_stream::Facade::Sharded(f) = &facade {
         f.reserve_threads(freshtrack_bench::clock_width());
     }
@@ -667,27 +637,17 @@ fn sync_cost_point<D: SplitDetector + 'static>(
 }
 
 /// The `--sync-cost` mode: isolated per-sync-event ingestion cost of
-/// the single-mutex baseline vs sharded ingestion at `N ∈ {1, 2, 4, 8}`
-/// under **both** sync-skeleton constructions. The replicated series is
-/// the "before", the two-plane (shared) series the "after", measured in
-/// interleaved rounds in one invocation — one sitting by construction.
-/// The claim this records: replicated cost grows `O(N)`, two-plane cost
-/// is flat in `N`.
+/// the single-mutex baseline vs sharded ingestion at `N ∈ {1, 2, 4, 8}`,
+/// measured in interleaved rounds in one invocation — one sitting by
+/// construction. The claim this records: the two-plane sync cost is
+/// flat in `N`.
 fn run_sync_cost(out_path: Option<String>) {
     let rounds = env_or("FT_ROUNDS", 7u32).max(1);
     let width = freshtrack_bench::clock_width();
 
-    type Point = (&'static str, Option<(SyncMode, usize)>);
-    let mut points: Vec<Point> = vec![("single_mutex", None)];
-    for &n in &SHARD_SWEEP {
-        points.push(("replicated", Some((SyncMode::Replicated, n))));
-    }
-    for &n in &SHARD_SWEEP {
-        points.push(("shared", Some((SyncMode::Shared, n))));
-    }
-    for &n in &SHARD_SWEEP {
-        points.push(("seqlock", Some((SyncMode::Seqlock, n))));
-    }
+    let points: Vec<Option<usize>> = std::iter::once(None)
+        .chain(SHARD_SWEEP.iter().map(|&n| Some(n)))
+        .collect();
 
     let configs: [&str; 2] = ["FT", "SO-3%"];
     // best[config][point] = fastest ns/sync-event over the rounds.
@@ -695,7 +655,7 @@ fn run_sync_cost(out_path: Option<String>) {
     for round in 0..rounds {
         eprintln!("sync-cost round {}/{rounds}…", round + 1);
         for (c, _name) in configs.iter().enumerate() {
-            for (p, &(_, point)) in points.iter().enumerate() {
+            for (p, &point) in points.iter().enumerate() {
                 let ns = if c == 0 {
                     let mut d = DjitDetector::new(AlwaysSampler::new());
                     d.reserve_threads(width);
@@ -715,40 +675,28 @@ fn run_sync_cost(out_path: Option<String>) {
     let mut sections = Vec::new();
     for (c, name) in configs.iter().enumerate() {
         eprintln!("[{name}] single_mutex  {:>8.1} ns/sync-event", best[c][0]);
-        let series = |tag: &str| -> String {
-            points
-                .iter()
-                .enumerate()
-                .filter(|(_, (t, m))| *t == tag && m.is_some())
-                .map(|(p, (_, m))| {
-                    let (_, n) = m.expect("filtered to sharded points");
-                    eprintln!(
-                        "[{name}] {tag:<10} n={n:<2} {:>8.1} ns/sync-event",
-                        best[c][p]
-                    );
-                    format!("        \"{}\": {:.1}", n, best[c][p])
-                })
-                .collect::<Vec<_>>()
-                .join(",\n")
-        };
-        let replicated = series("replicated");
-        let shared = series("shared");
-        let seqlock = series("seqlock");
+        let seqlock = SHARD_SWEEP
+            .iter()
+            .zip(&best[c][1..])
+            .map(|(n, ns)| {
+                eprintln!("[{name}] seqlock n={n:<2} {ns:>8.1} ns/sync-event");
+                format!("        \"{n}\": {ns:.1}")
+            })
+            .collect::<Vec<_>>()
+            .join(",\n");
         sections.push(format!(
-            "    \"{}\": {{\n      \"single_mutex\": {:.1},\n      \"replicated\": {{\n{}\n      }},\n      \"shared\": {{\n{}\n      }},\n      \"seqlock\": {{\n{}\n      }}\n    }}",
+            "    \"{}\": {{\n      \"single_mutex\": {:.1},\n      \"seqlock\": {{\n{}\n      }}\n    }}",
             json_escape(name),
             best[c][0],
-            replicated,
-            shared,
             seqlock
         ));
     }
 
     let json = format!(
-        "{{\n  \"schema\": \"freshtrack/sync-cost/v2\",\n  \"benchmark\": \"sync_cost\",\n  \
+        "{{\n  \"schema\": \"freshtrack/sync-cost/v3\",\n  \"benchmark\": \"sync_cost\",\n  \
          \"threads\": {},\n  \"locks\": {},\n  \"clock_width\": {width},\n  \
          \"sync_events_per_round\": {},\n  \"rounds\": {rounds},\n  \
-         \"note\": \"ns per sync event, single-threaded feed (isolation, no contention); replicated.N is the before (PR 3 sync fan-out, O(N)), shared.N the PR 4 two-plane shared sync engine with mutex-slot view publication (flat in N), seqlock.N the PR 8 lock-free seqlock publication (flat in N, no slot mutex); every point is the fastest of FT_ROUNDS interleaved rounds, all in one sitting\",\n  \
+         \"note\": \"ns per sync event, single-threaded feed (isolation, no contention); seqlock.N is the two-plane sync engine with lock-free seqlock publication (flat in N); every point is the fastest of FT_ROUNDS interleaved rounds, all in one sitting\",\n  \
          \"configs\": {{\n{}\n  }}\n}}\n",
         sync_stream::THREADS,
         sync_stream::LOCKS,
@@ -894,8 +842,7 @@ fn run_trace_io(out_path: Option<String>) {
 /// store against flat v1 — encode throughput and size overhead, the
 /// footer-seek open latency, checkpointed pipelined replay
 /// ([`freshtrack_core::analyze_segments`]) at jobs ∈ {1, 2} against
-/// both the sequential streaming pass and the retired wave scheduler
-/// over the *same* v2 bytes, and the `.ftc` incremental pair: a cold
+/// the sequential streaming pass over the *same* v2 bytes, and the `.ftc` incremental pair: a cold
 /// cached run vs a warm re-analysis resuming the sidecar a ~95%
 /// prefix of the corpus left behind (the append case
 /// [`freshtrack_core::analyze_segments_cached`] exists for). All
@@ -904,9 +851,7 @@ fn run_trace_io(out_path: Option<String>) {
 /// that would happily time a wrong answer is worthless.
 /// `FT_TRACE_BENCH`/`FT_TRACE_SCALE`/`FT_ROUNDS` as in `--trace-io`.
 fn run_segments(out_path: Option<String>) {
-    use freshtrack_core::{
-        analyze_segments, analyze_segments_cached, analyze_segments_waves, CACHE_STATE_VERSION,
-    };
+    use freshtrack_core::{analyze_segments, analyze_segments_cached, CACHE_STATE_VERSION};
     use freshtrack_trace::{
         write_trace_binary_v2, AnalysisCache, CacheConfig, SegmentOptions, SegmentedTraceFile,
         Validated,
@@ -1057,22 +1002,6 @@ fn run_segments(out_path: Option<String>) {
             }),
         ),
         (
-            "wave_replay_jobs1",
-            Box::new(|| {
-                let mut file =
-                    SegmentedTraceFile::open(std::io::Cursor::new(&v2[..])).expect("fresh bytes");
-                let analysis = analyze_segments_waves(
-                    &mut file,
-                    &OrderedListDetector::new(sampler),
-                    &sampler,
-                    1,
-                )
-                .expect("well-formed trace");
-                assert_eq!(analysis.reports, expected, "wave jobs=1 replay must agree");
-                analysis.reports.len()
-            }),
-        ),
-        (
             "cached_cold_jobs1",
             Box::new(|| {
                 let mut file = SegmentedTraceFile::open(std::io::Cursor::new(&v2_incr[..]))
@@ -1158,21 +1087,18 @@ fn run_segments(out_path: Option<String>) {
         let i = ops.iter().position(|(n, _)| *n == name).expect("known op");
         best[i].as_secs_f64()
     };
-    let pipelined_vs_wave = secs("wave_replay_jobs1") / secs("parallel_replay_jobs1");
     let incremental_vs_cold = secs("cached_cold_jobs1") / secs("cached_incremental_jobs1");
-    eprintln!("pipelined jobs1 is {pipelined_vs_wave:.2}x the wave scheduler");
     eprintln!(
         "incremental re-analysis ({appended_events} appended events, \
          {short_segments}/{incr_segments} segments reused) is {incremental_vs_cold:.2}x cold"
     );
 
     let json = format!(
-        "{{\n  \"schema\": \"freshtrack/segments/v2\",\n  \"benchmark\": \"segments\",\n  \
+        "{{\n  \"schema\": \"freshtrack/segments/v3\",\n  \"benchmark\": \"segments\",\n  \
          \"trace\": {{\"corpus\": \"{}\", \"scale\": {scale}, \"seed\": 0, \"events\": {}}},\n  \
          \"segment\": {{\"events_per_segment\": {}, \"segments\": {segment_count}}},\n  \
          \"sizes\": {{\"v1_bytes\": {}, \"v2_bytes\": {}, \"v2_overhead_pct\": {:.2}}},\n  \
          \"footer_open_ns\": {open_ns:.1},\n  \"rounds\": {rounds},\n  \
-         \"pipeline\": {{\"jobs1_speedup_vs_wave\": {pipelined_vs_wave:.2}}},\n  \
          \"incremental\": {{\"events_per_segment\": {eps}, \
          \"appended_events\": {appended_events}, \
          \"appended_pct\": {:.2}, \"reused_segments\": {short_segments}, \
@@ -1184,9 +1110,8 @@ fn run_segments(out_path: Option<String>) {
          cost of reading the trailer + footer index without touching segment data. \
          parallel_replay_jobsN is the bounded-channel pipeline (reader decodes \
          ahead, coordinator walks the sync plane, workers replay behind); at \
-         jobs=1 it collapses to a single pass with no checkpoint round-trip, \
-         and wave_replay_jobs1 keeps the retired barriered scheduler as the \
-         comparison point. cached_cold_jobs1 runs the same pipeline while \
+         jobs=1 it collapses to a single pass with no checkpoint round-trip. \
+         cached_cold_jobs1 runs the same pipeline while \
          recording a .ftc sidecar; cached_incremental_jobs1 resumes the sidecar \
          a ~95% prefix of the corpus left behind and replays only the appended \
          tail (sidecar decode, prefix CRC validation, and sidecar re-encode all \
@@ -1232,10 +1157,10 @@ const ACCESS_COST_ACCESSES: u32 = 200_000;
 /// realistic mix rather than subtracted out.
 fn access_cost_point<D: SplitDetector + 'static>(
     detector: D,
-    point: Option<(SyncMode, usize)>,
+    shards: Option<usize>,
     batch: usize,
 ) -> f64 {
-    let facade = sync_stream::Facade::new_batched(detector, point, batch);
+    let facade = sync_stream::Facade::new_batched(detector, shards, batch);
     if let sync_stream::Facade::Sharded(f) = &facade {
         f.reserve_threads(access_stream::THREADS as usize);
     }
@@ -1247,40 +1172,32 @@ fn access_cost_point<D: SplitDetector + 'static>(
 }
 
 /// The `--access-cost` mode: per-access ingestion cost across sampling
-/// rates, each point measured with the hoisted decider enabled (the
-/// lock-free skip path) *and* disabled ([`access_stream::InlineDecision`]
-/// — the pre-hoist pipeline) in interleaved rounds, fastest kept — the
-/// before/after pair comes from one sitting by construction.
+/// rates on the lock-free skip path, every point measured in
+/// interleaved rounds, fastest kept — one sitting by construction.
 fn run_access_cost(out_path: Option<String>, rounds_override: Option<u32>) {
-    use freshtrack_bench::access_stream::InlineDecision;
-
     let rounds = rounds_override
         .unwrap_or_else(|| env_or("FT_ROUNDS", 5u32))
         .max(1);
 
     const RATES: [(&str, f64); 4] = [("0", 0.0), ("0.003", 0.003), ("0.03", 0.03), ("1", 1.0)];
-    type Point = (&'static str, Option<(SyncMode, usize)>, usize);
+    type Point = (&'static str, Option<usize>, usize);
     const POINTS: [Point; 5] = [
         ("single_mutex", None, 1),
-        ("seqlock_n1_b1", Some((SyncMode::Seqlock, 1)), 1),
-        ("seqlock_n1_b32", Some((SyncMode::Seqlock, 1)), 32),
-        ("seqlock_n4_b1", Some((SyncMode::Seqlock, 4)), 1),
-        ("seqlock_n4_b32", Some((SyncMode::Seqlock, 4)), 32),
+        ("seqlock_n1_b1", Some(1), 1),
+        ("seqlock_n1_b32", Some(1), 32),
+        ("seqlock_n4_b1", Some(4), 1),
+        ("seqlock_n4_b32", Some(4), 32),
     ];
 
-    // best[rate][point] = (inline_ns, hoisted_ns), fastest per side.
-    let mut best = vec![vec![(f64::INFINITY, f64::INFINITY); POINTS.len()]; RATES.len()];
+    // best[rate][point] = fastest ns per access.
+    let mut best = vec![vec![f64::INFINITY; POINTS.len()]; RATES.len()];
     for round in 0..rounds {
         eprintln!("access-cost round {}/{rounds}…", round + 1);
         for (r, &(_, rate)) in RATES.iter().enumerate() {
-            for (p, &(_, point, batch)) in POINTS.iter().enumerate() {
+            for (p, &(_, shards, batch)) in POINTS.iter().enumerate() {
                 let sampler = BernoulliSampler::new(rate, 7);
-                let inline_ns =
-                    access_cost_point(InlineDecision(DjitDetector::new(sampler)), point, batch);
-                let hoisted_ns = access_cost_point(DjitDetector::new(sampler), point, batch);
-                let slot = &mut best[r][p];
-                slot.0 = slot.0.min(inline_ns);
-                slot.1 = slot.1.min(hoisted_ns);
+                let ns = access_cost_point(DjitDetector::new(sampler), shards, batch);
+                best[r][p] = best[r][p].min(ns);
             }
         }
     }
@@ -1289,14 +1206,11 @@ fn run_access_cost(out_path: Option<String>, rounds_override: Option<u32>) {
     for (r, &(rate_key, rate)) in RATES.iter().enumerate() {
         let mut lines = Vec::new();
         for (p, &(name, _, _)) in POINTS.iter().enumerate() {
-            let (inline_ns, hoisted_ns) = best[r][p];
-            let speedup = inline_ns / hoisted_ns.max(0.001);
-            eprintln!(
-                "rate {rate:<6} {name:<16} inline {inline_ns:>7.1} ns  hoisted {hoisted_ns:>7.1} ns  ({speedup:.2}x)"
-            );
+            let hoisted_ns = best[r][p];
+            eprintln!("rate {rate:<6} {name:<16} hoisted {hoisted_ns:>7.1} ns");
             let comma = if p + 1 == POINTS.len() { "" } else { "," };
             lines.push(format!(
-                "      \"{name}\": {{\"inline_ns\": {inline_ns:.1}, \"hoisted_ns\": {hoisted_ns:.1}, \"speedup\": {speedup:.2}}}{comma}"
+                "      \"{name}\": {{\"hoisted_ns\": {hoisted_ns:.1}}}{comma}"
             ));
         }
         let comma = if r + 1 == RATES.len() { "" } else { "," };
@@ -1307,16 +1221,14 @@ fn run_access_cost(out_path: Option<String>, rounds_override: Option<u32>) {
     }
 
     let json = format!(
-        "{{\n  \"schema\": \"freshtrack/access-cost/v1\",\n  \"benchmark\": \"access_cost\",\n  \
+        "{{\n  \"schema\": \"freshtrack/access-cost/v2\",\n  \"benchmark\": \"access_cost\",\n  \
          \"engine\": \"FT(bernoulli)\",\n  \"threads\": {},\n  \"vars\": {},\n  \
          \"accesses_per_round\": {ACCESS_COST_ACCESSES},\n  \"sync_every\": {},\n  \"rounds\": {rounds},\n  \
-         \"note\": \"ns per access event, single-threaded feed; inline_ns disables the hoisted \
-         decider (every access pays slot admission + shard routing + the shard/batch lock and the \
-         engine decides inline — the pre-hoist pipeline), hoisted_ns is the lock-free skip path \
+         \"note\": \"ns per access event, single-threaded feed; hoisted_ns is the lock-free skip path \
          (pure decision before any lock; sampled-out accesses return after two relaxed atomic \
          bumps — ARCHITECTURE.md invariant 10); rates are Bernoulli sampling probabilities, so \
          rate 0 is the pure skip path and rate 1 the pure analysis path; every point is the \
-         fastest of its rounds, both sides interleaved in one sitting\",\n  \
+         fastest of its rounds, all interleaved in one sitting\",\n  \
          \"rates\": {{\n{}\n  }}\n}}\n",
         access_stream::THREADS,
         access_stream::VARS,

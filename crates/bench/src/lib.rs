@@ -12,7 +12,6 @@
 //! | `FT_SCALE` | offline trace scale (1.0 = corpus default) | 0.2 |
 //! | `FT_SEED` | base seed | 42 |
 //! | `FT_SHARDS` | ingestion shards (≤1 = paper-faithful single mutex) | 1 |
-//! | `FT_SYNC_MODE` | sharded sync plane: `seqlock`/`shared`/`replicated` | seqlock |
 //! | `FT_BATCH` | per-shard access batch capacity (1 = unbatched) | 1 |
 
 #![forbid(unsafe_code)]
@@ -102,52 +101,32 @@ pub enum IngestMode {
     /// serializes through one lock, reproducing the contention model of
     /// the paper's Fig. 5.
     SingleMutex,
-    /// Two-plane sharded ingestion with the seqlock-published sync
-    /// plane ([`SyncMode::Seqlock`], the detector default): access
-    /// shards read published clock views lock-free; sync events update
-    /// one shared sync engine.
-    ShardedSeqlock(usize),
-    /// Two-plane sharded ingestion with mutex-slot clock views
-    /// ([`freshtrack_dbsim::ShardedInstrument`] in
-    /// [`SyncMode::Shared`]): accesses route to `hash(var) % N` shards,
+    /// Two-plane sharded ingestion
+    /// ([`freshtrack_dbsim::ShardedInstrument`]): accesses route to
+    /// `hash(var) % N` shards and read published clock views lock-free;
     /// sync events update one shared sync engine — per-sync cost flat
     /// in `N`. Same verdicts, higher throughput.
-    Sharded(usize),
-    /// PR 3's replicated-skeleton sharding ([`SyncMode::Replicated`]):
-    /// sync events fan out to all `N` shards. Kept selectable so the
-    /// `O(N)` → `O(1)×` sync-cost drop stays measurable
-    /// (`record_baseline --sync-cost`, `BENCH_sync_cost.json`).
-    ShardedReplicated(usize),
+    ShardedSeqlock(usize),
 }
 
 impl IngestMode {
-    /// The mode selected by `FT_SHARDS` (and `FT_SYNC_MODE`): `0`/`1`
-    /// (the default) is the single-mutex baseline; `N ≥ 2` enables
-    /// seqlock-published two-plane sharding (the default), or the
-    /// mutex-slot / replicated-skeleton constructions when
-    /// `FT_SYNC_MODE=shared` / `FT_SYNC_MODE=replicated`. Use
+    /// The mode selected by `FT_SHARDS`: `0`/`1` (the default) is the
+    /// single-mutex baseline; `N ≥ 2` enables two-plane sharding. Use
     /// [`IngestMode::ShardedSeqlock`]`(1)` directly to measure the
     /// sharded skeleton's overhead at one shard.
     pub fn from_env() -> IngestMode {
-        let sync_mode = std::env::var("FT_SYNC_MODE").unwrap_or_default();
         match env_or("FT_SHARDS", 1usize) {
             0 | 1 => IngestMode::SingleMutex,
-            n if sync_mode.eq_ignore_ascii_case("replicated") => IngestMode::ShardedReplicated(n),
-            n if sync_mode.eq_ignore_ascii_case("shared") => IngestMode::Sharded(n),
             n => IngestMode::ShardedSeqlock(n),
         }
     }
 
-    /// A short suffix for labels: empty for the baseline,
-    /// `"+shards=N"` (seqlock default) /
-    /// `"+shards=N(shared)"` / `"+shards=N(replicated)"` for sharded
-    /// runs.
+    /// A short suffix for labels: empty for the baseline, `"+shards=N"`
+    /// for sharded runs.
     pub fn label_suffix(&self) -> String {
         match self {
             IngestMode::SingleMutex => String::new(),
             IngestMode::ShardedSeqlock(n) => format!("+shards={n}"),
-            IngestMode::Sharded(n) => format!("+shards={n}(shared)"),
-            IngestMode::ShardedReplicated(n) => format!("+shards={n}(replicated)"),
         }
     }
 }
@@ -181,8 +160,8 @@ pub struct OnlineRun {
     pub p99_us: u64,
     /// Race reports (empty for NT/ET).
     pub reports: Vec<RaceReport>,
-    /// Detector counters (zeroed for NT; merged across shards for
-    /// sharded runs — see [`Counters::merge`]).
+    /// Detector counters (zeroed for NT; merged across the planes for
+    /// sharded runs).
     pub counters: Counters,
 }
 
@@ -326,17 +305,6 @@ fn finish<D: freshtrack_core::SplitDetector + 'static>(
             SyncMode::Seqlock,
             batch,
         ),
-        IngestMode::Sharded(shards) => {
-            run_sharded(workload, options, detector, shards, SyncMode::Shared, batch)
-        }
-        IngestMode::ShardedReplicated(shards) => run_sharded(
-            workload,
-            options,
-            detector,
-            shards,
-            SyncMode::Replicated,
-            batch,
-        ),
     };
     OnlineRun {
         label,
@@ -364,9 +332,7 @@ pub fn racy_locations(reports: &[RaceReport]) -> usize {
 /// and the recorded `BENCH_sync_cost.json` always measure the same
 /// workload.
 pub mod sync_stream {
-    use freshtrack_core::{
-        Detector, OnlineDetector, ShardedOnlineDetector, SplitDetector, SyncMode,
-    };
+    use freshtrack_core::{Detector, OnlineDetector, ShardedOnlineDetector, SplitDetector};
 
     /// Virtual application threads issuing the stream.
     pub const THREADS: u32 = 8;
@@ -424,26 +390,24 @@ pub mod sync_stream {
     pub enum Facade<D: SplitDetector + 'static> {
         /// The single-mutex [`OnlineDetector`] baseline.
         Mutex(OnlineDetector<D>),
-        /// A [`ShardedOnlineDetector`] in some [`SyncMode`].
+        /// A [`ShardedOnlineDetector`].
         Sharded(ShardedOnlineDetector<D>),
     }
 
     impl<D: SplitDetector + 'static> Facade<D> {
         /// Builds the façade for one sweep point: `None` is the
-        /// single-mutex baseline, `Some((mode, n))` a sharded detector.
-        pub fn new(detector: D, point: Option<(SyncMode, usize)>) -> Self {
-            Facade::new_batched(detector, point, 1)
+        /// single-mutex baseline, `Some(n)` a detector with `n` shards.
+        pub fn new(detector: D, shards: Option<usize>) -> Self {
+            Facade::new_batched(detector, shards, 1)
         }
 
         /// Like [`Facade::new`], but sharded points buffer up to `batch`
         /// accesses per shard-lock acquisition (the single-mutex
         /// baseline has no batching; `batch` is ignored there).
-        pub fn new_batched(detector: D, point: Option<(SyncMode, usize)>, batch: usize) -> Self {
-            match point {
+        pub fn new_batched(detector: D, shards: Option<usize>, batch: usize) -> Self {
+            match shards {
                 None => Facade::Mutex(OnlineDetector::new(detector)),
-                Some((mode, n)) => Facade::Sharded(ShardedOnlineDetector::with_options(
-                    detector, n, mode, batch,
-                )),
+                Some(n) => Facade::Sharded(ShardedOnlineDetector::with_batch(detector, n, batch)),
             }
         }
     }
@@ -498,15 +462,8 @@ pub mod sync_stream {
 }
 
 /// The shared access-cost isolation driver: one single-threaded,
-/// access-heavy event mix used by `record_baseline --access-cost`, plus
-/// the [`InlineDecision`](access_stream::InlineDecision) wrapper that
-/// reconstructs the pre-hoist
-/// "before" side (sampling decided inline, under the shard lock) so the
-/// before/after pair always comes from one sitting.
+/// access-heavy event mix used by `record_baseline --access-cost`.
 pub mod access_stream {
-    use freshtrack_core::{Counters, Detector, RaceReport, SplitDetector};
-    use freshtrack_trace::{Event, EventId};
-
     use super::sync_stream::Ingest;
 
     /// Virtual application threads issuing the stream.
@@ -519,46 +476,6 @@ pub mod access_stream {
     /// path. Small enough to matter, large enough (2/512 ≈ 0.4% of
     /// events) not to dominate the per-access quotient.
     pub const SYNC_EVERY: u32 = 512;
-
-    /// Disables a detector's hoisted decider while forwarding
-    /// everything else — the measurable "before" of the lock-free skip
-    /// path (ARCHITECTURE.md invariant 10). A façade over
-    /// `InlineDecision(d)` routes every access through slot admission,
-    /// shard routing, and the shard (or batch) lock, and the engine
-    /// decides membership inline — exactly the pre-hoist pipeline — so
-    /// the access-cost trajectory can measure both sides of the same
-    /// binary in one invocation.
-    #[derive(Clone)]
-    pub struct InlineDecision<D>(pub D);
-
-    impl<D: Detector> Detector for InlineDecision<D> {
-        fn process(&mut self, id: EventId, event: Event) -> Option<RaceReport> {
-            self.0.process(id, event)
-        }
-        fn counters(&self) -> &Counters {
-            self.0.counters()
-        }
-        fn name(&self) -> &'static str {
-            self.0.name()
-        }
-        fn reserve_threads(&mut self, n: usize) {
-            self.0.reserve_threads(n);
-        }
-        // `hoisted_decider` deliberately stays the `None` default: that
-        // is the whole point of the wrapper.
-    }
-
-    impl<D: SplitDetector> SplitDetector for InlineDecision<D> {
-        type Sync = D::Sync;
-        type Access = D::Access;
-        type View = D::View;
-        fn split_sync(&self) -> Self::Sync {
-            self.0.split_sync()
-        }
-        fn split_access(&self) -> Self::Access {
-            self.0.split_access()
-        }
-    }
 
     /// Warm-up: one lock-protected read/write pair per thread, so
     /// clocks are non-trivial, shard state is allocated, and the branch
@@ -613,11 +530,6 @@ mod tests {
         assert_eq!(OnlineConfig::Nt.label(), "NT");
         assert_eq!(IngestMode::SingleMutex.label_suffix(), "");
         assert_eq!(IngestMode::ShardedSeqlock(4).label_suffix(), "+shards=4");
-        assert_eq!(IngestMode::Sharded(4).label_suffix(), "+shards=4(shared)");
-        assert_eq!(
-            IngestMode::ShardedReplicated(2).label_suffix(),
-            "+shards=2(replicated)"
-        );
     }
 
     #[test]
@@ -648,12 +560,7 @@ mod tests {
             txns_per_worker: 30,
             seed: 1,
         };
-        for mode in [
-            IngestMode::ShardedSeqlock(1),
-            IngestMode::ShardedSeqlock(4),
-            IngestMode::Sharded(4),
-            IngestMode::ShardedReplicated(4),
-        ] {
+        for mode in [IngestMode::ShardedSeqlock(1), IngestMode::ShardedSeqlock(4)] {
             let run = run_online_with(&w, OnlineConfig::Ft, &opts, mode, 1);
             assert_eq!(run.label, "FT");
             assert_eq!(run.counters.races as usize, run.reports.len());

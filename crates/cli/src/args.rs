@@ -27,20 +27,34 @@ impl fmt::Display for ArgError {
 impl std::error::Error for ArgError {}
 
 impl Args {
-    /// Parses raw arguments. `known_flags` lists options that take no
-    /// value; everything else starting with `--` expects one.
-    pub fn parse<I, S>(raw: I, known_flags: &[&str]) -> Result<Args, ArgError>
+    /// Parses raw arguments against a command's vocabulary: `flags`
+    /// lists the options that take no value, `options` the ones that
+    /// take one (as `--key value` or `--key=value`). A name in both
+    /// lists is a flag when bare and an option in `--key=value` form.
+    ///
+    /// # Errors
+    ///
+    /// Fails on any `--name` outside both lists, on a flag given a
+    /// value, and on an option missing its value.
+    pub fn parse<I, S>(raw: I, flags: &[&str], options: &[&str]) -> Result<Args, ArgError>
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
         let mut args = Args::default();
-        let mut iter = raw.into_iter().map(Into::into).peekable();
+        let mut iter = raw.into_iter().map(Into::into);
         while let Some(arg) = iter.next() {
             if let Some(name) = arg.strip_prefix("--") {
+                let key = name.split_once('=').map_or(name, |(key, _)| key);
+                if !flags.contains(&key) && !options.contains(&key) {
+                    return Err(ArgError(format!("unknown option --{key}")));
+                }
                 if let Some((key, value)) = name.split_once('=') {
+                    if !options.contains(&key) {
+                        return Err(ArgError(format!("--{key} takes no value")));
+                    }
                     args.options.insert(key.to_owned(), value.to_owned());
-                } else if known_flags.contains(&name) {
+                } else if flags.contains(&name) {
                     args.flags.push(name.to_owned());
                 } else {
                     let value = iter
@@ -107,6 +121,7 @@ mod tests {
         let args = Args::parse(
             ["input.trace", "--rate", "0.03", "--counters", "--seed=7"],
             &["counters"],
+            &["rate", "seed"],
         )
         .unwrap();
         assert_eq!(args.positional(), &["input.trace".to_string()]);
@@ -117,7 +132,7 @@ mod tests {
 
     #[test]
     fn typed_accessors_validate() {
-        let args = Args::parse(["--rate", "abc"], &[]).unwrap();
+        let args = Args::parse(["--rate", "abc"], &[], &["rate", "missing"]).unwrap();
         assert!(args.get_or("rate", 0.5f64).is_err());
         assert_eq!(args.get_or("missing", 3u32).unwrap(), 3);
         assert!(args.require::<u32>("missing").is_err());
@@ -125,6 +140,22 @@ mod tests {
 
     #[test]
     fn dangling_option_is_an_error() {
-        assert!(Args::parse(["--rate"], &[]).is_err());
+        assert!(Args::parse(["--rate"], &[], &["rate"]).is_err());
+    }
+
+    #[test]
+    fn unknown_options_and_valued_flags_are_errors() {
+        let err = Args::parse(["--rate", "1", "--bogus", "1"], &[], &["rate"]).unwrap_err();
+        assert_eq!(err.0, "unknown option --bogus");
+        let err = Args::parse(["--shard=4"], &[], &["shards"]).unwrap_err();
+        assert_eq!(err.0, "unknown option --shard");
+        let err = Args::parse(["--counters=yes"], &["counters"], &[]).unwrap_err();
+        assert_eq!(err.0, "--counters takes no value");
+        // A name in both lists: bare is a flag, `=value` an option.
+        let args = Args::parse(["--cache"], &["cache"], &["cache"]).unwrap();
+        assert!(args.flag("cache") && args.get("cache").is_none());
+        let args = Args::parse(["--cache=x.ftc"], &["cache"], &["cache"]).unwrap();
+        assert!(!args.flag("cache"));
+        assert_eq!(args.get("cache"), Some("x.ftc"));
     }
 }

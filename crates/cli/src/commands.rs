@@ -31,6 +31,64 @@ pub fn run<W: std::io::Write>(raw: &[String], out: &mut W) -> i32 {
     }
 }
 
+/// The flags and value options one command reads. Parsing rejects
+/// every other `--name`, so a misspelt or retired option fails loudly
+/// instead of being silently ignored.
+struct Vocabulary {
+    flags: &'static [&'static str],
+    options: &'static [&'static str],
+}
+
+impl Vocabulary {
+    fn parse(&self, rest: &[String]) -> Result<Args, ArgError> {
+        Args::parse(rest.iter().cloned(), self.flags, self.options)
+    }
+}
+
+const ANALYZE: Vocabulary = Vocabulary {
+    flags: &["counters", "cache", "no-cache"],
+    options: &["engine", "rate", "seed", "jobs", "cache"],
+};
+const ORACLE: Vocabulary = Vocabulary {
+    flags: &["stream", "stats"],
+    options: &["rate", "seed", "window", "reservoir"],
+};
+const STATS: Vocabulary = Vocabulary {
+    flags: &[],
+    options: &[],
+};
+const CONVERT: Vocabulary = Vocabulary {
+    flags: &[],
+    options: &["to", "segment-events"],
+};
+const SEGMENTS: Vocabulary = Vocabulary {
+    flags: &["cache"],
+    options: &["cache"],
+};
+const GENERATE: Vocabulary = Vocabulary {
+    flags: &[],
+    options: &[
+        "pattern",
+        "events",
+        "threads",
+        "locks",
+        "vars",
+        "sync-ratio",
+        "unprotected",
+        "seed",
+    ],
+};
+const CORPUS: Vocabulary = Vocabulary {
+    flags: &["list"],
+    options: &["bench", "scale", "seed"],
+};
+const DBSIM: Vocabulary = Vocabulary {
+    flags: &[],
+    options: &[
+        "mix", "engine", "rate", "workers", "txns", "seed", "shards", "batch",
+    ],
+};
+
 fn dispatch<W: std::io::Write>(raw: &[String], out: &mut W) -> Result<(), ArgError> {
     let Some((command, rest)) = raw.split_first() else {
         let _ = write!(out, "{USAGE}");
@@ -101,7 +159,7 @@ fn open_validated(args: &Args) -> Result<(ValidatedInput, &str), ArgError> {
 }
 
 fn analyze<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgError> {
-    let args = Args::parse(rest.iter().cloned(), &["counters", "cache", "no-cache"])?;
+    let args = ANALYZE.parse(rest)?;
     let engine: String = args.get_or("engine", "so".to_owned())?;
     let rate: f64 = args.get_or("rate", 0.03)?;
     let seed: u64 = args.get_or("seed", 0)?;
@@ -370,7 +428,7 @@ fn analyze_cached<W: std::io::Write>(
             "cache: reused {}/{} segment(s) via {}",
             run.reused_segments, run.total_segments, ctx.cache_path
         );
-        if let Err(e) = std::fs::write(ctx.cache_path, run.cache.encode()) {
+        if let Err(e) = write_atomically(ctx.cache_path, &run.cache.encode()) {
             eprintln!(
                 "warning: cannot write analysis cache {}: {e}",
                 ctx.cache_path
@@ -425,6 +483,31 @@ fn analyze_cached<W: std::io::Write>(
     }
 }
 
+/// Replaces the file at `path` with `bytes` atomically: the bytes go to
+/// a temporary file in the same directory, named after this process,
+/// which is then renamed over `path`. A crashed or concurrent run
+/// therefore never leaves a torn file behind — readers see the old
+/// bytes or the new ones. On failure the temporary file is removed and
+/// `path` is left as it was.
+///
+/// There is deliberately no `fsync`: the sidecar is advisory, so a
+/// file lost to power failure costs one cold run, never a wrong answer.
+fn write_atomically(path: &str, bytes: &[u8]) -> std::io::Result<()> {
+    let target = std::path::Path::new(path);
+    let name = target
+        .file_name()
+        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidInput, "not a file path"))?;
+    let mut tmp_name = std::ffi::OsString::from(".");
+    tmp_name.push(name);
+    tmp_name.push(format!(".{}.tmp", std::process::id()));
+    let tmp = target.with_file_name(tmp_name);
+    let result = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, target));
+    if result.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    result
+}
+
 fn print_reports<'a, W>(var_name: impl Fn(usize) -> &'a str, reports: &[RaceReport], out: &mut W)
 where
     W: std::io::Write,
@@ -447,7 +530,7 @@ where
 }
 
 fn convert<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgError> {
-    let args = Args::parse(rest.iter().cloned(), &[])?;
+    let args = CONVERT.parse(rest)?;
     let path = input_path(&args)?;
     let to: String = args.require("to")?;
     // Conversion is a pure re-encoding pipe: the input streams straight
@@ -488,7 +571,7 @@ fn convert<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgErr
 /// extra column shows, per segment, whether the `.ftc` sidecar entry
 /// would be reused (`hit`), has gone stale, or does not exist (`-`).
 fn segments_cmd<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgError> {
-    let args = Args::parse(rest.iter().cloned(), &["cache"])?;
+    let args = SEGMENTS.parse(rest)?;
     let path = input_path(&args)?;
     if path == "-" {
         return Err(ArgError("segments needs a seekable file, not stdin".into()));
@@ -611,7 +694,7 @@ fn segments_cmd<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), A
 const ORACLE_EVENT_CAP: usize = 200_000;
 
 fn oracle<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgError> {
-    let args = Args::parse(rest.iter().cloned(), &["stream", "stats"])?;
+    let args = ORACLE.parse(rest)?;
     let rate: f64 = args.get_or("rate", 1.0)?;
     let seed: u64 = args.get_or("seed", 0)?;
     if !(0.0..=1.0).contains(&rate) {
@@ -690,7 +773,7 @@ fn oracle<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgErro
 }
 
 fn stats<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgError> {
-    let args = Args::parse(rest.iter().cloned(), &[])?;
+    let args = STATS.parse(rest)?;
     // Counts accumulate per event and entity counts come from the
     // source metadata: constant memory regardless of trace size.
     let (mut source, path) = open_validated(&args)?;
@@ -713,7 +796,7 @@ fn parse_pattern(name: &str) -> Result<Pattern, ArgError> {
 }
 
 fn generate_cmd<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgError> {
-    let args = Args::parse(rest.iter().cloned(), &[])?;
+    let args = GENERATE.parse(rest)?;
     let pattern = parse_pattern(&args.get_or("pattern", "mixed".to_owned())?)?;
     let config = WorkloadConfig::named("cli")
         .pattern(pattern)
@@ -730,7 +813,7 @@ fn generate_cmd<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), A
 }
 
 fn corpus_cmd<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgError> {
-    let args = Args::parse(rest.iter().cloned(), &["list"])?;
+    let args = CORPUS.parse(rest)?;
     if args.flag("list") || args.get("bench").is_none() {
         let mut table = Table::new(&["benchmark", "threads", "locks", "events"]);
         for b in corpus::corpus() {
@@ -756,7 +839,7 @@ fn corpus_cmd<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), Arg
 }
 
 fn dbsim_cmd<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgError> {
-    let args = Args::parse(rest.iter().cloned(), &[])?;
+    let args = DBSIM.parse(rest)?;
     let mix: String = args.get_or("mix", "ycsb".to_owned())?;
     let workload = benchbase::by_name(&mix)
         .ok_or_else(|| ArgError(format!("unknown workload mix `{mix}`")))?;
@@ -771,16 +854,6 @@ fn dbsim_cmd<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgE
     if shards == 0 {
         return Err(ArgError("--shards must be at least 1".into()));
     }
-    let mode = match args.get_or("sync", "seqlock".to_owned())?.as_str() {
-        "seqlock" => SyncMode::Seqlock,
-        "shared" => SyncMode::Shared,
-        "replicated" => SyncMode::Replicated,
-        other => {
-            return Err(ArgError(format!(
-                "--sync must be `seqlock`, `shared` or `replicated`, got `{other}`"
-            )))
-        }
-    };
     let batch: usize = args.get_or("batch", 1usize)?;
     if batch == 0 {
         return Err(ArgError("--batch must be at least 1".into()));
@@ -789,39 +862,39 @@ fn dbsim_cmd<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgE
 
     // Monomorphized per engine; the run/report plumbing is shared.
     // `--shards 1` (the default) is the paper-faithful single analysis
-    // mutex; `--shards N` routes ingestion through N access shards in
-    // the `--sync` mode (seqlock-published sync plane by default, the
-    // mutex-slot or replicated constructions on request), buffering
-    // `--batch B` accesses per shard-lock acquisition.
+    // mutex; `--shards N` routes ingestion through N access shards
+    // around the seqlock-published sync plane, buffering `--batch B`
+    // accesses per shard-lock acquisition.
     fn go<D: SplitDetector + 'static, W: std::io::Write>(
         detector: D,
         workload: &freshtrack_workloads::DbWorkload,
         options: &RunOptions,
         shards: usize,
-        mode: SyncMode,
         batch: usize,
         out: &mut W,
     ) {
         let name = detector.name();
         let (stats, reports, counters) = if shards >= 2 {
-            run_sharded(workload, options, detector, shards, mode, batch)
+            run_sharded(
+                workload,
+                options,
+                detector,
+                shards,
+                SyncMode::Seqlock,
+                batch,
+            )
         } else {
             let (stats, detector, reports) = run_detector(workload, options, detector);
             let counters = *detector.counters();
             (stats, reports, counters)
         };
         let suffix = if shards >= 2 {
-            let tag = match mode {
-                SyncMode::Seqlock => "",
-                SyncMode::Shared => ", shared",
-                SyncMode::Replicated => ", replicated",
-            };
             let batch_tag = if batch > 1 {
                 format!(", batch={batch}")
             } else {
                 String::new()
             };
-            format!(" (shards={shards}{tag}{batch_tag})")
+            format!(" (shards={shards}{batch_tag})")
         } else {
             String::new()
         };
@@ -832,22 +905,7 @@ fn dbsim_cmd<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgE
             stats.mean_us(),
             stats.percentile_us(95.0)
         );
-        // Replicated merges sum skip counts across shards while the
-        // replicated acquires are counted once (`Counters::merge`), so
-        // that mode's skip ratio averages over shards; the two-plane
-        // construction keeps sync counters once by design.
-        let skip_shards = match mode {
-            SyncMode::Replicated if shards >= 2 => shards as u64,
-            _ => 1,
-        };
-        let skip_ratio = if counters.acquires == 0 {
-            0.0
-        } else {
-            counters.acquires_skipped as f64 / (counters.acquires * skip_shards) as f64
-        };
-        // Accesses route to exactly one shard in every mode, so the
-        // sampled/skipped split needs no per-mode normalization: the
-        // skip-path hit rate is the headline number for the hoisted
+        // The skip-path hit rate is the headline number for the hoisted
         // fast path (invariant 10).
         let _ = writeln!(
             out,
@@ -857,7 +915,7 @@ fn dbsim_cmd<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgE
             counters.skipped_accesses(),
             100.0 * counters.skip_ratio(),
             reports.len(),
-            pct(skip_ratio)
+            pct(counters.acquire_skip_ratio())
         );
     }
 
@@ -867,7 +925,6 @@ fn dbsim_cmd<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgE
             &workload,
             &options,
             shards,
-            mode,
             batch,
             out,
         ),
@@ -876,7 +933,6 @@ fn dbsim_cmd<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgE
             &workload,
             &options,
             shards,
-            mode,
             batch,
             out,
         ),
@@ -885,7 +941,6 @@ fn dbsim_cmd<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgE
             &workload,
             &options,
             shards,
-            mode,
             batch,
             out,
         ),
@@ -894,7 +949,6 @@ fn dbsim_cmd<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgE
             &workload,
             &options,
             shards,
-            mode,
             batch,
             out,
         ),
@@ -1395,28 +1449,95 @@ mod tests {
 
     #[test]
     fn dbsim_sync_mode_flag() {
-        let (code, out) = run_cli(&[
-            "dbsim",
-            "--mix",
-            "sibench",
-            "--workers",
-            "2",
-            "--txns",
-            "20",
-            "--engine",
-            "st",
-            "--shards",
-            "2",
-            "--sync",
-            "replicated",
-        ]);
-        assert_eq!(code, 0, "{out}");
-        assert!(out.contains("(shards=2, replicated)"), "{out}");
+        // There is one sync construction; the retired `--sync` option
+        // is rejected rather than silently ignored.
+        for value in ["seqlock", "shared", "replicated"] {
+            let (code, out) = run_cli(&["dbsim", "--shards", "2", "--sync", value]);
+            assert_eq!(code, 1, "{out}");
+            assert!(out.contains("unknown option --sync"), "{out}");
+        }
+    }
 
-        let (code, out) = run_cli(&["dbsim", "--sync", "bogus"]);
-        assert_eq!(code, 1);
-        assert!(out.contains("--sync"), "{out}");
-        assert!(out.contains("seqlock"), "{out}");
+    #[test]
+    fn unknown_options_are_rejected_by_every_command() {
+        let (code, out) = run_cli(&["dbsim", "--workers", "2", "--txns", "5", "--shard", "4"]);
+        assert_eq!(code, 1, "{out}");
+        assert!(out.contains("unknown option --shard"), "{out}");
+        let (code, out) = run_cli(&["dbsim", "--workers", "2", "--txns", "5", "--bogus", "1"]);
+        assert_eq!(code, 1, "{out}");
+        assert!(out.contains("unknown option --bogus"), "{out}");
+        for command in [
+            "analyze", "oracle", "stats", "convert", "segments", "generate", "corpus", "dbsim",
+        ] {
+            let (code, out) = run_cli(&[command, "--bogus", "1"]);
+            assert_eq!(code, 1, "{command}: {out}");
+            assert!(out.contains("unknown option --bogus"), "{command}: {out}");
+        }
+        let (code, out) = run_cli(&["analyze", "-", "--counters=yes"]);
+        assert_eq!(code, 1, "{out}");
+        assert!(out.contains("--counters takes no value"), "{out}");
+    }
+
+    /// Every option `USAGE` documents parses for the command it is
+    /// documented under, and every option a command reads is
+    /// documented there.
+    #[test]
+    fn every_usage_option_parses_for_its_command() {
+        let table: [(&str, &Vocabulary); 8] = [
+            ("analyze", &ANALYZE),
+            ("oracle", &ORACLE),
+            ("stats", &STATS),
+            ("convert", &CONVERT),
+            ("segments", &SEGMENTS),
+            ("generate", &GENERATE),
+            ("corpus", &CORPUS),
+            ("dbsim", &DBSIM),
+        ];
+        // Command headers sit at a four-space indent; continuation
+        // lines are indented further.
+        let mut documented: Vec<(&str, String)> = Vec::new();
+        let mut command = None;
+        let section = USAGE
+            .split("COMMANDS:")
+            .nth(1)
+            .expect("USAGE lists commands");
+        for line in section.lines() {
+            if let Some(header) = line.strip_prefix("    ") {
+                if !header.starts_with(' ') {
+                    command = header.split_whitespace().next();
+                }
+            }
+            let Some(command) = command else { continue };
+            for (at, _) in line.match_indices("--") {
+                let name: String = line[at + 2..]
+                    .chars()
+                    .take_while(|c| c.is_ascii_lowercase() || *c == '-')
+                    .collect();
+                documented.push((command, name));
+            }
+        }
+        for (command, name) in &documented {
+            let (_, vocabulary) = table
+                .iter()
+                .find(|(c, _)| c == command)
+                .unwrap_or_else(|| panic!("USAGE documents --{name} for `{command}`"));
+            let flag = format!("--{name}");
+            let raw = if vocabulary.flags.contains(&name.as_str()) {
+                vec![flag]
+            } else {
+                vec![flag, "1".to_owned()]
+            };
+            let parsed = vocabulary.parse(&raw);
+            assert!(parsed.is_ok(), "{command} --{name}: {parsed:?}");
+        }
+        for (command, vocabulary) in table {
+            for name in vocabulary.flags.iter().chain(vocabulary.options) {
+                assert!(
+                    documented.iter().any(|(c, n)| *c == command && n == name),
+                    "`{command}` reads --{name}, which USAGE does not document"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1433,13 +1554,11 @@ mod tests {
             "st",
             "--shards",
             "2",
-            "--sync",
-            "shared",
             "--batch",
             "16",
         ]);
         assert_eq!(code, 0, "{out}");
-        assert!(out.contains("(shards=2, shared, batch=16)"), "{out}");
+        assert!(out.contains("(shards=2, batch=16)"), "{out}");
 
         let (code, out) = run_cli(&["dbsim", "--batch", "0"]);
         assert_eq!(code, 1);
@@ -1503,6 +1622,55 @@ mod tests {
         let (code, ft_cached) = run_cli(&[&["analyze", v2, "--cache"], &ft_tail[..]].concat());
         assert_eq!(code, 0, "{ft_cached}");
         assert_eq!(ft_cached, ft_cold);
+    }
+
+    #[test]
+    fn analyze_cache_writes_the_sidecar_atomically() {
+        let (text_path, v2_path) = trace_fixture("freshtrack-cli-cache-atomic", "2000");
+        let dir = v2_path.parent().unwrap().to_owned();
+        let v2 = v2_path.to_str().unwrap();
+        let sidecar = std::path::PathBuf::from(format!("{v2}.ftc"));
+        let listing = || {
+            let mut names: Vec<String> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .collect();
+            names.sort();
+            names
+        };
+        let expected = {
+            let mut names = vec![
+                text_path
+                    .file_name()
+                    .unwrap()
+                    .to_string_lossy()
+                    .into_owned(),
+                v2_path.file_name().unwrap().to_string_lossy().into_owned(),
+                sidecar.file_name().unwrap().to_string_lossy().into_owned(),
+            ];
+            names.sort();
+            names
+        };
+
+        // Cold, then warm: the sidecar is replaced in place, no
+        // temporary file survives, and the bytes equal the cold run's.
+        let _ = std::fs::remove_file(&sidecar);
+        let (code, out) = run_cli(&["analyze", v2, "--cache"]);
+        assert_eq!(code, 0, "{out}");
+        let cold = std::fs::read(&sidecar).expect("the cached run writes a sidecar");
+        let (code, out) = run_cli(&["analyze", v2, "--cache"]);
+        assert_eq!(code, 0, "{out}");
+        assert_eq!(std::fs::read(&sidecar).unwrap(), cold);
+        assert_eq!(listing(), expected);
+
+        // A rename that cannot succeed (the target is a directory):
+        // the run still succeeds, and the temporary file is cleaned up.
+        std::fs::remove_file(&sidecar).unwrap();
+        std::fs::create_dir(&sidecar).unwrap();
+        let (code, out) = run_cli(&["analyze", v2, "--cache"]);
+        assert_eq!(code, 0, "{out}");
+        assert_eq!(listing(), expected);
+        std::fs::remove_dir(&sidecar).unwrap();
     }
 
     #[test]

@@ -93,7 +93,7 @@ pub trait CheckpointState {
 /// moved since the previous segment, so the shared prefix/suffix
 /// typically swallow almost the whole checkpoint —
 /// [`analyze_segments`](crate::analyze_segments) ships one full export
-/// per wave and a delta chain for the rest.
+/// per worker chain and a delta chain for the rest.
 ///
 /// The inverse is [`apply_delta`]; `apply_delta(prev, &encode_delta(prev,
 /// curr)) == curr` for all byte strings (the checkpoint suite pins

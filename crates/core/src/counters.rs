@@ -138,56 +138,6 @@ impl Counters {
             self.syncs(),
         )
     }
-
-    /// Aggregates per-shard counters from a **replicated-sync** sharded
-    /// run ([`SyncMode::Replicated`](crate::SyncMode::Replicated)) into
-    /// one view comparable with an unsharded run. (The two-plane
-    /// [`SyncMode::Shared`](crate::SyncMode::Shared) construction needs
-    /// no such special-casing: its planes partition the event space, so
-    /// its counters combine with plain `+=`.)
-    ///
-    /// Two kinds of fields are treated differently:
-    ///
-    /// * **Observation counts** (`acquires`, `releases`, and through
-    ///   them `events`): every shard observes every sync event, so these
-    ///   are counted **once** (all shards must agree; checked in debug
-    ///   builds). Access observations (`reads`, `writes`,
-    ///   `sampled_accesses`, `races`, …) partition across shards and are
-    ///   summed.
-    /// * **Work counts** (`vc_ops`, `entries_traversed`, `deep_copies`,
-    ///   skip/processed tallies, …): summed across shards — the honest
-    ///   total cost, which for sync-event clock work is up to `N×` the
-    ///   unsharded amount (the replication fan-out). Consequently,
-    ///   per-sync structural identities such as `acquires_skipped +
-    ///   acquires_processed == acquires` hold per shard but **not** on
-    ///   the merged value.
-    ///
-    /// The merge is **order-independent** across shard permutations
-    /// (max/first-of-equal for observation counts — the shards must
-    /// agree, checked in debug builds — plus commutative sums), which
-    /// `crates/core/tests/sharding.rs` pins with a proptest.
-    ///
-    /// Returns zeroed counters for an empty iterator.
-    pub fn merge(shards: impl IntoIterator<Item = Counters>) -> Counters {
-        let mut merged = Counters::new();
-        let mut first: Option<Counters> = None;
-        for c in shards {
-            if let Some(f) = &first {
-                debug_assert_eq!(f.acquires, c.acquires, "shards disagree on acquire count");
-                debug_assert_eq!(f.releases, c.releases, "shards disagree on release count");
-            } else {
-                first = Some(c);
-            }
-            merged += c;
-        }
-        if let Some(f) = first {
-            // Sync events are replicated to every shard; observe each once.
-            merged.acquires = f.acquires;
-            merged.releases = f.releases;
-            merged.events = merged.reads + merged.writes + merged.acquires + merged.releases;
-        }
-        merged
-    }
 }
 
 /// One cache line of skip tallies. Padding to 64 bytes keeps stripes on
@@ -340,26 +290,6 @@ mod tests {
         assert!((c.saving_ratio() - 0.75).abs() < 1e-12);
         assert!((c.traversals_per_acquire() - 3.0).abs() < 1e-12);
         assert!((c.sync_handled_ratio() - 8.0 / 15.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_counts_replicated_syncs_once_and_sums_work() {
-        let shard = |reads: u64, vc_ops: u64| Counters {
-            reads,
-            writes: 1,
-            acquires: 10,
-            releases: 10,
-            vc_ops,
-            ..Counters::new()
-        };
-        let merged = Counters::merge([shard(3, 100), shard(5, 40)]);
-        assert_eq!(merged.reads, 8);
-        assert_eq!(merged.writes, 2);
-        assert_eq!(merged.acquires, 10); // once, not 20
-        assert_eq!(merged.releases, 10);
-        assert_eq!(merged.events, 8 + 2 + 10 + 10);
-        assert_eq!(merged.vc_ops, 140); // total work across shards
-        assert_eq!(Counters::merge([]), Counters::new());
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub trait Detector {
     fn reserve_threads(&mut self, _n: usize) {}
 
     /// Extracts this detector's sampling decision as a standalone pure
-    /// function of `(id, event)`, if it has one.
+    /// function of `(id, event)`.
     ///
     /// The online façades use the extracted decider to reject
     /// sampled-out accesses *before* taking the analysis lock — the
@@ -73,31 +73,14 @@ pub trait Detector {
     /// for the same access, and [`process`](Detector::process) must
     /// treat a skipped access as a pure tally (no clock or history
     /// mutation), so running either path yields identical state.
-    ///
-    /// Detectors returning `Some` must also implement
-    /// [`record_skipped_accesses`](Detector::record_skipped_accesses),
-    /// which folds the accesses the façade short-circuited back into
-    /// [`counters`](Detector::counters). The default (`None`) keeps the
-    /// façades on the locked path.
-    fn hoisted_decider(&self) -> Option<HoistedDecider> {
-        None
-    }
+    fn hoisted_decider(&self) -> HoistedDecider;
 
     /// Folds accesses that a façade skipped without calling
     /// [`process`](Detector::process) back into this detector's
     /// [`counters`](Detector::counters): `reads`/`writes` sampled-out
     /// accesses must bump the read/write/event tallies exactly as the
     /// inline skip path would have.
-    ///
-    /// Only called when [`hoisted_decider`](Detector::hoisted_decider)
-    /// returned `Some`; the default panics to catch detectors that
-    /// expose a decider without the matching fold.
-    fn record_skipped_accesses(&mut self, reads: u64, writes: u64) {
-        assert!(
-            reads == 0 && writes == 0,
-            "detector exposes hoisted_decider but not record_skipped_accesses"
-        );
-    }
+    fn record_skipped_accesses(&mut self, reads: u64, writes: u64);
 
     /// Runs the detector over a streaming [`EventSource`], returning all
     /// reports — the primary analysis loop; detectors never require a

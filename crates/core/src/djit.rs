@@ -322,9 +322,9 @@ impl<S: Sampler> Detector for DjitDetector<S> {
         "Djit+"
     }
 
-    fn hoisted_decider(&self) -> Option<HoistedDecider> {
+    fn hoisted_decider(&self) -> HoistedDecider {
         let sampler = self.access.sampler().clone();
-        Some(Box::new(move |id, event| sampler.decide(id, event)))
+        Box::new(move |id, event| sampler.decide(id, event))
     }
 
     fn record_skipped_accesses(&mut self, reads: u64, writes: u64) {

@@ -199,9 +199,9 @@ impl<S: Sampler> Detector for NaiveSamplingDetector<S> {
         "ST(sam)"
     }
 
-    fn hoisted_decider(&self) -> Option<crate::HoistedDecider> {
+    fn hoisted_decider(&self) -> crate::HoistedDecider {
         let sampler = self.sampler.clone();
-        Some(Box::new(move |id, event| sampler.decide(id, event)))
+        Box::new(move |id, event| sampler.decide(id, event))
     }
 
     fn record_skipped_accesses(&mut self, reads: u64, writes: u64) {

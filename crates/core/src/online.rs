@@ -25,8 +25,8 @@ use crate::{Counters, Detector, HoistedDecider, RaceReport};
 ///
 /// # The lock-free skip path
 ///
-/// When the wrapped detector exposes a
-/// [`hoisted_decider`](Detector::hoisted_decider), access events draw
+/// Every detector exposes a
+/// [`hoisted_decider`](Detector::hoisted_decider), so access events draw
 /// their ticket from a plain atomic `fetch_add` *outside* the mutex,
 /// the (pure) sampling decision is computed immediately, and
 /// sampled-out accesses return after a striped atomic counter bump —
@@ -65,7 +65,7 @@ pub struct OnlineDetector<D> {
     /// Ticket counter, drawn outside any lock (invariant 10).
     next_id: AtomicU64,
     /// The hoisted sampling decision, extracted once at construction.
-    decider: Option<HoistedDecider>,
+    decider: HoistedDecider,
     /// Tallies for accesses the skip path rejected without locking.
     skip: SkipCells,
 }
@@ -75,7 +75,6 @@ impl<D: std::fmt::Debug> std::fmt::Debug for OnlineDetector<D> {
         f.debug_struct("OnlineDetector")
             .field("inner", &self.inner)
             .field("next_id", &self.next_id)
-            .field("hoisted", &self.decider.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -115,35 +114,31 @@ impl<D: Detector> OnlineDetector<D> {
 
     /// Feeds one event; returns `true` if it was reported as racing.
     ///
-    /// Sampled-out accesses take the lock-free skip path when the
-    /// detector exposes a hoisted decider: ticket, decision, one
-    /// striped counter bump — no mutex.
+    /// Sampled-out accesses take the lock-free skip path: ticket,
+    /// decision, one striped counter bump — no mutex.
     pub fn on_event(&self, tid: u32, kind: EventKind) -> bool {
         let id = EventId::new(self.next_id.fetch_add(1, Ordering::Relaxed));
         let event = Event::new(ThreadId::new(tid), kind);
-        // With a decider, accesses are decided here — once, outside the
-        // lock — and admitted ones go through `process_admitted` so the
-        // detector never re-derives the verdict under the mutex.
-        let mut admitted = false;
-        if let Some(decider) = &self.decider {
-            match kind {
-                EventKind::Read(_) => {
-                    if !decider(id, event) {
-                        self.skip.bump_read(tid);
-                        return false;
-                    }
-                    admitted = true;
+        // Accesses are decided here — once, outside the lock — and
+        // admitted ones go through `process_admitted` so the detector
+        // never re-derives the verdict under the mutex.
+        let admitted = match kind {
+            EventKind::Read(_) => {
+                if !(self.decider)(id, event) {
+                    self.skip.bump_read(tid);
+                    return false;
                 }
-                EventKind::Write(_) => {
-                    if !decider(id, event) {
-                        self.skip.bump_write(tid);
-                        return false;
-                    }
-                    admitted = true;
-                }
-                _ => {}
+                true
             }
-        }
+            EventKind::Write(_) => {
+                if !(self.decider)(id, event) {
+                    self.skip.bump_write(tid);
+                    return false;
+                }
+                true
+            }
+            EventKind::Acquire(_) | EventKind::Release(_) => false,
+        };
         let mut inner = self.inner.lock().expect("detector mutex poisoned");
         let report = if admitted {
             inner.detector.process_admitted(id, event)
@@ -239,9 +234,7 @@ impl<D: Detector> OnlineDetector<D> {
     pub fn finish(self) -> (D, Vec<RaceReport>) {
         let mut inner = self.inner.into_inner().expect("detector mutex poisoned");
         let (reads, writes) = self.skip.totals();
-        if reads != 0 || writes != 0 {
-            inner.detector.record_skipped_accesses(reads, writes);
-        }
+        inner.detector.record_skipped_accesses(reads, writes);
         inner.reports.sort_unstable_by_key(|r| r.event);
         debug_assert!(
             inner.reports.windows(2).all(|w| w[0].event < w[1].event),
@@ -288,11 +281,11 @@ impl Detector for EmptyDetector {
         "ET"
     }
 
-    fn hoisted_decider(&self) -> Option<HoistedDecider> {
+    fn hoisted_decider(&self) -> HoistedDecider {
         // ET analyzes nothing, so every access is sampled-out: the
         // instrumentation-only baseline rides the same lock-free skip
         // path real samplers do.
-        Some(Box::new(|_, _| false))
+        Box::new(|_, _| false)
     }
 
     fn record_skipped_accesses(&mut self, reads: u64, writes: u64) {

@@ -615,9 +615,9 @@ impl<S: Sampler> Detector for OrderedListDetector<S> {
         "SO"
     }
 
-    fn hoisted_decider(&self) -> Option<crate::HoistedDecider> {
+    fn hoisted_decider(&self) -> crate::HoistedDecider {
         let sampler = self.access.sampler().clone();
-        Some(Box::new(move |id, event| sampler.decide(id, event)))
+        Box::new(move |id, event| sampler.decide(id, event))
     }
 
     fn record_skipped_accesses(&mut self, reads: u64, writes: u64) {

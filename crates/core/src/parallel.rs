@@ -87,9 +87,9 @@ use std::sync::Arc;
 use freshtrack_clock::wire::{self, WireError, WireReader};
 use freshtrack_sampling::Sampler;
 use freshtrack_trace::{
-    decode_segment, decode_segment_indexed, AnalysisCache, BinaryTraceError, CacheConfig,
-    CacheEntry, DisciplineChecker, EventId, EventKind, SegmentData, SegmentMeta,
-    SegmentedTraceFile, SourceError, ThreadId, VarId,
+    decode_segment_indexed, AnalysisCache, BinaryTraceError, CacheConfig, CacheEntry,
+    DisciplineChecker, EventId, EventKind, SegmentData, SegmentMeta, SegmentedTraceFile,
+    SourceError, ThreadId, VarId,
 };
 
 use crate::checkpoint::{self, apply_delta, encode_delta, CheckpointError, CheckpointState};
@@ -1118,266 +1118,6 @@ fn decode_reports(bytes: &[u8]) -> Result<Vec<RaceReport>, WireError> {
     }
     r.finish()?;
     Ok(reports)
-}
-
-// ---------------------------------------------------------------------
-// The wave scheduler (previous generation), retained for benchmarking.
-// ---------------------------------------------------------------------
-
-struct WaveItem {
-    first_event_id: u64,
-    data: SegmentData,
-    seed: Seed,
-}
-
-/// The barriered wave scheduler [`analyze_segments`] replaced: read and
-/// decode `jobs` segments, walk them all, replay them all, repeat —
-/// every stage fully drains before the next starts, so the file is
-/// never being read while an engine runs. Retained (hidden) so
-/// `record_baseline` can measure the pipelined scheduler against it on
-/// the same corpus; output is byte-identical to [`analyze_segments`].
-#[doc(hidden)]
-pub fn analyze_segments_waves<D, S, R>(
-    file: &mut SegmentedTraceFile<R>,
-    detector: &D,
-    sampler: &S,
-    jobs: usize,
-) -> Result<SegmentedAnalysis, SourceError>
-where
-    D: SplitDetector,
-    D::Sync: CheckpointState,
-    S: Sampler + Clone + Send,
-    R: Read + Seek,
-{
-    let jobs = jobs.max(1);
-    let mut workers: Vec<Worker<D, S>> = (0..jobs)
-        .map(|_| Worker {
-            detector: detector.clone(),
-            access: detector.split_access(),
-            sampler: sampler.clone(),
-            access_counters: Counters::new(),
-            reports: Vec::new(),
-        })
-        .collect();
-
-    // Coordinator state, persistent across all segments.
-    let mut sync = detector.split_sync();
-    let mut coordinator_sampler = sampler.clone();
-    let mut counters = Counters::new();
-    let mut pending: Vec<bool> = Vec::new();
-    let mut checker = DisciplineChecker::new();
-    let mut lock_names: Vec<String> = Vec::new();
-    let mut var_names: Vec<String> = Vec::new();
-    let mut threads: u32 = 0;
-
-    let segment_count = file.segment_count();
-    let mut next = 0;
-    while next < segment_count {
-        let wave_end = (next + jobs).min(segment_count);
-
-        // (a) Sequential byte reads, parallel decode.
-        let mut metas: Vec<SegmentMeta> = Vec::with_capacity(wave_end - next);
-        let mut blobs: Vec<Vec<u8>> = Vec::with_capacity(wave_end - next);
-        for k in next..wave_end {
-            metas.push(file.meta(k).clone());
-            blobs.push(file.read_segment_bytes(k)?);
-        }
-        let datas: Vec<SegmentData> = if blobs.len() == 1 {
-            vec![decode_segment(&blobs[0], &metas[0])?]
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = blobs
-                    .iter()
-                    .zip(&metas)
-                    .map(|(bytes, meta)| scope.spawn(move || decode_segment(bytes, meta)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("segment decode panicked"))
-                    .collect::<Result<Vec<_>, BinaryTraceError>>()
-            })?
-        };
-        drop(blobs);
-
-        // (b) Coordinator walk: seeds, name merge, discipline, sync plane.
-        let mut wave: Vec<WaveItem> = Vec::with_capacity(datas.len());
-        let mut wave_prev_export: Option<Vec<u8>> = None;
-        for (meta, data) in metas.iter().zip(datas) {
-            check_watermarks(&lock_names, &var_names, meta)?;
-            merge_names(&mut lock_names, &data.new_locks, "lock", meta.offset)?;
-            merge_names(&mut var_names, &data.new_vars, "var", meta.offset)?;
-            threads = threads
-                .max(data.declared_threads)
-                .max(data.observed_threads);
-
-            let mut seed_sync = Vec::new();
-            sync.export_state(&mut seed_sync);
-            let sync_seed = match &wave_prev_export {
-                None => SeedSync::Full(seed_sync.clone()),
-                Some(prev) => SeedSync::Delta(encode_delta(prev, &seed_sync)),
-            };
-            wave_prev_export = Some(seed_sync);
-            let seed = Seed {
-                sync: sync_seed,
-                pending: pending.clone(),
-            };
-
-            for (i, &event) in data.events.iter().enumerate() {
-                let id = EventId::new(meta.first_event_id + i as u64);
-                checker.check(id, event)?;
-                counters.events += 1;
-                let tid = event.tid;
-                match event.kind {
-                    EventKind::Acquire(lock) => {
-                        sync.ensure_thread(tid);
-                        sync.acquire(tid, lock, &mut counters);
-                    }
-                    EventKind::Release(lock) => {
-                        sync.ensure_thread(tid);
-                        if pending.len() <= tid.index() {
-                            pending.resize(tid.index() + 1, false);
-                        }
-                        let sampled = std::mem::take(&mut pending[tid.index()]);
-                        sync.release(tid, lock, sampled, &mut counters);
-                    }
-                    EventKind::Read(_) | EventKind::Write(_) => {
-                        if coordinator_sampler.sample(id, event) {
-                            sync.ensure_thread(tid);
-                            if pending.len() <= tid.index() {
-                                pending.resize(tid.index() + 1, false);
-                            }
-                            pending[tid.index()] = true;
-                        }
-                    }
-                }
-            }
-
-            wave.push(WaveItem {
-                first_event_id: meta.first_event_id,
-                data,
-                seed,
-            });
-        }
-
-        // (c) Parallel worker replay.
-        if jobs == 1 {
-            replay_wave(&mut workers[0], &wave, 0, jobs);
-        } else {
-            std::thread::scope(|scope| {
-                let wave = &wave;
-                let handles: Vec<_> = workers
-                    .drain(..)
-                    .enumerate()
-                    .map(|(idx, mut worker)| {
-                        scope.spawn(move || {
-                            replay_wave(&mut worker, wave, idx, jobs);
-                            worker
-                        })
-                    })
-                    .collect();
-                workers.extend(
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("worker replay panicked")),
-                );
-            });
-        }
-
-        next = wave_end;
-    }
-
-    // (d) Merge, exactly like the pipelined scheduler.
-    let mut reports: Vec<RaceReport> = Vec::new();
-    for worker in &mut workers {
-        counters += std::mem::take(&mut worker.access_counters);
-        reports.append(&mut worker.reports);
-    }
-    reports.sort_by_key(|r| r.event);
-
-    Ok(SegmentedAnalysis {
-        reports,
-        counters,
-        threads,
-        lock_names,
-        var_names,
-    })
-}
-
-/// One worker's replay of one wave (wave scheduler only).
-fn replay_wave<D, S>(worker: &mut Worker<D, S>, wave: &[WaveItem], worker_idx: usize, jobs: usize)
-where
-    D: SplitDetector,
-    D::Sync: CheckpointState,
-    S: Sampler,
-{
-    let owned = |var: VarId| var.index() % jobs == worker_idx;
-    let mut seed_bytes: Vec<u8> = Vec::new();
-    for item in wave {
-        seed_bytes = match &item.seed.sync {
-            SeedSync::Full(bytes) => bytes.clone(),
-            SeedSync::Delta(delta) => apply_delta(&seed_bytes, delta)
-                .expect("coordinator-encoded delta must apply to its own chain"),
-        };
-        let has_owned_access = item.data.events.iter().any(|event| match event.kind {
-            EventKind::Read(var) | EventKind::Write(var) => owned(var),
-            _ => false,
-        });
-        if !has_owned_access {
-            continue;
-        }
-
-        let mut replica = worker.detector.split_sync();
-        replica
-            .import_state(&seed_bytes)
-            .expect("coordinator-exported seed must import");
-        let mut pending = item.seed.pending.clone();
-        let mut scratch = Counters::new();
-
-        for (i, &event) in item.data.events.iter().enumerate() {
-            let id = EventId::new(item.first_event_id + i as u64);
-            let tid = event.tid;
-            match event.kind {
-                EventKind::Acquire(lock) => {
-                    replica.ensure_thread(tid);
-                    replica.acquire(tid, lock, &mut scratch);
-                }
-                EventKind::Release(lock) => {
-                    replica.ensure_thread(tid);
-                    if pending.len() <= tid.index() {
-                        pending.resize(tid.index() + 1, false);
-                    }
-                    let sampled = std::mem::take(&mut pending[tid.index()]);
-                    replica.release(tid, lock, sampled, &mut scratch);
-                }
-                EventKind::Read(var) | EventKind::Write(var) => {
-                    if !worker.sampler.sample(id, event) {
-                        if owned(var) {
-                            crate::plane::tally_access(&event, &mut worker.access_counters);
-                        }
-                        continue;
-                    }
-                    replica.ensure_thread(tid);
-                    if pending.len() <= tid.index() {
-                        pending.resize(tid.index() + 1, false);
-                    }
-                    pending[tid.index()] = true;
-                    if owned(var) {
-                        let view = replica.publish(tid);
-                        let outcome = worker.access.access_sampled(
-                            id,
-                            event,
-                            &view,
-                            &mut worker.access_counters,
-                        );
-                        debug_assert!(outcome.sampled, "hoisted decision admitted this access");
-                        if let Some(report) = outcome.report {
-                            worker.reports.push(report);
-                        }
-                    }
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -12,11 +12,10 @@
 //!   clock and reads/writes the *per-variable access history* — state
 //!   that partitions perfectly by variable.
 //!
-//! PR 3's replicated sharding ignored this asymmetry and cloned the
-//! sync state into every shard, so each sync event paid `N×` clock work
-//! plus `N` lock acquisitions. The traits here encode the seam instead
-//! (the TSan architecture: one timestamp authority, per-location shadow
-//! state):
+//! Cloning the sync state into every access shard would make each sync
+//! event pay `N×` clock work plus `N` lock acquisitions. The traits
+//! here encode the seam instead (the TSan architecture: one timestamp
+//! authority, per-location shadow state):
 //!
 //! * [`SyncEngine`] — owns every thread/lock clock once, processes
 //!   acquire/release events, and *publishes* a cheap per-thread
@@ -80,11 +79,6 @@ pub struct AccessOutcome {
 }
 
 impl AccessOutcome {
-    /// An access that was not sampled (and therefore cannot race).
-    pub fn skipped() -> Self {
-        AccessOutcome::default()
-    }
-
     /// A sampled access with an optional race report.
     pub fn sampled(report: Option<RaceReport>) -> Self {
         AccessOutcome {
@@ -201,7 +195,7 @@ pub trait ViewSource {
 /// The access-plane half of a split engine: the sampler plus access
 /// histories for the shard's slice of the variable space.
 ///
-/// `access` is generic over the [`ClockView`] it consults — the race
+/// `access_sampled` is generic over the [`ClockView`] it consults — the race
 /// check only ever *reads* the view through `time_of`/`width`, so one
 /// access engine serves every sync engine's published representation
 /// (owned snapshot, epoch-spliced snapshot, or a borrowed slice decoded
@@ -211,8 +205,9 @@ pub trait AccessEngine: Send {
     /// position `id` belongs to the sample set. Pure in `(id, event)`
     /// and callable without any lock — this is the method the lock-free
     /// skip path consults before touching any shared state (invariant
-    /// 10 in `ARCHITECTURE.md`). Must agree with the decision
-    /// [`access`](AccessEngine::access) would make for the same inputs.
+    /// 10 in `ARCHITECTURE.md`). Must agree with the decision the
+    /// monolithic [`Detector::process`](crate::Detector::process) makes
+    /// for the same inputs.
     fn decide(&self, id: EventId, event: Event) -> bool;
 
     /// Analyzes one access event (`event.kind` is `Read` or `Write`)
@@ -227,25 +222,6 @@ pub trait AccessEngine: Send {
         view: &W,
         counters: &mut Counters,
     ) -> AccessOutcome;
-
-    /// Analyzes one access event inline: decides membership, tallies
-    /// the skip, or runs the full sampled analysis. Equivalent to the
-    /// hoisted split (`decide` + skip tally / `access_sampled`), which
-    /// the online façades use instead so skipped accesses never reach
-    /// the engine at all.
-    fn access<W: ClockView>(
-        &mut self,
-        id: EventId,
-        event: Event,
-        view: &W,
-        counters: &mut Counters,
-    ) -> AccessOutcome {
-        if !self.decide(id, event) {
-            tally_access(&event, counters);
-            return AccessOutcome::skipped();
-        }
-        self.access_sampled(id, event, view, counters)
-    }
 
     /// Analyzes a batch of buffered access events in order under a
     /// single shard-lock acquisition, resolving each event's view
@@ -290,8 +266,8 @@ pub(crate) fn tally_access(event: &Event, counters: &mut Counters) {
 ///
 /// `split_sync` / `split_access` derive *fresh* halves from this
 /// detector's configuration (engine options, sampler seed); the
-/// detector itself must be in its initial state, exactly like the
-/// pristine-clone requirement of replicated sharding. All access shards
+/// detector itself must be in its initial state, or the halves would
+/// disagree about the happens-before skeleton. All access shards
 /// of one run must come from the same detector so their samplers agree.
 pub trait SplitDetector: Detector + Clone + Send {
     /// The sync-plane half.

@@ -66,7 +66,7 @@ where
 
         // Delta form: reconstruct this cut's checkpoint from the
         // previous cut's bytes through the varint-delta codec (the
-        // encoding `analyze_segments` ships between wave segments),
+        // encoding `analyze_segments` ships between segments),
         // and resume from the *reconstruction* so the whole resume
         // path below also certifies the delta round-trip.
         let reconstructed = match &chain_prev {
@@ -339,8 +339,8 @@ proptest! {
 
 #[test]
 fn sync_plane_delta_chain_matches_direct_exports() {
-    // Exactly what `analyze_segments` ships between the segments of a
-    // wave: the first boundary as a full sync-plane export, every later
+    // Exactly what `analyze_segments` ships along a worker's segment
+    // chain: the first boundary as a full sync-plane export, every later
     // boundary as a varint delta against the previous one. Walking the
     // chain must reconstruct each boundary byte-identically, and an
     // engine seeded from a reconstruction must re-export those same

@@ -1,24 +1,19 @@
 //! Sharded-ingestion differential suite: the executable form of the
-//! verdict-preservation invariant, for **every** sync-skeleton
-//! construction and batch capacity.
+//! verdict-preservation invariant, for every shard count and batch
+//! capacity.
 //!
 //! [`ShardedOnlineDetector`] routes access events to `hash(var) % N`
-//! shards; the happens-before skeleton is either *replicated* into
-//! per-shard detector clones ([`SyncMode::Replicated`], PR 3) or held
-//! once by a shared sync engine behind a sync-only lock, publishing
-//! views through per-thread mutex slots ([`SyncMode::Shared`], PR 4) or
-//! through lock-free seqlock slots ([`SyncMode::Seqlock`], the
-//! default). All claim the merged result is indistinguishable from the
-//! single-mutex
-//! [`OnlineDetector`]: identical (EventId-sorted) race reports and
-//! identical per-kind counters. This suite checks that claim for
+//! shards; the happens-before skeleton is held once by a sync engine
+//! behind a sync-only lock, publishing views through lock-free seqlock
+//! slots. It claims the merged result is indistinguishable from the
+//! single-mutex [`OnlineDetector`] and a sequential [`Detector::run`]:
+//! identical (EventId-sorted) race reports and identical [`Counters`].
+//! This suite checks that claim for
 //!
 //! * **shard counts** `N ∈ {1, 2, 4, 7}` (including a prime, so routing
 //!   has no accidental alignment with the variable-id space),
-//! * **sync modes** — replicated, mutex-slot two-plane, and seqlock,
-//!   pinned against one baseline (and therefore against each other),
-//! * **batch capacities** `B ∈ {1, 7, 64}` — buffered ingestion
-//!   (`with_options`) vs unbatched, same reports and counters,
+//! * **batch capacities** — `B ∈ {1, 8}` in every equivalence check,
+//!   and `B ∈ {1, 7, 64}` in the batched-vs-unbatched differential,
 //! * **engines** Djit+ (ST), FastTrack, and the ordered-list engine
 //!   (SO) — per-variable vector-clock, lossy-epoch, and lazy-copy
 //!   histories respectively,
@@ -30,21 +25,17 @@
 //! It also pins the **report-order invariant** the shard merge depends
 //! on — [`Detector::run`], [`OnlineDetector::finish`] *and*
 //! [`ShardedOnlineDetector::finish_merged`] at `N > 1` yield reports
-//! strictly sorted by racing [`EventId`] — and the **order
-//! independence of [`Counters::merge`]** across shard permutations
-//! (the sync-once/work-summed asymmetry must not depend on which shard
-//! happens to come first).
+//! strictly sorted by racing [`EventId`].
 //!
 //! [`EventId`]: freshtrack_trace::EventId
 //! [`OnlineDetector`]: freshtrack_core::OnlineDetector
 //! [`OnlineDetector::finish`]: freshtrack_core::OnlineDetector::finish
 //! [`ShardedOnlineDetector`]: freshtrack_core::ShardedOnlineDetector
 //! [`ShardedOnlineDetector::finish_merged`]: freshtrack_core::ShardedOnlineDetector::finish_merged
-//! [`Counters::merge`]: freshtrack_core::Counters::merge
 
 use freshtrack_core::{
     Counters, Detector, DjitDetector, FastTrackDetector, OnlineDetector, OrderedListDetector,
-    RaceReport, ShardedOnlineDetector, SyncMode,
+    RaceReport, ShardedOnlineDetector,
 };
 use freshtrack_sampling::{AlwaysSampler, BernoulliSampler, NeverSampler, PeriodicSampler};
 use freshtrack_testutil::{
@@ -56,9 +47,6 @@ use proptest::prelude::*;
 
 /// Shard counts under test: identity, powers of two, and a prime.
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 7];
-
-/// Every sync-skeleton construction.
-const ALL_MODES: [SyncMode; 3] = [SyncMode::Replicated, SyncMode::Shared, SyncMode::Seqlock];
 
 /// Batch capacities for the batched-vs-unbatched differential: the
 /// unbatched reference, a capacity that forces mid-stream flushes, and
@@ -72,8 +60,8 @@ const SEEDS: [u64; 3] = [11, 4242, 987_654_321];
 /// can be bigger than the conformance suite's.
 const EVENTS: usize = 600;
 
-/// Runs the shard-equivalence contract (every sync mode vs the
-/// single-mutex baseline) for all three engines over one
+/// Runs the shard-equivalence contract (sharded and single-mutex
+/// ingestion vs `Detector::run`) for all three engines over one
 /// `(trace, sampler)` cell.
 fn check_all_engines<S: freshtrack_sampling::Sampler + Copy + Send>(
     label: &str,
@@ -169,58 +157,11 @@ fn structured_patterns_under_periodic_and_never_sampling() {
     }
 }
 
-/// The dedicated old-vs-new pin: for every engine, shard count and a
-/// racy structured cell, the replicated, mutex-slot, and seqlock runs
-/// produce *identical* verdicts (reports compared against each other
-/// directly, not just against the single-mutex baseline).
-#[test]
-fn replicated_and_two_plane_verdicts_are_identical() {
-    let sampler = BernoulliSampler::new(0.4, 2024);
-    for (label, trace) in workload_matrix(EVENTS, &[11]) {
-        for shards in SHARD_COUNTS {
-            let (old_reports, old_counters) = run_sharded_trace(
-                &trace,
-                DjitDetector::new(sampler),
-                shards,
-                SyncMode::Replicated,
-            );
-            for mode in [SyncMode::Shared, SyncMode::Seqlock] {
-                let (new_reports, new_counters) =
-                    run_sharded_trace(&trace, DjitDetector::new(sampler), shards, mode);
-                assert_eq!(
-                    old_reports, new_reports,
-                    "[{label}] djit N={shards} {mode:?}"
-                );
-                assert_eq!(
-                    old_counters.races, new_counters.races,
-                    "[{label}] N={shards} {mode:?}"
-                );
-                assert_eq!(
-                    old_counters.sampled_accesses, new_counters.sampled_accesses,
-                    "[{label}] N={shards} {mode:?}"
-                );
-            }
-
-            let (old_reports, _) = run_sharded_trace(
-                &trace,
-                OrderedListDetector::new(sampler),
-                shards,
-                SyncMode::Replicated,
-            );
-            for mode in [SyncMode::Shared, SyncMode::Seqlock] {
-                let (new_reports, _) =
-                    run_sharded_trace(&trace, OrderedListDetector::new(sampler), shards, mode);
-                assert_eq!(old_reports, new_reports, "[{label}] so N={shards} {mode:?}");
-            }
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Fuzzed traces: every engine, every shard count, both sync
-    /// modes, Bernoulli sampling with arbitrary seed and rate.
+    /// Fuzzed traces: every engine, every shard count, Bernoulli
+    /// sampling with arbitrary seed and rate.
     #[test]
     fn fuzzed_traces_shard_equivalence(
         fuel in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 0..150),
@@ -244,7 +185,7 @@ proptest! {
     }
 
     /// Batched vs unbatched ingestion over fuzzed traces: for every
-    /// engine, every sync mode and B ∈ {1, 7, 64}, buffering access
+    /// engine and B ∈ {1, 7, 64}, buffering access
     /// events in per-shard batches changes neither the merged report
     /// list nor any `Counters` field — the flush-before-any-sync rule
     /// makes draw-time and flush-time views coincide, and ticket order
@@ -260,40 +201,37 @@ proptest! {
         let trace = trace_from_fuel(&fuel, 5, 3, 4);
         prop_assume!(trace.validate().is_ok());
         let samplers = (BernoulliSampler::new(rate, seed), AlwaysSampler::new());
-        for mode in ALL_MODES {
-            macro_rules! check_batched {
-                ($label:expr, $mk:expr) => {{
-                    let (base_reports, base_counters) =
-                        run_sharded_trace_batched(&trace, $mk, shards, mode, 1);
-                    for batch in &BATCH_SIZES[1..] {
-                        let (reports, counters) =
-                            run_sharded_trace_batched(&trace, $mk, shards, mode, *batch);
-                        prop_assert_eq!(
-                            &reports, &base_reports,
-                            "[{}] {:?} N={} B={}", $label, mode, shards, batch
-                        );
-                        prop_assert_eq!(
-                            counters, base_counters,
-                            "[{}] {:?} N={} B={}", $label, mode, shards, batch
-                        );
-                    }
-                }};
-            }
-            check_batched!("djit/bernoulli", DjitDetector::new(samplers.0));
-            check_batched!("fasttrack/bernoulli", FastTrackDetector::new(samplers.0));
-            check_batched!("so/bernoulli", OrderedListDetector::new(samplers.0));
-            check_batched!("djit/always", DjitDetector::new(samplers.1));
-            check_batched!("fasttrack/always", FastTrackDetector::new(samplers.1));
-            check_batched!("so/always", OrderedListDetector::new(samplers.1));
+        macro_rules! check_batched {
+            ($label:expr, $mk:expr) => {{
+                let (base_reports, base_counters) =
+                    run_sharded_trace_batched(&trace, $mk, shards, 1);
+                for batch in &BATCH_SIZES[1..] {
+                    let (reports, counters) =
+                        run_sharded_trace_batched(&trace, $mk, shards, *batch);
+                    prop_assert_eq!(
+                        &reports, &base_reports,
+                        "[{}] N={} B={}", $label, shards, batch
+                    );
+                    prop_assert_eq!(
+                        counters, base_counters,
+                        "[{}] N={} B={}", $label, shards, batch
+                    );
+                }
+            }};
         }
+        check_batched!("djit/bernoulli", DjitDetector::new(samplers.0));
+        check_batched!("fasttrack/bernoulli", FastTrackDetector::new(samplers.0));
+        check_batched!("so/bernoulli", OrderedListDetector::new(samplers.0));
+        check_batched!("djit/always", DjitDetector::new(samplers.1));
+        check_batched!("fasttrack/always", FastTrackDetector::new(samplers.1));
+        check_batched!("so/always", OrderedListDetector::new(samplers.1));
     }
 
     /// Report-order regression (the invariant the shard merge builds
     /// on): every engine's `run` yields reports strictly sorted by
     /// racing EventId, the single-mutex online façade preserves that
     /// through `finish`, and — the multi-shard cases —
-    /// `ShardedOnlineDetector::finish_merged` preserves it at `N > 1`
-    /// in both sync modes.
+    /// `ShardedOnlineDetector::finish_merged` preserves it at `N > 1`.
     #[test]
     fn reports_are_sorted_by_event_id(
         fuel in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 0..150),
@@ -328,77 +266,27 @@ proptest! {
         );
 
         // finish_merged at N > 1: the merge itself must restore strict
-        // EventId order from the per-shard partitions, in both modes.
-        for mode in ALL_MODES {
-            for shards in [2usize, 4, 7] {
-                let (reports, merged) = run_sharded_trace(
-                    &trace,
-                    DjitDetector::new(AlwaysSampler::new()),
-                    shards,
-                    mode,
-                );
-                assert_sorted(&format!("finish_merged/{mode:?}/{shards}"), &reports);
-                assert_eq!(
-                    reports, baseline,
-                    "finish_merged({mode:?}, {shards}) must reproduce the baseline"
-                );
-                assert_eq!(reports.len() as u64, merged.races);
-            }
+        // EventId order from the per-shard partitions.
+        for shards in [2usize, 4, 7] {
+            let (reports, merged) = run_sharded_trace(
+                &trace,
+                DjitDetector::new(AlwaysSampler::new()),
+                shards,
+            );
+            assert_sorted(&format!("finish_merged/{shards}"), &reports);
+            assert_eq!(
+                reports, baseline,
+                "finish_merged({shards}) must reproduce the baseline"
+            );
+            assert_eq!(reports.len() as u64, merged.races);
         }
-    }
-
-    /// `Counters::merge` is order-independent across shard
-    /// permutations: the sync-once/work-summed asymmetry documented in
-    /// PR 3 must yield the same merged value no matter how the shards
-    /// are ordered (rotations and reversals cover every adjacent
-    /// transposition pattern the fold could be sensitive to).
-    #[test]
-    fn counters_merge_is_order_independent(
-        // Per-shard access-side and work-side counts; sync observation
-        // counts are shared (every shard sees every sync event).
-        per_shard in prop::collection::vec(
-            (0u64..1000, 0u64..1000, 0u64..1000, 0u64..1000, 0u64..1000),
-            1..8,
-        ),
-        acquires in 0u64..500,
-        releases in 0u64..500,
-        rotation in any::<usize>(),
-    ) {
-        let shards: Vec<Counters> = per_shard
-            .iter()
-            .map(|&(reads, writes, vc_ops, traversed, deep)| Counters {
-                reads,
-                writes,
-                sampled_accesses: reads / 2,
-                races: writes / 10,
-                acquires,
-                releases,
-                acquires_skipped: acquires / 2,
-                acquires_processed: acquires - acquires / 2,
-                vc_ops,
-                entries_traversed: traversed,
-                deep_copies: deep,
-                events: reads + writes + acquires + releases,
-                ..Counters::new()
-            })
-            .collect();
-
-        let reference = Counters::merge(shards.clone());
-
-        let mut rotated = shards.clone();
-        rotated.rotate_left(rotation % shards.len());
-        prop_assert_eq!(Counters::merge(rotated), reference);
-
-        let mut reversed = shards;
-        reversed.reverse();
-        prop_assert_eq!(Counters::merge(reversed), reference);
     }
 }
 
 /// A deterministic non-proptest regression: the racy mixed pattern has
 /// multiple reports, and the sharded merge keeps them sorted and equal
-/// to the baseline for every shard count and both sync modes —
-/// including through `finish_merged` at `N > 1`.
+/// to the baseline for every shard count — including through
+/// `finish_merged` at `N > 1`.
 #[test]
 fn regression_sorted_merge_on_racy_cell() {
     let (label, trace) = workload_matrix(EVENTS, &[11])
@@ -414,16 +302,13 @@ fn regression_sorted_merge_on_racy_cell() {
     assert!(reports.len() >= 2, "[{label}] want a multi-report cell");
     assert!(reports.windows(2).all(|w| w[0].event < w[1].event));
 
-    for mode in ALL_MODES {
-        let sharded =
-            ShardedOnlineDetector::with_mode(DjitDetector::new(AlwaysSampler::new()), 4, mode);
-        for (_, event) in trace.iter() {
-            sharded.on_event(event.tid.as_u32(), event.kind);
-        }
-        let (merged_reports, counters) = sharded.finish_merged();
-        assert_eq!(merged_reports, reports, "{mode:?}");
-        assert_eq!(counters.races as usize, reports.len(), "{mode:?}");
+    let sharded = ShardedOnlineDetector::new(DjitDetector::new(AlwaysSampler::new()), 4);
+    for (_, event) in trace.iter() {
+        sharded.on_event(event.tid.as_u32(), event.kind);
     }
+    let (merged_reports, counters) = sharded.finish_merged();
+    assert_eq!(merged_reports, reports);
+    assert_eq!(counters.races as usize, reports.len());
 }
 
 // ---------------------------------------------------------------------

@@ -149,9 +149,7 @@ impl<D: Detector + Send> Instrument for DetectorInstrument<D> {
 
 /// Routes instrumentation callbacks into a
 /// [`ShardedOnlineDetector`]: per-variable access shards around a
-/// seqlock-published sync plane (or, via
-/// [`with_mode`](ShardedInstrument::with_mode), the mutex-slot or
-/// replicated constructions), instead of one global analysis mutex.
+/// seqlock-published sync plane, instead of one global analysis mutex.
 /// [`with_options`](ShardedInstrument::with_options) additionally
 /// enables per-shard access batching so one shard-lock acquisition
 /// amortizes over many events.
@@ -166,40 +164,28 @@ pub struct ShardedInstrument<D: SplitDetector> {
 }
 
 impl<D: SplitDetector + 'static> ShardedInstrument<D> {
-    /// Builds an instrument with `shards` access shards in the default
-    /// seqlock-published [`SyncMode::Seqlock`] construction with
-    /// unbatched (capacity-1) ingestion; `detector` (which must be in
-    /// its initial state) seeds the engine configuration.
+    /// Builds an instrument with `shards` access shards and unbatched
+    /// (capacity-1) ingestion; `detector` (which must be in its initial
+    /// state) seeds the engine configuration.
     ///
     /// # Panics
     ///
     /// Panics if `shards` is zero.
     pub fn new(detector: D, shards: usize) -> Self {
-        Self::with_mode(detector, shards, SyncMode::Seqlock)
+        Self::with_options(detector, shards, SyncMode::Seqlock, 1)
     }
 
-    /// Builds an instrument with an explicit [`SyncMode`] and unbatched
-    /// ingestion.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn with_mode(detector: D, shards: usize, mode: SyncMode) -> Self {
-        Self::with_options(detector, shards, mode, 1)
-    }
-
-    /// Builds an instrument with an explicit [`SyncMode`] and per-shard
-    /// batch capacity (`batch` accesses buffered per shard-lock
-    /// acquisition; `1` disables batching).
+    /// Builds an instrument with a per-shard batch capacity (`batch`
+    /// accesses buffered per shard-lock acquisition; `1` disables
+    /// batching). [`SyncMode`] has a single variant; the parameter
+    /// keeps callers that name it compiling.
     ///
     /// # Panics
     ///
     /// Panics if `shards` or `batch` is zero.
-    pub fn with_options(detector: D, shards: usize, mode: SyncMode, batch: usize) -> Self {
+    pub fn with_options(detector: D, shards: usize, _mode: SyncMode, batch: usize) -> Self {
         ShardedInstrument {
-            online: Arc::new(ShardedOnlineDetector::with_options(
-                detector, shards, mode, batch,
-            )),
+            online: Arc::new(ShardedOnlineDetector::with_batch(detector, shards, batch)),
         }
     }
 
@@ -327,28 +313,36 @@ mod tests {
 
     #[test]
     fn sharded_instrument_finds_races_and_merges_counters() {
-        for mode in [SyncMode::Replicated, SyncMode::Shared, SyncMode::Seqlock] {
+        fn feed(inst: &impl Instrument) {
+            inst.acquire(0, 0);
+            inst.write(0, 3);
+            inst.release(0, 0);
+            inst.write(1, 3); // races with t0's write (no common lock held)
+            inst.write(1, 9);
+        }
+        let reference = DetectorInstrument::new(DjitDetector::new(AlwaysSampler::new()));
+        feed(&reference);
+        let (detector, want_reports) = reference.finish();
+        for shards in [1usize, 2, 4, 7] {
             for batch in [1usize, 8] {
                 let inst = ShardedInstrument::with_options(
                     DjitDetector::new(AlwaysSampler::new()),
-                    4,
-                    mode,
+                    shards,
+                    SyncMode::Seqlock,
                     batch,
                 );
-                assert_eq!(inst.shard_count(), 4);
+                assert_eq!(inst.shard_count(), shards);
                 assert_eq!(inst.batch_capacity(), batch);
-                inst.acquire(0, 0);
-                inst.write(0, 3);
-                inst.release(0, 0);
-                inst.write(1, 3); // races with t0's write (no common lock held)
-                inst.write(1, 9);
+                feed(&inst);
                 let (reports, counters) = inst.finish();
-                assert_eq!(reports.len(), 1, "{mode:?} batch={batch}");
-                assert_eq!(counters.events, 5, "{mode:?} batch={batch}");
-                assert_eq!(counters.acquires, 1, "{mode:?} batch={batch}");
-                assert_eq!(counters.releases, 1, "{mode:?} batch={batch}");
-                assert_eq!(counters.writes, 3, "{mode:?} batch={batch}");
-                assert_eq!(counters.races, 1, "{mode:?} batch={batch}");
+                assert_eq!(reports, want_reports, "shards={shards} batch={batch}");
+                assert_eq!(
+                    counters,
+                    *detector.counters(),
+                    "shards={shards} batch={batch}"
+                );
+                assert_eq!(counters.events, 5);
+                assert_eq!(counters.races, 1);
             }
         }
     }

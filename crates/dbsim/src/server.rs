@@ -152,9 +152,11 @@ pub fn run_detector<D: Detector + Send + 'static>(
 }
 
 /// Runs a workload through the sharded ingestion path
-/// ([`ShardedInstrument`] with `shards` access shards in the given
-/// [`SyncMode`]) and shuts it down, returning latency statistics, the
-/// merged (EventId-sorted) reports, and the aggregated [`Counters`].
+/// ([`ShardedInstrument`] with `shards` access shards and per-shard
+/// batch capacity `batch`) and shuts it down, returning latency
+/// statistics, the merged (EventId-sorted) reports, and the aggregated
+/// [`Counters`]. [`SyncMode`] has a single variant; the parameter keeps
+/// callers that name it compiling.
 ///
 /// Same lifecycle as [`run_detector`]; all ingestion paths report
 /// identical races for the same event stream (the verdict-preservation
@@ -358,22 +360,17 @@ mod tests {
     fn sharded_run_finds_seeded_races_with_sorted_merged_reports() {
         let mut w = benchbase::by_name("ycsb").unwrap();
         w.unprotected_fraction = 0.2; // make the seeded race frequent
-        for (mode, batch) in [
-            (SyncMode::Replicated, 1),
-            (SyncMode::Shared, 1),
-            (SyncMode::Seqlock, 1),
-            (SyncMode::Seqlock, 64),
-        ] {
+        for batch in [1, 64] {
             let (stats, reports, counters) = run_sharded(
                 &w,
                 &small_opts(),
                 FastTrackDetector::new(AlwaysSampler::new()),
                 4,
-                mode,
+                SyncMode::Seqlock,
                 batch,
             );
             assert_eq!(stats.transactions, 400);
-            assert!(!reports.is_empty(), "{mode:?}: seeded race not found");
+            assert!(!reports.is_empty(), "batch={batch}: seeded race not found");
             assert!(reports.windows(2).all(|w| w[0].event < w[1].event));
             assert_eq!(counters.races as usize, reports.len());
             assert_eq!(

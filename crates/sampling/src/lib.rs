@@ -67,8 +67,7 @@ use freshtrack_trace::{Event, EventId};
 /// often, or from which thread it is asked. This is what lets the online
 /// detectors hoist the decision out of their analysis locks — a skipped
 /// access can be rejected before any shared state is touched, and a
-/// re-query on the locked path (or on a replicated shard) agrees with the
-/// hoisted answer. The `Clone + Send + Sync` supertraits exist for the
+/// re-query on the locked path agrees with the hoisted answer. The `Clone + Send + Sync` supertraits exist for the
 /// same reason: hoisted deciders are cloned out of the detector and
 /// consulted concurrently.
 pub trait Sampler: Clone + Send + Sync + 'static {

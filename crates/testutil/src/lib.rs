@@ -27,12 +27,13 @@
 //! * [`workload_matrix`] / [`conformance_workload`] — seeded structured
 //!   workloads across every [`Pattern`], sized so the quadratic oracle
 //!   stays affordable.
-//! * [`run_sharded_trace`] / [`run_sharded_trace_batched`] /
-//!   [`assert_shard_equivalence`] — sharded ingestion
-//!   ([`ShardedOnlineDetector`], in every [`SyncMode`], batched or
-//!   not) vs the single-mutex path: identical reports, matching
-//!   per-kind counters, for any shard count. Used by
-//!   `crates/core/tests/sharding.rs`.
+//! * [`run_online_trace`] / [`run_sharded_trace`] /
+//!   [`run_sharded_trace_batched`] / [`assert_shard_equivalence`] —
+//!   online ingestion (the single-mutex [`OnlineDetector`] and the
+//!   [`ShardedOnlineDetector`], batched or not) vs a sequential
+//!   [`Detector::run`]: identical reports and full [`Counters`]
+//!   equality, for any shard count. Used by
+//!   `crates/core/tests/{sharding,hoisted}.rs`.
 //! * [`trace_from_fuel`] — the shared fuzz-trace interpreter: raw
 //!   `(thread, action, operand)` fuel into a trace obeying the locking
 //!   discipline (used by the proptest suites).
@@ -42,8 +43,8 @@
 
 use freshtrack_core::{
     Counters, Detector, DjitDetector, FastTrackDetector, FreshnessDetector, HbOracle,
-    NaiveSamplingDetector, OracleConfig, OracleOutcome, OrderedListDetector, RaceReport,
-    ShardedOnlineDetector, SplitDetector, StreamingOracle, SyncMode,
+    NaiveSamplingDetector, OnlineDetector, OracleConfig, OracleOutcome, OrderedListDetector,
+    RaceReport, ShardedOnlineDetector, SplitDetector, StreamingOracle,
 };
 use freshtrack_sampling::Sampler;
 use freshtrack_trace::{Trace, TraceBuilder, VarId};
@@ -342,8 +343,24 @@ pub fn trace_from_fuel(fuel: &[(u8, u8, u8)], threads: u8, locks: u8, vars: u8) 
     b.build()
 }
 
-/// Feeds `trace` event by event through a [`ShardedOnlineDetector`]
-/// built from `detector` in the given [`SyncMode`], returning the
+/// Batch capacities every [`assert_shard_equivalence`] run covers: the
+/// unbatched reference and a capacity that forces mid-stream flushes.
+pub const SHARD_BATCHES: [usize; 2] = [1, 8];
+
+/// Feeds `trace` event by event through the single-mutex
+/// [`OnlineDetector`] wrapping `detector`, returning its
+/// (EventId-sorted) reports and the detector's counters.
+pub fn run_online_trace<D: Detector>(trace: &Trace, detector: D) -> (Vec<RaceReport>, Counters) {
+    let online = OnlineDetector::new(detector);
+    for (_, event) in trace.iter() {
+        online.on_event(event.tid.as_u32(), event.kind);
+    }
+    let (detector, reports) = online.finish();
+    (reports, *detector.counters())
+}
+
+/// Feeds `trace` event by event through an unbatched
+/// [`ShardedOnlineDetector`] built from `detector`, returning the
 /// merged (EventId-sorted) reports and the aggregated counters.
 ///
 /// The sequential feed assigns ticket ids in trace order, so the
@@ -353,9 +370,8 @@ pub fn run_sharded_trace<D: SplitDetector>(
     trace: &Trace,
     detector: D,
     shards: usize,
-    mode: SyncMode,
 ) -> (Vec<RaceReport>, Counters) {
-    run_sharded_trace_batched(trace, detector, shards, mode, 1)
+    run_sharded_trace_batched(trace, detector, shards, 1)
 }
 
 /// [`run_sharded_trace`] with an explicit per-shard access-batch
@@ -366,28 +382,23 @@ pub fn run_sharded_trace_batched<D: SplitDetector>(
     trace: &Trace,
     detector: D,
     shards: usize,
-    mode: SyncMode,
     batch: usize,
 ) -> (Vec<RaceReport>, Counters) {
-    let sharded = ShardedOnlineDetector::with_options(detector, shards, mode, batch);
+    let sharded = ShardedOnlineDetector::with_batch(detector, shards, batch);
     for (_, event) in trace.iter() {
         sharded.on_event(event.tid.as_u32(), event.kind);
     }
     sharded.finish_merged()
 }
 
-/// Asserts that sharded ingestion is verdict-preserving for one
-/// `(trace, detector)` pair, in **every** sync-skeleton construction:
-/// for every shard count in `shard_counts` and every [`SyncMode`]
-/// (replicated, mutex-slot two-plane, and seqlock), the sharded run reports
-/// exactly the single-mutex path's races (same order — all are
-/// EventId-sorted) and its merged counters agree on every **per-kind**
-/// field (`events`, `reads`, `writes`, `sampled_accesses`, `acquires`,
-/// `releases`, `races`). Running both modes against one baseline also
-/// pins old-vs-new equivalence transitively. Work counters are exempt
-/// by design: replication multiplies sync-side clock work `N×`, the
-/// two-plane construction does not (see [`Counters::merge`] and the
-/// `sync_cost` bench).
+/// Asserts that online ingestion is verdict-preserving for one
+/// `(trace, detector)` pair: the single-mutex [`OnlineDetector`] and,
+/// for every shard count in `shard_counts` and every batch capacity in
+/// [`SHARD_BATCHES`], the [`ShardedOnlineDetector`] report exactly the
+/// races of a sequential [`Detector::run`] (same order — all are
+/// EventId-sorted) with **full** [`Counters`] equality. The sync plane
+/// performs the monolith's clock work exactly once and the access
+/// shards partition the per-variable work, so no field is exempt.
 ///
 /// Returns the common report list.
 pub fn assert_shard_equivalence<D: SplitDetector>(
@@ -399,31 +410,21 @@ pub fn assert_shard_equivalence<D: SplitDetector>(
     let mut baseline = detector.clone();
     let baseline_reports = baseline.run(trace);
     let expected = *baseline.counters();
+    let (reports, counters) = run_online_trace(trace, detector.clone());
+    assert_eq!(reports, baseline_reports, "[{label}] single-mutex reports");
+    assert_eq!(counters, expected, "[{label}] single-mutex counters");
     for &shards in shard_counts {
-        for mode in [SyncMode::Replicated, SyncMode::Shared, SyncMode::Seqlock] {
-            let (reports, merged) = run_sharded_trace(trace, detector.clone(), shards, mode);
+        for batch in SHARD_BATCHES {
+            let (reports, merged) =
+                run_sharded_trace_batched(trace, detector.clone(), shards, batch);
             assert_eq!(
                 reports, baseline_reports,
-                "[{label}] sharded({shards}, {mode:?}) vs single-mutex reports"
+                "[{label}] sharded(N={shards}, B={batch}) reports"
             );
-            for (field, got, want) in [
-                ("events", merged.events, expected.events),
-                ("reads", merged.reads, expected.reads),
-                ("writes", merged.writes, expected.writes),
-                (
-                    "sampled_accesses",
-                    merged.sampled_accesses,
-                    expected.sampled_accesses,
-                ),
-                ("acquires", merged.acquires, expected.acquires),
-                ("releases", merged.releases, expected.releases),
-                ("races", merged.races, expected.races),
-            ] {
-                assert_eq!(
-                    got, want,
-                    "[{label}] sharded({shards}, {mode:?}) merged counter `{field}`"
-                );
-            }
+            assert_eq!(
+                merged, expected,
+                "[{label}] sharded(N={shards}, B={batch}) counters"
+            );
         }
     }
     baseline_reports
