@@ -53,9 +53,9 @@
 //!
 //! A fifth mode, `--segments`, measures the **segmented `.ftb` v2
 //! store**: v2 vs v1 encode throughput and size overhead, the
-//! footer-seek open latency, checkpointed pipelined replay
-//! (`analyze_segments`, jobs ∈ {1, 2}) against the sequential pass over
-//! the same bytes, and the
+//! footer-seek open latency, pipelined replay with parallel segment
+//! decoding (`analyze_segments`, jobs ∈ {1, 2}) against the sequential
+//! pass over the same bytes, and the
 //! `.ftc` incremental pair — a cold cached run vs a re-analysis that
 //! resumes a sidecar left by a ~95% prefix of the same corpus (the
 //! append case the cache exists for) — with report parity asserted
@@ -840,8 +840,8 @@ fn run_trace_io(out_path: Option<String>) {
 
 /// The `--segments` mode: cost and payoff of the segmented `.ftb` v2
 /// store against flat v1 — encode throughput and size overhead, the
-/// footer-seek open latency, checkpointed pipelined replay
-/// ([`freshtrack_core::analyze_segments`]) at jobs ∈ {1, 2} against
+/// footer-seek open latency, pipelined replay with parallel segment
+/// decoding ([`freshtrack_core::analyze_segments`]) at jobs ∈ {1, 2} against
 /// the sequential streaming pass over the *same* v2 bytes, and the `.ftc` incremental pair: a cold
 /// cached run vs a warm re-analysis resuming the sidecar a ~95%
 /// prefix of the corpus left behind (the append case
@@ -1108,9 +1108,10 @@ fn run_segments(out_path: Option<String>) {
          replay points are the SO-3% engine over identical v2 bytes and assert \
          report parity with the sequential pass every round; footer_open_ns is the \
          cost of reading the trailer + footer index without touching segment data. \
-         parallel_replay_jobsN is the bounded-channel pipeline (reader decodes \
-         ahead, coordinator walks the sync plane, workers replay behind); at \
-         jobs=1 it collapses to a single pass with no checkpoint round-trip. \
+         parallel_replay_jobsN is the bounded-channel pipeline: a reader thread \
+         reads segment bytes, N decoder threads decode them, and the calling \
+         thread runs the one replay loop over the segments in stream order, so \
+         N counts decoder threads only (recorded on a 2-core host). \
          cached_cold_jobs1 runs the same pipeline while \
          recording a .ftc sidecar; cached_incremental_jobs1 resumes the sidecar \
          a ~95% prefix of the corpus left behind and replays only the appended \

@@ -170,12 +170,9 @@ fn analyze<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgErr
     if jobs == 0 {
         return Err(ArgError("--jobs must be at least 1".into()));
     }
-    let want_cache = args.flag("cache") || args.get("cache").is_some();
-    if want_cache && !args.flag("no-cache") {
-        return analyze_cached(&args, &engine, rate, seed, jobs, out);
-    }
-    if jobs >= 2 {
-        return analyze_parallel(&args, &engine, rate, seed, jobs, out);
+    let cached = (args.flag("cache") || args.get("cache").is_some()) && !args.flag("no-cache");
+    if cached || jobs >= 2 {
+        return analyze_segmented(&args, &engine, rate, seed, jobs, cached, out);
     }
     let (mut source, path) = open_validated(&args)?;
     let sampler = BernoulliSampler::new(rate, seed);
@@ -220,101 +217,6 @@ fn analyze<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgErr
         let _ = writeln!(out, "{counters}");
     }
     Ok(())
-}
-
-/// Runs `analyze --jobs N` (N ≥ 2): checkpointed parallel replay of a
-/// segmented `.ftb` v2 file, printing output byte-identical to the
-/// sequential path (the CI smoke step diffs the two).
-fn analyze_parallel<W: std::io::Write>(
-    args: &Args,
-    engine: &str,
-    rate: f64,
-    seed: u64,
-    jobs: usize,
-    out: &mut W,
-) -> Result<(), ArgError> {
-    let path = input_path(args)?;
-    if path == "-" {
-        return Err(ArgError(
-            "--jobs needs a seekable segmented file, not stdin (pipe through \
-             `convert --to binary-v2` first)"
-                .into(),
-        ));
-    }
-    let file =
-        std::fs::File::open(path).map_err(|e| ArgError(format!("cannot read {path}: {e}")))?;
-    let mut seg = SegmentedTraceFile::open(file).map_err(|e| ArgError(format!("{path}: {e}")))?;
-
-    fn drive<D, S, R, W>(
-        detector: D,
-        sampler: S,
-        seg: &mut SegmentedTraceFile<R>,
-        path: &str,
-        jobs: usize,
-        counters_flag: bool,
-        out: &mut W,
-    ) -> Result<(), ArgError>
-    where
-        D: SplitDetector,
-        D::Sync: CheckpointState,
-        D::Access: CheckpointState,
-        S: Sampler + Clone + Send,
-        R: Read + std::io::Seek + Send,
-        W: std::io::Write,
-    {
-        let analysis = analyze_segments(seg, &detector, &sampler, jobs)
-            .map_err(|e| ArgError(format!("{path}: {e}")))?;
-        print_analysis(detector.name(), &analysis, counters_flag, out);
-        Ok(())
-    }
-
-    let counters_flag = args.flag("counters");
-    let sampler = BernoulliSampler::new(rate, seed);
-    match engine {
-        "ft" => {
-            let full = BernoulliSampler::new(1.0, seed);
-            drive(
-                FastTrackDetector::new(full),
-                full,
-                &mut seg,
-                path,
-                jobs,
-                counters_flag,
-                out,
-            )
-        }
-        "st" => drive(
-            DjitDetector::new(sampler),
-            sampler,
-            &mut seg,
-            path,
-            jobs,
-            counters_flag,
-            out,
-        ),
-        "su" => drive(
-            FreshnessDetector::new(sampler),
-            sampler,
-            &mut seg,
-            path,
-            jobs,
-            counters_flag,
-            out,
-        ),
-        "so" => drive(
-            OrderedListDetector::new(sampler),
-            sampler,
-            &mut seg,
-            path,
-            jobs,
-            counters_flag,
-            out,
-        ),
-        "sam" => Err(ArgError(
-            "engine `sam` has no sync/access split and cannot run with --jobs >= 2".into(),
-        )),
-        other => Err(ArgError(format!("unknown engine `{other}`"))),
-    }
 }
 
 /// The shared `analyze` output body for segmented runs; byte-identical
@@ -365,43 +267,47 @@ fn sampler_identity(engine: &str, rate: f64, seed: u64) -> String {
     }
 }
 
-/// Runs `analyze --cache[=PATH]`: incremental re-analysis of a
-/// segmented `.ftb` v2 file against its `.ftc` sidecar. Stdout is
-/// byte-identical to the uncached path (cache status goes to stderr);
-/// the rewritten sidecar covering the whole file is saved back.
-fn analyze_cached<W: std::io::Write>(
+/// Runs `analyze` over a segmented `.ftb` v2 file with `jobs` decoder
+/// threads, and with `--cache` against its `.ftc` sidecar (incremental
+/// re-analysis; the rewritten sidecar covering the whole file is saved
+/// back). Stdout is byte-identical to the streaming path at every job
+/// count, cached or not (cache status goes to stderr).
+fn analyze_segmented<W: std::io::Write>(
     args: &Args,
     engine: &str,
     rate: f64,
     seed: u64,
     jobs: usize,
+    cached: bool,
     out: &mut W,
 ) -> Result<(), ArgError> {
     let path = input_path(args)?;
     if path == "-" {
-        return Err(ArgError(
-            "--cache needs a seekable segmented file, not stdin (pipe through \
+        let option = if cached { "--cache" } else { "--jobs" };
+        return Err(ArgError(format!(
+            "{option} needs a seekable segmented file, not stdin (pipe through \
              `convert --to binary-v2` first)"
-                .into(),
-        ));
+        )));
     }
     let file =
         std::fs::File::open(path).map_err(|e| ArgError(format!("cannot read {path}: {e}")))?;
     let mut seg = SegmentedTraceFile::open(file).map_err(|e| ArgError(format!("{path}: {e}")))?;
-    let cache_path = cache_path_for(args, path);
-    // The sidecar is advisory: unreadable or malformed means cold run.
-    let prior = std::fs::read(&cache_path)
-        .ok()
-        .and_then(|bytes| AnalysisCache::decode(&bytes).ok());
+
+    /// The sidecar a cached run reads and rewrites.
+    struct Sidecar {
+        path: String,
+        /// The advisory prior sidecar: unreadable or malformed means a
+        /// cold run.
+        prior: Option<AnalysisCache>,
+        config: CacheConfig,
+    }
 
     /// Everything `drive` needs besides the engine-specific halves.
     struct Ctx<'a> {
-        config: &'a CacheConfig,
-        prior: Option<&'a AnalysisCache>,
         path: &'a str,
-        cache_path: &'a str,
         jobs: usize,
         counters: bool,
+        sidecar: Option<Sidecar>,
     }
 
     fn drive<D, S, R, W>(
@@ -419,40 +325,60 @@ fn analyze_cached<W: std::io::Write>(
         R: Read + std::io::Seek + Send,
         W: std::io::Write,
     {
-        let run =
-            analyze_segments_cached(seg, &detector, &sampler, ctx.jobs, ctx.config, ctx.prior)
-                .map_err(|e| ArgError(format!("{}: {e}", ctx.path)))?;
-        // Status on stderr so stdout stays byte-identical to the
-        // uncached path (the CI smoke step diffs the two).
-        eprintln!(
-            "cache: reused {}/{} segment(s) via {}",
-            run.reused_segments, run.total_segments, ctx.cache_path
-        );
-        if let Err(e) = write_atomically(ctx.cache_path, &run.cache.encode()) {
-            eprintln!(
-                "warning: cannot write analysis cache {}: {e}",
-                ctx.cache_path
-            );
-        }
-        print_analysis(detector.name(), &run.analysis, ctx.counters, out);
+        let failed = |e| ArgError(format!("{}: {e}", ctx.path));
+        let analysis = match &ctx.sidecar {
+            None => analyze_segments(seg, &detector, &sampler, ctx.jobs).map_err(failed)?,
+            Some(sidecar) => {
+                let run = analyze_segments_cached(
+                    seg,
+                    &detector,
+                    &sampler,
+                    ctx.jobs,
+                    &sidecar.config,
+                    sidecar.prior.as_ref(),
+                )
+                .map_err(failed)?;
+                // Status on stderr so stdout stays byte-identical to the
+                // uncached path (the CI smoke step diffs the two).
+                eprintln!(
+                    "cache: reused {}/{} segment(s) via {}",
+                    run.reused_segments, run.total_segments, sidecar.path
+                );
+                if let Err(e) = write_atomically(&sidecar.path, &run.cache.encode()) {
+                    eprintln!("warning: cannot write analysis cache {}: {e}", sidecar.path);
+                }
+                run.analysis
+            }
+        };
+        print_analysis(detector.name(), &analysis, ctx.counters, out);
         Ok(())
     }
 
     let sampler = BernoulliSampler::new(rate, seed);
-    let config = CacheConfig {
-        engine: engine.to_owned(),
-        sampler: sampler_identity(engine, rate, seed),
-        options: String::new(),
-        state_version: CACHE_STATE_VERSION,
-        jobs: jobs as u32,
-    };
+    let sidecar = cached.then(|| {
+        let path = cache_path_for(args, path);
+        let prior = std::fs::read(&path)
+            .ok()
+            .and_then(|bytes| AnalysisCache::decode(&bytes).ok());
+        Sidecar {
+            path,
+            prior,
+            // The analysis state is the same at every job count, so the
+            // fingerprint pins `jobs` to 1 and any `--jobs` reuses it.
+            config: CacheConfig {
+                engine: engine.to_owned(),
+                sampler: sampler_identity(engine, rate, seed),
+                options: String::new(),
+                state_version: CACHE_STATE_VERSION,
+                jobs: 1,
+            },
+        }
+    });
     let ctx = Ctx {
-        config: &config,
-        prior: prior.as_ref(),
         path,
-        cache_path: &cache_path,
         jobs,
         counters: args.flag("counters"),
+        sidecar,
     };
     match engine {
         "ft" => {
@@ -475,9 +401,13 @@ fn analyze_cached<W: std::io::Write>(
             out,
         ),
         "sam" => Err(ArgError(
-            "engine `sam` has no sync/access split and cannot use the segmented \
-             analysis cache"
-                .into(),
+            if cached {
+                "engine `sam` has no sync/access split and cannot use the segmented \
+                 analysis cache"
+            } else {
+                "engine `sam` has no sync/access split and cannot run with --jobs >= 2"
+            }
+            .into(),
         )),
         other => Err(ArgError(format!("unknown engine `{other}`"))),
     }

@@ -3,8 +3,8 @@
 //! Subcommands:
 //!
 //! * `analyze <trace>` — run a detector engine over a trace, streamed
-//!   in constant memory; `--jobs N` replays a segmented `.ftb` v2 file
-//!   in parallel with byte-identical output, and `--cache` keeps a
+//!   in constant memory; `--jobs N` decodes a segmented `.ftb` v2 file
+//!   on N threads with byte-identical output, and `--cache` keeps a
 //!   `.ftc` sidecar so re-analysis after an append costs O(appended).
 //! * `oracle <trace>` — ground-truth racy events. The default exact
 //!   mode materializes (200k-event cap, enforced while streaming);
@@ -52,9 +52,10 @@ COMMANDS:
                       --engine ft|st|sam|su|so (default so)
                       --rate <0..1> (default 0.03)  --seed <n>
                       --counters    print work counters
-                      --jobs <n>    parallel checkpointed replay of a
-                      segmented `.ftb` v2 file (default 1; N>=2 needs
-                      a real file path, byte-identical output)
+                      --jobs <n>    decode a segmented `.ftb` v2 file
+                      on n threads in parallel (default 1; n>=2 needs
+                      a real file path; output is byte-identical at
+                      every n)
                       --cache[=PATH]  reuse + rewrite a `.ftc` analysis
                       sidecar (default PATH: trace path with `.ftc`);
                       re-analysis after an append costs O(appended),

@@ -23,9 +23,10 @@
 //!
 //! * **Sync engines** ([`VectorSyncEngine`](crate::VectorSyncEngine),
 //!   [`FreshnessSyncEngine`](crate::FreshnessSyncEngine),
-//!   [`OrderedSyncEngine`](crate::OrderedSyncEngine)) — what the
-//!   segmented parallel analyzer ([`crate::analyze_segments`]) exports
-//!   at every segment boundary to seed worker replicas.
+//!   [`OrderedSyncEngine`](crate::OrderedSyncEngine)) and the access
+//!   engines — what the incremental analyzer
+//!   ([`crate::analyze_segments_cached`]) exports at every segment
+//!   boundary into the `.ftc` sidecar and imports to resume.
 //! * **Whole detectors** (Djit+/FT/SU/SO) — sync plane + access plane +
 //!   `RelAfter_S` bits + counters, so an interrupted sequential
 //!   analysis can resume at a segment boundary and continue
@@ -92,8 +93,9 @@ pub trait CheckpointState {
 /// all varints. Consecutive sync-plane exports differ only where clocks
 /// moved since the previous segment, so the shared prefix/suffix
 /// typically swallow almost the whole checkpoint —
-/// [`analyze_segments`](crate::analyze_segments) ships one full export
-/// per worker chain and a delta chain for the rest.
+/// [`analyze_segments_cached`](crate::analyze_segments_cached) stores
+/// each sidecar entry's checkpoints as deltas against the previous
+/// entry's.
 ///
 /// The inverse is [`apply_delta`]; `apply_delta(prev, &encode_delta(prev,
 /// curr)) == curr` for all byte strings (the checkpoint suite pins

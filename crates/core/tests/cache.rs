@@ -265,8 +265,9 @@ fn sidecar_survives_a_real_file_append() {
 }
 
 /// Any difference in the configuration fingerprint — engine, sampler
-/// identity, segment options, payload version, or worker count — must
-/// reject the cache outright, never partially reuse it.
+/// identity, segment options, payload version, or its `jobs` field —
+/// must reject the cache outright, never partially reuse it; the job
+/// count a run uses is not part of it.
 #[test]
 fn changed_fingerprint_rejects_the_whole_cache() {
     let trace = emitted(120);
@@ -334,26 +335,68 @@ fn changed_fingerprint_rejects_the_whole_cache() {
         assert_eq!(run.analysis.counters, cold.analysis.counters, "{what}");
     }
 
-    // Same config, different `jobs` argument: the jobs field in the
-    // fingerprint is authoritative, and the mismatch rejects too.
+    // The `jobs` argument is not part of the fingerprint: analysis state
+    // is the same at every job count, so a sidecar written by a jobs-1
+    // run seeds a jobs-2 run in full, and the rewritten sidecar is the
+    // same bytes.
+    let cfg1 = CacheConfig {
+        jobs: 1,
+        ..cfg.clone()
+    };
+    let cold1 =
+        analyze_segments_cached(&mut open(&bytes), &detector, &sampler, 1, &cfg1, None).unwrap();
     let run = analyze_segments_cached(
         &mut open(&bytes),
         &detector,
         &sampler,
-        1,
-        &CacheConfig {
-            jobs: 1,
-            ..cfg.clone()
-        },
-        Some(&cold.cache),
+        2,
+        &cfg1,
+        Some(&cold1.cache),
     )
     .unwrap();
     assert_eq!(
-        run.reused_segments, 0,
-        "jobs=2 sidecar must not seed a jobs=1 run"
+        run.reused_segments, run.total_segments,
+        "a jobs-1 sidecar must seed a jobs-2 run in full"
     );
+    assert_eq!(run.analysis.reports, cold1.analysis.reports);
+    assert_eq!(run.analysis.counters, cold1.analysis.counters);
     assert_eq!(run.analysis.reports, cold.analysis.reports);
     assert_eq!(run.analysis.counters, cold.analysis.counters);
+    assert_eq!(run.cache.encode(), cold1.cache.encode());
+}
+
+/// A sidecar whose entries carry one access checkpoint per worker (the
+/// layout of builds that partitioned variables across workers) cannot
+/// seed the single access engine: even under an equal fingerprint it is
+/// rebuilt cold, and the rewrite is the cold sidecar.
+#[test]
+fn per_worker_access_checkpoints_fall_back_to_a_cold_run() {
+    let trace = emitted(120);
+    let bytes = v2_bytes(&trace, EVENTS_PER_SEGMENT);
+    let detector = OrderedListDetector::new(BernoulliSampler::new(0.4, 9));
+    let sampler = BernoulliSampler::new(0.4, 9);
+    let cfg = config("so", "bernoulli:0.4:9", 2);
+    let cold =
+        analyze_segments_cached(&mut open(&bytes), &detector, &sampler, 2, &cfg, None).unwrap();
+    let mut per_worker = cold.cache.clone();
+    for entry in &mut per_worker.entries {
+        entry.access_deltas.push(Vec::new());
+    }
+    for jobs in [1, 2] {
+        let run = analyze_segments_cached(
+            &mut open(&bytes),
+            &detector,
+            &sampler,
+            jobs,
+            &cfg,
+            Some(&per_worker),
+        )
+        .unwrap();
+        assert_eq!(run.reused_segments, 0, "jobs={jobs}");
+        assert_eq!(run.analysis.reports, cold.analysis.reports, "jobs={jobs}");
+        assert_eq!(run.analysis.counters, cold.analysis.counters, "jobs={jobs}");
+        assert_eq!(run.cache, cold.cache, "jobs={jobs}");
+    }
 }
 
 /// Flip every bit... is overkill at this layer (the trace crate pins

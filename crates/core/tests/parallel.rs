@@ -2,9 +2,11 @@
 //!
 //! `analyze_segments` must be **byte-identical** to a sequential
 //! `Detector::run` over the same trace — reports *and* every `Counters`
-//! field — for every engine, sampler, segment size, and job count. This
-//! is the tentpole invariant of the segmented `.ftb` v2 store: the
-//! parallel path is an optimization, never a different analysis.
+//! field — for every engine, sampler, segment size, and job count (the
+//! number of decoder threads), and must fail with the sequential error
+//! when the file or the trace is bad. This is the tentpole invariant of
+//! the segmented `.ftb` v2 store: the parallel path is an optimization,
+//! never a different analysis.
 
 use std::io::Cursor;
 
@@ -26,6 +28,10 @@ fn v2_bytes(trace: &Trace, events_per_segment: usize) -> Vec<u8> {
     bytes
 }
 
+/// Job counts every differential check runs at; 8 exceeds the segment
+/// count of the coarse layouts below (the pipeline then clamps it).
+const JOBS: [usize; 4] = [1, 2, 3, 8];
+
 /// Asserts the full equivalence contract for one (trace, engine,
 /// sampler) cell across segment sizes and job counts.
 fn assert_parallel_matches_sequential<D, S>(label: &str, trace: &Trace, detector: &D, sampler: &S)
@@ -41,7 +47,7 @@ where
 
     for events_per_segment in [1, 7, 64, trace.len().max(1)] {
         let bytes = v2_bytes(trace, events_per_segment);
-        for jobs in [1, 2, 3] {
+        for jobs in JOBS {
             let mut file = SegmentedTraceFile::open(Cursor::new(bytes.as_slice()))
                 .expect("freshly written v2 file must open");
             let analysis = analyze_segments(&mut file, detector, sampler, jobs)
@@ -131,7 +137,7 @@ fn edge_shapes_match_empty_single_event_and_fewer_vars_than_jobs() {
         &AlwaysSampler::new(),
     );
 
-    // Single event; single var — jobs 2 and 3 leave workers idle.
+    // Single event; single var — one segment whatever the job count.
     let mut b = TraceBuilder::new();
     let x = b.var("x");
     b.write(0, x);
@@ -143,7 +149,7 @@ fn edge_shapes_match_empty_single_event_and_fewer_vars_than_jobs() {
         &AlwaysSampler::new(),
     );
 
-    // One shared var, racing writes: every report comes from one worker.
+    // One shared var, racing writes.
     let mut b = TraceBuilder::new();
     let x = b.var("x");
     let l = b.lock("l");
@@ -217,7 +223,7 @@ fn discipline_violations_error_identically_to_the_sequential_path() {
 
     for events_per_segment in [1, 2, 16] {
         let bytes = v2_bytes(&trace, events_per_segment);
-        for jobs in [1, 2] {
+        for jobs in JOBS {
             let mut file = SegmentedTraceFile::open(Cursor::new(bytes.as_slice())).unwrap();
             let err = analyze_segments(
                 &mut file,
@@ -236,6 +242,31 @@ fn discipline_violations_error_identically_to_the_sequential_path() {
     }
 }
 
+/// Flips one byte in the middle of each listed segment's records; the
+/// footer is untouched, so the file still opens and only the segment
+/// checksums catch it.
+fn corrupt_segments(bytes: &[u8], segments: &[usize]) -> Vec<u8> {
+    let file = SegmentedTraceFile::open(Cursor::new(bytes)).unwrap();
+    let mut corrupt = bytes.to_vec();
+    for &k in segments {
+        let meta = file.meta(k);
+        corrupt[meta.offset as usize + meta.byte_len as usize / 2] ^= 0x41;
+    }
+    corrupt
+}
+
+fn analyze_err(bytes: &[u8], jobs: usize) -> SourceError {
+    let mut file = SegmentedTraceFile::open(Cursor::new(bytes))
+        .expect("the footer is intact, so the file still opens");
+    analyze_segments(
+        &mut file,
+        &DjitDetector::new(AlwaysSampler::new()),
+        &AlwaysSampler::new(),
+        jobs,
+    )
+    .expect_err("the parallel path must reject the file")
+}
+
 #[test]
 fn corrupt_segment_bytes_are_a_clean_error() {
     let mut b = TraceBuilder::new();
@@ -244,27 +275,65 @@ fn corrupt_segment_bytes_are_a_clean_error() {
         b.write(t, x);
     }
     let trace = b.build();
-    let bytes = v2_bytes(&trace, 1);
+    let corrupt = corrupt_segments(&v2_bytes(&trace, 1), &[1]);
+    for jobs in JOBS {
+        let err = analyze_err(&corrupt, jobs);
+        assert!(matches!(err, SourceError::Binary(_)), "{err}");
+        assert!(err.to_string().contains("checksum"), "{err}");
+    }
+}
 
-    // Flip one byte inside the second segment's payload; the checksum
-    // catches it no matter what the flip decodes to.
-    let file = SegmentedTraceFile::open(Cursor::new(bytes.as_slice())).unwrap();
-    let meta = file.meta(1).clone();
-    drop(file);
-    let mut corrupt = bytes.clone();
-    corrupt[meta.offset as usize + meta.byte_len as usize / 2] ^= 0x41;
+#[test]
+fn the_first_corrupt_segment_in_stream_order_wins_at_every_job_count() {
+    // Segments 2 and 3 land on different decoders at every job count
+    // above 1, so the later one may fail first; the reported error must
+    // still be segment 2's, exactly as a sequential walk of the file
+    // reports it (index, start offset and reason).
+    let mut b = TraceBuilder::new();
+    let x = b.var("x");
+    let l = b.lock("l");
+    for t in 0..4 {
+        b.acquire(t, l).write(t, x).release(t, l);
+    }
+    let corrupt = corrupt_segments(&v2_bytes(&b.build(), 2), &[2, 3]);
+    let sequential = SegmentedTraceFile::open(Cursor::new(corrupt.as_slice()))
+        .unwrap()
+        .verify()
+        .expect_err("a sequential walk must hit segment 2");
+    let expected = SourceError::Binary(sequential).to_string();
+    assert!(expected.contains("segment 2 (starts at byte"), "{expected}");
+    for jobs in JOBS {
+        assert_eq!(
+            analyze_err(&corrupt, jobs).to_string(),
+            expected,
+            "jobs={jobs}"
+        );
+    }
+}
 
-    let mut file = SegmentedTraceFile::open(Cursor::new(corrupt.as_slice()))
-        .expect("the footer is intact, so the file still opens");
-    let err = analyze_segments(
-        &mut file,
-        &DjitDetector::new(AlwaysSampler::new()),
-        &AlwaysSampler::new(),
-        2,
-    )
-    .expect_err("corrupt segment must fail analysis");
-    assert!(matches!(err, SourceError::Binary(_)), "{err}");
-    assert!(err.to_string().contains("checksum"), "{err}");
+#[test]
+fn a_discipline_violation_before_a_corrupt_segment_wins() {
+    // Segment 1 (events 2..4) releases a lock its thread does not
+    // hold; segment 2 is corrupt and may be decoded first. The
+    // sequential path reports the violation, so every job count must.
+    let mut b = TraceBuilder::new();
+    let x = b.var("x");
+    let l = b.lock("l");
+    b.acquire(0, l).write(0, x);
+    b.write(1, x).release(1, l);
+    for t in 0..4 {
+        b.write(t, x);
+    }
+    let trace = b.build();
+    let sequential_err = DjitDetector::new(AlwaysSampler::new())
+        .run_source(&mut Validated::new(trace.source()))
+        .expect_err("a release by a non-holder must be rejected");
+    let corrupt = corrupt_segments(&v2_bytes(&trace, 2), &[2]);
+    for jobs in JOBS {
+        let err = analyze_err(&corrupt, jobs);
+        assert!(matches!(err, SourceError::Discipline(_)), "{err}");
+        assert_eq!(err.to_string(), sequential_err.to_string(), "jobs={jobs}");
+    }
 }
 
 /// A pathological source whose name table aliases every variable to the
@@ -347,17 +416,12 @@ fn duplicate_names_across_segments_are_rejected() {
     )
     .expect("the writer serializes whatever names the source reports");
 
-    let mut file = SegmentedTraceFile::open(Cursor::new(bytes.as_slice())).unwrap();
-    let err = analyze_segments(
-        &mut file,
-        &DjitDetector::new(AlwaysSampler::new()),
-        &AlwaysSampler::new(),
-        2,
-    )
-    .expect_err("cross-segment duplicate definition must be rejected");
-    assert!(
-        err.to_string()
-            .contains("duplicate definition of var \"x\""),
-        "{err}"
-    );
+    for jobs in JOBS {
+        let err = analyze_err(&bytes, jobs);
+        assert!(
+            err.to_string()
+                .contains("duplicate definition of var \"x\""),
+            "jobs={jobs}: {err}"
+        );
+    }
 }

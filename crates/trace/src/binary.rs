@@ -415,9 +415,10 @@ impl<R: Read> BinaryEventReader<R> {
     }
 
     /// Builds a decoder over the record body of one v2 segment (no
-    /// magic, no end marker): names decoded so far are pre-seeded so
-    /// operand ids resolve, `base_offset` keeps error offsets absolute,
-    /// and a clean EOF at a record boundary ends the stream.
+    /// magic, no end marker): the name tables start at the segment's
+    /// watermarks so operand ids resolve, `base_offset` keeps error
+    /// offsets absolute, and a clean EOF at a record boundary ends the
+    /// stream.
     pub(crate) fn for_segment(
         input: R,
         base_offset: u64,

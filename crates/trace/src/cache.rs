@@ -68,8 +68,8 @@ impl From<WireError> for CacheError {
 ///
 /// A cached prefix is only reusable when every field matches the
 /// current run exactly — a different engine, sampler, seed, segment
-/// geometry, worker count, or payload encoding must reject the cache
-/// rather than silently reuse state computed under other rules.
+/// geometry, or payload encoding must reject the cache rather than
+/// silently reuse state computed under other rules.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Engine identifier (e.g. `"so"`).
@@ -82,12 +82,16 @@ pub struct CacheConfig {
     /// encodings (owned by `freshtrack-core`); a format change there
     /// invalidates every older sidecar.
     pub state_version: u32,
-    /// Worker count the checkpoints were partitioned for (the access
-    /// plane is sharded per worker).
+    /// Kept for format compatibility, and compared like every other
+    /// field. Analysis state no longer depends on the job count (one
+    /// access checkpoint at every `--jobs`), so writers record 1 — the
+    /// CLI always does, and its sidecar then seeds a run at any job
+    /// count. A sidecar from a build that kept one access checkpoint per
+    /// worker (`jobs` ≥ 2) is rebuilt cold.
     pub jobs: u32,
 }
 
-/// One segment's cache entry: identity, coordinator deltas, and the
+/// One segment's cache entry: identity, name and state deltas, and the
 /// end-of-segment checkpoint payloads.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CacheEntry {
@@ -123,9 +127,11 @@ pub struct CacheEntry {
     /// the previous entry's (opaque; chain base is the empty byte
     /// string).
     pub sync_delta: Vec<u8>,
-    /// Per-worker access-plane checkpoints after the segment, each
-    /// delta-encoded against the previous entry's for the same worker
-    /// (opaque; chain bases are empty).
+    /// Access-plane checkpoint after the segment, delta-encoded against
+    /// the previous entry's (opaque; chain base is the empty byte
+    /// string). The analyzer writes and reads exactly one; the list
+    /// shape is the container's, kept from builds that wrote one per
+    /// worker.
     pub access_deltas: Vec<Vec<u8>>,
     /// The segment's race reports (opaque; core's report encoding).
     pub reports: Vec<u8>,

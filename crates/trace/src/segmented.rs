@@ -963,9 +963,10 @@ pub struct SegmentData {
 }
 
 /// Decodes one segment's record bytes against its footer entry —
-/// checksum first, then the v1 record grammar with name tables
-/// pre-seeded to the segment's watermarks. A pure function of its
-/// inputs, safe to fan out across threads.
+/// checksum first, then the v1 record grammar with name tables based at
+/// the segment's watermarks, so the cost is O(the segment's bytes) no
+/// matter how many names earlier segments defined. A pure function of
+/// its inputs, safe to fan out across threads.
 ///
 /// # Errors
 ///
@@ -992,8 +993,8 @@ pub fn decode_segment(bytes: &[u8], meta: &SegmentMeta) -> Result<SegmentData, B
     let mut reader = BinaryEventReader::for_segment(
         bytes,
         meta.offset,
-        Interner::with_placeholders(meta.locks_before),
-        Interner::with_placeholders(meta.vars_before),
+        Interner::with_base(meta.locks_before),
+        Interner::with_base(meta.vars_before),
         0,
     );
     // Each event record costs at least one byte, so this cannot
@@ -1313,8 +1314,9 @@ mod tests {
     #[test]
     fn decoded_segments_resolve_cross_segment_operands() {
         // Segment boundaries fall so that segment 1+ reference names
-        // defined in segment 0: placeholders must make the ids resolve
-        // and the real names must come only from the owning segment.
+        // defined in segment 0: the based name tables must make the ids
+        // resolve and the real names must come only from the owning
+        // segment.
         let mut b = TraceBuilder::new();
         let x = b.var("x");
         for t in 0..6 {
@@ -1331,5 +1333,109 @@ mod tests {
         assert!(data.new_vars.is_empty());
         assert_eq!(data.events.len(), 2);
         assert_eq!(data.events[0], trace.events()[2]);
+    }
+
+    /// Raw record bytes for one segment, decoded in isolation against a
+    /// footer entry that claims `locks_before`/`vars_before` names from
+    /// earlier segments (whose bytes the decoder never sees).
+    fn decode_isolated(
+        records: &[u8],
+        events: u64,
+        locks_before: usize,
+        vars_before: usize,
+    ) -> Result<SegmentData, BinaryTraceError> {
+        let meta = SegmentMeta {
+            offset: 1000,
+            byte_len: records.len() as u64,
+            event_count: events,
+            first_event_id: 50,
+            locks_before,
+            vars_before,
+            threads_before: 2,
+            checkpoint_offset: 900,
+            checkpoint_len: 10,
+            crc32: crc32(records),
+        };
+        decode_segment(records, &meta)
+    }
+
+    fn def(tag: u8, name: &str) -> Vec<u8> {
+        let mut bytes = vec![tag, name.len() as u8];
+        bytes.extend_from_slice(name.as_bytes());
+        bytes
+    }
+
+    /// An event record with an explicit thread id 0 and an inline
+    /// operand (`kind`: 0 read, 1 write, 2 acquire, 3 release).
+    fn event(kind: u8, operand: u8) -> Vec<u8> {
+        vec![kind | (operand << 3), 0]
+    }
+
+    #[test]
+    fn isolated_segments_resolve_ids_below_the_watermark_plus_new_names() {
+        use crate::binary::{TAG_DEF_LOCK, TAG_DEF_VAR};
+        // Watermarks 1 lock / 2 vars; the segment defines lock `m`
+        // (id 1) and var `z` (id 2), then touches every defined id.
+        let valid = [
+            def(TAG_DEF_LOCK, "m"),
+            def(TAG_DEF_VAR, "z"),
+            event(2, 1),
+            event(1, 2),
+            event(0, 1),
+            event(3, 1),
+            event(0, 0),
+        ]
+        .concat();
+        let data = decode_isolated(&valid, 5, 1, 2).unwrap();
+        assert_eq!(data.new_locks, ["m"]);
+        assert_eq!(data.new_vars, ["z"]);
+        assert_eq!(data.events.len(), 5);
+        assert_eq!(data.events[1].kind, EventKind::Write(crate::VarId::new(2)));
+
+        // One past the watermark plus the segment's own names fails,
+        // for variables and locks alike, at the record's offset.
+        for (records, what) in [
+            ([def(TAG_DEF_VAR, "z"), event(0, 3)].concat(), "var id 3"),
+            ([def(TAG_DEF_VAR, "z"), event(2, 1)].concat(), "lock id 1"),
+        ] {
+            let err = decode_isolated(&records, 1, 1, 2).unwrap_err();
+            assert!(err.to_string().contains(what), "{err}");
+            assert!(err.to_string().contains("not yet defined"), "{err}");
+            assert!(err.offset > 1000, "{err}");
+        }
+        // Without the definition, the watermark alone bounds the ids.
+        let err = decode_isolated(&event(1, 2), 1, 1, 2).unwrap_err();
+        assert!(err.to_string().contains("var id 2"), "{err}");
+    }
+
+    #[test]
+    fn isolated_segments_reject_in_segment_duplicate_names() {
+        use crate::binary::{TAG_DEF_LOCK, TAG_DEF_VAR};
+        let dup_var = [def(TAG_DEF_VAR, "z"), def(TAG_DEF_VAR, "z")].concat();
+        let err = decode_isolated(&dup_var, 0, 0, 7).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("duplicate definition of var \"z\""),
+            "{err}"
+        );
+        let dup_lock = [def(TAG_DEF_LOCK, "m"), def(TAG_DEF_LOCK, "m")].concat();
+        let err = decode_isolated(&dup_lock, 0, 3, 0).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("duplicate definition of lock \"m\""),
+            "{err}"
+        );
+        // A name equal across kinds is no duplicate, and names defined
+        // before the watermark are unknown here: the cross-segment
+        // check belongs to whoever merges the name tables.
+        let data = decode_isolated(
+            &[def(TAG_DEF_LOCK, "m"), def(TAG_DEF_VAR, "m")].concat(),
+            0,
+            3,
+            7,
+        )
+        .unwrap();
+        assert_eq!(data.new_locks, ["m"]);
+        assert_eq!(data.new_vars, ["m"]);
     }
 }

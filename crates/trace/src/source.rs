@@ -416,10 +416,15 @@ impl<S: EventSource> EventSource for Validated<S> {
 /// A dense name interner shared by the streaming readers: id order is
 /// first-appearance order, exactly like
 /// [`TraceBuilder`](crate::TraceBuilder)'s tables.
+///
+/// An interner may start at a *base* id ([`Interner::with_base`]): ids
+/// below it are defined elsewhere (an earlier segment of a v2 file) and
+/// resolve as operands, but have no name here.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Interner {
     ids: HashMap<String, u32>,
     names: Vec<String>,
+    base: usize,
 }
 
 impl Interner {
@@ -428,36 +433,33 @@ impl Interner {
         if let Some(&id) = self.ids.get(name) {
             return id;
         }
-        let id = self.names.len() as u32;
-        self.names.push(name.to_owned());
-        self.ids.insert(name.to_owned(), id);
-        id
+        self.push(name.to_owned())
     }
 
-    /// An interner pre-seeded with `n` placeholder names, for decoding
-    /// one v2 segment in isolation: operand ids below `n` resolve (their
-    /// real names live in earlier segments), and the placeholders carry
-    /// a NUL byte so no valid name ([`crate::binary`] rejects control
-    /// characters on both codec paths) can collide with them.
-    pub(crate) fn with_placeholders(n: usize) -> Interner {
-        let mut interner = Interner::default();
-        for k in 0..n {
-            interner.push(format!("\u{0}#{k}"));
+    /// An interner whose first own name gets id `base`, for decoding one
+    /// v2 segment in isolation: operand ids below `base` resolve (their
+    /// names live in earlier segments) at O(1) cost, and duplicate
+    /// detection sees only the segment's own names — cross-segment
+    /// duplicates are the caller's to check.
+    pub(crate) fn with_base(base: usize) -> Interner {
+        Interner {
+            base,
+            ..Interner::default()
         }
-        interner
     }
 
     /// Appends a name with the next dense id without a lookup (binary
     /// definition records arrive in id order by construction).
     pub(crate) fn push(&mut self, name: String) -> u32 {
-        let id = self.names.len() as u32;
+        let id = self.len() as u32;
         self.ids.insert(name.clone(), id);
         self.names.push(name);
         id
     }
 
+    /// One past the highest id, base included.
     pub(crate) fn len(&self) -> usize {
-        self.names.len()
+        self.base + self.names.len()
     }
 
     /// Whether a name is already interned.
@@ -465,8 +467,9 @@ impl Interner {
         self.ids.contains_key(name)
     }
 
+    /// The name of an id at or above the base.
     pub(crate) fn name(&self, index: usize) -> &str {
-        &self.names[index]
+        &self.names[index - self.base]
     }
 }
 
@@ -569,5 +572,17 @@ mod tests {
         assert_eq!(i.push("c".to_owned()), 2);
         assert_eq!(i.len(), 3);
         assert_eq!(i.name(2), "c");
+    }
+
+    #[test]
+    fn based_interner_numbers_its_own_names_from_the_base() {
+        let mut i = Interner::with_base(536);
+        assert_eq!(i.len(), 536);
+        assert_eq!(i.push("a".to_owned()), 536);
+        assert_eq!(i.intern("b"), 537);
+        assert_eq!(i.intern("a"), 536);
+        assert_eq!(i.len(), 538);
+        assert_eq!(i.name(537), "b");
+        assert!(i.contains("a") && !i.contains("c"));
     }
 }
