@@ -1111,9 +1111,15 @@ fn run_segments(out_path: Option<String>) {
          parallel_replay_jobsN is the bounded-channel pipeline: a reader thread \
          reads segment bytes, N decoder threads decode them, and the calling \
          thread runs the one replay loop over the segments in stream order, so \
-         N counts decoder threads only (recorded on a 2-core host). \
+         N counts decoder threads only (recorded on a 2-core host); \
+         sequential_replay is the streaming path analyze keeps for stdin, \
+         text and v1 input, while analyze of a v2 file runs \
+         parallel_replay_jobsN; here it decodes an in-memory buffer through a \
+         concrete reader, where the CLI streams a file through a boxed source, \
+         so the end-to-end CLI comparison is perfbench's replay-archive. \
          cached_cold_jobs1 runs the same pipeline while \
-         recording a .ftc sidecar; cached_incremental_jobs1 resumes the sidecar \
+         recording a .ftc sidecar (a sync-plane delta plus the access records \
+         of the variables each segment touched); cached_incremental_jobs1 resumes the sidecar \
          a ~95% prefix of the corpus left behind and replays only the appended \
          tail (sidecar decode, prefix CRC validation, and sidecar re-encode all \
          inside the timed region), asserting full reuse and report parity every \

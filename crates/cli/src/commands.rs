@@ -1,10 +1,10 @@
 use std::io::{Read, Write};
 
 use freshtrack_core::{
-    analyze_segments, analyze_segments_cached, CheckpointState, Counters, Detector, DjitDetector,
-    FastTrackDetector, FreshnessDetector, HbOracle, NaiveSamplingDetector, OracleConfig,
-    OrderedListDetector, RaceReport, SegmentedAnalysis, SplitDetector, StreamingOracle, SyncMode,
-    CACHE_STATE_VERSION,
+    analyze_segments, analyze_segments_cached, AccessCheckpoint, CheckpointState, Counters,
+    Detector, DjitDetector, FastTrackDetector, FreshnessDetector, HbOracle, NaiveSamplingDetector,
+    OracleConfig, OrderedListDetector, RaceReport, SegmentedAnalysis, SplitDetector,
+    StreamingOracle, SyncMode, CACHE_STATE_VERSION,
 };
 use freshtrack_dbsim::{run_detector, run_sharded, RunOptions};
 use freshtrack_rapid::report::{pct, Table};
@@ -171,8 +171,26 @@ fn analyze<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgErr
         return Err(ArgError("--jobs must be at least 1".into()));
     }
     let cached = (args.flag("cache") || args.get("cache").is_some()) && !args.flag("no-cache");
-    if cached || jobs >= 2 {
-        return analyze_segmented(&args, &engine, rate, seed, jobs, cached, out);
+    let path = input_path(&args)?;
+    let segmented = if cached || jobs >= 2 {
+        if path == "-" {
+            let option = if cached { "--cache" } else { "--jobs" };
+            return Err(ArgError(format!(
+                "{option} needs a seekable segmented file, not stdin (pipe through \
+                 `convert --to binary-v2` first)"
+            )));
+        }
+        Some(open_segmented(path)?)
+    } else if path != "-" && engine != "sam" {
+        // A segmented file decodes ahead on the pipeline, which also
+        // checks every segment's CRC; anything else (stdin, text, v1, a
+        // file whose footer does not open, `sam`) streams below.
+        open_segmented(path).ok()
+    } else {
+        None
+    };
+    if let Some(seg) = segmented {
+        return analyze_segmented(&args, &engine, rate, seed, jobs, cached, seg, out);
     }
     let (mut source, path) = open_validated(&args)?;
     let sampler = BernoulliSampler::new(rate, seed);
@@ -267,11 +285,19 @@ fn sampler_identity(engine: &str, rate: f64, seed: u64) -> String {
     }
 }
 
+/// Opens `path` as a segmented `.ftb` v2 file via its footer index.
+fn open_segmented(path: &str) -> Result<SegmentedTraceFile<std::fs::File>, ArgError> {
+    let file =
+        std::fs::File::open(path).map_err(|e| ArgError(format!("cannot read {path}: {e}")))?;
+    SegmentedTraceFile::open(file).map_err(|e| ArgError(format!("{path}: {e}")))
+}
+
 /// Runs `analyze` over a segmented `.ftb` v2 file with `jobs` decoder
 /// threads, and with `--cache` against its `.ftc` sidecar (incremental
 /// re-analysis; the rewritten sidecar covering the whole file is saved
 /// back). Stdout is byte-identical to the streaming path at every job
 /// count, cached or not (cache status goes to stderr).
+#[allow(clippy::too_many_arguments)]
 fn analyze_segmented<W: std::io::Write>(
     args: &Args,
     engine: &str,
@@ -279,19 +305,10 @@ fn analyze_segmented<W: std::io::Write>(
     seed: u64,
     jobs: usize,
     cached: bool,
+    mut seg: SegmentedTraceFile<std::fs::File>,
     out: &mut W,
 ) -> Result<(), ArgError> {
     let path = input_path(args)?;
-    if path == "-" {
-        let option = if cached { "--cache" } else { "--jobs" };
-        return Err(ArgError(format!(
-            "{option} needs a seekable segmented file, not stdin (pipe through \
-             `convert --to binary-v2` first)"
-        )));
-    }
-    let file =
-        std::fs::File::open(path).map_err(|e| ArgError(format!("cannot read {path}: {e}")))?;
-    let mut seg = SegmentedTraceFile::open(file).map_err(|e| ArgError(format!("{path}: {e}")))?;
 
     /// The sidecar a cached run reads and rewrites.
     struct Sidecar {
@@ -320,7 +337,7 @@ fn analyze_segmented<W: std::io::Write>(
     where
         D: SplitDetector,
         D::Sync: CheckpointState,
-        D::Access: CheckpointState,
+        D::Access: AccessCheckpoint,
         S: Sampler + Clone + Send,
         R: Read + std::io::Seek + Send,
         W: std::io::Write,

@@ -2,10 +2,12 @@
 //!
 //! Subcommands:
 //!
-//! * `analyze <trace>` — run a detector engine over a trace, streamed
-//!   in constant memory; `--jobs N` decodes a segmented `.ftb` v2 file
-//!   on N threads with byte-identical output, and `--cache` keeps a
-//!   `.ftc` sidecar so re-analysis after an append costs O(appended).
+//! * `analyze <trace>` — run a detector engine over a trace. A
+//!   segmented `.ftb` v2 file decodes ahead of the analysis on `--jobs
+//!   N` threads (default 1), every segment checksum verified, with
+//!   output byte-identical to streaming; stdin, text and v1 input
+//!   stream in constant memory. `--cache` keeps a `.ftc` sidecar so
+//!   re-analysis after an append costs O(appended).
 //! * `oracle <trace>` — ground-truth racy events. The default exact
 //!   mode materializes (200k-event cap, enforced while streaming);
 //!   `--window N` / `--reservoir K` / `--stream` switch to the
@@ -46,16 +48,20 @@ USAGE:
     freshtrack <command> [options]
 
 COMMANDS:
-    analyze <trace>   run a detector over a trace, streaming in
-                      constant memory (`-` = stdin; text or binary
-                      input is auto-detected)
-                      --engine ft|st|sam|su|so (default so)
+    analyze <trace>   run a detector over a trace (`-` = stdin; text
+                      or binary input is auto-detected). Stdin, text
+                      and v1 `.ftb` input stream in constant memory; a
+                      segmented `.ftb` v2 file decodes ahead on --jobs
+                      threads and has every segment checksum verified
+                      (stdin cannot be: the checksums sit in the footer,
+                      which a stream reaches last)
+                      --engine ft|st|sam|su|so (default so; `sam`
+                      always streams)
                       --rate <0..1> (default 0.03)  --seed <n>
                       --counters    print work counters
-                      --jobs <n>    decode a segmented `.ftb` v2 file
-                      on n threads in parallel (default 1; n>=2 needs
-                      a real file path; output is byte-identical at
-                      every n)
+                      --jobs <n>    decoder threads for a segmented
+                      `.ftb` v2 file (default 1; n>=2 needs one;
+                      output is byte-identical at every n)
                       --cache[=PATH]  reuse + rewrite a `.ftc` analysis
                       sidecar (default PATH: trace path with `.ftc`);
                       re-analysis after an append costs O(appended),

@@ -95,35 +95,38 @@ impl AccessHistories {
 }
 
 impl AccessHistories {
-    /// Serializes both history tables (shared by the checkpoint impls of
-    /// the engines that embed this type). `write` and `read` always have
-    /// the same length, so one count prefixes both.
-    pub(crate) fn export_wire(&self, out: &mut Vec<u8>) {
+    /// The number of locations the tables are sized for.
+    pub(crate) fn var_count(&self) -> usize {
         debug_assert_eq!(self.write.len(), self.read.len());
-        wire::put_varint(out, self.write.len() as u64);
-        for clock in &self.write {
-            wire::put_clock(out, clock);
-        }
-        for clock in &self.read {
-            wire::put_clock(out, clock);
+        self.write.len()
+    }
+
+    /// Sizes the tables for `vars` locations (never shrinks).
+    pub(crate) fn grow(&mut self, vars: usize) {
+        if vars > self.write.len() {
+            self.write.resize_with(vars, VectorClock::new);
+            self.read.resize_with(vars, VectorClock::new);
         }
     }
 
-    /// Decodes histories written by [`Self::export_wire`].
-    pub(crate) fn import_wire(r: &mut wire::WireReader<'_>) -> Result<Self, wire::WireError> {
-        let n = r.get_usize()?;
-        if n > r.remaining() {
-            return Err(wire::WireError::Truncated);
-        }
-        let mut write = Vec::with_capacity(n);
-        for _ in 0..n {
-            write.push(r.get_clock()?);
-        }
-        let mut read = Vec::with_capacity(n);
-        for _ in 0..n {
-            read.push(r.get_clock()?);
-        }
-        Ok(AccessHistories { write, read })
+    /// Serializes location `index`'s checkpoint record: its write clock,
+    /// then its read clock.
+    pub(crate) fn put_record(&self, out: &mut Vec<u8>, index: usize) {
+        wire::put_clock(out, &self.write[index]);
+        wire::put_clock(out, &self.read[index]);
+    }
+
+    /// Replaces location `index`'s histories with a record written by
+    /// [`Self::put_record`]; `index` must be below
+    /// [`var_count`](Self::var_count).
+    pub(crate) fn get_record(
+        &mut self,
+        r: &mut wire::WireReader<'_>,
+        index: usize,
+    ) -> Result<(), wire::WireError> {
+        self.write[index] = r.get_clock()?;
+        self.read[index] = r.get_clock()?;
+        Ok(())
     }
 }
 

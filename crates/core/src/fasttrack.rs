@@ -5,7 +5,7 @@ use freshtrack_clock::{
 use freshtrack_sampling::Sampler;
 use freshtrack_trace::{Event, EventId, EventKind, VarId};
 
-use crate::checkpoint::{self, CheckpointError, CheckpointState};
+use crate::checkpoint::{self, AccessCheckpoint, CheckpointError, CheckpointState};
 use crate::djit::VectorSyncEngine;
 use crate::plane::{
     history_leq_view, AccessEngine, AccessOutcome, BorrowedView, ClockView, SplitDetector,
@@ -217,10 +217,15 @@ impl<S: Sampler> EpochAccessEngine<S> {
     }
 }
 
-impl<S> CheckpointState for EpochAccessEngine<S> {
-    fn export_state(&self, out: &mut Vec<u8>) {
-        wire::put_varint(out, self.vars.len() as u64);
-        for state in &self.vars {
+// The checkpoint is the variable count, then one record (one
+// `VarState`) per exported variable.
+impl<S> EpochAccessEngine<S> {
+    fn put_records<I>(&self, ids: I, out: &mut Vec<u8>)
+    where
+        I: ExactSizeIterator<Item = usize>,
+    {
+        checkpoint::put_records(out, self.vars.len(), ids, |out, id| {
+            let state = &self.vars[id];
             wire::put_epoch(out, state.write);
             match &state.read {
                 ReadState::Epoch(r) => {
@@ -232,24 +237,42 @@ impl<S> CheckpointState for EpochAccessEngine<S> {
                     wire::put_clock(out, v);
                 }
             }
-        }
+        });
+    }
+}
+
+impl<S> CheckpointState for EpochAccessEngine<S> {
+    fn export_state(&self, out: &mut Vec<u8>) {
+        self.put_records(0..self.vars.len(), out);
     }
 
     fn import_state(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
+        self.vars.clear();
+        // Every variable has a record of at least one byte.
+        self.import_records(bytes, bytes.len())
+    }
+}
+
+impl<S> AccessCheckpoint for EpochAccessEngine<S> {
+    fn export_records(&self, vars: &[VarId], out: &mut Vec<u8>) {
+        self.put_records(vars.iter().map(|v| v.index()), out);
+    }
+
+    fn import_records(&mut self, bytes: &[u8], var_limit: usize) -> Result<(), CheckpointError> {
         let mut r = WireReader::new(bytes);
-        let n = checkpoint::get_count(&mut r)?;
-        let mut vars = Vec::with_capacity(n);
-        for _ in 0..n {
+        let n = checkpoint::get_var_count(&mut r, self.vars.len(), var_limit)?;
+        self.vars.resize_with(n, VarState::default);
+        checkpoint::get_records(&mut r, n, |r, id| {
             let write = r.get_epoch()?;
             let read = match r.get_varint()? {
                 0 => ReadState::Epoch(r.get_epoch()?),
                 1 => ReadState::Vector(r.get_clock()?),
-                _ => return Err(wire::WireError::Invalid("unknown read-history tag").into()),
+                _ => return Err(wire::WireError::Invalid("unknown read-history tag")),
             };
-            vars.push(VarState { write, read });
-        }
+            self.vars[id] = VarState { write, read };
+            Ok(())
+        })?;
         r.finish()?;
-        self.vars = vars;
         Ok(())
     }
 }

@@ -74,7 +74,9 @@ mod stream_oracle;
 mod sync_ops;
 
 pub use access_history::AccessHistories;
-pub use checkpoint::{apply_delta, encode_delta, CheckpointError, CheckpointState};
+pub use checkpoint::{
+    apply_delta, encode_delta, AccessCheckpoint, CheckpointError, CheckpointState,
+};
 pub use counters::Counters;
 pub use detector::{Detector, HoistedDecider};
 pub use djit::{DjitDetector, VectorSyncEngine};

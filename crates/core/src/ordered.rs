@@ -310,7 +310,11 @@ impl CheckpointState for OrderedSyncEngine {
                 Slot::None
             };
             let last_releaser = if r.get_bool()? {
-                Some(ThreadId::new(r.get_u32()?))
+                let lr = ThreadId::new(r.get_u32()?);
+                if lr.index() >= threads.len() {
+                    return Err(WireError::Invalid("lock releaser names an unknown thread").into());
+                }
+                Some(lr)
             } else {
                 None
             };

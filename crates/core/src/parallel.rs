@@ -30,7 +30,10 @@
 //!
 //! `jobs` is the number of decoder threads and nothing else: the
 //! analysis state, the output and the sidecar bytes are the same at
-//! every job count.
+//! every job count. The CLI runs every `analyze` of a seekable v2 file
+//! here, `--jobs 1` included, so decoding overlaps the analysis and
+//! every segment's CRC is checked; only stdin, text, v1 and the
+//! unsplittable `sam` engine take the streaming path.
 //!
 //! # Incremental analysis
 //!
@@ -39,15 +42,22 @@
 //! [`AnalysisCache`] sidecar (the `.ftc` format of
 //! `freshtrack-trace`) recording, per segment, the segment's byte
 //! identity and the complete analysis state at its end boundary — the
-//! sync and access checkpoints (delta-encoded along the segment chain),
-//! name/thread/pending/discipline tables, cumulative counters, and the
-//! segment's reports. On the next run the sidecar's entry prefix is
-//! validated against the file (fingerprint equality, footer identity,
-//! and a CRC-32 re-hash of every reused segment's bytes — corruption
-//! demotes the cache, it is never silently trusted); analysis state is
-//! rebuilt from the last valid entry and only the segments past the
-//! prefix are replayed. Because the seeded state is checkpoint-exact —
-//! including the sharing-topology alias marks of
+//! sync checkpoint (delta-encoded along the segment chain), the access
+//! engine's header plus the records of just the variables the segment's
+//! sampled accesses touched ([`AccessCheckpoint`]; the coordinator
+//! collects their ids as it replays, so the cost follows the sample,
+//! not the variable count), name/thread/pending/discipline tables,
+//! cumulative counters, and the segment's reports. On the next run the
+//! sidecar's entry prefix is validated against the file (fingerprint
+//! equality, footer identity, and a CRC-32 re-hash of every reused
+//! segment's bytes — corruption demotes the cache, it is never silently
+//! trusted); the sync engine is rebuilt from the folded delta chain,
+//! the access engine by folding every reused entry's records in order
+//! (exact, because between boundaries only sampled accesses mutate the
+//! access engine, and only at their own variable and the header), and
+//! only the segments past the prefix are replayed. Because the seeded
+//! state is checkpoint-exact — including the sharing-topology alias
+//! marks of
 //! [`OrderedSyncEngine`](crate::OrderedSyncEngine) — the resumed run's
 //! reports *and counters* are byte-identical to a cold run over the
 //! full file (invariant 11; `tests/cache.rs` pins it across engines ×
@@ -64,7 +74,9 @@ use freshtrack_trace::{
     SourceError, ThreadId, VarId,
 };
 
-use crate::checkpoint::{self, apply_delta, encode_delta, CheckpointError, CheckpointState};
+use crate::checkpoint::{
+    self, apply_delta, encode_delta, AccessCheckpoint, CheckpointError, CheckpointState,
+};
 use crate::plane::{AccessEngine, SplitDetector, SyncEngine};
 use crate::{AccessKind, Counters, RaceReport};
 
@@ -73,8 +85,10 @@ use crate::{AccessKind, Counters, RaceReport};
 /// ([`CacheConfig::state_version`]). Bump whenever any
 /// [`CheckpointState`] wire format, the counter field list, or the
 /// report encoding changes shape — older sidecars then fail the
-/// fingerprint check and are rebuilt instead of misdecoded.
-pub const CACHE_STATE_VERSION: u32 = 1;
+/// fingerprint check and are rebuilt instead of misdecoded. Version 2
+/// stores per-variable access records where version 1 stored a byte
+/// delta of the whole access plane.
+pub const CACHE_STATE_VERSION: u32 = 2;
 
 /// Segments each pipeline queue (reader to decoder, decoder to
 /// coordinator) holds ahead of its consumer.
@@ -129,10 +143,9 @@ struct Resume<D: SplitDetector> {
     counters: Counters,
     sync: D::Sync,
     access: D::Access,
-    /// The engines' exports at the boundary: the bases the next
-    /// sidecar deltas are encoded against (empty for a cold run).
+    /// The sync engine's export at the boundary: the base the next
+    /// sidecar delta is encoded against (empty for a cold run).
     sync_state: Vec<u8>,
-    access_state: Vec<u8>,
     /// Reports for segments `0..start`.
     reports: Vec<RaceReport>,
 }
@@ -141,7 +154,7 @@ impl<D> Resume<D>
 where
     D: SplitDetector,
     D::Sync: CheckpointState,
-    D::Access: CheckpointState,
+    D::Access: AccessCheckpoint,
 {
     fn cold(detector: &D) -> Self {
         Resume {
@@ -155,15 +168,15 @@ where
             sync: detector.split_sync(),
             access: detector.split_access(),
             sync_state: Vec::new(),
-            access_state: Vec::new(),
             reports: Vec::new(),
         }
     }
 
     /// Rebuilds the boundary state after `prefix` validated sidecar
-    /// entries: names and reports by concatenation, checkpoint bytes by
-    /// folding the delta chains and importing them into fresh engines,
-    /// the rest from the last entry.
+    /// entries: names and reports by concatenation, the sync engine by
+    /// folding the delta chain and importing the result, the access
+    /// engine by folding every entry's access records into a fresh
+    /// engine in order, the rest from the last entry.
     ///
     /// Any failure means the sidecar lies about its own contents
     /// (possible only across a format drift the fingerprint missed), or
@@ -175,20 +188,22 @@ where
         prefix: usize,
     ) -> Result<Self, CheckpointError> {
         let mut sync_state: Vec<u8> = Vec::new();
-        let mut access_state: Vec<u8> = Vec::new();
+        let mut access = detector.split_access();
         let mut lock_names = Vec::new();
         let mut var_names = Vec::new();
         let mut reports = Vec::new();
         for entry in &prior.entries[..prefix] {
-            let [access_delta] = entry.access_deltas.as_slice() else {
+            let [access_records] = entry.access_deltas.as_slice() else {
                 return Err(
                     WireError::Invalid("cache entry must hold one access checkpoint").into(),
                 );
             };
             sync_state = apply_delta(&sync_state, &entry.sync_delta)?;
-            access_state = apply_delta(&access_state, access_delta)?;
             lock_names.extend(entry.new_locks.iter().cloned());
             var_names.extend(entry.new_vars.iter().cloned());
+            // Every variable a segment's events name is in the name
+            // table by its end, which bounds the access tables.
+            access.import_records(access_records, var_names.len())?;
             reports.extend(decode_reports(&entry.reports)?);
         }
         let last = &prior.entries[prefix - 1];
@@ -199,10 +214,6 @@ where
         let mut sync = detector.split_sync();
         if !sync_state.is_empty() {
             sync.import_state(&sync_state)?;
-        }
-        let mut access = detector.split_access();
-        if !access_state.is_empty() {
-            access.import_state(&access_state)?;
         }
         Ok(Resume {
             start: prefix,
@@ -215,7 +226,6 @@ where
             sync,
             access,
             sync_state,
-            access_state,
             reports,
         })
     }
@@ -265,7 +275,7 @@ pub fn analyze_segments<D, S, R>(
 where
     D: SplitDetector,
     D::Sync: CheckpointState,
-    D::Access: CheckpointState,
+    D::Access: AccessCheckpoint,
     S: Sampler + Clone + Send,
     R: Read + Seek + Send,
 {
@@ -307,7 +317,7 @@ pub fn analyze_segments_cached<D, S, R>(
 where
     D: SplitDetector,
     D::Sync: CheckpointState,
-    D::Access: CheckpointState,
+    D::Access: AccessCheckpoint,
     S: Sampler + Clone + Send,
     R: Read + Seek + Send,
 {
@@ -409,7 +419,7 @@ fn run_pipeline<D, S, R>(
 where
     D: SplitDetector,
     D::Sync: CheckpointState,
-    D::Access: CheckpointState,
+    D::Access: AccessCheckpoint,
     S: Sampler + Clone + Send,
     R: Read + Seek + Send,
 {
@@ -424,11 +434,11 @@ where
         mut sync,
         mut access,
         mut sync_state,
-        mut access_state,
         mut reports,
     } = resume;
     let mut sampler = sampler.clone();
     let mut entries: Vec<CacheEntry> = Vec::new();
+    let mut dirty = DirtyVars::default();
     let segment_count = file.segment_count();
     let jobs = jobs.clamp(1, segment_count.saturating_sub(start).max(1));
 
@@ -480,8 +490,11 @@ where
                         let sampled = std::mem::take(&mut pending[tid.index()]);
                         sync.release(tid, lock, sampled, &mut counters);
                     }
-                    EventKind::Read(_) | EventKind::Write(_) => {
+                    EventKind::Read(var) | EventKind::Write(var) => {
                         if sampler.sample(id, event) {
+                            if record {
+                                dirty.mark(var);
+                            }
                             sync.ensure_thread(tid);
                             if pending.len() <= tid.index() {
                                 pending.resize(tid.index() + 1, false);
@@ -507,8 +520,8 @@ where
             if record {
                 let mut sync_export = Vec::new();
                 sync.export_state(&mut sync_export);
-                let mut access_export = Vec::new();
-                access.export_state(&mut access_export);
+                let mut access_records = Vec::new();
+                dirty.export(&access, &mut access_records);
                 let mut discipline = Vec::new();
                 checker.export_wire(&mut discipline);
                 let mut counter_bytes = Vec::new();
@@ -530,11 +543,10 @@ where
                     discipline,
                     counters: counter_bytes,
                     sync_delta: encode_delta(&sync_state, &sync_export),
-                    access_deltas: vec![encode_delta(&access_state, &access_export)],
+                    access_deltas: vec![access_records],
                     reports: report_bytes,
                 });
                 sync_state = sync_export;
-                access_state = access_export;
             }
         }
         Ok(())
@@ -550,6 +562,38 @@ where
         },
         entries,
     })
+}
+
+/// The variables sampled accesses touched since the last segment
+/// boundary: a bitset for the membership test plus the list of ids, both
+/// cleared at each export.
+#[derive(Default)]
+struct DirtyVars {
+    seen: Vec<u64>,
+    list: Vec<VarId>,
+}
+
+impl DirtyVars {
+    fn mark(&mut self, var: VarId) {
+        let (word, bit) = (var.index() / 64, 1u64 << (var.index() % 64));
+        if word >= self.seen.len() {
+            self.seen.resize(word + 1, 0);
+        }
+        if self.seen[word] & bit == 0 {
+            self.seen[word] |= bit;
+            self.list.push(var);
+        }
+    }
+
+    /// Exports `access`'s header and the marked variables' records onto
+    /// `out`, then clears the set.
+    fn export<A: AccessCheckpoint>(&mut self, access: &A, out: &mut Vec<u8>) {
+        self.list.sort_unstable();
+        access.export_records(&self.list, out);
+        for var in self.list.drain(..) {
+            self.seen[var.index() / 64] = 0;
+        }
+    }
 }
 
 /// Rejects a segment whose name-table watermarks disagree with the

@@ -11,15 +11,17 @@
 
 use std::io::Cursor;
 
+use freshtrack_clock::wire;
 use freshtrack_core::{
-    analyze_segments, analyze_segments_cached, CheckpointState, DjitDetector, FastTrackDetector,
-    FreshnessDetector, OrderedListDetector, SplitDetector, CACHE_STATE_VERSION,
+    analyze_segments, analyze_segments_cached, encode_delta, AccessCheckpoint, AccessEngine,
+    CachedAnalysis, CheckpointState, Counters, DjitDetector, FastTrackDetector, FreshnessDetector,
+    OrderedListDetector, SplitDetector, SyncEngine, CACHE_STATE_VERSION,
 };
 use freshtrack_sampling::{AlwaysSampler, BernoulliSampler, NeverSampler, Sampler};
 use freshtrack_testutil::workload_matrix;
 use freshtrack_trace::{
-    write_trace_binary_v2, AnalysisCache, CacheConfig, SegmentOptions, SegmentedTraceFile, Trace,
-    TraceBuilder,
+    write_trace_binary_v2, AnalysisCache, CacheConfig, EventKind, SegmentOptions,
+    SegmentedTraceFile, Trace, TraceBuilder,
 };
 
 const EVENTS_PER_SEGMENT: usize = 8;
@@ -59,7 +61,7 @@ fn assert_incremental_matches_cold<D, S>(
 ) where
     D: SplitDetector,
     D::Sync: CheckpointState,
-    D::Access: CheckpointState,
+    D::Access: AccessCheckpoint,
     S: Sampler + Clone + Send,
 {
     let bytes = v2_bytes(trace, EVENTS_PER_SEGMENT);
@@ -496,4 +498,243 @@ fn corrupt_segment_is_never_reused() {
             "segment {k}: warm run must surface the cold run's error"
         );
     }
+}
+
+/// The live access engine's `export_state` at every segment boundary of
+/// `trace`: the split halves of `detector`, driven the way the pipeline
+/// drives them.
+fn live_access_exports<D>(trace: &Trace, detector: &D) -> Vec<Vec<u8>>
+where
+    D: SplitDetector,
+    D::Access: AccessCheckpoint,
+{
+    let mut sync = detector.split_sync();
+    let mut access = detector.split_access();
+    let mut pending: Vec<bool> = Vec::new();
+    let mut counters = Counters::new();
+    let mut exports = Vec::new();
+    for (i, (id, event)) in trace.iter().enumerate() {
+        let tid = event.tid;
+        if pending.len() <= tid.index() {
+            pending.resize(tid.index() + 1, false);
+        }
+        match event.kind {
+            EventKind::Acquire(lock) => {
+                sync.ensure_thread(tid);
+                sync.acquire(tid, lock, &mut counters);
+            }
+            EventKind::Release(lock) => {
+                sync.ensure_thread(tid);
+                let sampled = std::mem::take(&mut pending[tid.index()]);
+                sync.release(tid, lock, sampled, &mut counters);
+            }
+            EventKind::Read(_) | EventKind::Write(_) => {
+                if access.decide(id, event) {
+                    sync.ensure_thread(tid);
+                    pending[tid.index()] = true;
+                    let view = sync.publish(tid);
+                    access.access_sampled(id, event, &view, &mut counters);
+                }
+            }
+        }
+        if (i + 1) % EVENTS_PER_SEGMENT == 0 || i + 1 == trace.len() {
+            let mut bytes = Vec::new();
+            access.export_state(&mut bytes);
+            exports.push(bytes);
+        }
+    }
+    exports
+}
+
+/// Folds a cold sidecar's access records entry by entry into a fresh
+/// engine and asserts that, after every entry, the folded engine exports
+/// exactly the live engine's bytes at that boundary.
+fn assert_records_fold_to_live_exports<D>(label: &str, trace: &Trace, detector: &D, rate: f64)
+where
+    D: SplitDetector,
+    D::Sync: CheckpointState,
+    D::Access: AccessCheckpoint,
+{
+    let bytes = v2_bytes(trace, EVENTS_PER_SEGMENT);
+    let sampler = BernoulliSampler::new(rate, 23);
+    let cfg = config(label, &format!("bernoulli:{rate}:23"), 1);
+    let cold = analyze_segments_cached(&mut open(&bytes), detector, &sampler, 1, &cfg, None)
+        .expect("well-formed traces must analyze");
+    let live = live_access_exports(trace, detector);
+    assert_eq!(live.len(), cold.cache.entries.len(), "[{label}]");
+    let mut folded = detector.split_access();
+    for (k, (entry, expected)) in cold.cache.entries.iter().zip(&live).enumerate() {
+        let [records] = entry.access_deltas.as_slice() else {
+            panic!("[{label}] entry {k} must hold one access checkpoint");
+        };
+        folded
+            .import_records(records, usize::MAX)
+            .unwrap_or_else(|e| panic!("[{label}] entry {k}: {e}"));
+        let mut got = Vec::new();
+        folded.export_state(&mut got);
+        assert_eq!(&got, expected, "[{label}] boundary {k}: folded records");
+    }
+}
+
+#[test]
+fn folded_access_records_equal_the_live_export_at_every_boundary() {
+    for (name, trace) in workload_matrix(240, &[2]) {
+        for rate in [0.03, 0.3, 1.0] {
+            let sampler = BernoulliSampler::new(rate, 23);
+            assert_records_fold_to_live_exports(
+                &format!("{name}/so/{rate}"),
+                &trace,
+                &OrderedListDetector::new(sampler),
+                rate,
+            );
+            assert_records_fold_to_live_exports(
+                &format!("{name}/su/{rate}"),
+                &trace,
+                &FreshnessDetector::new(sampler),
+                rate,
+            );
+            assert_records_fold_to_live_exports(
+                &format!("{name}/st/{rate}"),
+                &trace,
+                &DjitDetector::new(sampler),
+                rate,
+            );
+            assert_records_fold_to_live_exports(
+                &format!("{name}/ft/{rate}"),
+                &trace,
+                &FastTrackDetector::new(sampler),
+                rate,
+            );
+        }
+    }
+}
+
+/// A sidecar written under the previous payload version (whole-plane
+/// access deltas) fails the fingerprint and is rebuilt cold: the output
+/// and the rewritten sidecar equal a cold run's.
+#[test]
+fn version_one_sidecar_rebuilds_cold() {
+    let trace = emitted(120);
+    let bytes = v2_bytes(&trace, EVENTS_PER_SEGMENT);
+    let detector = OrderedListDetector::new(BernoulliSampler::new(0.4, 9));
+    let sampler = BernoulliSampler::new(0.4, 9);
+    let cfg = config("so", "bernoulli:0.4:9", 1);
+    let cold =
+        analyze_segments_cached(&mut open(&bytes), &detector, &sampler, 1, &cfg, None).unwrap();
+    let mut v1 = cold.cache.clone();
+    v1.config.state_version = 1;
+    for entry in &mut v1.entries {
+        entry.access_deltas = vec![encode_delta(&[], &entry.access_deltas[0])];
+    }
+    let v1 = AnalysisCache::decode(&v1.encode()).expect("a v1 sidecar still decodes");
+    let run = analyze_segments_cached(&mut open(&bytes), &detector, &sampler, 1, &cfg, Some(&v1))
+        .unwrap();
+    assert_eq!(run.reused_segments, 0);
+    assert_eq!(run.analysis.reports, cold.analysis.reports);
+    assert_eq!(run.analysis.counters, cold.analysis.counters);
+    assert_eq!(run.cache.encode(), cold.cache.encode());
+}
+
+/// Runs a warm analysis whose entry `k` carries `records` as its access
+/// checkpoint and asserts it fell back to the cold run, without a panic.
+fn assert_records_fall_back<D>(
+    label: &str,
+    bytes: &[u8],
+    detector: &D,
+    cfg: &CacheConfig,
+    cold: &CachedAnalysis,
+    k: usize,
+    records: Vec<u8>,
+) where
+    D: SplitDetector,
+    D::Sync: CheckpointState,
+    D::Access: AccessCheckpoint,
+{
+    let mut prior = cold.cache.clone();
+    prior.entries[k].access_deltas = vec![records];
+    let sampler = BernoulliSampler::new(0.6, 5);
+    let run = analyze_segments_cached(&mut open(bytes), detector, &sampler, 1, cfg, Some(&prior))
+        .unwrap();
+    assert_eq!(run.reused_segments, 0, "[{label}] entry {k}");
+    assert_eq!(run.analysis.reports, cold.analysis.reports, "[{label}]");
+    assert_eq!(run.analysis.counters, cold.analysis.counters, "[{label}]");
+    assert_eq!(run.cache, cold.cache, "[{label}] entry {k}");
+}
+
+/// Malformed access records — a variable id at or past the header's
+/// variable count, a variable count past the name table, a record count
+/// larger than the bytes left, and every truncation of every real
+/// record — demote a warm run to a cold one. `header` is the engine's
+/// header before the variable count (`width` for the clock-history
+/// engines, nothing for FastTrack's).
+fn assert_malformed_records_fall_back<D>(label: &str, detector: &D, engine: &str, header: &[u8])
+where
+    D: SplitDetector,
+    D::Sync: CheckpointState,
+    D::Access: AccessCheckpoint,
+{
+    let trace = emitted(120);
+    let bytes = v2_bytes(&trace, EVENTS_PER_SEGMENT);
+    let sampler = BernoulliSampler::new(0.6, 5);
+    let cfg = config(engine, "bernoulli:0.6:5", 1);
+    let cold =
+        analyze_segments_cached(&mut open(&bytes), detector, &sampler, 1, &cfg, None).unwrap();
+    let last = cold.cache.entries.len() - 1;
+    let crafted = |fields: &[u64]| {
+        let mut out = header.to_vec();
+        for &field in fields {
+            wire::put_varint(&mut out, field);
+        }
+        out
+    };
+    // [var count, record count, first gap]: the record names var 5 of 5.
+    let beyond_count = crafted(&[5, 1, 5]);
+    // Five names exist by the last entry (see `emitted`), so a sixth
+    // variable cannot.
+    let beyond_names = crafted(&[6, 0]);
+    let count_past_bytes = crafted(&[5, 1000]);
+    let mut engine = detector.split_access();
+    for (what, records) in [
+        ("id beyond count", &beyond_count),
+        ("count beyond names", &beyond_names),
+        ("records past the end", &count_past_bytes),
+    ] {
+        assert!(
+            engine.import_records(records, 5).is_err(),
+            "[{label}] {what} imported"
+        );
+        assert_records_fall_back(
+            &format!("{label}: {what}"),
+            &bytes,
+            detector,
+            &cfg,
+            &cold,
+            last,
+            records.clone(),
+        );
+    }
+    for (k, entry) in cold.cache.entries.iter().enumerate() {
+        let records = &entry.access_deltas[0];
+        for cut in 0..records.len() {
+            assert_records_fall_back(
+                &format!("{label}: cut {cut}"),
+                &bytes,
+                detector,
+                &cfg,
+                &cold,
+                k,
+                records[..cut].to_vec(),
+            );
+        }
+    }
+}
+
+#[test]
+fn malformed_access_records_fall_back_to_a_cold_run() {
+    let sampler = BernoulliSampler::new(0.6, 5);
+    let mut width = Vec::new();
+    wire::put_varint(&mut width, 4);
+    assert_malformed_records_fall_back("so", &OrderedListDetector::new(sampler), "so", &width);
+    assert_malformed_records_fall_back("st", &DjitDetector::new(sampler), "st", &width);
+    assert_malformed_records_fall_back("ft", &FastTrackDetector::new(sampler), "ft", &[]);
 }

@@ -11,7 +11,7 @@
 use std::io::Cursor;
 
 use freshtrack_core::{
-    analyze_segments, CheckpointState, Detector, DjitDetector, FastTrackDetector,
+    analyze_segments, AccessCheckpoint, CheckpointState, Detector, DjitDetector, FastTrackDetector,
     FreshnessDetector, OrderedListDetector, SplitDetector,
 };
 use freshtrack_sampling::{AlwaysSampler, BernoulliSampler, NeverSampler, Sampler};
@@ -38,7 +38,7 @@ fn assert_parallel_matches_sequential<D, S>(label: &str, trace: &Trace, detector
 where
     D: SplitDetector,
     D::Sync: CheckpointState,
-    D::Access: CheckpointState,
+    D::Access: AccessCheckpoint,
     S: Sampler + Clone + Send,
 {
     let mut seq = detector.clone();

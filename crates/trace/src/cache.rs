@@ -7,11 +7,12 @@
 //! the segment's footer identity (CRC-32, offset, length, event range,
 //! name-table watermarks), the name/thread/pending/discipline deltas
 //! the coordinator accumulated through it, the segment's race reports
-//! and cumulative counters, and a delta-encoded engine checkpoint at
-//! the segment's end boundary. The checkpoint, counter and report
+//! and cumulative counters, and the engine checkpoint at the
+//! segment's end boundary (a delta-encoded sync plane plus the access
+//! records the segment changed). The checkpoint, counter and report
 //! payloads are **opaque bytes** here — `freshtrack-core` owns those
-//! encodings (its `CheckpointState` wire formats plus the byte-level
-//! delta codec); this module owns only the container, exactly like
+//! encodings (its checkpoint wire formats plus the byte-level delta
+//! codec); this module owns only the container, exactly like
 //! [`SegmentedTraceFile`](crate::SegmentedTraceFile) owns segment
 //! blocks without knowing what an engine does with them.
 //!
@@ -127,9 +128,11 @@ pub struct CacheEntry {
     /// the previous entry's (opaque; chain base is the empty byte
     /// string).
     pub sync_delta: Vec<u8>,
-    /// Access-plane checkpoint after the segment, delta-encoded against
-    /// the previous entry's (opaque; chain base is the empty byte
-    /// string). The analyzer writes and reads exactly one; the list
+    /// Access-plane checkpoint of the segment (opaque): the access
+    /// engine's header plus the records of only the variables the
+    /// segment's sampled accesses touched, applied on top of the
+    /// previous entries' in order (core's `AccessCheckpoint`; payload
+    /// version 2). The analyzer writes and reads exactly one; the list
     /// shape is the container's, kept from builds that wrote one per
     /// worker.
     pub access_deltas: Vec<Vec<u8>>,
