@@ -1109,9 +1109,10 @@ fn run_segments(out_path: Option<String>) {
          report parity with the sequential pass every round; footer_open_ns is the \
          cost of reading the trailer + footer index without touching segment data. \
          parallel_replay_jobsN is the bounded-channel pipeline: a reader thread \
-         reads segment bytes, N decoder threads decode them, and the calling \
-         thread runs the one replay loop over the segments in stream order, so \
-         N counts decoder threads only (recorded on a 2-core host); \
+         reads segment bytes, N decoder threads decode them and make the \
+         sampling decisions, and the calling thread runs the one replay loop \
+         over each segment's sync events and sampled accesses in stream order, \
+         so N counts decoder threads only (recorded on a 2-core host); \
          sequential_replay is the streaming path analyze keeps for stdin, \
          text and v1 input, while analyze of a v2 file runs \
          parallel_replay_jobsN; here it decodes an in-memory buffer through a \

@@ -20,15 +20,22 @@ use crate::{ArgError, Args, USAGE};
 
 /// Runs the CLI with the given arguments (excluding the program name),
 /// writing to `out`. Returns the process exit code.
+///
+/// Everything a command prints goes through one buffer, flushed before
+/// returning on every path: stdout is line-buffered even to a pipe, so
+/// unbuffered report lines would cost one `write` call each.
 pub fn run<W: std::io::Write>(raw: &[String], out: &mut W) -> i32 {
-    match dispatch(raw, out) {
+    let mut out = std::io::BufWriter::new(out);
+    let code = match dispatch(raw, &mut out) {
         Ok(()) => 0,
         Err(e) => {
             let _ = writeln!(out, "error: {e}");
             let _ = writeln!(out, "run `freshtrack help` for usage");
             1
         }
-    }
+    };
+    let _ = out.flush();
+    code
 }
 
 /// The flags and value options one command reads. Parsing rejects
@@ -483,25 +490,19 @@ fn convert<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgErr
     // Conversion is a pure re-encoding pipe: the input streams straight
     // into the opposite writer, declarations and all, in constant
     // memory — no Trace is ever materialized. The writers issue many
-    // small writes (per record, per varint byte) and `main` hands us
-    // line-buffered stdout, so buffer the sink or every 0x0A byte in
-    // the binary output becomes a flush syscall.
+    // small writes (per record, per varint byte); `run` hands us a
+    // buffered sink, so they never reach stdout one by one.
     let mut source = open_input(path)?;
-    let mut sink = std::io::BufWriter::new(out);
     let result = match to.as_str() {
-        "binary" => write_source_binary(&mut source, &mut sink),
+        "binary" => write_source_binary(&mut source, out),
         "binary-v2" => {
             let events_per_segment: usize = args.get_or("segment-events", 4096)?;
             if events_per_segment == 0 {
                 return Err(ArgError("--segment-events must be at least 1".into()));
             }
-            write_source_binary_v2(
-                &mut source,
-                &mut sink,
-                &SegmentOptions { events_per_segment },
-            )
+            write_source_binary_v2(&mut source, out, &SegmentOptions { events_per_segment })
         }
-        "text" => write_source(&mut source, &mut sink),
+        "text" => write_source(&mut source, out),
         other => {
             return Err(ArgError(format!(
                 "--to must be `text` or `binary` or `binary-v2`, got `{other}`"
@@ -509,7 +510,7 @@ fn convert<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgErr
         }
     };
     result.map_err(|e| ArgError(format!("{path}: {e}")))?;
-    sink.flush()
+    out.flush()
         .map_err(|e| ArgError(format!("{path}: write failed: {e}")))
 }
 

@@ -3,30 +3,38 @@
 //!
 //! [`analyze_segments`] replays a [`SegmentedTraceFile`] through one
 //! sync engine and one access engine — the monolith's event loop — with
-//! segment *decoding* fanned out to `jobs` threads, producing reports
-//! and counters **byte-identical** to a sequential
+//! segment *decoding and sampling* fanned out to `jobs` threads,
+//! producing reports and counters **byte-identical** to a sequential
 //! [`Detector::run_source`](crate::Detector::run_source) pass over the
 //! same stream (the differential suite in `tests/parallel.rs` pins
-//! this). Decoding (checksum, varint records, name deltas) is most of a
-//! replay's cost and a pure function of one segment's bytes
-//! ([`decode_segment_indexed`]), so it is the part that parallelizes:
+//! this). Decoding (checksum, varint records, name deltas) is a pure
+//! function of one segment's bytes ([`decode_segment_indexed`]), and so
+//! is the sampling decision ([`Sampler::decide`] is pure in the event's
+//! stream position), so both run ahead of the analysis:
 //!
 //! * A **reader** thread reads segment bytes off the file in order —
 //!   cheap, sequential I/O — and hands segment `k` to decoder
 //!   `k % jobs` over a bounded channel.
-//! * Each **decoder** thread decodes its segments and sends them back on
-//!   its own bounded channel.
+//! * Each **decoder** thread decodes its segments, asking the sampler
+//!   about every access inside the decode loop, and sends back only
+//!   what the analysis needs: the sync events and the sampled accesses
+//!   (with their event ids), and the counts of sampled-out reads and
+//!   writes.
 //! * The **coordinator** (the calling thread) receives segment `k` from
 //!   decoder `k % jobs`, so segments arrive in stream order and the
 //!   first error in stream order wins, with no reorder buffer. Per
 //!   segment it runs the cross-segment watermark and duplicate-name
-//!   checks, then walks the events through the locking-discipline check
-//!   the sequential path gets from
-//!   [`Validated`](freshtrack_trace::Validated) and through the sync and
-//!   access halves of one engine pair ([`SplitDetector`]). Published
-//!   views are taken per sampled access and dropped before the owner's
-//!   next sync mutation, so lazy-copy counters stay identical to the
-//!   monolith's (take-before-mutate, see [`SyncEngine::publish`]).
+//!   checks, adds the segment's event and skipped-access counts, then
+//!   walks the sync events and sampled accesses through the
+//!   locking-discipline check the sequential path gets from
+//!   [`Validated`](freshtrack_trace::Validated) (it only ever reads
+//!   sync events) and through the sync and access halves of one engine
+//!   pair ([`SplitDetector`]). A sampled-out access changes nothing but
+//!   its counter, so the walk's cost follows the sync events and the
+//!   sample `S`, not the trace length. Published views are taken per
+//!   sampled access and dropped before the owner's next sync mutation,
+//!   so lazy-copy counters stay identical to the monolith's
+//!   (take-before-mutate, see [`SyncEngine::publish`]).
 //!
 //! `jobs` is the number of decoder threads and nothing else: the
 //! analysis state, the output and the sidecar bytes are the same at
@@ -276,7 +284,7 @@ where
     D: SplitDetector,
     D::Sync: CheckpointState,
     D::Access: AccessCheckpoint,
-    S: Sampler + Clone + Send,
+    S: Sampler,
     R: Read + Seek + Send,
 {
     let out = run_pipeline(file, sampler, jobs, Resume::cold(detector), false)?;
@@ -318,7 +326,7 @@ where
     D: SplitDetector,
     D::Sync: CheckpointState,
     D::Access: AccessCheckpoint,
-    S: Sampler + Clone + Send,
+    S: Sampler,
     R: Read + Seek + Send,
 {
     let total = file.segment_count();
@@ -371,8 +379,68 @@ fn validated_prefix<R: Read + Seek>(
 /// A segment's index, footer entry and record bytes, as read.
 type ReadItem = Result<(usize, SegmentMeta, Vec<u8>), BinaryTraceError>;
 
-/// A decoded segment, or the error that ends the stream there.
-type DecodedItem = Result<(SegmentMeta, SegmentData), BinaryTraceError>;
+/// A decoded segment reduced to what the analysis loop walks, or the
+/// error that ends the stream there.
+type DecodedItem = Result<SampledSegment, BinaryTraceError>;
+
+/// One decoded segment with the sampling decisions already made: the
+/// sync events and the sampled accesses in stream order, each with its
+/// event id (its stream position), plus how many reads and writes were
+/// sampled out. The analysis loop walks only these events, so its cost
+/// follows the sync events and the sample, not the trace length.
+struct SampledSegment {
+    meta: SegmentMeta,
+    /// The decoded segment; `data.events` holds only the walked events.
+    data: SegmentData,
+    /// `ids[i]` is the id of `data.events[i]`.
+    ids: Vec<EventId>,
+    skipped_reads: u64,
+    skipped_writes: u64,
+}
+
+impl SampledSegment {
+    /// Decodes segment `k`, keeping the sync events and the accesses
+    /// `sampler` samples. The decision is [`Sampler::decide`], pure in
+    /// the event's stream position, so it is the one the sequential
+    /// pass makes.
+    fn decode<S: Sampler>(
+        k: usize,
+        meta: SegmentMeta,
+        bytes: &[u8],
+        sampler: &S,
+    ) -> Result<Self, BinaryTraceError> {
+        let mut ids = Vec::new();
+        let (mut skipped_reads, mut skipped_writes) = (0, 0);
+        let data = decode_segment_indexed(k, bytes, &meta, |id, event| {
+            let keep = match event.kind {
+                EventKind::Acquire(_) | EventKind::Release(_) => true,
+                EventKind::Read(_) => {
+                    sampler.decide(id, event) || {
+                        skipped_reads += 1;
+                        false
+                    }
+                }
+                EventKind::Write(_) => {
+                    sampler.decide(id, event) || {
+                        skipped_writes += 1;
+                        false
+                    }
+                }
+            };
+            if keep {
+                ids.push(id);
+            }
+            keep
+        })?;
+        Ok(SampledSegment {
+            meta,
+            data,
+            ids,
+            skipped_reads,
+            skipped_writes,
+        })
+    }
+}
 
 /// The reader stage: sequential byte reads, segment `k` to decoder
 /// `k % decoders.len()`. Stops at the first read failure (the
@@ -392,14 +460,13 @@ fn read_segments<R: Read + Seek>(
     }
 }
 
-/// One decoder stage. Stops after forwarding the first failure, or when
-/// the coordinator hangs up.
-fn decode_segments(rx: Receiver<ReadItem>, tx: SyncSender<DecodedItem>) {
+/// One decoder stage: decodes each segment and makes its sampling
+/// decisions. Stops after forwarding the first failure, or when the
+/// coordinator hangs up.
+fn decode_segments<S: Sampler>(rx: Receiver<ReadItem>, tx: SyncSender<DecodedItem>, sampler: &S) {
     for item in rx {
-        let decoded = item.and_then(|(k, meta, bytes)| {
-            let data = decode_segment_indexed(k, &bytes, &meta)?;
-            Ok((meta, data))
-        });
+        let decoded =
+            item.and_then(|(k, meta, bytes)| SampledSegment::decode(k, meta, &bytes, sampler));
         let stop = decoded.is_err();
         if tx.send(decoded).is_err() || stop {
             return;
@@ -420,7 +487,7 @@ where
     D: SplitDetector,
     D::Sync: CheckpointState,
     D::Access: AccessCheckpoint,
-    S: Sampler + Clone + Send,
+    S: Sampler,
     R: Read + Seek + Send,
 {
     let Resume {
@@ -436,7 +503,6 @@ where
         mut sync_state,
         mut reports,
     } = resume;
-    let mut sampler = sampler.clone();
     let mut entries: Vec<CacheEntry> = Vec::new();
     let mut dirty = DirtyVars::default();
     let segment_count = file.segment_count();
@@ -448,7 +514,7 @@ where
         for _ in 0..jobs {
             let (tx, rx) = sync_channel::<ReadItem>(READ_AHEAD);
             let (dtx, drx) = sync_channel::<DecodedItem>(READ_AHEAD);
-            scope.spawn(move || decode_segments(rx, dtx));
+            scope.spawn(move || decode_segments(rx, dtx, sampler));
             to_decoders.push(tx);
             decoded.push(drx);
         }
@@ -460,29 +526,37 @@ where
             let Ok(item) = decoded[k % jobs].recv() else {
                 break;
             };
-            let (meta, data) = item?;
+            let SampledSegment {
+                meta,
+                data,
+                ids,
+                skipped_reads,
+                skipped_writes,
+            } = item?;
             check_watermarks(&lock_names, &var_names, &meta)?;
             merge_names(&mut lock_names, &data.new_locks, "lock", meta.offset)?;
             merge_names(&mut var_names, &data.new_vars, "var", meta.offset)?;
             threads = threads
                 .max(data.declared_threads)
                 .max(data.observed_threads);
+            counters.events += meta.event_count;
+            counters.reads += skipped_reads;
+            counters.writes += skipped_writes;
 
             let seg_report_start = reports.len();
-            for (i, &event) in data.events.iter().enumerate() {
-                let id = EventId::new(meta.first_event_id + i as u64);
-                checker.check(id, event)?;
-                counters.events += 1;
+            for (&id, &event) in ids.iter().zip(&data.events) {
                 let tid = event.tid;
                 // Deferred admission, mirroring the monolithic engines:
                 // only sync events and *sampled* accesses widen the
                 // sync plane (invariant 10).
                 match event.kind {
                     EventKind::Acquire(lock) => {
+                        checker.check(id, event)?;
                         sync.ensure_thread(tid);
                         sync.acquire(tid, lock, &mut counters);
                     }
                     EventKind::Release(lock) => {
+                        checker.check(id, event)?;
                         sync.ensure_thread(tid);
                         if pending.len() <= tid.index() {
                             pending.resize(tid.index() + 1, false);
@@ -491,27 +565,24 @@ where
                         sync.release(tid, lock, sampled, &mut counters);
                     }
                     EventKind::Read(var) | EventKind::Write(var) => {
-                        if sampler.sample(id, event) {
-                            if record {
-                                dirty.mark(var);
-                            }
-                            sync.ensure_thread(tid);
-                            if pending.len() <= tid.index() {
-                                pending.resize(tid.index() + 1, false);
-                            }
-                            pending[tid.index()] = true;
-                            // Take-before-mutate: the view dies inside
-                            // this arm, before `tid`'s next sync
-                            // mutation, so it never forces a deep copy
-                            // the monolith would not pay.
-                            let view = sync.publish(tid);
-                            let outcome = access.access_sampled(id, event, &view, &mut counters);
-                            debug_assert!(outcome.sampled, "hoisted decision admitted this");
-                            if let Some(report) = outcome.report {
-                                reports.push(report);
-                            }
-                        } else {
-                            crate::plane::tally_access(&event, &mut counters);
+                        // The decoder sampled this access.
+                        if record {
+                            dirty.mark(var);
+                        }
+                        sync.ensure_thread(tid);
+                        if pending.len() <= tid.index() {
+                            pending.resize(tid.index() + 1, false);
+                        }
+                        pending[tid.index()] = true;
+                        // Take-before-mutate: the view dies inside this
+                        // arm, before `tid`'s next sync mutation, so it
+                        // never forces a deep copy the monolith would
+                        // not pay.
+                        let view = sync.publish(tid);
+                        let outcome = access.access_sampled(id, event, &view, &mut counters);
+                        debug_assert!(outcome.sampled, "hoisted decision admitted this");
+                        if let Some(report) = outcome.report {
+                            reports.push(report);
                         }
                     }
                 }

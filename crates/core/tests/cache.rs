@@ -165,6 +165,71 @@ fn incremental_matches_cold_across_engines_and_samplers() {
             "so",
             "bernoulli:0.3:11",
         );
+        let paper_rate = BernoulliSampler::new(0.03, 11);
+        assert_incremental_matches_cold(
+            &format!("{name}/so/bernoulli0.03"),
+            &trace,
+            &OrderedListDetector::new(paper_rate),
+            &paper_rate,
+            "so",
+            "bernoulli:0.03:11",
+        );
+    }
+}
+
+/// At the paper's 3% rate almost every access is sampled out in the
+/// decoder threads, so the coordinator walks few accesses per segment.
+/// A cold and a warm run must still write the same sidecar bytes at
+/// every job count, and report what the plain run reports.
+#[test]
+fn paper_rate_sidecar_bytes_are_the_same_at_every_job_count() {
+    let rate = BernoulliSampler::new(0.03, 11);
+    for (name, trace) in workload_matrix(240, &[1]) {
+        let bytes = v2_bytes(&trace, EVENTS_PER_SEGMENT);
+        // The fingerprint does not depend on the job count (the CLI
+        // writes `jobs: 1` at every `--jobs`).
+        let cfg = config("so", "bernoulli:0.03:11", 1);
+        let detector = OrderedListDetector::new(rate);
+        let plain = analyze_segments(&mut open(&bytes), &detector, &rate, 1)
+            .expect("well-formed traces must analyze");
+        let reference = analyze_segments_cached(&mut open(&bytes), &detector, &rate, 1, &cfg, None)
+            .expect("well-formed traces must analyze")
+            .cache;
+        let reference_bytes = reference.encode();
+        let half = reference.entries.len() / 2;
+        let mut prior = reference.clone();
+        prior.entries.truncate(half);
+        for jobs in [1, 2, 3, 8] {
+            let cold =
+                analyze_segments_cached(&mut open(&bytes), &detector, &rate, jobs, &cfg, None)
+                    .expect("well-formed traces must analyze");
+            let warm = analyze_segments_cached(
+                &mut open(&bytes),
+                &detector,
+                &rate,
+                jobs,
+                &cfg,
+                Some(&prior),
+            )
+            .expect("well-formed traces must analyze");
+            assert_eq!(cold.reused_segments, 0, "[{name}] jobs={jobs}");
+            assert_eq!(warm.reused_segments, half, "[{name}] jobs={jobs}");
+            for (run, label) in [(&cold, "cold"), (&warm, "warm")] {
+                assert_eq!(
+                    run.cache.encode(),
+                    reference_bytes,
+                    "[{name}] {label} jobs={jobs}: sidecar bytes diverged"
+                );
+                assert_eq!(
+                    run.analysis.reports, plain.reports,
+                    "[{name}] {label} jobs={jobs}"
+                );
+                assert_eq!(
+                    run.analysis.counters, plain.counters,
+                    "[{name}] {label} jobs={jobs}"
+                );
+            }
+        }
     }
 }
 

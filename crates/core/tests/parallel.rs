@@ -14,11 +14,13 @@ use freshtrack_core::{
     analyze_segments, AccessCheckpoint, CheckpointState, Detector, DjitDetector, FastTrackDetector,
     FreshnessDetector, OrderedListDetector, SplitDetector,
 };
-use freshtrack_sampling::{AlwaysSampler, BernoulliSampler, NeverSampler, Sampler};
+use freshtrack_sampling::{
+    AlwaysSampler, BernoulliSampler, NeverSampler, PeriodicSampler, Sampler, TargetedSampler,
+};
 use freshtrack_testutil::{trace_from_fuel, workload_matrix};
 use freshtrack_trace::{
     write_source_binary_v2, write_trace_binary_v2, EventSource, SegmentOptions, SegmentedTraceFile,
-    SourceError, Trace, TraceBuilder, Validated,
+    SourceError, Trace, TraceBuilder, Validated, VarId,
 };
 
 fn v2_bytes(trace: &Trace, events_per_segment: usize) -> Vec<u8> {
@@ -104,6 +106,43 @@ fn parallel_matches_sequential_across_engines_and_samplers() {
             &trace,
             &OrderedListDetector::with_options(rate, false),
             &rate,
+        );
+        // The decoder threads make the sampling decisions, so every
+        // sampler shape must reach the coordinator unchanged: the
+        // paper's 3% rate, whole sampled periods, and per-variable
+        // targets.
+        let paper_rate = BernoulliSampler::new(0.03, 11);
+        assert_parallel_matches_sequential(
+            &format!("{name}/so/bernoulli0.03"),
+            &trace,
+            &OrderedListDetector::new(paper_rate),
+            &paper_rate,
+        );
+        let periodic = PeriodicSampler::new(0.3, 16, 5);
+        assert_parallel_matches_sequential(
+            &format!("{name}/su/periodic"),
+            &trace,
+            &FreshnessDetector::new(periodic),
+            &periodic,
+        );
+        assert_parallel_matches_sequential(
+            &format!("{name}/so/periodic"),
+            &trace,
+            &OrderedListDetector::new(periodic),
+            &periodic,
+        );
+        let targeted = TargetedSampler::new([VarId::new(0), VarId::new(2)]);
+        assert_parallel_matches_sequential(
+            &format!("{name}/djit/targeted"),
+            &trace,
+            &DjitDetector::new(targeted.clone()),
+            &targeted,
+        );
+        assert_parallel_matches_sequential(
+            &format!("{name}/so/targeted"),
+            &trace,
+            &OrderedListDetector::new(targeted.clone()),
+            &targeted,
         );
     }
 }

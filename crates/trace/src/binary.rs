@@ -351,21 +351,8 @@ impl std::error::Error for BinaryTraceError {}
 /// loss cannot masquerade as success.
 #[derive(Debug)]
 pub struct BinaryEventReader<R> {
-    input: std::io::BufReader<R>,
-    /// Byte offset of the next unread byte.
-    offset: u64,
-    /// Format version (1 or 2) negotiated from the magic.
-    version: u32,
-    /// Segment-slice mode: the input is the record body of one segment,
-    /// so a clean EOF at a record boundary ends the stream (there is no
-    /// end marker inside a segment).
-    eof_ends_stream: bool,
-    locks: Interner,
-    vars: Interner,
-    declared_threads: u32,
-    observed_threads: u32,
-    prev_tid: Option<ThreadId>,
-    done: bool,
+    input: StreamInput<R>,
+    records: RecordDecoder,
 }
 
 impl<R: Read> BinaryEventReader<R> {
@@ -379,185 +366,346 @@ impl<R: Read> BinaryEventReader<R> {
     /// must stay distinct so a newer file is diagnosed as such instead
     /// of as garbage.
     pub fn new(input: R) -> Result<Self, BinaryTraceError> {
-        let mut reader = BinaryEventReader {
-            input: std::io::BufReader::new(input),
+        let mut input = StreamInput {
+            reader: std::io::BufReader::new(input),
             offset: 0,
-            version: 1,
-            eof_ends_stream: false,
-            locks: Interner::default(),
-            vars: Interner::default(),
-            declared_threads: 0,
-            observed_threads: 0,
-            prev_tid: None,
-            done: false,
         };
         let mut magic = [0u8; 8];
-        reader
-            .input
+        input
             .read_exact(&mut magic)
-            .map_err(|e| reader.fail(format!("cannot read magic: {e}")))?;
-        reader.offset = 8;
-        match magic_version(&magic) {
-            Some(v @ (1 | 2)) => reader.version = v,
+            .map_err(|e| malformed(0, format_args!("cannot read magic: {e}")))?;
+        let version = match magic_version(&magic) {
+            Some(v @ (1 | 2)) => v,
             Some(v) => {
-                return Err(reader.fail(format!(
-                    "unsupported binary trace version {v} (this build reads 1 and 2)"
-                )))
+                return Err(malformed(
+                    8,
+                    format_args!("unsupported binary trace version {v} (this build reads 1 and 2)"),
+                ))
             }
-            None => return Err(reader.fail("not a binary trace (bad magic)".to_owned())),
-        }
-        Ok(reader)
+            None => return Err(malformed(8, format_args!("not a binary trace (bad magic)"))),
+        };
+        let records = RecordDecoder::new(version, false, Interner::default(), Interner::default());
+        Ok(BinaryEventReader { input, records })
     }
 
     /// The negotiated format version (1 or 2).
     pub fn version(&self) -> u32 {
-        self.version
+        self.records.version
+    }
+}
+
+impl<R: Read> EventSource for BinaryEventReader<R> {
+    fn next_event(&mut self) -> Result<Option<Event>, SourceError> {
+        Ok(self.records.next_event(&mut self.input)?)
     }
 
-    /// Builds a decoder over the record body of one v2 segment (no
-    /// magic, no end marker): the name tables start at the segment's
-    /// watermarks so operand ids resolve, `base_offset` keeps error
-    /// offsets absolute, and a clean EOF at a record boundary ends the
-    /// stream.
-    pub(crate) fn for_segment(
-        input: R,
-        base_offset: u64,
-        locks: Interner,
-        vars: Interner,
-        declared_threads: u32,
-    ) -> Self {
-        BinaryEventReader {
-            input: std::io::BufReader::new(input),
-            offset: base_offset,
-            version: 2,
-            eof_ends_stream: true,
+    fn declared_threads(&self) -> u32 {
+        self.records.declared_threads
+    }
+
+    fn observed_threads(&self) -> u32 {
+        self.records.observed_threads
+    }
+
+    fn lock_count(&self) -> usize {
+        self.records.locks.len()
+    }
+
+    fn var_count(&self) -> usize {
+        self.records.vars.len()
+    }
+
+    fn lock_name(&self, index: usize) -> &str {
+        self.records.locks.name(index)
+    }
+
+    fn var_name(&self, index: usize) -> &str {
+        self.records.vars.name(index)
+    }
+}
+
+/// Where the record grammar reads its bytes: a buffered stream
+/// ([`BinaryEventReader`]) or a cursor over one segment's bytes
+/// ([`SliceInput`]).
+pub(crate) trait RecordInput {
+    /// Absolute offset of the next unread byte, for error reports.
+    fn offset(&self) -> u64;
+
+    /// Fills `buf` from the input, advancing the offset; a short input
+    /// fails with `UnexpectedEof` and leaves the offset unchanged.
+    fn read_exact(&mut self, buf: &mut [u8]) -> std::io::Result<()>;
+}
+
+/// A buffered stream that counts the bytes it hands out.
+#[derive(Debug)]
+struct StreamInput<R> {
+    reader: std::io::BufReader<R>,
+    offset: u64,
+}
+
+impl<R: Read> RecordInput for StreamInput<R> {
+    fn offset(&self) -> u64 {
+        self.offset
+    }
+
+    #[inline(always)]
+    fn read_exact(&mut self, buf: &mut [u8]) -> std::io::Result<()> {
+        self.reader.read_exact(buf)?;
+        self.offset += buf.len() as u64;
+        Ok(())
+    }
+}
+
+/// A cursor over one segment's record bytes: the unread rest of the
+/// slice, advanced in place. The offset is derived from the rest's
+/// length, so the per-byte path only moves the slice.
+pub(crate) struct SliceInput<'a> {
+    rest: &'a [u8],
+    /// Absolute offset one past the slice's last byte.
+    end: u64,
+}
+
+impl<'a> SliceInput<'a> {
+    /// A cursor over `bytes`, whose first byte sits at absolute offset
+    /// `base`.
+    pub(crate) fn new(bytes: &'a [u8], base: u64) -> Self {
+        SliceInput {
+            rest: bytes,
+            end: base + bytes.len() as u64,
+        }
+    }
+}
+
+impl RecordInput for SliceInput<'_> {
+    fn offset(&self) -> u64 {
+        self.end - self.rest.len() as u64
+    }
+
+    #[inline(always)]
+    fn read_exact(&mut self, buf: &mut [u8]) -> std::io::Result<()> {
+        // `&[u8]`'s own `read_exact` gives the same short-input error as
+        // the buffered stream's. It runs on a copy because it empties
+        // the slice on a short read, and the offset must stay put.
+        let mut rest = self.rest;
+        rest.read_exact(buf)?;
+        self.rest = rest;
+        Ok(())
+    }
+}
+
+/// A decoding error at `offset`. Cold and outlined, with the message
+/// formatted here, so the per-byte paths carry no formatting code.
+#[cold]
+#[inline(never)]
+fn malformed(offset: u64, reason: std::fmt::Arguments<'_>) -> BinaryTraceError {
+    BinaryTraceError {
+        offset,
+        reason: reason.to_string(),
+    }
+}
+
+/// The record grammar, written once: tag dispatch, varints, names and
+/// event records, over any [`RecordInput`]. The streaming reader feeds
+/// it a buffered stream; the segment decoder
+/// ([`decode_segment`](crate::decode_segment)) feeds it a
+/// [`SliceInput`]. Both therefore accept the same records and report
+/// the same errors at the same absolute offsets.
+///
+/// The per-byte paths are `inline(always)` and every error message is
+/// formatted in the outlined [`malformed`], so a decode loop inlines
+/// whole and carries no formatting code: left to the inliner, the
+/// varint reader stayed a call and `decode_segment` paid ~10 ns more
+/// per event.
+#[derive(Debug)]
+pub(crate) struct RecordDecoder {
+    /// Format version (1 or 2) negotiated from the magic.
+    version: u32,
+    /// Segment-body mode: the input is the record body of one segment,
+    /// so a clean EOF at a record boundary ends the stream (there is no
+    /// end marker inside a segment).
+    eof_ends_stream: bool,
+    locks: Interner,
+    vars: Interner,
+    declared_threads: u32,
+    observed_threads: u32,
+    prev_tid: Option<ThreadId>,
+    done: bool,
+}
+
+impl RecordDecoder {
+    fn new(version: u32, eof_ends_stream: bool, locks: Interner, vars: Interner) -> Self {
+        RecordDecoder {
+            version,
+            eof_ends_stream,
             locks,
             vars,
-            declared_threads,
+            declared_threads: 0,
             observed_threads: 0,
             prev_tid: None,
             done: false,
         }
     }
 
-    fn fail(&mut self, reason: String) -> BinaryTraceError {
-        self.done = true;
-        BinaryTraceError {
-            offset: self.offset,
-            reason,
-        }
+    /// A decoder for the record body of one v2 segment (no magic, no
+    /// end marker): the name tables start at the segment's watermarks
+    /// so operand ids resolve, and a clean EOF at a record boundary
+    /// ends the stream.
+    pub(crate) fn for_segment(locks: Interner, vars: Interner) -> Self {
+        RecordDecoder::new(2, true, locks, vars)
     }
 
-    fn read_byte(&mut self) -> Result<u8, BinaryTraceError> {
-        let mut byte = [0u8];
-        match self.input.read_exact(&mut byte) {
-            Ok(()) => {
-                self.offset += 1;
-                Ok(byte[0])
+    pub(crate) fn declared_threads(&self) -> u32 {
+        self.declared_threads
+    }
+
+    pub(crate) fn observed_threads(&self) -> u32 {
+        self.observed_threads
+    }
+
+    /// The names this decoder defined itself (ids from the base up).
+    pub(crate) fn into_names(self) -> (Vec<String>, Vec<String>) {
+        (self.locks.into_names(), self.vars.into_names())
+    }
+
+    /// Decodes records up to the next event; `Ok(None)` at the end of
+    /// the stream (or of the segment body). After an error, every
+    /// later call returns `Ok(None)`.
+    #[inline(always)]
+    pub(crate) fn next_event<I: RecordInput>(
+        &mut self,
+        input: &mut I,
+    ) -> Result<Option<Event>, BinaryTraceError> {
+        if self.done {
+            return Ok(None);
+        }
+        let next = self.next_record(input);
+        if !matches!(next, Ok(Some(_))) {
+            self.done = true;
+        }
+        next
+    }
+
+    #[inline(always)]
+    fn next_record<I: RecordInput>(
+        &mut self,
+        input: &mut I,
+    ) -> Result<Option<Event>, BinaryTraceError> {
+        loop {
+            let Some(tag) = self.read_tag(input)? else {
+                return Ok(None);
+            };
+            if tag < TAG_DEF_LOCK {
+                return self.decode_event(input, tag).map(Some);
             }
-            Err(e) => Err(self.fail(format!("truncated input: {e}"))),
+            match tag {
+                TAG_END => return Ok(None),
+                TAG_DEF_LOCK => {
+                    let name = read_name(input)?;
+                    if self.locks.contains(&name) {
+                        return Err(malformed(
+                            input.offset(),
+                            format_args!("duplicate definition of lock {name:?}"),
+                        ));
+                    }
+                    self.locks.push(name);
+                }
+                TAG_DEF_VAR => {
+                    let name = read_name(input)?;
+                    if self.vars.contains(&name) {
+                        return Err(malformed(
+                            input.offset(),
+                            format_args!("duplicate definition of var {name:?}"),
+                        ));
+                    }
+                    self.vars.push(name);
+                }
+                TAG_THREADS => {
+                    let n = read_varint(input)?;
+                    if n > u32::MAX as u64 {
+                        return Err(malformed(
+                            input.offset(),
+                            format_args!("thread count {n} overflows u32"),
+                        ));
+                    }
+                    self.declared_threads = self.declared_threads.max(n as u32);
+                }
+                TAG_SEGMENT if self.version >= 2 => {
+                    // Sequential readers only need the boundary's one
+                    // semantic effect: the same-thread delta resets, so
+                    // each segment decodes without its predecessors.
+                    let _index = read_varint(input)?;
+                    self.prev_tid = None;
+                }
+                TAG_CHECKPOINT | TAG_FOOTER if self.version >= 2 => {
+                    let len = read_varint(input)?;
+                    skip_bytes(input, len)?;
+                }
+                tag => {
+                    return Err(malformed(
+                        input.offset(),
+                        format_args!("unknown record tag {tag:#04x}"),
+                    ))
+                }
+            }
         }
     }
 
     /// Reads the next record's tag byte; `Ok(None)` at a clean EOF in
-    /// segment-slice mode, where the slice end plays the role of the
+    /// segment-body mode, where the body's end plays the role of the
     /// end marker.
-    fn read_tag(&mut self) -> Result<Option<u8>, BinaryTraceError> {
+    #[inline(always)]
+    fn read_tag<I: RecordInput>(&self, input: &mut I) -> Result<Option<u8>, BinaryTraceError> {
         let mut byte = [0u8];
-        match self.input.read_exact(&mut byte) {
-            Ok(()) => {
-                self.offset += 1;
-                Ok(Some(byte[0]))
-            }
+        match input.read_exact(&mut byte) {
+            Ok(()) => Ok(Some(byte[0])),
             Err(e) if self.eof_ends_stream && e.kind() == std::io::ErrorKind::UnexpectedEof => {
                 Ok(None)
             }
-            Err(e) => Err(self.fail(format!("truncated input: {e}"))),
+            Err(e) => Err(truncated(input, e)),
         }
     }
 
-    /// Skips `len` payload bytes (checkpoint/footer records the
-    /// sequential pass does not interpret). Bounded buffer: `len` comes
-    /// from untrusted input and must not size an allocation.
-    fn skip_bytes(&mut self, len: u64) -> Result<(), BinaryTraceError> {
-        let mut buf = [0u8; 512];
-        let mut remaining = len;
-        while remaining > 0 {
-            let n = remaining.min(buf.len() as u64) as usize;
-            if let Err(e) = self.input.read_exact(&mut buf[..n]) {
-                return Err(self.fail(format!("truncated input: {e}")));
-            }
-            self.offset += n as u64;
-            remaining -= n as u64;
-        }
-        Ok(())
-    }
-
-    fn read_varint(&mut self) -> Result<u64, BinaryTraceError> {
-        let mut value = 0u64;
-        for shift in (0..64).step_by(7) {
-            let byte = self.read_byte()?;
-            // The 10th byte may only carry the top bit of a u64; a
-            // larger payload (or a continuation) would be silently
-            // truncated by the shift, so reject it as malformed.
-            if shift == 63 && byte > 1 {
-                return Err(self.fail("varint overflows u64".to_owned()));
-            }
-            value |= ((byte & 0x7f) as u64) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(value);
-            }
-        }
-        Err(self.fail("varint overflows u64".to_owned()))
-    }
-
-    /// Reads a definition record's name, enforcing [`validate_name`]'s
-    /// constraints (duplicates are rejected at the call site): a
-    /// foreign `.ftb` with a metacharacter-laden name is rejected here
-    /// rather than silently turning into a *different* trace after a
-    /// text round trip. The writer enforces the same rules, so the
-    /// codec's own output always decodes.
-    fn read_name(&mut self) -> Result<String, BinaryTraceError> {
-        let len = self.read_varint()?;
-        if len > 1 << 20 {
-            return Err(self.fail(format!("unreasonable name length {len}")));
-        }
-        let mut bytes = vec![0u8; len as usize];
-        if let Err(e) = self.input.read_exact(&mut bytes) {
-            return Err(self.fail(format!("truncated name: {e}")));
-        }
-        self.offset += len;
-        let name =
-            String::from_utf8(bytes).map_err(|e| self.fail(format!("name is not UTF-8: {e}")))?;
-        validate_name(&name).map_err(|reason| self.fail(reason))?;
-        Ok(name)
-    }
-
-    fn decode_event(&mut self, tag: u8) -> Result<Event, BinaryTraceError> {
+    #[inline(always)]
+    fn decode_event<I: RecordInput>(
+        &mut self,
+        input: &mut I,
+        tag: u8,
+    ) -> Result<Event, BinaryTraceError> {
         let kind_bits = tag & 0b11;
         let same_tid = tag & 0b100 != 0;
         let inline = tag >> 3;
         let tid = if same_tid {
             match self.prev_tid {
                 Some(tid) => tid,
-                None => return Err(self.fail("same-thread bit with no previous event".to_owned())),
+                None => {
+                    return Err(malformed(
+                        input.offset(),
+                        format_args!("same-thread bit with no previous event"),
+                    ))
+                }
             }
         } else {
-            let raw = self.read_varint()?;
+            let raw = read_varint(input)?;
             // `>=` because thread *counts* (`tid + 1`) must fit a u32
             // too; u32::MAX itself would overflow observed_threads.
             if raw >= u32::MAX as u64 {
-                return Err(self.fail(format!("thread id {raw} overflows u32")));
+                return Err(malformed(
+                    input.offset(),
+                    format_args!("thread id {raw} overflows u32"),
+                ));
             }
             ThreadId::new(raw as u32)
         };
         let operand = if inline == OPERAND_ESCAPE {
-            self.read_varint()?
+            read_varint(input)?
         } else {
             inline as u64
         };
         if operand > u32::MAX as u64 {
-            return Err(self.fail(format!("operand id {operand} overflows u32")));
+            return Err(malformed(
+                input.offset(),
+                format_args!("operand id {operand} overflows u32"),
+            ));
         }
         let operand = operand as u32;
         let (defined, what) = if kind_bits < 2 {
@@ -566,9 +714,10 @@ impl<R: Read> BinaryEventReader<R> {
             (self.locks.len(), "lock")
         };
         if operand as usize >= defined {
-            return Err(self.fail(format!(
-                "{what} id {operand} not yet defined (have {defined})"
-            )));
+            return Err(malformed(
+                input.offset(),
+                format_args!("{what} id {operand} not yet defined (have {defined})"),
+            ));
         }
         let kind = match kind_bits {
             0 => EventKind::Read(VarId::new(operand)),
@@ -582,92 +731,88 @@ impl<R: Read> BinaryEventReader<R> {
     }
 }
 
-impl<R: Read> EventSource for BinaryEventReader<R> {
-    fn next_event(&mut self) -> Result<Option<Event>, SourceError> {
-        loop {
-            if self.done {
-                return Ok(None);
-            }
-            let Some(tag) = self.read_tag()? else {
-                self.done = true;
-                return Ok(None);
-            };
-            match tag {
-                TAG_END => {
-                    self.done = true;
-                    return Ok(None);
-                }
-                TAG_DEF_LOCK => {
-                    let name = self.read_name()?;
-                    if self.locks.contains(&name) {
-                        return Err(self
-                            .fail(format!("duplicate definition of lock {name:?}"))
-                            .into());
-                    }
-                    self.locks.push(name);
-                }
-                TAG_DEF_VAR => {
-                    let name = self.read_name()?;
-                    if self.vars.contains(&name) {
-                        return Err(self
-                            .fail(format!("duplicate definition of var {name:?}"))
-                            .into());
-                    }
-                    self.vars.push(name);
-                }
-                TAG_THREADS => {
-                    let n = self.read_varint()?;
-                    if n > u32::MAX as u64 {
-                        return Err(self.fail(format!("thread count {n} overflows u32")).into());
-                    }
-                    self.declared_threads = self.declared_threads.max(n as u32);
-                }
-                TAG_SEGMENT if self.version >= 2 => {
-                    // Sequential readers only need the boundary's one
-                    // semantic effect: the same-thread delta resets, so
-                    // each segment decodes without its predecessors.
-                    let _index = self.read_varint()?;
-                    self.prev_tid = None;
-                }
-                TAG_CHECKPOINT if self.version >= 2 => {
-                    let len = self.read_varint()?;
-                    self.skip_bytes(len)?;
-                }
-                TAG_FOOTER if self.version >= 2 => {
-                    let len = self.read_varint()?;
-                    self.skip_bytes(len)?;
-                }
-                tag if tag >= TAG_DEF_LOCK => {
-                    return Err(self.fail(format!("unknown record tag {tag:#04x}")).into());
-                }
-                tag => return Ok(Some(self.decode_event(tag)?)),
-            }
+/// A short read inside a record.
+#[cold]
+#[inline(never)]
+fn truncated<I: RecordInput>(input: &I, e: std::io::Error) -> BinaryTraceError {
+    malformed(input.offset(), format_args!("truncated input: {e}"))
+}
+
+#[inline(always)]
+fn read_byte<I: RecordInput>(input: &mut I) -> Result<u8, BinaryTraceError> {
+    let mut byte = [0u8];
+    match input.read_exact(&mut byte) {
+        Ok(()) => Ok(byte[0]),
+        Err(e) => Err(truncated(input, e)),
+    }
+}
+
+#[inline(always)]
+fn read_varint<I: RecordInput>(input: &mut I) -> Result<u64, BinaryTraceError> {
+    let mut value = 0u64;
+    let mut shift = 0;
+    loop {
+        let byte = read_byte(input)?;
+        // The 10th byte may only carry the top bit of a u64; a larger
+        // payload (or a continuation) would be silently truncated by the
+        // shift, so reject it as malformed.
+        if shift == 63 && byte > 1 {
+            return Err(malformed(
+                input.offset(),
+                format_args!("varint overflows u64"),
+            ));
         }
+        value |= ((byte & 0x7f) as u64) << shift;
+        if byte & 0x80 == 0 {
+            return Ok(value);
+        }
+        shift += 7;
     }
+}
 
-    fn declared_threads(&self) -> u32 {
-        self.declared_threads
+/// Skips `len` payload bytes (checkpoint/footer records the sequential
+/// pass does not interpret). Bounded buffer: `len` comes from untrusted
+/// input and must not size an allocation.
+#[inline(always)]
+fn skip_bytes<I: RecordInput>(input: &mut I, len: u64) -> Result<(), BinaryTraceError> {
+    let mut buf = [0u8; 512];
+    let mut remaining = len;
+    while remaining > 0 {
+        let n = remaining.min(buf.len() as u64) as usize;
+        if let Err(e) = input.read_exact(&mut buf[..n]) {
+            return Err(truncated(input, e));
+        }
+        remaining -= n as u64;
     }
+    Ok(())
+}
 
-    fn observed_threads(&self) -> u32 {
-        self.observed_threads
+/// Reads a definition record's name, enforcing [`validate_name`]'s
+/// constraints (duplicates are rejected at the call site): a foreign
+/// `.ftb` with a metacharacter-laden name is rejected here rather than
+/// silently turning into a *different* trace after a text round trip.
+/// The writer enforces the same rules, so the codec's own output always
+/// decodes.
+#[inline(always)]
+fn read_name<I: RecordInput>(input: &mut I) -> Result<String, BinaryTraceError> {
+    let len = read_varint(input)?;
+    if len > 1 << 20 {
+        return Err(malformed(
+            input.offset(),
+            format_args!("unreasonable name length {len}"),
+        ));
     }
-
-    fn lock_count(&self) -> usize {
-        self.locks.len()
+    let mut bytes = vec![0u8; len as usize];
+    if let Err(e) = input.read_exact(&mut bytes) {
+        return Err(malformed(
+            input.offset(),
+            format_args!("truncated name: {e}"),
+        ));
     }
-
-    fn var_count(&self) -> usize {
-        self.vars.len()
-    }
-
-    fn lock_name(&self, index: usize) -> &str {
-        self.locks.name(index)
-    }
-
-    fn var_name(&self, index: usize) -> &str {
-        self.vars.name(index)
-    }
+    let name = String::from_utf8(bytes)
+        .map_err(|e| malformed(input.offset(), format_args!("name is not UTF-8: {e}")))?;
+    validate_name(&name).map_err(|reason| malformed(input.offset(), format_args!("{reason}")))?;
+    Ok(name)
 }
 
 /// Parses a complete binary trace from a byte slice — the batch

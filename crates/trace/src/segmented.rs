@@ -53,12 +53,12 @@ use freshtrack_clock::wire::{self, WireError, WireReader};
 use freshtrack_clock::{ThreadId, VectorClock};
 
 use crate::binary::{
-    flush_binary_meta, magic_version, write_event_record, write_varint, BinaryEventReader,
+    flush_binary_meta, magic_version, write_event_record, write_varint, RecordDecoder, SliceInput,
     BINARY_MAGIC_V2, TAG_CHECKPOINT, TAG_END, TAG_FOOTER, TAG_SEGMENT, TAG_THREADS,
 };
 use crate::io::{EmittedMeta, WriteSourceError};
-use crate::source::{EventSource, Interner, SourceError};
-use crate::{BinaryTraceError, Event, EventKind, LockId, Trace};
+use crate::source::{EventSource, Interner};
+use crate::{BinaryTraceError, Event, EventId, EventKind, LockId, Trace};
 
 /// The 4-byte magic closing a v2 file, preceded by the 8-byte LE footer
 /// offset — the seek target for [`SegmentedTraceFile::open`].
@@ -916,17 +916,23 @@ impl<R: Read + Seek> SegmentedTraceFile<R> {
         for k in 0..self.segment_count() {
             let bytes = self.read_segment_bytes(k)?;
             let meta = self.metas[k].clone();
-            decode_segment_indexed(k, &bytes, &meta)?;
+            decode_segment_indexed(k, &bytes, &meta, |_, _| false)?;
             self.read_checkpoint(k)?;
         }
         Ok(())
     }
 }
 
-/// [`decode_segment`] with position context: any failure is annotated
-/// with the segment's index and start offset, so corruption reports
-/// from `verify`, `segments`, and the parallel analyzer name the
-/// segment instead of only a raw byte position.
+/// [`decode_segment`] with position context and an event filter: only
+/// the events `keep` accepts — it sees each event with its
+/// [`EventId`] — land in [`SegmentData::events`], and any failure is
+/// annotated with the segment's index and start offset, so corruption
+/// reports from `verify`, `segments`, and the parallel analyzer name
+/// the segment instead of only a raw byte position.
+///
+/// The filter runs inside the decode loop, so a caller that needs only
+/// some events (the parallel analyzer keeps the sync events and the
+/// sampled accesses; `verify` keeps none) never stores the rest.
 ///
 /// # Errors
 ///
@@ -935,8 +941,9 @@ pub fn decode_segment_indexed(
     k: usize,
     bytes: &[u8],
     meta: &SegmentMeta,
+    keep: impl FnMut(EventId, Event) -> bool,
 ) -> Result<SegmentData, BinaryTraceError> {
-    decode_segment(bytes, meta).map_err(|e| {
+    decode_records(bytes, meta, keep).map_err(|e| {
         BinaryTraceError::new(
             e.offset,
             format!("segment {k} (starts at byte {}): {}", meta.offset, e.reason),
@@ -948,8 +955,9 @@ pub fn decode_segment_indexed(
 /// contributes beyond what earlier segments defined.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SegmentData {
-    /// The segment's events, in stream order; event `i` has
-    /// [`EventId`](crate::EventId) `meta.first_event_id + i`.
+    /// The segment's events, in stream order; from [`decode_segment`]
+    /// event `i` has [`EventId`] `meta.first_event_id + i`. From
+    /// [`decode_segment_indexed`], only the events its filter kept.
     pub events: Vec<Event>,
     /// Lock names this segment defines (ids `meta.locks_before..`).
     pub new_locks: Vec<String>,
@@ -974,6 +982,17 @@ pub struct SegmentData {
 /// absolute file offsets), or an event count disagreeing with the
 /// footer.
 pub fn decode_segment(bytes: &[u8], meta: &SegmentMeta) -> Result<SegmentData, BinaryTraceError> {
+    decode_records(bytes, meta, |_, _| true)
+}
+
+/// The one segment decoder behind [`decode_segment`] and
+/// [`decode_segment_indexed`]: a [`SliceInput`] cursor over the bytes,
+/// keeping the events `keep` accepts.
+fn decode_records(
+    bytes: &[u8],
+    meta: &SegmentMeta,
+    mut keep: impl FnMut(EventId, Event) -> bool,
+) -> Result<SegmentData, BinaryTraceError> {
     if bytes.len() as u64 != meta.byte_len {
         return Err(BinaryTraceError::new(
             meta.offset,
@@ -990,48 +1009,39 @@ pub fn decode_segment(bytes: &[u8], meta: &SegmentMeta) -> Result<SegmentData, B
             "segment checksum mismatch (corrupt or truncated file)",
         ));
     }
-    let mut reader = BinaryEventReader::for_segment(
-        bytes,
-        meta.offset,
+    let mut records = RecordDecoder::for_segment(
         Interner::with_base(meta.locks_before),
         Interner::with_base(meta.vars_before),
-        0,
     );
     // Each event record costs at least one byte, so this cannot
     // over-allocate even if the (checksummed) footer were corrupt.
     let mut events = Vec::with_capacity((meta.event_count as usize).min(bytes.len()));
-    loop {
-        match reader.next_event() {
-            Ok(Some(event)) => events.push(event),
-            Ok(None) => break,
-            Err(SourceError::Binary(e)) => return Err(e),
-            Err(other) => {
-                return Err(BinaryTraceError::new(meta.offset, format!("{other}")));
-            }
+    let mut decoded = 0u64;
+    let mut cursor = SliceInput::new(bytes, meta.offset);
+    while let Some(event) = records.next_event(&mut cursor)? {
+        if keep(EventId::new(meta.first_event_id + decoded), event) {
+            events.push(event);
         }
+        decoded += 1;
     }
-    if events.len() as u64 != meta.event_count {
+    if decoded != meta.event_count {
         return Err(BinaryTraceError::new(
             meta.offset,
             format!(
-                "segment decodes {} events, footer claims {}",
-                events.len(),
+                "segment decodes {decoded} events, footer claims {}",
                 meta.event_count
             ),
         ));
     }
-    let new_locks = (meta.locks_before..reader.lock_count())
-        .map(|i| reader.lock_name(i).to_owned())
-        .collect();
-    let new_vars = (meta.vars_before..reader.var_count())
-        .map(|i| reader.var_name(i).to_owned())
-        .collect();
+    let declared_threads = records.declared_threads();
+    let observed_threads = records.observed_threads();
+    let (new_locks, new_vars) = records.into_names();
     Ok(SegmentData {
         events,
         new_locks,
         new_vars,
-        declared_threads: reader.declared_threads(),
-        observed_threads: reader.observed_threads(),
+        declared_threads,
+        observed_threads,
     })
 }
 
@@ -1064,7 +1074,10 @@ mod tests {
     use std::io::Cursor;
 
     use super::*;
-    use crate::{read_trace_binary, write_source_binary, write_trace_binary, TraceBuilder};
+    use crate::{
+        read_trace_binary, write_source_binary, write_trace_binary, BinaryEventReader, SourceError,
+        TraceBuilder,
+    };
 
     fn opts(n: usize) -> SegmentOptions {
         SegmentOptions {
@@ -1169,7 +1182,26 @@ mod tests {
             assert_eq!(meta.first_event_id, all_events.len() as u64);
             assert_eq!(meta.locks_before, locks.len());
             assert_eq!(meta.vars_before, vars.len());
-            let data = decode_segment(&file.read_segment_bytes(k).unwrap(), &meta).unwrap();
+            let bytes = file.read_segment_bytes(k).unwrap();
+            let data = decode_segment(&bytes, &meta).unwrap();
+            // The indexed form shows its filter every event with its id
+            // and keeps exactly the accepted ones.
+            let mut seen = Vec::new();
+            let odd = decode_segment_indexed(k, &bytes, &meta, |id, event| {
+                seen.push((id.as_u64(), event));
+                id.as_u64() % 2 == 1
+            })
+            .unwrap();
+            let expected: Vec<(u64, Event)> = (meta.first_event_id..)
+                .zip(data.events.iter().copied())
+                .collect();
+            assert_eq!(seen, expected);
+            let kept: Vec<Event> = expected
+                .iter()
+                .filter(|(id, _)| id % 2 == 1)
+                .map(|&(_, event)| event)
+                .collect();
+            assert_eq!(odd.events, kept);
             all_events.extend(data.events);
             locks.extend(data.new_locks);
             vars.extend(data.new_vars);
@@ -1242,7 +1274,14 @@ mod tests {
         bytes[meta.offset as usize] ^= 0x40;
         let mut file = SegmentedTraceFile::open(Cursor::new(&bytes)).unwrap();
         let err = file.verify().unwrap_err();
-        assert!(err.to_string().contains("checksum"), "{err}");
+        let at = meta.offset;
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "byte {at}: segment 1 (starts at byte {at}): segment checksum mismatch \
+                 (corrupt or truncated file)"
+            )
+        );
     }
 
     #[test]
@@ -1299,16 +1338,27 @@ mod tests {
         let mut file = SegmentedTraceFile::open(Cursor::new(&bytes)).unwrap();
         let meta = file.meta(1).clone();
         let seg = file.read_segment_bytes(1).unwrap();
-        // Truncate the segment's bytes: the checksum catches it before
-        // any decoding happens.
+        let at = meta.offset;
+        // Truncate the segment's bytes: the length check catches it
+        // before any decoding happens.
         let err = decode_segment(&seg[..seg.len() - 1], &meta).unwrap_err();
-        assert!(err.offset >= meta.offset);
-        // A same-length corruption is caught by the checksum too.
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "byte {at}: segment is {} bytes, footer claims {}",
+                seg.len() - 1,
+                seg.len()
+            )
+        );
+        // A same-length corruption is caught by the checksum.
         let mut corrupt = seg.clone();
         let last = corrupt.len() - 1;
         corrupt[last] ^= 0xff;
         let err = decode_segment(&corrupt, &meta).unwrap_err();
-        assert!(err.to_string().contains("checksum"), "{err}");
+        assert_eq!(
+            err.to_string(),
+            format!("byte {at}: segment checksum mismatch (corrupt or truncated file)")
+        );
     }
 
     #[test]
@@ -1391,41 +1441,13 @@ mod tests {
         assert_eq!(data.new_vars, ["z"]);
         assert_eq!(data.events.len(), 5);
         assert_eq!(data.events[1].kind, EventKind::Write(crate::VarId::new(2)));
-
-        // One past the watermark plus the segment's own names fails,
-        // for variables and locks alike, at the record's offset.
-        for (records, what) in [
-            ([def(TAG_DEF_VAR, "z"), event(0, 3)].concat(), "var id 3"),
-            ([def(TAG_DEF_VAR, "z"), event(2, 1)].concat(), "lock id 1"),
-        ] {
-            let err = decode_isolated(&records, 1, 1, 2).unwrap_err();
-            assert!(err.to_string().contains(what), "{err}");
-            assert!(err.to_string().contains("not yet defined"), "{err}");
-            assert!(err.offset > 1000, "{err}");
-        }
-        // Without the definition, the watermark alone bounds the ids.
-        let err = decode_isolated(&event(1, 2), 1, 1, 2).unwrap_err();
-        assert!(err.to_string().contains("var id 2"), "{err}");
     }
 
     #[test]
     fn isolated_segments_reject_in_segment_duplicate_names() {
         use crate::binary::{TAG_DEF_LOCK, TAG_DEF_VAR};
-        let dup_var = [def(TAG_DEF_VAR, "z"), def(TAG_DEF_VAR, "z")].concat();
-        let err = decode_isolated(&dup_var, 0, 0, 7).unwrap_err();
-        assert!(
-            err.to_string()
-                .contains("duplicate definition of var \"z\""),
-            "{err}"
-        );
-        let dup_lock = [def(TAG_DEF_LOCK, "m"), def(TAG_DEF_LOCK, "m")].concat();
-        let err = decode_isolated(&dup_lock, 0, 3, 0).unwrap_err();
-        assert!(
-            err.to_string()
-                .contains("duplicate definition of lock \"m\""),
-            "{err}"
-        );
-        // A name equal across kinds is no duplicate, and names defined
+        // In-segment duplicates fail (see the error table below), but a
+        // name equal across kinds is no duplicate, and names defined
         // before the watermark are unknown here: the cross-segment
         // check belongs to whoever merges the name tables.
         let data = decode_isolated(
@@ -1437,5 +1459,325 @@ mod tests {
         .unwrap();
         assert_eq!(data.new_locks, ["m"]);
         assert_eq!(data.new_vars, ["m"]);
+    }
+
+    fn varint(v: u64) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        write_varint(&mut bytes, v).unwrap();
+        bytes
+    }
+
+    /// One row per rule of the segment grammar: the body, the events its
+    /// footer entry claims, and the exact error — absolute offset and
+    /// full `Display` text. Every body starts at byte 1000 with
+    /// watermarks of 1 lock and 2 vars.
+    #[test]
+    fn every_segment_decoder_error_is_pinned_exactly() {
+        use crate::binary::{OPERAND_ESCAPE, TAG_DEF_LOCK, TAG_DEF_VAR};
+        const EOF: &str = "failed to fill whole buffer";
+        let rows: Vec<(&str, Vec<u8>, u64, u64, String)> = vec![
+            (
+                "truncated varint",
+                vec![0x00, 0x80],
+                1,
+                1002,
+                format!("truncated input: {EOF}"),
+            ),
+            (
+                "truncated operand",
+                vec![OPERAND_ESCAPE << 3, 0x00],
+                1,
+                1002,
+                format!("truncated input: {EOF}"),
+            ),
+            (
+                "varint overflow at the tenth byte",
+                [vec![0x00], vec![0x80; 9], vec![0x02]].concat(),
+                1,
+                1011,
+                "varint overflows u64".into(),
+            ),
+            (
+                "varint continuing past the tenth byte",
+                [vec![TAG_THREADS], vec![0xff; 9], vec![0x81]].concat(),
+                0,
+                1011,
+                "varint overflows u64".into(),
+            ),
+            (
+                "unknown tag",
+                vec![0xF6],
+                0,
+                1001,
+                "unknown record tag 0xf6".into(),
+            ),
+            (
+                "same-thread bit with no previous event",
+                vec![0b100],
+                1,
+                1001,
+                "same-thread bit with no previous event".into(),
+            ),
+            (
+                "same-thread delta resets at a segment marker",
+                [event(0, 0), vec![TAG_SEGMENT, 0], vec![0b100]].concat(),
+                2,
+                1005,
+                "same-thread bit with no previous event".into(),
+            ),
+            (
+                "thread-id overflow",
+                [vec![0x00], varint(u64::from(u32::MAX))].concat(),
+                1,
+                1006,
+                "thread id 4294967295 overflows u32".into(),
+            ),
+            (
+                "operand overflow",
+                [vec![OPERAND_ESCAPE << 3, 0x00], varint(1 << 32)].concat(),
+                1,
+                1007,
+                "operand id 4294967296 overflows u32".into(),
+            ),
+            (
+                "var operand not yet defined",
+                event(1, 2),
+                1,
+                1002,
+                "var id 2 not yet defined (have 2)".into(),
+            ),
+            (
+                "lock operand not yet defined",
+                event(2, 1),
+                1,
+                1002,
+                "lock id 1 not yet defined (have 1)".into(),
+            ),
+            (
+                "var operand past the segment's own names",
+                [def(TAG_DEF_VAR, "z"), event(0, 3)].concat(),
+                1,
+                1005,
+                "var id 3 not yet defined (have 3)".into(),
+            ),
+            (
+                "lock operand past the watermark after a var definition",
+                [def(TAG_DEF_VAR, "z"), event(2, 1)].concat(),
+                1,
+                1005,
+                "lock id 1 not yet defined (have 1)".into(),
+            ),
+            (
+                "thread-count overflow",
+                [vec![TAG_THREADS], varint(1 << 32)].concat(),
+                0,
+                1006,
+                "thread count 4294967296 overflows u32".into(),
+            ),
+            (
+                "over-long name",
+                [vec![TAG_DEF_VAR], varint((1 << 20) + 1)].concat(),
+                0,
+                1004,
+                "unreasonable name length 1048577".into(),
+            ),
+            (
+                "truncated name",
+                vec![TAG_DEF_VAR, 3, b'a'],
+                0,
+                1002,
+                format!("truncated name: {EOF}"),
+            ),
+            (
+                "non-UTF-8 name",
+                vec![TAG_DEF_LOCK, 2, b'a', 0xff],
+                0,
+                1004,
+                "name is not UTF-8: invalid utf-8 sequence of 1 bytes from index 1".into(),
+            ),
+            (
+                "empty name",
+                vec![TAG_DEF_VAR, 0],
+                0,
+                1002,
+                "name \"\" is empty or has surrounding whitespace".into(),
+            ),
+            (
+                "whitespace around a name",
+                def(TAG_DEF_VAR, " z"),
+                0,
+                1004,
+                "name \" z\" is empty or has surrounding whitespace".into(),
+            ),
+            (
+                "metacharacter in a name",
+                def(TAG_DEF_LOCK, "a("),
+                0,
+                1004,
+                "name \"a(\" contains characters the text format cannot carry".into(),
+            ),
+            (
+                "control character in a name",
+                def(TAG_DEF_VAR, "a\nb"),
+                0,
+                1005,
+                "name \"a\\nb\" contains characters the text format cannot carry".into(),
+            ),
+            (
+                "in-segment duplicate var",
+                [def(TAG_DEF_VAR, "z"), def(TAG_DEF_VAR, "z")].concat(),
+                0,
+                1006,
+                "duplicate definition of var \"z\"".into(),
+            ),
+            (
+                "in-segment duplicate lock",
+                [def(TAG_DEF_LOCK, "m"), def(TAG_DEF_LOCK, "m")].concat(),
+                0,
+                1006,
+                "duplicate definition of lock \"m\"".into(),
+            ),
+            (
+                "truncated checkpoint payload",
+                vec![TAG_CHECKPOINT, 5, 1, 2],
+                0,
+                1002,
+                format!("truncated input: {EOF}"),
+            ),
+            (
+                "footer claims more events",
+                event(0, 0),
+                2,
+                1000,
+                "segment decodes 1 events, footer claims 2".into(),
+            ),
+            (
+                "footer claims fewer events",
+                [event(0, 0), event(0, 1)].concat(),
+                1,
+                1000,
+                "segment decodes 2 events, footer claims 1".into(),
+            ),
+            (
+                "an end marker ends the segment early",
+                [event(0, 0), vec![TAG_END], event(0, 1)].concat(),
+                2,
+                1000,
+                "segment decodes 1 events, footer claims 2".into(),
+            ),
+        ];
+        for (rule, records, events, offset, reason) in rows {
+            let err = decode_isolated(&records, events, 1, 2)
+                .expect_err(rule)
+                .to_string();
+            assert_eq!(err, format!("byte {offset}: {reason}"), "{rule}");
+        }
+    }
+
+    /// A trace that reaches every record shape: names, thread
+    /// declarations, explicit and same-thread ids, multi-byte thread
+    /// ids, and escaped (varint) operands.
+    fn grammar_sample() -> Trace {
+        let mut b = TraceBuilder::new();
+        let vars: Vec<_> = (0..32).map(|v| b.var(&format!("v{v}"))).collect();
+        let l = b.lock("l");
+        b.acquire(0, l)
+            .write(0, vars[0])
+            .write(0, vars[31])
+            .release(0, l);
+        b.read(200, vars[30]).write(200, vars[1]);
+        b.fork(1, 2);
+        b.acquire(2, l).read(2, vars[29]).release(2, l);
+        b.join(1, 2);
+        b.declare_threads(300);
+        b.build()
+    }
+
+    /// Decodes `stream` with the streaming reader: what it yielded and
+    /// defined, in the shape of a decoded segment, and how it ended.
+    fn stream_decode(stream: &[u8]) -> (SegmentData, Result<(), BinaryTraceError>) {
+        let mut reader = BinaryEventReader::new(stream).unwrap();
+        let mut events = Vec::new();
+        let end = loop {
+            match reader.next_event() {
+                Ok(Some(event)) => events.push(event),
+                Ok(None) => break Ok(()),
+                Err(SourceError::Binary(e)) => break Err(e),
+                Err(other) => panic!("binary reader produced a non-binary error: {other}"),
+            }
+        };
+        let data = SegmentData {
+            events,
+            new_locks: (0..reader.lock_count())
+                .map(|i| reader.lock_name(i).to_owned())
+                .collect(),
+            new_vars: (0..reader.var_count())
+                .map(|i| reader.var_name(i).to_owned())
+                .collect(),
+            declared_threads: reader.declared_threads(),
+            observed_threads: reader.observed_threads(),
+        };
+        (data, end)
+    }
+
+    /// Asserts that the segment decoder and the streaming reader agree
+    /// on one (possibly damaged) segment body. The stream is the body
+    /// as segment 0 of a v2 file with no end marker after it, so both
+    /// decoders see the body at the same offsets; the footer entry
+    /// claims as many events as the stream yields and carries the
+    /// body's true checksum, so only the grammar can object.
+    fn assert_decoders_agree(body: &[u8], label: &str) {
+        let stream = [&BINARY_MAGIC_V2[..], &[TAG_SEGMENT, 0], body].concat();
+        let (streamed, end) = stream_decode(&stream);
+        let meta = SegmentMeta {
+            offset: 10,
+            byte_len: body.len() as u64,
+            event_count: streamed.events.len() as u64,
+            first_event_id: 0,
+            locks_before: 0,
+            vars_before: 0,
+            threads_before: 0,
+            checkpoint_offset: 0,
+            checkpoint_len: 0,
+            crc32: crc32(body),
+        };
+        // The stream's own end: the body's last byte with no end marker.
+        let eof_at_end = BinaryTraceError::new(
+            stream.len() as u64,
+            "truncated input: failed to fill whole buffer",
+        );
+        match decode_segment(body, &meta) {
+            Ok(data) => {
+                assert_eq!(data, streamed, "{label}");
+                // A clean segment end is the stream's missing end
+                // marker, unless an end marker inside the body ended both.
+                assert!(end.is_ok() || end == Err(eof_at_end), "{label}: {end:?}");
+            }
+            Err(e) => assert_eq!(Err(e), end, "{label}"),
+        }
+    }
+
+    #[test]
+    fn damaged_segment_bodies_decode_like_the_stream() {
+        let trace = grammar_sample();
+        let mut bytes = Vec::new();
+        write_trace_binary_v2(&trace, &mut bytes, &opts(1 << 20)).unwrap();
+        let mut file = SegmentedTraceFile::open(Cursor::new(&bytes)).unwrap();
+        assert_eq!(file.segment_count(), 1);
+        let body = file.read_segment_bytes(0).unwrap();
+        assert_decoders_agree(&body, "intact");
+        for cut in 0..body.len() {
+            assert_decoders_agree(&body[..cut], &format!("cut at {cut}"));
+        }
+        let mut damaged = body.clone();
+        for at in 0..body.len() {
+            for value in 0..=u8::MAX {
+                if value != body[at] {
+                    damaged[at] = value;
+                    assert_decoders_agree(&damaged, &format!("byte {at} set to {value:#04x}"));
+                }
+            }
+            damaged[at] = body[at];
+        }
     }
 }

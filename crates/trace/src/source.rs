@@ -471,6 +471,11 @@ impl Interner {
     pub(crate) fn name(&self, index: usize) -> &str {
         &self.names[index - self.base]
     }
+
+    /// The names of the ids at or above the base, in id order.
+    pub(crate) fn into_names(self) -> Vec<String> {
+        self.names
+    }
 }
 
 #[cfg(test)]
