@@ -1,7 +1,7 @@
 //! Multi-threaded ingestion throughput: the single-mutex
 //! [`OnlineDetector`] against [`ShardedOnlineDetector`] at shard counts
-//! {1, 2, 4, 8}, unbatched (`sharded_seqlock`) and with 64-event access
-//! batches (`sharded_seqlock_b64`). The per-sync-event cost in
+//! {1, 2, 4, 8}, unbatched (`sharded`) and with 64-event access
+//! batches (`sharded_b64`). The per-sync-event cost in
 //! isolation is the `sync_cost` bench's job; this one measures the
 //! whole contended pipeline.
 //!
@@ -73,7 +73,7 @@ fn bench_shard_scaling(c: &mut Criterion) {
             std::hint::black_box(online.finish());
         })
     });
-    for (tag, batch) in [("sharded_seqlock", 1usize), ("sharded_seqlock_b64", 64)] {
+    for (tag, batch) in [("sharded", 1usize), ("sharded_b64", 64)] {
         for shards in [1usize, 2, 4, 8] {
             g.bench_with_input(BenchmarkId::new(tag, shards), &shards, |b, &n| {
                 b.iter(|| {

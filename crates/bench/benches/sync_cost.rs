@@ -1,13 +1,12 @@
-//! Per-sync-event ingestion cost vs shard count — the measurement the
-//! two-plane refactor exists for.
+//! Per-sync-event ingestion cost vs shard count.
 //!
 //! Drives the shared single-threaded sync-heavy stream
 //! ([`freshtrack_bench::sync_stream`] — the same mix
 //! `record_baseline --sync-cost` records as `BENCH_sync_cost.json`)
 //! through each ingestion façade, so the number reflects the *analysis
 //! work one sync event triggers* — no contention, no scheduler noise.
-//! The two-plane sync skeleton does that work once and publishes it
-//! with a lock-free seqlock store, so it is flat in the shard count.
+//! The sharded façade does that work once, on one per-thread and one
+//! per-lock state, so it is flat in the shard count.
 //! `shard_scaling` measures the complementary quantity: whole-pipeline
 //! throughput under real contention.
 
@@ -43,7 +42,7 @@ fn bench_sync_cost(c: &mut Criterion) {
     g.throughput(Throughput::Elements(2 * PAIRS as u64));
     g.bench_function("single_mutex", |b| b.iter(|| run_point(None)));
     for shards in [1usize, 2, 4, 8] {
-        g.bench_with_input(BenchmarkId::new("seqlock", shards), &shards, |b, &n| {
+        g.bench_with_input(BenchmarkId::new("sharded", shards), &shards, |b, &n| {
             b.iter(|| run_point(Some(n)))
         });
     }

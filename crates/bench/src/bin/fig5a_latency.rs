@@ -102,7 +102,7 @@ fn main() {
     if let Some(path) = out_path {
         let (shards, sync_mode) = match mode {
             IngestMode::SingleMutex => (0, "none"),
-            IngestMode::ShardedSeqlock(n) => (n, "seqlock"),
+            IngestMode::Sharded(n) => (n, "per-object"),
         };
         let json = format!(
             "{{\n  \"schema\": \"freshtrack/dbsim-latency-table/v1\",\n  \

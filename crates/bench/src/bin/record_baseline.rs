@@ -24,13 +24,15 @@
 //!
 //! A second mode, `--dbsim`, measures **end-to-end dbsim ingestion**
 //! instead of clock ops: the single-mutex `OnlineDetector` baseline
-//! against `ShardedOnlineDetector` at shard counts {1, 2, 4, 8}, for a
-//! heavy-analysis config (FT) and a sampling config (SO-3%). Both sides
-//! run in the same invocation — the same-sitting before/after pair the
-//! trajectory files require — and land in a `shard_scaling` section:
+//! against `ShardedOnlineDetector` at 2 shards, for a heavy-analysis
+//! config (FT) and a sampling config (SO-3%). Both sides run in the
+//! same invocation — the same-sitting pair the trajectory files
+//! require. The recorded file uses perfbench's online shape (tpcc, one
+//! worker per core of a 2-core host):
 //!
 //! ```text
-//! record_baseline --dbsim --out BENCH_dbsim_latency.json
+//! FT_WORKERS=2 FT_TXNS=5000 FT_ROUNDS=15 \
+//!     record_baseline --dbsim --mix tpcc --out BENCH_dbsim_latency.json
 //! ```
 //!
 //! A third mode, `--sync-cost`, isolates **per-sync-event ingestion
@@ -82,7 +84,7 @@
 //! path (ARCHITECTURE.md invariant 10): `hoisted_ns`, where the pure
 //! `(seed, EventId)` decision runs before any lock and a sampled-out
 //! access returns after two relaxed atomic bumps. Points:
-//! rates {0, 0.003, 0.03, 1} × {single_mutex, seqlock N ∈ {1, 4}} ×
+//! rates {0, 0.003, 0.03, 1} × {single_mutex, sharded N ∈ {1, 4}} ×
 //! batch {1, 32}:
 //!
 //! ```text
@@ -510,8 +512,12 @@ fn indent(block: &str, pad: &str) -> String {
         .join("\n")
 }
 
-/// Shard counts for the `--dbsim` scaling sweep.
+/// Shard counts for the `--sync-cost` sweep.
 const SHARD_SWEEP: [usize; 4] = [1, 2, 4, 8];
+
+/// Shard count of the `--dbsim` comparison: one shard per core of a
+/// 2-core host, as perfbench's `parallel_mevps` runs it.
+const DBSIM_SHARDS: usize = 2;
 
 fn dbsim_point_json(run: &OnlineRun) -> String {
     format!(
@@ -525,11 +531,11 @@ fn dbsim_point_json(run: &OnlineRun) -> String {
     )
 }
 
-/// The `--dbsim` mode: single-mutex vs sharded dbsim latency across the
-/// shard sweep.
+/// The `--dbsim` mode: single-mutex vs sharded (`DBSIM_SHARDS`) dbsim
+/// latency, under FT and SO-3%.
 ///
-/// All points (both configs, the single-mutex baseline and every shard
-/// count) are measured in **interleaved rounds** —
+/// All points (both configs, the single-mutex baseline and the sharded
+/// run) are measured in **interleaved rounds** —
 /// round-robin over the whole point set, `FT_ROUNDS` times — and each
 /// point keeps its best round by 1%-trimmed mean (the raw mean is
 /// hostage to lock-holder preemption on a time-shared host — see
@@ -544,9 +550,7 @@ fn run_dbsim_scaling(mix: &str, out_path: Option<String>) {
     let options = run_options();
     let rounds = env_or("FT_ROUNDS", 6u32).max(1);
     let configs = [OnlineConfig::Ft, OnlineConfig::So(0.03)];
-    let modes: Vec<IngestMode> = std::iter::once(IngestMode::SingleMutex)
-        .chain(SHARD_SWEEP.iter().map(|&n| IngestMode::ShardedSeqlock(n)))
-        .collect();
+    let modes = [IngestMode::SingleMutex, IngestMode::Sharded(DBSIM_SHARDS)];
 
     // best[c][m] = fastest run so far for configs[c] under modes[m].
     let mut best: Vec<Vec<Option<OnlineRun>>> = vec![vec![None; modes.len()]; configs.len()];
@@ -574,30 +578,26 @@ fn run_dbsim_scaling(mix: &str, out_path: Option<String>) {
         let base = best[c][0].as_ref().expect("at least one round");
         let base_us = base.trimmed_mean_us;
         eprintln!("[{label}] single_mutex  trimmed mean {base_us:>9.1} us");
-        let mut seqlock_lines = Vec::new();
-        for (&n, best) in SHARD_SWEEP.iter().zip(&best[c][1..]) {
-            let run = best.as_ref().expect("at least one round");
-            let us = run.trimmed_mean_us;
-            let speedup = base_us / us.max(0.001);
-            eprintln!(
-                "[{label}] sharded n={n:<2}  trimmed mean {us:>9.1} us  ({speedup:.2}x vs mutex)"
-            );
-            seqlock_lines.push(format!("          \"{}\": {}", n, dbsim_point_json(run)));
-        }
+        let run = best[c][1].as_ref().expect("at least one round");
+        let us = run.trimmed_mean_us;
+        let speedup = base_us / us.max(0.001);
+        eprintln!(
+            "[{label}] sharded n={DBSIM_SHARDS}  trimmed mean {us:>9.1} us  ({speedup:.2}x vs mutex)"
+        );
         sections.push(format!(
-            "    \"{}\": {{\n      \"single_mutex\": {},\n      \"shard_scaling\": {{\n        \"seqlock\": {{\n{}\n        }}\n      }}\n    }}",
+            "    \"{}\": {{\n      \"single_mutex\": {},\n      \"sharded\": {{\"{DBSIM_SHARDS}\": {}}}\n    }}",
             json_escape(&label),
             dbsim_point_json(base),
-            seqlock_lines.join(",\n")
+            dbsim_point_json(run)
         ));
     }
 
     let json = format!(
-        "{{\n  \"schema\": \"freshtrack/dbsim-latency/v4\",\n  \
+        "{{\n  \"schema\": \"freshtrack/dbsim-latency/v5\",\n  \
          \"benchmark\": \"dbsim_shard_scaling\",\n  \
          \"workload\": \"{}\",\n  \"workers\": {},\n  \"txns_per_worker\": {},\n  \
          \"seed\": {},\n  \"rounds\": {},\n  \"batch\": {},\n  \
-         \"note\": \"per-transaction latency in us; single_mutex is the paper-faithful OnlineDetector path, shard_scaling.seqlock.N the two-plane ShardedOnlineDetector with lock-free seqlock publication (FT_BATCH accesses per shard-lock acquisition); every point is the best of FT_ROUNDS interleaved rounds by trimmed_mean_us (mean over the fastest 99% of transactions) — the comparison statistic, because on a time-shared host the raw mean is dominated by workers descheduled mid-critical-section; p99_us shows where that tail begins\",\n  \
+         \"note\": \"per-transaction latency in us; single_mutex is the paper-faithful OnlineDetector path, sharded.N the ShardedOnlineDetector with N access shards and per-thread and per-lock sync state (no global lock; FT_BATCH accesses per shard-lock acquisition); every point is the best of FT_ROUNDS interleaved rounds by trimmed_mean_us (mean over the fastest 99% of transactions) — the comparison statistic, because on a time-shared host the raw mean is dominated by workers descheduled mid-critical-section; p99_us shows where that tail begins\",\n  \
          \"configs\": {{\n{}\n  }}\n}}\n",
         json_escape(mix),
         options.workers,
@@ -639,8 +639,8 @@ fn sync_cost_point<D: SplitDetector + 'static>(detector: D, shards: Option<usize
 /// The `--sync-cost` mode: isolated per-sync-event ingestion cost of
 /// the single-mutex baseline vs sharded ingestion at `N ∈ {1, 2, 4, 8}`,
 /// measured in interleaved rounds in one invocation — one sitting by
-/// construction. The claim this records: the two-plane sync cost is
-/// flat in `N`.
+/// construction. The claim this records: the sharded sync cost is flat
+/// in `N`.
 fn run_sync_cost(out_path: Option<String>) {
     let rounds = env_or("FT_ROUNDS", 7u32).max(1);
     let width = freshtrack_bench::clock_width();
@@ -675,28 +675,28 @@ fn run_sync_cost(out_path: Option<String>) {
     let mut sections = Vec::new();
     for (c, name) in configs.iter().enumerate() {
         eprintln!("[{name}] single_mutex  {:>8.1} ns/sync-event", best[c][0]);
-        let seqlock = SHARD_SWEEP
+        let sharded = SHARD_SWEEP
             .iter()
             .zip(&best[c][1..])
             .map(|(n, ns)| {
-                eprintln!("[{name}] seqlock n={n:<2} {ns:>8.1} ns/sync-event");
+                eprintln!("[{name}] sharded n={n:<2} {ns:>8.1} ns/sync-event");
                 format!("        \"{n}\": {ns:.1}")
             })
             .collect::<Vec<_>>()
             .join(",\n");
         sections.push(format!(
-            "    \"{}\": {{\n      \"single_mutex\": {:.1},\n      \"seqlock\": {{\n{}\n      }}\n    }}",
+            "    \"{}\": {{\n      \"single_mutex\": {:.1},\n      \"sharded\": {{\n{}\n      }}\n    }}",
             json_escape(name),
             best[c][0],
-            seqlock
+            sharded
         ));
     }
 
     let json = format!(
-        "{{\n  \"schema\": \"freshtrack/sync-cost/v3\",\n  \"benchmark\": \"sync_cost\",\n  \
+        "{{\n  \"schema\": \"freshtrack/sync-cost/v4\",\n  \"benchmark\": \"sync_cost\",\n  \
          \"threads\": {},\n  \"locks\": {},\n  \"clock_width\": {width},\n  \
          \"sync_events_per_round\": {},\n  \"rounds\": {rounds},\n  \
-         \"note\": \"ns per sync event, single-threaded feed (isolation, no contention); seqlock.N is the two-plane sync engine with lock-free seqlock publication (flat in N); every point is the fastest of FT_ROUNDS interleaved rounds, all in one sitting\",\n  \
+         \"note\": \"ns per sync event, single-threaded feed (isolation, no contention); sharded.N is the ShardedOnlineDetector with N access shards, whose sync event runs the engine handler on one per-thread and one per-lock slot (flat in N); every point is the fastest of FT_ROUNDS interleaved rounds, all in one sitting\",\n  \
          \"configs\": {{\n{}\n  }}\n}}\n",
         sync_stream::THREADS,
         sync_stream::LOCKS,

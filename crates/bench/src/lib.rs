@@ -101,23 +101,23 @@ pub enum IngestMode {
     /// serializes through one lock, reproducing the contention model of
     /// the paper's Fig. 5.
     SingleMutex,
-    /// Two-plane sharded ingestion
-    /// ([`freshtrack_dbsim::ShardedInstrument`]): accesses route to
-    /// `hash(var) % N` shards and read published clock views lock-free;
-    /// sync events update one shared sync engine — per-sync cost flat
-    /// in `N`. Same verdicts, higher throughput.
-    ShardedSeqlock(usize),
+    /// Sharded ingestion ([`freshtrack_dbsim::ShardedInstrument`]):
+    /// accesses route to `hash(var) % N` shards and check against their
+    /// own thread's clock; sync events update one per-thread and one
+    /// per-lock state — per-sync cost flat in `N`. Same verdicts, no
+    /// global lock.
+    Sharded(usize),
 }
 
 impl IngestMode {
     /// The mode selected by `FT_SHARDS`: `0`/`1` (the default) is the
-    /// single-mutex baseline; `N ≥ 2` enables two-plane sharding. Use
-    /// [`IngestMode::ShardedSeqlock`]`(1)` directly to measure the
+    /// single-mutex baseline; `N ≥ 2` enables sharding. Use
+    /// [`IngestMode::Sharded`]`(1)` directly to measure the
     /// sharded skeleton's overhead at one shard.
     pub fn from_env() -> IngestMode {
         match env_or("FT_SHARDS", 1usize) {
             0 | 1 => IngestMode::SingleMutex,
-            n => IngestMode::ShardedSeqlock(n),
+            n => IngestMode::Sharded(n),
         }
     }
 
@@ -126,7 +126,7 @@ impl IngestMode {
     pub fn label_suffix(&self) -> String {
         match self {
             IngestMode::SingleMutex => String::new(),
-            IngestMode::ShardedSeqlock(n) => format!("+shards={n}"),
+            IngestMode::Sharded(n) => format!("+shards={n}"),
         }
     }
 }
@@ -297,7 +297,7 @@ fn finish<D: freshtrack_core::SplitDetector + 'static>(
             let (stats, detector, reports) = run_detector(workload, options, detector);
             (stats, reports, *detector.counters())
         }
-        IngestMode::ShardedSeqlock(shards) => run_sharded(
+        IngestMode::Sharded(shards) => run_sharded(
             workload,
             options,
             detector,
@@ -529,7 +529,7 @@ mod tests {
         assert_eq!(OnlineConfig::So(0.1).label(), "SO-10%");
         assert_eq!(OnlineConfig::Nt.label(), "NT");
         assert_eq!(IngestMode::SingleMutex.label_suffix(), "");
-        assert_eq!(IngestMode::ShardedSeqlock(4).label_suffix(), "+shards=4");
+        assert_eq!(IngestMode::Sharded(4).label_suffix(), "+shards=4");
     }
 
     #[test]
@@ -560,7 +560,7 @@ mod tests {
             txns_per_worker: 30,
             seed: 1,
         };
-        for mode in [IngestMode::ShardedSeqlock(1), IngestMode::ShardedSeqlock(4)] {
+        for mode in [IngestMode::Sharded(1), IngestMode::Sharded(4)] {
             let run = run_online_with(&w, OnlineConfig::Ft, &opts, mode, 1);
             assert_eq!(run.label, "FT");
             assert_eq!(run.counters.races as usize, run.reports.len());

@@ -806,12 +806,19 @@ fn dbsim_cmd<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgE
     if batch == 0 {
         return Err(ArgError("--batch must be at least 1".into()));
     }
+    // Batching is a property of the access shards; the single mutex
+    // would silently ignore it.
+    if batch > 1 && shards < 2 {
+        return Err(ArgError(format!(
+            "--batch {batch} needs --shards N with N >= 2 (the single mutex does not batch)"
+        )));
+    }
     let sampler = BernoulliSampler::new(rate, options.seed);
 
     // Monomorphized per engine; the run/report plumbing is shared.
     // `--shards 1` (the default) is the paper-faithful single analysis
     // mutex; `--shards N` routes ingestion through N access shards
-    // around the seqlock-published sync plane, buffering `--batch B`
+    // with per-thread and per-lock sync state, buffering `--batch B`
     // accesses per shard-lock acquisition.
     fn go<D: SplitDetector + 'static, W: std::io::Write>(
         detector: D,
@@ -1393,6 +1400,38 @@ mod tests {
         let (code, out) = run_cli(&["dbsim", "--shards", "0"]);
         assert_eq!(code, 1);
         assert!(out.contains("--shards"), "{out}");
+    }
+
+    #[test]
+    fn dbsim_batch_requires_shards() {
+        // The single mutex does not batch: `--batch B > 1` without
+        // `--shards N >= 2` is an error, not a silently ignored option.
+        for shards in [None, Some("1")] {
+            let mut argv = vec![
+                "dbsim",
+                "--mix",
+                "tpcc",
+                "--workers",
+                "2",
+                "--txns",
+                "5",
+                "--batch",
+                "16",
+            ];
+            if let Some(n) = shards {
+                argv.extend(["--shards", n]);
+            }
+            let (code, out) = run_cli(&argv);
+            assert_eq!(code, 1, "{argv:?}: {out}");
+            assert!(out.contains("--shards"), "{argv:?}: {out}");
+            assert!(
+                !out.contains("mean latency"),
+                "{argv:?} must not run: {out}"
+            );
+        }
+        // `--batch 1` is the default and stays valid everywhere.
+        let (code, out) = run_cli(&["dbsim", "--workers", "1", "--txns", "5", "--batch", "1"]);
+        assert_eq!(code, 0, "{out}");
     }
 
     #[test]

@@ -102,8 +102,10 @@ COMMANDS:
                       --rate <f> --workers <n> --txns <n> --seed <n>
                       --shards <n>  access shards (default 1 =
                       single analysis mutex; N>=2 shards access
-                      analysis by variable, same verdicts)
+                      analysis by variable and keeps sync state per
+                      thread and per lock, same verdicts)
                       --batch <n>  accesses buffered per shard-lock
-                      acquisition (default 1 = unbatched)
+                      acquisition (default 1 = unbatched; >1 needs
+                      --shards >= 2)
     help              show this message
 ";

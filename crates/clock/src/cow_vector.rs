@@ -7,11 +7,11 @@ use crate::{ThreadId, Time, VectorClock};
 /// [`SharedClock`](crate::SharedClock), for engines whose thread clocks
 /// are plain vectors (Djit+, FastTrack, SU).
 ///
-/// The two-plane ingestion split (one sync engine, many access shards)
-/// needs to *publish* a thread's clock across the plane boundary after
-/// every synchronization event without copying it: the access plane only
-/// ever reads the view, and the sync plane is the only mutator. This
-/// type makes that hand-off `O(1)`:
+/// The sync/access split (offline replay, batched sharded ingestion)
+/// needs to *publish* a thread's clock across the plane boundary
+/// without copying it: the access plane only ever reads the view, and
+/// the sync plane is the only mutator. This type makes that hand-off
+/// `O(1)`:
 ///
 /// * **Owned**: the clock is exclusively held by the sync plane and
 ///   mutates in place with zero synchronization — the steady state
@@ -52,8 +52,8 @@ enum State {
 }
 
 /// A read-only `O(1)` reference to a [`SharedVectorClock`] at
-/// publication time — the per-thread clock view the two-plane ingestion
-/// façade hands to access shards.
+/// publication time — the per-thread clock view the sync plane hands to
+/// access engines.
 ///
 /// Like [`ClockSnapshot`](crate::ClockSnapshot) it is pointer-sized and
 /// has no mutators, so the access plane can never perturb the sync
@@ -172,7 +172,7 @@ impl SharedVectorClock {
     ///
     /// A sole-holder `Shared` clock is mutated **in place** through its
     /// `Arc` — no unwrap, no reallocation — so a publish/take/mutate
-    /// cycle (the two-plane sync hot path) costs one reference-count
+    /// cycle (the replay hot path) costs one reference-count
     /// round trip and nothing else after the first publication.
     pub fn make_mut(&mut self) -> (&mut VectorClock, bool) {
         let deep = self.ensure_unique();

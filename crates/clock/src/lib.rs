@@ -21,14 +21,9 @@
 //!   ([`SharedClock::join_prefix`]) resolve the sharing state once per
 //!   synchronization, not per entry.
 //! * [`SharedVectorClock`] — the same lazy-copy protocol for plain
-//!   vector clocks, used by the two-plane ingestion split to *publish*
-//!   a thread's clock across the sync/access plane boundary as a
-//!   pointer-sized read-only [`VectorClockSnapshot`] without copying.
-//! * [`PublishedClock`] — a seqlock-published clock view: one writer
-//!   bumps an even/odd version word around an in-place write, readers
-//!   snapshot entries lock-free and retry on torn reads. The sharded
-//!   detector's default publication path (no slot lock, no refcount
-//!   traffic per sync event).
+//!   vector clocks, used by the sync/access split to *publish* a
+//!   thread's clock across the plane boundary as a pointer-sized
+//!   read-only [`VectorClockSnapshot`] without copying.
 //!
 //! All clocks treat missing entries as `0` (the `⊥` timestamp), matching
 //! the paper's convention `max ∅ = 0`, so they can grow lazily as threads
@@ -67,7 +62,6 @@ mod cow_vector;
 mod epoch;
 mod freshness;
 mod ordered_list;
-mod published;
 mod shared;
 mod thread_id;
 mod tree_clock;
@@ -78,7 +72,6 @@ pub use cow_vector::{SharedVectorClock, VectorClockSnapshot};
 pub use epoch::Epoch;
 pub use freshness::FreshnessClock;
 pub use ordered_list::{OrderedList, RecentEntries};
-pub use published::PublishedClock;
 pub use shared::{ClockSnapshot, PrefixJoin, SharedClock};
 pub use thread_id::ThreadId;
 pub use tree_clock::TreeClock;

@@ -1,13 +1,14 @@
 use freshtrack_clock::{
     wire::{self, WireReader},
-    SharedVectorClock, ThreadId, Time, VectorClock, VectorClockSnapshot,
+    SharedVectorClock, ThreadId, VectorClock, VectorClockSnapshot,
 };
 use freshtrack_sampling::Sampler;
 use freshtrack_trace::{Event, EventId, EventKind, LockId, SyncCheckpoint};
 
 use crate::checkpoint::{self, CheckpointError, CheckpointState};
 use crate::plane::{
-    self, AccessEngine, BorrowedView, HistoryAccessEngine, SplitDetector, SyncEngine,
+    self, AccessEngine, BorrowedView, ClockView, HistoryAccessEngine, SplitDetector, SyncCtx,
+    SyncEngine,
 };
 use crate::{Counters, Detector, HoistedDecider, RaceReport};
 
@@ -17,14 +18,13 @@ use crate::{Counters, Detector, HoistedDecider, RaceReport};
 /// local increment. Both [`DjitDetector`] and
 /// [`FastTrackDetector`](crate::FastTrackDetector) are compositions
 /// over this type (FastTrack's epoch optimization only changes *access*
-/// handling), and it is what a two-plane
-/// [`ShardedOnlineDetector`](crate::ShardedOnlineDetector) holds behind
-/// its sync-only lock.
+/// handling). A [`ShardedOnlineDetector`](crate::ShardedOnlineDetector)
+/// keeps the same per-thread and per-lock clocks in per-object slots.
 ///
 /// Thread clocks live in [`SharedVectorClock`]s so a published
-/// [`VectorClockSnapshot`] view is an `O(1)` hand-off; a monolithic
-/// detector never publishes, so its clocks stay exclusively owned and
-/// every mutation is as cheap as a plain `VectorClock`.
+/// [`VectorClockSnapshot`] view is an `O(1)` hand-off; a clock nobody
+/// has published stays exclusively owned and every mutation is as cheap
+/// as a plain `VectorClock`.
 #[derive(Clone, Debug, Default)]
 pub struct VectorSyncEngine {
     threads: Vec<SharedVectorClock>,
@@ -119,97 +119,86 @@ impl CheckpointState for VectorSyncEngine {
 
 impl SyncEngine for VectorSyncEngine {
     type View = VectorClockSnapshot;
+    type Thread = SharedVectorClock;
+    type Lock = VectorClock;
+    type Options = ();
 
-    fn ensure_thread(&mut self, tid: ThreadId) {
-        while self.threads.len() <= tid.index() {
-            let next = ThreadId::new(self.threads.len() as u32);
-            // C_t ← ⊥[t ↦ 1]
-            self.threads
-                .push(SharedVectorClock::from_clock(VectorClock::bottom_with(
-                    next, 1,
-                )));
-        }
+    fn options(&self) {}
+
+    fn tables(&mut self) -> (&mut Vec<SharedVectorClock>, &mut Vec<VectorClock>) {
+        (&mut self.threads, &mut self.locks)
     }
 
-    fn acquire(&mut self, tid: ThreadId, lock: LockId, counters: &mut Counters) {
+    fn new_thread(tid: ThreadId) -> SharedVectorClock {
+        // C_t ← ⊥[t ↦ 1]
+        SharedVectorClock::from_clock(VectorClock::bottom_with(tid, 1))
+    }
+
+    #[inline]
+    fn acquire_at(
+        _tid: ThreadId,
+        thread: &mut SharedVectorClock,
+        lock: &mut VectorClock,
+        ctx: &mut SyncCtx<'_, ()>,
+    ) {
+        let counters = &mut *ctx.counters;
         counters.acquires += 1;
         counters.acquires_processed += 1;
-        self.ensure_lock(lock);
         // Bottom fast path: a never-released lock carries ⊥ and cannot
         // teach the thread anything.
-        let lock_clock = &self.locks[lock.index()];
-        if !lock_clock.is_empty() {
-            let (clock, deep) = self.threads[tid.index()].make_mut();
+        if !lock.is_empty() {
+            let (clock, deep) = thread.make_mut();
             if deep {
                 counters.deep_copies += 1;
             }
-            clock.join(lock_clock);
+            clock.join(lock);
         }
         counters.vc_ops += 1;
-        counters.entries_traversed += self.threads.len() as u64;
+        counters.entries_traversed += ctx.threads as u64;
     }
 
-    fn release(
-        &mut self,
+    #[inline]
+    fn release_at(
         tid: ThreadId,
-        lock: LockId,
+        thread: &mut SharedVectorClock,
+        lock: &mut VectorClock,
         _sampled_since_release: bool,
-        counters: &mut Counters,
+        ctx: &mut SyncCtx<'_, ()>,
     ) {
+        let counters = &mut *ctx.counters;
         counters.releases += 1;
         counters.releases_processed += 1;
-        self.ensure_lock(lock);
         // Cℓ ← C_t (straight memcpy; the change count is not needed),
         // then bump the local component.
-        let (clock, deep) = self.threads[tid.index()].make_mut();
+        let (clock, deep) = thread.make_mut();
         if deep {
             counters.deep_copies += 1;
         }
-        self.locks[lock.index()].assign_from(clock);
+        lock.assign_from(clock);
         clock.increment(tid);
         counters.vc_ops += 1;
-        counters.entries_traversed += self.threads.len() as u64;
+        counters.entries_traversed += ctx.threads as u64;
         counters.local_increments += 1;
     }
 
-    fn publish(&mut self, tid: ThreadId) -> VectorClockSnapshot {
-        self.threads[tid.index()].snapshot()
-    }
-
-    fn publish_dense(&mut self, tid: ThreadId, width_cap: usize, out: &mut Vec<Time>) {
-        // `C_t[t] = e_t` already holds in a raw vector clock, so the
-        // dense race-check view is a straight memcpy — no snapshot, no
-        // refcount traffic, no per-entry walk.
-        let times = self.threads[tid.index()].clock().times();
-        let n = times.len().min(width_cap.max(tid.index() + 1));
-        out.clear();
-        out.extend_from_slice(&times[..n]);
-        if out.len() <= tid.index() {
-            out.resize(tid.index() + 1, 0);
+    fn thread_view(_tid: ThreadId, thread: &SharedVectorClock) -> impl ClockView + '_ {
+        // `C_t[t] = e_t` already holds in a raw vector clock.
+        let clock = thread.clock();
+        BorrowedView {
+            lookup: move |u| clock.get(u),
+            width: clock.len(),
         }
     }
 
-    fn publish_dense_ref(&self, tid: ThreadId, width_cap: usize) -> Option<&[Time]> {
-        // Zero-copy variant of the above: no splice is needed, so the
-        // clock's own storage *is* the dense image.
-        let times = self.threads[tid.index()].clock().times();
-        if times.len() <= tid.index() {
-            return None; // would need padding; take the scratch path
-        }
-        Some(&times[..times.len().min(width_cap.max(tid.index() + 1))])
+    fn publish_at(_tid: ThreadId, thread: &mut SharedVectorClock) -> VectorClockSnapshot {
+        thread.snapshot()
     }
 
-    fn reserve_threads(&mut self, n: usize) {
-        if n == 0 {
-            return;
-        }
+    fn reserve_at(thread: &mut SharedVectorClock, n: usize) {
         let last = ThreadId::new(n as u32 - 1);
-        self.ensure_thread(last);
-        for clock in &mut self.threads {
-            let (clock, _) = clock.make_mut();
-            let pad = clock.get(last);
-            clock.set(last, pad);
-        }
+        let (clock, _) = thread.make_mut();
+        let pad = clock.get(last);
+        clock.set(last, pad);
     }
 }
 
@@ -225,9 +214,10 @@ impl SyncEngine for VectorSyncEngine {
 ///
 /// Internally the detector is a composition of its two planes — a
 /// [`VectorSyncEngine`] for acquire/release and a
-/// [`HistoryAccessEngine`] for read/write — the same halves a two-plane
+/// [`HistoryAccessEngine`] for read/write — the same halves a
 /// [`ShardedOnlineDetector`](crate::ShardedOnlineDetector) distributes
-/// across its sync lock and access shards (see [`SplitDetector`]), so
+/// across its per-object sync slots and access shards (see
+/// [`SplitDetector`]), so
 /// the sharded and monolithic semantics cannot drift apart.
 ///
 /// # Example

@@ -27,7 +27,7 @@ use crate::{AccessKind, Counters, Detector, RaceReport};
 /// [`DjitDetector`](crate::DjitDetector) with its own
 /// [`EpochAccessEngine`] access plane — which is why the paper's
 /// innovations (which target synchronization) compose with it, and why
-/// its access histories shard cleanly in a two-plane
+/// its access histories shard cleanly in a
 /// [`ShardedOnlineDetector`](crate::ShardedOnlineDetector).
 ///
 /// # Example
@@ -78,8 +78,8 @@ impl Default for VarState {
 /// FastTrack's access-plane half: the sampler plus per-variable
 /// epoch/adaptive-vector histories. Requires only a read-only
 /// [`ClockView`] of the accessing thread's clock, so it serves both the
-/// monolithic [`FastTrackDetector`] and the access shards of a
-/// two-plane sharded run.
+/// monolithic [`FastTrackDetector`] and the access shards of a sharded
+/// run.
 #[derive(Clone, Debug)]
 pub struct EpochAccessEngine<S> {
     sampler: S,

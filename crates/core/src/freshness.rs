@@ -6,7 +6,9 @@ use freshtrack_sampling::Sampler;
 use freshtrack_trace::{Event, EventId, EventKind, LockId};
 
 use crate::checkpoint::{self, CheckpointError, CheckpointState};
-use crate::plane::{BorrowedView, EpochView, HistoryAccessEngine, SplitDetector, SyncEngine};
+use crate::plane::{
+    BorrowedView, ClockView, EpochView, HistoryAccessEngine, SplitDetector, SyncCtx, SyncEngine,
+};
 use crate::{Counters, Detector, RaceReport};
 
 /// Algorithm 3 of the paper (**SU**): sampling timestamps plus
@@ -59,11 +61,29 @@ pub struct FreshnessDetector<S> {
     counters: Counters,
 }
 
+/// One thread's SU state: its sampling clock `C_t`, freshness clock
+/// `U_t` and local epoch `e_t`.
 #[derive(Clone, Debug)]
-struct ThreadState {
+pub struct ThreadState {
     clock: SharedVectorClock,
     fresh: FreshnessClock,
     epoch: Time,
+}
+
+impl ThreadState {
+    /// Flushes the local epoch if this release is in `RelAfter_S`.
+    fn flush_local_epoch(&mut self, tid: ThreadId, sampled: bool, counters: &mut Counters) {
+        if sampled {
+            let (clock, deep) = self.clock.make_mut();
+            if deep {
+                counters.deep_copies += 1;
+            }
+            clock.set(tid, self.epoch);
+            self.fresh.bump(tid);
+            self.epoch += 1;
+            counters.local_increments += 1;
+        }
+    }
 }
 
 impl Default for ThreadState {
@@ -76,8 +96,10 @@ impl Default for ThreadState {
     }
 }
 
+/// One lock's SU state: its sampling clock `Cℓ`, freshness clock `Uℓ`
+/// and last releaser.
 #[derive(Clone, Debug, Default)]
-struct LockState {
+pub struct LockState {
     clock: VectorClock,
     fresh: FreshnessClock,
     /// `LRℓ`: the last thread to release this lock.
@@ -118,21 +140,6 @@ impl FreshnessSyncEngine {
         (&state.clock, state.epoch)
     }
 
-    /// Flushes the local epoch if this release is in `RelAfter_S`.
-    fn flush_local_epoch(&mut self, tid: ThreadId, sampled: bool, counters: &mut Counters) {
-        let thread = &mut self.threads[tid.index()];
-        if sampled {
-            let (clock, deep) = thread.clock.make_mut();
-            if deep {
-                counters.deep_copies += 1;
-            }
-            clock.set(tid, thread.epoch);
-            thread.fresh.bump(tid);
-            thread.epoch += 1;
-            counters.local_increments += 1;
-        }
-    }
-
     /// `ReleaseStore` semantics for non-mutex sync objects: always copy
     /// (the store need not follow an acquire by the same thread, so the
     /// release skip of Algorithm 3 would be unsound — Appendix A.2).
@@ -145,7 +152,7 @@ impl FreshnessSyncEngine {
     ) {
         self.ensure_lock(sync);
         counters.releases += 1;
-        self.flush_local_epoch(tid, sampled, counters);
+        self.threads[tid.index()].flush_local_epoch(tid, sampled, counters);
         let thread = &self.threads[tid.index()];
         let lock_state = &mut self.locks[sync.index()];
         lock_state.clock.assign_from(thread.clock.clock());
@@ -168,7 +175,7 @@ impl FreshnessSyncEngine {
     ) {
         self.ensure_lock(sync);
         counters.releases += 1;
-        self.flush_local_epoch(tid, sampled, counters);
+        self.threads[tid.index()].flush_local_epoch(tid, sampled, counters);
         let thread = &self.threads[tid.index()];
         let lock_state = &mut self.locks[sync.index()];
         lock_state.clock.join(thread.clock.clock());
@@ -235,126 +242,106 @@ impl CheckpointState for FreshnessSyncEngine {
 
 impl SyncEngine for FreshnessSyncEngine {
     type View = EpochView<VectorClockSnapshot>;
+    type Thread = ThreadState;
+    type Lock = LockState;
+    type Options = ();
 
-    fn ensure_thread(&mut self, tid: ThreadId) {
-        if self.threads.len() <= tid.index() {
-            self.threads
-                .resize_with(tid.index() + 1, ThreadState::default);
-        }
+    fn options(&self) {}
+
+    fn tables(&mut self) -> (&mut Vec<ThreadState>, &mut Vec<LockState>) {
+        (&mut self.threads, &mut self.locks)
     }
 
-    fn acquire(&mut self, tid: ThreadId, lock: LockId, counters: &mut Counters) {
+    fn new_thread(_tid: ThreadId) -> ThreadState {
+        ThreadState::default()
+    }
+
+    #[inline]
+    fn acquire_at(
+        tid: ThreadId,
+        thread: &mut ThreadState,
+        lock: &mut LockState,
+        ctx: &mut SyncCtx<'_, ()>,
+    ) {
+        let counters = &mut *ctx.counters;
         counters.acquires += 1;
-        self.ensure_lock(lock);
-        let lock_state = &self.locks[lock.index()];
-        if lock_state.mixed {
-            // Join-mode object (Appendix A.2): no freshness fast path.
-            counters.acquires_processed += 1;
-            let lock_state = &self.locks[lock.index()];
-            let thread = &mut self.threads[tid.index()];
-            thread.fresh.join(&lock_state.fresh);
-            let (clock, deep) = thread.clock.make_mut();
-            if deep {
-                counters.deep_copies += 1;
+        if !lock.mixed {
+            let Some(lr) = lock.last_releaser else {
+                // Never released: the lock clock is ⊥, nothing to learn.
+                counters.acquires_skipped += 1;
+                return;
+            };
+            if lock.fresh.get(lr) <= thread.fresh.get(lr) {
+                // Proposition 5: Cℓ ⊑ C_t — the join would be a no-op.
+                counters.acquires_skipped += 1;
+                return;
             }
-            let changed = clock.join(&lock_state.clock);
-            if changed > 0 {
-                thread.fresh.bump_by(tid, changed as Time);
-            }
-            counters.vc_ops += 2;
-            counters.entries_traversed += self.threads.len() as u64;
-            return;
         }
-        let Some(lr) = lock_state.last_releaser else {
-            // Never released: the lock clock is ⊥, nothing to learn.
-            counters.acquires_skipped += 1;
-            return;
-        };
-        let thread = &self.threads[tid.index()];
-        if lock_state.fresh.get(lr) <= thread.fresh.get(lr) {
-            // Proposition 5: Cℓ ⊑ C_t — the join would be a no-op.
-            counters.acquires_skipped += 1;
-            return;
-        }
+        // A join-mode object (Appendix A.2) has no freshness fast path;
+        // a store-mode one reaches here only with something new.
         counters.acquires_processed += 1;
-        let lock_state = &self.locks[lock.index()];
-        let thread = &mut self.threads[tid.index()];
-        thread.fresh.join(&lock_state.fresh);
+        thread.fresh.join(&lock.fresh);
         // Entry-wise join of the C clock, counting changed entries so the
         // own freshness component stays an exact change count (VT).
         let (clock, deep) = thread.clock.make_mut();
         if deep {
             counters.deep_copies += 1;
         }
-        let changed = clock.join(&lock_state.clock);
+        let changed = clock.join(&lock.clock);
         if changed > 0 {
             thread.fresh.bump_by(tid, changed as Time);
         }
         counters.vc_ops += 2;
-        counters.entries_traversed += self.threads.len() as u64;
+        counters.entries_traversed += ctx.threads as u64;
     }
 
-    fn release(
-        &mut self,
+    #[inline]
+    fn release_at(
         tid: ThreadId,
-        lock: LockId,
+        thread: &mut ThreadState,
+        lock: &mut LockState,
         sampled_since_release: bool,
-        counters: &mut Counters,
+        ctx: &mut SyncCtx<'_, ()>,
     ) {
+        let counters = &mut *ctx.counters;
         counters.releases += 1;
-        self.ensure_lock(lock);
-        self.flush_local_epoch(tid, sampled_since_release, counters);
-        let thread = &self.threads[tid.index()];
-        let lock_state = &mut self.locks[lock.index()];
-        lock_state.last_releaser = Some(tid);
-        lock_state.mixed = false;
-        if thread.fresh.get(tid) != lock_state.fresh.get(tid) {
+        thread.flush_local_epoch(tid, sampled_since_release, counters);
+        lock.last_releaser = Some(tid);
+        lock.mixed = false;
+        if thread.fresh.get(tid) != lock.fresh.get(tid) {
             // The release copy never needs the change count: memcpy.
-            lock_state.clock.assign_from(thread.clock.clock());
-            lock_state.fresh.assign_from(&thread.fresh);
+            lock.clock.assign_from(thread.clock.clock());
+            lock.fresh.assign_from(&thread.fresh);
             counters.releases_processed += 1;
             counters.vc_ops += 2;
-            counters.entries_traversed += self.threads.len() as u64;
+            counters.entries_traversed += ctx.threads as u64;
         } else {
             // The lock already carries this thread's current timestamp.
             counters.releases_skipped += 1;
         }
     }
 
-    fn publish(&mut self, tid: ThreadId) -> EpochView<VectorClockSnapshot> {
-        let state = &mut self.threads[tid.index()];
+    fn thread_view(tid: ThreadId, thread: &ThreadState) -> impl ClockView + '_ {
+        let (clock, epoch) = (thread.clock.clock(), thread.epoch);
+        BorrowedView {
+            lookup: move |u| if u == tid { epoch } else { clock.get(u) },
+            width: clock.len(),
+        }
+    }
+
+    fn publish_at(tid: ThreadId, thread: &mut ThreadState) -> EpochView<VectorClockSnapshot> {
         EpochView {
-            snap: state.clock.snapshot(),
-            epoch: state.epoch,
+            snap: thread.clock.snapshot(),
+            epoch: thread.epoch,
             tid,
         }
     }
 
-    fn publish_dense(&mut self, tid: ThreadId, width_cap: usize, out: &mut Vec<Time>) {
-        // Memcpy of the communicated clock with the (lazily kept) local
-        // epoch spliced in at the owner's entry — the dense `C_t[t ↦ e_t]`.
-        let state = &self.threads[tid.index()];
-        let times = state.clock.clock().times();
-        let n = times.len().min(width_cap.max(tid.index() + 1));
-        out.clear();
-        out.extend_from_slice(&times[..n]);
-        if out.len() <= tid.index() {
-            out.resize(tid.index() + 1, 0);
-        }
-        out[tid.index()] = state.epoch;
-    }
-
-    fn reserve_threads(&mut self, n: usize) {
-        if n == 0 {
-            return;
-        }
+    fn reserve_at(thread: &mut ThreadState, n: usize) {
         let last = ThreadId::new(n as u32 - 1);
-        self.ensure_thread(last);
-        for state in &mut self.threads {
-            let (clock, _) = state.clock.make_mut();
-            let pad = clock.get(last);
-            clock.set(last, pad);
-        }
+        let (clock, _) = thread.clock.make_mut();
+        let pad = clock.get(last);
+        clock.set(last, pad);
     }
 }
 

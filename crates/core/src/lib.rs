@@ -29,8 +29,8 @@
 //! For concurrent ingestion two thread-safe façades wrap a detector:
 //! [`OnlineDetector`] (one serialization mutex — the paper-faithful
 //! contention model of Fig. 5) and [`ShardedOnlineDetector`]
-//! (per-variable access shards around one seqlock-published sync plane
-//! — same verdicts, parallel access analysis).
+//! (per-variable access shards plus per-thread and per-lock sync
+//! state, with no global lock — same verdicts, parallel analysis).
 //!
 //! # Example
 //!
@@ -91,8 +91,8 @@ pub use parallel::{
     CACHE_STATE_VERSION,
 };
 pub use plane::{
-    AccessEngine, AccessOutcome, ClockView, EpochView, HistoryAccessEngine, PublishedView,
-    SplitDetector, SyncEngine, ViewSource,
+    AccessEngine, AccessOutcome, ClockView, EpochView, HistoryAccessEngine, SplitDetector, SyncCtx,
+    SyncEngine,
 };
 pub use report::{AccessKind, RaceReport};
 pub use shard::{ShardedOnlineDetector, SyncMode};

@@ -294,32 +294,47 @@ impl Detector for EmptyDetector {
 }
 
 /// The (stateless) sync-plane half of [`EmptyDetector`]: counts
-/// acquire/release observations, touches no clocks.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct EmptySyncEngine;
+/// acquire/release observations, touches no clocks. Its tables hold
+/// zero-sized states and never allocate.
+#[derive(Clone, Debug, Default)]
+pub struct EmptySyncEngine {
+    threads: Vec<()>,
+    locks: Vec<()>,
+}
 
 impl crate::plane::SyncEngine for EmptySyncEngine {
     type View = ();
+    type Thread = ();
+    type Lock = ();
+    type Options = ();
 
-    fn ensure_thread(&mut self, _tid: ThreadId) {}
+    fn options(&self) {}
 
-    fn acquire(&mut self, _tid: ThreadId, _lock: LockId, counters: &mut Counters) {
-        counters.acquires += 1;
+    fn tables(&mut self) -> (&mut Vec<()>, &mut Vec<()>) {
+        (&mut self.threads, &mut self.locks)
     }
 
-    fn release(
-        &mut self,
+    fn new_thread(_tid: ThreadId) {}
+
+    fn acquire_at(_tid: ThreadId, _: &mut (), _: &mut (), ctx: &mut crate::plane::SyncCtx<'_, ()>) {
+        ctx.counters.acquires += 1;
+    }
+
+    fn release_at(
         _tid: ThreadId,
-        _lock: LockId,
+        _: &mut (),
+        _: &mut (),
         _sampled_since_release: bool,
-        counters: &mut Counters,
+        ctx: &mut crate::plane::SyncCtx<'_, ()>,
     ) {
-        counters.releases += 1;
+        ctx.counters.releases += 1;
     }
 
-    fn publish(&mut self, _tid: ThreadId) {}
+    fn thread_view(_tid: ThreadId, _: &()) -> impl crate::plane::ClockView {}
 
-    fn reserve_threads(&mut self, _n: usize) {}
+    fn publish_at(_tid: ThreadId, _: &mut ()) {}
+
+    fn reserve_at(_: &mut (), _n: usize) {}
 }
 
 /// The (stateless) access-plane half of [`EmptyDetector`]: counts
@@ -349,7 +364,7 @@ impl crate::plane::SplitDetector for EmptyDetector {
     type View = ();
 
     fn split_sync(&self) -> EmptySyncEngine {
-        EmptySyncEngine
+        EmptySyncEngine::default()
     }
 
     fn split_access(&self) -> EmptyAccessEngine {

@@ -6,7 +6,9 @@ use freshtrack_sampling::Sampler;
 use freshtrack_trace::{Event, EventId, EventKind, LockId};
 
 use crate::checkpoint::{self, CheckpointError, CheckpointState};
-use crate::plane::{BorrowedView, EpochView, HistoryAccessEngine, SplitDetector, SyncEngine};
+use crate::plane::{
+    BorrowedView, ClockView, EpochView, HistoryAccessEngine, SplitDetector, SyncCtx, SyncEngine,
+};
 use crate::{Counters, Detector, RaceReport};
 
 /// Algorithm 4 of the paper (**SO**): ordered lists plus lazy copies.
@@ -35,7 +37,7 @@ use crate::{Counters, Detector, RaceReport};
 ///
 /// Internally the detector composes an [`OrderedSyncEngine`] (every
 /// thread/lock list, held once) with a [`HistoryAccessEngine`] over the
-/// epoch-spliced view `C_t[t ↦ e_t]` — the same halves a two-plane
+/// epoch-spliced view `C_t[t ↦ e_t]` — the same halves a
 /// [`ShardedOnlineDetector`](crate::ShardedOnlineDetector) distributes;
 /// the `RelAfter_S` bit is the only state crossing the seam (see
 /// [`SplitDetector`]).
@@ -68,8 +70,10 @@ pub struct OrderedListDetector<S> {
     counters: Counters,
 }
 
+/// One thread's SO state: its ordered-list clock, freshness clock and
+/// local epoch.
 #[derive(Clone, Debug)]
-struct ThreadState {
+pub struct ThreadState {
     /// The ordered-list clock `O_t` (lazily shared with locks).
     list: SharedClock,
     /// The freshness clock `U_t`.
@@ -92,8 +96,40 @@ impl Default for ThreadState {
     }
 }
 
+impl ThreadState {
+    /// Flushes the local epoch if this release is in `RelAfter_S`
+    /// (shared by the mutex and Appendix A.2 release handlers).
+    /// `local_epoch_opt` keeps the flushed time out of the list.
+    fn flush_local_epoch(
+        &mut self,
+        tid: ThreadId,
+        sampled: bool,
+        local_epoch_opt: bool,
+        counters: &mut Counters,
+    ) {
+        if sampled {
+            self.flushed = self.epoch;
+            if !local_epoch_opt {
+                let (list, deep) = self.list.make_mut();
+                if deep {
+                    counters.deep_copies += 1;
+                }
+                list.set(tid, self.epoch);
+            }
+            self.fresh.bump(tid);
+            self.epoch += 1;
+            counters.local_increments += 1;
+            counters.releases_processed += 1;
+        } else {
+            counters.releases_skipped += 1;
+        }
+    }
+}
+
+/// One lock's SO state: a shallow reference to its last releaser's
+/// list plus that releaser's scalar freshness and flushed time.
 #[derive(Clone, Debug, Default)]
-struct LockState {
+pub struct LockState {
     /// Read-only shallow reference to the releasing thread's list
     /// (`Oℓ`). The snapshot type has no mutators, so lock state can
     /// never trigger a deep copy.
@@ -112,14 +148,12 @@ struct LockState {
 
 /// The sync-plane half of the SO engine: every thread's ordered-list
 /// clock, freshness clock and local epoch, plus every lock's snapshot
-/// slot — Algorithm 4's synchronization handlers, held exactly once.
+/// slot — Algorithm 4's synchronization handlers.
 ///
 /// Publication ([`SyncEngine::publish`]) reuses the engine's own `O(1)`
-/// [`SharedClock::snapshot`] machinery, so a two-plane sharded run pays
-/// per sync event exactly what the monolithic engine pays plus one
-/// pointer-sized hand-off; with the façade's take-before-mutate
-/// discipline the publication never adds deep copies beyond the ones
-/// lock aliases already cause.
+/// [`SharedClock::snapshot`] machinery: one pointer-sized hand-off. With
+/// the take-before-mutate discipline a published view never adds deep
+/// copies beyond the ones lock aliases already cause.
 #[derive(Clone, Debug)]
 pub struct OrderedSyncEngine {
     threads: Vec<ThreadState>,
@@ -156,29 +190,6 @@ impl OrderedSyncEngine {
         (&state.list, state.epoch)
     }
 
-    /// Flushes the local epoch if this release is in `RelAfter_S`
-    /// (shared by the mutex and Appendix A.2 release handlers).
-    fn flush_local_epoch(&mut self, tid: ThreadId, sampled: bool, counters: &mut Counters) {
-        let opt = self.local_epoch_opt;
-        let thread = &mut self.threads[tid.index()];
-        if sampled {
-            thread.flushed = thread.epoch;
-            if !opt {
-                let (list, deep) = thread.list.make_mut();
-                if deep {
-                    counters.deep_copies += 1;
-                }
-                list.set(tid, thread.epoch);
-            }
-            thread.fresh.bump(tid);
-            thread.epoch += 1;
-            counters.local_increments += 1;
-            counters.releases_processed += 1;
-        } else {
-            counters.releases_skipped += 1;
-        }
-    }
-
     /// `Release` (join) semantics for non-mutex sync objects
     /// (Appendix A.2).
     pub(crate) fn release_join(
@@ -190,7 +201,8 @@ impl OrderedSyncEngine {
     ) {
         self.ensure_lock(sync);
         counters.releases += 1;
-        self.flush_local_epoch(tid, sampled, counters);
+        let opt = self.local_epoch_opt;
+        self.threads[tid.index()].flush_local_epoch(tid, sampled, opt, counters);
 
         // Materialize the thread's communicated clock (own entry is the
         // flushed time, possibly kept out of the list by the epoch opt).
@@ -356,24 +368,37 @@ impl CheckpointState for OrderedSyncEngine {
 
 impl SyncEngine for OrderedSyncEngine {
     type View = EpochView<ClockSnapshot>;
+    type Thread = ThreadState;
+    type Lock = LockState;
+    /// The local-epoch optimization switch.
+    type Options = bool;
 
-    fn ensure_thread(&mut self, tid: ThreadId) {
-        if self.threads.len() <= tid.index() {
-            self.threads
-                .resize_with(tid.index() + 1, ThreadState::default);
-        }
+    fn options(&self) -> bool {
+        self.local_epoch_opt
     }
 
-    fn acquire(&mut self, tid: ThreadId, lock: LockId, counters: &mut Counters) {
+    fn tables(&mut self) -> (&mut Vec<ThreadState>, &mut Vec<LockState>) {
+        (&mut self.threads, &mut self.locks)
+    }
+
+    fn new_thread(_tid: ThreadId) -> ThreadState {
+        ThreadState::default()
+    }
+
+    #[inline]
+    fn acquire_at(
+        tid: ThreadId,
+        thread: &mut ThreadState,
+        lock: &mut LockState,
+        ctx: &mut SyncCtx<'_, bool>,
+    ) {
+        let counters = &mut *ctx.counters;
         counters.acquires += 1;
-        self.ensure_lock(lock);
-        let lock_state = &self.locks[lock.index()];
-        if let Some(joined) = &lock_state.joined {
+        if let Some(joined) = &lock.joined {
             // Join-mode object (Appendix A.2): no freshness fast path —
             // perform a full join. The sharing state is resolved once
             // for the whole batch by `SharedClock::join`.
             counters.acquires_processed += 1;
-            let thread = &mut self.threads[tid.index()];
             let res = thread.list.join(joined);
             if res.deep_copy {
                 counters.deep_copies += 1;
@@ -383,111 +408,87 @@ impl SyncEngine for OrderedSyncEngine {
             counters.vc_ops += 1;
             return;
         }
-        let Some(lr) = lock_state.last_releaser else {
+        let Some(lr) = lock.last_releaser else {
             counters.acquires_skipped += 1;
             return;
         };
-        let thread = &self.threads[tid.index()];
-        if lock_state.fresh <= thread.fresh.get(lr) {
+        if lock.fresh <= thread.fresh.get(lr) {
             // Proposition 5: nothing new behind this lock.
             counters.acquires_skipped += 1;
             return;
         }
         counters.acquires_processed += 1;
-        let d = lock_state.fresh - thread.fresh.get(lr);
-        let releaser_flushed = lock_state.releaser_flushed;
-        let lock_fresh = lock_state.fresh;
-        // Walk the lock's list directly while mutating the thread's
-        // state: `locks` and `threads` are disjoint fields, and the two
-        // lists never alias here (an alias would imply lr == tid, which
-        // the freshness check already filtered out — and the prefix
-        // join's pointer check would make it a no-op anyway).
-        let lock_list = lock_state
+        let d = lock.fresh - thread.fresh.get(lr);
+        // The lock's list never aliases the thread's here (an alias
+        // would imply lr == tid, which the freshness check already
+        // filtered out — and the prefix join's pointer check would make
+        // it a no-op anyway).
+        let lock_list = lock
             .list
             .as_ref()
             .expect("released lock must carry a clock")
             .list();
-
-        let thread = &mut self.threads[tid.index()];
-        thread.fresh.set(lr, lock_fresh);
+        thread.fresh.set(lr, lock.fresh);
         let res = thread.list.join_prefix(lock_list, d as usize);
         if res.deep_copy {
             counters.deep_copies += 1;
         }
         thread.fresh.bump_by(tid, res.changed as u64);
-        if self.local_epoch_opt && releaser_flushed > thread.list.get(lr) {
+        if ctx.options && lock.releaser_flushed > thread.list.get(lr) {
             // The releaser's own flushed time travels as a scalar.
             let (list, deep) = thread.list.make_mut();
             if deep {
                 counters.deep_copies += 1;
             }
-            list.set(lr, releaser_flushed);
+            list.set(lr, lock.releaser_flushed);
             thread.fresh.bump(tid);
         }
         let traversed = res.traversed as u64;
         counters.entries_traversed += traversed;
-        counters.entries_saved += (self.threads.len() as u64).saturating_sub(traversed);
+        counters.entries_saved += (ctx.threads as u64).saturating_sub(traversed);
         counters.vc_ops += 1;
     }
 
-    fn release(
-        &mut self,
+    #[inline]
+    fn release_at(
         tid: ThreadId,
-        lock: LockId,
+        thread: &mut ThreadState,
+        lock: &mut LockState,
         sampled_since_release: bool,
-        counters: &mut Counters,
+        ctx: &mut SyncCtx<'_, bool>,
     ) {
+        let counters = &mut *ctx.counters;
         counters.releases += 1;
-        self.ensure_lock(lock);
-        self.flush_local_epoch(tid, sampled_since_release, counters);
-        let thread = &mut self.threads[tid.index()];
+        thread.flush_local_epoch(tid, sampled_since_release, ctx.options, counters);
         // `snapshot` moves the thread's clock to the Shared state (the
         // paper's `shared_t := true`), hence the `&mut`.
-        let snapshot = thread.list.snapshot();
-        let fresh = thread.fresh.get(tid);
-        let flushed = thread.flushed;
-        let lock_state = &mut self.locks[lock.index()];
-        lock_state.list = Some(snapshot);
-        lock_state.last_releaser = Some(tid);
-        lock_state.fresh = fresh;
-        lock_state.releaser_flushed = flushed;
-        lock_state.joined = None;
+        lock.list = Some(thread.list.snapshot());
+        lock.last_releaser = Some(tid);
+        lock.fresh = thread.fresh.get(tid);
+        lock.releaser_flushed = thread.flushed;
+        lock.joined = None;
         counters.shallow_copies += 1;
     }
 
-    fn publish(&mut self, tid: ThreadId) -> EpochView<ClockSnapshot> {
-        let state = &mut self.threads[tid.index()];
+    fn thread_view(tid: ThreadId, thread: &ThreadState) -> impl ClockView + '_ {
+        let (list, epoch) = (thread.list.list(), thread.epoch);
+        BorrowedView {
+            lookup: move |u| if u == tid { epoch } else { list.get(u) },
+            width: list.len(),
+        }
+    }
+
+    fn publish_at(tid: ThreadId, thread: &mut ThreadState) -> EpochView<ClockSnapshot> {
         EpochView {
-            snap: state.list.snapshot(),
-            epoch: state.epoch,
+            snap: thread.list.snapshot(),
+            epoch: thread.epoch,
             tid,
         }
     }
 
-    fn publish_dense(&mut self, tid: ThreadId, width_cap: usize, out: &mut Vec<Time>) {
-        // Linearize the ordered list in thread-id order (the recency
-        // links are irrelevant to a race-check view) and splice in the
-        // lazily kept local epoch — the dense `C_t[t ↦ e_t]`.
-        let state = &self.threads[tid.index()];
-        let times = state.list.list().times();
-        let n = times.len().min(width_cap.max(tid.index() + 1));
-        out.clear();
-        out.extend(times.take(n));
-        if out.len() <= tid.index() {
-            out.resize(tid.index() + 1, 0);
-        }
-        out[tid.index()] = state.epoch;
-    }
-
-    fn reserve_threads(&mut self, n: usize) {
-        if n == 0 {
-            return;
-        }
-        self.ensure_thread(ThreadId::new(n as u32 - 1));
-        for state in &mut self.threads {
-            let (list, _) = state.list.make_mut();
-            list.ensure_thread_count(n);
-        }
+    fn reserve_at(thread: &mut ThreadState, n: usize) {
+        let (list, _) = thread.list.make_mut();
+        list.ensure_thread_count(n);
     }
 }
 

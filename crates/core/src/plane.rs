@@ -1,28 +1,26 @@
 //! The sync/access seam: traits that split a streaming detector into a
-//! **sync plane** (thread/lock clock state, held exactly once) and an
+//! **sync plane** (one state per thread and one per lock) and an
 //! **access plane** (per-variable access histories, shardable).
 //!
 //! The monolithic [`Detector`](crate::Detector) event loop interleaves
 //! two kinds of work with very different sharing requirements:
 //!
 //! * **Synchronization handling** (acquire/release) reads and writes
-//!   *thread and lock clocks* — state that is global by nature: every
-//!   thread's clock can be affected by every lock.
+//!   *thread and lock clocks*. An acquire or release of lock `ℓ` by
+//!   thread `t` touches only `t`'s state and `ℓ`'s state.
 //! * **Access handling** (read/write) reads the accessing thread's
 //!   clock and reads/writes the *per-variable access history* — state
 //!   that partitions perfectly by variable.
 //!
-//! Cloning the sync state into every access shard would make each sync
-//! event pay `N×` clock work plus `N` lock acquisitions. The traits
-//! here encode the seam instead (the TSan architecture: one timestamp
-//! authority, per-location shadow state):
+//! The traits here encode the seam (the TSan architecture: a clock per
+//! thread and per sync object, per-location shadow state):
 //!
-//! * [`SyncEngine`] — owns every thread/lock clock once, processes
-//!   acquire/release events, and *publishes* a cheap per-thread
-//!   [`ClockView`] after each one.
+//! * [`SyncEngine`] — per-thread and per-lock states plus the
+//!   acquire/release handlers over one of each, and a cheap per-thread
+//!   [`ClockView`] for race checks.
 //! * [`AccessEngine`] — owns only access histories (and the sampler),
-//!   and analyzes access events against a published view of the
-//!   accessing thread's clock.
+//!   and analyzes access events against a view of the accessing
+//!   thread's clock.
 //! * [`SplitDetector`] — implemented by engines that can be split into
 //!   the two halves; the monolithic `Detector` impl of each engine is
 //!   itself a composition of the same halves, so the split cannot drift
@@ -33,19 +31,19 @@
 //! The race verdict of an access by thread `t` depends only on (a) `t`'s
 //! clock — which changes *only at `t`'s own sync events*, because joins
 //! happen at acquires and increments at releases — and (b) the access
-//! history of the variable. A view published at `t`'s latest sync event
-//! is therefore exactly the clock a monolithic detector would consult,
-//! and the history lives wholly inside one access shard. The sampling
-//! decision depends only on `(seed, EventId)` (invariant 4 in
-//! `ARCHITECTURE.md`), so the sample set is unchanged too.
+//! history of the variable. A view of `t`'s state taken between two of
+//! `t`'s sync events is therefore exactly the clock a monolithic
+//! detector would consult, and the history lives wholly inside one
+//! access shard. The sampling decision depends only on `(seed,
+//! EventId)` (invariant 4 in `ARCHITECTURE.md`), so the sample set is
+//! unchanged too.
 //!
 //! The only information that flows *back* across the seam is the
 //! `RelAfter_S` bit of Algorithms 2–4 — "has this thread sampled an
 //! access since its last release?" — reported by
 //! [`AccessOutcome::sampled`] and consumed by
-//! [`SyncEngine::release`]. The two-plane façade carries it as one
-//! atomic flag per thread; monolithic detectors carry it as a plain
-//! per-thread bool.
+//! [`SyncEngine::release`]. The sharded façade keeps it in the thread's
+//! slot; monolithic detectors keep it as a plain per-thread bool.
 
 use freshtrack_clock::{ClockSnapshot, ThreadId, Time, VectorClock, VectorClockSnapshot};
 use freshtrack_sampling::Sampler;
@@ -89,108 +87,176 @@ impl AccessOutcome {
     }
 }
 
-/// The sync-plane half of a split engine: every thread and lock clock,
-/// held exactly once.
+/// What a per-object sync handler may read besides the one thread and
+/// the one lock it was handed: the engine's options, the number of
+/// registered threads (the `T` of `entries_traversed` and
+/// `entries_saved`) and the issuing thread's [`Counters`].
+#[derive(Debug)]
+pub struct SyncCtx<'a, O> {
+    /// The engine's configuration ([`SyncEngine::options`]).
+    pub options: O,
+    /// One past the highest registered thread id.
+    pub threads: usize,
+    /// Where the handler accounts its work.
+    pub counters: &'a mut Counters,
+}
+
+/// The sync-plane half of a split engine: one state per thread and one
+/// per lock.
 ///
-/// Implementations mutate clock state at acquire/release events and
-/// account the work in the caller-supplied [`Counters`] (the same
-/// fields the monolithic engine would touch, so merged counters stay
-/// comparable).
+/// The handlers ([`acquire_at`](SyncEngine::acquire_at),
+/// [`release_at`](SyncEngine::release_at)) read and write exactly one
+/// thread's state and one lock's state — the ThreadSanitizer
+/// construction, where a thread's clock lives with the thread and a
+/// sync object's clock with the object. Their only global input is
+/// [`SyncCtx::threads`]. An engine keeps the states in two `Vec`s
+/// ([`tables`](SyncEngine::tables)) and the table-level methods
+/// ([`acquire`](SyncEngine::acquire), [`release`](SyncEngine::release),
+/// …) call the handlers on split borrows of them. The
+/// [`ShardedOnlineDetector`](crate::ShardedOnlineDetector) keeps the
+/// same states in per-thread and per-lock slots instead, so the offline
+/// loop, the monolithic detectors and the sharded façade run one code
+/// path.
+///
+/// Handlers account the work in the caller-supplied [`Counters`] (the
+/// same fields the monolithic engine would touch, so merged counters
+/// stay comparable).
 pub trait SyncEngine: Send {
-    /// The per-thread clock view published to the access plane. Must be
+    /// The per-thread clock view handed to the access plane. Must be
     /// `O(1)` to produce and pointer-sized to clone — see
     /// [`publish`](SyncEngine::publish).
     type View: ClockView + Clone + Send + 'static;
+    /// One thread's state: touched only by that thread's own events.
+    type Thread: Send;
+    /// One lock's state: touched only by acquires and releases of it.
+    type Lock: Default + Send;
+    /// Engine configuration the handlers read.
+    type Options: Copy + Send + Sync + 'static;
 
-    /// Makes thread `tid` (and every lower id) exist with its initial
-    /// clock state.
-    fn ensure_thread(&mut self, tid: ThreadId);
+    /// This engine's configuration.
+    fn options(&self) -> Self::Options;
+
+    /// Every thread's state (index = thread id) and every lock's state
+    /// (index = lock id).
+    fn tables(&mut self) -> (&mut Vec<Self::Thread>, &mut Vec<Self::Lock>);
+
+    /// The initial state of thread `tid`.
+    fn new_thread(tid: ThreadId) -> Self::Thread;
 
     /// Handles an acquire of `lock` by `tid` (`C_t ← C_t ⊔ Cℓ`).
-    fn acquire(&mut self, tid: ThreadId, lock: LockId, counters: &mut Counters);
+    fn acquire_at(
+        tid: ThreadId,
+        thread: &mut Self::Thread,
+        lock: &mut Self::Lock,
+        ctx: &mut SyncCtx<'_, Self::Options>,
+    );
 
     /// Handles a release of `lock` by `tid`. `sampled_since_release` is
     /// the `RelAfter_S` bit: whether `tid` sampled an access since its
     /// previous release (epoch-keeping engines flush and advance the
     /// local epoch only then).
+    fn release_at(
+        tid: ThreadId,
+        thread: &mut Self::Thread,
+        lock: &mut Self::Lock,
+        sampled_since_release: bool,
+        ctx: &mut SyncCtx<'_, Self::Options>,
+    );
+
+    /// A borrowed race-check view of `tid`'s clock (`C_t[t ↦ e_t]`),
+    /// read in place: no snapshot, no reference-count traffic.
+    fn thread_view(tid: ThreadId, thread: &Self::Thread) -> impl ClockView + '_;
+
+    /// An owned `O(1)` view of `tid`'s clock: the clock moves behind a
+    /// shared reference
+    /// ([`SharedClock::snapshot`](freshtrack_clock::SharedClock::snapshot)
+    /// /
+    /// [`SharedVectorClock::snapshot`](freshtrack_clock::SharedVectorClock::snapshot)),
+    /// not copied. Callers that later mutate `tid`'s state should drop
+    /// the view *first* (take-before-mutate), so it never forces a lazy
+    /// deep copy beyond the ones the engine's own lock aliases cause.
+    fn publish_at(tid: ThreadId, thread: &mut Self::Thread) -> Self::View;
+
+    /// Pre-sizes one thread's clock for `n` threads.
+    fn reserve_at(thread: &mut Self::Thread, n: usize);
+
+    /// Makes thread `tid` (and every lower id) exist with its initial
+    /// clock state.
+    fn ensure_thread(&mut self, tid: ThreadId) {
+        let (threads, _) = self.tables();
+        while threads.len() <= tid.index() {
+            threads.push(Self::new_thread(ThreadId::new(threads.len() as u32)));
+        }
+    }
+
+    /// Handles an acquire of `lock` by `tid` (which must exist):
+    /// [`acquire_at`](SyncEngine::acquire_at) on the table entries.
+    fn acquire(&mut self, tid: ThreadId, lock: LockId, counters: &mut Counters) {
+        let options = self.options();
+        let (threads, locks) = self.tables();
+        let mut ctx = SyncCtx {
+            options,
+            threads: threads.len(),
+            counters,
+        };
+        Self::acquire_at(
+            tid,
+            &mut threads[tid.index()],
+            lock_entry(locks, lock),
+            &mut ctx,
+        );
+    }
+
+    /// Handles a release of `lock` by `tid` (which must exist):
+    /// [`release_at`](SyncEngine::release_at) on the table entries.
     fn release(
         &mut self,
         tid: ThreadId,
         lock: LockId,
         sampled_since_release: bool,
         counters: &mut Counters,
-    );
-
-    /// Publishes the current view of `tid`'s clock.
-    ///
-    /// `O(1)`: the clock moves behind a shared reference
-    /// ([`SharedClock::snapshot`](freshtrack_clock::SharedClock::snapshot)
-    /// /
-    /// [`SharedVectorClock::snapshot`](freshtrack_clock::SharedVectorClock::snapshot)),
-    /// not copied. Callers that later mutate `tid`'s state should drop
-    /// the previously published view *first* (take-before-mutate), so
-    /// the publication never forces a lazy deep copy beyond the ones
-    /// the engine's own lock aliases would cause.
-    fn publish(&mut self, tid: ThreadId) -> Self::View;
-
-    /// Writes thread `tid`'s spliced race-check clock (`C_t[t ↦ e_t]`)
-    /// densely into `out` (cleared first), entry `u` at index `u`, at
-    /// least `tid.index() + 1` entries wide.
-    ///
-    /// `width_cap` is a caller-supplied promise that every entry of the
-    /// spliced clock at index `>= width_cap` is zero (pass `usize::MAX`
-    /// when no such promise can be made), so the engine may stop
-    /// linearizing there instead of walking a wide reservation's idle
-    /// tail. The sharded detector derives the cap from the highest
-    /// thread id that has had a sync event: epochs only circulate
-    /// through releases, which are themselves sync events serialized by
-    /// the same lock, so no entry above that id can be non-zero.
-    ///
-    /// This is the seqlock publication fast path: the engines override
-    /// it with a straight memcpy from their contiguous clock storage,
-    /// which beats linearizing [`publish`](SyncEngine::publish)'s view
-    /// through a per-entry `time_of` walk by an order of magnitude at
-    /// realistic clock widths. The default does exactly that walk, so
-    /// the two paths are interchangeable (pinned by a differential test
-    /// in `sharding.rs`).
-    fn publish_dense(&mut self, tid: ThreadId, width_cap: usize, out: &mut Vec<Time>) {
-        let view = self.publish(tid);
-        let width = view.width().min(width_cap).max(tid.index() + 1);
-        out.clear();
-        out.extend((0..width).map(|u| view.time_of(ThreadId::new(u as u32))));
+    ) {
+        let options = self.options();
+        let (threads, locks) = self.tables();
+        let mut ctx = SyncCtx {
+            options,
+            threads: threads.len(),
+            counters,
+        };
+        Self::release_at(
+            tid,
+            &mut threads[tid.index()],
+            lock_entry(locks, lock),
+            sampled_since_release,
+            &mut ctx,
+        );
     }
 
-    /// Borrows thread `tid`'s dense spliced clock directly from engine
-    /// storage, when the engine can expose it without materializing
-    /// anything — i.e. when `C_t[t] = e_t` already holds in memory, as
-    /// it does in a raw vector clock. Must equal what
-    /// [`publish_dense`](SyncEngine::publish_dense) would write for the
-    /// same `(tid, width_cap)` (same cap contract); engines whose
-    /// published view splices a lazily-kept epoch return `None` (the
-    /// default) and the caller falls back to the materializing path.
-    fn publish_dense_ref(&self, _tid: ThreadId, _width_cap: usize) -> Option<&[Time]> {
-        None
+    /// Publishes the current view of `tid`'s clock (which must exist):
+    /// [`publish_at`](SyncEngine::publish_at) on its table entry.
+    fn publish(&mut self, tid: ThreadId) -> Self::View {
+        Self::publish_at(tid, &mut self.tables().0[tid.index()])
     }
 
     /// Pre-sizes per-thread clock state for `n` threads.
-    fn reserve_threads(&mut self, n: usize);
+    fn reserve_threads(&mut self, n: usize) {
+        if n == 0 {
+            return;
+        }
+        self.ensure_thread(ThreadId::new(n as u32 - 1));
+        for thread in self.tables().0.iter_mut() {
+            Self::reserve_at(thread, n);
+        }
+    }
 }
 
-/// Source of per-thread clock views consumed during a batched flush:
-/// `view(tid)` yields the accessing thread's *current* published view.
-///
-/// The lifetime-carrying associated type lets a source hand out views
-/// borrowed from its own scratch buffer (the seqlock path decodes each
-/// snapshot into one reusable `Vec<Time>`), while sources that publish
-/// owned pointer-sized snapshots return them by value.
-pub trait ViewSource {
-    /// The view produced for one event (may borrow from `self`).
-    type View<'a>: ClockView
-    where
-        Self: 'a;
-
-    /// The current published view of thread `tid`'s clock.
-    fn view(&mut self, tid: ThreadId) -> Self::View<'_>;
+/// Lock `lock`'s table entry, growing the table on first sight.
+#[inline]
+fn lock_entry<L: Default>(locks: &mut Vec<L>, lock: LockId) -> &mut L {
+    if locks.len() <= lock.index() {
+        locks.resize_with(lock.index() + 1, L::default);
+    }
+    &mut locks[lock.index()]
 }
 
 /// The access-plane half of a split engine: the sampler plus access
@@ -198,9 +264,9 @@ pub trait ViewSource {
 ///
 /// `access_sampled` is generic over the [`ClockView`] it consults — the race
 /// check only ever *reads* the view through `time_of`/`width`, so one
-/// access engine serves every sync engine's published representation
-/// (owned snapshot, epoch-spliced snapshot, or a borrowed slice decoded
-/// from a seqlock publication).
+/// access engine serves every sync engine's view representation
+/// (owned snapshot, epoch-spliced snapshot, or a view borrowed from the
+/// thread's state).
 pub trait AccessEngine: Send {
     /// The hoisted sampling decision: whether the access `event` at
     /// position `id` belongs to the sample set. Pure in `(id, event)`
@@ -214,7 +280,7 @@ pub trait AccessEngine: Send {
     /// Analyzes one access event (`event.kind` is `Read` or `Write`)
     /// **already admitted into the sample set** by
     /// [`decide`](AccessEngine::decide), against this shard's
-    /// histories, using the accessing thread's published clock view.
+    /// histories, using a view of the accessing thread's clock.
     /// Counts reads/writes/samples/races into `counters`.
     fn access_sampled<W: ClockView>(
         &mut self,
@@ -223,30 +289,6 @@ pub trait AccessEngine: Send {
         view: &W,
         counters: &mut Counters,
     ) -> AccessOutcome;
-
-    /// Analyzes a batch of buffered access events in order under a
-    /// single shard-lock acquisition, resolving each event's view
-    /// through `views` at flush time and reporting each outcome through
-    /// `sink`. Batches contain only **sampled** events: the hoisted
-    /// decision rejects skipped accesses before they are ever buffered.
-    ///
-    /// Resolving views at flush time is correct because a thread's view
-    /// changes only at its own sync events, and the sharded façade
-    /// flushes every batch *before* processing any sync event — so the
-    /// view observed here equals the view at ticket-draw time.
-    fn feed_batch<V: ViewSource>(
-        &mut self,
-        events: &[(EventId, Event)],
-        views: &mut V,
-        counters: &mut Counters,
-        mut sink: impl FnMut(Event, AccessOutcome),
-    ) {
-        for &(id, event) in events {
-            let view = views.view(event.tid);
-            let outcome = self.access_sampled(id, event, &view, counters);
-            sink(event, outcome);
-        }
-    }
 }
 
 /// Tallies one access event's read/write counter — the only counter
@@ -366,40 +408,6 @@ impl<F: Fn(ThreadId) -> Time> ClockView for BorrowedView<F> {
     #[inline]
     fn width(&self) -> usize {
         self.width
-    }
-}
-
-/// A clock view decoded from a seqlock publication
-/// ([`PublishedClock`](freshtrack_clock::PublishedClock)): a borrowed
-/// slice of times, entry `u` at index `u`, missing entries `0`.
-///
-/// The writer publishes the already-spliced race-check view
-/// (`C_t[t ↦ e_t]`), so one flat representation serves every engine;
-/// readers decode a snapshot into a reusable scratch buffer and wrap it
-/// in this type for the duration of one race check. Trailing zero
-/// entries are harmless: `0 ⊑` anything, so verdicts and counters are
-/// unaffected by the width a publication happened to have.
-#[derive(Clone, Copy, Debug)]
-pub struct PublishedView<'a> {
-    entries: &'a [Time],
-}
-
-impl<'a> PublishedView<'a> {
-    /// Wraps a decoded snapshot slice.
-    pub fn new(entries: &'a [Time]) -> Self {
-        PublishedView { entries }
-    }
-}
-
-impl ClockView for PublishedView<'_> {
-    #[inline]
-    fn time_of(&self, u: ThreadId) -> Time {
-        self.entries.get(u.index()).copied().unwrap_or(0)
-    }
-
-    #[inline]
-    fn width(&self) -> usize {
-        self.entries.len()
     }
 }
 

@@ -1,58 +1,64 @@
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-use freshtrack_clock::{PublishedClock, ThreadId, Time};
+use freshtrack_clock::ThreadId;
 use freshtrack_trace::{Event, EventId, EventKind, LockId, VarId};
 
 use crate::counters::SkipCells;
-use crate::plane::{AccessEngine, PublishedView, SplitDetector, SyncEngine, ViewSource};
+use crate::plane::{AccessEngine, SplitDetector, SyncCtx, SyncEngine};
 use crate::{Counters, HoistedDecider, RaceReport};
 
-/// The sync-skeleton construction of a [`ShardedOnlineDetector`].
+/// The sync construction of a [`ShardedOnlineDetector`].
 ///
-/// There is one: the two-plane split with seqlock publication. One
-/// [`SyncEngine`] owns every thread/lock clock behind a sync-only lock;
-/// a sync event writes the issuing thread's spliced race-check clock in
-/// place into a [`PublishedClock`] under an even/odd version word, and
-/// accesses snapshot it lock-free, retrying on torn reads. No slot
-/// lock, no refcount traffic, no snapshot allocation per sync event.
-///
-/// Nothing dispatches on this type. It remains so that callers which
-/// name the construction explicitly (`freshtrack_dbsim::run_sharded`,
-/// `ShardedInstrument::with_options`) keep a stable signature.
+/// There is one: per-thread and per-lock sync state (see the
+/// detector's docs). `Seqlock` is the legacy name of that sole
+/// construction, from when the façade republished each thread's clock
+/// through a seqlock; nothing dispatches on it. The type remains so
+/// that callers which name the construction explicitly
+/// (`freshtrack_dbsim::run_sharded`, `ShardedInstrument::with_options`)
+/// keep a stable signature.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SyncMode {
-    /// Two-plane sync with seqlock publication (see the type docs).
+    /// Per-thread and per-lock sync state (the legacy name of the sole
+    /// construction).
     Seqlock,
 }
 
 /// A sharded ingestion façade: per-variable access analysis across `N`
 /// independently-locked shards, with the happens-before skeleton kept
-/// once in a sync plane and published to accesses through seqlocks.
+/// in one slot per thread and one slot per lock.
 ///
 /// The single-mutex [`OnlineDetector`](crate::OnlineDetector)
 /// reproduces the paper's Fig. 5 contention model faithfully — every
 /// event serializes through one analysis lock — but that same lock
 /// bounds throughput once per-event clock work is cheap. This type is
-/// the standard sanitizer-runtime answer (ThreadSanitizer's shadow
-/// memory is per-location; its thread/sync clocks are kept once):
-/// shard the *access* analysis by variable and keep synchronization
-/// state global.
+/// the ThreadSanitizer construction: shadow state per location (the
+/// access shards), a clock per thread kept with the thread, and a clock
+/// per sync object kept with the object. No lock is global.
 ///
 /// # Routing rule
 ///
 /// * **Access events** (`Read`/`Write` of variable `v`) draw their
 ///   ticket and their sampling verdict *before any lock* (see the skip
 ///   path below). A sampled-out access returns immediately; a sampled
-///   access goes to exactly one shard, `hash(v) mod N`, under that
-///   shard's lock only. With a batch capacity `B > 1` sampled accesses
-///   are first buffered in a per-shard batch; one shard-lock
-///   acquisition then amortizes over up to `B` events at flush time.
-/// * **Sync events** (`Acquire`/`Release`) first flush every pending
-///   batch (a thread's buffered accesses must be analyzed against the
-///   view preceding its sync event), then go to the sync plane: they
-///   update the single [`SyncEngine`] behind its sync-only lock and
-///   republish the issuing thread's clock view.
+///   access takes its own thread's slot (which nobody else contends
+///   for), raises the thread's `RelAfter_S` bit, and is analyzed in
+///   exactly one shard, `hash(v) mod N`, against a view borrowed from
+///   the thread's state. With a batch capacity `B > 1` the access
+///   instead captures an owned `O(1)` view of the thread's clock
+///   ([`SyncEngine::publish_at`]) and is buffered in a per-shard batch;
+///   one shard-lock acquisition then amortizes over up to `B` events at
+///   flush time, and a flush never takes another thread's slot.
+/// * **Sync events** (`Acquire`/`Release` of lock `ℓ` by thread `t`)
+///   first flush every pending batch, then take `ℓ`'s slot, draw their
+///   ticket inside it, take `t`'s slot and run the engine's handler
+///   ([`SyncEngine::acquire_at`] / [`SyncEngine::release_at`]) on the
+///   two states. The application already holds `ℓ` when it reports the
+///   event, so `ℓ`'s slot is uncontended in a lock-disciplined program.
+///
+/// Lock order: lock slot → thread slot for sync events, thread slot →
+/// shard for accesses, batch → shard for flushes. Nothing holding a
+/// shard takes a slot, so the order is acyclic.
 ///
 /// # The lock-free skip path
 ///
@@ -65,88 +71,92 @@ pub enum SyncMode {
 /// 1. draw a ticket from the atomic event counter (`fetch_add`),
 /// 2. evaluate the decider on `(ticket, event)`,
 /// 3. if sampled out: bump a cache-line-striped thread-local skip cell
-///    and return — no shard routing, no shard or batch lock, no batch
-///    enqueue, no clock-view snapshot.
+///    and return — no slot, no shard or batch lock, no view.
 ///
-/// Only sampled accesses proceed to slot admission, the `RelAfter_S`
-/// flag, and the shard (or batch) lock. At a sampling rate `r` the
-/// expected locked work per access is `O(r)`; the skip path itself is
-/// two relaxed atomic RMWs. The skipped tallies are folded into the
-/// merged [`Counters`] bit-exactly at
+/// At a sampling rate `r` the expected locked work per access is
+/// `O(r)`; the skip path itself is two relaxed atomic RMWs. The skipped
+/// tallies are folded into the merged [`Counters`] bit-exactly at
 /// [`finish_merged`](ShardedOnlineDetector::finish_merged).
 ///
 /// # Why verdicts are preserved (invariant 10)
 ///
-/// Event ids come from one atomic ticket, drawn at the top of
-/// [`on_event`](ShardedOnlineDetector::on_event) *outside every lock*.
-/// Three observations make this sound:
+/// Event ids come from one atomic ticket. Accesses draw it at the top
+/// of [`on_event`](ShardedOnlineDetector::on_event), sync events inside
+/// their lock's slot.
 ///
-/// * **Sampled-out accesses mutate nothing.** Their processing is a
-///   counter bump; they commute with every other event, so their
-///   position in any processing order is irrelevant — only their
-///   ticket (which feeds the pure sampler) matters, and that is fixed
-///   at draw time.
+/// * **Sampled-out accesses mutate nothing.** They commute with every
+///   other event; only their ticket (which feeds the pure sampler)
+///   matters, and that is fixed at draw time.
+/// * **Sync events on disjoint pairs commute.** `acquire(t,ℓ)` and
+///   `release(t,ℓ)` read and write only `t`'s and `ℓ`'s states. Two sync
+///   events of one thread run in program order, which is their ticket
+///   order. Two sync events of one lock run in the order of `ℓ`'s slot
+///   mutex, and they drew their tickets inside it — and inside the
+///   application's own lock — so that order is their ticket order too.
+///   Any execution therefore ends in the state the sequential replay in
+///   ticket order reaches.
 /// * **Causally ordered events keep ticket order.** An instrumentation
 ///   call returns before the same thread issues its next event, and
 ///   cross-thread ordering is only established through the
-///   application's own synchronization — which likewise orders the
-///   corresponding `on_event` calls in real time. `fetch_add` on a
-///   single atomic is coherent, so an event that *happens before*
-///   another always draws the smaller ticket. A thread's accesses
-///   therefore draw tickets after its past sync events and before its
-///   future ones, which is exactly what the view argument below needs.
-/// * **Concurrent analyzed events may invert ticket order** inside a
-///   shard (the ticket is no longer drawn under the shard lock). Such
-///   events are unordered by happens-before, so either analysis order
-///   is a valid linearization — the race verdict for a concurrent
-///   conflicting pair is reported whichever side is analyzed second.
-///   Per-shard report lists are consequently no longer guaranteed
-///   ticket-sorted; the merge sorts once at
-///   [`finish`](ShardedOnlineDetector::finish) and the published order
-///   is deterministic for any sequentially fed stream.
+///   application's own synchronization, which likewise orders the
+///   calls in real time. A thread's accesses therefore draw tickets
+///   after its past sync events and before its future ones.
+/// * **Concurrent analyzed accesses may invert ticket order** inside a
+///   shard. Such events are unordered by happens-before, so either
+///   analysis order is a valid linearization. Per-shard report lists
+///   are consequently not ticket-sorted; the merge sorts once at
+///   [`finish`](ShardedOnlineDetector::finish).
 ///
-/// An access's verdict depends only on (a) the issuing thread's clock —
-/// which changes *only* at that thread's own sync events, all
-/// ticket-ordered around the access by the causal argument above — and
-/// (b) its variable's history inside one shard. The view published at
-/// the thread's latest sync event is therefore precisely the clock a
-/// monolithic detector would consult at the access's ticket position.
-/// Samplers are deterministic in `(seed, EventId)` (invariant 4), so
-/// the sample set is identical too — hoisting the decision changes
-/// *where* it is computed, never *what* it returns. The one access→sync
-/// feedback, the `RelAfter_S` bit, is maintained on the hoisted side:
-/// set by the issuing thread itself the moment its access is admitted,
-/// consumed at the same thread's next release — sequenced by that
-/// thread's own program order, with no lock in between.
+/// An access's verdict depends only on (a) the issuing thread's clock,
+/// which changes only at that thread's own sync events, and (b) its
+/// variable's history inside one shard. Samplers are deterministic in
+/// `(seed, EventId)` (invariant 4), so the sample set is identical too.
+/// The one access→sync feedback, the `RelAfter_S` bit, lives in the
+/// thread's slot: raised by the thread's sampled accesses, consumed by
+/// its next release.
 ///
-/// Batching preserves this argument because views are resolved at
-/// *flush* time and every sync event flushes all batches before it
-/// mutates any clock: a buffered access's thread cannot have passed a
-/// sync event between its ticket draw and its flush (its own sync event
-/// would have flushed it first), so the flush-time view equals the
-/// draw-time view. Buffered accesses report their verdict at flush
-/// (`on_event` returns `false` for them); the merged report list is
-/// unchanged, which `crates/core/tests/sharding.rs` pins differentially
-/// across batch sizes.
+/// Batching keeps the argument: the view is captured at buffer time,
+/// between the thread's previous and next sync events, and batches are
+/// FIFO per shard, so HB-ordered accesses to one variable are analyzed
+/// in order. Every sync event still flushes all batches first, so no
+/// captured view outlives its thread's next clock mutation
+/// (take-before-mutate) and batching never adds a deep copy. Buffered
+/// accesses report their verdict at flush (`on_event` returns `false`
+/// for them); the merged report list is unchanged, which
+/// `crates/core/tests/sharding.rs` pins across batch sizes.
 ///
-/// Per-thread clock views are only ever read by their own thread's
-/// accesses and written by the same thread's sync events; callers must
-/// issue each thread id's events from one thread at a time (which every
-/// real instrumentation source does — a thread's events *are* its
-/// program order).
+/// Callers must issue each thread id's events from one thread at a time
+/// (which every real instrumentation source does — a thread's events
+/// *are* its program order).
+///
+/// # Counters
+///
+/// For a sequential feed the merged [`Counters`] equal the single
+/// mutex's and [`Detector::run`](crate::Detector::run)'s, every field.
+/// Concurrent runs keep that for every field but two, which read state
+/// beyond `t` and `ℓ`:
+///
+/// * `entries_traversed` and `entries_saved` add the registered thread
+///   count, which a concurrent first event of a new thread may raise
+///   between two events' ticket draws and their handlers.
+/// * `deep_copies` of the SO engine. Lock `ℓ`'s snapshot aliases the
+///   list of its last releaser `u`. A release of `ℓ` by another thread
+///   drops that alias, while `u` may be mutating its list at its own
+///   event on a different lock. Whether `u` pays the deep copy depends
+///   on which of the two reaches the `Arc` reference count first in
+///   real time, not on their tickets. The other engines' lock states
+///   hold copies, never aliases.
 ///
 /// # Cost model
 ///
 /// A sampled-out access pays two relaxed atomic RMWs and nothing else
-/// (measured in `BENCH_access_cost.json`). A sampled access pays one
-/// `1/N`-contended shard lock (or `1/B` of one, with batching); access
-/// analysis for different shards runs in parallel. A
-/// sync event pays one sync-lock acquisition plus **one** copy of the
-/// engine's sync clock work and a publication — flat in `N` (measured
-/// in `BENCH_sync_cost.json`). The publication is a version-word bump
-/// around the changed words — no lock, no allocation, no refcount
-/// traffic. The merged [`Counters`] keep this honest: the planes
-/// partition the event space, so counters sum directly.
+/// (measured in `BENCH_access_cost.json`). A sampled access pays its
+/// own, uncontended thread slot plus one `1/N`-contended shard lock (or
+/// `1/B` of one, with batching). A sync event pays two uncontended
+/// mutexes (its lock's slot and its thread's slot) plus the engine's
+/// handler; handlers for different threads and locks run in parallel.
+/// Thread slots are cache-line aligned, so a thread's state stays on
+/// its own core.
 ///
 /// # Example
 ///
@@ -172,17 +182,21 @@ pub enum SyncMode {
 /// assert_eq!(races.len(), 1); // the two writes race
 /// ```
 pub struct ShardedOnlineDetector<D: SplitDetector> {
-    /// The sync plane: every thread/lock clock, exactly once, behind a
-    /// lock only sync events (and new-thread admission) take.
-    sync: Mutex<SyncPlane<D::Sync>>,
-    /// One seqlock publication slot per thread, in a grow-only chunked
-    /// table that is never reallocated — readers hold plain references
-    /// with no lock at all.
-    slots: SeqSlots,
+    /// One slot per thread id, taken by that thread's own events.
+    threads: Slots<Padded<Mutex<ThreadData<D::Sync>>>>,
+    /// One slot per lock id, taken by acquires and releases of it.
+    locks: Slots<Padded<Mutex<<D::Sync as SyncEngine>::Lock>>>,
+    /// One past the highest thread id admitted so far (by a sync event,
+    /// a sampled access or a reservation): the `threads` of
+    /// [`SyncCtx`].
+    registered: AtomicUsize,
+    options: <D::Sync as SyncEngine>::Options,
     /// The access plane: per-variable histories, sharded.
-    shards: Vec<Mutex<AccessShard<D::Access>>>,
-    batch: BatchPlane,
-    next_id: AtomicU64,
+    shards: Vec<Padded<Mutex<AccessShard<D::Access>>>>,
+    batch: BatchPlane<D::View>,
+    /// The ticket counter, on a line of its own: every event writes it,
+    /// and the fields read on every event must not share its line.
+    next_id: Padded<AtomicU64>,
     /// The hoisted sampling decision (see the skip-path docs).
     decider: HoistedDecider,
     /// Striped skip tallies for the lock-free path, folded into the
@@ -194,287 +208,72 @@ pub struct ShardedOnlineDetector<D: SplitDetector> {
     shard_locks: AtomicU64,
 }
 
-struct SyncPlane<E> {
-    engine: E,
+/// Aligns a slot to its own cache lines (128 bytes covers adjacent-line
+/// prefetch), so two threads' slots — or two locks', or two shards' —
+/// never share one.
+#[repr(align(128))]
+struct Padded<T>(T);
+
+/// One thread's slot: its engine state, its `RelAfter_S` bit and the
+/// counters of its sync events.
+struct ThreadData<E: SyncEngine> {
+    state: E::Thread,
+    /// Set by the thread's sampled accesses, consumed (and reset) by
+    /// its next release.
+    sampled: bool,
     counters: Counters,
-    publisher: Publisher,
 }
 
 struct AccessShard<A> {
     engine: A,
     counters: Counters,
     reports: Vec<RaceReport>,
-    /// Scratch: the decoded snapshot one access's race check reads
-    /// through a [`PublishedView`]. Lives with the shard so the hot
-    /// path never allocates.
-    scratch: Vec<Time>,
-}
-
-impl<A> AccessShard<A> {
-    fn new(engine: A) -> Self {
-        AccessShard {
-            engine,
-            counters: Counters::new(),
-            reports: Vec::new(),
-            scratch: Vec::new(),
-        }
-    }
-}
-
-/// One thread's seqlock publication slot.
-struct SeqSlot {
-    /// The thread's spliced race-check clock (`C_t[t ↦ e_t]`), written
-    /// in place by the thread's own sync events (serialized under the
-    /// sync lock), snapshot lock-free by the same thread's accesses.
-    clock: PublishedClock,
-    /// The `RelAfter_S` bit: set by the thread's sampled accesses,
-    /// consumed (and reset) by its next release.
-    sampled: AtomicBool,
 }
 
 /// Slots in chunk 0; chunk `c` holds `SLOT_CHUNK0 << c` slots.
 const SLOT_CHUNK0: usize = 8;
-/// Chunk count; capacity `SLOT_CHUNK0 * (2^SLOT_CHUNKS - 1)` threads.
+/// Chunk count; capacity `SLOT_CHUNK0 * (2^SLOT_CHUNKS - 1)` ids.
 const SLOT_CHUNKS: usize = 24;
 
-/// A grow-only, lock-free slot table: doubling chunks behind
-/// `OnceLock`, so admitted slots never move and the read fast path is
-/// one atomic load plus a chunk lookup. Admission (chunk init + bump of
-/// `admitted`) happens under the sync lock.
-struct SeqSlots {
-    /// Slots `0..admitted` are initialized and published (the bump is a
-    /// release store after the slot's first publication).
-    admitted: AtomicUsize,
-    chunks: [OnceLock<Box<[SeqSlot]>>; SLOT_CHUNKS],
+/// A grow-only slot table indexed by a dense id: doubling chunks
+/// behind `OnceLock`, so slots never move and a lookup is one atomic
+/// load plus a chunk index. A chunk's slots are all built when its
+/// first id is looked up.
+struct Slots<T> {
+    chunks: [OnceLock<Box<[T]>>; SLOT_CHUNKS],
 }
 
-impl SeqSlots {
+impl<T> Slots<T> {
     fn new() -> Self {
-        SeqSlots {
-            admitted: AtomicUsize::new(0),
-            chunks: [const { OnceLock::new() }; SLOT_CHUNKS],
+        Slots {
+            chunks: std::array::from_fn(|_| OnceLock::new()),
         }
     }
 
-    fn chunk_of(index: usize) -> (usize, usize) {
+    /// Slot `index`, building its chunk with `init(id)` on first use.
+    #[inline]
+    fn get(&self, index: usize, init: impl Fn(usize) -> T) -> &T {
         let c = (index / SLOT_CHUNK0 + 1).ilog2() as usize;
-        (c, index - SLOT_CHUNK0 * ((1usize << c) - 1))
+        let base = SLOT_CHUNK0 * ((1usize << c) - 1);
+        let chunk =
+            self.chunks[c].get_or_init(|| (base..base + (SLOT_CHUNK0 << c)).map(init).collect());
+        &chunk[index - base]
     }
 
-    /// Lock-free lookup; `None` until the thread has been admitted.
-    fn get(&self, index: usize) -> Option<&SeqSlot> {
-        if index >= self.admitted.load(Ordering::Acquire) {
-            return None;
-        }
-        let (c, off) = Self::chunk_of(index);
-        let chunk = self.chunks[c]
-            .get()
-            .expect("admitted slots live in initialized chunks");
-        Some(&chunk[off])
-    }
-
-    /// The next index to admit. Call under the sync lock.
-    fn admitted(&self) -> usize {
-        self.admitted.load(Ordering::Relaxed)
-    }
-
-    /// Initializes (if needed) the chunk holding `index` and returns
-    /// the slot, not yet visible to `get`. Call under the sync lock.
-    fn slot_for_admission(&self, index: usize) -> &SeqSlot {
-        let (c, off) = Self::chunk_of(index);
-        let chunk = self.chunks[c].get_or_init(|| {
-            (0..SLOT_CHUNK0 << c)
-                .map(|_| SeqSlot {
-                    clock: PublishedClock::new(),
-                    sampled: AtomicBool::new(false),
-                })
-                .collect::<Vec<_>>()
-                .into_boxed_slice()
-        });
-        &chunk[off]
-    }
-
-    /// Makes slots `0..len` visible to `get`. Call under the sync lock,
-    /// after the new slot's first publication.
-    fn publish_admission(&self, len: usize) {
-        self.admitted.store(len, Ordering::Release);
+    /// Every slot built so far.
+    fn into_built(self) -> impl Iterator<Item = T> {
+        self.chunks
+            .into_iter()
+            .filter_map(OnceLock::into_inner)
+            .flat_map(|chunk| chunk.into_vec())
     }
 }
 
-/// Writer-private seqlock publication state: the dense scratch a sync
-/// event linearizes into, plus a copy of the last image actually
-/// published per thread. Both live with the sync plane — there is one
-/// writer at a time, under the sync mutex — so the change diff below
-/// runs on plain memory (no atomic loads, vectorizable) and the
-/// seqlock is only touched for the words that actually moved.
-struct Publisher {
-    /// Dense clock the engine memcpys into
-    /// ([`SyncEngine::publish_dense`]); reused across events.
-    scratch: Vec<Time>,
-    /// `cache[t]` mirrors slot `t`'s published words exactly:
-    /// [`Publisher::publish`] is the sole writer of both.
-    cache: Vec<Vec<Time>>,
-    /// All-zero slice the idle-tail trim compares against, so the
-    /// check compiles to a vectorized memcmp instead of a scalar
-    /// early-exit scan.
-    zeros: Vec<Time>,
-    /// One past the highest thread id that has had a *sync event*
-    /// (admissions do not count). Epochs circulate between clocks only
-    /// through releases — themselves sync events serialized by the same
-    /// mutex — so no spliced clock has a non-zero entry at or above
-    /// this bound; it is the `width_cap` event publications pass to
-    /// [`SyncEngine::publish_dense`].
-    active: usize,
-}
-
-impl Publisher {
-    fn new() -> Self {
-        Publisher {
-            scratch: Vec::new(),
-            cache: Vec::new(),
-            zeros: Vec::new(),
-            active: 0,
-        }
-    }
-
-    /// Publishes at one of `tid`'s sync events: the hot path. The
-    /// engine linearizes at most [`active`](Publisher::active) entries.
-    fn publish_event<E: SyncEngine>(
-        &mut self,
-        engine: &mut E,
-        tid: ThreadId,
-        clock: &PublishedClock,
-    ) {
-        self.active = self.active.max(tid.index() + 1);
-        self.publish(engine, tid, clock, self.active);
-    }
-
-    /// Publishes at `tid`'s admission (or a reservation republish):
-    /// makes no activity assumption, so the engine's full width is
-    /// linearized and the idle tail trimmed by scan. Cold path — runs
-    /// once per admitted slot, not per event.
-    fn publish_admission<E: SyncEngine>(
-        &mut self,
-        engine: &mut E,
-        tid: ThreadId,
-        clock: &PublishedClock,
-    ) {
-        self.publish(engine, tid, clock, usize::MAX);
-    }
-
-    /// Publishes `tid`'s current spliced race-check view into `clock`.
-    ///
-    /// Dense fast path: the engine memcpys its contiguous clock into
-    /// scratch ([`SyncEngine::publish_dense`]), capped at `width_cap`
-    /// entries — no typed view is materialized, no refcount is
-    /// touched, and the engine's clock never leaves sole ownership.
-    /// The scratch is then diffed against the writer-private copy of
-    /// the last publication: an identical image (sync events that did
-    /// not move the clock) publishes nothing at all, and a changed one
-    /// stores only the changed word range — for the common case (an
-    /// epoch bump, a join touching one entry) that is one or two
-    /// seqlock stores, not a full clock.
-    fn publish<E: SyncEngine>(
-        &mut self,
-        engine: &mut E,
-        tid: ThreadId,
-        clock: &PublishedClock,
-        width_cap: usize,
-    ) {
-        if self.cache.len() <= tid.index() {
-            self.cache.resize_with(tid.index() + 1, Vec::new);
-        }
-        if let Some(img) = engine.publish_dense_ref(tid, width_cap) {
-            // Zero-copy: the engine's clock storage is the dense image
-            // (no splice needed), so nothing is materialized at all.
-            publish_image(
-                &mut self.cache[tid.index()],
-                &mut self.zeros,
-                img,
-                tid,
-                clock,
-            );
-            return;
-        }
-        engine.publish_dense(tid, width_cap, &mut self.scratch);
-        publish_image(
-            &mut self.cache[tid.index()],
-            &mut self.zeros,
-            &self.scratch,
-            tid,
-            clock,
-        );
-    }
-}
-
-/// Diffs one dense image `img` (already capped by the caller's
-/// `width_cap` promise) against `prev` — the writer-private copy of the
-/// last publication — and republishes only what changed.
-///
-/// Trims the idle tail before diffing: entries past the previous
-/// publication that are still zero are a reservation tail no reader can
-/// distinguish from absent entries ([`PublishedView`]'s `time_of` reads
-/// past-the-end as 0, and 0 ⊑ anything), so after a wide
-/// `reserve_threads` the publication stays proportional to the *active*
-/// width. Clock entries are monotone, so a published width never
-/// shrinks — the trim point only grows when a new thread's epoch
-/// actually reaches this clock (the rare rescan branch). The all-zero
-/// check compares against `zeros` so it compiles to a vectorized
-/// memcmp, not a scalar early-exit scan.
-fn publish_image(
-    prev: &mut Vec<Time>,
-    zeros: &mut Vec<Time>,
-    img: &[Time],
-    tid: ThreadId,
-    clock: &PublishedClock,
-) {
-    let keep = (tid.index() + 1).max(prev.len()).min(img.len());
-    if zeros.len() < img.len() {
-        zeros.resize(img.len(), 0);
-    }
-    let trimmed = if img[keep..] == zeros[..img.len() - keep] {
-        keep
-    } else {
-        let last = img.iter().rposition(|&t| t != 0).expect("tail is non-zero");
-        (last + 1).max(keep)
-    };
-    let img = &img[..trimmed];
-    if prev.len() == trimmed {
-        let a = prev.as_slice();
-        let mut first = 0;
-        while first < trimmed && a[first] == img[first] {
-            first += 1;
-        }
-        if first == trimmed {
-            return; // the clock did not move: publish nothing at all
-        }
-        let mut last = trimmed - 1;
-        while a[last] == img[last] {
-            last -= 1;
-        }
-        clock.store_changed(img, first, last);
-        prev[first..=last].copy_from_slice(&img[first..=last]);
-    } else {
-        // Width changed (thread admission / reservation regrow): take
-        // the general path, which also handles chunk growth.
-        clock.store_slice(img);
-        prev.clear();
-        prev.extend_from_slice(img);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Batched ingestion.
-// ---------------------------------------------------------------------
-
-/// A bounded per-shard buffer of ticketed access events awaiting
-/// analysis. Filled and drained under the shard's batch lock, so the
-/// FIFO order *is* ticket order restricted to the shard.
-struct AccessBatch {
-    events: Vec<(EventId, Event)>,
-}
-
-struct BatchPlane {
+/// Per-shard buffers of ticketed, sampled access events, each with the
+/// view its thread had at buffer time. Filled and drained under the
+/// shard's batch lock, so the FIFO order *is* ticket order restricted
+/// to the shard.
+struct BatchPlane<V> {
     /// Events buffered per shard before an inline flush; `1` disables
     /// buffering (every access is analyzed inside its own call).
     capacity: usize,
@@ -482,30 +281,7 @@ struct BatchPlane {
     /// skip the flush sweep with a single load when nothing is pending.
     pending: AtomicU64,
     /// One batch per access shard (lock order: batch(k) → shard(k)).
-    batches: Vec<Mutex<AccessBatch>>,
-}
-
-/// [`ViewSource`] over the seqlock slot table: decodes the thread's
-/// publication into the shard's scratch buffer, lock-free.
-struct SeqViews<'a> {
-    slots: &'a SeqSlots,
-    scratch: &'a mut Vec<Time>,
-}
-
-impl ViewSource for SeqViews<'_> {
-    type View<'b>
-        = PublishedView<'b>
-    where
-        Self: 'b;
-
-    fn view(&mut self, tid: ThreadId) -> PublishedView<'_> {
-        let slot = self
-            .slots
-            .get(tid.index())
-            .expect("buffered accesses come from admitted threads");
-        slot.clock.read_into(self.scratch);
-        PublishedView::new(self.scratch)
-    }
+    batches: Vec<Mutex<Vec<(EventId, Event, V)>>>,
 }
 
 impl<D: SplitDetector> std::fmt::Debug for ShardedOnlineDetector<D> {
@@ -519,7 +295,7 @@ impl<D: SplitDetector> std::fmt::Debug for ShardedOnlineDetector<D> {
 }
 
 fn lock<'a, T>(mutex: &'a Mutex<T>) -> MutexGuard<'a, T> {
-    mutex.lock().expect("detector shard mutex poisoned")
+    mutex.lock().expect("detector mutex poisoned")
 }
 
 impl<D: SplitDetector> ShardedOnlineDetector<D> {
@@ -556,27 +332,27 @@ impl<D: SplitDetector> ShardedOnlineDetector<D> {
         assert!(shards > 0, "at least one shard is required");
         assert!(batch > 0, "at least a batch capacity of one is required");
         ShardedOnlineDetector {
-            sync: Mutex::new(SyncPlane {
-                engine: detector.split_sync(),
-                counters: Counters::new(),
-                publisher: Publisher::new(),
-            }),
-            slots: SeqSlots::new(),
+            threads: Slots::new(),
+            locks: Slots::new(),
+            registered: AtomicUsize::new(0),
+            options: detector.split_sync().options(),
             shards: (0..shards)
-                .map(|_| Mutex::new(AccessShard::new(detector.split_access())))
+                .map(|_| {
+                    Padded(Mutex::new(AccessShard {
+                        engine: detector.split_access(),
+                        counters: Counters::new(),
+                        reports: Vec::new(),
+                    }))
+                })
                 .collect(),
             batch: BatchPlane {
                 capacity: batch,
                 pending: AtomicU64::new(0),
                 batches: (0..shards)
-                    .map(|_| {
-                        Mutex::new(AccessBatch {
-                            events: Vec::with_capacity(if batch > 1 { batch } else { 0 }),
-                        })
-                    })
+                    .map(|_| Mutex::new(Vec::with_capacity(if batch > 1 { batch } else { 0 })))
                     .collect(),
             },
-            next_id: AtomicU64::new(0),
+            next_id: Padded(AtomicU64::new(0)),
             decider: detector.hoisted_decider(),
             skip: SkipCells::new(),
             #[cfg(debug_assertions)]
@@ -596,28 +372,16 @@ impl<D: SplitDetector> ShardedOnlineDetector<D> {
 
     /// Pre-sizes per-thread clock state for `n` application threads
     /// (see [`Detector::reserve_threads`](crate::Detector::reserve_threads)).
-    /// Call once before the
-    /// workers start so the event hot path never grows a clock while a
-    /// lock is held.
+    /// Call once before the workers start so the event hot path never
+    /// grows a clock.
     pub fn reserve_threads(&self, n: usize) {
-        let mut sync = lock(&self.sync);
-        let SyncPlane {
-            engine, publisher, ..
-        } = &mut *sync;
-        engine.reserve_threads(n);
-        for idx in 0..n {
-            let tid = ThreadId::new(idx as u32);
-            if idx < self.slots.admitted() {
-                // Republish: reservation may have regrown the
-                // clock behind an already-published view.
-                let slot = self.slots.get(idx).expect("index below admitted");
-                publisher.publish_admission(engine, tid, &slot.clock);
-            } else {
-                engine.ensure_thread(tid);
-                let slot = self.slots.slot_for_admission(idx);
-                publisher.publish_admission(engine, tid, &slot.clock);
-                self.slots.publish_admission(idx + 1);
-            }
+        if n == 0 {
+            return;
+        }
+        let registered = self.registered.fetch_max(n, Ordering::Relaxed).max(n);
+        for idx in 0..registered {
+            let mut thread = lock(self.thread_slot(ThreadId::new(idx as u32)));
+            <D::Sync as SyncEngine>::reserve_at(&mut thread.state, n);
         }
     }
 
@@ -631,21 +395,13 @@ impl<D: SplitDetector> ShardedOnlineDetector<D> {
         ((h >> 32) as usize) % self.shard_count()
     }
 
-    /// Draws the event's globally unique, totally ordered ticket id.
-    ///
-    /// Called at the top of [`on_event`](ShardedOnlineDetector::on_event),
-    /// **outside every lock** — the skip path's sampling verdict is a
-    /// pure function of this ticket, so sampled-out accesses never
-    /// touch a lock at all. Soundness does not need a lock here:
-    /// causally ordered events draw tickets in causal order (each
-    /// `on_event` call returns before any call it happens-before
-    /// begins, and `fetch_add` on one atomic is coherent), while
-    /// concurrent events may be analyzed out of ticket order inside a
-    /// shard — harmless, because they are unordered by happens-before
-    /// (invariant 10 in `ARCHITECTURE.md`; see the type-level docs).
+    /// Draws the event's globally unique, totally ordered ticket id
+    /// (invariant 10 in `ARCHITECTURE.md`; see the type-level docs for
+    /// where each event kind draws it and why no global lock is
+    /// needed).
     #[inline]
     fn take_ticket(&self) -> EventId {
-        EventId::new(self.next_id.fetch_add(1, Ordering::Relaxed))
+        EventId::new(self.next_id.0.fetch_add(1, Ordering::Relaxed))
     }
 
     /// Counts one access-plane shard-lock acquisition (debug builds
@@ -668,40 +424,51 @@ impl<D: SplitDetector> ShardedOnlineDetector<D> {
         self.shard_locks.load(Ordering::Relaxed)
     }
 
-    /// Returns thread `tid`'s seqlock publication slot, admitting the
-    /// thread (initial clock state + first publication, under the sync
-    /// lock) on first sight. The fast path is one atomic load plus a
-    /// chunk lookup — no lock of any kind.
-    fn slot(&self, tid: ThreadId) -> &SeqSlot {
-        if let Some(slot) = self.slots.get(tid.index()) {
-            return slot;
+    /// Registers thread `tid` and returns the registered thread count.
+    /// The common case is one load of a rarely written word.
+    #[inline]
+    fn admit(&self, tid: ThreadId) -> usize {
+        let n = self.registered.load(Ordering::Relaxed);
+        if n > tid.index() {
+            return n;
         }
-        // Slow path (once per thread): admit under the sync lock.
-        let mut sync = lock(&self.sync);
-        while self.slots.admitted() <= tid.index() {
-            let index = self.slots.admitted();
-            let next = ThreadId::new(index as u32);
-            let SyncPlane {
-                engine, publisher, ..
-            } = &mut *sync;
-            engine.ensure_thread(next);
-            let slot = self.slots.slot_for_admission(index);
-            publisher.publish_admission(engine, next, &slot.clock);
-            self.slots.publish_admission(index + 1);
-        }
-        self.slots.get(tid.index()).expect("just admitted")
+        self.registered
+            .fetch_max(tid.index() + 1, Ordering::Relaxed)
+            .max(tid.index() + 1)
+    }
+
+    /// Thread `tid`'s slot, built in its initial state on first use.
+    #[inline]
+    fn thread_slot(&self, tid: ThreadId) -> &Mutex<ThreadData<D::Sync>> {
+        let slot = self.threads.get(tid.index(), |id| {
+            Padded(Mutex::new(ThreadData {
+                state: <D::Sync as SyncEngine>::new_thread(ThreadId::new(id as u32)),
+                sampled: false,
+                counters: Counters::new(),
+            }))
+        });
+        &slot.0
+    }
+
+    /// Lock `lock_id`'s slot, built in its initial state on first use.
+    #[inline]
+    fn lock_slot(&self, lock_id: LockId) -> &Mutex<<D::Sync as SyncEngine>::Lock> {
+        &self
+            .locks
+            .get(lock_id.index(), |_| Padded(Mutex::new(Default::default())))
+            .0
     }
 
     /// Feeds one event; returns `true` if it was reported as racing.
     ///
-    /// Every event first draws its ticket from the atomic counter, with
-    /// no lock held. An access is then decided by the hoisted sampler:
-    /// sampled-out accesses return after a striped counter bump (the
-    /// lock-free skip path); sampled ones lock one shard (or, with
-    /// batching, one batch lock and only every `B`th event the shard
-    /// lock too). Sync events lock the sync plane. A sync event never
-    /// races, and a *buffered* access reports only at flush time, so
-    /// both return `false`.
+    /// Every access first draws its ticket from the atomic counter, with
+    /// no lock held, and is decided by the hoisted sampler: sampled-out
+    /// accesses return after a striped counter bump (the lock-free skip
+    /// path); sampled ones take their thread's slot and one shard (or,
+    /// with batching, one batch lock and only every `B`th event the
+    /// shard lock too). Sync events take their lock's slot and their
+    /// thread's slot. A sync event never races, and a *buffered* access
+    /// reports only at flush time, so both return `false`.
     pub fn on_event(&self, tid: u32, kind: EventKind) -> bool {
         let event = Event::new(ThreadId::new(tid), kind);
         match event.kind {
@@ -715,116 +482,41 @@ impl<D: SplitDetector> ShardedOnlineDetector<D> {
                     }
                     return false;
                 }
-                if self.batch.capacity > 1 {
-                    // Admission + `RelAfter_S` at buffer time, still on
-                    // the issuing thread's side of any shard lock (a
-                    // flush may run on another thread). Unbatched
-                    // accesses raise the bit in their handler, on the
-                    // slot it already resolved — same thread, so still
-                    // sequenced before this thread's release.
-                    self.slot(event.tid).sampled.store(true, Ordering::Relaxed);
-                    return self.buffer_access(id, event, var);
-                }
-                self.access_seqlock(id, event, var)
+                self.access(id, event, var)
             }
             EventKind::Acquire(lock_id) | EventKind::Release(lock_id) => {
-                // Flush-before-any-sync: buffered accesses must be
-                // analyzed against the pre-sync views (see the
-                // type-level batching argument).
-                if self.batch.capacity > 1 {
-                    self.flush_pending();
-                }
-                self.take_ticket();
-                self.sync_seqlock(event, lock_id);
+                // Flush-before-any-sync: no buffered view may outlive
+                // its thread's next clock mutation (take-before-mutate).
+                self.flush_pending();
+                self.sync_event(event, lock_id);
                 false
             }
         }
     }
 
-    /// Buffers one ticketed, already sampled access event in its
-    /// shard's batch, flushing inline when the batch reaches capacity.
-    fn buffer_access(&self, id: EventId, event: Event, var: VarId) -> bool {
+    /// Analyzes (or buffers) one already sampled access against its
+    /// thread's clock, raising the thread's `RelAfter_S` bit.
+    fn access(&self, id: EventId, event: Event, var: VarId) -> bool {
+        let tid = event.tid;
+        self.admit(tid);
+        let mut thread = lock(self.thread_slot(tid));
+        thread.sampled = true;
         let k = self.shard_of(var);
-        let mut batch = lock(&self.batch.batches[k]);
-        batch.events.push((id, event));
-        self.batch.pending.fetch_add(1, Ordering::Relaxed);
-        if batch.events.len() >= self.batch.capacity {
-            self.flush_shard(k, &mut batch);
+        if self.batch.capacity > 1 {
+            let view = <D::Sync as SyncEngine>::publish_at(tid, &mut thread.state);
+            drop(thread);
+            self.buffer_access(k, (id, event, view));
+            return false;
         }
-        false
-    }
-
-    /// Drains every non-empty batch (one batch+shard lock pair at a
-    /// time). A single relaxed load skips the sweep when nothing is
-    /// buffered, so a pure sync stream pays one load per event.
-    fn flush_pending(&self) {
-        if self.batch.capacity <= 1 || self.batch.pending.load(Ordering::Relaxed) == 0 {
-            return;
-        }
-        for k in 0..self.batch.batches.len() {
-            let mut batch = lock(&self.batch.batches[k]);
-            if !batch.events.is_empty() {
-                self.flush_shard(k, &mut batch);
-            }
-        }
-    }
-
-    /// Analyzes shard `k`'s buffered events in buffer order under one
-    /// shard-lock acquisition. Caller holds the batch lock (lock order:
-    /// batch(k) → shard(k)).
-    ///
-    /// The batch holds only sampled accesses and goes straight through
-    /// [`AccessEngine::feed_batch`]; their `RelAfter_S` flags were
-    /// raised on the hoisted side at buffer time, so the flush sink only
-    /// collects reports.
-    fn flush_shard(&self, k: usize, batch: &mut AccessBatch) {
-        if batch.events.is_empty() {
-            return;
-        }
-        let mut shard = lock(&self.shards[k]);
+        let view = <D::Sync as SyncEngine>::thread_view(tid, &thread.state);
+        let mut shard = lock(&self.shards[k].0);
         self.note_shard_lock();
         let AccessShard {
             engine,
             counters,
             reports,
-            scratch,
         } = &mut *shard;
-        counters.events += batch.events.len() as u64;
-        let mut views = SeqViews {
-            slots: &self.slots,
-            scratch,
-        };
-        engine.feed_batch(&batch.events, &mut views, counters, |_, outcome| {
-            if let Some(report) = outcome.report {
-                reports.push(report);
-            }
-        });
-        self.batch
-            .pending
-            .fetch_sub(batch.events.len() as u64, Ordering::Relaxed);
-        batch.events.clear();
-    }
-
-    /// Analyzes one unbatched, already sampled access: the decision was
-    /// computed outside the lock, so the engine skips its redundant
-    /// re-decide ([`AccessEngine::access_sampled`]).
-    fn access_seqlock(&self, id: EventId, event: Event, var: VarId) -> bool {
-        let slot = self.slot(event.tid);
-        let mut shard = lock(&self.shards[self.shard_of(var)]);
-        self.note_shard_lock();
-        let AccessShard {
-            engine,
-            counters,
-            reports,
-            scratch,
-        } = &mut *shard;
-        // Lock-free view: decode the thread's publication into the
-        // shard's scratch buffer (retrying on torn reads).
-        slot.clock.read_into(scratch);
-        let view = PublishedView::new(scratch);
         counters.events += 1;
-        // Raise `RelAfter_S` on the slot in hand.
-        slot.sampled.store(true, Ordering::Relaxed);
         let outcome = engine.access_sampled(id, event, &view, counters);
         if let Some(report) = outcome.report {
             reports.push(report);
@@ -834,36 +526,85 @@ impl<D: SplitDetector> ShardedOnlineDetector<D> {
         }
     }
 
-    /// Applies one sync event to the sync plane and republishes the
-    /// issuing thread's clock.
-    fn sync_seqlock(&self, event: Event, lock_id: LockId) {
-        let tid = event.tid;
-        let slot = self.slot(tid);
-        let mut sync = lock(&self.sync);
-        let SyncPlane {
+    /// Buffers one sampled access in shard `k`'s batch, flushing inline
+    /// when the batch reaches capacity.
+    fn buffer_access(&self, k: usize, entry: (EventId, Event, D::View)) {
+        let mut batch = lock(&self.batch.batches[k]);
+        batch.push(entry);
+        self.batch.pending.fetch_add(1, Ordering::Relaxed);
+        if batch.len() >= self.batch.capacity {
+            self.flush_shard(k, &mut batch);
+        }
+    }
+
+    /// Drains every non-empty batch (one batch+shard lock pair at a
+    /// time). A single load skips the sweep when nothing is buffered,
+    /// so a pure sync stream pays one load per event.
+    fn flush_pending(&self) {
+        // Acquire pairs with the release decrement in `flush_shard`: a
+        // zero read means every drained view has been dropped.
+        if self.batch.capacity <= 1 || self.batch.pending.load(Ordering::Acquire) == 0 {
+            return;
+        }
+        for k in 0..self.batch.batches.len() {
+            let mut batch = lock(&self.batch.batches[k]);
+            self.flush_shard(k, &mut batch);
+        }
+    }
+
+    /// Analyzes shard `k`'s buffered events in buffer order under one
+    /// shard-lock acquisition, each against the view captured with it.
+    /// Caller holds the batch lock (lock order: batch(k) → shard(k)).
+    fn flush_shard(&self, k: usize, batch: &mut Vec<(EventId, Event, D::View)>) {
+        if batch.is_empty() {
+            return;
+        }
+        let n = batch.len() as u64;
+        let mut shard = lock(&self.shards[k].0);
+        self.note_shard_lock();
+        let AccessShard {
             engine,
             counters,
-            publisher,
-        } = &mut *sync;
+            reports,
+        } = &mut *shard;
+        counters.events += n;
+        for (id, event, view) in batch.drain(..) {
+            let outcome = engine.access_sampled(id, event, &view, counters);
+            reports.extend(outcome.report);
+        }
+        self.batch.pending.fetch_sub(n, Ordering::Release);
+    }
+
+    /// Runs one sync event's handler on its thread's and lock's states.
+    fn sync_event(&self, event: Event, lock_id: LockId) {
+        let tid = event.tid;
+        let threads = self.admit(tid);
+        let mut lock_state = lock(self.lock_slot(lock_id));
+        // Inside the lock's slot: same-lock events draw their tickets in
+        // the order their handlers run.
+        self.take_ticket();
+        let mut thread = lock(self.thread_slot(tid));
+        let ThreadData {
+            state,
+            sampled,
+            counters,
+        } = &mut *thread;
         counters.events += 1;
+        let mut ctx = SyncCtx {
+            options: self.options,
+            threads,
+            counters,
+        };
         match event.kind {
-            EventKind::Acquire(_) => engine.acquire(tid, lock_id, counters),
+            EventKind::Acquire(_) => {
+                <D::Sync as SyncEngine>::acquire_at(tid, state, &mut lock_state, &mut ctx);
+            }
             EventKind::Release(_) => {
-                // Check before consuming: the bit is set by this
-                // thread's own sampled accesses (program-order
-                // sequenced with this release), so a false load
-                // is stable and the usual unsampled release
-                // skips the read-modify-write entirely.
-                let sampled = slot.sampled.load(Ordering::Relaxed)
-                    && slot.sampled.swap(false, Ordering::Relaxed);
-                engine.release(tid, lock_id, sampled, counters);
+                let sampled = std::mem::take(sampled);
+                <D::Sync as SyncEngine>::release_at(tid, state, &mut lock_state, sampled, &mut ctx);
             }
             _ => unreachable!("on_event routes only sync events here"),
         }
-        // Republish in place through the seqlock: a version-word
-        // bump around `width` plain stores — or nothing at all,
-        // when the publication is unchanged.
-        publisher.publish_event(engine, tid, &slot.clock);
     }
 
     /// Records a read of variable `var` by thread `tid`.
@@ -888,16 +629,16 @@ impl<D: SplitDetector> ShardedOnlineDetector<D> {
 
     /// Number of event tickets drawn so far. Every event — including a
     /// sampled-out access, whose processing is just its skip tally —
-    /// draws exactly one ticket at the top of `on_event`, so after all
-    /// workers quiesce this equals events observed.
+    /// draws exactly one ticket, so after all workers quiesce this
+    /// equals events observed.
     pub fn events_processed(&self) -> u64 {
-        self.next_id.load(Ordering::Relaxed)
+        self.next_id.0.load(Ordering::Relaxed)
     }
 
     /// Races reported so far, across all shards (excluding any still
     /// buffered in unflushed batches).
     pub fn race_count(&self) -> usize {
-        self.shards.iter().map(|s| lock(s).reports.len()).sum()
+        self.shards.iter().map(|s| lock(&s.0).reports.len()).sum()
     }
 
     /// Consumes the façade, returning the merged race reports.
@@ -915,25 +656,25 @@ impl<D: SplitDetector> ShardedOnlineDetector<D> {
     /// [`finish`](ShardedOnlineDetector::finish) plus the aggregated
     /// [`Counters`].
     ///
-    /// The two planes partition the event space, so counters sum
-    /// directly (sync observations exist once by construction).
+    /// Thread slots count sync events, shards count sampled accesses
+    /// and the skip cells count the rest: they partition the event
+    /// space, so counters sum directly.
     pub fn finish_merged(self) -> (Vec<RaceReport>, Counters) {
         // Residual batches: accesses buffered since the last sync event
         // (or over the whole run, if there was none).
         self.flush_pending();
         let (skipped_reads, skipped_writes) = self.skip.totals();
-        let mut counters = self
-            .sync
-            .into_inner()
-            .expect("sync plane mutex poisoned")
-            .counters;
+        let mut counters = Counters::new();
+        for slot in self.threads.into_built() {
+            counters += slot.0.into_inner().expect("thread slot poisoned").counters;
+        }
         // Per-shard report lists are *not* ticket-sorted in general —
         // concurrent analyzed events may invert ticket order under the
         // hoisted draw (invariant 10) — so ordering is established only
         // by the merged sort below.
         let mut reports = Vec::new();
         for shard in self.shards {
-            let shard = shard.into_inner().expect("detector shard mutex poisoned");
+            let shard = shard.0.into_inner().expect("detector shard mutex poisoned");
             counters += shard.counters;
             reports.extend(shard.reports);
         }

@@ -18,8 +18,8 @@
 //! * a fully sampled-out stream must acquire **zero** shard locks
 //!   (pinned through the debug-only acquisition counter), and
 //! * concurrent lock-free ticket draws must neither lose nor duplicate
-//!   events (the multi-threaded stress below, the shard-level sibling
-//!   of `crates/clock/tests/seqlock_stress.rs`).
+//!   events (the multi-threaded stress below; `contention.rs` adds
+//!   application locks and checks verdicts).
 
 use std::sync::Arc;
 

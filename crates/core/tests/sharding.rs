@@ -3,9 +3,9 @@
 //! capacity.
 //!
 //! [`ShardedOnlineDetector`] routes access events to `hash(var) % N`
-//! shards; the happens-before skeleton is held once by a sync engine
-//! behind a sync-only lock, publishing views through lock-free seqlock
-//! slots. It claims the merged result is indistinguishable from the
+//! shards; the happens-before skeleton is held in per-thread and
+//! per-lock sync slots, and accesses check against their own thread's
+//! slot. It claims the merged result is indistinguishable from the
 //! single-mutex [`OnlineDetector`] and a sequential [`Detector::run`]:
 //! identical (EventId-sorted) race reports and identical [`Counters`].
 //! This suite checks that claim for
@@ -34,8 +34,8 @@
 //! [`ShardedOnlineDetector::finish_merged`]: freshtrack_core::ShardedOnlineDetector::finish_merged
 
 use freshtrack_core::{
-    Counters, Detector, DjitDetector, FastTrackDetector, OnlineDetector, OrderedListDetector,
-    RaceReport, ShardedOnlineDetector,
+    Detector, DjitDetector, FastTrackDetector, OnlineDetector, OrderedListDetector, RaceReport,
+    ShardedOnlineDetector,
 };
 use freshtrack_sampling::{AlwaysSampler, BernoulliSampler, NeverSampler, PeriodicSampler};
 use freshtrack_testutil::{
@@ -309,130 +309,4 @@ fn regression_sorted_merge_on_racy_cell() {
     let (merged_reports, counters) = sharded.finish_merged();
     assert_eq!(merged_reports, reports);
     assert_eq!(counters.races as usize, reports.len());
-}
-
-// ---------------------------------------------------------------------
-// Dense publication differential: engine overrides vs the trait default.
-// ---------------------------------------------------------------------
-
-/// Delegating wrapper that inherits the *default*
-/// [`SyncEngine::publish_dense`] / `publish_dense_ref` (the per-entry
-/// `time_of` linearization) while forwarding everything else, so the
-/// memcpy overrides can be pinned against the reference semantics.
-struct DefaultDense<E>(E);
-
-use freshtrack_clock::ThreadId;
-use freshtrack_core::{FreshnessSyncEngine, OrderedSyncEngine, SyncEngine, VectorSyncEngine};
-use freshtrack_trace::LockId;
-
-impl<E: SyncEngine> SyncEngine for DefaultDense<E> {
-    type View = E::View;
-
-    fn ensure_thread(&mut self, tid: ThreadId) {
-        self.0.ensure_thread(tid);
-    }
-
-    fn acquire(&mut self, tid: ThreadId, lock: LockId, counters: &mut Counters) {
-        self.0.acquire(tid, lock, counters);
-    }
-
-    fn release(
-        &mut self,
-        tid: ThreadId,
-        lock: LockId,
-        sampled_since_release: bool,
-        counters: &mut Counters,
-    ) {
-        self.0.release(tid, lock, sampled_since_release, counters);
-    }
-
-    fn publish(&mut self, tid: ThreadId) -> Self::View {
-        self.0.publish(tid)
-    }
-
-    fn reserve_threads(&mut self, n: usize) {
-        self.0.reserve_threads(n);
-    }
-}
-
-/// Drives the same sync-event stream through an engine and its
-/// default-dense twin and asserts the dense publications agree at every
-/// step, for several width caps — including `usize::MAX` (no promise)
-/// and the tight active-width cap the sharded detector uses.
-fn assert_dense_matches_default<E: SyncEngine>(
-    label: &str,
-    mut engine: E,
-    mut twin: DefaultDense<E>,
-) {
-    const THREADS: u32 = 6;
-    const LOCKS: u32 = 3;
-    let mut counters_a = Counters::new();
-    let mut counters_b = Counters::new();
-    engine.reserve_threads(32); // wide reservation: idle tail present
-    twin.reserve_threads(32);
-
-    let mut active = 0usize;
-    let step =
-        |engine: &mut E, twin: &mut DefaultDense<E>, active: usize, label: &str, round: u32| {
-            let mut a = Vec::new();
-            let mut b = Vec::new();
-            for t in 0..THREADS {
-                let tid = ThreadId::new(t);
-                for cap in [usize::MAX, active.max(1), tid.index() + 1] {
-                    engine.publish_dense(tid, cap, &mut a);
-                    twin.publish_dense(tid, cap, &mut b);
-                    assert_eq!(
-                        a, b,
-                        "[{label}] round {round} tid {t} cap {cap}: override vs default"
-                    );
-                    if let Some(img) = engine.publish_dense_ref(tid, cap) {
-                        assert_eq!(
-                            img,
-                            &a[..],
-                            "[{label}] round {round} tid {t} cap {cap}: ref vs materialized"
-                        );
-                    }
-                }
-            }
-        };
-
-    for round in 0..40u32 {
-        let tid = ThreadId::new(round % THREADS);
-        let lock = LockId::new(round % LOCKS);
-        active = active.max(tid.index() + 1);
-        if round % 2 == 0 {
-            engine.acquire(tid, lock, &mut counters_a);
-            twin.acquire(tid, lock, &mut counters_b);
-        } else {
-            let sampled = round % 3 == 0;
-            engine.release(tid, lock, sampled, &mut counters_a);
-            twin.release(tid, lock, sampled, &mut counters_b);
-        }
-        step(&mut engine, &mut twin, active, label, round);
-    }
-}
-
-/// The doc contract on [`SyncEngine::publish_dense`]: the engines'
-/// memcpy overrides (and the zero-copy `publish_dense_ref` borrow) are
-/// interchangeable with the default per-entry linearization of
-/// `publish`'s view, for every engine and width cap.
-#[test]
-fn dense_publication_matches_default_linearization() {
-    assert_dense_matches_default(
-        "vector",
-        VectorSyncEngine::new(),
-        DefaultDense(VectorSyncEngine::new()),
-    );
-    assert_dense_matches_default(
-        "freshness",
-        FreshnessSyncEngine::new(),
-        DefaultDense(FreshnessSyncEngine::new()),
-    );
-    for opt in [false, true] {
-        assert_dense_matches_default(
-            &format!("ordered(local_epoch_opt={opt})"),
-            OrderedSyncEngine::new(opt),
-            DefaultDense(OrderedSyncEngine::new(opt)),
-        );
-    }
 }

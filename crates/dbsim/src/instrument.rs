@@ -148,8 +148,9 @@ impl<D: Detector + Send> Instrument for DetectorInstrument<D> {
 }
 
 /// Routes instrumentation callbacks into a
-/// [`ShardedOnlineDetector`]: per-variable access shards around a
-/// seqlock-published sync plane, instead of one global analysis mutex.
+/// [`ShardedOnlineDetector`]: per-variable access shards plus
+/// per-thread and per-lock sync state, instead of one global analysis
+/// mutex.
 /// [`with_options`](ShardedInstrument::with_options) additionally
 /// enables per-shard access batching so one shard-lock acquisition
 /// amortizes over many events.

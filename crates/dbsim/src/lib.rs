@@ -14,8 +14,9 @@
 //!   the emitted event stream always satisfies the locking discipline.
 //!   Two detector-backed implementations exist: [`DetectorInstrument`]
 //!   (the paper-faithful single analysis mutex) and
-//!   [`ShardedInstrument`] (per-variable access shards around one
-//!   seqlock-published sync plane — same verdicts, higher throughput).
+//!   [`ShardedInstrument`] (per-variable access shards plus per-thread
+//!   and per-lock sync state, no global lock — same verdicts, higher
+//!   throughput).
 //! * [`run_benchmark`] — a worker pool executing a
 //!   [`DbWorkload`](freshtrack_workloads::DbWorkload) mix, measuring
 //!   per-transaction latency, exactly the metric of the paper's Fig. 5;
