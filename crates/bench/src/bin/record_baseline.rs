@@ -1113,6 +1113,10 @@ fn run_segments(out_path: Option<String>) {
          sampling decisions, and the calling thread runs the one replay loop \
          over each segment's sync events and sampled accesses in stream order, \
          so N counts decoder threads only (recorded on a 2-core host); \
+         each decoder decodes ordinary event records from one 8-byte window \
+         with selects instead of branches and passes every other record to \
+         the record grammar, and its sampling filter takes no branch on the \
+         event; \
          sequential_replay is the streaming path analyze keeps for stdin, \
          text and v1 input, while analyze of a v2 file runs \
          parallel_replay_jobsN; here it decodes an in-memory buffer through a \

@@ -7,7 +7,10 @@
 //!   N` threads (default 1), every segment checksum verified, with
 //!   output byte-identical to streaming; stdin, text and v1 input
 //!   stream in constant memory. `--cache` keeps a `.ftc` sidecar so
-//!   re-analysis after an append costs O(appended).
+//!   re-analysis after an append replays only the appended segments;
+//!   the reused prefix still costs a CRC re-hash of its bytes and a
+//!   read, fold and rewrite of the sidecar, linear in the prefix but
+//!   several times cheaper than replaying it.
 //! * `oracle <trace>` — ground-truth racy events. The default exact
 //!   mode materializes (200k-event cap, enforced while streaming);
 //!   `--window N` / `--reservoir K` / `--stream` switch to the
@@ -64,8 +67,11 @@ COMMANDS:
                       output is byte-identical at every n)
                       --cache[=PATH]  reuse + rewrite a `.ftc` analysis
                       sidecar (default PATH: trace path with `.ftc`);
-                      re-analysis after an append costs O(appended),
-                      output stays byte-identical to a cold run
+                      re-analysis after an append replays only the
+                      new segments (the prefix is still re-hashed and
+                      the sidecar read and rewritten, both linear in
+                      the prefix); output stays byte-identical to a
+                      cold run
                       --no-cache    ignore any sidecar even if --cache
     oracle <trace>    ground-truth racy events (`-` = stdin; text or
                       binary input auto-detected, exactly as analyze)

@@ -50,6 +50,12 @@ impl VectorClock {
         }
     }
 
+    /// The entry vector itself, for the wire decoder that refills a
+    /// clock in place.
+    pub(crate) fn entries_mut(&mut self) -> &mut Vec<Time> {
+        &mut self.entries
+    }
+
     /// Creates the clock `⊥[t ↦ time]`.
     pub fn bottom_with(tid: ThreadId, time: Time) -> Self {
         let mut clock = VectorClock::new();

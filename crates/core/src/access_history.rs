@@ -118,15 +118,15 @@ impl AccessHistories {
 
     /// Replaces location `index`'s histories with a record written by
     /// [`Self::put_record`]; `index` must be below
-    /// [`var_count`](Self::var_count).
+    /// [`var_count`](Self::var_count). The clocks are overwritten in
+    /// place, so a resumed sidecar reuses their allocations.
     pub(crate) fn get_record(
         &mut self,
         r: &mut wire::WireReader<'_>,
         index: usize,
     ) -> Result<(), wire::WireError> {
-        self.write[index] = r.get_clock()?;
-        self.read[index] = r.get_clock()?;
-        Ok(())
+        r.get_clock_into(&mut self.write[index])?;
+        r.get_clock_into(&mut self.read[index])
     }
 }
 

@@ -46,7 +46,7 @@
 //! # Incremental analysis
 //!
 //! [`analyze_segments_cached`] makes re-analysis of a growing trace
-//! *O(appended)*: alongside the analysis it fills an
+//! replay only the appended segments: alongside the analysis it fills an
 //! [`AnalysisCache`] sidecar (the `.ftc` format of
 //! `freshtrack-trace`) recording, per segment, the segment's byte
 //! identity and the complete analysis state at its end boundary — the
@@ -69,8 +69,13 @@
 //! [`OrderedSyncEngine`](crate::OrderedSyncEngine) — the resumed run's
 //! reports *and counters* are byte-identical to a cold run over the
 //! full file (invariant 11; `tests/cache.rs` pins it across engines ×
-//! samplers × append points).
+//! samplers × append points). The reused prefix is not free: reading
+//! and checking the sidecar, re-hashing the prefix segments, folding
+//! their access records and re-encoding the whole sidecar are each
+//! linear in the prefix, and together they cost more than replaying a
+//! short tail (ARCHITECTURE.md § Incremental analysis has the numbers).
 
+use std::collections::HashMap;
 use std::io::{Read, Seek};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 
@@ -403,6 +408,12 @@ impl SampledSegment {
     /// `sampler` samples. The decision is [`Sampler::decide`], pure in
     /// the event's stream position, so it is the one the sequential
     /// pass makes.
+    ///
+    /// The filter takes no branch on the event: `decide` is pure, so it
+    /// runs for sync events too and its answer is dropped there; the
+    /// skip counts add flags, and every id is pushed and then cut back
+    /// unless kept. Whether an event is kept follows the trace's random
+    /// mix of sync events and accesses, which a branch would mispredict.
     fn decode<S: Sampler>(
         k: usize,
         meta: SegmentMeta,
@@ -410,28 +421,16 @@ impl SampledSegment {
         sampler: &S,
     ) -> Result<Self, BinaryTraceError> {
         let mut ids = Vec::new();
-        let (mut skipped_reads, mut skipped_writes) = (0, 0);
+        // Skipped reads and writes, indexed by "is a write".
+        let mut skipped = [0u64; 2];
         let data = decode_segment_indexed(k, bytes, &meta, |id, event| {
-            let keep = match event.kind {
-                EventKind::Acquire(_) | EventKind::Release(_) => true,
-                EventKind::Read(_) => {
-                    sampler.decide(id, event) || {
-                        skipped_reads += 1;
-                        false
-                    }
-                }
-                EventKind::Write(_) => {
-                    sampler.decide(id, event) || {
-                        skipped_writes += 1;
-                        false
-                    }
-                }
-            };
-            if keep {
-                ids.push(id);
-            }
+            let keep = !event.kind.is_access() | sampler.decide(id, event);
+            skipped[usize::from(matches!(event.kind, EventKind::Write(_)))] += u64::from(!keep);
+            ids.push(id);
+            ids.truncate(ids.len() - usize::from(!keep));
             keep
         })?;
+        let [skipped_reads, skipped_writes] = skipped;
         Ok(SampledSegment {
             meta,
             data,
@@ -694,16 +693,25 @@ fn merge_names(
     what: &str,
     offset: u64,
 ) -> Result<(), SourceError> {
-    for name in fresh {
-        if table.iter().any(|existing| existing == name) {
-            return Err(BinaryTraceError::new(
-                offset,
-                format!("duplicate definition of {what} {name:?}"),
-            )
-            .into());
-        }
-        table.push(name.clone());
+    if fresh.is_empty() {
+        return Ok(());
     }
+    // One pass over the table, not one per fresh name: a segment may
+    // define tens of thousands. The error names the first duplicate in
+    // the segment's own order.
+    let position: HashMap<&str, usize> = fresh.iter().map(String::as_str).zip(0..).collect();
+    if let Some(first) = table
+        .iter()
+        .filter_map(|existing| position.get(existing.as_str()).copied())
+        .min()
+    {
+        return Err(BinaryTraceError::new(
+            offset,
+            format!("duplicate definition of {what} {:?}", fresh[first]),
+        )
+        .into());
+    }
+    table.extend_from_slice(fresh);
     Ok(())
 }
 

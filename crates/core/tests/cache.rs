@@ -18,7 +18,7 @@ use freshtrack_core::{
     OrderedListDetector, SplitDetector, SyncEngine, CACHE_STATE_VERSION,
 };
 use freshtrack_sampling::{AlwaysSampler, BernoulliSampler, NeverSampler, Sampler};
-use freshtrack_testutil::workload_matrix;
+use freshtrack_testutil::{wide_workload, workload_matrix};
 use freshtrack_trace::{
     write_trace_binary_v2, AnalysisCache, CacheConfig, EventKind, SegmentOptions,
     SegmentedTraceFile, Trace, TraceBuilder,
@@ -181,56 +181,112 @@ fn incremental_matches_cold_across_engines_and_samplers() {
 /// decoder threads, so the coordinator walks few accesses per segment.
 /// A cold and a warm run must still write the same sidecar bytes at
 /// every job count, and report what the plain run reports.
+/// Asserts that cold and warm (half the sidecar reused) cached runs at
+/// every job count write the same sidecar bytes as a `--jobs 1` cold
+/// run and print the plain run's reports and counters.
+fn assert_sidecar_bytes_match_at_every_job_count<D, S>(
+    label: &str,
+    bytes: &[u8],
+    detector: &D,
+    sampler: &S,
+    cfg: &CacheConfig,
+) where
+    D: SplitDetector,
+    D::Sync: CheckpointState,
+    D::Access: AccessCheckpoint,
+    S: Sampler + Clone + Send,
+{
+    let plain = analyze_segments(&mut open(bytes), detector, sampler, 1)
+        .expect("well-formed traces must analyze");
+    let reference = analyze_segments_cached(&mut open(bytes), detector, sampler, 1, cfg, None)
+        .expect("well-formed traces must analyze")
+        .cache;
+    let reference_bytes = reference.encode();
+    let half = reference.entries.len() / 2;
+    let mut prior = reference.clone();
+    prior.entries.truncate(half);
+    for jobs in [1, 2, 3, 8] {
+        let cold = analyze_segments_cached(&mut open(bytes), detector, sampler, jobs, cfg, None)
+            .expect("well-formed traces must analyze");
+        let warm =
+            analyze_segments_cached(&mut open(bytes), detector, sampler, jobs, cfg, Some(&prior))
+                .expect("well-formed traces must analyze");
+        assert_eq!(cold.reused_segments, 0, "[{label}] jobs={jobs}");
+        assert_eq!(warm.reused_segments, half, "[{label}] jobs={jobs}");
+        for (run, kind) in [(&cold, "cold"), (&warm, "warm")] {
+            assert_eq!(
+                run.cache.encode(),
+                reference_bytes,
+                "[{label}] {kind} jobs={jobs}: sidecar bytes diverged"
+            );
+            assert_eq!(
+                run.analysis.reports, plain.reports,
+                "[{label}] {kind} jobs={jobs}"
+            );
+            assert_eq!(
+                run.analysis.counters, plain.counters,
+                "[{label}] {kind} jobs={jobs}"
+            );
+        }
+    }
+}
+
 #[test]
 fn paper_rate_sidecar_bytes_are_the_same_at_every_job_count() {
     let rate = BernoulliSampler::new(0.03, 11);
     for (name, trace) in workload_matrix(240, &[1]) {
-        let bytes = v2_bytes(&trace, EVENTS_PER_SEGMENT);
         // The fingerprint does not depend on the job count (the CLI
         // writes `jobs: 1` at every `--jobs`).
-        let cfg = config("so", "bernoulli:0.03:11", 1);
-        let detector = OrderedListDetector::new(rate);
-        let plain = analyze_segments(&mut open(&bytes), &detector, &rate, 1)
-            .expect("well-formed traces must analyze");
-        let reference = analyze_segments_cached(&mut open(&bytes), &detector, &rate, 1, &cfg, None)
-            .expect("well-formed traces must analyze")
-            .cache;
-        let reference_bytes = reference.encode();
-        let half = reference.entries.len() / 2;
-        let mut prior = reference.clone();
-        prior.entries.truncate(half);
-        for jobs in [1, 2, 3, 8] {
-            let cold =
-                analyze_segments_cached(&mut open(&bytes), &detector, &rate, jobs, &cfg, None)
-                    .expect("well-formed traces must analyze");
-            let warm = analyze_segments_cached(
-                &mut open(&bytes),
-                &detector,
-                &rate,
-                jobs,
-                &cfg,
-                Some(&prior),
-            )
-            .expect("well-formed traces must analyze");
-            assert_eq!(cold.reused_segments, 0, "[{name}] jobs={jobs}");
-            assert_eq!(warm.reused_segments, half, "[{name}] jobs={jobs}");
-            for (run, label) in [(&cold, "cold"), (&warm, "warm")] {
-                assert_eq!(
-                    run.cache.encode(),
-                    reference_bytes,
-                    "[{name}] {label} jobs={jobs}: sidecar bytes diverged"
-                );
-                assert_eq!(
-                    run.analysis.reports, plain.reports,
-                    "[{name}] {label} jobs={jobs}"
-                );
-                assert_eq!(
-                    run.analysis.counters, plain.counters,
-                    "[{name}] {label} jobs={jobs}"
-                );
-            }
-        }
+        assert_sidecar_bytes_match_at_every_job_count(
+            &name,
+            &v2_bytes(&trace, EVENTS_PER_SEGMENT),
+            &OrderedListDetector::new(rate),
+            &rate,
+            &config("so", "bernoulli:0.03:11", 1),
+        );
     }
+}
+
+#[test]
+fn wide_trace_sidecars_match_where_the_fast_path_hands_records_to_the_grammar() {
+    // Thread ids >= 128 and operands >= 16,384 leave the segment
+    // decoder's fast path for the record grammar mid-segment.
+    let trace = wide_workload(12_000, 5);
+    let bytes = v2_bytes(&trace, 1024);
+    let rate = BernoulliSampler::new(0.03, 11);
+    let full = BernoulliSampler::new(1.0, 11);
+    let cfg = |engine: &str, sampler: &str| CacheConfig {
+        options: "events_per_segment=1024".to_owned(),
+        ..config(engine, sampler, 1)
+    };
+    assert_sidecar_bytes_match_at_every_job_count(
+        "wide/so",
+        &bytes,
+        &OrderedListDetector::new(rate),
+        &rate,
+        &cfg("so", "bernoulli:0.03:11"),
+    );
+    assert_sidecar_bytes_match_at_every_job_count(
+        "wide/su",
+        &bytes,
+        &FreshnessDetector::new(rate),
+        &rate,
+        &cfg("su", "bernoulli:0.03:11"),
+    );
+    assert_sidecar_bytes_match_at_every_job_count(
+        "wide/st",
+        &bytes,
+        &DjitDetector::new(rate),
+        &rate,
+        &cfg("st", "bernoulli:0.03:11"),
+    );
+    assert_sidecar_bytes_match_at_every_job_count(
+        "wide/ft",
+        &bytes,
+        &FastTrackDetector::new(full),
+        &full,
+        &cfg("ft", "bernoulli:1:11"),
+    );
 }
 
 #[test]

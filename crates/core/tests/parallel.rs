@@ -17,7 +17,7 @@ use freshtrack_core::{
 use freshtrack_sampling::{
     AlwaysSampler, BernoulliSampler, NeverSampler, PeriodicSampler, Sampler, TargetedSampler,
 };
-use freshtrack_testutil::{trace_from_fuel, workload_matrix};
+use freshtrack_testutil::{trace_from_fuel, wide_workload, workload_matrix};
 use freshtrack_trace::{
     write_source_binary_v2, write_trace_binary_v2, EventSource, SegmentOptions, SegmentedTraceFile,
     SourceError, Trace, TraceBuilder, Validated, VarId,
@@ -43,11 +43,28 @@ where
     D::Access: AccessCheckpoint,
     S: Sampler + Clone + Send,
 {
+    let sizes = [1, 7, 64, trace.len().max(1)];
+    assert_parallel_matches_sequential_at(label, trace, detector, sampler, &sizes);
+}
+
+/// [`assert_parallel_matches_sequential`] at the given segment sizes.
+fn assert_parallel_matches_sequential_at<D, S>(
+    label: &str,
+    trace: &Trace,
+    detector: &D,
+    sampler: &S,
+    segment_sizes: &[usize],
+) where
+    D: SplitDetector,
+    D::Sync: CheckpointState,
+    D::Access: AccessCheckpoint,
+    S: Sampler + Clone + Send,
+{
     let mut seq = detector.clone();
     let expected_reports = seq.run(trace);
     let expected_counters = *seq.counters();
 
-    for events_per_segment in [1, 7, 64, trace.len().max(1)] {
+    for &events_per_segment in segment_sizes {
         let bytes = v2_bytes(trace, events_per_segment);
         for jobs in JOBS {
             let mut file = SegmentedTraceFile::open(Cursor::new(bytes.as_slice()))
@@ -163,6 +180,46 @@ fn never_sampler_still_matches_exactly() {
             &NeverSampler::new(),
         );
     }
+}
+
+#[test]
+fn wide_traces_match_where_the_fast_path_hands_records_to_the_grammar() {
+    // Thread ids >= 128 and operands >= 16,384 are not ordinary event
+    // records, so every segment mixes the decoder's fast path with the
+    // record grammar.
+    let trace = wide_workload(12_000, 5);
+    assert!(trace.thread_count() > 128 && trace.var_count() > 16_384);
+    let rate = BernoulliSampler::new(0.03, 11);
+    let full = BernoulliSampler::new(1.0, 11);
+    let sizes = [512, 4096];
+    assert_parallel_matches_sequential_at(
+        "wide/so",
+        &trace,
+        &OrderedListDetector::new(rate),
+        &rate,
+        &sizes,
+    );
+    assert_parallel_matches_sequential_at(
+        "wide/su",
+        &trace,
+        &FreshnessDetector::new(rate),
+        &rate,
+        &sizes,
+    );
+    assert_parallel_matches_sequential_at(
+        "wide/st",
+        &trace,
+        &DjitDetector::new(rate),
+        &rate,
+        &sizes,
+    );
+    assert_parallel_matches_sequential_at(
+        "wide/ft",
+        &trace,
+        &FastTrackDetector::new(full),
+        &full,
+        &sizes,
+    );
 }
 
 #[test]

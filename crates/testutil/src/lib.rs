@@ -27,6 +27,8 @@
 //! * [`workload_matrix`] / [`conformance_workload`] — seeded structured
 //!   workloads across every [`Pattern`], sized so the quadratic oracle
 //!   stays affordable.
+//! * [`wide_workload`] — a trace whose thread ids and operands outgrow
+//!   the short record encodings, for the segment decoder's fast path.
 //! * [`run_online_trace`] / [`run_sharded_trace`] /
 //!   [`run_sharded_trace_batched`] / [`assert_shard_equivalence`] —
 //!   online ingestion (the single-mutex [`OnlineDetector`] and the
@@ -110,6 +112,22 @@ pub fn workload_matrix(events: usize, seeds: &[u64]) -> Vec<(String, Trace)> {
         }
     }
     cells
+}
+
+/// A mixed workload of 200 threads, 20,000 variables and 40 locks (the
+/// CLI's `generate --threads 200 --vars 20000 --locks 40`). Thread ids
+/// from 128 up take a two-byte varint and operands from 16,384 up a
+/// three-byte one, so the segment decoder's fast path hands such
+/// records to the record grammar in the middle of real segments.
+pub fn wide_workload(events: usize, seed: u64) -> Trace {
+    generate(
+        &WorkloadConfig::named("wide")
+            .threads(200)
+            .vars(20_000)
+            .locks(40)
+            .events(events)
+            .seed(seed),
+    )
 }
 
 /// Runs the four sampling engines (and SO without the local-epoch

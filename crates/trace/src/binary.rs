@@ -527,8 +527,13 @@ pub(crate) struct RecordDecoder {
     locks: Interner,
     vars: Interner,
     declared_threads: u32,
-    observed_threads: u32,
-    prev_tid: Option<ThreadId>,
+    /// One past the highest thread id of an event decoded so far. The
+    /// segment decoder's fast path reads and writes it directly, so that
+    /// it and this grammar hand one state back and forth.
+    pub(crate) observed_threads: u32,
+    /// The thread of the previous event, which the same-thread bit
+    /// repeats; shared with the fast path like `observed_threads`.
+    pub(crate) prev_tid: Option<ThreadId>,
     done: bool,
 }
 
@@ -558,8 +563,11 @@ impl RecordDecoder {
         self.declared_threads
     }
 
-    pub(crate) fn observed_threads(&self) -> u32 {
-        self.observed_threads
+    /// How many ids are defined so far, base included, indexed by an
+    /// event record's `kind_bits >> 1`: vars bound the operands of reads
+    /// and writes, locks those of acquires and releases.
+    pub(crate) fn operand_limits(&self) -> [usize; 2] {
+        [self.vars.len(), self.locks.len()]
     }
 
     /// The names this decoder defined itself (ids from the base up).

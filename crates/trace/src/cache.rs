@@ -1,7 +1,7 @@
 //! The `.ftc` analysis-cache sidecar format.
 //!
-//! A sidecar makes re-analysis of a growing `.ftb` v2 trace
-//! *O(appended)*: it records, per segment, enough to (a) prove the
+//! A sidecar lets re-analysis of a growing `.ftb` v2 trace replay only
+//! the appended segments: it records, per segment, enough to (a) prove the
 //! segment is byte-identical to what a previous run analyzed and (b)
 //! resume the analysis right after it. Concretely each entry carries
 //! the segment's footer identity (CRC-32, offset, length, event range,

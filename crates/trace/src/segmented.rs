@@ -53,12 +53,13 @@ use freshtrack_clock::wire::{self, WireError, WireReader};
 use freshtrack_clock::{ThreadId, VectorClock};
 
 use crate::binary::{
-    flush_binary_meta, magic_version, write_event_record, write_varint, RecordDecoder, SliceInput,
-    BINARY_MAGIC_V2, TAG_CHECKPOINT, TAG_END, TAG_FOOTER, TAG_SEGMENT, TAG_THREADS,
+    flush_binary_meta, magic_version, write_event_record, write_varint, RecordDecoder, RecordInput,
+    SliceInput, BINARY_MAGIC_V2, OPERAND_ESCAPE, TAG_CHECKPOINT, TAG_DEF_LOCK, TAG_END, TAG_FOOTER,
+    TAG_SEGMENT, TAG_THREADS,
 };
 use crate::io::{EmittedMeta, WriteSourceError};
 use crate::source::{EventSource, Interner};
-use crate::{BinaryTraceError, Event, EventId, EventKind, LockId, Trace};
+use crate::{BinaryTraceError, Event, EventId, EventKind, LockId, Trace, VarId};
 
 /// The 4-byte magic closing a v2 file, preceded by the 8-byte LE footer
 /// offset — the seek target for [`SegmentedTraceFile::open`].
@@ -985,14 +986,9 @@ pub fn decode_segment(bytes: &[u8], meta: &SegmentMeta) -> Result<SegmentData, B
     decode_records(bytes, meta, |_, _| true)
 }
 
-/// The one segment decoder behind [`decode_segment`] and
-/// [`decode_segment_indexed`]: a [`SliceInput`] cursor over the bytes,
-/// keeping the events `keep` accepts.
-fn decode_records(
-    bytes: &[u8],
-    meta: &SegmentMeta,
-    mut keep: impl FnMut(EventId, Event) -> bool,
-) -> Result<SegmentData, BinaryTraceError> {
+/// Checks a segment's bytes against its footer entry: the length, then
+/// the CRC-32.
+fn check_segment_bytes(bytes: &[u8], meta: &SegmentMeta) -> Result<(), BinaryTraceError> {
     if bytes.len() as u64 != meta.byte_len {
         return Err(BinaryTraceError::new(
             meta.offset,
@@ -1009,6 +1005,85 @@ fn decode_records(
             "segment checksum mismatch (corrupt or truncated file)",
         ));
     }
+    Ok(())
+}
+
+/// One record as [`window_record`] decodes it; `len` and `event` are
+/// meaningful only when `ordinary` holds.
+struct WindowRecord {
+    ordinary: bool,
+    len: usize,
+    event: Event,
+}
+
+/// Decodes the record that starts at the low byte of `window` (the
+/// little-endian 8 bytes from its tag on) for the fast path of
+/// [`decode_records`], with data-dependent selects instead of branches.
+/// `ordinary` says whether the fast path may take the record: an event
+/// tag, a one-byte tid or a same-thread bit after an event, an inline
+/// operand or an escaped one of at most 2 varint bytes, and an operand
+/// below its kind's entry of `limits` ([`RecordDecoder::operand_limits`]).
+#[inline(always)]
+fn window_record(window: u64, prev_tid: u32, has_prev: bool, limits: [usize; 2]) -> WindowRecord {
+    let tag = window as u8;
+    let same = (tag >> 2) & 1;
+    let tid_byte = (window >> 8) as u8;
+    let tid = if same == 1 {
+        prev_tid
+    } else {
+        u32::from(tid_byte)
+    };
+    // The operand's varint starts right after the tag and the tid byte,
+    // or right after the tag when the thread repeats.
+    let operand_bytes = (window >> (16 - 8 * u32::from(same))) as u16;
+    let (lo, hi) = (operand_bytes as u8, (operand_bytes >> 8) as u8);
+    let inline = tag >> 3;
+    let escaped = inline == OPERAND_ESCAPE;
+    let two_bytes = lo >> 7;
+    let varint = u32::from(lo & 0x7f) | ((u32::from(hi) << 7) * u32::from(two_bytes));
+    let operand = if escaped { varint } else { u32::from(inline) };
+    let kind_bits = tag & 0b11;
+    let ordinary = (tag < TAG_DEF_LOCK)
+        & (if same == 1 { has_prev } else { tid_byte < 0x80 })
+        & (!escaped | (two_bytes == 0) | (hi < 0x80))
+        & ((operand as usize) < limits[usize::from(kind_bits >> 1)]);
+    let kind = match kind_bits {
+        0 => EventKind::Read(VarId::new(operand)),
+        1 => EventKind::Write(VarId::new(operand)),
+        2 => EventKind::Acquire(LockId::new(operand)),
+        _ => EventKind::Release(LockId::new(operand)),
+    };
+    WindowRecord {
+        ordinary,
+        len: 2 - usize::from(same) + usize::from(escaped) * (1 + usize::from(two_bytes)),
+        event: Event::new(ThreadId::new(tid), kind),
+    }
+}
+
+/// The one segment decoder behind [`decode_segment`] and
+/// [`decode_segment_indexed`], keeping the events `keep` accepts.
+///
+/// A fast path decodes each *ordinary* event record (see
+/// [`window_record`]) from one 8-byte window — read from the slice
+/// while 8 bytes remain, from a zero-padded copy of the tail after
+/// that — as long as the footer's event count is not yet reached. Every
+/// other record, and so every name, declaration and error, goes to
+/// [`RecordDecoder::next_event`] over a [`SliceInput`] at that record;
+/// the fast path resumes after the event the grammar returns. The two
+/// hand over the grammar's event state (`prev_tid`,
+/// `observed_threads`, the defined-id counts) at each switch, so the
+/// result is the grammar's, record for record.
+///
+/// Every event is stored unconditionally into a small chunk whose
+/// write index advances by `keep`'s answer, so the ~1/3 of events a
+/// sampled analysis keeps cost no unpredictable branch; the chunk
+/// flushes into `events` when full.
+fn decode_records(
+    bytes: &[u8],
+    meta: &SegmentMeta,
+    mut keep: impl FnMut(EventId, Event) -> bool,
+) -> Result<SegmentData, BinaryTraceError> {
+    check_segment_bytes(bytes, meta)?;
     let mut records = RecordDecoder::for_segment(
         Interner::with_base(meta.locks_before),
         Interner::with_base(meta.vars_before),
@@ -1016,14 +1091,51 @@ fn decode_records(
     // Each event record costs at least one byte, so this cannot
     // over-allocate even if the (checksummed) footer were corrupt.
     let mut events = Vec::with_capacity((meta.event_count as usize).min(bytes.len()));
+    const CHUNK: usize = 256;
+    let mut chunk = [Event::new(ThreadId::new(0), EventKind::Read(VarId::new(0))); CHUNK];
+    let mut held = 0usize;
+    let tail_start = bytes.len().saturating_sub(8);
+    let mut tail = [0u8; 16];
+    tail[..bytes.len() - tail_start].copy_from_slice(&bytes[tail_start..]);
+    let (mut prev_tid, mut has_prev, mut observed) = (0u32, false, 0u32);
+    let mut limits = records.operand_limits();
     let mut decoded = 0u64;
-    let mut cursor = SliceInput::new(bytes, meta.offset);
-    while let Some(event) = records.next_event(&mut cursor)? {
-        if keep(EventId::new(meta.first_event_id + decoded), event) {
-            events.push(event);
+    let mut pos = 0usize;
+    while pos < bytes.len() {
+        let window = match bytes.get(pos..pos + 8) {
+            Some(w) => u64::from_le_bytes(w.try_into().expect("8 bytes")),
+            None => u64::from_le_bytes(tail[pos - tail_start..][..8].try_into().expect("8 bytes")),
+        };
+        let record = window_record(window, prev_tid, has_prev, limits);
+        let event =
+            if record.ordinary & (record.len <= bytes.len() - pos) & (decoded < meta.event_count) {
+                pos += record.len;
+                record.event
+            } else {
+                records.prev_tid = has_prev.then(|| ThreadId::new(prev_tid));
+                records.observed_threads = observed;
+                let mut cursor = SliceInput::new(&bytes[pos..], meta.offset + pos as u64);
+                let next = records.next_event(&mut cursor)?;
+                pos = (cursor.offset() - meta.offset) as usize;
+                limits = records.operand_limits();
+                match next {
+                    Some(event) => event,
+                    None => break,
+                }
+            };
+        prev_tid = event.tid.as_u32();
+        has_prev = true;
+        observed = observed.max(prev_tid + 1);
+        let kept = keep(EventId::new(meta.first_event_id + decoded), event);
+        chunk[held % CHUNK] = event;
+        held += usize::from(kept);
+        if held == CHUNK {
+            events.extend_from_slice(&chunk);
+            held = 0;
         }
         decoded += 1;
     }
+    events.extend_from_slice(&chunk[..held]);
     if decoded != meta.event_count {
         return Err(BinaryTraceError::new(
             meta.offset,
@@ -1034,14 +1146,13 @@ fn decode_records(
         ));
     }
     let declared_threads = records.declared_threads();
-    let observed_threads = records.observed_threads();
     let (new_locks, new_vars) = records.into_names();
     Ok(SegmentData {
         events,
         new_locks,
         new_vars,
         declared_threads,
-        observed_threads,
+        observed_threads: observed,
     })
 }
 
@@ -1778,6 +1889,201 @@ mod tests {
                 }
             }
             damaged[at] = body[at];
+        }
+    }
+
+    /// The segment decoder without its fast path: the record grammar,
+    /// one [`RecordDecoder::next_event`] per event over the whole body.
+    /// The kernel differential below pins [`decode_records`] to it.
+    fn grammar_decode(
+        bytes: &[u8],
+        meta: &SegmentMeta,
+        mut keep: impl FnMut(EventId, Event) -> bool,
+    ) -> Result<SegmentData, BinaryTraceError> {
+        check_segment_bytes(bytes, meta)?;
+        let mut records = RecordDecoder::for_segment(
+            Interner::with_base(meta.locks_before),
+            Interner::with_base(meta.vars_before),
+        );
+        let mut events = Vec::new();
+        let mut decoded = 0u64;
+        let mut cursor = SliceInput::new(bytes, meta.offset);
+        while let Some(event) = records.next_event(&mut cursor)? {
+            if keep(EventId::new(meta.first_event_id + decoded), event) {
+                events.push(event);
+            }
+            decoded += 1;
+        }
+        if decoded != meta.event_count {
+            return Err(BinaryTraceError::new(
+                meta.offset,
+                format!(
+                    "segment decodes {decoded} events, footer claims {}",
+                    meta.event_count
+                ),
+            ));
+        }
+        let declared_threads = records.declared_threads();
+        let observed_threads = records.observed_threads;
+        let (new_locks, new_vars) = records.into_names();
+        Ok(SegmentData {
+            events,
+            new_locks,
+            new_vars,
+            declared_threads,
+            observed_threads,
+        })
+    }
+
+    /// Interprets fuel as a valid segment body: name definitions and
+    /// thread declarations anywhere, segment markers and checkpoint
+    /// records now and then, and event records with one-byte,
+    /// multi-byte (≥ 128) and same-thread tids and inline, escaped
+    /// (also non-canonically), and ≥ 16,384 operands. Returns the body
+    /// and its event count.
+    fn fuel_body(
+        fuel: &[(u8, u16, u32)],
+        locks_before: usize,
+        vars_before: usize,
+    ) -> (Vec<u8>, u64) {
+        use crate::binary::{TAG_DEF_LOCK, TAG_DEF_VAR};
+        let mut body = Vec::new();
+        let mut defined = [vars_before, locks_before];
+        let mut prev: Option<u32> = None;
+        let mut events = 0u64;
+        for (n, &(action, tid_fuel, operand_fuel)) in fuel.iter().enumerate() {
+            match action % 24 {
+                0 | 1 => {
+                    body.extend(def(TAG_DEF_VAR, &format!("v{n}")));
+                    defined[0] += 1;
+                }
+                2 => {
+                    body.extend(def(TAG_DEF_LOCK, &format!("l{n}")));
+                    defined[1] += 1;
+                }
+                3 => body.extend([vec![TAG_THREADS], varint(u64::from(operand_fuel))].concat()),
+                4 => {
+                    body.extend([vec![TAG_SEGMENT], varint(u64::from(tid_fuel))].concat());
+                    prev = None;
+                }
+                5 => body.extend([TAG_CHECKPOINT, 2, tid_fuel as u8, action]),
+                _ => {
+                    let kind = (action >> 3) & 0b11;
+                    let limit = defined[usize::from(kind >> 1)];
+                    if limit == 0 {
+                        continue;
+                    }
+                    let tid = match tid_fuel % 8 {
+                        0..=3 => prev.unwrap_or(0),
+                        4 | 5 => u32::from(tid_fuel >> 3) % 128,
+                        6 => 128 + u32::from(tid_fuel >> 3) % 200,
+                        _ => u32::from(tid_fuel) << 12,
+                    };
+                    let operand = match operand_fuel % 5 {
+                        0 | 1 => operand_fuel >> 3,
+                        2 => 29 + (operand_fuel >> 3) % 200,
+                        3 => 16_384 + (operand_fuel >> 3) % 4_000,
+                        _ => (operand_fuel >> 3) % 29,
+                    } as usize
+                        % limit;
+                    // Sometimes spell a repeated thread out, or escape
+                    // an operand that would fit inline.
+                    let same = prev == Some(tid) && tid_fuel & 0x100 == 0;
+                    let escaped =
+                        operand >= usize::from(OPERAND_ESCAPE) || operand_fuel & 0x8000 != 0;
+                    let inline = if escaped {
+                        OPERAND_ESCAPE
+                    } else {
+                        operand as u8
+                    };
+                    body.push(kind | u8::from(same) << 2 | inline << 3);
+                    if !same {
+                        body.extend(varint(u64::from(tid)));
+                    }
+                    if escaped {
+                        body.extend(varint(operand as u64));
+                    }
+                    prev = Some(tid);
+                    events += 1;
+                }
+            }
+        }
+        (body, events)
+    }
+
+    /// Decodes `body` against `meta` with the fast path and with the
+    /// grammar alone; both must return the same data or the same error
+    /// (text and offset) and call `keep` with the same events.
+    fn assert_kernel_matches_grammar(body: &[u8], meta: &SegmentMeta, label: &str) {
+        let keep = |calls: &mut Vec<(u64, Event)>, id: EventId, event: Event| {
+            calls.push((id.as_u64(), event));
+            (id.as_u64() ^ u64::from(event.tid.as_u32())) % 3 != 1
+        };
+        let (mut fast_calls, mut grammar_calls) = (Vec::new(), Vec::new());
+        let fast = decode_segment_indexed(7, body, meta, |id, e| keep(&mut fast_calls, id, e));
+        let grammar =
+            grammar_decode(body, meta, |id, e| keep(&mut grammar_calls, id, e)).map_err(|e| {
+                BinaryTraceError::new(
+                    e.offset,
+                    format!("segment 7 (starts at byte {}): {}", meta.offset, e.reason),
+                )
+            });
+        assert_eq!(fast, grammar, "{label}");
+        assert_eq!(fast_calls, grammar_calls, "{label}");
+    }
+
+    mod kernel {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// The segment decoder's fast path against the record
+            /// grammar, on valid bodies and on truncated and
+            /// byte-flipped ones (checksum recomputed, so the grammar
+            /// is what objects).
+            #[test]
+            fn kernel_matches_the_record_grammar(
+                fuel in prop::collection::vec((any::<u8>(), any::<u16>(), any::<u32>()), 0..160),
+                bases in (0usize..4, 0usize..4),
+                count_skew in 0u8..6,
+                cut in any::<u32>(),
+                flips in prop::collection::vec((any::<u32>(), any::<u8>()), 1..4),
+            ) {
+                const BASES: [usize; 4] = [0, 3, 40, 20_000];
+                let (locks_before, vars_before) = (BASES[bases.0], BASES[bases.1]);
+                let (body, events) = fuel_body(&fuel, locks_before, vars_before);
+                // Mostly the true count; sometimes one off either way,
+                // so the fast path also meets the footer's limit.
+                let event_count = match count_skew {
+                    0 => events + 1,
+                    1 => events.saturating_sub(1),
+                    _ => events,
+                };
+                let meta_for = |bytes: &[u8]| SegmentMeta {
+                    offset: 1000,
+                    byte_len: bytes.len() as u64,
+                    event_count,
+                    first_event_id: 50,
+                    locks_before,
+                    vars_before,
+                    threads_before: 2,
+                    checkpoint_offset: 900,
+                    checkpoint_len: 10,
+                    crc32: crc32(bytes),
+                };
+                assert_kernel_matches_grammar(&body, &meta_for(&body), "valid");
+                let cut = cut as usize % (body.len() + 1);
+                assert_kernel_matches_grammar(&body[..cut], &meta_for(&body[..cut]), &format!("cut at {cut}"));
+                if !body.is_empty() {
+                    let mut damaged = body.clone();
+                    for &(at, value) in &flips {
+                        damaged[at as usize % body.len()] = value;
+                    }
+                    assert_kernel_matches_grammar(&damaged, &meta_for(&damaged), &format!("flips {flips:?}"));
+                }
+            }
         }
     }
 }
