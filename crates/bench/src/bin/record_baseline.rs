@@ -1195,10 +1195,10 @@ fn run_access_cost(out_path: Option<String>, rounds_override: Option<u32>) {
     type Point = (&'static str, Option<usize>, usize);
     const POINTS: [Point; 5] = [
         ("single_mutex", None, 1),
-        ("seqlock_n1_b1", Some(1), 1),
-        ("seqlock_n1_b32", Some(1), 32),
-        ("seqlock_n4_b1", Some(4), 1),
-        ("seqlock_n4_b32", Some(4), 32),
+        ("sharded_n1_b1", Some(1), 1),
+        ("sharded_n1_b32", Some(1), 32),
+        ("sharded_n4_b1", Some(4), 1),
+        ("sharded_n4_b32", Some(4), 32),
     ];
 
     // best[rate][point] = fastest ns per access.
@@ -1234,7 +1234,7 @@ fn run_access_cost(out_path: Option<String>, rounds_override: Option<u32>) {
 
     let json = format!(
         "{{\n  \"schema\": \"freshtrack/access-cost/v2\",\n  \"benchmark\": \"access_cost\",\n  \
-         \"engine\": \"FT(bernoulli)\",\n  \"threads\": {},\n  \"vars\": {},\n  \
+         \"engine\": \"Djit+(bernoulli)\",\n  \"threads\": {},\n  \"vars\": {},\n  \
          \"accesses_per_round\": {ACCESS_COST_ACCESSES},\n  \"sync_every\": {},\n  \"rounds\": {rounds},\n  \
          \"note\": \"ns per access event, single-threaded feed; hoisted_ns is the lock-free skip path \
          (pure decision before any lock; sampled-out accesses return after two relaxed atomic \

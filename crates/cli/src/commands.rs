@@ -165,15 +165,23 @@ fn open_validated(args: &Args) -> Result<(ValidatedInput, &str), ArgError> {
     Ok((Validated::new(open_input(path)?), path))
 }
 
-fn analyze<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgError> {
-    let args = ANALYZE.parse(rest)?;
-    let engine: String = args.get_or("engine", "so".to_owned())?;
-    let rate: f64 = args.get_or("rate", 0.03)?;
-    let seed: u64 = args.get_or("seed", 0)?;
-    let jobs: usize = args.get_or("jobs", 1)?;
+/// The `--rate` sampling probability (`default` when absent), checked
+/// to lie in `[0, 1]` — NaN and out-of-range values are errors, not a
+/// sampler panic.
+fn sampling_rate(args: &Args, default: f64) -> Result<f64, ArgError> {
+    let rate: f64 = args.get_or("rate", default)?;
     if !(0.0..=1.0).contains(&rate) {
         return Err(ArgError(format!("--rate must be in [0,1], got {rate}")));
     }
+    Ok(rate)
+}
+
+fn analyze<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgError> {
+    let args = ANALYZE.parse(rest)?;
+    let engine: String = args.get_or("engine", "so".to_owned())?;
+    let rate = sampling_rate(&args, 0.03)?;
+    let seed: u64 = args.get_or("seed", 0)?;
+    let jobs: usize = args.get_or("jobs", 1)?;
     if jobs == 0 {
         return Err(ArgError("--jobs must be at least 1".into()));
     }
@@ -643,11 +651,8 @@ const ORACLE_EVENT_CAP: usize = 200_000;
 
 fn oracle<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgError> {
     let args = ORACLE.parse(rest)?;
-    let rate: f64 = args.get_or("rate", 1.0)?;
+    let rate = sampling_rate(&args, 1.0)?;
     let seed: u64 = args.get_or("seed", 0)?;
-    if !(0.0..=1.0).contains(&rate) {
-        return Err(ArgError(format!("--rate must be in [0,1], got {rate}")));
-    }
     // `--window`/`--reservoir`/`--stream` select the bounded-memory
     // streaming oracle; otherwise the exact materializing oracle runs
     // under its event cap. Both paths share `open_validated`, so text,
@@ -797,7 +802,7 @@ fn dbsim_cmd<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgE
         seed: args.get_or("seed", 0u64)?,
     };
     let engine: String = args.get_or("engine", "so".to_owned())?;
-    let rate: f64 = args.get_or("rate", 0.03)?;
+    let rate = sampling_rate(&args, 0.03)?;
     let shards: usize = args.get_or("shards", 1usize)?;
     if shards == 0 {
         return Err(ArgError("--shards must be at least 1".into()));
@@ -1158,6 +1163,17 @@ mod tests {
         assert!(out.contains("error"));
         let (code, _) = run_cli(&["analyze", "/nonexistent", "--rate", "7"]);
         assert_eq!(code, 1);
+        for rate in ["2", "-0.1", "nan"] {
+            for command in [
+                &["analyze", "/nonexistent"][..],
+                &["oracle", "/nonexistent"],
+                &["dbsim", "--txns", "1"],
+            ] {
+                let (code, out) = run_cli(&[command, &["--rate", rate]].concat());
+                assert_eq!(code, 1, "{command:?} --rate {rate}: {out}");
+                assert!(out.contains("--rate must be in [0,1]"), "{out}");
+            }
+        }
     }
 
     #[test]

@@ -29,7 +29,8 @@
 //!   boundary into the `.ftc` sidecar and imports to resume. The access
 //!   engines export per-variable records ([`AccessCheckpoint`]), so a
 //!   boundary stores only the variables its segment touched.
-//! * **Whole detectors** (Djit+/FT/SU/SO) — sync plane + access plane +
+//! * **Whole detectors** (Djit+/FT/SU/SO, one impl on
+//!   [`Composed`](crate::Composed)) — sync plane + access plane +
 //!   `RelAfter_S` bits + counters, so an interrupted sequential
 //!   analysis can resume at a segment boundary and continue
 //!   byte-identically.
@@ -362,49 +363,6 @@ fn counters_fields_mut(c: &mut Counters) -> [&mut u64; 18] {
         &mut c.race_checks,
         &mut c.races,
     ]
-}
-
-/// Exports a whole split detector: sync section, access section,
-/// `RelAfter_S` bits, counters. Shared by the four detector impls.
-pub(crate) fn put_detector<Sy, Ac>(
-    out: &mut Vec<u8>,
-    sync: &Sy,
-    access: &Ac,
-    sampled: &[bool],
-    counters: &Counters,
-) where
-    Sy: CheckpointState,
-    Ac: CheckpointState,
-{
-    let mut section = Vec::new();
-    sync.export_state(&mut section);
-    put_section(out, &section);
-    section.clear();
-    access.export_state(&mut section);
-    put_section(out, &section);
-    put_bools(out, sampled);
-    put_counters(out, counters);
-}
-
-/// Imports a whole split detector written by [`put_detector`].
-pub(crate) fn get_detector<Sy, Ac>(
-    bytes: &[u8],
-    sync: &mut Sy,
-    access: &mut Ac,
-) -> Result<(Vec<bool>, Counters), CheckpointError>
-where
-    Sy: CheckpointState,
-    Ac: CheckpointState,
-{
-    let mut r = WireReader::new(bytes);
-    let sync_bytes = get_section(&mut r)?;
-    let access_bytes = get_section(&mut r)?;
-    let sampled = get_bools(&mut r)?;
-    let counters = get_counters(&mut r)?;
-    r.finish()?;
-    sync.import_state(sync_bytes)?;
-    access.import_state(access_bytes)?;
-    Ok((sampled, counters))
 }
 
 #[cfg(test)]

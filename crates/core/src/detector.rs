@@ -16,12 +16,16 @@ pub type HoistedDecider = Box<dyn Fn(EventId, Event) -> bool + Send + Sync>;
 ///
 /// The event loop has a natural seam between synchronization handling
 /// (thread/lock clocks — global state) and access handling
-/// (per-variable histories — partitionable state). Engines that expose
-/// that seam additionally implement
-/// [`SplitDetector`](crate::SplitDetector), which is how
+/// (per-variable histories — partitionable state). Djit+, FastTrack,
+/// SU, SO and ET are each the one generic
+/// [`Composed`](crate::Composed) detector over their two halves, which
+/// implements this trait once and also
+/// [`SplitDetector`](crate::SplitDetector) — how
 /// [`ShardedOnlineDetector`](crate::ShardedOnlineDetector) distributes
-/// them across one sync engine and many access shards; their monolithic
-/// `process` is a composition of the same two halves.
+/// the same halves across per-object sync slots and many access
+/// shards. The Algorithm 2 reference the differential suites pin
+/// against, [`NaiveSamplingDetector`](crate::NaiveSamplingDetector), is
+/// the one detector written by hand.
 ///
 /// [`run`]: Detector::run
 pub trait Detector {
@@ -40,10 +44,11 @@ pub trait Detector {
     /// The default forwards to [`process`](Detector::process), which
     /// re-decides: correct for every detector (the decision is pure, so
     /// it re-derives the same verdict — invariant 4), just redundant.
-    /// Detectors that expose a decider override it with the post-decision
-    /// body of `process`. Sync events must go through
-    /// [`process`](Detector::process); behavior is unspecified for an
-    /// access the decider would have rejected.
+    /// [`Composed`](crate::Composed) and
+    /// [`NaiveSamplingDetector`](crate::NaiveSamplingDetector) override
+    /// it with the post-decision body of `process`. Sync events must go
+    /// through [`process`](Detector::process); behavior is unspecified
+    /// for an access the decider would have rejected.
     fn process_admitted(&mut self, id: EventId, event: Event) -> Option<RaceReport> {
         self.process(id, event)
     }

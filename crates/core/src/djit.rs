@@ -3,21 +3,19 @@ use freshtrack_clock::{
     SharedVectorClock, ThreadId, VectorClock, VectorClockSnapshot,
 };
 use freshtrack_sampling::Sampler;
-use freshtrack_trace::{Event, EventId, EventKind, LockId, SyncCheckpoint};
+use freshtrack_trace::{LockId, SyncCheckpoint};
 
 use crate::checkpoint::{self, CheckpointError, CheckpointState};
-use crate::plane::{
-    self, AccessEngine, BorrowedView, ClockView, HistoryAccessEngine, SplitDetector, SyncCtx,
-    SyncEngine,
-};
-use crate::{Counters, Detector, HoistedDecider, RaceReport};
+use crate::composed::{Composed, EngineName};
+use crate::plane::{BorrowedView, ClockView, HistoryAccessEngine, SyncCtx, SyncEngine};
+use crate::Counters;
 
 /// The sync-plane half shared by the engines whose synchronization
 /// handlers are the classical Djit+ ones: every thread clock and lock
 /// clock held once, acquire = `O(T)` join, release = `O(T)` copy plus a
 /// local increment. Both [`DjitDetector`] and
-/// [`FastTrackDetector`](crate::FastTrackDetector) are compositions
-/// over this type (FastTrack's epoch optimization only changes *access*
+/// [`FastTrackDetector`](crate::FastTrackDetector) are [`Composed`] over
+/// this type (FastTrack's epoch optimization only changes *access*
 /// handling). A [`ShardedOnlineDetector`](crate::ShardedOnlineDetector)
 /// keeps the same per-thread and per-lock clocks in per-object slots.
 ///
@@ -32,31 +30,15 @@ pub struct VectorSyncEngine {
 }
 
 impl VectorSyncEngine {
-    /// Creates an empty sync engine.
-    pub fn new() -> Self {
-        VectorSyncEngine::default()
-    }
-
     fn ensure_lock(&mut self, lock: LockId) {
         if self.locks.len() <= lock.index() {
             self.locks.resize_with(lock.index() + 1, VectorClock::new);
         }
     }
 
-    /// Number of threads observed so far.
-    pub fn thread_count(&self) -> usize {
-        self.threads.len()
-    }
-
-    /// Read access to thread `tid`'s clock (which must exist).
-    pub fn thread_clock(&self, tid: ThreadId) -> &VectorClock {
-        self.threads[tid.index()].clock()
-    }
-
     /// `Release` (join) semantics for non-mutex sync objects
     /// (Appendix A.2): the object's clock *accumulates* the thread's.
     pub(crate) fn release_join(&mut self, tid: ThreadId, lock: LockId, counters: &mut Counters) {
-        self.ensure_thread(tid);
         self.ensure_lock(lock);
         counters.releases += 1;
         counters.releases_processed += 1;
@@ -122,6 +104,12 @@ impl SyncEngine for VectorSyncEngine {
     type Thread = SharedVectorClock;
     type Lock = VectorClock;
     type Options = ();
+
+    const READS_REL_AFTER_S: bool = false;
+
+    fn from_options(_: ()) -> Self {
+        VectorSyncEngine::default()
+    }
 
     fn options(&self) {}
 
@@ -212,13 +200,12 @@ impl SyncEngine for VectorSyncEngine {
 /// accesses are skipped entirely, but every acquire still performs an
 /// `O(T)` join and every release an `O(T)` copy plus a local increment.
 ///
-/// Internally the detector is a composition of its two planes — a
-/// [`VectorSyncEngine`] for acquire/release and a
-/// [`HistoryAccessEngine`] for read/write — the same halves a
-/// [`ShardedOnlineDetector`](crate::ShardedOnlineDetector) distributes
-/// across its per-object sync slots and access shards (see
-/// [`SplitDetector`]), so
-/// the sharded and monolithic semantics cannot drift apart.
+/// The detector is the [`Composed`] of a [`VectorSyncEngine`] for
+/// acquire/release and a [`HistoryAccessEngine`] for read/write — the
+/// same halves a [`ShardedOnlineDetector`](crate::ShardedOnlineDetector)
+/// distributes across its per-object sync slots and access shards (see
+/// [`SplitDetector`](crate::SplitDetector)), so the sharded and
+/// monolithic semantics cannot drift apart.
 ///
 /// # Example
 ///
@@ -234,146 +221,46 @@ impl SyncEngine for VectorSyncEngine {
 /// let races = DjitDetector::new(AlwaysSampler::new()).run(&b.build());
 /// assert_eq!(races.len(), 1);
 /// ```
-#[derive(Clone, Debug)]
-pub struct DjitDetector<S> {
-    sync: VectorSyncEngine,
-    access: HistoryAccessEngine<S>,
-    counters: Counters,
-}
+pub type DjitDetector<S> = Composed<VectorSyncEngine, HistoryAccessEngine<S>>;
 
 impl<S: Sampler> DjitDetector<S> {
     /// Creates a detector using `sampler` to pick the sample set.
     pub fn new(sampler: S) -> Self {
-        DjitDetector {
-            sync: VectorSyncEngine::new(),
-            access: HistoryAccessEngine::new(sampler),
-            counters: Counters::new(),
-        }
+        Composed::from_halves(
+            VectorSyncEngine::default(),
+            HistoryAccessEngine::new(sampler),
+        )
     }
 }
 
-impl<S: Sampler> Detector for DjitDetector<S> {
-    fn process(&mut self, id: EventId, event: Event) -> Option<RaceReport> {
-        // Hoisted-first: the sampling decision is pure in `(id, event)`,
-        // so a skipped access is a tally and nothing else — no thread
-        // admission, no clock reads (invariant 10).
-        if let EventKind::Read(_) | EventKind::Write(_) = event.kind {
-            if !self.access.decide(id, event) {
-                self.counters.events += 1;
-                plane::tally_access(&event, &mut self.counters);
-                return None;
-            }
-        }
-        self.process_admitted(id, event)
-    }
-
-    fn process_admitted(&mut self, id: EventId, event: Event) -> Option<RaceReport> {
-        self.counters.events += 1;
-        let tid = event.tid;
-        match event.kind {
-            EventKind::Read(_) | EventKind::Write(_) => {
-                self.sync.ensure_thread(tid);
-                let Self {
-                    sync,
-                    access,
-                    counters,
-                } = self;
-                let clock = sync.thread_clock(tid);
-                let view = BorrowedView {
-                    lookup: |u| clock.get(u),
-                    width: sync.thread_count(),
-                };
-                access
-                    .access_sampled_with(id, event, &view, counters)
-                    .report
-            }
-            EventKind::Acquire(lock) => {
-                self.sync.ensure_thread(tid);
-                self.sync.acquire(tid, lock, &mut self.counters);
-                None
-            }
-            EventKind::Release(lock) => {
-                self.sync.ensure_thread(tid);
-                self.sync.release(tid, lock, false, &mut self.counters);
-                None
-            }
-        }
-    }
-
-    fn counters(&self) -> &Counters {
-        &self.counters
-    }
-
-    fn reserve_threads(&mut self, n: usize) {
-        self.sync.reserve_threads(n);
-    }
-
-    fn name(&self) -> &'static str {
-        "Djit+"
-    }
-
-    fn hoisted_decider(&self) -> HoistedDecider {
-        let sampler = self.access.sampler().clone();
-        Box::new(move |id, event| sampler.decide(id, event))
-    }
-
-    fn record_skipped_accesses(&mut self, reads: u64, writes: u64) {
-        self.counters.fold_skipped_accesses(reads, writes);
-    }
+impl<S> EngineName for DjitDetector<S> {
+    const NAME: &'static str = "Djit+";
 }
 
-impl<S: Sampler + Clone + Send> SplitDetector for DjitDetector<S> {
-    type Sync = VectorSyncEngine;
-    type Access = HistoryAccessEngine<S>;
-    type View = VectorClockSnapshot;
-
-    fn split_sync(&self) -> VectorSyncEngine {
-        VectorSyncEngine::new()
-    }
-
-    fn split_access(&self) -> Self::Access {
-        self.access.clone()
-    }
-}
-
-impl<S> CheckpointState for DjitDetector<S> {
-    fn export_state(&self, out: &mut Vec<u8>) {
-        checkpoint::put_detector(out, &self.sync, &self.access, &[], &self.counters);
-    }
-
-    fn import_state(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
-        let (sampled, counters) =
-            checkpoint::get_detector(bytes, &mut self.sync, &mut self.access)?;
-        if !sampled.is_empty() {
-            return Err(wire::WireError::Invalid("RelAfter_S bits on a non-epoch engine").into());
-        }
-        self.counters = counters;
-        Ok(())
-    }
-}
-
-impl<S: Sampler> crate::SyncOps for DjitDetector<S> {
+impl<S> crate::SyncOps for DjitDetector<S> {
     fn release_store(&mut self, tid: u32, sync: LockId) {
         let tid = ThreadId::new(tid);
-        self.sync.ensure_thread(tid);
-        self.sync.release(tid, sync, false, &mut self.counters);
+        self.release_with(tid, |engine, sampled, counters| {
+            engine.release(tid, sync, sampled, counters);
+        });
     }
 
     fn release_join(&mut self, tid: u32, sync: LockId) {
-        self.sync
-            .release_join(ThreadId::new(tid), sync, &mut self.counters);
+        let tid = ThreadId::new(tid);
+        self.release_with(tid, |engine, _, counters| {
+            engine.release_join(tid, sync, counters);
+        });
     }
 
     fn acquire_sync(&mut self, tid: u32, sync: LockId) {
-        let tid = ThreadId::new(tid);
-        self.sync.ensure_thread(tid);
-        self.sync.acquire(tid, sync, &mut self.counters);
+        self.acquire(ThreadId::new(tid), sync);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Detector;
     use freshtrack_sampling::AlwaysSampler;
     use freshtrack_trace::TraceBuilder;
 

@@ -1,17 +1,15 @@
 use freshtrack_clock::{
     wire::{self, WireReader},
-    Epoch, ThreadId, VectorClock, VectorClockSnapshot,
+    Epoch, ThreadId, VectorClock,
 };
 use freshtrack_sampling::Sampler;
 use freshtrack_trace::{Event, EventId, EventKind, VarId};
 
 use crate::checkpoint::{self, AccessCheckpoint, CheckpointError, CheckpointState};
+use crate::composed::{Composed, EngineName};
 use crate::djit::VectorSyncEngine;
-use crate::plane::{
-    history_leq_view, AccessEngine, AccessOutcome, BorrowedView, ClockView, SplitDetector,
-    SyncEngine,
-};
-use crate::{AccessKind, Counters, Detector, RaceReport};
+use crate::plane::{history_leq_view, AccessEngine, AccessOutcome, ClockView};
+use crate::{AccessKind, Counters, RaceReport};
 
 /// The FastTrack race detector (Flanagan & Freund, PLDI 2009) with
 /// access-level sampling.
@@ -23,7 +21,7 @@ use crate::{AccessKind, Counters, Detector, RaceReport};
 /// (**FT**), and ThreadSanitizer's analysis is based on it.
 ///
 /// The synchronization handlers are identical to Djit+'s — the detector
-/// literally composes the same [`VectorSyncEngine`] sync plane as
+/// is the [`Composed`] of the same [`VectorSyncEngine`] sync plane as
 /// [`DjitDetector`](crate::DjitDetector) with its own
 /// [`EpochAccessEngine`] access plane — which is why the paper's
 /// innovations (which target synchronization) compose with it, and why
@@ -44,11 +42,17 @@ use crate::{AccessKind, Counters, Detector, RaceReport};
 /// let races = FastTrackDetector::new(AlwaysSampler::new()).run(&b.build());
 /// assert_eq!(races.len(), 1);
 /// ```
-#[derive(Clone, Debug)]
-pub struct FastTrackDetector<S> {
-    sync: VectorSyncEngine,
-    access: EpochAccessEngine<S>,
-    counters: Counters,
+pub type FastTrackDetector<S> = Composed<VectorSyncEngine, EpochAccessEngine<S>>;
+
+impl<S: Sampler> FastTrackDetector<S> {
+    /// Creates a detector using `sampler` to pick the sample set.
+    pub fn new(sampler: S) -> Self {
+        Composed::from_halves(VectorSyncEngine::default(), EpochAccessEngine::new(sampler))
+    }
+}
+
+impl<S> EngineName for FastTrackDetector<S> {
+    const NAME: &'static str = "FastTrack";
 }
 
 /// FastTrack's adaptive read history.
@@ -184,37 +188,6 @@ impl<S: Sampler> EpochAccessEngine<S> {
             RaceReport::new(id, tid, var, AccessKind::Write, with_write, with_read)
         })
     }
-
-    /// The configured sampler (cloned out for hoisted deciders).
-    pub(crate) fn sampler(&self) -> &S {
-        &self.sampler
-    }
-
-    /// Analyzes one access event **already admitted into `S`** by the
-    /// hoisted sampling decision.
-    pub(crate) fn access_sampled_with<W: ClockView>(
-        &mut self,
-        id: EventId,
-        event: Event,
-        view: &W,
-        counters: &mut Counters,
-    ) -> AccessOutcome {
-        let tid = event.tid;
-        counters.sampled_accesses += 1;
-        match event.kind {
-            EventKind::Read(var) => {
-                counters.reads += 1;
-                AccessOutcome::sampled(self.handle_read(id, tid, var, view, counters))
-            }
-            EventKind::Write(var) => {
-                counters.writes += 1;
-                AccessOutcome::sampled(self.handle_write(id, tid, var, view, counters))
-            }
-            EventKind::Acquire(_) | EventKind::Release(_) => {
-                unreachable!("sync events belong to the sync plane")
-            }
-        }
-    }
 }
 
 // The checkpoint is the variable count, then one record (one
@@ -277,9 +250,11 @@ impl<S> AccessCheckpoint for EpochAccessEngine<S> {
     }
 }
 
-impl<S: Sampler + Send> AccessEngine for EpochAccessEngine<S> {
-    fn decide(&self, id: EventId, event: Event) -> bool {
-        self.sampler.decide(id, event)
+impl<S: Sampler> AccessEngine for EpochAccessEngine<S> {
+    type Sampler = S;
+
+    fn sampler(&self) -> &S {
+        &self.sampler
     }
 
     fn access_sampled<W: ClockView>(
@@ -289,124 +264,28 @@ impl<S: Sampler + Send> AccessEngine for EpochAccessEngine<S> {
         view: &W,
         counters: &mut Counters,
     ) -> AccessOutcome {
-        self.access_sampled_with(id, event, view, counters)
-    }
-}
-
-impl<S: Sampler> FastTrackDetector<S> {
-    /// Creates a detector using `sampler` to pick the sample set.
-    pub fn new(sampler: S) -> Self {
-        FastTrackDetector {
-            sync: VectorSyncEngine::new(),
-            access: EpochAccessEngine::new(sampler),
-            counters: Counters::new(),
-        }
-    }
-}
-
-impl<S: Sampler> Detector for FastTrackDetector<S> {
-    fn process(&mut self, id: EventId, event: Event) -> Option<RaceReport> {
-        // Hoisted-first: a skipped access is a tally and nothing else
-        // (invariant 10).
-        if let EventKind::Read(_) | EventKind::Write(_) = event.kind {
-            if !self.access.decide(id, event) {
-                self.counters.events += 1;
-                crate::plane::tally_access(&event, &mut self.counters);
-                return None;
-            }
-        }
-        self.process_admitted(id, event)
-    }
-
-    fn process_admitted(&mut self, id: EventId, event: Event) -> Option<RaceReport> {
-        self.counters.events += 1;
         let tid = event.tid;
+        counters.sampled_accesses += 1;
         match event.kind {
-            EventKind::Read(_) | EventKind::Write(_) => {
-                self.sync.ensure_thread(tid);
-                let Self {
-                    sync,
-                    access,
-                    counters,
-                } = self;
-                let clock = sync.thread_clock(tid);
-                let view = BorrowedView {
-                    lookup: |u| clock.get(u),
-                    width: sync.thread_count(),
-                };
-                access
-                    .access_sampled_with(id, event, &view, counters)
-                    .report
+            EventKind::Read(var) => {
+                counters.reads += 1;
+                AccessOutcome::sampled(self.handle_read(id, tid, var, view, counters))
             }
-            EventKind::Acquire(lock) => {
-                self.sync.ensure_thread(tid);
-                self.sync.acquire(tid, lock, &mut self.counters);
-                None
+            EventKind::Write(var) => {
+                counters.writes += 1;
+                AccessOutcome::sampled(self.handle_write(id, tid, var, view, counters))
             }
-            EventKind::Release(lock) => {
-                self.sync.ensure_thread(tid);
-                self.sync.release(tid, lock, false, &mut self.counters);
-                None
+            EventKind::Acquire(_) | EventKind::Release(_) => {
+                unreachable!("sync events belong to the sync plane")
             }
         }
-    }
-
-    fn counters(&self) -> &Counters {
-        &self.counters
-    }
-
-    fn reserve_threads(&mut self, n: usize) {
-        self.sync.reserve_threads(n);
-    }
-
-    fn name(&self) -> &'static str {
-        "FastTrack"
-    }
-
-    fn hoisted_decider(&self) -> crate::HoistedDecider {
-        let sampler = self.access.sampler().clone();
-        Box::new(move |id, event| sampler.decide(id, event))
-    }
-
-    fn record_skipped_accesses(&mut self, reads: u64, writes: u64) {
-        self.counters.fold_skipped_accesses(reads, writes);
-    }
-}
-
-impl<S> CheckpointState for FastTrackDetector<S> {
-    fn export_state(&self, out: &mut Vec<u8>) {
-        checkpoint::put_detector(out, &self.sync, &self.access, &[], &self.counters);
-    }
-
-    fn import_state(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
-        let (sampled, counters) =
-            checkpoint::get_detector(bytes, &mut self.sync, &mut self.access)?;
-        if !sampled.is_empty() {
-            return Err(wire::WireError::Invalid("RelAfter_S bits on a non-epoch engine").into());
-        }
-        self.counters = counters;
-        Ok(())
-    }
-}
-
-impl<S: Sampler + Clone + Send> SplitDetector for FastTrackDetector<S> {
-    type Sync = VectorSyncEngine;
-    type Access = EpochAccessEngine<S>;
-    type View = VectorClockSnapshot;
-
-    fn split_sync(&self) -> VectorSyncEngine {
-        VectorSyncEngine::new()
-    }
-
-    fn split_access(&self) -> EpochAccessEngine<S> {
-        self.access.clone()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DjitDetector;
+    use crate::{Detector, DjitDetector};
     use freshtrack_sampling::AlwaysSampler;
     use freshtrack_trace::{Trace, TraceBuilder};
 

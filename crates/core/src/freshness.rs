@@ -3,13 +3,12 @@ use freshtrack_clock::{
     FreshnessClock, SharedVectorClock, ThreadId, Time, VectorClock, VectorClockSnapshot,
 };
 use freshtrack_sampling::Sampler;
-use freshtrack_trace::{Event, EventId, EventKind, LockId};
+use freshtrack_trace::LockId;
 
 use crate::checkpoint::{self, CheckpointError, CheckpointState};
-use crate::plane::{
-    BorrowedView, ClockView, EpochView, HistoryAccessEngine, SplitDetector, SyncCtx, SyncEngine,
-};
-use crate::{Counters, Detector, RaceReport};
+use crate::composed::{Composed, EngineName};
+use crate::plane::{BorrowedView, ClockView, EpochView, HistoryAccessEngine, SyncCtx, SyncEngine};
+use crate::Counters;
 
 /// Algorithm 3 of the paper (**SU**): sampling timestamps plus
 /// *freshness timestamps*.
@@ -22,9 +21,9 @@ use crate::{Counters, Detector, RaceReport};
 /// the lock-clock copy at releases when the thread has learned nothing
 /// since the lock last saw it.
 ///
-/// Like the other sampling engines the detector is a composition of its
-/// two planes — a [`FreshnessSyncEngine`] and a [`HistoryAccessEngine`]
-/// over the epoch-spliced view (see [`SplitDetector`]).
+/// The detector is the [`Composed`] of a [`FreshnessSyncEngine`] and a
+/// [`HistoryAccessEngine`] over the epoch-spliced view (see
+/// [`SplitDetector`](crate::SplitDetector)).
 ///
 /// Race reports are identical to [`NaiveSamplingDetector`]'s for the same
 /// sample set (Lemma 7); only the amount of clock work differs, visible
@@ -51,14 +50,20 @@ use crate::{Counters, Detector, RaceReport};
 /// // With nothing sampled, every acquire after warm-up is redundant.
 /// assert!(su.counters().acquire_skip_ratio() > 0.9);
 /// ```
-#[derive(Clone, Debug)]
-pub struct FreshnessDetector<S> {
-    sync: FreshnessSyncEngine,
-    access: HistoryAccessEngine<S>,
-    /// `RelAfter_S` bits, as in
-    /// [`OrderedListDetector`](crate::OrderedListDetector).
-    sampled: Vec<bool>,
-    counters: Counters,
+pub type FreshnessDetector<S> = Composed<FreshnessSyncEngine, HistoryAccessEngine<S>>;
+
+impl<S: Sampler> FreshnessDetector<S> {
+    /// Creates a detector using `sampler` to pick the sample set.
+    pub fn new(sampler: S) -> Self {
+        Composed::from_halves(
+            FreshnessSyncEngine::default(),
+            HistoryAccessEngine::new(sampler),
+        )
+    }
+}
+
+impl<S> EngineName for FreshnessDetector<S> {
+    const NAME: &'static str = "SU";
 }
 
 /// One thread's SU state: its sampling clock `C_t`, freshness clock
@@ -119,25 +124,10 @@ pub struct FreshnessSyncEngine {
 }
 
 impl FreshnessSyncEngine {
-    /// Creates an empty sync engine.
-    pub fn new() -> Self {
-        FreshnessSyncEngine::default()
-    }
-
     fn ensure_lock(&mut self, lock: LockId) {
         if self.locks.len() <= lock.index() {
             self.locks.resize_with(lock.index() + 1, LockState::default);
         }
-    }
-
-    /// Number of threads observed so far.
-    pub fn thread_count(&self) -> usize {
-        self.threads.len()
-    }
-
-    fn thread_view(&self, tid: ThreadId) -> (&SharedVectorClock, Time) {
-        let state = &self.threads[tid.index()];
-        (&state.clock, state.epoch)
     }
 
     /// `ReleaseStore` semantics for non-mutex sync objects: always copy
@@ -246,6 +236,12 @@ impl SyncEngine for FreshnessSyncEngine {
     type Lock = LockState;
     type Options = ();
 
+    const READS_REL_AFTER_S: bool = true;
+
+    fn from_options(_: ()) -> Self {
+        FreshnessSyncEngine::default()
+    }
+
     fn options(&self) {}
 
     fn tables(&mut self) -> (&mut Vec<ThreadState>, &mut Vec<LockState>) {
@@ -345,166 +341,34 @@ impl SyncEngine for FreshnessSyncEngine {
     }
 }
 
-impl<S: Sampler> FreshnessDetector<S> {
-    /// Creates a detector using `sampler` to pick the sample set.
-    pub fn new(sampler: S) -> Self {
-        FreshnessDetector {
-            sync: FreshnessSyncEngine::new(),
-            access: HistoryAccessEngine::new(sampler),
-            sampled: Vec::new(),
-            counters: Counters::new(),
-        }
-    }
-
-    fn ensure_thread(&mut self, tid: ThreadId) {
-        self.sync.ensure_thread(tid);
-        if self.sampled.len() <= tid.index() {
-            self.sampled.resize(tid.index() + 1, false);
-        }
-    }
-
-    fn take_sampled(&mut self, tid: ThreadId) -> bool {
-        std::mem::take(&mut self.sampled[tid.index()])
-    }
-}
-
-impl<S: Sampler> Detector for FreshnessDetector<S> {
-    fn process(&mut self, id: EventId, event: Event) -> Option<RaceReport> {
-        // Hoisted-first: a skipped access is a tally and nothing else
-        // (invariant 10).
-        if let EventKind::Read(_) | EventKind::Write(_) = event.kind {
-            if !crate::plane::AccessEngine::decide(&self.access, id, event) {
-                self.counters.events += 1;
-                crate::plane::tally_access(&event, &mut self.counters);
-                return None;
-            }
-        }
-        self.process_admitted(id, event)
-    }
-
-    fn process_admitted(&mut self, id: EventId, event: Event) -> Option<RaceReport> {
-        self.counters.events += 1;
-        let tid = event.tid;
-        match event.kind {
-            EventKind::Read(_) | EventKind::Write(_) => {
-                self.ensure_thread(tid);
-                let Self {
-                    sync,
-                    access,
-                    sampled,
-                    counters,
-                } = self;
-                let (clock, epoch) = sync.thread_view(tid);
-                let view = BorrowedView {
-                    lookup: |u| if u == tid { epoch } else { clock.get(u) },
-                    width: sync.thread_count(),
-                };
-                let outcome = access.access_sampled_with(id, event, &view, counters);
-                if outcome.sampled {
-                    sampled[tid.index()] = true;
-                }
-                outcome.report
-            }
-            EventKind::Acquire(lock) => {
-                self.ensure_thread(tid);
-                self.sync.acquire(tid, lock, &mut self.counters);
-                None
-            }
-            EventKind::Release(lock) => {
-                self.ensure_thread(tid);
-                let sampled = self.take_sampled(tid);
-                self.sync.release(tid, lock, sampled, &mut self.counters);
-                None
-            }
-        }
-    }
-
-    fn counters(&self) -> &Counters {
-        &self.counters
-    }
-
-    fn reserve_threads(&mut self, n: usize) {
-        if n == 0 {
-            return;
-        }
-        self.ensure_thread(ThreadId::new(n as u32 - 1));
-        self.sync.reserve_threads(n);
-    }
-
-    fn name(&self) -> &'static str {
-        "SU"
-    }
-
-    fn hoisted_decider(&self) -> crate::HoistedDecider {
-        let sampler = self.access.sampler().clone();
-        Box::new(move |id, event| sampler.decide(id, event))
-    }
-
-    fn record_skipped_accesses(&mut self, reads: u64, writes: u64) {
-        self.counters.fold_skipped_accesses(reads, writes);
-    }
-}
-
-impl<S> CheckpointState for FreshnessDetector<S> {
-    fn export_state(&self, out: &mut Vec<u8>) {
-        checkpoint::put_detector(out, &self.sync, &self.access, &self.sampled, &self.counters);
-    }
-
-    fn import_state(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
-        let (sampled, counters) =
-            checkpoint::get_detector(bytes, &mut self.sync, &mut self.access)?;
-        self.sampled = sampled;
-        self.counters = counters;
-        Ok(())
-    }
-}
-
-impl<S: Sampler + Clone + Send> SplitDetector for FreshnessDetector<S> {
-    type Sync = FreshnessSyncEngine;
-    type Access = HistoryAccessEngine<S>;
-    type View = EpochView<VectorClockSnapshot>;
-
-    fn split_sync(&self) -> FreshnessSyncEngine {
-        FreshnessSyncEngine::new()
-    }
-
-    fn split_access(&self) -> Self::Access {
-        self.access.clone()
-    }
-}
-
-impl<S: Sampler> crate::SyncOps for FreshnessDetector<S> {
+impl<S> crate::SyncOps for FreshnessDetector<S> {
     fn release_store(&mut self, tid: u32, sync: LockId) {
         let tid = ThreadId::new(tid);
-        self.ensure_thread(tid);
-        let sampled = self.take_sampled(tid);
-        self.sync
-            .release_store(tid, sync, sampled, &mut self.counters);
+        self.release_with(tid, |engine, sampled, counters| {
+            engine.release_store(tid, sync, sampled, counters);
+        });
     }
 
     fn release_join(&mut self, tid: u32, sync: LockId) {
         let tid = ThreadId::new(tid);
-        self.ensure_thread(tid);
-        let sampled = self.take_sampled(tid);
-        self.sync
-            .release_join(tid, sync, sampled, &mut self.counters);
+        self.release_with(tid, |engine, sampled, counters| {
+            engine.release_join(tid, sync, sampled, counters);
+        });
     }
 
     fn acquire_sync(&mut self, tid: u32, sync: LockId) {
-        let tid = ThreadId::new(tid);
-        self.ensure_thread(tid);
         // `acquire` already falls back to a full join for mixed objects
         // and uses the freshness skip after stores.
-        self.sync.acquire(tid, sync, &mut self.counters);
+        self.acquire(ThreadId::new(tid), sync);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::NaiveSamplingDetector;
+    use crate::{Detector, NaiveSamplingDetector};
     use freshtrack_sampling::{AlwaysSampler, BernoulliSampler, NeverSampler};
-    use freshtrack_trace::TraceBuilder;
+    use freshtrack_trace::{Event, EventId, TraceBuilder};
 
     #[test]
     fn matches_algorithm2_reports_on_contended_trace() {

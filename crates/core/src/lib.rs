@@ -20,11 +20,12 @@
 //! much timestamping work they perform, which is recorded in
 //! [`Counters`].
 //!
-//! Every engine is internally a composition of its two planes — a
-//! [`SyncEngine`] owning the thread/lock clocks and an [`AccessEngine`]
-//! owning per-variable histories (the [`SplitDetector`] seam) — so the
-//! same halves serve the monolithic detectors and sharded ingestion
-//! without semantic drift.
+//! Every engine but the Algorithm 2 reference is the one generic
+//! [`Composed`] detector over its two planes — a [`SyncEngine`] owning
+//! the thread/lock clocks and an [`AccessEngine`] owning per-variable
+//! histories (the [`SplitDetector`] seam) — so the same halves serve
+//! the monolithic detectors and sharded ingestion without semantic
+//! drift.
 //!
 //! For concurrent ingestion two thread-safe façades wrap a detector:
 //! [`OnlineDetector`] (one serialization mutex — the paper-faithful
@@ -57,6 +58,7 @@
 
 mod access_history;
 mod checkpoint;
+mod composed;
 mod counters;
 mod detector;
 mod djit;
@@ -77,6 +79,7 @@ pub use access_history::AccessHistories;
 pub use checkpoint::{
     apply_delta, encode_delta, AccessCheckpoint, CheckpointError, CheckpointState,
 };
+pub use composed::{Composed, EngineName};
 pub use counters::Counters;
 pub use detector::{Detector, HoistedDecider};
 pub use djit::{DjitDetector, VectorSyncEngine};

@@ -2,9 +2,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use freshtrack_clock::ThreadId;
+use freshtrack_sampling::NeverSampler;
 use freshtrack_trace::{Event, EventId, EventKind, LockId, VarId};
 
+use crate::composed::{Composed, EngineName};
 use crate::counters::SkipCells;
+use crate::plane::{AccessEngine, AccessOutcome, ClockView, SyncCtx, SyncEngine};
 use crate::{Counters, Detector, HoistedDecider, RaceReport};
 
 /// A thread-safe façade that lets concurrently running application
@@ -248,11 +251,11 @@ impl<D: Detector> OnlineDetector<D> {
 /// the instrumentation/serialization cost) but performs no analysis.
 ///
 /// Used to separate instrumentation overhead from *algorithmic* overhead
-/// — the paper's `AO(S) = latency(S) − latency(ET)`.
-#[derive(Clone, Debug, Default)]
-pub struct EmptyDetector {
-    counters: Counters,
-}
+/// — the paper's `AO(S) = latency(S) − latency(ET)`. It is the
+/// [`Composed`] of two stateless halves: ET analyzes nothing, so every
+/// access is sampled-out and the instrumentation-only baseline rides the
+/// same lock-free skip path real samplers do.
+pub type EmptyDetector = Composed<EmptySyncEngine, EmptyAccessEngine>;
 
 impl EmptyDetector {
     /// Creates the no-op detector.
@@ -261,36 +264,8 @@ impl EmptyDetector {
     }
 }
 
-impl Detector for EmptyDetector {
-    fn process(&mut self, _id: EventId, event: Event) -> Option<RaceReport> {
-        self.counters.events += 1;
-        match event.kind {
-            EventKind::Read(_) => self.counters.reads += 1,
-            EventKind::Write(_) => self.counters.writes += 1,
-            EventKind::Acquire(_) => self.counters.acquires += 1,
-            EventKind::Release(_) => self.counters.releases += 1,
-        }
-        None
-    }
-
-    fn counters(&self) -> &Counters {
-        &self.counters
-    }
-
-    fn name(&self) -> &'static str {
-        "ET"
-    }
-
-    fn hoisted_decider(&self) -> HoistedDecider {
-        // ET analyzes nothing, so every access is sampled-out: the
-        // instrumentation-only baseline rides the same lock-free skip
-        // path real samplers do.
-        Box::new(|_, _| false)
-    }
-
-    fn record_skipped_accesses(&mut self, reads: u64, writes: u64) {
-        self.counters.fold_skipped_accesses(reads, writes);
-    }
+impl EngineName for EmptyDetector {
+    const NAME: &'static str = "ET";
 }
 
 /// The (stateless) sync-plane half of [`EmptyDetector`]: counts
@@ -302,11 +277,17 @@ pub struct EmptySyncEngine {
     locks: Vec<()>,
 }
 
-impl crate::plane::SyncEngine for EmptySyncEngine {
+impl SyncEngine for EmptySyncEngine {
     type View = ();
     type Thread = ();
     type Lock = ();
     type Options = ();
+
+    const READS_REL_AFTER_S: bool = false;
+
+    fn from_options(_: ()) -> Self {
+        EmptySyncEngine::default()
+    }
 
     fn options(&self) {}
 
@@ -316,7 +297,7 @@ impl crate::plane::SyncEngine for EmptySyncEngine {
 
     fn new_thread(_tid: ThreadId) {}
 
-    fn acquire_at(_tid: ThreadId, _: &mut (), _: &mut (), ctx: &mut crate::plane::SyncCtx<'_, ()>) {
+    fn acquire_at(_tid: ThreadId, _: &mut (), _: &mut (), ctx: &mut SyncCtx<'_, ()>) {
         ctx.counters.acquires += 1;
     }
 
@@ -325,12 +306,12 @@ impl crate::plane::SyncEngine for EmptySyncEngine {
         _: &mut (),
         _: &mut (),
         _sampled_since_release: bool,
-        ctx: &mut crate::plane::SyncCtx<'_, ()>,
+        ctx: &mut SyncCtx<'_, ()>,
     ) {
         ctx.counters.releases += 1;
     }
 
-    fn thread_view(_tid: ThreadId, _: &()) -> impl crate::plane::ClockView {}
+    fn thread_view(_tid: ThreadId, _: &()) -> impl ClockView {}
 
     fn publish_at(_tid: ThreadId, _: &mut ()) {}
 
@@ -342,33 +323,21 @@ impl crate::plane::SyncEngine for EmptySyncEngine {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EmptyAccessEngine;
 
-impl crate::plane::AccessEngine for EmptyAccessEngine {
-    fn decide(&self, _id: EventId, _event: Event) -> bool {
-        false
+impl AccessEngine for EmptyAccessEngine {
+    type Sampler = NeverSampler;
+
+    fn sampler(&self) -> &NeverSampler {
+        &NeverSampler
     }
 
-    fn access_sampled<W: crate::plane::ClockView>(
+    fn access_sampled<W: ClockView>(
         &mut self,
         _id: EventId,
         _event: Event,
         _view: &W,
         _counters: &mut Counters,
-    ) -> crate::plane::AccessOutcome {
+    ) -> AccessOutcome {
         unreachable!("EmptyAccessEngine never admits an access")
-    }
-}
-
-impl crate::plane::SplitDetector for EmptyDetector {
-    type Sync = EmptySyncEngine;
-    type Access = EmptyAccessEngine;
-    type View = ();
-
-    fn split_sync(&self) -> EmptySyncEngine {
-        EmptySyncEngine::default()
-    }
-
-    fn split_access(&self) -> EmptyAccessEngine {
-        EmptyAccessEngine
     }
 }
 

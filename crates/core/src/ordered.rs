@@ -3,13 +3,12 @@ use freshtrack_clock::{
     ClockSnapshot, FreshnessClock, SharedClock, ThreadId, Time,
 };
 use freshtrack_sampling::Sampler;
-use freshtrack_trace::{Event, EventId, EventKind, LockId};
+use freshtrack_trace::LockId;
 
 use crate::checkpoint::{self, CheckpointError, CheckpointState};
-use crate::plane::{
-    BorrowedView, ClockView, EpochView, HistoryAccessEngine, SplitDetector, SyncCtx, SyncEngine,
-};
-use crate::{Counters, Detector, RaceReport};
+use crate::composed::{Composed, EngineName};
+use crate::plane::{BorrowedView, ClockView, EpochView, HistoryAccessEngine, SyncCtx, SyncEngine};
+use crate::Counters;
 
 /// Algorithm 4 of the paper (**SO**): ordered lists plus lazy copies.
 ///
@@ -35,12 +34,12 @@ use crate::{Counters, Detector, RaceReport};
 /// a `RelAfter_S` release does not force a deep copy. Construct with
 /// [`with_options`](OrderedListDetector::with_options) to ablate it.
 ///
-/// Internally the detector composes an [`OrderedSyncEngine`] (every
-/// thread/lock list, held once) with a [`HistoryAccessEngine`] over the
+/// The detector is the [`Composed`] of an [`OrderedSyncEngine`] (every
+/// thread/lock list, held once) and a [`HistoryAccessEngine`] over the
 /// epoch-spliced view `C_t[t ↦ e_t]` — the same halves a
 /// [`ShardedOnlineDetector`](crate::ShardedOnlineDetector) distributes;
 /// the `RelAfter_S` bit is the only state crossing the seam (see
-/// [`SplitDetector`]).
+/// [`SplitDetector`](crate::SplitDetector)).
 ///
 /// Race reports are identical to the other sampling engines for the same
 /// sample set (Lemma 8).
@@ -59,15 +58,32 @@ use crate::{Counters, Detector, RaceReport};
 /// let mut so = OrderedListDetector::new(BernoulliSampler::new(1.0, 1));
 /// assert_eq!(so.run(&b.build()).len(), 1);
 /// ```
-#[derive(Clone, Debug)]
-pub struct OrderedListDetector<S> {
-    sync: OrderedSyncEngine,
-    access: HistoryAccessEngine<S>,
-    /// `RelAfter_S` bits: has thread `t` sampled an access since its
-    /// last release? (The access plane reports sampling; the sync plane
-    /// consumes the bit at the next release.)
-    sampled: Vec<bool>,
-    counters: Counters,
+pub type OrderedListDetector<S> = Composed<OrderedSyncEngine, HistoryAccessEngine<S>>;
+
+impl<S: Sampler> OrderedListDetector<S> {
+    /// Creates a detector with the local-epoch optimization enabled.
+    pub fn new(sampler: S) -> Self {
+        OrderedListDetector::with_options(sampler, true)
+    }
+
+    /// Creates a detector, choosing whether the local-epoch optimization
+    /// is applied (`false` reproduces Algorithm 4 verbatim; useful for
+    /// ablation).
+    pub fn with_options(sampler: S, local_epoch_opt: bool) -> Self {
+        Composed::from_halves(
+            OrderedSyncEngine::new(local_epoch_opt),
+            HistoryAccessEngine::new(sampler),
+        )
+    }
+
+    /// Whether the local-epoch optimization is enabled.
+    pub fn local_epoch_opt(&self) -> bool {
+        self.sync.local_epoch_opt
+    }
+}
+
+impl<S> EngineName for OrderedListDetector<S> {
+    const NAME: &'static str = "SO";
 }
 
 /// One thread's SO state: its ordered-list clock, freshness clock and
@@ -176,18 +192,6 @@ impl OrderedSyncEngine {
         if self.locks.len() <= lock.index() {
             self.locks.resize_with(lock.index() + 1, LockState::default);
         }
-    }
-
-    /// Number of threads observed so far.
-    pub fn thread_count(&self) -> usize {
-        self.threads.len()
-    }
-
-    /// The communicated list and local epoch of `tid` (which must
-    /// exist) — the monolithic detector's borrowed race-check view.
-    fn thread_view(&self, tid: ThreadId) -> (&SharedClock, Time) {
-        let state = &self.threads[tid.index()];
-        (&state.list, state.epoch)
     }
 
     /// `Release` (join) semantics for non-mutex sync objects
@@ -373,6 +377,12 @@ impl SyncEngine for OrderedSyncEngine {
     /// The local-epoch optimization switch.
     type Options = bool;
 
+    const READS_REL_AFTER_S: bool = true;
+
+    fn from_options(local_epoch_opt: bool) -> Self {
+        OrderedSyncEngine::new(local_epoch_opt)
+    }
+
     fn options(&self) -> bool {
         self.local_epoch_opt
     }
@@ -492,176 +502,32 @@ impl SyncEngine for OrderedSyncEngine {
     }
 }
 
-impl<S: Sampler> OrderedListDetector<S> {
-    /// Creates a detector with the local-epoch optimization enabled.
-    pub fn new(sampler: S) -> Self {
-        OrderedListDetector::with_options(sampler, true)
-    }
-
-    /// Creates a detector, choosing whether the local-epoch optimization
-    /// is applied (`false` reproduces Algorithm 4 verbatim; useful for
-    /// ablation).
-    pub fn with_options(sampler: S, local_epoch_opt: bool) -> Self {
-        OrderedListDetector {
-            sync: OrderedSyncEngine::new(local_epoch_opt),
-            access: HistoryAccessEngine::new(sampler),
-            sampled: Vec::new(),
-            counters: Counters::new(),
-        }
-    }
-
-    /// Whether the local-epoch optimization is enabled.
-    pub fn local_epoch_opt(&self) -> bool {
-        self.sync.local_epoch_opt
-    }
-
-    fn ensure_thread(&mut self, tid: ThreadId) {
-        self.sync.ensure_thread(tid);
-        if self.sampled.len() <= tid.index() {
-            self.sampled.resize(tid.index() + 1, false);
-        }
-    }
-
-    /// Takes the `RelAfter_S` bit for `tid`, resetting it.
-    fn take_sampled(&mut self, tid: ThreadId) -> bool {
-        std::mem::take(&mut self.sampled[tid.index()])
-    }
-}
-
-impl<S: Sampler> crate::SyncOps for OrderedListDetector<S> {
+impl<S> crate::SyncOps for OrderedListDetector<S> {
     fn release_store(&mut self, tid: u32, sync: LockId) {
         // Identical to the mutex release: a store overwrites the object
         // with the thread's snapshot (and resets any join mode).
         let tid = ThreadId::new(tid);
-        self.ensure_thread(tid);
-        let sampled = self.take_sampled(tid);
-        self.sync.release(tid, sync, sampled, &mut self.counters);
+        self.release_with(tid, |engine, sampled, counters| {
+            engine.release(tid, sync, sampled, counters);
+        });
     }
 
     fn release_join(&mut self, tid: u32, sync: LockId) {
         let tid = ThreadId::new(tid);
-        self.ensure_thread(tid);
-        let sampled = self.take_sampled(tid);
-        self.sync
-            .release_join(tid, sync, sampled, &mut self.counters);
+        self.release_with(tid, |engine, sampled, counters| {
+            engine.release_join(tid, sync, sampled, counters);
+        });
     }
 
     fn acquire_sync(&mut self, tid: u32, sync: LockId) {
-        let tid = ThreadId::new(tid);
-        self.ensure_thread(tid);
-        self.sync.acquire(tid, sync, &mut self.counters);
-    }
-}
-
-impl<S: Sampler> Detector for OrderedListDetector<S> {
-    fn process(&mut self, id: EventId, event: Event) -> Option<RaceReport> {
-        // Hoisted-first: a skipped access is a tally and nothing else
-        // (invariant 10).
-        if let EventKind::Read(_) | EventKind::Write(_) = event.kind {
-            if !crate::plane::AccessEngine::decide(&self.access, id, event) {
-                self.counters.events += 1;
-                crate::plane::tally_access(&event, &mut self.counters);
-                return None;
-            }
-        }
-        self.process_admitted(id, event)
-    }
-
-    fn process_admitted(&mut self, id: EventId, event: Event) -> Option<RaceReport> {
-        self.counters.events += 1;
-        let tid = event.tid;
-        match event.kind {
-            EventKind::Read(_) | EventKind::Write(_) => {
-                self.ensure_thread(tid);
-                let Self {
-                    sync,
-                    access,
-                    sampled,
-                    counters,
-                } = self;
-                let (list, epoch) = sync.thread_view(tid);
-                let view = BorrowedView {
-                    lookup: |u| if u == tid { epoch } else { list.get(u) },
-                    width: sync.thread_count(),
-                };
-                let outcome = access.access_sampled_with(id, event, &view, counters);
-                if outcome.sampled {
-                    sampled[tid.index()] = true;
-                }
-                outcome.report
-            }
-            EventKind::Acquire(lock) => {
-                self.ensure_thread(tid);
-                self.sync.acquire(tid, lock, &mut self.counters);
-                None
-            }
-            EventKind::Release(lock) => {
-                self.ensure_thread(tid);
-                let sampled = self.take_sampled(tid);
-                self.sync.release(tid, lock, sampled, &mut self.counters);
-                None
-            }
-        }
-    }
-
-    fn counters(&self) -> &Counters {
-        &self.counters
-    }
-
-    fn reserve_threads(&mut self, n: usize) {
-        if n == 0 {
-            return;
-        }
-        self.ensure_thread(ThreadId::new(n as u32 - 1));
-        self.sync.reserve_threads(n);
-    }
-
-    fn name(&self) -> &'static str {
-        "SO"
-    }
-
-    fn hoisted_decider(&self) -> crate::HoistedDecider {
-        let sampler = self.access.sampler().clone();
-        Box::new(move |id, event| sampler.decide(id, event))
-    }
-
-    fn record_skipped_accesses(&mut self, reads: u64, writes: u64) {
-        self.counters.fold_skipped_accesses(reads, writes);
-    }
-}
-
-impl<S> CheckpointState for OrderedListDetector<S> {
-    fn export_state(&self, out: &mut Vec<u8>) {
-        checkpoint::put_detector(out, &self.sync, &self.access, &self.sampled, &self.counters);
-    }
-
-    fn import_state(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
-        let (sampled, counters) =
-            checkpoint::get_detector(bytes, &mut self.sync, &mut self.access)?;
-        self.sampled = sampled;
-        self.counters = counters;
-        Ok(())
-    }
-}
-
-impl<S: Sampler + Clone + Send> SplitDetector for OrderedListDetector<S> {
-    type Sync = OrderedSyncEngine;
-    type Access = HistoryAccessEngine<S>;
-    type View = EpochView<ClockSnapshot>;
-
-    fn split_sync(&self) -> OrderedSyncEngine {
-        OrderedSyncEngine::new(self.sync.local_epoch_opt)
-    }
-
-    fn split_access(&self) -> Self::Access {
-        self.access.clone()
+        self.acquire(ThreadId::new(tid), sync);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::NaiveSamplingDetector;
+    use crate::{Detector, NaiveSamplingDetector};
     use freshtrack_sampling::{AlwaysSampler, BernoulliSampler, NeverSampler};
     use freshtrack_trace::{Trace, TraceBuilder};
 

@@ -22,9 +22,9 @@
 //!   and analyzes access events against a view of the accessing
 //!   thread's clock.
 //! * [`SplitDetector`] — implemented by engines that can be split into
-//!   the two halves; the monolithic `Detector` impl of each engine is
-//!   itself a composition of the same halves, so the split cannot drift
-//!   from the reference semantics.
+//!   the two halves. Every engine's monolithic `Detector` is the one
+//!   generic [`Composed`](crate::Composed) of the same halves, so the
+//!   split cannot drift from the reference semantics.
 //!
 //! # Why verdicts are preserved
 //!
@@ -42,8 +42,10 @@
 //! `RelAfter_S` bit of Algorithms 2–4 — "has this thread sampled an
 //! access since its last release?" — reported by
 //! [`AccessOutcome::sampled`] and consumed by
-//! [`SyncEngine::release`]. The sharded façade keeps it in the thread's
-//! slot; monolithic detectors keep it as a plain per-thread bool.
+//! [`SyncEngine::release`] when [`SyncEngine::READS_REL_AFTER_S`] says
+//! the engine reads it. The sharded façade keeps it in the thread's
+//! slot; [`Composed`](crate::Composed) keeps it as a plain per-thread
+//! bool.
 
 use freshtrack_clock::{ClockSnapshot, ThreadId, Time, VectorClock, VectorClockSnapshot};
 use freshtrack_sampling::Sampler;
@@ -115,8 +117,8 @@ pub struct SyncCtx<'a, O> {
 /// …) call the handlers on split borrows of them. The
 /// [`ShardedOnlineDetector`](crate::ShardedOnlineDetector) keeps the
 /// same states in per-thread and per-lock slots instead, so the offline
-/// loop, the monolithic detectors and the sharded façade run one code
-/// path.
+/// loop, the monolithic [`Composed`](crate::Composed) detector and the
+/// sharded façade run one code path.
 ///
 /// Handlers account the work in the caller-supplied [`Counters`] (the
 /// same fields the monolithic engine would touch, so merged counters
@@ -132,6 +134,16 @@ pub trait SyncEngine: Send {
     type Lock: Default + Send;
     /// Engine configuration the handlers read.
     type Options: Copy + Send + Sync + 'static;
+
+    /// Whether [`release_at`](SyncEngine::release_at) reads its
+    /// `RelAfter_S` argument. Only the epoch-keeping engines (SU, SO)
+    /// do; for the others a composed detector keeps no bits, stores
+    /// none per access and rejects a checkpoint that carries some.
+    const READS_REL_AFTER_S: bool;
+
+    /// A fresh engine (no threads, no locks) with configuration
+    /// `options`.
+    fn from_options(options: Self::Options) -> Self;
 
     /// This engine's configuration.
     fn options(&self) -> Self::Options;
@@ -268,14 +280,20 @@ fn lock_entry<L: Default>(locks: &mut Vec<L>, lock: LockId) -> &mut L {
 /// (owned snapshot, epoch-spliced snapshot, or a view borrowed from the
 /// thread's state).
 pub trait AccessEngine: Send {
+    /// The sampler that picks the sample set `S`.
+    type Sampler: Sampler;
+
+    /// The configured sampler (cloned out for hoisted deciders).
+    fn sampler(&self) -> &Self::Sampler;
+
     /// The hoisted sampling decision: whether the access `event` at
     /// position `id` belongs to the sample set. Pure in `(id, event)`
-    /// and callable without any lock — this is the method the lock-free
-    /// skip path consults before touching any shared state (invariant
-    /// 10 in `ARCHITECTURE.md`). Must agree with the decision the
-    /// monolithic [`Detector::process`](crate::Detector::process) makes
-    /// for the same inputs.
-    fn decide(&self, id: EventId, event: Event) -> bool;
+    /// and callable without any lock — this is the decision the
+    /// lock-free skip path takes before touching any shared state
+    /// (invariant 10 in `ARCHITECTURE.md`).
+    fn decide(&self, id: EventId, event: Event) -> bool {
+        self.sampler().decide(id, event)
+    }
 
     /// Analyzes one access event (`event.kind` is `Read` or `Write`)
     /// **already admitted into the sample set** by
@@ -391,9 +409,9 @@ impl ClockView for EpochView<VectorClockSnapshot> {
     }
 }
 
-/// Monolith-side borrowed view over a raw clock lookup closure: the
-/// composed detectors consult their own sync half directly, without the
-/// `O(1)` publication machinery (no other plane exists in-process).
+/// A borrowed view over a raw clock lookup closure — what the
+/// engines' [`SyncEngine::thread_view`] returns: read in place, without
+/// the `O(1)` publication machinery.
 pub(crate) struct BorrowedView<F> {
     pub(crate) lookup: F,
     pub(crate) width: usize,
@@ -467,23 +485,20 @@ impl<S: Sampler> HistoryAccessEngine<S> {
             width: 0,
         }
     }
+}
 
-    /// The configured sampler (cloned out for hoisted deciders).
-    pub(crate) fn sampler(&self) -> &S {
+impl<S: Sampler> AccessEngine for HistoryAccessEngine<S> {
+    type Sampler = S;
+
+    fn sampler(&self) -> &S {
         &self.sampler
     }
 
-    /// Analyzes one access event **already admitted into `S`** against
-    /// any clock view (the monolithic detectors call this with a
-    /// borrowed view of their own sync half after their own hoisted
-    /// decision; the trait impl routes the published view type through
-    /// it).
-    ///
     /// The width bookkeeping lives here — on the sampled path only — so
     /// a skipped access mutates nothing at all: non-zero history
     /// entries are only ever recorded by sampled accesses, whose ids
     /// and views this running maximum does observe.
-    pub(crate) fn access_sampled_with<W: ClockView>(
+    fn access_sampled<W: ClockView>(
         &mut self,
         id: EventId,
         event: Event,
@@ -518,22 +533,6 @@ impl<S: Sampler> HistoryAccessEngine<S> {
                 unreachable!("sync events belong to the sync plane")
             }
         }
-    }
-}
-
-impl<S: Sampler + Send> AccessEngine for HistoryAccessEngine<S> {
-    fn decide(&self, id: EventId, event: Event) -> bool {
-        self.sampler.decide(id, event)
-    }
-
-    fn access_sampled<W: ClockView>(
-        &mut self,
-        id: EventId,
-        event: Event,
-        view: &W,
-        counters: &mut Counters,
-    ) -> AccessOutcome {
-        self.access_sampled_with(id, event, view, counters)
     }
 }
 
