@@ -569,14 +569,7 @@ fn segments_cmd<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), A
     };
 
     let mut headers = vec![
-        "segment",
-        "offset",
-        "bytes",
-        "events",
-        "first id",
-        "ckpt bytes",
-        "locks",
-        "vars",
+        "segment", "offset", "bytes", "events", "first id", "locks", "vars",
     ];
     if cache.is_some() {
         headers.push("cache");
@@ -589,7 +582,6 @@ fn segments_cmd<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), A
             meta.byte_len.to_string(),
             meta.event_count.to_string(),
             meta.first_event_id.to_string(),
-            meta.checkpoint_len.to_string(),
             meta.locks_before.to_string(),
             meta.vars_before.to_string(),
         ];

@@ -233,3 +233,89 @@ fn a_corrupt_segment_fails_plain_jobs_and_cached_runs_alike() {
         );
     }
 }
+
+/// LEB128, as the `.ftb` footer stores its fields.
+fn put_varint(out: &mut Vec<u8>, mut value: u64) {
+    while value >= 0x80 {
+        out.push(value as u8 | 0x80);
+        value >>= 7;
+    }
+    out.push(value as u8);
+}
+
+/// CRC-32 (IEEE), bit by bit.
+fn crc32(bytes: &[u8]) -> u32 {
+    let mut c = !0u32;
+    for &b in bytes {
+        c ^= u32::from(b);
+        for _ in 0..8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+        }
+    }
+    !c
+}
+
+#[test]
+fn a_footer_range_that_wraps_fails_every_command() {
+    let dir = TempDir::new("wrap");
+    let [_, _, v2] = generated(&dir);
+    let bytes = std::fs::read(&v2).unwrap();
+    let file = SegmentedTraceFile::open(std::fs::File::open(&v2).unwrap()).unwrap();
+    let mut metas = file.metas().to_vec();
+    let footer_offset = file.footer_offset();
+    // The last segment's length wraps `offset + length` past u64::MAX
+    // to 4 bytes past its offset; the footer checksum is recomputed, so
+    // only the range check can object.
+    let last = metas.last_mut().unwrap();
+    last.byte_len = 0u64.wrapping_sub(last.offset) + 4;
+    let mut body = Vec::new();
+    put_varint(&mut body, metas.len() as u64);
+    for m in &metas {
+        for value in [
+            m.offset,
+            m.byte_len,
+            m.event_count,
+            m.first_event_id,
+            m.locks_before as u64,
+            m.vars_before as u64,
+            u64::from(m.threads_before),
+            0,
+            0,
+            u64::from(m.crc32),
+        ] {
+            put_varint(&mut body, value);
+        }
+    }
+    body.extend_from_slice(&crc32(&body).to_le_bytes());
+    let mut crafted = bytes[..footer_offset as usize].to_vec();
+    crafted.push(0xF5);
+    put_varint(&mut crafted, body.len() as u64);
+    crafted.extend(body);
+    crafted.push(0xF7);
+    crafted.extend_from_slice(&bytes[bytes.len() - 12..]);
+    let bad = dir.path("wrap.ftb2");
+    std::fs::write(&bad, &crafted).unwrap();
+
+    let runs = [
+        freshtrack(&["segments", &bad], None),
+        freshtrack(&["analyze", &bad, "--jobs", "2"], None),
+    ];
+    for (code, out) in &runs {
+        let out = String::from_utf8_lossy(out);
+        assert_eq!(*code, 1, "{out}");
+        assert!(out.contains("range out of bounds"), "{out}");
+    }
+    // Plain `analyze` streams a file whose footer does not open, and the
+    // stream checks each segment's range against the footer.
+    let ((code, out), (stdin_code, _)) = file_and_stdin(&bad, &[]);
+    assert_eq!(
+        (code, stdin_code),
+        (1, 1),
+        "{}",
+        String::from_utf8_lossy(&out)
+    );
+}

@@ -3,7 +3,7 @@ use freshtrack_clock::{
     SharedVectorClock, ThreadId, VectorClock, VectorClockSnapshot,
 };
 use freshtrack_sampling::Sampler;
-use freshtrack_trace::{LockId, SyncCheckpoint};
+use freshtrack_trace::LockId;
 
 use crate::checkpoint::{self, CheckpointError, CheckpointState};
 use crate::composed::{Composed, EngineName};
@@ -51,20 +51,6 @@ impl VectorSyncEngine {
         counters.local_increments += 1;
         counters.vc_ops += 1;
         counters.entries_traversed += self.threads.len() as u64;
-    }
-
-    /// Reconstructs the engine from a `.ftb` v2 file checkpoint — the
-    /// format's engine-agnostic canonical state *is* Djit+ state, so for
-    /// this engine the conversion is a direct reload.
-    pub fn from_sync_checkpoint(ckpt: &SyncCheckpoint) -> Self {
-        VectorSyncEngine {
-            threads: ckpt
-                .threads
-                .iter()
-                .map(|clock| SharedVectorClock::from_clock(clock.clone()))
-                .collect(),
-            locks: ckpt.locks.clone(),
-        }
     }
 }
 

@@ -60,7 +60,7 @@ pub use event::{Event, EventId, EventKind, LockId, VarId};
 pub use io::{read_trace, write_source, write_trace, ParseTraceError, WriteSourceError};
 pub use segmented::{
     decode_segment, decode_segment_indexed, write_source_binary_v2, write_trace_binary_v2,
-    SegmentData, SegmentMeta, SegmentOptions, SegmentedTraceFile, SyncCheckpoint,
+    SegmentData, SegmentMeta, SegmentOptions, SegmentedTraceFile,
 };
 pub use source::{EventSource, SourceError, TraceSource, Validated};
 pub use stats::TraceStats;

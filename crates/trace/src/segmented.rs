@@ -1,14 +1,12 @@
 //! The segmented `.ftb` **v2** store: the v1 record grammar partitioned
-//! into independently decodable segments, each preceded by a sync-plane
-//! checkpoint, closed by a footer index that makes a flat file randomly
-//! addressable.
+//! into independently decodable segments, closed by a footer index that
+//! makes a flat file randomly addressable.
 //!
 //! # Layout
 //!
 //! ```text
 //! magic      8 bytes        "FTB2\r\n\x1a\n"
 //! segment 0  0xF3 <varint 0> <records…>
-//! ckpt 1     0xF4 <varint len> <checkpoint bytes>
 //! segment 1  0xF3 <varint 1> <records…>
 //! …
 //! footer     0xF5 <varint len> <footer body>
@@ -22,24 +20,20 @@
 //! bytes. Converting v1→v2→v1 is therefore byte-identical — the record
 //! sequence is unchanged; only the markers come and go.
 //!
-//! The **checkpoint** before segment `k` is the canonical sync-plane
-//! state after segments `< k`: every thread clock and lock clock under
-//! Djit+ semantics (thread `t` starts at `⊥[t ↦ 1]`; acquire joins the
-//! lock clock into the thread clock; release copies the thread clock to
-//! the lock and bumps the local component). This state is a pure
-//! function of the acquire/release prefix — no sampler, no access plane
-//! — which is what makes it engine-agnostic: any detector's sync engine
-//! can be reconstructed from it (or, for sampling-dependent engines,
-//! re-derived deterministically by a sequential coordinator), and the
-//! access plane needs nothing else to replay a segment. That argument
-//! is spelled out in `ARCHITECTURE.md` § Segmented store & checkpoints.
-//!
 //! The **footer body** is, per segment: record-range offset and byte
 //! length, event count, first [`EventId`](crate::EventId), name-table
-//! and thread watermarks at segment start, checkpoint location, and a
-//! CRC-32 of the record range — then a CRC-32 of the footer body
-//! itself. The 12-byte trailer lets a reader find the footer by
+//! and thread watermarks at segment start, a reserved `(offset, len)`
+//! pair, and a CRC-32 of the record range — then a CRC-32 of the footer
+//! body itself. The 12-byte trailer lets a reader find the footer by
 //! seeking to the end, CAR-index style.
+//!
+//! Files from earlier writers also carry a `0xF4 <varint len> <bytes>`
+//! block before every segment but the first (a Djit+ sync-plane
+//! checkpoint no reader uses), and point segment `k`'s reserved pair at
+//! it. Readers skip such blocks: [`SegmentedTraceFile::open`] checks
+//! that the pair lies inside the file and drops it, and the streaming
+//! reader steps over the block. This writer emits none and writes
+//! `(0, 0)`, so `convert --to binary-v2` upgrades an old file.
 //!
 //! Sequential consumers never come here:
 //! [`BinaryEventReader`](crate::BinaryEventReader) streams v2 files by
@@ -50,12 +44,12 @@
 use std::io::{Read, Seek, SeekFrom, Write};
 
 use freshtrack_clock::wire::{self, WireError, WireReader};
-use freshtrack_clock::{ThreadId, VectorClock};
+use freshtrack_clock::ThreadId;
 
 use crate::binary::{
     flush_binary_meta, magic_version, write_event_record, write_varint, RecordDecoder, RecordInput,
-    SliceInput, BINARY_MAGIC_V2, OPERAND_ESCAPE, TAG_CHECKPOINT, TAG_DEF_LOCK, TAG_END, TAG_FOOTER,
-    TAG_SEGMENT, TAG_THREADS,
+    SliceInput, BINARY_MAGIC_V2, OPERAND_ESCAPE, TAG_DEF_LOCK, TAG_END, TAG_FOOTER, TAG_SEGMENT,
+    TAG_THREADS,
 };
 use crate::io::{EmittedMeta, WriteSourceError};
 use crate::source::{EventSource, Interner};
@@ -108,7 +102,9 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
 
 static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
-fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
+/// Folds `bytes` into a running CRC-32 state (start at `!0`, finish
+/// with `^ !0`).
+pub(crate) fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
     let mut c = state;
     let mut chunks = bytes.chunks_exact(8);
     for chunk in &mut chunks {
@@ -135,179 +131,11 @@ pub(crate) fn crc32(bytes: &[u8]) -> u32 {
 }
 
 // ---------------------------------------------------------------------
-// Canonical sync-plane checkpoint.
-// ---------------------------------------------------------------------
-
-/// The canonical sync-plane state stored before each segment: every
-/// thread clock and lock clock under Djit+ semantics (see the module
-/// docs for the exact update rules).
-///
-/// The state is a pure function of the acquire/release prefix — it does
-/// not depend on any sampler or on the access plane — so one checkpoint
-/// serves every detector configuration analyzing the file.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SyncCheckpoint {
-    /// Thread clocks, dense by thread index; thread `t` is created as
-    /// `⊥[t ↦ 1]` when first observed.
-    pub threads: Vec<VectorClock>,
-    /// Lock clocks, dense by lock index; `⊥` until first released.
-    pub locks: Vec<VectorClock>,
-}
-
-impl SyncCheckpoint {
-    /// Serializes the checkpoint (clock-count-prefixed clock lists).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        wire::put_varint(&mut out, self.threads.len() as u64);
-        for clock in &self.threads {
-            wire::put_clock(&mut out, clock);
-        }
-        wire::put_varint(&mut out, self.locks.len() as u64);
-        for clock in &self.locks {
-            wire::put_clock(&mut out, clock);
-        }
-        out
-    }
-
-    /// Decodes a checkpoint written by [`encode`](Self::encode),
-    /// consuming the whole slice.
-    ///
-    /// # Errors
-    ///
-    /// Any [`WireError`] for truncated or malformed input.
-    pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
-        let mut r = WireReader::new(bytes);
-        let decode_clocks = |r: &mut WireReader<'_>| -> Result<Vec<VectorClock>, WireError> {
-            let n = r.get_varint()?;
-            if n > bytes.len() as u64 {
-                // Each clock costs at least one byte; a corrupt count
-                // must not size an allocation.
-                return Err(WireError::Truncated);
-            }
-            (0..n).map(|_| r.get_clock()).collect()
-        };
-        let threads = decode_clocks(&mut r)?;
-        let locks = decode_clocks(&mut r)?;
-        r.finish()?;
-        Ok(SyncCheckpoint { threads, locks })
-    }
-}
-
-/// The writer-side incremental form of [`SyncCheckpoint`]: applies each
-/// event's Djit+ sync semantics as it is serialized.
-#[derive(Debug, Default)]
-struct SyncTracker {
-    threads: Vec<VectorClock>,
-    /// Per-thread join counter: bumped whenever a cross-thread acquire
-    /// may have changed entries other than the thread's own. Release
-    /// increments touch only the own entry and deliberately do *not*
-    /// bump it — that is what makes the same-thread re-release
-    /// shortcut in [`apply_sync`](Self::apply_sync) sound.
-    thread_joins: Vec<u64>,
-    locks: Vec<VectorClock>,
-    /// Per-lock provenance of the stored clock: `(releaser tid + 1,
-    /// releaser's join counter at that release)`; `(0, 0)` before the
-    /// first release. Lets the hot acquire/release pairs of a
-    /// thread-local lock skip the O(threads) clock operations.
-    lock_sources: Vec<(u32, u64)>,
-    /// One past the highest thread index observed.
-    watermark: u32,
-}
-
-impl SyncTracker {
-    fn ensure_thread(&mut self, tid: ThreadId) {
-        while self.threads.len() <= tid.index() {
-            let next = ThreadId::new(self.threads.len() as u32);
-            self.threads.push(VectorClock::bottom_with(next, 1));
-        }
-        self.thread_joins.resize(self.threads.len(), 0);
-        self.watermark = self.watermark.max(tid.as_u32() + 1);
-    }
-
-    fn ensure_lock(&mut self, lock: LockId) {
-        if self.locks.len() <= lock.index() {
-            self.locks.resize_with(lock.index() + 1, VectorClock::new);
-            self.lock_sources.resize(self.locks.len(), (0, 0));
-        }
-    }
-
-    /// Advances the tracked sync state by one acquire or release.
-    /// Access events never touch clock state — they only matter for
-    /// the thread watermark, which the writer folds in separately —
-    /// so the writer queues sync events and replays them here in a
-    /// burst at segment boundaries. Thread clocks grow lazily on the
-    /// first sync event of a thread; [`checkpoint`](Self::checkpoint)
-    /// pads clocks for threads that have only performed accesses,
-    /// keeping the encoded bytes identical to eager growth.
-    ///
-    /// Two locality shortcuts keep the clocks bit-identical to the
-    /// naive algorithm (replay parity over fuzzed traces in
-    /// `io_roundtrip` pins this):
-    ///
-    /// - *Same-thread reacquire*: if this thread was the last to
-    ///   release the lock, the lock's clock is a past snapshot of this
-    ///   thread's own clock, and thread clocks only grow — the join is
-    ///   a no-op and is skipped.
-    /// - *Same-thread re-release*: if additionally the thread has
-    ///   joined nothing since that release (its join counter is
-    ///   unchanged), the only entry that moved is its own release
-    ///   count, so the O(threads) `assign_from` collapses to one
-    ///   `set`.
-    ///
-    /// With the corpus's lock locality most acquire/release pairs hit
-    /// both shortcuts, which roughly halves the tracker's share of v2
-    /// encode time.
-    fn apply_sync(&mut self, event: Event) {
-        self.ensure_thread(event.tid);
-        let t = event.tid.index();
-        match event.kind {
-            EventKind::Read(_) | EventKind::Write(_) => unreachable!("access on sync path"),
-            EventKind::Acquire(lock) => {
-                self.ensure_lock(lock);
-                let l = lock.index();
-                if self.lock_sources[l].0 != event.tid.as_u32() + 1 {
-                    self.threads[t].join(&self.locks[l]);
-                    self.thread_joins[t] += 1;
-                }
-            }
-            EventKind::Release(lock) => {
-                self.ensure_lock(lock);
-                let l = lock.index();
-                let source = (event.tid.as_u32() + 1, self.thread_joins[t]);
-                let clock = &mut self.threads[t];
-                if self.lock_sources[l] == source {
-                    self.locks[l].set(event.tid, clock.get(event.tid));
-                } else {
-                    self.locks[l].assign_from(clock);
-                    self.lock_sources[l] = source;
-                }
-                clock.increment(event.tid);
-            }
-        }
-    }
-
-    fn checkpoint(&self) -> SyncCheckpoint {
-        let mut threads = self.threads.clone();
-        // Threads seen only through access events have no stored clock
-        // yet; their state is the initial `⟨tid: 1⟩`, exactly what
-        // eager growth would have pushed.
-        while threads.len() < self.watermark as usize {
-            let next = ThreadId::new(threads.len() as u32);
-            threads.push(VectorClock::bottom_with(next, 1));
-        }
-        SyncCheckpoint {
-            threads,
-            locks: self.locks.clone(),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Footer metadata.
 // ---------------------------------------------------------------------
 
-/// One segment's footer entry: where its records live, what they
-/// contain, and where its checkpoint is.
+/// One segment's footer entry: where its records live and what they
+/// contain.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SegmentMeta {
     /// File offset of the first record byte (just past the `0xF3
@@ -329,11 +157,6 @@ pub struct SegmentMeta {
     /// Effective thread count (declared or observed, whichever is
     /// larger) before this segment.
     pub threads_before: u32,
-    /// File offset of the checkpoint bytes (0 for segment 0, which
-    /// starts from the empty initial state).
-    pub checkpoint_offset: u64,
-    /// Byte length of the checkpoint (0 for segment 0).
-    pub checkpoint_len: u64,
     /// CRC-32 of the record range.
     pub crc32: u32,
 }
@@ -349,8 +172,9 @@ fn encode_footer(metas: &[SegmentMeta]) -> Vec<u8> {
         wire::put_varint(&mut body, meta.locks_before as u64);
         wire::put_varint(&mut body, meta.vars_before as u64);
         wire::put_varint(&mut body, u64::from(meta.threads_before));
-        wire::put_varint(&mut body, meta.checkpoint_offset);
-        wire::put_varint(&mut body, meta.checkpoint_len);
+        // The reserved pair (see the module docs).
+        wire::put_varint(&mut body, 0);
+        wire::put_varint(&mut body, 0);
         wire::put_varint(&mut body, u64::from(meta.crc32));
     }
     let crc = crc32(&body);
@@ -358,6 +182,16 @@ fn encode_footer(metas: &[SegmentMeta]) -> Vec<u8> {
     body
 }
 
+/// True when `[offset, offset + len)` ends at or before `limit`; an
+/// `offset + len` past `u64::MAX` is out of bounds, not wrapped.
+fn within(offset: u64, len: u64, limit: u64) -> bool {
+    offset.checked_add(len).is_some_and(|end| end <= limit)
+}
+
+/// Decodes the footer body of the footer record at `at`. Each entry's
+/// reserved pair is checked and dropped: `(0, 0)`, or for a segment
+/// after the first a range before the footer (where earlier writers
+/// put that segment's checkpoint block).
 fn decode_footer(body: &[u8], at: u64) -> Result<Vec<SegmentMeta>, BinaryTraceError> {
     let fail = |what: String| BinaryTraceError::new(at, what);
     if body.len() < 4 {
@@ -380,22 +214,78 @@ fn decode_footer(body: &[u8], at: u64) -> Result<Vec<SegmentMeta>, BinaryTraceEr
         return Err(fail("footer segment count exceeds footer size".to_owned()));
     }
     let mut metas = Vec::with_capacity(count as usize);
-    for _ in 0..count {
+    for k in 0..count {
+        let offset = r.get_varint().map_err(wire_fail)?;
+        let byte_len = r.get_varint().map_err(wire_fail)?;
+        let event_count = r.get_varint().map_err(wire_fail)?;
+        let first_event_id = r.get_varint().map_err(wire_fail)?;
+        let locks_before = r.get_usize().map_err(wire_fail)?;
+        let vars_before = r.get_usize().map_err(wire_fail)?;
+        let threads_before = r.get_u32().map_err(wire_fail)?;
+        let reserved = (
+            r.get_varint().map_err(wire_fail)?,
+            r.get_varint().map_err(wire_fail)?,
+        );
+        if reserved != (0, 0) && (k == 0 || !within(reserved.0, reserved.1, at)) {
+            return Err(BinaryTraceError::new(
+                offset,
+                format!("segment {k} checkpoint out of bounds"),
+            ));
+        }
         metas.push(SegmentMeta {
-            offset: r.get_varint().map_err(wire_fail)?,
-            byte_len: r.get_varint().map_err(wire_fail)?,
-            event_count: r.get_varint().map_err(wire_fail)?,
-            first_event_id: r.get_varint().map_err(wire_fail)?,
-            locks_before: r.get_usize().map_err(wire_fail)?,
-            vars_before: r.get_usize().map_err(wire_fail)?,
-            threads_before: r.get_u32().map_err(wire_fail)?,
-            checkpoint_offset: r.get_varint().map_err(wire_fail)?,
-            checkpoint_len: r.get_varint().map_err(wire_fail)?,
+            offset,
+            byte_len,
+            event_count,
+            first_event_id,
+            locks_before,
+            vars_before,
+            threads_before,
             crc32: r.get_u32().map_err(wire_fail)?,
         });
     }
     r.finish().map_err(wire_fail)?;
     Ok(metas)
+}
+
+/// Checks the record ranges a v2 stream read (offset, byte length,
+/// CRC-32 each) against its footer body, whose `0xF5` tag sits at
+/// `at`: the same segments at the same places with the same checksums.
+pub(crate) fn check_streamed_footer(
+    body: &[u8],
+    at: u64,
+    ranges: &[(u64, u64, u32)],
+) -> Result<(), BinaryTraceError> {
+    let metas = decode_footer(body, at)?;
+    if metas.len() != ranges.len() {
+        return Err(BinaryTraceError::new(
+            at,
+            format!(
+                "footer lists {} segment(s), the stream has {}",
+                metas.len(),
+                ranges.len()
+            ),
+        ));
+    }
+    for (k, (meta, &(offset, byte_len, crc))) in metas.iter().zip(ranges).enumerate() {
+        let fail = |what: String| {
+            BinaryTraceError::new(
+                offset,
+                format!("segment {k} (starts at byte {offset}): {what}"),
+            )
+        };
+        if (meta.offset, meta.byte_len) != (offset, byte_len) {
+            return Err(fail(format!(
+                "footer places it at byte {} with {} bytes, the stream has {byte_len}",
+                meta.offset, meta.byte_len
+            )));
+        }
+        if meta.crc32 != crc {
+            return Err(fail(
+                "segment checksum mismatch (corrupt or truncated file)".to_owned(),
+            ));
+        }
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -463,39 +353,17 @@ struct OpenSegment {
     locks_before: usize,
     vars_before: usize,
     threads_before: u32,
-    checkpoint_offset: u64,
-    checkpoint_len: u64,
 }
 
-/// Replays queued sync events into the tracker. Outlined and cold so
-/// the clock plumbing cannot leak into the encode loop's register
-/// allocation — the drain runs once per chunk/segment, the loop runs
-/// once per event.
-#[cold]
-#[inline(never)]
-fn drain_sync(tracker: &mut SyncTracker, queued: &[Event]) {
-    for &e in queued {
-        tracker.apply_sync(e);
-    }
-}
-
+/// Writes segment `index`'s marker; `seen_threads` is one past the
+/// highest thread id of the events before it.
 fn begin_segment<W: Write>(
     out: &mut CountingWriter<'_, W>,
-    tracker: &SyncTracker,
     emitted: &EmittedMeta,
+    seen_threads: u32,
     index: usize,
     first_event_id: u64,
 ) -> std::io::Result<OpenSegment> {
-    let (checkpoint_offset, checkpoint_len) = if index == 0 {
-        (0, 0)
-    } else {
-        let bytes = tracker.checkpoint().encode();
-        out.write_all(&[TAG_CHECKPOINT])?;
-        write_varint(out, bytes.len() as u64)?;
-        let offset = out.offset();
-        out.write_all(&bytes)?;
-        (offset, bytes.len() as u64)
-    };
     out.write_all(&[TAG_SEGMENT])?;
     write_varint(out, index as u64)?;
     let start = out.offset();
@@ -505,9 +373,7 @@ fn begin_segment<W: Write>(
         events: 0,
         locks_before: emitted.locks,
         vars_before: emitted.vars,
-        threads_before: emitted.threads.max(tracker.watermark),
-        checkpoint_offset,
-        checkpoint_len,
+        threads_before: emitted.threads.max(seen_threads),
     })
 }
 
@@ -532,21 +398,17 @@ fn flush_segment<W: Write>(
         locks_before: seg.locks_before,
         vars_before: seg.vars_before,
         threads_before: seg.threads_before,
-        checkpoint_offset: seg.checkpoint_offset,
-        checkpoint_len: seg.checkpoint_len,
         crc32: crc32(body),
     })
 }
 
 /// Streams any [`EventSource`] to the segmented v2 format, in memory
-/// bounded by the segment size (for the checkpoint clocks and one
-/// segment body, buffered so its CRC runs as a single slice-by-8 pass
-/// instead of per record) — the sink need not be seekable; offsets are
-/// tracked, not sought.
+/// bounded by the segment size (one segment body, buffered so its CRC
+/// runs as a single slice-by-8 pass instead of per record) — the sink
+/// need not be seekable; offsets are tracked, not sought.
 ///
 /// Record order is identical to the v1 output of
-/// [`write_source_binary`](crate::write_source_binary) — segment,
-/// checkpoint and
+/// [`write_source_binary`](crate::write_source_binary) — segment and
 /// footer records are interposed, never reordered — so converting
 /// v1→v2→v1 reproduces the original file byte for byte.
 ///
@@ -566,60 +428,23 @@ where
     let mut out = CountingWriter::new(out);
     out.write_all(&BINARY_MAGIC_V2)?;
     let mut emitted = EmittedMeta::default();
-    let mut tracker = SyncTracker::default();
     let mut metas: Vec<SegmentMeta> = Vec::new();
     let mut prev_tid: Option<ThreadId> = None;
     // Records accumulate here per segment; the buffer is written (and
     // checksummed) in one shot when the segment closes, then reused.
     let mut body: Vec<u8> = Vec::new();
-    // Events wait here until the segment closes; the tracker replays
-    // them in one tight loop right before the next checkpoint is cut.
-    // Interleaving `tracker.apply` with record emission measurably
-    // degrades the encode loop's codegen (~6 ns/event), and the sync
-    // state is only ever *read* at segment boundaries.
-    // The encode loop must not touch `tracker`, and must not branch on
-    // whether an event is sync: a direct `tracker.apply(event)` here —
-    // even one whose fast path is two compares — measured ~7 ns/event
-    // (~17% of v2 encode), and a conditional `push` of the ~35%
-    // randomly-interleaved sync events mispredicts. Instead every
-    // event is stored into the chunk buffer unconditionally and the
-    // cursor advances only for sync events (a flag add, no branch);
-    // the tracker replays the queued sync events in a burst whenever
-    // the chunk fills and at each segment boundary — the boundary is
-    // the only place the sync state is ever read, so mid-segment
-    // drains are free to happen anywhere. The thread watermark rides
-    // in a local for the same reason.
-    const SYNC_CHUNK: usize = 4096;
-    let dummy = Event::new(ThreadId::new(0), EventKind::Read(crate::VarId::new(0)));
-    let mut sync_buf: Box<[Event; SYNC_CHUNK]> = Box::new([dummy; SYNC_CHUNK]);
-    let mut sync_len = 0usize;
     let mut seen_threads = 0u32;
-    let mut seg = begin_segment(&mut out, &tracker, &emitted, 0, 0)?;
+    let mut seg = begin_segment(&mut out, &emitted, seen_threads, 0, 0)?;
     flush_binary_meta(&mut emitted, source, &mut body)?;
     while let Some(event) = source.next_event()? {
         if seg.events == per_segment {
-            drain_sync(&mut tracker, &sync_buf[..sync_len]);
-            sync_len = 0;
-            tracker.watermark = tracker.watermark.max(seen_threads);
             let next_first = seg.first_event_id + seg.events;
             metas.push(flush_segment(&mut out, seg, &body)?);
             body.clear();
-            seg = begin_segment(&mut out, &tracker, &emitted, metas.len(), next_first)?;
+            seg = begin_segment(&mut out, &emitted, seen_threads, metas.len(), next_first)?;
             prev_tid = None;
         }
         seen_threads = seen_threads.max(event.tid.as_u32() + 1);
-        // The mask is a no-op (`sync_len < SYNC_CHUNK` always) but
-        // proves the index in range, so the store carries no
-        // bounds-check panic path into the loop.
-        sync_buf[sync_len & (SYNC_CHUNK - 1)] = event;
-        sync_len += usize::from(!matches!(
-            event.kind,
-            EventKind::Read(_) | EventKind::Write(_)
-        ));
-        if sync_len == SYNC_CHUNK {
-            drain_sync(&mut tracker, &sync_buf[..sync_len]);
-            sync_len = 0;
-        }
         flush_binary_meta(&mut emitted, source, &mut body)?;
         write_event_record(&mut body, event, &mut prev_tid)?;
         seg.events += 1;
@@ -668,7 +493,7 @@ pub fn write_trace_binary_v2<W: Write>(
 // ---------------------------------------------------------------------
 
 /// A randomly addressable view of a v2 file: the footer index, plus
-/// seek-and-read access to each segment's record bytes and checkpoint.
+/// seek-and-read access to each segment's record bytes.
 ///
 /// I/O is deliberately split from decoding:
 /// [`read_segment_bytes`](Self::read_segment_bytes) does the
@@ -736,7 +561,7 @@ impl<R: Read + Seek> SegmentedTraceFile<R> {
         let footer_offset = u64::from_le_bytes(trailer[..8].try_into().expect("8 bytes"));
         // The footer record needs at least tag + 1-byte length + body
         // before the end marker and trailer.
-        if footer_offset < 8 || footer_offset + 2 > trailer_at {
+        if footer_offset < 8 || !within(footer_offset, 2, trailer_at) {
             return Err(BinaryTraceError::new(
                 trailer_at,
                 format!("footer offset {footer_offset} out of bounds"),
@@ -754,7 +579,7 @@ impl<R: Read + Seek> SegmentedTraceFile<R> {
             ));
         }
         let body_len = read_varint_at(&mut input, &mut at)?;
-        if at + body_len + 1 != trailer_at {
+        if at.checked_add(body_len).and_then(|end| end.checked_add(1)) != Some(trailer_at) {
             return Err(BinaryTraceError::new(
                 at,
                 format!("footer body length {body_len} does not reach the end marker"),
@@ -767,8 +592,13 @@ impl<R: Read + Seek> SegmentedTraceFile<R> {
         let mut prev_end = 8u64;
         for (k, meta) in metas.iter().enumerate() {
             let bad = |what: String| BinaryTraceError::new(meta.offset, what);
-            if meta.offset < prev_end || meta.offset + meta.byte_len > footer_offset {
+            if meta.offset < prev_end || !within(meta.offset, meta.byte_len, footer_offset) {
                 return Err(bad(format!("segment {k} range out of bounds")));
+            }
+            // Each name costs bytes before the footer, so no watermark
+            // can exceed its offset (and none can overflow a name id).
+            if meta.locks_before as u64 > footer_offset || meta.vars_before as u64 > footer_offset {
+                return Err(bad(format!("segment {k} name watermarks out of bounds")));
             }
             if meta.first_event_id != expected_first {
                 return Err(bad(format!(
@@ -776,21 +606,9 @@ impl<R: Read + Seek> SegmentedTraceFile<R> {
                     meta.first_event_id
                 )));
             }
-            expected_first += meta.event_count;
-            let has_checkpoint = meta.checkpoint_len > 0 || meta.checkpoint_offset > 0;
-            if (k == 0) == has_checkpoint {
-                return Err(bad(format!(
-                    "segment {k} {} a checkpoint",
-                    if k == 0 {
-                        "must not carry"
-                    } else {
-                        "is missing"
-                    }
-                )));
-            }
-            if meta.checkpoint_offset + meta.checkpoint_len > footer_offset {
-                return Err(bad(format!("segment {k} checkpoint out of bounds")));
-            }
+            expected_first = expected_first
+                .checked_add(meta.event_count)
+                .ok_or_else(|| bad(format!("segment {k} event count overflows u64")))?;
             prev_end = meta.offset + meta.byte_len;
         }
         Ok(SegmentedTraceFile {
@@ -871,42 +689,8 @@ impl<R: Read + Seek> SegmentedTraceFile<R> {
         Ok(crc32(&self.read_segment_bytes(k)?))
     }
 
-    /// Reads and decodes the checkpoint preceding segment `k` — the
-    /// canonical sync state after segments `< k`. Segment 0 yields the
-    /// empty initial state (the file stores no record for it).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures and malformed checkpoint encodings.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k >= self.segment_count()`.
-    pub fn read_checkpoint(&mut self, k: usize) -> Result<SyncCheckpoint, BinaryTraceError> {
-        let meta = &self.metas[k];
-        if k == 0 {
-            return Ok(SyncCheckpoint::default());
-        }
-        let mut bytes = vec![0u8; meta.checkpoint_len as usize];
-        self.input
-            .seek(SeekFrom::Start(meta.checkpoint_offset))
-            .and_then(|_| self.input.read_exact(&mut bytes))
-            .map_err(|e| {
-                BinaryTraceError::new(
-                    meta.checkpoint_offset,
-                    format!("cannot read checkpoint {k}: {e}"),
-                )
-            })?;
-        SyncCheckpoint::decode(&bytes).map_err(|e| {
-            BinaryTraceError::new(
-                meta.checkpoint_offset,
-                format!("malformed checkpoint for segment {k}: {e}"),
-            )
-        })
-    }
-
     /// Fully verifies the file: every segment's checksum, record
-    /// decoding and event count, and every checkpoint's encoding.
+    /// decoding and event count.
     ///
     /// # Errors
     ///
@@ -918,7 +702,6 @@ impl<R: Read + Seek> SegmentedTraceFile<R> {
             let bytes = self.read_segment_bytes(k)?;
             let meta = self.metas[k].clone();
             decode_segment_indexed(k, &bytes, &meta, |_, _| false)?;
-            self.read_checkpoint(k)?;
         }
         Ok(())
     }
@@ -1185,6 +968,7 @@ mod tests {
     use std::io::Cursor;
 
     use super::*;
+    use crate::binary::TAG_CHECKPOINT;
     use crate::{
         read_trace_binary, write_source_binary, write_trace_binary, BinaryEventReader, SourceError,
         TraceBuilder,
@@ -1322,56 +1106,6 @@ mod tests {
         assert_eq!(vars, trace.var_names);
     }
 
-    /// The textbook vector-clock update, one event at a time, with no
-    /// locality shortcuts and eager clock growth — the reference the
-    /// production tracker must match bit for bit.
-    fn naive_apply(t: &mut SyncTracker, event: Event) {
-        while t.threads.len() <= event.tid.index() {
-            let next = ThreadId::new(t.threads.len() as u32);
-            t.threads.push(VectorClock::bottom_with(next, 1));
-        }
-        t.watermark = t.watermark.max(event.tid.as_u32() + 1);
-        match event.kind {
-            EventKind::Read(_) | EventKind::Write(_) => {}
-            EventKind::Acquire(lock) => {
-                if t.locks.len() <= lock.index() {
-                    t.locks.resize_with(lock.index() + 1, VectorClock::new);
-                }
-                t.threads[event.tid.index()].join(&t.locks[lock.index()]);
-            }
-            EventKind::Release(lock) => {
-                if t.locks.len() <= lock.index() {
-                    t.locks.resize_with(lock.index() + 1, VectorClock::new);
-                }
-                let clock = &mut t.threads[event.tid.index()];
-                t.locks[lock.index()].assign_from(clock);
-                clock.increment(event.tid);
-            }
-        }
-    }
-
-    #[test]
-    fn checkpoints_replay_the_sync_prefix() {
-        let trace = sample();
-        let mut bytes = Vec::new();
-        write_trace_binary_v2(&trace, &mut bytes, &opts(3)).unwrap();
-        let mut file = SegmentedTraceFile::open(Cursor::new(&bytes)).unwrap();
-        assert!(file.segment_count() > 2);
-        for k in 0..file.segment_count() {
-            // Independently replay the canonical (naive, shortcut-free)
-            // semantics over the prefix and compare to the stored
-            // checkpoint — a differential check on the writer tracker's
-            // locality shortcuts and deferred sync replay.
-            let mut tracker = SyncTracker::default();
-            for &event in &trace.events()[..file.meta(k).first_event_id as usize] {
-                naive_apply(&mut tracker, event);
-            }
-            let stored = file.read_checkpoint(k).unwrap();
-            assert_eq!(stored, tracker.checkpoint(), "segment {k}");
-            assert_eq!(stored, SyncCheckpoint::decode(&stored.encode()).unwrap());
-        }
-    }
-
     #[test]
     fn corrupt_segment_bytes_fail_the_checksum() {
         let trace = sample();
@@ -1393,6 +1127,202 @@ mod tests {
                  (corrupt or truncated file)"
             )
         );
+    }
+
+    /// The footer fields of `metas` in wire order: the segment count,
+    /// then ten fields per segment, the reserved pair as `(0, 0)`.
+    fn footer_fields(metas: &[SegmentMeta]) -> Vec<u64> {
+        let mut fields = vec![metas.len() as u64];
+        for m in metas {
+            fields.extend([
+                m.offset,
+                m.byte_len,
+                m.event_count,
+                m.first_event_id,
+                m.locks_before as u64,
+                m.vars_before as u64,
+                u64::from(m.threads_before),
+                0,
+                0,
+                u64::from(m.crc32),
+            ]);
+        }
+        fields
+    }
+
+    /// Index of segment `k`'s field `i` in [`footer_fields`].
+    fn field(k: usize, i: usize) -> usize {
+        1 + 10 * k + i
+    }
+
+    /// The v2 file `bytes` with its footer body re-encoded from `fields`
+    /// and the footer checksum recomputed, so the field checks behind
+    /// the checksum are reached.
+    fn with_footer(bytes: &[u8], fields: &[u64]) -> Vec<u8> {
+        let trailer = &bytes[bytes.len() - TRAILER_LEN as usize..];
+        let footer_offset = u64::from_le_bytes(trailer[..8].try_into().unwrap());
+        let mut body = Vec::new();
+        for &value in fields {
+            wire::put_varint(&mut body, value);
+        }
+        body.extend_from_slice(&crc32(&body).to_le_bytes());
+        let mut out = bytes[..footer_offset as usize].to_vec();
+        out.push(TAG_FOOTER);
+        out.extend(varint(body.len() as u64));
+        out.extend(body);
+        out.push(TAG_END);
+        out.extend_from_slice(trailer);
+        out
+    }
+
+    /// A 6-segment file of [`sample`] and its footer entries.
+    fn sample_file() -> (Vec<u8>, Vec<SegmentMeta>) {
+        let mut bytes = Vec::new();
+        write_trace_binary_v2(&sample(), &mut bytes, &opts(4)).unwrap();
+        let metas = SegmentedTraceFile::open(Cursor::new(&bytes))
+            .unwrap()
+            .metas()
+            .to_vec();
+        assert_eq!(metas.len(), 6);
+        (bytes, metas)
+    }
+
+    #[test]
+    fn the_writer_stores_no_checkpoints_and_a_zero_reserved_pair() {
+        let (bytes, metas) = sample_file();
+        // Re-encoding the footer with every reserved pair `(0, 0)`
+        // reproduces the file.
+        assert_eq!(with_footer(&bytes, &footer_fields(&metas)), bytes);
+        // Each segment's marker directly follows the previous records.
+        for pair in metas.windows(2) {
+            let end = (pair[0].offset + pair[0].byte_len) as usize;
+            assert_eq!(bytes[end], TAG_SEGMENT);
+            assert_eq!(pair[1].offset as usize, end + 2);
+        }
+    }
+
+    #[test]
+    fn footer_ranges_that_wrap_or_overrun_are_out_of_bounds() {
+        let (bytes, metas) = sample_file();
+        let last = metas.len() - 1;
+        let footer_offset = SegmentedTraceFile::open(Cursor::new(&bytes))
+            .unwrap()
+            .footer_offset();
+        let wraps_to_4 = 0u64.wrapping_sub(metas[last].offset) + 4;
+        let cases: Vec<(Vec<(usize, u64)>, String)> = vec![
+            (
+                vec![(field(last, 1), wraps_to_4)],
+                format!("segment {last} range out of bounds"),
+            ),
+            (
+                vec![(field(last, 0), u64::MAX)],
+                format!("segment {last} range out of bounds"),
+            ),
+            (
+                vec![(field(1, 0), u64::MAX)],
+                "segment 1 range out of bounds".to_owned(),
+            ),
+            (
+                vec![(field(1, 7), u64::MAX), (field(1, 8), 2)],
+                "segment 1 checkpoint out of bounds".to_owned(),
+            ),
+            (
+                vec![(field(2, 7), footer_offset), (field(2, 8), u64::MAX)],
+                "segment 2 checkpoint out of bounds".to_owned(),
+            ),
+            (
+                vec![(field(1, 7), u64::MAX)],
+                "segment 1 checkpoint out of bounds".to_owned(),
+            ),
+            (
+                vec![(field(0, 7), 8), (field(0, 8), 1)],
+                "segment 0 checkpoint out of bounds".to_owned(),
+            ),
+        ];
+        for (edits, expected) in cases {
+            let mut fields = footer_fields(&metas);
+            for &(at, value) in &edits {
+                fields[at] = value;
+            }
+            let damaged = with_footer(&bytes, &fields);
+            let err = SegmentedTraceFile::open(Cursor::new(&damaged)).unwrap_err();
+            assert!(err.to_string().contains(&expected), "{edits:?}: {err}");
+            assert!(read_trace_binary(&damaged).is_err(), "{edits:?} streams");
+        }
+        // An earlier writer's pair, pointing before the footer, is
+        // checked and dropped.
+        let mut fields = footer_fields(&metas);
+        fields[field(1, 7)] = 10;
+        fields[field(1, 8)] = 5;
+        let old_style = with_footer(&bytes, &fields);
+        let mut file = SegmentedTraceFile::open(Cursor::new(&old_style)).unwrap();
+        assert_eq!(file.metas(), metas);
+        file.verify().unwrap();
+        assert_eq!(
+            read_trace_binary(&old_style).unwrap().events(),
+            sample().events()
+        );
+    }
+
+    /// Collects every event of `bytes` through the seeking reader (open,
+    /// `verify`, then each segment) and through the streaming reader;
+    /// each must fail or yield exactly `events`.
+    fn assert_damage_is_caught(bytes: &[u8], events: &[Event], label: &str) {
+        let seeking = SegmentedTraceFile::open(Cursor::new(bytes)).and_then(|mut file| {
+            file.verify()?;
+            let mut all = Vec::new();
+            for k in 0..file.segment_count() {
+                let meta = file.meta(k).clone();
+                all.extend(decode_segment(&file.read_segment_bytes(k)?, &meta)?.events);
+            }
+            Ok(all)
+        });
+        if let Ok(got) = seeking {
+            assert_eq!(got, events, "seeking reader, {label}");
+        }
+        let streamed = BinaryEventReader::new(bytes)
+            .map_err(SourceError::from)
+            .and_then(|mut reader| {
+                let mut all = Vec::new();
+                while let Some(event) = reader.next_event()? {
+                    all.push(event);
+                }
+                Ok(all)
+            });
+        if let Ok(got) = streamed {
+            assert_eq!(got, events, "streaming reader, {label}");
+        }
+    }
+
+    #[test]
+    fn damaged_files_fail_or_read_back_the_undamaged_events() {
+        let (bytes, metas) = sample_file();
+        let events = sample().events().to_vec();
+        assert_damage_is_caught(&bytes, &events, "intact");
+        for cut in 0..bytes.len() {
+            assert_damage_is_caught(&bytes[..cut], &events, &format!("cut at {cut}"));
+        }
+        let mut damaged = bytes.clone();
+        for at in 0..bytes.len() {
+            damaged[at] ^= 0xFF;
+            assert_damage_is_caught(&damaged, &events, &format!("byte {at} flipped"));
+            damaged[at] = bytes[at];
+        }
+        let fields = footer_fields(&metas);
+        for at in 0..fields.len() {
+            for value in [0, 1, u64::MAX] {
+                let mut edited = fields.clone();
+                edited[at] = value;
+                let damaged = with_footer(&bytes, &edited);
+                assert_damage_is_caught(&damaged, &events, &format!("field {at} set to {value}"));
+            }
+        }
+        let trailer_at = bytes.len() - TRAILER_LEN as usize;
+        for value in [0, 1, u64::MAX] {
+            let mut damaged = bytes.clone();
+            damaged[trailer_at..trailer_at + 8].copy_from_slice(&u64::to_le_bytes(value));
+            assert_damage_is_caught(&damaged, &events, &format!("footer offset {value}"));
+        }
     }
 
     #[test]
@@ -1513,8 +1443,6 @@ mod tests {
             locks_before,
             vars_before,
             threads_before: 2,
-            checkpoint_offset: 900,
-            checkpoint_len: 10,
             crc32: crc32(records),
         };
         decode_segment(records, &meta)
@@ -1804,29 +1732,31 @@ mod tests {
         b.build()
     }
 
-    /// Decodes `stream` with the streaming reader: what it yielded and
-    /// defined, in the shape of a decoded segment, and how it ended.
+    /// Decodes `stream` (a v2 magic, then records) with the record
+    /// grammar in the streaming reader's mode, without the v2 structure
+    /// checks the streaming reader adds on top (the whole-file damage
+    /// sweep covers those): what it yielded and defined, in the shape of
+    /// a decoded segment, and how it ended.
     fn stream_decode(stream: &[u8]) -> (SegmentData, Result<(), BinaryTraceError>) {
-        let mut reader = BinaryEventReader::new(stream).unwrap();
+        let mut records = RecordDecoder::new(2, false, Interner::default(), Interner::default());
+        let mut input = SliceInput::new(&stream[8..], 8);
         let mut events = Vec::new();
         let end = loop {
-            match reader.next_event() {
+            match records.next_event(&mut input) {
                 Ok(Some(event)) => events.push(event),
                 Ok(None) => break Ok(()),
-                Err(SourceError::Binary(e)) => break Err(e),
-                Err(other) => panic!("binary reader produced a non-binary error: {other}"),
+                Err(e) => break Err(e),
             }
         };
+        let (declared_threads, observed_threads) =
+            (records.declared_threads(), records.observed_threads);
+        let (new_locks, new_vars) = records.into_names();
         let data = SegmentData {
             events,
-            new_locks: (0..reader.lock_count())
-                .map(|i| reader.lock_name(i).to_owned())
-                .collect(),
-            new_vars: (0..reader.var_count())
-                .map(|i| reader.var_name(i).to_owned())
-                .collect(),
-            declared_threads: reader.declared_threads(),
-            observed_threads: reader.observed_threads(),
+            new_locks,
+            new_vars,
+            declared_threads,
+            observed_threads,
         };
         (data, end)
     }
@@ -1848,8 +1778,6 @@ mod tests {
             locks_before: 0,
             vars_before: 0,
             threads_before: 0,
-            checkpoint_offset: 0,
-            checkpoint_len: 0,
             crc32: crc32(body),
         };
         // The stream's own end: the body's last byte with no end marker.
@@ -2069,8 +1997,6 @@ mod tests {
                     locks_before,
                     vars_before,
                     threads_before: 2,
-                    checkpoint_offset: 900,
-                    checkpoint_len: 10,
                     crc32: crc32(bytes),
                 };
                 assert_kernel_matches_grammar(&body, &meta_for(&body), "valid");
