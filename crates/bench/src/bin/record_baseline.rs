@@ -1130,15 +1130,11 @@ fn run_segments(out_path: Option<String>) {
          inside the timed region), asserting full reuse and report parity every \
          round; the cached pair segments at incremental.events_per_segment -- \
          a growing trace checkpoints at finer granularity than an archival \
-         corpus file, since checkpoint spacing bounds the replay tail. v2_encode: per-segment batched CRC (slice-by-8 over the buffered \
-         body, replacing per-varint checksumming that never reached the 8-byte \
-         lanes), contiguous event-record writes, and the checkpoint tracker's \
-         locality shortcuts lifted v2 encode from ~0.54x to ~0.6x of v1_encode; \
-         the residual gap is the sync-queue feed, measured at ~7 ns/event on \
-         this host even when reduced to one masked store + add (same-binary A/B \
-         with the feed compiled out), so the no-tracker ceiling is ~0.85x v1 -- \
-         and v1 itself swings 51-77 Mev/s with host load, so compare within one \
-         sitting, not absolute Mev/s across files\",\n  \
+         corpus file, since checkpoint spacing bounds the replay tail. v2_encode is v1's record \
+         encoding plus the segment markers, the footer, and one slice-by-8 CRC \
+         pass over each buffered segment body; the writer stores no per-segment \
+         sync checkpoint -- and v1 itself swings 51-77 Mev/s with host load, so \
+         compare within one sitting, not absolute Mev/s across files\",\n  \
          \"events_per_s\": {{\n{}\n  }}\n}}\n",
         json_escape(&bench_name),
         trace.len(),

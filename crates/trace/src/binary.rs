@@ -59,7 +59,7 @@
 //! them against the footer before the stream ends, so a damaged v2
 //! stream fails instead of yielding other events.
 
-use std::io::{BufRead, Read, Write};
+use std::io::{Read, Write};
 
 use freshtrack_clock::ThreadId;
 
@@ -373,9 +373,8 @@ impl<R: Read> BinaryEventReader<R> {
     pub fn new(input: R) -> Result<Self, BinaryTraceError> {
         let mut input = StreamInput {
             reader: std::io::BufReader::new(input),
-            pos: 0,
             offset: 0,
-            segments: None,
+            crc: None,
         };
         let mut magic = [0u8; 8];
         input
@@ -391,10 +390,12 @@ impl<R: Read> BinaryEventReader<R> {
             }
             None => return Err(malformed(8, format_args!("not a binary trace (bad magic)"))),
         };
+        let mut records =
+            RecordDecoder::new(version, false, Interner::default(), Interner::default());
         if version == 2 {
-            input.segments = Some(StreamSegments::default());
+            input.crc = Some((!0, !0));
+            records.segments = Some(Box::default());
         }
-        let records = RecordDecoder::new(version, false, Interner::default(), Interner::default());
         Ok(BinaryEventReader { input, records })
     }
 
@@ -437,7 +438,7 @@ impl<R: Read> EventSource for BinaryEventReader<R> {
 /// Where the record grammar reads its bytes: a buffered stream
 /// ([`BinaryEventReader`]) or a cursor over one segment's bytes
 /// ([`SliceInput`]).
-pub(crate) trait RecordInput: Sized {
+pub(crate) trait RecordInput {
     /// Absolute offset of the next unread byte, for error reports.
     fn offset(&self) -> u64;
 
@@ -445,105 +446,22 @@ pub(crate) trait RecordInput: Sized {
     /// fails with `UnexpectedEof` and leaves the offset unchanged.
     fn read_exact(&mut self, buf: &mut [u8]) -> std::io::Result<()>;
 
-    /// The tag byte of a v2 marker (`0xF3`, `0xF4`, `0xF5`) or of the
-    /// end marker has just been read. A v2 stream closes its open record
-    /// range here, and rejects an end marker its footer did not consume;
-    /// a segment body checks nothing.
-    fn marker(&mut self, _tag: u8) -> Result<(), BinaryTraceError> {
-        Ok(())
-    }
-
-    /// The `0xF3 <index>` marker has just been read: segment `index`'s
-    /// record range starts at the next byte.
-    fn segment_start(&mut self, _index: u64) -> Result<(), BinaryTraceError> {
-        Ok(())
-    }
-
-    /// The `0xF5 <len>` footer header has just been read: consumes the
-    /// `len` footer bytes, and returns whether it also consumed the end
-    /// marker that closes the stream. A segment body skips them.
-    fn footer(&mut self, len: u64) -> Result<bool, BinaryTraceError> {
-        skip_bytes(self, len)?;
-        Ok(false)
+    /// The CRC-32 of the bytes read since the previous call, without
+    /// the last read, restarting the checksum after that read. Only a
+    /// v2 stream checksums; other inputs return 0.
+    fn take_crc(&mut self) -> u32 {
+        0
     }
 }
 
-/// A buffered stream that counts the bytes it hands out.
-///
-/// Handed-out bytes stay in the `BufReader`'s buffer until it must
-/// refill, so a v2 stream checksums each segment's record range in
-/// place, in slice-by-8 passes, and checks the ranges against the
-/// footer: a damaged v2 stream fails like the file does, instead of
-/// yielding other events.
+/// A buffered stream that counts the bytes it hands out, and in a v2
+/// stream checksums them.
 #[derive(Debug)]
 struct StreamInput<R> {
     reader: std::io::BufReader<R>,
-    /// How many bytes of `reader.buffer()` were handed out.
-    pos: usize,
     offset: u64,
-    /// v2 only: the record ranges seen so far.
-    segments: Option<StreamSegments>,
-}
-
-/// A v2 stream's record ranges, checked against its footer.
-#[derive(Debug, Default)]
-struct StreamSegments {
-    /// Closed ranges: offset, byte length and CRC-32.
-    closed: Vec<(u64, u64, u32)>,
-    /// The open range, if any.
-    open: Option<OpenRange>,
-    /// Offset of the footer's `0xF5` tag, once read.
-    footer_at: u64,
-}
-
-/// A record range being read: where it starts, the CRC state of its
-/// bytes so far, and the buffer index its unhashed bytes start at.
-#[derive(Debug)]
-struct OpenRange {
-    offset: u64,
-    crc: u32,
-    from: usize,
-}
-
-impl<R: Read> StreamInput<R> {
-    /// Hashes the open range's handed-out bytes, hands the buffer back
-    /// to the `BufReader` and refills it; false at EOF.
-    fn refill(&mut self) -> std::io::Result<bool> {
-        if let Some(open) = self.segments.as_mut().and_then(|s| s.open.as_mut()) {
-            open.crc = crc32_update(open.crc, &self.reader.buffer()[open.from..self.pos]);
-            open.from = 0;
-        }
-        self.reader.consume(self.pos);
-        self.pos = 0;
-        loop {
-            match self.reader.fill_buf() {
-                Ok(bytes) => return Ok(!bytes.is_empty()),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    #[cold]
-    #[inline(never)]
-    fn read_exact_slow(&mut self, buf: &mut [u8]) -> std::io::Result<()> {
-        let mut filled = 0;
-        while filled < buf.len() {
-            if self.pos == self.reader.buffer().len() && !self.refill()? {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "failed to fill whole buffer",
-                ));
-            }
-            let available = &self.reader.buffer()[self.pos..];
-            let n = available.len().min(buf.len() - filled);
-            buf[filled..filled + n].copy_from_slice(&available[..n]);
-            self.pos += n;
-            filled += n;
-        }
-        self.offset += buf.len() as u64;
-        Ok(())
-    }
+    /// v2 only: the CRC state before and after the last read.
+    crc: Option<(u32, u32)>,
 }
 
 impl<R: Read> RecordInput for StreamInput<R> {
@@ -553,82 +471,66 @@ impl<R: Read> RecordInput for StreamInput<R> {
 
     #[inline(always)]
     fn read_exact(&mut self, buf: &mut [u8]) -> std::io::Result<()> {
-        match self.reader.buffer().get(self.pos..self.pos + buf.len()) {
-            Some(bytes) => {
-                buf.copy_from_slice(bytes);
-                self.pos += buf.len();
-                self.offset += buf.len() as u64;
-                Ok(())
-            }
-            None => self.read_exact_slow(buf),
+        self.reader.read_exact(buf)?;
+        self.offset += buf.len() as u64;
+        if let Some((before, after)) = &mut self.crc {
+            *before = *after;
+            *after = crc32_update(*after, buf);
         }
+        Ok(())
     }
 
-    fn marker(&mut self, tag: u8) -> Result<(), BinaryTraceError> {
-        let Some(segments) = self.segments.as_mut() else {
-            return Ok(());
-        };
-        let at = self.offset - 1;
+    fn take_crc(&mut self) -> u32 {
+        let (before, _) = self.crc.replace((!0, !0)).unwrap_or_default();
+        !before
+    }
+}
+
+/// A v2 stream's record ranges (offset, byte length, CRC-32), checked
+/// against its footer before the stream may end, so a damaged stream
+/// fails like the file does instead of yielding other events.
+#[derive(Debug, Default)]
+struct StreamSegments {
+    ranges: Vec<(u64, u64, u32)>,
+    /// Where the open range starts.
+    open: Option<u64>,
+}
+
+impl StreamSegments {
+    /// Reads the rest of the v2 marker or end marker whose `tag` was
+    /// just read; true when the footer closed the stream.
+    #[cold]
+    fn marker<I: RecordInput>(&mut self, tag: u8, input: &mut I) -> Result<bool, BinaryTraceError> {
+        let at = input.offset() - 1;
+        let crc = input.take_crc();
+        if let Some(start) = self.open.take() {
+            self.ranges.push((start, at - start, crc));
+        }
         if tag == TAG_END {
-            return Err(malformed(
-                at,
-                format_args!("end marker before the footer index"),
-            ));
+            return Err(malformed(at, format_args!("end marker before the footer")));
         }
-        if let Some(open) = segments.open.take() {
-            // The tag, the last byte handed out, is not part of the range.
-            let bytes = &self.reader.buffer()[open.from..self.pos - 1];
-            let crc = crc32_update(open.crc, bytes) ^ 0xFFFF_FFFF;
-            segments.closed.push((open.offset, at - open.offset, crc));
-        }
-        if tag == TAG_FOOTER {
-            segments.footer_at = at;
-        }
-        Ok(())
-    }
-
-    fn segment_start(&mut self, index: u64) -> Result<(), BinaryTraceError> {
-        let Some(segments) = self.segments.as_mut() else {
-            return Ok(());
-        };
-        let due = segments.closed.len();
-        if index != due as u64 {
-            return Err(malformed(
-                self.offset,
-                format_args!("segment marker {index} where segment {due} is due"),
-            ));
-        }
-        segments.open = Some(OpenRange {
-            offset: self.offset,
-            crc: 0xFFFF_FFFF,
-            from: self.pos,
-        });
-        Ok(())
-    }
-
-    fn footer(&mut self, len: u64) -> Result<bool, BinaryTraceError> {
-        let Some(segments) = self.segments.take() else {
-            skip_bytes(self, len)?;
+        // The segment index, or the checkpoint's or footer's length.
+        let len = read_varint(input)?;
+        if tag == TAG_SEGMENT {
+            input.take_crc();
+            self.open = Some(input.offset());
             return Ok(false);
-        };
-        // Read in bounded chunks: `len` is untrusted and must not size
-        // an allocation.
-        let mut body = Vec::new();
-        let mut chunk = [0u8; 4096];
-        let mut left = len;
-        while left > 0 {
-            let n = left.min(chunk.len() as u64) as usize;
-            if let Err(e) = self.read_exact(&mut chunk[..n]) {
-                return Err(truncated(self, e));
-            }
-            body.extend_from_slice(&chunk[..n]);
-            left -= n as u64;
         }
-        check_streamed_footer(&body, segments.footer_at, &segments.closed)?;
-        if read_byte(self)? != TAG_END {
+        if tag == TAG_CHECKPOINT {
+            skip_bytes(input, len)?;
+            return Ok(false);
+        }
+        // A footer entry is at most ten 10-byte varints: the clamp keeps
+        // a corrupt `len` from sizing the allocation.
+        let mut body = vec![0u8; len.min(14 + 100 * self.ranges.len() as u64) as usize];
+        if let Err(e) = input.read_exact(&mut body) {
+            return Err(truncated(input, e));
+        }
+        check_streamed_footer(&body, at, &self.ranges)?;
+        if read_byte(input)? != TAG_END {
             return Err(malformed(
-                self.offset - 1,
-                format_args!("the footer is not followed by the end marker"),
+                input.offset() - 1,
+                format_args!("no end marker after the footer"),
             ));
         }
         Ok(true)
@@ -713,6 +615,8 @@ pub(crate) struct RecordDecoder {
     /// The thread of the previous event, which the same-thread bit
     /// repeats; shared with the fast path like `observed_threads`.
     pub(crate) prev_tid: Option<ThreadId>,
+    /// A v2 stream's structure check (`None` in a segment body).
+    segments: Option<Box<StreamSegments>>,
     done: bool,
 }
 
@@ -731,6 +635,7 @@ impl RecordDecoder {
             declared_threads: 0,
             observed_threads: 0,
             prev_tid: None,
+            segments: None,
             done: false,
         }
     }
@@ -790,10 +695,16 @@ impl RecordDecoder {
                 return self.decode_event(input, tag).map(Some);
             }
             match tag {
-                TAG_END => {
-                    input.marker(tag)?;
-                    return Ok(None);
+                TAG_SEGMENT | TAG_CHECKPOINT | TAG_FOOTER | TAG_END if self.segments.is_some() => {
+                    let segments = self.segments.as_mut().expect("checked by the guard");
+                    if segments.marker(tag, input)? {
+                        return Ok(None);
+                    }
+                    if tag == TAG_SEGMENT {
+                        self.prev_tid = None;
+                    }
                 }
+                TAG_END => return Ok(None),
                 TAG_DEF_LOCK => {
                     let name = read_name(input)?;
                     if self.locks.contains(&name) {
@@ -825,27 +736,15 @@ impl RecordDecoder {
                     self.declared_threads = self.declared_threads.max(n as u32);
                 }
                 TAG_SEGMENT if self.version >= 2 => {
-                    // The boundary's one semantic effect: the same-thread
-                    // delta resets, so each segment decodes without its
-                    // predecessors.
-                    input.marker(tag)?;
-                    let index = read_varint(input)?;
-                    input.segment_start(index)?;
+                    // Sequential readers only need the boundary's one
+                    // semantic effect: the same-thread delta resets, so
+                    // each segment decodes without its predecessors.
+                    let _index = read_varint(input)?;
                     self.prev_tid = None;
                 }
-                TAG_CHECKPOINT if self.version >= 2 => {
-                    // Files from earlier writers carry a sync-plane
-                    // checkpoint here; nothing reads it.
-                    input.marker(tag)?;
+                TAG_CHECKPOINT | TAG_FOOTER if self.version >= 2 => {
                     let len = read_varint(input)?;
                     skip_bytes(input, len)?;
-                }
-                TAG_FOOTER if self.version >= 2 => {
-                    input.marker(tag)?;
-                    let len = read_varint(input)?;
-                    if input.footer(len)? {
-                        return Ok(None);
-                    }
                 }
                 tag => {
                     return Err(malformed(
@@ -977,8 +876,8 @@ fn read_varint<I: RecordInput>(input: &mut I) -> Result<u64, BinaryTraceError> {
     }
 }
 
-/// Skips `len` payload bytes (the checkpoint blocks of older v2 files,
-/// and footers inside a segment body). Bounded buffer: `len` comes from untrusted
+/// Skips `len` payload bytes (checkpoint blocks, and footer records
+/// inside a segment body). Bounded buffer: `len` comes from untrusted
 /// input and must not size an allocation.
 #[inline(always)]
 fn skip_bytes<I: RecordInput>(input: &mut I, len: u64) -> Result<(), BinaryTraceError> {

@@ -248,8 +248,7 @@ fn decode_footer(body: &[u8], at: u64) -> Result<Vec<SegmentMeta>, BinaryTraceEr
 }
 
 /// Checks the record ranges a v2 stream read (offset, byte length,
-/// CRC-32 each) against its footer body, whose `0xF5` tag sits at
-/// `at`: the same segments at the same places with the same checksums.
+/// CRC-32 each) against its footer body, whose `0xF5` tag sits at `at`.
 pub(crate) fn check_streamed_footer(
     body: &[u8],
     at: u64,
@@ -257,33 +256,23 @@ pub(crate) fn check_streamed_footer(
 ) -> Result<(), BinaryTraceError> {
     let metas = decode_footer(body, at)?;
     if metas.len() != ranges.len() {
-        return Err(BinaryTraceError::new(
-            at,
-            format!(
-                "footer lists {} segment(s), the stream has {}",
-                metas.len(),
-                ranges.len()
-            ),
-        ));
+        let what = format!(
+            "footer lists {} segment(s), the stream has {}",
+            metas.len(),
+            ranges.len()
+        );
+        return Err(BinaryTraceError::new(at, what));
     }
     for (k, (meta, &(offset, byte_len, crc))) in metas.iter().zip(ranges).enumerate() {
-        let fail = |what: String| {
-            BinaryTraceError::new(
-                offset,
-                format!("segment {k} (starts at byte {offset}): {what}"),
-            )
+        let what = if (meta.offset, meta.byte_len) != (offset, byte_len) {
+            "record range differs from the footer's"
+        } else if meta.crc32 != crc {
+            "segment checksum mismatch (corrupt or truncated file)"
+        } else {
+            continue;
         };
-        if (meta.offset, meta.byte_len) != (offset, byte_len) {
-            return Err(fail(format!(
-                "footer places it at byte {} with {} bytes, the stream has {byte_len}",
-                meta.offset, meta.byte_len
-            )));
-        }
-        if meta.crc32 != crc {
-            return Err(fail(
-                "segment checksum mismatch (corrupt or truncated file)".to_owned(),
-            ));
-        }
+        let what = format!("segment {k} (starts at byte {offset}): {what}");
+        return Err(BinaryTraceError::new(offset, what));
     }
     Ok(())
 }
