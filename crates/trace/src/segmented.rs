@@ -215,32 +215,29 @@ fn decode_footer(body: &[u8], at: u64) -> Result<Vec<SegmentMeta>, BinaryTraceEr
     }
     let mut metas = Vec::with_capacity(count as usize);
     for k in 0..count {
-        let offset = r.get_varint().map_err(wire_fail)?;
-        let byte_len = r.get_varint().map_err(wire_fail)?;
-        let event_count = r.get_varint().map_err(wire_fail)?;
-        let first_event_id = r.get_varint().map_err(wire_fail)?;
-        let locks_before = r.get_usize().map_err(wire_fail)?;
-        let vars_before = r.get_usize().map_err(wire_fail)?;
-        let threads_before = r.get_u32().map_err(wire_fail)?;
+        let meta = SegmentMeta {
+            offset: r.get_varint().map_err(wire_fail)?,
+            byte_len: r.get_varint().map_err(wire_fail)?,
+            event_count: r.get_varint().map_err(wire_fail)?,
+            first_event_id: r.get_varint().map_err(wire_fail)?,
+            locks_before: r.get_usize().map_err(wire_fail)?,
+            vars_before: r.get_usize().map_err(wire_fail)?,
+            threads_before: r.get_u32().map_err(wire_fail)?,
+            crc32: 0,
+        };
         let reserved = (
             r.get_varint().map_err(wire_fail)?,
             r.get_varint().map_err(wire_fail)?,
         );
         if reserved != (0, 0) && (k == 0 || !within(reserved.0, reserved.1, at)) {
             return Err(BinaryTraceError::new(
-                offset,
+                meta.offset,
                 format!("segment {k} checkpoint out of bounds"),
             ));
         }
         metas.push(SegmentMeta {
-            offset,
-            byte_len,
-            event_count,
-            first_event_id,
-            locks_before,
-            vars_before,
-            threads_before,
             crc32: r.get_u32().map_err(wire_fail)?,
+            ..meta
         });
     }
     r.finish().map_err(wire_fail)?;
