@@ -5,14 +5,29 @@
 //! A seekable `.ftb` v2 file runs on the segment pipeline (which checks
 //! every segment's CRC); stdin, text, v1, a v2 file whose footer does not
 //! open, and engine `sam` stream. Both paths must print the same bytes.
+//! A `.ftc` sidecar an earlier build wrote is pinned here too, through
+//! the same binary.
 
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 
-use freshtrack_trace::SegmentedTraceFile;
+use freshtrack_trace::{AnalysisCache, SegmentedTraceFile};
 
 const BIN: &str = env!("CARGO_BIN_EXE_freshtrack");
+
+/// A `.ftb` v2 fixture of 404 events in 5 segments.
+const OLD_V2: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../trace/tests/fixtures/checkpointed_v2.ftb"
+);
+
+/// The sidecar container format 1 wrote for [`OLD_V2`] with
+/// `analyze checkpointed_v2.ftb --engine so --rate 0.5 --seed 3 --cache`.
+const FORMAT1_SIDECAR: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../trace/tests/fixtures/sidecar_format1.ftc"
+);
 
 /// A temporary directory removed when dropped.
 struct TempDir(PathBuf);
@@ -56,6 +71,21 @@ fn freshtrack(args: &[&str], stdin: Option<&[u8]>) -> (i32, Vec<u8>) {
     let output = child.wait_with_output().expect("wait for freshtrack");
     feeder.join().expect("stdin feeder");
     (output.status.code().unwrap_or(-1), output.stdout)
+}
+
+/// Runs the binary with no stdin; returns the exit code, stdout and
+/// stderr.
+fn freshtrack_with_stderr(args: &[&str]) -> (i32, Vec<u8>, String) {
+    let output = Command::new(BIN)
+        .args(args)
+        .stdin(Stdio::null())
+        .output()
+        .expect("run freshtrack");
+    (
+        output.status.code().unwrap_or(-1),
+        output.stdout,
+        String::from_utf8_lossy(&output.stderr).into_owned(),
+    )
 }
 
 /// Runs `analyze` on `path` and on the same bytes through stdin.
@@ -317,5 +347,36 @@ fn a_footer_range_that_wraps_fails_every_command() {
         (1, 1),
         "{}",
         String::from_utf8_lossy(&out)
+    );
+}
+
+#[test]
+fn the_format_one_sidecar_fixture_analyzes_like_plain_analyze() {
+    let dir = TempDir::new("format1");
+    let fixture = std::fs::read(FORMAT1_SIDECAR).expect("read the sidecar fixture");
+    let decoded = AnalysisCache::decode(&fixture).expect("format 1 decodes");
+    assert_eq!(decoded.entries.len(), 5);
+
+    let tail = ["--engine", "so", "--rate", "0.5", "--seed", "3"];
+    let (code, plain) = freshtrack(&[&["analyze", OLD_V2][..], &tail].concat(), None);
+    assert_eq!(code, 0);
+    let cold_path = dir.path("cold.ftc");
+    let cold_arg = format!("--cache={cold_path}");
+    let (code, cold, _) =
+        freshtrack_with_stderr(&[&["analyze", OLD_V2, &cold_arg][..], &tail].concat());
+    assert_eq!((code, &cold), (0, &plain));
+
+    let warm_path = dir.path("warm.ftc");
+    std::fs::write(&warm_path, &fixture).unwrap();
+    let warm_arg = format!("--cache={warm_path}");
+    let (code, warm, status) =
+        freshtrack_with_stderr(&[&["analyze", OLD_V2, &warm_arg][..], &tail].concat());
+    assert_eq!(code, 0, "{status}");
+    assert_eq!(warm, plain);
+    assert!(status.contains("reused 5/5"), "{status}");
+    assert_eq!(
+        std::fs::read(&warm_path).unwrap(),
+        std::fs::read(&cold_path).unwrap(),
+        "the rewritten sidecar must equal a cold run's"
     );
 }
