@@ -1,10 +1,10 @@
 use std::io::{Read, Write};
 
 use freshtrack_core::{
-    analyze_segments, analyze_segments_cached, AccessCheckpoint, CheckpointState, Counters,
-    Detector, DjitDetector, FastTrackDetector, FreshnessDetector, HbOracle, NaiveSamplingDetector,
-    OracleConfig, OrderedListDetector, RaceReport, SegmentedAnalysis, SplitDetector,
-    StreamingOracle, SyncMode, CACHE_STATE_VERSION,
+    analyze_segments, analyze_segments_cached, CheckpointState, Counters, Detector, DjitDetector,
+    FastTrackDetector, FreshnessDetector, HbOracle, NaiveSamplingDetector, OracleConfig,
+    OrderedListDetector, RaceReport, SegmentedAnalysis, SplitDetector, StreamingOracle, SyncMode,
+    CACHE_STATE_VERSION,
 };
 use freshtrack_dbsim::{run_detector, run_sharded, RunOptions};
 use freshtrack_rapid::report::{pct, Table};
@@ -352,7 +352,7 @@ fn analyze_segmented<W: std::io::Write>(
     where
         D: SplitDetector,
         D::Sync: CheckpointState,
-        D::Access: AccessCheckpoint,
+        D::Access: CheckpointState,
         S: Sampler + Clone + Send,
         R: Read + std::io::Seek + Send,
         W: std::io::Write,
@@ -547,24 +547,13 @@ fn segments_cmd<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), A
     } else {
         None
     };
-    // The reusable prefix by the same byte-identity rule the analyzer
-    // applies (the config fingerprint is the analyzer's to check — it
-    // depends on engine/sampler arguments `segments` does not take).
+    // The reusable prefix by the analyzer's own rule (the config
+    // fingerprint is the analyzer's to check — it depends on
+    // engine/sampler arguments `segments` does not take).
     let prefix = match &cache {
-        Some((_, Some(sidecar))) => {
-            let mut k = 0;
-            while k < sidecar.entries.len().min(seg.segment_count()) {
-                let meta = seg.meta(k).clone();
-                let crc = seg
-                    .segment_crc32(k)
-                    .map_err(|e| ArgError(format!("{path}: {e}")))?;
-                if !sidecar.entries[k].matches(&meta) || crc != meta.crc32 {
-                    break;
-                }
-                k += 1;
-            }
-            k
-        }
+        Some((_, Some(sidecar))) => sidecar
+            .reusable_prefix(&mut seg)
+            .map_err(|e| ArgError(format!("{path}: {e}")))?,
         _ => 0,
     };
 

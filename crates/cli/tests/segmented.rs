@@ -262,6 +262,23 @@ fn a_corrupt_segment_fails_plain_jobs_and_cached_runs_alike() {
             Some(first.as_str())
         );
     }
+
+    // Through stdin the footer comes last, so the run fails with the
+    // first decode error the damage causes, which need not be the
+    // checksum; it still prints nothing but that error.
+    let (code, out) = freshtrack(&["analyze", "-"], Some(&bytes));
+    let out = String::from_utf8_lossy(&out);
+    assert_eq!(code, 1, "{out}");
+    assert_eq!(out.matches("error: -:").count(), 1, "{out}");
+    assert!(
+        out.lines()
+            .next()
+            .unwrap_or_default()
+            .starts_with("error: -:"),
+        "{out}"
+    );
+    assert!(!out.contains("race report"), "{out}");
+    assert!(!out.lines().any(|l| l.starts_with("  T")), "{out}");
 }
 
 /// LEB128, as the `.ftb` footer stores its fields.
@@ -351,11 +368,11 @@ fn a_footer_range_that_wraps_fails_every_command() {
 }
 
 #[test]
-fn the_format_one_sidecar_fixture_analyzes_like_plain_analyze() {
+fn the_format_one_sidecar_fixture_is_rebuilt_cold() {
     let dir = TempDir::new("format1");
     let fixture = std::fs::read(FORMAT1_SIDECAR).expect("read the sidecar fixture");
-    let decoded = AnalysisCache::decode(&fixture).expect("format 1 decodes");
-    assert_eq!(decoded.entries.len(), 5);
+    let err = AnalysisCache::decode(&fixture).expect_err("format 1 must not decode");
+    assert!(err.to_string().contains("format version 1"), "{err}");
 
     let tail = ["--engine", "so", "--rate", "0.5", "--seed", "3"];
     let (code, plain) = freshtrack(&[&["analyze", OLD_V2][..], &tail].concat(), None);
@@ -373,10 +390,129 @@ fn the_format_one_sidecar_fixture_analyzes_like_plain_analyze() {
         freshtrack_with_stderr(&[&["analyze", OLD_V2, &warm_arg][..], &tail].concat());
     assert_eq!(code, 0, "{status}");
     assert_eq!(warm, plain);
-    assert!(status.contains("reused 5/5"), "{status}");
+    assert!(status.contains("reused 0/5"), "{status}");
     assert_eq!(
         std::fs::read(&warm_path).unwrap(),
         std::fs::read(&cold_path).unwrap(),
         "the rewritten sidecar must equal a cold run's"
     );
+}
+
+/// The first `events` event lines of a text trace, with its directives.
+fn cut_text(text: &str, events: usize) -> String {
+    let mut out = String::new();
+    let mut seen = 0;
+    for line in text.lines() {
+        if seen == events {
+            break;
+        }
+        if !line.starts_with('#') && !line.trim().is_empty() {
+            seen += 1;
+        }
+        out.push_str(line);
+        out.push('\n');
+    }
+    out
+}
+
+/// `segments --cache` and `analyze --cache` apply one reusable-prefix
+/// rule: a prior sidecar is reusable at its last boundary after an
+/// append at a segment boundary, one boundary earlier after an append
+/// to a partial last segment, and not at all when the file diverges
+/// before its last two boundaries.
+#[test]
+fn segments_and_analyze_agree_on_the_reusable_prefix() {
+    let dir = TempDir::new("prefix-rule");
+    let [text_path, _, full] = generated(&dir);
+    let text = std::fs::read_to_string(&text_path).unwrap();
+    let tail = [
+        "--engine",
+        "so",
+        "--rate",
+        "0.3",
+        "--seed",
+        "5",
+        "--counters",
+    ];
+    let (code, plain) = freshtrack(&[&["analyze", full.as_str()][..], &tail].concat(), None);
+    assert_eq!(code, 0);
+    let cold_path = dir.path("cold.ftc");
+    let cold_arg = format!("--cache={cold_path}");
+    let (code, _, status) =
+        freshtrack_with_stderr(&[&["analyze", full.as_str(), &cold_arg][..], &tail].concat());
+    assert!(code == 0 && status.contains("reused 0/8"), "{status}");
+
+    // The prior file diverges in segment 1 (events 512..1024): its
+    // first write from event 700 on is a read.
+    let (mut seen, mut changed_at) = (0, None);
+    let diverged: String = text
+        .lines()
+        .map(|line| {
+            seen += usize::from(!line.starts_with('#') && !line.trim().is_empty());
+            let mut line = line.to_owned();
+            if seen >= 700 && changed_at.is_none() && line.contains("|w(") {
+                line = line.replacen("|w(", "|r(", 1);
+                changed_at = Some(seen);
+            }
+            line + "\n"
+        })
+        .collect();
+    assert!(
+        matches!(changed_at, Some(at) if at < 1024),
+        "{changed_at:?}"
+    );
+    assert_ne!(diverged, text);
+
+    for (case, prior_text, hits, stale) in [
+        ("exact boundary", cut_text(&text, 2048), 4, 0),
+        ("partial tail", cut_text(&text, 2300), 4, 1),
+        ("mid-file divergence", cut_text(&diverged, 2048), 0, 4),
+    ] {
+        let prior_trace = dir.path("prior.trace");
+        std::fs::write(&prior_trace, prior_text).unwrap();
+        let (code, prior_v2) = freshtrack(
+            &[
+                "convert",
+                &prior_trace,
+                "--to",
+                "binary-v2",
+                "--segment-events",
+                "512",
+            ],
+            None,
+        );
+        assert_eq!(code, 0);
+        let prior = dir.path("prior.ftb2");
+        std::fs::write(&prior, prior_v2).unwrap();
+        let sidecar = dir.path("prior.ftc");
+        let _ = std::fs::remove_file(&sidecar);
+        let cache_arg = format!("--cache={sidecar}");
+        let (code, _, _) =
+            freshtrack_with_stderr(&[&["analyze", prior.as_str(), &cache_arg][..], &tail].concat());
+        assert_eq!(code, 0, "{case}");
+
+        let (code, shown) = freshtrack(&["segments", &full, &cache_arg], None);
+        let shown = String::from_utf8_lossy(&shown);
+        assert_eq!(code, 0, "{case}: {shown}");
+        assert!(
+            shown.contains(&format!("; {hits} reusable")),
+            "{case}: {shown}"
+        );
+        assert_eq!(shown.matches(" hit").count(), hits, "{case}: {shown}");
+        assert_eq!(shown.matches(" stale").count(), stale, "{case}: {shown}");
+
+        let (code, warm, status) =
+            freshtrack_with_stderr(&[&["analyze", full.as_str(), &cache_arg][..], &tail].concat());
+        assert_eq!(code, 0, "{case}: {status}");
+        assert!(
+            status.contains(&format!("reused {hits}/8")),
+            "{case}: {status}"
+        );
+        assert_eq!(warm, plain, "{case}");
+        assert_eq!(
+            std::fs::read(&sidecar).unwrap(),
+            std::fs::read(&cold_path).unwrap(),
+            "{case}: the rewritten sidecar must equal a cold run's"
+        );
+    }
 }

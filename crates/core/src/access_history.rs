@@ -101,14 +101,6 @@ impl AccessHistories {
         self.write.len()
     }
 
-    /// Sizes the tables for `vars` locations (never shrinks).
-    pub(crate) fn grow(&mut self, vars: usize) {
-        if vars > self.write.len() {
-            self.write.resize_with(vars, VectorClock::new);
-            self.read.resize_with(vars, VectorClock::new);
-        }
-    }
-
     /// Serializes location `index`'s checkpoint record: its write clock,
     /// then its read clock.
     pub(crate) fn put_record(&self, out: &mut Vec<u8>, index: usize) {
@@ -116,17 +108,17 @@ impl AccessHistories {
         wire::put_clock(out, &self.read[index]);
     }
 
-    /// Replaces location `index`'s histories with a record written by
-    /// [`Self::put_record`]; `index` must be below
-    /// [`var_count`](Self::var_count). The clocks are overwritten in
-    /// place, so a resumed sidecar reuses their allocations.
-    pub(crate) fn get_record(
+    /// Appends a location whose histories are a record written by
+    /// [`Self::put_record`].
+    pub(crate) fn push_record(
         &mut self,
         r: &mut wire::WireReader<'_>,
-        index: usize,
     ) -> Result<(), wire::WireError> {
-        r.get_clock_into(&mut self.write[index])?;
-        r.get_clock_into(&mut self.read[index])
+        let write = r.get_clock()?;
+        let read = r.get_clock()?;
+        self.write.push(write);
+        self.read.push(read);
+        Ok(())
     }
 }
 

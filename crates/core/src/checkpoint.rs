@@ -25,10 +25,8 @@
 //!   [`FreshnessSyncEngine`](crate::FreshnessSyncEngine),
 //!   [`OrderedSyncEngine`](crate::OrderedSyncEngine)) and the access
 //!   engines — what the incremental analyzer
-//!   ([`crate::analyze_segments_cached`]) exports at every segment
-//!   boundary into the `.ftc` sidecar and imports to resume. The access
-//!   engines export per-variable records ([`AccessCheckpoint`]), so a
-//!   boundary stores only the variables its segment touched.
+//!   ([`crate::analyze_segments_cached`]) exports at the last two
+//!   segment boundaries into the `.ftc` sidecar and imports to resume.
 //! * **Whole detectors** (Djit+/FT/SU/SO, one impl on
 //!   [`Composed`](crate::Composed)) — sync plane + access plane +
 //!   `RelAfter_S` bits + counters, so an interrupted sequential
@@ -45,7 +43,6 @@
 use std::fmt;
 
 use freshtrack_clock::wire::{self, WireError, WireReader};
-use freshtrack_trace::VarId;
 
 use crate::Counters;
 
@@ -92,57 +89,16 @@ pub trait CheckpointState {
     fn import_state(&mut self, bytes: &[u8]) -> Result<(), CheckpointError>;
 }
 
-/// An access engine whose checkpoint is a small header plus one
-/// **record** per variable, so a checkpoint can carry just the
-/// variables that changed.
-///
-/// Between two boundaries of a replay only
-/// [`access_sampled`](crate::AccessEngine::access_sampled) mutates an
-/// access engine, and it writes nothing but the accessed variable's
-/// record and the header scalars. Exporting the header plus the records
-/// of the variables the sampled accesses touched therefore captures the
-/// whole change, and folding such exports in order into a fresh engine
-/// reproduces the live engine byte for byte:
-/// [`analyze_segments_cached`](crate::analyze_segments_cached) stores one
-/// per sidecar entry and folds them to resume (the cache suite pins the
-/// equality at every boundary).
-///
-/// [`CheckpointState::export_state`] is the all-variables case of the
-/// same codec, and [`CheckpointState::import_state`] imports it into a
-/// reset engine.
-pub trait AccessCheckpoint: CheckpointState {
-    /// Serializes the header and the records of `vars` onto `out`.
-    ///
-    /// # Panics
-    ///
-    /// If `vars` is not sorted and distinct, or names a variable the
-    /// engine has never sized (every variable a sampled access touched
-    /// is sized).
-    fn export_records(&self, vars: &[VarId], out: &mut Vec<u8>);
-
-    /// Applies an [`export_records`](Self::export_records) export on top
-    /// of the current state: the header replaces this engine's, each
-    /// record replaces its variable's.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError`] on truncated or malformed bytes, on a record
-    /// whose variable is outside the header's variable count, or on a
-    /// variable count that shrinks the engine or exceeds `var_limit` (a
-    /// caller-supplied bound on the variables that can exist, so corrupt
-    /// bytes cannot size a huge table). `self` may be partially
-    /// overwritten and should be discarded on error.
-    fn import_records(&mut self, bytes: &[u8], var_limit: usize) -> Result<(), CheckpointError>;
-}
+/// The bound an access engine's checkpoint once needed on top of
+/// [`CheckpointState`], when a checkpoint could carry only the variables
+/// that changed. Resume state is now always a whole export, so this is
+/// the same trait under its former name.
+pub use self::CheckpointState as AccessCheckpoint;
 
 /// Encodes `curr` as a delta against `prev`:
 /// `[common-prefix len][common-suffix len][middle len][middle bytes]`,
-/// all varints. Consecutive sync-plane exports differ only where clocks
-/// moved since the previous segment, so the shared prefix/suffix
-/// typically swallow almost the whole checkpoint —
-/// [`analyze_segments_cached`](crate::analyze_segments_cached) stores
-/// each sidecar entry's sync checkpoint as a delta against the previous
-/// entry's.
+/// all varints. Two checkpoints of one engine taken close together
+/// share most of their bytes, which the prefix and suffix swallow.
 ///
 /// The inverse is [`apply_delta`]; `apply_delta(prev, &encode_delta(prev,
 /// curr)) == curr` for all byte strings (the checkpoint suite pins
@@ -206,73 +162,40 @@ pub(crate) fn get_count(r: &mut WireReader<'_>) -> Result<usize, WireError> {
     Ok(n)
 }
 
-/// Appends the record section of an access checkpoint: the variable
-/// count, the record count, then per record the gap from the previous
-/// record's variable (`0` for consecutive ids) and the body `put`
-/// writes. `ids` must be sorted, distinct and below `var_count`.
-pub(crate) fn put_records<I>(
+/// Appends the variable table of an access checkpoint: the variable
+/// count, then one record per variable, which `put` writes. The table
+/// keeps the shape of a sparse record list — a record count, equal to
+/// the variable count, and a gap of 0 before each record — so an
+/// engine's export stays the bytes the golden suite pins.
+pub(crate) fn put_records(
     out: &mut Vec<u8>,
-    var_count: usize,
-    ids: I,
+    vars: usize,
     mut put: impl FnMut(&mut Vec<u8>, usize),
-) where
-    I: ExactSizeIterator<Item = usize>,
-{
-    wire::put_varint(out, var_count as u64);
-    wire::put_varint(out, ids.len() as u64);
-    let mut next = 0;
-    for id in ids {
-        assert!(
-            id >= next && id < var_count,
-            "record ids must be sorted, distinct and sized"
-        );
-        wire::put_varint(out, (id - next) as u64);
+) {
+    wire::put_varint(out, vars as u64);
+    wire::put_varint(out, vars as u64);
+    for id in 0..vars {
+        wire::put_varint(out, 0);
         put(out, id);
-        next = id + 1;
     }
 }
 
-/// Reads the variable count of a record section written by
-/// [`put_records`], for an engine currently holding `current`
-/// variables: it may not shrink the engine or exceed `var_limit`.
-pub(crate) fn get_var_count(
-    r: &mut WireReader<'_>,
-    current: usize,
-    var_limit: usize,
-) -> Result<usize, WireError> {
-    let n = r.get_usize()?;
-    if n < current {
-        return Err(WireError::Invalid(
-            "access checkpoint shrinks the variable table",
-        ));
-    }
-    if n > var_limit {
-        return Err(WireError::Invalid(
-            "access checkpoint names more variables than exist",
-        ));
-    }
-    Ok(n)
-}
-
-/// Reads the records of a section whose variable count
-/// [`get_var_count`] returned, handing each variable id to `get` to
-/// decode its body.
+/// Reads a variable table written by [`put_records`], handing the
+/// records to `get` in variable order.
 pub(crate) fn get_records<'a>(
     r: &mut WireReader<'a>,
-    var_count: usize,
-    mut get: impl FnMut(&mut WireReader<'a>, usize) -> Result<(), WireError>,
+    mut get: impl FnMut(&mut WireReader<'a>) -> Result<(), WireError>,
 ) -> Result<(), WireError> {
-    let records = get_count(r)?;
-    let mut next = 0usize;
-    for _ in 0..records {
-        let id = next
-            .checked_add(r.get_usize()?)
-            .filter(|&id| id < var_count)
-            .ok_or(WireError::Invalid(
-                "access record beyond the variable count",
-            ))?;
-        get(r, id)?;
-        next = id + 1;
+    let not_whole = WireError::Invalid("access checkpoint must hold one record per variable");
+    let vars = get_count(r)?;
+    if r.get_usize()? != vars {
+        return Err(not_whole);
+    }
+    for _ in 0..vars {
+        if r.get_varint()? != 0 {
+            return Err(not_whole);
+        }
+        get(r)?;
     }
     Ok(())
 }

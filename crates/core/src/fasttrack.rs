@@ -5,7 +5,7 @@ use freshtrack_clock::{
 use freshtrack_sampling::Sampler;
 use freshtrack_trace::{Event, EventId, EventKind, VarId};
 
-use crate::checkpoint::{self, AccessCheckpoint, CheckpointError, CheckpointState};
+use crate::checkpoint::{self, CheckpointError, CheckpointState};
 use crate::composed::{Composed, EngineName};
 use crate::djit::VectorSyncEngine;
 use crate::plane::{history_leq_view, AccessEngine, AccessOutcome, ClockView};
@@ -190,14 +190,11 @@ impl<S: Sampler> EpochAccessEngine<S> {
     }
 }
 
-// The checkpoint is the variable count, then one record (one
-// `VarState`) per exported variable.
-impl<S> EpochAccessEngine<S> {
-    fn put_records<I>(&self, ids: I, out: &mut Vec<u8>)
-    where
-        I: ExactSizeIterator<Item = usize>,
-    {
-        checkpoint::put_records(out, self.vars.len(), ids, |out, id| {
+// The checkpoint is the variable table: one record (one `VarState`) per
+// variable.
+impl<S> CheckpointState for EpochAccessEngine<S> {
+    fn export_state(&self, out: &mut Vec<u8>) {
+        checkpoint::put_records(out, self.vars.len(), |out, id| {
             let state = &self.vars[id];
             wire::put_epoch(out, state.write);
             match &state.read {
@@ -212,40 +209,22 @@ impl<S> EpochAccessEngine<S> {
             }
         });
     }
-}
-
-impl<S> CheckpointState for EpochAccessEngine<S> {
-    fn export_state(&self, out: &mut Vec<u8>) {
-        self.put_records(0..self.vars.len(), out);
-    }
 
     fn import_state(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
-        self.vars.clear();
-        // Every variable has a record of at least one byte.
-        self.import_records(bytes, bytes.len())
-    }
-}
-
-impl<S> AccessCheckpoint for EpochAccessEngine<S> {
-    fn export_records(&self, vars: &[VarId], out: &mut Vec<u8>) {
-        self.put_records(vars.iter().map(|v| v.index()), out);
-    }
-
-    fn import_records(&mut self, bytes: &[u8], var_limit: usize) -> Result<(), CheckpointError> {
         let mut r = WireReader::new(bytes);
-        let n = checkpoint::get_var_count(&mut r, self.vars.len(), var_limit)?;
-        self.vars.resize_with(n, VarState::default);
-        checkpoint::get_records(&mut r, n, |r, id| {
+        let mut vars = Vec::new();
+        checkpoint::get_records(&mut r, |r| {
             let write = r.get_epoch()?;
             let read = match r.get_varint()? {
                 0 => ReadState::Epoch(r.get_epoch()?),
                 1 => ReadState::Vector(r.get_clock()?),
                 _ => return Err(wire::WireError::Invalid("unknown read-history tag")),
             };
-            self.vars[id] = VarState { write, read };
+            vars.push(VarState { write, read });
             Ok(())
         })?;
         r.finish()?;
+        self.vars = vars;
         Ok(())
     }
 }

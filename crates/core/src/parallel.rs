@@ -47,33 +47,33 @@
 //!
 //! [`analyze_segments_cached`] makes re-analysis of a growing trace
 //! replay only the appended segments: alongside the analysis it fills an
-//! [`AnalysisCache`] sidecar (the `.ftc` format of
-//! `freshtrack-trace`) recording, per segment, the segment's byte
-//! identity and the complete analysis state at its end boundary — the
-//! sync checkpoint (delta-encoded along the segment chain), the access
-//! engine's header plus the records of just the variables the segment's
-//! sampled accesses touched ([`AccessCheckpoint`]; the coordinator
-//! collects their ids as it replays, so the cost follows the sample,
-//! not the variable count), name/thread/pending/discipline tables,
-//! cumulative counters, and the segment's reports. On the next run the
-//! sidecar's entry prefix is validated against the file (fingerprint
-//! equality, footer identity, and a CRC-32 re-hash of every reused
-//! segment's bytes — corruption demotes the cache, it is never silently
-//! trusted); the sync engine is rebuilt from the folded delta chain,
-//! the access engine by folding every reused entry's records in order
-//! (exact, because between boundaries only sampled accesses mutate the
-//! access engine, and only at their own variable and the header), and
-//! only the segments past the prefix are replayed. Because the seeded
-//! state is checkpoint-exact — including the sharing-topology alias
-//! marks of
+//! [`AnalysisCache`] sidecar (the `.ftc` format of `freshtrack-trace`)
+//! with, per segment, the segment's byte identity, the names it defines
+//! and its reports, and — at the file's last two segment boundaries
+//! only — the complete analysis state: both engines' `export_state`
+//! checkpoints ([`CheckpointState`]), the thread count, the pending
+//! `RelAfter_S` bits, the discipline table and the cumulative counters.
+//! The v2 writer cuts segments by event count, so an append changes at
+//! most the file's last, partial segment, and the next run finds its
+//! state at one of those two boundaries. On that run the sidecar is
+//! validated against the file by
+//! [`AnalysisCache::reusable_prefix`] after an exact fingerprint
+//! comparison: footer identity, then a CRC-32 re-hash of every reused
+//! segment's bytes (corruption demotes the cache, it is never silently
+//! trusted), then "resume only at the last two boundaries". The engines
+//! are rebuilt by importing the one resume point, the prefix's names and
+//! reports are concatenated from its entries, and only the segments past
+//! the prefix are replayed. Because the imported state is
+//! checkpoint-exact — including the sharing-topology alias marks of
 //! [`OrderedSyncEngine`](crate::OrderedSyncEngine) — the resumed run's
 //! reports *and counters* are byte-identical to a cold run over the
-//! full file (invariant 11; `tests/cache.rs` pins it across engines ×
-//! samplers × append points). The reused prefix is not free: reading
-//! and checking the sidecar, re-hashing the prefix segments, folding
-//! their access records and re-encoding the whole sidecar are each
-//! linear in the prefix, and together they cost more than replaying a
-//! short tail (ARCHITECTURE.md § Incremental analysis has the numbers).
+//! full file, and so is the sidecar it rewrites (invariant 11;
+//! `tests/cache.rs` pins it across engines × samplers × append points).
+//! What a warm run still does in proportion to the prefix is the CRC
+//! re-hash of the reused segments plus reading, decoding and rewriting
+//! their small entries; the state it imports and exports is one
+//! checkpoint, whatever the prefix length (ARCHITECTURE.md § Incremental
+//! analysis has the numbers).
 
 use std::collections::HashMap;
 use std::io::{Read, Seek};
@@ -83,24 +83,21 @@ use freshtrack_clock::wire::{self, WireError, WireReader};
 use freshtrack_sampling::Sampler;
 use freshtrack_trace::{
     decode_segment_indexed, AnalysisCache, BinaryTraceError, CacheConfig, CacheEntry,
-    DisciplineChecker, EventId, EventKind, SegmentData, SegmentMeta, SegmentedTraceFile,
-    SourceError, ThreadId, VarId,
+    DisciplineChecker, EventId, EventKind, ResumePoint, SegmentData, SegmentMeta,
+    SegmentedTraceFile, SourceError, ThreadId, VarId,
 };
 
-use crate::checkpoint::{
-    self, apply_delta, encode_delta, AccessCheckpoint, CheckpointError, CheckpointState,
-};
+use crate::checkpoint::{self, CheckpointError, CheckpointState};
 use crate::plane::{AccessEngine, SplitDetector, SyncEngine};
 use crate::{AccessKind, Counters, RaceReport};
 
 /// Version of the opaque checkpoint/counter/report payloads this crate
-/// writes into `.ftc` sidecar entries
-/// ([`CacheConfig::state_version`]). Bump whenever any
-/// [`CheckpointState`] wire format, the counter field list, or the
-/// report encoding changes shape — older sidecars then fail the
+/// writes into `.ftc` sidecars ([`CacheConfig::state_version`]). Bump
+/// whenever any [`CheckpointState`] wire format, the counter field list,
+/// or the report encoding changes shape — older sidecars then fail the
 /// fingerprint check and are rebuilt instead of misdecoded. Version 2
-/// stores per-variable access records where version 1 stored a byte
-/// delta of the whole access plane.
+/// encodes an access checkpoint as a table of per-variable records,
+/// where version 1 stored a byte delta of the whole access plane.
 pub const CACHE_STATE_VERSION: u32 = 2;
 
 /// Segments each pipeline queue (reader to decoder, decoder to
@@ -156,9 +153,6 @@ struct Resume<D: SplitDetector> {
     counters: Counters,
     sync: D::Sync,
     access: D::Access,
-    /// The sync engine's export at the boundary: the base the next
-    /// sidecar delta is encoded against (empty for a cold run).
-    sync_state: Vec<u8>,
     /// Reports for segments `0..start`.
     reports: Vec<RaceReport>,
 }
@@ -167,7 +161,7 @@ impl<D> Resume<D>
 where
     D: SplitDetector,
     D::Sync: CheckpointState,
-    D::Access: AccessCheckpoint,
+    D::Access: CheckpointState,
 {
     fn cold(detector: &D) -> Self {
         Resume {
@@ -180,65 +174,51 @@ where
             counters: Counters::new(),
             sync: detector.split_sync(),
             access: detector.split_access(),
-            sync_state: Vec::new(),
             reports: Vec::new(),
         }
     }
 
-    /// Rebuilds the boundary state after `prefix` validated sidecar
-    /// entries: names and reports by concatenation, the sync engine by
-    /// folding the delta chain and importing the result, the access
-    /// engine by folding every entry's access records into a fresh
-    /// engine in order, the rest from the last entry.
+    /// Rebuilds the boundary state after `start` validated sidecar
+    /// entries: names and reports by concatenating the entries', the
+    /// rest by importing the sidecar's resume point at that boundary.
     ///
     /// Any failure means the sidecar lies about its own contents
-    /// (possible only across a format drift the fingerprint missed), or
-    /// was written by a build that kept one access checkpoint per
-    /// worker — the caller falls back to a cold run.
+    /// (possible only across a format drift the fingerprint missed) —
+    /// the caller falls back to a cold run.
     fn from_cache(
         detector: &D,
         prior: &AnalysisCache,
-        prefix: usize,
+        start: usize,
     ) -> Result<Self, CheckpointError> {
-        let mut sync_state: Vec<u8> = Vec::new();
-        let mut access = detector.split_access();
+        let point = prior
+            .resume_point(start)
+            .ok_or(WireError::Invalid("no resume point at the reusable prefix"))?;
         let mut lock_names = Vec::new();
         let mut var_names = Vec::new();
         let mut reports = Vec::new();
-        for entry in &prior.entries[..prefix] {
-            let [access_records] = entry.access_deltas.as_slice() else {
-                return Err(
-                    WireError::Invalid("cache entry must hold one access checkpoint").into(),
-                );
-            };
-            sync_state = apply_delta(&sync_state, &entry.sync_delta)?;
+        for entry in &prior.entries[..start] {
             lock_names.extend(entry.new_locks.iter().cloned());
             var_names.extend(entry.new_vars.iter().cloned());
-            // Every variable a segment's events name is in the name
-            // table by its end, which bounds the access tables.
-            access.import_records(access_records, var_names.len())?;
             reports.extend(decode_reports(&entry.reports)?);
         }
-        let last = &prior.entries[prefix - 1];
-        let checker = DisciplineChecker::import_wire(&last.discipline)?;
-        let mut r = WireReader::new(&last.counters);
+        let checker = DisciplineChecker::import_wire(&point.discipline)?;
+        let mut r = WireReader::new(&point.counters);
         let counters = checkpoint::get_counters(&mut r)?;
         r.finish()?;
         let mut sync = detector.split_sync();
-        if !sync_state.is_empty() {
-            sync.import_state(&sync_state)?;
-        }
+        sync.import_state(&point.sync)?;
+        let mut access = detector.split_access();
+        access.import_state(&point.access)?;
         Ok(Resume {
-            start: prefix,
+            start,
             lock_names,
             var_names,
-            threads: last.threads,
-            pending: last.pending.clone(),
+            threads: point.threads,
+            pending: point.pending.clone(),
             checker,
             counters,
             sync,
             access,
-            sync_state,
             reports,
         })
     }
@@ -249,6 +229,9 @@ struct PipelineOutput {
     /// Sidecar entries for the replayed segments (empty unless
     /// recording).
     entries: Vec<CacheEntry>,
+    /// The state at the replayed boundaries among the file's last two
+    /// (empty unless recording).
+    resume: Vec<ResumePoint>,
 }
 
 /// Replays a segmented trace file on the decode-ahead pipeline; see the
@@ -288,7 +271,7 @@ pub fn analyze_segments<D, S, R>(
 where
     D: SplitDetector,
     D::Sync: CheckpointState,
-    D::Access: AccessCheckpoint,
+    D::Access: CheckpointState,
     S: Sampler,
     R: Read + Seek + Send,
 {
@@ -306,10 +289,12 @@ where
 /// segment options, payload format version and its `jobs` field; build
 /// it with `state_version:` [`CACHE_STATE_VERSION`]). The `jobs`
 /// argument is not compared: the state is the same at every job count,
-/// so a sidecar seeds a run at any `jobs`. An entry extends the prefix
-/// only if it matches the footer's identity for its segment *and* the
-/// segment's bytes still hash to the recorded CRC-32. The first
-/// mismatch ends the prefix; everything after it is replayed and
+/// so a sidecar seeds a run at any `jobs`. The prefix is then
+/// [`AnalysisCache::reusable_prefix`]: entries that match the footer's
+/// identity for their segment *and* whose segment bytes still hash to
+/// the recorded CRC-32, ending at one of the sidecar's last two
+/// boundaries, where it keeps the analysis state; a prefix ending
+/// anywhere else runs cold. Everything after the prefix is replayed and
 /// rewritten. A cache is advisory — malformed resume payloads demote to
 /// a cold run, never to an error — and the analysis output is
 /// byte-identical to a cold [`analyze_segments`] run either way
@@ -330,55 +315,44 @@ pub fn analyze_segments_cached<D, S, R>(
 where
     D: SplitDetector,
     D::Sync: CheckpointState,
-    D::Access: AccessCheckpoint,
+    D::Access: CheckpointState,
     S: Sampler,
     R: Read + Seek + Send,
 {
     let total = file.segment_count();
-    let prefix = validated_prefix(file, config, prior)?;
-    let (resume, mut entries) = match prior {
-        Some(prior) if prefix > 0 => match Resume::from_cache(detector, prior, prefix) {
-            Ok(resume) => (resume, prior.entries[..prefix].to_vec()),
-            Err(_) => (Resume::cold(detector), Vec::new()),
-        },
-        _ => (Resume::cold(detector), Vec::new()),
+    let prefix = match prior {
+        Some(prior) if prior.config == *config => prior.reusable_prefix(file)?,
+        _ => 0,
+    };
+    let warm = prior
+        .filter(|_| prefix > 0)
+        .and_then(|prior| Some((prior, Resume::from_cache(detector, prior, prefix).ok()?)));
+    let (resume, mut entries, mut resume_points) = match warm {
+        // The reused boundaries among the file's last two keep their
+        // stored state; the reusable-prefix rule guarantees it is there.
+        Some((prior, resume)) => (
+            resume,
+            prior.entries[..prefix].to_vec(),
+            (total.saturating_sub(1).max(1)..=prefix)
+                .filter_map(|b| prior.resume_point(b).cloned())
+                .collect(),
+        ),
+        None => (Resume::cold(detector), Vec::new(), Vec::new()),
     };
     let reused_segments = resume.start;
     let out = run_pipeline(file, sampler, jobs, resume, true)?;
     entries.extend(out.entries);
+    resume_points.extend(out.resume);
     Ok(CachedAnalysis {
         analysis: out.analysis,
         cache: AnalysisCache {
             config: config.clone(),
             entries,
+            resume: resume_points,
         },
         reused_segments,
         total_segments: total,
     })
-}
-
-/// The longest sidecar prefix that is safe to reuse: fingerprint
-/// equality, then per segment the footer identity *and* a CRC re-hash
-/// of the segment's actual bytes.
-fn validated_prefix<R: Read + Seek>(
-    file: &mut SegmentedTraceFile<R>,
-    config: &CacheConfig,
-    prior: Option<&AnalysisCache>,
-) -> Result<usize, SourceError> {
-    let Some(prior) = prior else { return Ok(0) };
-    if prior.config != *config {
-        return Ok(0);
-    }
-    let n = prior.entries.len().min(file.segment_count());
-    let mut prefix = 0;
-    while prefix < n {
-        let meta = file.meta(prefix).clone();
-        if !prior.entries[prefix].matches(&meta) || file.segment_crc32(prefix)? != meta.crc32 {
-            break;
-        }
-        prefix += 1;
-    }
-    Ok(prefix)
 }
 
 /// A segment's index, footer entry and record bytes, as read.
@@ -485,7 +459,7 @@ fn run_pipeline<D, S, R>(
 where
     D: SplitDetector,
     D::Sync: CheckpointState,
-    D::Access: AccessCheckpoint,
+    D::Access: CheckpointState,
     S: Sampler,
     R: Read + Seek + Send,
 {
@@ -499,11 +473,10 @@ where
         mut counters,
         mut sync,
         mut access,
-        mut sync_state,
         mut reports,
     } = resume;
     let mut entries: Vec<CacheEntry> = Vec::new();
-    let mut dirty = DirtyVars::default();
+    let mut resume_points: Vec<ResumePoint> = Vec::new();
     let segment_count = file.segment_count();
     let jobs = jobs.clamp(1, segment_count.saturating_sub(start).max(1));
 
@@ -563,11 +536,8 @@ where
                         let sampled = std::mem::take(&mut pending[tid.index()]);
                         sync.release(tid, lock, sampled, &mut counters);
                     }
-                    EventKind::Read(var) | EventKind::Write(var) => {
+                    EventKind::Read(_) | EventKind::Write(_) => {
                         // The decoder sampled this access.
-                        if record {
-                            dirty.mark(var);
-                        }
                         sync.ensure_thread(tid);
                         if pending.len() <= tid.index() {
                             pending.resize(tid.index() + 1, false);
@@ -588,14 +558,6 @@ where
             }
 
             if record {
-                let mut sync_export = Vec::new();
-                sync.export_state(&mut sync_export);
-                let mut access_records = Vec::new();
-                dirty.export(&access, &mut access_records);
-                let mut discipline = Vec::new();
-                checker.export_wire(&mut discipline);
-                let mut counter_bytes = Vec::new();
-                checkpoint::put_counters(&mut counter_bytes, &counters);
                 let mut report_bytes = Vec::new();
                 encode_reports(&mut report_bytes, &reports[seg_report_start..]);
                 entries.push(CacheEntry {
@@ -608,15 +570,23 @@ where
                     vars_before: meta.vars_before,
                     new_locks: data.new_locks,
                     new_vars: data.new_vars,
-                    threads,
-                    pending: pending.clone(),
-                    discipline,
-                    counters: counter_bytes,
-                    sync_delta: encode_delta(&sync_state, &sync_export),
-                    access_deltas: vec![access_records],
                     reports: report_bytes,
                 });
-                sync_state = sync_export;
+                // The sidecar keeps the state after the file's last two
+                // segments only: after `k + 1` segments, for the last
+                // two `k`.
+                if k + 2 >= segment_count {
+                    let mut point = ResumePoint {
+                        threads,
+                        pending: pending.clone(),
+                        ..ResumePoint::default()
+                    };
+                    checker.export_wire(&mut point.discipline);
+                    checkpoint::put_counters(&mut point.counters, &counters);
+                    sync.export_state(&mut point.sync);
+                    access.export_state(&mut point.access);
+                    resume_points.push(point);
+                }
             }
         }
         Ok(())
@@ -631,39 +601,8 @@ where
             var_names,
         },
         entries,
+        resume: resume_points,
     })
-}
-
-/// The variables sampled accesses touched since the last segment
-/// boundary: a bitset for the membership test plus the list of ids, both
-/// cleared at each export.
-#[derive(Default)]
-struct DirtyVars {
-    seen: Vec<u64>,
-    list: Vec<VarId>,
-}
-
-impl DirtyVars {
-    fn mark(&mut self, var: VarId) {
-        let (word, bit) = (var.index() / 64, 1u64 << (var.index() % 64));
-        if word >= self.seen.len() {
-            self.seen.resize(word + 1, 0);
-        }
-        if self.seen[word] & bit == 0 {
-            self.seen[word] |= bit;
-            self.list.push(var);
-        }
-    }
-
-    /// Exports `access`'s header and the marked variables' records onto
-    /// `out`, then clears the set.
-    fn export<A: AccessCheckpoint>(&mut self, access: &A, out: &mut Vec<u8>) {
-        self.list.sort_unstable();
-        access.export_records(&self.list, out);
-        for var in self.list.drain(..) {
-            self.seen[var.index() / 64] = 0;
-        }
-    }
 }
 
 /// Rejects a segment whose name-table watermarks disagree with the

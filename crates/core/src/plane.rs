@@ -49,9 +49,9 @@
 
 use freshtrack_clock::{ClockSnapshot, ThreadId, Time, VectorClock, VectorClockSnapshot};
 use freshtrack_sampling::Sampler;
-use freshtrack_trace::{Event, EventId, EventKind, LockId, VarId};
+use freshtrack_trace::{Event, EventId, EventKind, LockId};
 
-use crate::checkpoint::{self, AccessCheckpoint, CheckpointError, CheckpointState};
+use crate::checkpoint::{self, CheckpointError, CheckpointState};
 use crate::{AccessKind, Counters, Detector, RaceReport};
 
 /// A read-only view of the accessing thread's clock, as consulted by
@@ -536,46 +536,24 @@ impl<S: Sampler> AccessEngine for HistoryAccessEngine<S> {
     }
 }
 
-// The checkpoint is the header `width` and the variable count, then one
-// record (write clock, read clock) per exported variable.
-impl<S> HistoryAccessEngine<S> {
-    fn put_records<I>(&self, ids: I, out: &mut Vec<u8>)
-    where
-        I: ExactSizeIterator<Item = usize>,
-    {
+// The checkpoint is the header `width`, then the variable table: one
+// record (write clock, read clock) per variable.
+impl<S> CheckpointState for HistoryAccessEngine<S> {
+    fn export_state(&self, out: &mut Vec<u8>) {
         freshtrack_clock::wire::put_varint(out, self.width as u64);
-        checkpoint::put_records(out, self.history.var_count(), ids, |out, id| {
+        checkpoint::put_records(out, self.history.var_count(), |out, id| {
             self.history.put_record(out, id);
         });
     }
-}
-
-impl<S> CheckpointState for HistoryAccessEngine<S> {
-    fn export_state(&self, out: &mut Vec<u8>) {
-        self.put_records(0..self.history.var_count(), out);
-    }
 
     fn import_state(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
-        self.width = 0;
-        self.history = crate::AccessHistories::new();
-        // Every variable has a record of at least one byte.
-        self.import_records(bytes, bytes.len())
-    }
-}
-
-impl<S> AccessCheckpoint for HistoryAccessEngine<S> {
-    fn export_records(&self, vars: &[VarId], out: &mut Vec<u8>) {
-        self.put_records(vars.iter().map(|v| v.index()), out);
-    }
-
-    fn import_records(&mut self, bytes: &[u8], var_limit: usize) -> Result<(), CheckpointError> {
         let mut r = freshtrack_clock::wire::WireReader::new(bytes);
         let width = r.get_usize()?;
-        let vars = checkpoint::get_var_count(&mut r, self.history.var_count(), var_limit)?;
-        self.history.grow(vars);
-        checkpoint::get_records(&mut r, vars, |r, id| self.history.get_record(r, id))?;
+        let mut history = crate::AccessHistories::new();
+        checkpoint::get_records(&mut r, |r| history.push_record(r))?;
         r.finish()?;
         self.width = width;
+        self.history = history;
         Ok(())
     }
 }

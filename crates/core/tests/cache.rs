@@ -4,18 +4,22 @@
 //! every `Counters` field — to a cold `analyze_segments` run over the
 //! same file, for every engine, sampler, job count, and append point,
 //! and the sidecar it rewrites after a warm run must equal the one a
-//! cold run writes. A cache is *never* silently reused across a
-//! fingerprint change or any corruption of the sidecar or the trace
-//! file: corruption demotes to a cold run (or surfaces the exact error
-//! the cold run reports).
+//! cold run writes. Every prior here is a sidecar a cached run really
+//! wrote for a shorter file: the sidecar keeps the analysis state at its
+//! last two boundaries only, so a prior that ends on a segment boundary
+//! resumes at its last one, and a prior whose last segment was partial
+//! resumes one boundary earlier. A cache is *never* silently reused
+//! across a fingerprint change or any corruption of the sidecar or the
+//! trace file: corruption demotes to a cold run (or surfaces the exact
+//! error the cold run reports).
 
 use std::io::Cursor;
 
 use freshtrack_clock::wire;
 use freshtrack_core::{
-    analyze_segments, analyze_segments_cached, encode_delta, AccessCheckpoint, AccessEngine,
-    CachedAnalysis, CheckpointState, Counters, DjitDetector, FastTrackDetector, FreshnessDetector,
-    OrderedListDetector, SplitDetector, SyncEngine, CACHE_STATE_VERSION,
+    analyze_segments, analyze_segments_cached, AccessEngine, CachedAnalysis, CheckpointState,
+    Counters, DjitDetector, FastTrackDetector, FreshnessDetector, OrderedListDetector,
+    SplitDetector, SyncEngine, CACHE_STATE_VERSION,
 };
 use freshtrack_sampling::{AlwaysSampler, BernoulliSampler, NeverSampler, Sampler};
 use freshtrack_testutil::{wide_workload, workload_matrix};
@@ -31,6 +35,46 @@ fn v2_bytes(trace: &Trace, events_per_segment: usize) -> Vec<u8> {
     write_trace_binary_v2(trace, &mut bytes, &SegmentOptions { events_per_segment })
         .expect("in-memory v2 encode cannot fail");
     bytes
+}
+
+/// The trace's first `events` events under the trace's own name tables
+/// and thread count: the file an append grew from. Its full segments
+/// are byte-identical to the whole trace's.
+fn prefix_of(trace: &Trace, events: usize) -> Trace {
+    let mut b = TraceBuilder::new();
+    for v in 0..trace.var_count() {
+        b.var(trace.var_name(v));
+    }
+    for l in 0..trace.lock_count() {
+        b.lock(trace.lock_name(l));
+    }
+    b.declare_threads(trace.thread_count() as u32);
+    for event in &trace.events()[..events.min(trace.len())] {
+        b.push(event.tid.as_u32(), event.kind);
+    }
+    b.build()
+}
+
+/// The sidecar a cold cached run writes for the first `events` events of
+/// `trace`.
+fn prior_for<D, S>(
+    trace: &Trace,
+    events: usize,
+    events_per_segment: usize,
+    detector: &D,
+    sampler: &S,
+    cfg: &CacheConfig,
+) -> AnalysisCache
+where
+    D: SplitDetector,
+    D::Sync: CheckpointState,
+    D::Access: CheckpointState,
+    S: Sampler + Clone + Send,
+{
+    let bytes = v2_bytes(&prefix_of(trace, events), events_per_segment);
+    analyze_segments_cached(&mut open(&bytes), detector, sampler, 1, cfg, None)
+        .expect("well-formed traces must analyze")
+        .cache
 }
 
 fn open(bytes: &[u8]) -> SegmentedTraceFile<Cursor<&[u8]>> {
@@ -49,8 +93,12 @@ fn config(engine: &str, sampler: &str, jobs: usize) -> CacheConfig {
 
 /// Asserts the full incremental contract for one (trace, engine,
 /// sampler) cell: cold cached run ≡ plain run, sidecar round-trips
-/// through bytes, and resuming from a prefix of the sidecar at *every*
-/// segment boundary reproduces the cold analysis and the cold sidecar.
+/// through bytes, and resuming from a real prior at *every* append point
+/// reproduces the cold analysis and the cold sidecar. For every `k` the
+/// priors are the sidecars of cached runs over the first `k` segments
+/// (resumed after segment `k`, its last boundary) and over `k` segments
+/// plus half of the next (resumed after segment `k`, the boundary before
+/// its partial last one).
 fn assert_incremental_matches_cold<D, S>(
     label: &str,
     trace: &Trace,
@@ -61,7 +109,7 @@ fn assert_incremental_matches_cold<D, S>(
 ) where
     D: SplitDetector,
     D::Sync: CheckpointState,
-    D::Access: AccessCheckpoint,
+    D::Access: CheckpointState,
     S: Sampler + Clone + Send,
 {
     let bytes = v2_bytes(trace, EVENTS_PER_SEGMENT);
@@ -89,42 +137,43 @@ fn assert_incremental_matches_cold<D, S>(
             "[{label}] jobs={jobs}: sidecar round trip"
         );
 
-        // Resume from every append point. A sidecar truncated to `k`
-        // entries is exactly what the run over the first `k` segments
-        // wrote: analysis state at a boundary depends only on the
-        // events before it.
         for k in 0..=cold.total_segments {
-            let mut prior = cold.cache.clone();
-            prior.entries.truncate(k);
-            let warm = analyze_segments_cached(
-                &mut open(&bytes),
-                detector,
-                sampler,
-                jobs,
-                &cfg,
-                Some(&prior),
-            )
-            .expect("well-formed traces must analyze");
-            assert_eq!(
-                warm.reused_segments, k,
-                "[{label}] jobs={jobs} k={k}: prefix not fully reused"
-            );
-            assert_eq!(
-                warm.analysis.reports, plain.reports,
-                "[{label}] jobs={jobs} k={k}: reports diverged"
-            );
-            assert_eq!(
-                warm.analysis.counters, plain.counters,
-                "[{label}] jobs={jobs} k={k}: counters diverged"
-            );
-            assert_eq!(
-                warm.analysis.threads, cold.analysis.threads,
-                "[{label}] jobs={jobs} k={k}"
-            );
-            assert_eq!(
-                warm.cache, cold.cache,
-                "[{label}] jobs={jobs} k={k}: rewritten sidecar diverged"
-            );
+            let whole = k * EVENTS_PER_SEGMENT;
+            let partial = whole + EVENTS_PER_SEGMENT / 2;
+            let mut priors = vec![("boundary", whole.min(trace.len()))];
+            if partial < trace.len() {
+                priors.push(("partial tail", partial));
+            }
+            for (cut, events) in priors {
+                let prior = prior_for(trace, events, EVENTS_PER_SEGMENT, detector, sampler, &cfg);
+                let warm = analyze_segments_cached(
+                    &mut open(&bytes),
+                    detector,
+                    sampler,
+                    jobs,
+                    &cfg,
+                    Some(&prior),
+                )
+                .expect("well-formed traces must analyze");
+                let at = format!("[{label}] jobs={jobs} k={k} {cut}");
+                // An empty prefix file still holds one (empty) segment,
+                // which the trace's first segment does not match.
+                let expected = if events == 0 { 0 } else { k };
+                assert_eq!(
+                    warm.reused_segments, expected,
+                    "{at}: prefix not fully reused"
+                );
+                assert_eq!(
+                    warm.analysis.reports, plain.reports,
+                    "{at}: reports diverged"
+                );
+                assert_eq!(
+                    warm.analysis.counters, plain.counters,
+                    "{at}: counters diverged"
+                );
+                assert_eq!(warm.analysis.threads, cold.analysis.threads, "{at}");
+                assert_eq!(warm.cache, cold.cache, "{at}: rewritten sidecar diverged");
+            }
         }
     }
 }
@@ -179,38 +228,51 @@ fn incremental_matches_cold_across_engines_and_samplers() {
 
 /// At the paper's 3% rate almost every access is sampled out in the
 /// decoder threads, so the coordinator walks few accesses per segment.
-/// A cold and a warm run must still write the same sidecar bytes at
-/// every job count, and report what the plain run reports.
-/// Asserts that cold and warm (half the sidecar reused) cached runs at
-/// every job count write the same sidecar bytes as a `--jobs 1` cold
-/// run and print the plain run's reports and counters.
+/// Asserts that cold and warm (resumed from the sidecar of the first
+/// half of the segments) cached runs at every job count write the same
+/// sidecar bytes as a `--jobs 1` cold run and print the plain run's
+/// reports and counters.
 fn assert_sidecar_bytes_match_at_every_job_count<D, S>(
     label: &str,
-    bytes: &[u8],
+    trace: &Trace,
+    events_per_segment: usize,
     detector: &D,
     sampler: &S,
     cfg: &CacheConfig,
 ) where
     D: SplitDetector,
     D::Sync: CheckpointState,
-    D::Access: AccessCheckpoint,
+    D::Access: CheckpointState,
     S: Sampler + Clone + Send,
 {
-    let plain = analyze_segments(&mut open(bytes), detector, sampler, 1)
+    let bytes = v2_bytes(trace, events_per_segment);
+    let plain = analyze_segments(&mut open(&bytes), detector, sampler, 1)
         .expect("well-formed traces must analyze");
-    let reference = analyze_segments_cached(&mut open(bytes), detector, sampler, 1, cfg, None)
+    let reference = analyze_segments_cached(&mut open(&bytes), detector, sampler, 1, cfg, None)
         .expect("well-formed traces must analyze")
         .cache;
     let reference_bytes = reference.encode();
     let half = reference.entries.len() / 2;
-    let mut prior = reference.clone();
-    prior.entries.truncate(half);
+    let prior = prior_for(
+        trace,
+        half * events_per_segment,
+        events_per_segment,
+        detector,
+        sampler,
+        cfg,
+    );
     for jobs in [1, 2, 3, 8] {
-        let cold = analyze_segments_cached(&mut open(bytes), detector, sampler, jobs, cfg, None)
+        let cold = analyze_segments_cached(&mut open(&bytes), detector, sampler, jobs, cfg, None)
             .expect("well-formed traces must analyze");
-        let warm =
-            analyze_segments_cached(&mut open(bytes), detector, sampler, jobs, cfg, Some(&prior))
-                .expect("well-formed traces must analyze");
+        let warm = analyze_segments_cached(
+            &mut open(&bytes),
+            detector,
+            sampler,
+            jobs,
+            cfg,
+            Some(&prior),
+        )
+        .expect("well-formed traces must analyze");
         assert_eq!(cold.reused_segments, 0, "[{label}] jobs={jobs}");
         assert_eq!(warm.reused_segments, half, "[{label}] jobs={jobs}");
         for (run, kind) in [(&cold, "cold"), (&warm, "warm")] {
@@ -239,7 +301,8 @@ fn paper_rate_sidecar_bytes_are_the_same_at_every_job_count() {
         // writes `jobs: 1` at every `--jobs`).
         assert_sidecar_bytes_match_at_every_job_count(
             &name,
-            &v2_bytes(&trace, EVENTS_PER_SEGMENT),
+            &trace,
+            EVENTS_PER_SEGMENT,
             &OrderedListDetector::new(rate),
             &rate,
             &config("so", "bernoulli:0.03:11", 1),
@@ -252,7 +315,6 @@ fn wide_trace_sidecars_match_where_the_fast_path_hands_records_to_the_grammar() 
     // Thread ids >= 128 and operands >= 16,384 leave the segment
     // decoder's fast path for the record grammar mid-segment.
     let trace = wide_workload(12_000, 5);
-    let bytes = v2_bytes(&trace, 1024);
     let rate = BernoulliSampler::new(0.03, 11);
     let full = BernoulliSampler::new(1.0, 11);
     let cfg = |engine: &str, sampler: &str| CacheConfig {
@@ -261,28 +323,32 @@ fn wide_trace_sidecars_match_where_the_fast_path_hands_records_to_the_grammar() 
     };
     assert_sidecar_bytes_match_at_every_job_count(
         "wide/so",
-        &bytes,
+        &trace,
+        1024,
         &OrderedListDetector::new(rate),
         &rate,
         &cfg("so", "bernoulli:0.03:11"),
     );
     assert_sidecar_bytes_match_at_every_job_count(
         "wide/su",
-        &bytes,
+        &trace,
+        1024,
         &FreshnessDetector::new(rate),
         &rate,
         &cfg("su", "bernoulli:0.03:11"),
     );
     assert_sidecar_bytes_match_at_every_job_count(
         "wide/st",
-        &bytes,
+        &trace,
+        1024,
         &DjitDetector::new(rate),
         &rate,
         &cfg("st", "bernoulli:0.03:11"),
     );
     assert_sidecar_bytes_match_at_every_job_count(
         "wide/ft",
-        &bytes,
+        &trace,
+        1024,
         &FastTrackDetector::new(full),
         &full,
         &cfg("ft", "bernoulli:1:11"),
@@ -381,9 +447,89 @@ fn sidecar_survives_a_real_file_append() {
         .unwrap();
         assert_eq!(second.reused_segments, shared, "jobs={jobs}");
 
-        let cold = analyze_segments(&mut open(&long_bytes), &detector, &sampler, jobs).unwrap();
-        assert_eq!(second.analysis.reports, cold.reports, "jobs={jobs}");
-        assert_eq!(second.analysis.counters, cold.counters, "jobs={jobs}");
+        let cold = analyze_segments_cached(
+            &mut open(&long_bytes),
+            &detector,
+            &sampler,
+            jobs,
+            &cfg,
+            None,
+        )
+        .unwrap();
+        assert_eq!(
+            second.analysis.reports, cold.analysis.reports,
+            "jobs={jobs}"
+        );
+        assert_eq!(
+            second.analysis.counters, cold.analysis.counters,
+            "jobs={jobs}"
+        );
+        assert_eq!(second.cache, cold.cache, "jobs={jobs}");
+    }
+}
+
+/// A prior that diverges from the file before its last two boundaries
+/// has no state the file can resume from: the run is cold, and its
+/// output and rewritten sidecar are the cold run's.
+#[test]
+fn a_prior_diverging_before_its_last_two_boundaries_runs_cold() {
+    let trace = emitted(120);
+    let bytes = v2_bytes(&trace, EVENTS_PER_SEGMENT);
+    let detector = OrderedListDetector::new(BernoulliSampler::new(0.4, 9));
+    let sampler = BernoulliSampler::new(0.4, 9);
+    let cfg = config("so", "bernoulli:0.4:9", 1);
+    let cold =
+        analyze_segments_cached(&mut open(&bytes), &detector, &sampler, 1, &cfg, None).unwrap();
+    let total = cold.total_segments;
+    assert!(total >= 6);
+
+    // A different first segment: the prior's file had a read where this
+    // one has a write.
+    let at = trace
+        .events()
+        .iter()
+        .position(|e| matches!(e.kind, EventKind::Write(_)))
+        .expect("the workload writes");
+    assert!(at < EVENTS_PER_SEGMENT);
+    let mut b = TraceBuilder::new();
+    for v in 0..trace.var_count() {
+        b.var(trace.var_name(v));
+    }
+    for l in 0..trace.lock_count() {
+        b.lock(trace.lock_name(l));
+    }
+    for (i, event) in trace.events().iter().enumerate() {
+        let kind = match event.kind {
+            EventKind::Write(var) if i == at => EventKind::Read(var),
+            kind => kind,
+        };
+        b.push(event.tid.as_u32(), kind);
+    }
+    let other = v2_bytes(&b.build(), EVENTS_PER_SEGMENT);
+    let diverged =
+        analyze_segments_cached(&mut open(&other), &detector, &sampler, 1, &cfg, None).unwrap();
+
+    // The same file's sidecar with an entry three from the end that no
+    // longer matches its segment's identity.
+    let mut stale = cold.cache.clone();
+    stale.entries[total - 3].crc32 ^= 1;
+
+    for (what, prior) in [("diverged file", &diverged.cache), ("stale entry", &stale)] {
+        for jobs in [1, 2] {
+            let run = analyze_segments_cached(
+                &mut open(&bytes),
+                &detector,
+                &sampler,
+                jobs,
+                &cfg,
+                Some(prior),
+            )
+            .unwrap();
+            assert_eq!(run.reused_segments, 0, "{what} jobs={jobs}");
+            assert_eq!(run.analysis.reports, cold.analysis.reports, "{what}");
+            assert_eq!(run.analysis.counters, cold.analysis.counters, "{what}");
+            assert_eq!(run.cache, cold.cache, "{what} jobs={jobs}");
+        }
     }
 }
 
@@ -488,37 +634,80 @@ fn changed_fingerprint_rejects_the_whole_cache() {
     assert_eq!(run.cache.encode(), cold1.cache.encode());
 }
 
-/// A sidecar whose entries carry one access checkpoint per worker (the
-/// layout of builds that partitioned variables across workers) cannot
-/// seed the single access engine: even under an equal fingerprint it is
-/// rebuilt cold, and the rewrite is the cold sidecar.
+/// Runs a warm analysis from `prior` and asserts it fell back to the
+/// cold run, without a panic.
+fn assert_falls_back<D>(
+    label: &str,
+    bytes: &[u8],
+    detector: &D,
+    sampler: &BernoulliSampler,
+    cold: &CachedAnalysis,
+    prior: &AnalysisCache,
+) where
+    D: SplitDetector,
+    D::Sync: CheckpointState,
+    D::Access: CheckpointState,
+{
+    // The payloads are opaque to the container: the prior still decodes.
+    let prior = AnalysisCache::decode(&prior.encode()).expect("CRC-valid sidecars decode");
+    let run = analyze_segments_cached(
+        &mut open(bytes),
+        detector,
+        sampler,
+        1,
+        &cold.cache.config,
+        Some(&prior),
+    )
+    .unwrap();
+    assert_eq!(run.reused_segments, 0, "[{label}]");
+    assert_eq!(run.analysis.reports, cold.analysis.reports, "[{label}]");
+    assert_eq!(run.analysis.counters, cold.analysis.counters, "[{label}]");
+    assert_eq!(run.cache, cold.cache, "[{label}]");
+}
+
+/// Every truncation of each opaque payload of the resume point a warm
+/// run would import — sync checkpoint, discipline table, counters — and
+/// a trailing byte after it, under valid CRCs, demote the run to a cold
+/// one. (The access checkpoint has its own test below.)
 #[test]
-fn per_worker_access_checkpoints_fall_back_to_a_cold_run() {
+fn malformed_resume_payloads_fall_back_to_a_cold_run() {
     let trace = emitted(120);
     let bytes = v2_bytes(&trace, EVENTS_PER_SEGMENT);
-    let detector = OrderedListDetector::new(BernoulliSampler::new(0.4, 9));
-    let sampler = BernoulliSampler::new(0.4, 9);
-    let cfg = config("so", "bernoulli:0.4:9", 2);
-    let cold =
-        analyze_segments_cached(&mut open(&bytes), &detector, &sampler, 2, &cfg, None).unwrap();
-    let mut per_worker = cold.cache.clone();
-    for entry in &mut per_worker.entries {
-        entry.access_deltas.push(Vec::new());
-    }
-    for jobs in [1, 2] {
-        let run = analyze_segments_cached(
-            &mut open(&bytes),
-            &detector,
-            &sampler,
-            jobs,
-            &cfg,
-            Some(&per_worker),
-        )
-        .unwrap();
-        assert_eq!(run.reused_segments, 0, "jobs={jobs}");
-        assert_eq!(run.analysis.reports, cold.analysis.reports, "jobs={jobs}");
-        assert_eq!(run.analysis.counters, cold.analysis.counters, "jobs={jobs}");
-        assert_eq!(run.cache, cold.cache, "jobs={jobs}");
+    let sampler = BernoulliSampler::new(0.6, 5);
+    let so = OrderedListDetector::new(sampler);
+    let cold = analyze_segments_cached(
+        &mut open(&bytes),
+        &so,
+        &sampler,
+        1,
+        &config("so", "bernoulli:0.6:5", 1),
+        None,
+    )
+    .unwrap();
+    let last = cold.cache.resume.len() - 1;
+    type Field = fn(&mut freshtrack_trace::ResumePoint) -> &mut Vec<u8>;
+    let fields: [(&str, Field); 3] = [
+        ("sync", |p| &mut p.sync),
+        ("discipline", |p| &mut p.discipline),
+        ("counters", |p| &mut p.counters),
+    ];
+    for (name, field) in fields {
+        let payload = field(&mut cold.cache.resume[last].clone()).clone();
+        assert!(!payload.is_empty(), "{name}");
+        let mut mutants: Vec<Vec<u8>> = (0..payload.len()).map(|n| payload[..n].to_vec()).collect();
+        mutants.push([&payload[..], &[0]].concat());
+        for (i, mutant) in mutants.into_iter().enumerate() {
+            let mut prior = cold.cache.clone();
+            *field(&mut prior.resume[last]) = mutant;
+            assert_falls_back(
+                &format!("{name} mutant {i}"),
+                &bytes,
+                &so,
+                &sampler,
+                &cold,
+                &prior,
+            );
+        }
     }
 }
 
@@ -627,7 +816,7 @@ fn corrupt_segment_is_never_reused() {
 fn live_access_exports<D>(trace: &Trace, detector: &D) -> Vec<Vec<u8>>
 where
     D: SplitDetector,
-    D::Access: AccessCheckpoint,
+    D::Access: CheckpointState,
 {
     let mut sync = detector.split_sync();
     let mut access = detector.split_access();
@@ -667,14 +856,13 @@ where
     exports
 }
 
-/// Folds a cold sidecar's access records entry by entry into a fresh
-/// engine and asserts that, after every entry, the folded engine exports
-/// exactly the live engine's bytes at that boundary.
-fn assert_records_fold_to_live_exports<D>(label: &str, trace: &Trace, detector: &D, rate: f64)
+/// Asserts that a cold sidecar's resume points hold exactly the live
+/// access engine's export after the trace's last two segments.
+fn assert_resume_points_hold_live_exports<D>(label: &str, trace: &Trace, detector: &D, rate: f64)
 where
     D: SplitDetector,
     D::Sync: CheckpointState,
-    D::Access: AccessCheckpoint,
+    D::Access: CheckpointState,
 {
     let bytes = v2_bytes(trace, EVENTS_PER_SEGMENT);
     let sampler = BernoulliSampler::new(rate, 23);
@@ -683,44 +871,36 @@ where
         .expect("well-formed traces must analyze");
     let live = live_access_exports(trace, detector);
     assert_eq!(live.len(), cold.cache.entries.len(), "[{label}]");
-    let mut folded = detector.split_access();
-    for (k, (entry, expected)) in cold.cache.entries.iter().zip(&live).enumerate() {
-        let [records] = entry.access_deltas.as_slice() else {
-            panic!("[{label}] entry {k} must hold one access checkpoint");
-        };
-        folded
-            .import_records(records, usize::MAX)
-            .unwrap_or_else(|e| panic!("[{label}] entry {k}: {e}"));
-        let mut got = Vec::new();
-        folded.export_state(&mut got);
-        assert_eq!(&got, expected, "[{label}] boundary {k}: folded records");
-    }
+    assert_eq!(cold.cache.resume.len(), live.len().min(2), "[{label}]");
+    let stored: Vec<&Vec<u8>> = cold.cache.resume.iter().map(|p| &p.access).collect();
+    let expected: Vec<&Vec<u8>> = live[live.len() - stored.len()..].iter().collect();
+    assert_eq!(stored, expected, "[{label}]");
 }
 
 #[test]
-fn folded_access_records_equal_the_live_export_at_every_boundary() {
+fn resume_points_hold_the_live_access_export_at_the_last_two_boundaries() {
     for (name, trace) in workload_matrix(240, &[2]) {
         for rate in [0.03, 0.3, 1.0] {
             let sampler = BernoulliSampler::new(rate, 23);
-            assert_records_fold_to_live_exports(
+            assert_resume_points_hold_live_exports(
                 &format!("{name}/so/{rate}"),
                 &trace,
                 &OrderedListDetector::new(sampler),
                 rate,
             );
-            assert_records_fold_to_live_exports(
+            assert_resume_points_hold_live_exports(
                 &format!("{name}/su/{rate}"),
                 &trace,
                 &FreshnessDetector::new(sampler),
                 rate,
             );
-            assert_records_fold_to_live_exports(
+            assert_resume_points_hold_live_exports(
                 &format!("{name}/st/{rate}"),
                 &trace,
                 &DjitDetector::new(sampler),
                 rate,
             );
-            assert_records_fold_to_live_exports(
+            assert_resume_points_hold_live_exports(
                 &format!("{name}/ft/{rate}"),
                 &trace,
                 &FastTrackDetector::new(sampler),
@@ -730,9 +910,9 @@ fn folded_access_records_equal_the_live_export_at_every_boundary() {
     }
 }
 
-/// A sidecar written under the previous payload version (whole-plane
-/// access deltas) fails the fingerprint and is rebuilt cold: the output
-/// and the rewritten sidecar equal a cold run's.
+/// A sidecar written under the previous payload version fails the
+/// fingerprint and is rebuilt cold: the output and the rewritten sidecar
+/// equal a cold run's.
 #[test]
 fn version_one_sidecar_rebuilds_cold() {
     let trace = emitted(120);
@@ -744,10 +924,6 @@ fn version_one_sidecar_rebuilds_cold() {
         analyze_segments_cached(&mut open(&bytes), &detector, &sampler, 1, &cfg, None).unwrap();
     let mut v1 = cold.cache.clone();
     v1.config.state_version = 1;
-    for entry in &mut v1.entries {
-        entry.access_deltas = vec![encode_delta(&[], &entry.access_deltas[0])];
-    }
-    let v1 = AnalysisCache::decode(&v1.encode()).expect("a v1 sidecar still decodes");
     let run = analyze_segments_cached(&mut open(&bytes), &detector, &sampler, 1, &cfg, Some(&v1))
         .unwrap();
     assert_eq!(run.reused_segments, 0);
@@ -756,43 +932,18 @@ fn version_one_sidecar_rebuilds_cold() {
     assert_eq!(run.cache.encode(), cold.cache.encode());
 }
 
-/// Runs a warm analysis whose entry `k` carries `records` as its access
-/// checkpoint and asserts it fell back to the cold run, without a panic.
-fn assert_records_fall_back<D>(
-    label: &str,
-    bytes: &[u8],
-    detector: &D,
-    cfg: &CacheConfig,
-    cold: &CachedAnalysis,
-    k: usize,
-    records: Vec<u8>,
-) where
-    D: SplitDetector,
-    D::Sync: CheckpointState,
-    D::Access: AccessCheckpoint,
-{
-    let mut prior = cold.cache.clone();
-    prior.entries[k].access_deltas = vec![records];
-    let sampler = BernoulliSampler::new(0.6, 5);
-    let run = analyze_segments_cached(&mut open(bytes), detector, &sampler, 1, cfg, Some(&prior))
-        .unwrap();
-    assert_eq!(run.reused_segments, 0, "[{label}] entry {k}");
-    assert_eq!(run.analysis.reports, cold.analysis.reports, "[{label}]");
-    assert_eq!(run.analysis.counters, cold.analysis.counters, "[{label}]");
-    assert_eq!(run.cache, cold.cache, "[{label}] entry {k}");
-}
-
-/// Malformed access records — a variable id at or past the header's
-/// variable count, a variable count past the name table, a record count
-/// larger than the bytes left, and every truncation of every real
-/// record — demote a warm run to a cold one. `header` is the engine's
-/// header before the variable count (`width` for the clock-history
-/// engines, nothing for FastTrack's).
+/// Malformed access checkpoints in the resume point a warm run imports
+/// — a record count that is not the variable count, a nonzero gap
+/// before a record, a variable count past the bytes left, and every
+/// truncation of the real checkpoint, plus a trailing byte — demote the
+/// run to a cold one. `header` is the engine's header before the
+/// variable table (`width` for the clock-history engines, nothing for
+/// FastTrack's).
 fn assert_malformed_records_fall_back<D>(label: &str, detector: &D, engine: &str, header: &[u8])
 where
     D: SplitDetector,
     D::Sync: CheckpointState,
-    D::Access: AccessCheckpoint,
+    D::Access: CheckpointState,
 {
     let trace = emitted(120);
     let bytes = v2_bytes(&trace, EVENTS_PER_SEGMENT);
@@ -800,7 +951,6 @@ where
     let cfg = config(engine, "bernoulli:0.6:5", 1);
     let cold =
         analyze_segments_cached(&mut open(&bytes), detector, &sampler, 1, &cfg, None).unwrap();
-    let last = cold.cache.entries.len() - 1;
     let crafted = |fields: &[u64]| {
         let mut out = header.to_vec();
         for &field in fields {
@@ -808,45 +958,36 @@ where
         }
         out
     };
-    // [var count, record count, first gap]: the record names var 5 of 5.
-    let beyond_count = crafted(&[5, 1, 5]);
-    // Five names exist by the last entry (see `emitted`), so a sixth
-    // variable cannot.
-    let beyond_names = crafted(&[6, 0]);
-    let count_past_bytes = crafted(&[5, 1000]);
-    let mut engine = detector.split_access();
-    for (what, records) in [
-        ("id beyond count", &beyond_count),
-        ("count beyond names", &beyond_names),
-        ("records past the end", &count_past_bytes),
-    ] {
+    let real = cold.cache.resume.last().unwrap().access.clone();
+    let mut mutants = vec![
+        // [var count, record count, gap]: fewer records than variables.
+        ("record count", crafted(&[1, 0])),
+        ("nonzero gap", crafted(&[1, 1, 1])),
+        ("count past the bytes", crafted(&[1000, 1000])),
+        ("trailing byte", [&real[..], &[0]].concat()),
+    ];
+    for cut in 0..real.len() {
+        mutants.push(("truncation", real[..cut].to_vec()));
+    }
+    // The prior covers the whole file, so the run would import its
+    // last resume point.
+    let last = cold.cache.resume.len() - 1;
+    for (what, access) in &mutants {
+        let mut engine = detector.split_access();
         assert!(
-            engine.import_records(records, 5).is_err(),
+            engine.import_state(access).is_err(),
             "[{label}] {what} imported"
         );
-        assert_records_fall_back(
+        let mut prior = cold.cache.clone();
+        prior.resume[last].access = access.clone();
+        assert_falls_back(
             &format!("{label}: {what}"),
             &bytes,
             detector,
-            &cfg,
+            &sampler,
             &cold,
-            last,
-            records.clone(),
+            &prior,
         );
-    }
-    for (k, entry) in cold.cache.entries.iter().enumerate() {
-        let records = &entry.access_deltas[0];
-        for cut in 0..records.len() {
-            assert_records_fall_back(
-                &format!("{label}: cut {cut}"),
-                &bytes,
-                detector,
-                &cfg,
-                &cold,
-                k,
-                records[..cut].to_vec(),
-            );
-        }
     }
 }
 

@@ -1,20 +1,24 @@
 //! The `.ftc` analysis-cache sidecar format.
 //!
 //! A sidecar lets re-analysis of a growing `.ftb` v2 trace replay only
-//! the appended segments: it records, per segment, enough to (a) prove the
-//! segment is byte-identical to what a previous run analyzed and (b)
-//! resume the analysis right after it. Concretely each entry carries
-//! the segment's footer identity (CRC-32, offset, length, event range,
-//! name-table watermarks), the name/thread/pending/discipline deltas
-//! the coordinator accumulated through it, the segment's race reports
-//! and cumulative counters, and the engine checkpoint at the
-//! segment's end boundary (a delta-encoded sync plane plus the access
-//! records the segment changed). The checkpoint, counter and report
-//! payloads are **opaque bytes** here — `freshtrack-core` owns those
-//! encodings (its checkpoint wire formats plus the byte-level delta
-//! codec); this module owns only the container, exactly like
-//! [`SegmentedTraceFile`](crate::SegmentedTraceFile) owns segment
-//! blocks without knowing what an engine does with them.
+//! the appended segments. It records, per segment, enough to prove the
+//! segment is byte-identical to what a previous run analyzed and to
+//! re-emit that run's results for it: the segment's footer identity
+//! (CRC-32, offset, length, event range, name-table watermarks), the
+//! names it defines, and its race reports. The analysis state itself is
+//! kept only at the last two segment boundaries, after segments
+//! `len − 1` and `len` ([`ResumePoint`]): thread count, pending
+//! `RelAfter_S` bits, the discipline table, cumulative counters, and
+//! the sync and access engines' checkpoints. An append can change only
+//! the file's last, partial segment, so a warm run resumes from one of
+//! those two; a prefix that ends anywhere earlier runs cold
+//! ([`AnalysisCache::reusable_prefix`]).
+//!
+//! The checkpoint, counter and report payloads are **opaque bytes**
+//! here — `freshtrack-core` owns those encodings; this module owns only
+//! the container, exactly like
+//! [`SegmentedTraceFile`] owns segment blocks without knowing what an
+//! engine does with them.
 //!
 //! Layout (all integers are the varints of
 //! [`freshtrack_clock::wire`]):
@@ -23,26 +27,33 @@
 //! [magic "FTC1\r\n\x1a\n"]
 //! [header body: format version, config strings, state version,
 //!  jobs, entry count][u32 LE CRC-32 of the header body]
-//! entry × count: [entry body][u32 LE CRC-32 of the entry body]
+//! entry × count: [identity, new names, reports][u32 LE CRC-32]
+//! resume point × min(count, 2), oldest first:
+//!     [threads, pending bits, discipline, counters, sync, access]
+//!     [u32 LE CRC-32]
 //! ```
 //!
 //! Every block is CRC-framed with the same slice-by-8 CRC-32 the v2
 //! trace format uses, so a flipped bit anywhere in the sidecar is a
 //! clean [`CacheError`] — the analyzer then falls back to a cold run
 //! and rewrites the file. A cache is *advisory*: decoding failure is
-//! never an analysis failure.
+//! never an analysis failure. Format 1 stored the whole analysis state
+//! at every boundary (a sync-plane delta and the changed access
+//! records per entry); it fails the version check and is rebuilt cold.
 
 use freshtrack_clock::wire::{self, WireError, WireReader};
 
+use std::io::{Read, Seek};
+
 use crate::segmented::crc32;
-use crate::SegmentMeta;
+use crate::{BinaryTraceError, SegmentMeta, SegmentedTraceFile};
 
 /// The 8-byte magic opening a `.ftc` sidecar (same shape as the v2
 /// trace magic: CRLF/CtrlZ/LF guards against text-mode mangling).
 pub const CACHE_MAGIC: [u8; 8] = *b"FTC1\r\n\x1a\n";
 
 /// Container format version; bump on any layout change.
-const CACHE_FORMAT_VERSION: u64 = 1;
+const CACHE_FORMAT_VERSION: u64 = 2;
 
 /// A malformed, truncated, or corrupted sidecar.
 ///
@@ -92,8 +103,8 @@ pub struct CacheConfig {
     pub jobs: u32,
 }
 
-/// One segment's cache entry: identity, name and state deltas, and the
-/// end-of-segment checkpoint payloads.
+/// One segment's cache entry: its identity, the names it defines, and
+/// its reports.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CacheEntry {
     /// CRC-32 of the segment's record bytes (must equal the footer's).
@@ -114,30 +125,29 @@ pub struct CacheEntry {
     pub new_locks: Vec<String>,
     /// Variable names the segment defines.
     pub new_vars: Vec<String>,
-    /// Thread count (declared or observed) after the segment.
-    pub threads: u32,
-    /// Pending `RelAfter_S` bits after the segment.
-    pub pending: Vec<bool>,
-    /// Lock-discipline holder table after the segment
-    /// ([`DisciplineChecker::export_wire`](crate::DisciplineChecker::export_wire)).
-    pub discipline: Vec<u8>,
-    /// Cumulative merged counters after the segment (opaque; core's
-    /// counter encoding).
-    pub counters: Vec<u8>,
-    /// Sync-plane checkpoint after the segment, delta-encoded against
-    /// the previous entry's (opaque; chain base is the empty byte
-    /// string).
-    pub sync_delta: Vec<u8>,
-    /// Access-plane checkpoint of the segment (opaque): the access
-    /// engine's header plus the records of only the variables the
-    /// segment's sampled accesses touched, applied on top of the
-    /// previous entries' in order (core's `AccessCheckpoint`; payload
-    /// version 2). The analyzer writes and reads exactly one; the list
-    /// shape is the container's, kept from builds that wrote one per
-    /// worker.
-    pub access_deltas: Vec<Vec<u8>>,
     /// The segment's race reports (opaque; core's report encoding).
     pub reports: Vec<u8>,
+}
+
+/// The complete analysis state at one segment boundary: what a warm run
+/// imports to resume there.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ResumePoint {
+    /// Thread count (declared or observed) at the boundary.
+    pub threads: u32,
+    /// Pending `RelAfter_S` bits at the boundary.
+    pub pending: Vec<bool>,
+    /// Lock-discipline holder table at the boundary
+    /// ([`DisciplineChecker::export_wire`](crate::DisciplineChecker::export_wire)).
+    pub discipline: Vec<u8>,
+    /// Cumulative merged counters at the boundary (opaque; core's
+    /// counter encoding).
+    pub counters: Vec<u8>,
+    /// The sync engine's checkpoint (opaque; core's `CheckpointState`).
+    pub sync: Vec<u8>,
+    /// The access engine's checkpoint (opaque; core's
+    /// `CheckpointState`).
+    pub access: Vec<u8>,
 }
 
 impl CacheEntry {
@@ -156,14 +166,19 @@ impl CacheEntry {
     }
 }
 
-/// A decoded `.ftc` sidecar: the fingerprint plus one entry per
-/// analyzed segment, in file order.
+/// A decoded `.ftc` sidecar: the fingerprint, one entry per analyzed
+/// segment in file order, and the state at the last two boundaries.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AnalysisCache {
     /// The fingerprint the entries were computed under.
     pub config: CacheConfig,
     /// Per-segment entries, index-aligned with the trace's segments.
     pub entries: Vec<CacheEntry>,
+    /// The state after the last `resume.len()` segments, oldest first:
+    /// after segments `entries.len() − 1` and `entries.len()`. There
+    /// are `min(entries.len(), 2)` of them; the boundary before the
+    /// first segment is the empty state and is not stored.
+    pub resume: Vec<ResumePoint>,
 }
 
 impl AnalysisCache {
@@ -172,12 +187,77 @@ impl AnalysisCache {
         AnalysisCache {
             config,
             entries: Vec::new(),
+            resume: Vec::new(),
         }
     }
 
+    /// The stored state after the first `boundary` segments, if that
+    /// boundary is one of the last two this sidecar keeps.
+    pub fn resume_point(&self, boundary: usize) -> Option<&ResumePoint> {
+        let first = self.entries.len() + 1 - self.resume.len().min(self.entries.len());
+        self.resume.get(boundary.checked_sub(first)?)
+    }
+
+    /// The number of segments of `file` a warm run can take from this
+    /// sidecar: the **one reusable-prefix rule** the analyzer applies
+    /// and `segments --cache` displays.
+    ///
+    /// Entries must match the footer's identity for their segment
+    /// ([`CacheEntry::matches`]), and then every segment taken must
+    /// re-hash to its recorded CRC-32. The run resumes only at a
+    /// boundary with a [`ResumePoint`] — after entry `len − 1` or
+    /// `len` — and only where it can rebuild both resume points the
+    /// rewritten sidecar needs (a file one segment shorter than the
+    /// sidecar cannot give back the point before its own last segment).
+    /// Any other prefix is worth nothing and returns 0: a cold run.
+    /// The configuration fingerprint is the caller's to compare.
+    ///
+    /// # Errors
+    ///
+    /// A [`BinaryTraceError`] if a segment's bytes cannot be read.
+    pub fn reusable_prefix<R: Read + Seek>(
+        &self,
+        file: &mut SegmentedTraceFile<R>,
+    ) -> Result<usize, BinaryTraceError> {
+        let segments = file.segment_count();
+        let usable = |b: usize| {
+            b > 0
+                && self.resume_point(b).is_some()
+                && (b < segments || segments == 1 || self.resume_point(segments - 1).is_some())
+        };
+        let matched = self
+            .entries
+            .iter()
+            .zip(file.metas())
+            .take_while(|(entry, meta)| entry.matches(meta))
+            .count();
+        // Skip the re-hash when no boundary it could confirm is usable.
+        let Some(target) = [matched, matched.saturating_sub(1)]
+            .into_iter()
+            .find(|&b| usable(b))
+        else {
+            return Ok(0);
+        };
+        for k in 0..target {
+            if file.segment_crc32(k)? != file.meta(k).crc32 {
+                return Ok(if usable(k) { k } else { 0 });
+            }
+        }
+        Ok(target)
+    }
+
     /// Serializes the sidecar (magic, CRC-framed header, CRC-framed
-    /// entries).
+    /// entries and resume points).
+    ///
+    /// # Panics
+    ///
+    /// If `resume` does not hold `min(entries.len(), 2)` points.
     pub fn encode(&self) -> Vec<u8> {
+        assert_eq!(
+            self.resume.len(),
+            self.entries.len().min(2),
+            "a sidecar keeps the state at its last two boundaries"
+        );
         let mut out = Vec::new();
         out.extend_from_slice(&CACHE_MAGIC);
 
@@ -202,19 +282,20 @@ impl AnalysisCache {
             wire::put_varint(&mut body, entry.vars_before as u64);
             put_strings(&mut body, &entry.new_locks);
             put_strings(&mut body, &entry.new_vars);
-            wire::put_varint(&mut body, u64::from(entry.threads));
-            wire::put_varint(&mut body, entry.pending.len() as u64);
-            for &bit in &entry.pending {
+            put_payload(&mut body, &entry.reports);
+            put_block(&mut out, &body);
+        }
+        for point in &self.resume {
+            body.clear();
+            wire::put_varint(&mut body, u64::from(point.threads));
+            wire::put_varint(&mut body, point.pending.len() as u64);
+            for &bit in &point.pending {
                 wire::put_bool(&mut body, bit);
             }
-            put_payload(&mut body, &entry.discipline);
-            put_payload(&mut body, &entry.counters);
-            put_payload(&mut body, &entry.sync_delta);
-            wire::put_varint(&mut body, entry.access_deltas.len() as u64);
-            for delta in &entry.access_deltas {
-                put_payload(&mut body, delta);
-            }
-            put_payload(&mut body, &entry.reports);
+            put_payload(&mut body, &point.discipline);
+            put_payload(&mut body, &point.counters);
+            put_payload(&mut body, &point.sync);
+            put_payload(&mut body, &point.access);
             put_block(&mut out, &body);
         }
         out
@@ -235,7 +316,7 @@ impl AnalysisCache {
             .ok_or_else(|| fail("bad magic"))?;
 
         let (header, mut rest) = take_block(rest, "header")?;
-        let mut r = WireReader::new(&header);
+        let mut r = WireReader::new(header);
         let version = r.get_varint()?;
         if version != CACHE_FORMAT_VERSION {
             return Err(CacheError(format!(
@@ -261,61 +342,69 @@ impl AnalysisCache {
         for k in 0..entry_count {
             let (body, after) = take_block(rest, "entry")?;
             rest = after;
-            let mut r = WireReader::new(&body);
-            let entry = decode_entry(&mut r).map_err(|e| CacheError(format!("entry {k}: {e}")))?;
-            r.finish()
-                .map_err(|_| CacheError(format!("entry {k}: trailing bytes")))?;
-            entries.push(entry);
+            entries.push(
+                decode_body(body, decode_entry)
+                    .map_err(|e| CacheError(format!("entry {k}: {e}")))?,
+            );
+        }
+        let mut resume = Vec::with_capacity(entry_count.min(2));
+        for k in 0..entry_count.min(2) {
+            let (body, after) = take_block(rest, "resume point")?;
+            rest = after;
+            resume.push(
+                decode_body(body, decode_resume_point)
+                    .map_err(|e| CacheError(format!("resume point {k}: {e}")))?,
+            );
         }
         if !rest.is_empty() {
-            return Err(fail("trailing bytes after the last entry"));
+            return Err(fail("trailing bytes after the last resume point"));
         }
-        Ok(AnalysisCache { config, entries })
+        Ok(AnalysisCache {
+            config,
+            entries,
+            resume,
+        })
     }
 }
 
+/// Decodes one block body with `get`, rejecting trailing bytes.
+fn decode_body<T>(
+    body: &[u8],
+    get: impl FnOnce(&mut WireReader<'_>) -> Result<T, WireError>,
+) -> Result<T, WireError> {
+    let mut r = WireReader::new(body);
+    let value = get(&mut r)?;
+    r.finish()
+        .map_err(|_| WireError::Invalid("trailing bytes"))?;
+    Ok(value)
+}
+
 fn decode_entry(r: &mut WireReader<'_>) -> Result<CacheEntry, WireError> {
-    let crc32 = r.get_u32()?;
-    let offset = r.get_varint()?;
-    let byte_len = r.get_varint()?;
-    let event_count = r.get_varint()?;
-    let first_event_id = r.get_varint()?;
-    let locks_before = r.get_usize()?;
-    let vars_before = r.get_usize()?;
-    let new_locks = get_strings(r)?;
-    let new_vars = get_strings(r)?;
+    Ok(CacheEntry {
+        crc32: r.get_u32()?,
+        offset: r.get_varint()?,
+        byte_len: r.get_varint()?,
+        event_count: r.get_varint()?,
+        first_event_id: r.get_varint()?,
+        locks_before: r.get_usize()?,
+        vars_before: r.get_usize()?,
+        new_locks: get_strings(r)?,
+        new_vars: get_strings(r)?,
+        reports: get_payload(r)?,
+    })
+}
+
+fn decode_resume_point(r: &mut WireReader<'_>) -> Result<ResumePoint, WireError> {
     let threads = r.get_u32()?;
     let n = guarded_count(r)?;
-    let mut pending = Vec::with_capacity(n);
-    for _ in 0..n {
-        pending.push(r.get_bool()?);
-    }
-    let discipline = get_payload(r)?;
-    let counters = get_payload(r)?;
-    let sync_delta = get_payload(r)?;
-    let n = guarded_count(r)?;
-    let mut access_deltas = Vec::with_capacity(n);
-    for _ in 0..n {
-        access_deltas.push(get_payload(r)?);
-    }
-    let reports = get_payload(r)?;
-    Ok(CacheEntry {
-        crc32,
-        offset,
-        byte_len,
-        event_count,
-        first_event_id,
-        locks_before,
-        vars_before,
-        new_locks,
-        new_vars,
+    let pending = (0..n).map(|_| r.get_bool()).collect::<Result<_, _>>()?;
+    Ok(ResumePoint {
         threads,
         pending,
-        discipline,
-        counters,
-        sync_delta,
-        access_deltas,
-        reports,
+        discipline: get_payload(r)?,
+        counters: get_payload(r)?,
+        sync: get_payload(r)?,
+        access: get_payload(r)?,
     })
 }
 
@@ -327,7 +416,7 @@ fn put_block(out: &mut Vec<u8>, body: &[u8]) {
 }
 
 /// Splits one CRC-framed block off `bytes`, verifying its checksum.
-fn take_block<'a>(bytes: &'a [u8], what: &str) -> Result<(Vec<u8>, &'a [u8]), CacheError> {
+fn take_block<'a>(bytes: &'a [u8], what: &str) -> Result<(&'a [u8], &'a [u8]), CacheError> {
     let mut r = WireReader::new(bytes);
     let len = r.get_usize()?;
     let consumed = bytes.len() - r.remaining();
@@ -341,7 +430,7 @@ fn take_block<'a>(bytes: &'a [u8], what: &str) -> Result<(Vec<u8>, &'a [u8]), Ca
     if crc32(body) != stored {
         return Err(CacheError(format!("{what} checksum mismatch")));
     }
-    Ok((body.to_vec(), rest))
+    Ok((body, rest))
 }
 
 fn put_string(out: &mut Vec<u8>, s: &str) {
@@ -414,12 +503,6 @@ mod tests {
                     first_event_id: 0,
                     new_locks: vec!["l".to_owned()],
                     new_vars: vec!["x".to_owned(), "y".to_owned()],
-                    threads: 3,
-                    pending: vec![true, false, true],
-                    discipline: vec![1, 2, 3],
-                    counters: vec![9; 18],
-                    sync_delta: vec![0xAA; 40],
-                    access_deltas: vec![vec![1; 10], vec![2; 12]],
                     reports: vec![5, 6],
                     ..CacheEntry::default()
                 },
@@ -431,11 +514,37 @@ mod tests {
                     first_event_id: 7,
                     locks_before: 1,
                     vars_before: 2,
-                    access_deltas: vec![Vec::new(), Vec::new()],
                     ..CacheEntry::default()
                 },
             ],
+            resume: vec![
+                ResumePoint {
+                    threads: 3,
+                    pending: vec![true, false, true],
+                    discipline: vec![1, 2, 3],
+                    counters: vec![9; 18],
+                    sync: vec![0xAA; 40],
+                    access: vec![1; 10],
+                },
+                ResumePoint::default(),
+            ],
         }
+    }
+
+    #[test]
+    fn resume_points_sit_at_the_last_two_boundaries() {
+        let cache = sample();
+        assert_eq!(cache.resume_point(0), None);
+        assert_eq!(cache.resume_point(1), Some(&cache.resume[0]));
+        assert_eq!(cache.resume_point(2), Some(&cache.resume[1]));
+        assert_eq!(cache.resume_point(3), None);
+        let mut one = sample();
+        one.entries.truncate(1);
+        one.resume.truncate(1);
+        assert_eq!(one.resume_point(0), None);
+        assert_eq!(one.resume_point(1), Some(&one.resume[0]));
+        assert_eq!(AnalysisCache::decode(&one.encode()).unwrap(), one);
+        assert_eq!(AnalysisCache::default().resume_point(0), None);
     }
 
     #[test]

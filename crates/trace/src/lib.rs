@@ -55,7 +55,7 @@ pub use binary::{
     BinaryTraceError, BINARY_MAGIC, BINARY_MAGIC_V2,
 };
 pub use builder::TraceBuilder;
-pub use cache::{AnalysisCache, CacheConfig, CacheEntry, CacheError, CACHE_MAGIC};
+pub use cache::{AnalysisCache, CacheConfig, CacheEntry, CacheError, ResumePoint, CACHE_MAGIC};
 pub use event::{Event, EventId, EventKind, LockId, VarId};
 pub use io::{read_trace, write_source, write_trace, ParseTraceError, WriteSourceError};
 pub use segmented::{

@@ -4,7 +4,8 @@
 //! codec round-trips and rejects every corruption.
 
 use freshtrack_trace::{
-    read_trace, write_trace, AnalysisCache, CacheConfig, CacheEntry, EventKind, TraceBuilder,
+    read_trace, write_trace, AnalysisCache, CacheConfig, CacheEntry, EventKind, ResumePoint,
+    TraceBuilder,
 };
 use proptest::prelude::*;
 
@@ -84,20 +85,17 @@ fn arb_entry() -> impl Strategy<Value = CacheEntry> {
             any::<u64>(),
             any::<u64>(),
         ),
-        (0usize..1000, 0usize..1000, any::<u32>()),
+        (0usize..1000, 0usize..1000),
         (
             prop::collection::vec(arb_name(), 0..4),
             prop::collection::vec(arb_name(), 0..4),
-            prop::collection::vec(any::<bool>(), 0..8),
         ),
-        (arb_payload(), arb_payload(), arb_payload(), arb_payload()),
-        prop::collection::vec(arb_payload(), 0..4),
+        arb_payload(),
     )
-        .prop_map(|(ids, watermarks, tables, payloads, access_deltas)| {
+        .prop_map(|(ids, watermarks, names, reports)| {
             let (crc32, offset, byte_len, event_count, first_event_id) = ids;
-            let (locks_before, vars_before, threads) = watermarks;
-            let (new_locks, new_vars, pending) = tables;
-            let (discipline, counters, sync_delta, reports) = payloads;
+            let (locks_before, vars_before) = watermarks;
+            let (new_locks, new_vars) = names;
             CacheEntry {
                 crc32,
                 offset,
@@ -108,13 +106,26 @@ fn arb_entry() -> impl Strategy<Value = CacheEntry> {
                 vars_before,
                 new_locks,
                 new_vars,
+                reports,
+            }
+        })
+}
+
+fn arb_resume_point() -> impl Strategy<Value = ResumePoint> {
+    (
+        any::<u32>(),
+        prop::collection::vec(any::<bool>(), 0..8),
+        (arb_payload(), arb_payload(), arb_payload(), arb_payload()),
+    )
+        .prop_map(|(threads, pending, payloads)| {
+            let (discipline, counters, sync, access) = payloads;
+            ResumePoint {
                 threads,
                 pending,
                 discipline,
                 counters,
-                sync_delta,
-                access_deltas,
-                reports,
+                sync,
+                access,
             }
         })
 }
@@ -123,17 +134,22 @@ fn arb_cache() -> impl Strategy<Value = AnalysisCache> {
     (
         (arb_name(), arb_name(), arb_name(), any::<u32>(), 1u32..8),
         prop::collection::vec(arb_entry(), 0..6),
+        prop::collection::vec(arb_resume_point(), 2),
     )
         .prop_map(
-            |((engine, sampler, options, state_version, jobs), entries)| AnalysisCache {
-                config: CacheConfig {
-                    engine,
-                    sampler,
-                    options,
-                    state_version,
-                    jobs,
-                },
-                entries,
+            |((engine, sampler, options, state_version, jobs), entries, mut resume)| {
+                resume.truncate(entries.len().min(2));
+                AnalysisCache {
+                    config: CacheConfig {
+                        engine,
+                        sampler,
+                        options,
+                        state_version,
+                        jobs,
+                    },
+                    entries,
+                    resume,
+                }
             },
         )
 }
