@@ -324,9 +324,12 @@ where
         Some(prior) if prior.config == *config => prior.reusable_prefix(file)?,
         _ => 0,
     };
-    let warm = prior
-        .filter(|_| prefix > 0)
-        .and_then(|prior| Some((prior, Resume::from_cache(detector, prior, prefix).ok()?)));
+    let warm = match prior {
+        Some(prior) if prefix > 0 => Resume::from_cache(detector, prior, prefix)
+            .ok()
+            .map(|resume| (prior, resume)),
+        _ => None,
+    };
     let (resume, mut entries, mut resume_points) = match warm {
         // The reused boundaries among the file's last two keep their
         // stored state; the reusable-prefix rule guarantees it is there.

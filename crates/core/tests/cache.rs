@@ -634,6 +634,49 @@ fn changed_fingerprint_rejects_the_whole_cache() {
     assert_eq!(run.cache.encode(), cold1.cache.encode());
 }
 
+/// A file that lost its last segment matches its sidecar up to the
+/// sidecar's second-to-last boundary, but a run resumed there could not
+/// rebuild the state before its own last segment: it runs cold, and its
+/// output and sidecar are the shorter file's cold ones.
+#[test]
+fn a_file_shorter_than_its_sidecar_runs_cold() {
+    let trace = emitted(120);
+    let detector = OrderedListDetector::new(BernoulliSampler::new(0.4, 9));
+    let sampler = BernoulliSampler::new(0.4, 9);
+    let cfg = config("so", "bernoulli:0.4:9", 1);
+    let segments = 15;
+    let full = v2_bytes(
+        &prefix_of(&trace, segments * EVENTS_PER_SEGMENT),
+        EVENTS_PER_SEGMENT,
+    );
+    let prior = analyze_segments_cached(&mut open(&full), &detector, &sampler, 1, &cfg, None)
+        .unwrap()
+        .cache;
+    let shorter = v2_bytes(
+        &prefix_of(&trace, (segments - 1) * EVENTS_PER_SEGMENT),
+        EVENTS_PER_SEGMENT,
+    );
+    let cold =
+        analyze_segments_cached(&mut open(&shorter), &detector, &sampler, 1, &cfg, None).unwrap();
+    assert_eq!(
+        (prior.entries.len(), cold.total_segments),
+        (segments, segments - 1)
+    );
+    let run = analyze_segments_cached(
+        &mut open(&shorter),
+        &detector,
+        &sampler,
+        1,
+        &cfg,
+        Some(&prior),
+    )
+    .unwrap();
+    assert_eq!(run.reused_segments, 0);
+    assert_eq!(run.analysis.reports, cold.analysis.reports);
+    assert_eq!(run.analysis.counters, cold.analysis.counters);
+    assert_eq!(run.cache, cold.cache);
+}
+
 /// Runs a warm analysis from `prior` and asserts it fell back to the
 /// cold run, without a panic.
 fn assert_falls_back<D>(

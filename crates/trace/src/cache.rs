@@ -221,8 +221,7 @@ impl AnalysisCache {
     ) -> Result<usize, BinaryTraceError> {
         let segments = file.segment_count();
         let usable = |b: usize| {
-            b > 0
-                && self.resume_point(b).is_some()
+            self.resume_point(b).is_some()
                 && (b < segments || segments == 1 || self.resume_point(segments - 1).is_some())
         };
         let matched = self
