@@ -1123,8 +1123,9 @@ fn run_segments(out_path: Option<String>) {
          concrete reader, where the CLI streams a file through a boxed source, \
          so the end-to-end CLI comparison is perfbench's replay-archive. \
          cached_cold_jobs1 runs the same pipeline while \
-         recording a .ftc sidecar (a sync-plane delta plus the access records \
-         of the variables each segment touched); cached_incremental_jobs1 resumes the sidecar \
+         recording a .ftc sidecar (per segment its identity, names and reports, \
+         plus the full engine state after the last two segments); \
+         cached_incremental_jobs1 resumes the sidecar \
          a ~95% prefix of the corpus left behind and replays only the appended \
          tail (sidecar decode, prefix CRC validation, and sidecar re-encode all \
          inside the timed region), asserting full reuse and report parity every \

@@ -524,8 +524,9 @@ fn convert<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgErr
 
 /// `segments <file>`: the v2 footer index as a table, after a full
 /// checksum-and-decode verification pass. With `--cache[=PATH]` an
-/// extra column shows, per segment, whether the `.ftc` sidecar entry
-/// would be reused (`hit`), has gone stale, or does not exist (`-`).
+/// extra column shows, per segment, whether `analyze --cache` would
+/// reuse it (`hit`, by [`AnalysisCache::reusable_prefix`]), its `.ftc`
+/// sidecar entry cannot be reused (`stale`), or it has none (`-`).
 fn segments_cmd<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgError> {
     let args = SEGMENTS.parse(rest)?;
     let path = input_path(&args)?;

@@ -96,8 +96,9 @@ COMMANDS:
     segments <file>   verify a segmented `.ftb` v2 file and print its
                       footer index
                       --cache[=PATH]  also show, per segment, whether
-                      the `.ftc` sidecar entry is a hit, stale, or
-                      missing (`-`)
+                      a cached analyze would reuse it (hit), its `.ftc`
+                      sidecar entry cannot be reused (stale), or it
+                      has none (`-`)
     generate          generate a workload trace to stdout
                       --pattern mixed|pc|pipeline|forkjoin|barrier|ladder
                       --events <n> --threads <n> --locks <n> --vars <n>

@@ -252,29 +252,14 @@ impl<'a> WireReader<'a> {
     ///
     /// Any [`WireError`] for truncated or malformed input.
     pub fn get_clock(&mut self) -> Result<VectorClock, WireError> {
-        let mut clock = VectorClock::new();
-        self.get_clock_into(&mut clock)?;
-        Ok(clock)
-    }
-
-    /// Decodes a [`VectorClock`] written by [`put_clock`] into `clock`,
-    /// replacing its entries and reusing its allocation: the in-place
-    /// form of [`get_clock`](Self::get_clock), for a caller that
-    /// overwrites clocks it already owns.
-    ///
-    /// # Errors
-    ///
-    /// Any [`WireError`] for truncated or malformed input; `clock` then
-    /// holds a partial decode.
-    pub fn get_clock_into(&mut self, clock: &mut VectorClock) -> Result<(), WireError> {
         let len = self.get_len()?;
+        let mut clock = VectorClock::new();
         let entries = clock.entries_mut();
-        entries.clear();
         entries.reserve(len);
         for _ in 0..len {
             entries.push(self.get_varint()?);
         }
-        Ok(())
+        Ok(clock)
     }
 
     /// Decodes a [`FreshnessClock`] written by [`put_fresh`].
@@ -383,11 +368,6 @@ mod tests {
         let back = WireReader::new(&buf).get_clock().unwrap();
         assert_eq!(back, clock);
         assert_eq!(back.len(), 4);
-        // Decoding in place over a longer clock replaces every entry.
-        let mut reused = VectorClock::new();
-        reused.set(t(7), 9);
-        WireReader::new(&buf).get_clock_into(&mut reused).unwrap();
-        assert_eq!(reused, clock);
     }
 
     #[test]
