@@ -1,14 +1,13 @@
 //! Multi-threaded ingestion throughput: the single-mutex
 //! [`OnlineDetector`] against [`ShardedOnlineDetector`] at shard counts
-//! {1, 2, 4, 8}, unbatched (`sharded`) and with 64-event access
-//! batches (`sharded_b64`). The per-sync-event cost in
-//! isolation is the `sync_cost` bench's job; this one measures the
-//! whole contended pipeline.
+//! {1, 2, 4, 8}. The per-sync-event cost in isolation is the
+//! `sync_cost` bench's job; this one measures the whole contended
+//! pipeline.
 //!
 //! Four producer threads hammer the façade with a dbsim-shaped event
-//! mix (accesses dominating, one short critical section per batch, each
-//! thread using a private lock so the emitted stream trivially obeys
-//! the locking discipline). The measured quantity is wall-clock per
+//! mix (accesses dominating, one short critical section every 8
+//! events, each thread using a private lock so the emitted stream
+//! trivially obeys the locking discipline). The measured quantity is wall-clock per
 //! round of `4 × EVENTS` events — ingestion throughput under real
 //! contention, the thing the analysis-mutex split exists to improve.
 //! `record_baseline --dbsim` measures the same effect end to end
@@ -73,16 +72,14 @@ fn bench_shard_scaling(c: &mut Criterion) {
             std::hint::black_box(online.finish());
         })
     });
-    for (tag, batch) in [("sharded", 1usize), ("sharded_b64", 64)] {
-        for shards in [1usize, 2, 4, 8] {
-            g.bench_with_input(BenchmarkId::new(tag, shards), &shards, |b, &n| {
-                b.iter(|| {
-                    let online = ShardedOnlineDetector::with_batch(detector(), n, batch);
-                    drive(&online);
-                    std::hint::black_box(online.finish());
-                })
-            });
-        }
+    for shards in [1usize, 2, 4, 8] {
+        g.bench_with_input(BenchmarkId::new("sharded", shards), &shards, |b, &n| {
+            b.iter(|| {
+                let online = ShardedOnlineDetector::new(detector(), n);
+                drive(&online);
+                std::hint::black_box(online.finish());
+            })
+        });
     }
     g.finish();
 }

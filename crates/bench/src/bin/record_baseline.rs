@@ -84,8 +84,8 @@
 //! path (ARCHITECTURE.md invariant 10): `hoisted_ns`, where the pure
 //! `(seed, EventId)` decision runs before any lock and a sampled-out
 //! access returns after two relaxed atomic bumps. Points:
-//! rates {0, 0.003, 0.03, 1} × {single_mutex, sharded N ∈ {1, 4}} ×
-//! batch {1, 32}:
+//! rates {0, 0.003, 0.03, 1} × {single_mutex, sharded N ∈ {1, 4}}, each
+//! with its fastest (`hoisted_ns`) and median (`median_ns`) round:
 //!
 //! ```text
 //! record_baseline --access-cost --out BENCH_access_cost.json
@@ -593,18 +593,17 @@ fn run_dbsim_scaling(mix: &str, out_path: Option<String>) {
     }
 
     let json = format!(
-        "{{\n  \"schema\": \"freshtrack/dbsim-latency/v5\",\n  \
+        "{{\n  \"schema\": \"freshtrack/dbsim-latency/v6\",\n  \
          \"benchmark\": \"dbsim_shard_scaling\",\n  \
          \"workload\": \"{}\",\n  \"workers\": {},\n  \"txns_per_worker\": {},\n  \
-         \"seed\": {},\n  \"rounds\": {},\n  \"batch\": {},\n  \
-         \"note\": \"per-transaction latency in us; single_mutex is the paper-faithful OnlineDetector path, sharded.N the ShardedOnlineDetector with N access shards and per-thread and per-lock sync state (no global lock; FT_BATCH accesses per shard-lock acquisition); every point is the best of FT_ROUNDS interleaved rounds by trimmed_mean_us (mean over the fastest 99% of transactions) — the comparison statistic, because on a time-shared host the raw mean is dominated by workers descheduled mid-critical-section; p99_us shows where that tail begins\",\n  \
+         \"seed\": {},\n  \"rounds\": {},\n  \
+         \"note\": \"per-transaction latency in us; single_mutex is the paper-faithful OnlineDetector path, sharded.N the ShardedOnlineDetector with N access shards and per-thread and per-lock sync state (no global lock); every point is the best of FT_ROUNDS interleaved rounds by trimmed_mean_us (mean over the fastest 99% of transactions) — the comparison statistic, because on a time-shared host the raw mean is dominated by workers descheduled mid-critical-section; p99_us shows where that tail begins\",\n  \
          \"configs\": {{\n{}\n  }}\n}}\n",
         json_escape(mix),
         options.workers,
         options.txns_per_worker,
         options.seed,
         rounds,
-        freshtrack_bench::batch_from_env(),
         sections.join(",\n")
     );
     match out_path {
@@ -1158,18 +1157,14 @@ fn run_segments(out_path: Option<String>) {
 /// Accesses driven per `--access-cost` measurement round.
 const ACCESS_COST_ACCESSES: u32 = 200_000;
 
-/// One access-cost point: builds the façade (batched where sharded),
-/// warms up, and times the shared access-heavy stream
-/// ([`freshtrack_bench::access_stream`]). Returns ns per access event
-/// — the quotient's denominator excludes the interleaved sync events
-/// (0.4% of the stream), whose cost is treated as part of feeding a
-/// realistic mix rather than subtracted out.
-fn access_cost_point<D: SplitDetector + 'static>(
-    detector: D,
-    shards: Option<usize>,
-    batch: usize,
-) -> f64 {
-    let facade = sync_stream::Facade::new_batched(detector, shards, batch);
+/// One access-cost point: builds the façade, warms up, and times the
+/// shared access-heavy stream ([`freshtrack_bench::access_stream`]).
+/// Returns ns per access event — the quotient's denominator excludes
+/// the interleaved sync events (0.4% of the stream), whose cost is
+/// treated as part of feeding a realistic mix rather than subtracted
+/// out.
+fn access_cost_point<D: SplitDetector + 'static>(detector: D, shards: Option<usize>) -> f64 {
+    let facade = sync_stream::Facade::new(detector, shards);
     if let sync_stream::Facade::Sharded(f) = &facade {
         f.reserve_threads(access_stream::THREADS as usize);
     }
@@ -1182,31 +1177,28 @@ fn access_cost_point<D: SplitDetector + 'static>(
 
 /// The `--access-cost` mode: per-access ingestion cost across sampling
 /// rates on the lock-free skip path, every point measured in
-/// interleaved rounds, fastest kept — one sitting by construction.
+/// interleaved rounds — one sitting by construction — and recorded as
+/// its fastest and its median round.
 fn run_access_cost(out_path: Option<String>, rounds_override: Option<u32>) {
     let rounds = rounds_override
         .unwrap_or_else(|| env_or("FT_ROUNDS", 5u32))
         .max(1);
 
     const RATES: [(&str, f64); 4] = [("0", 0.0), ("0.003", 0.003), ("0.03", 0.03), ("1", 1.0)];
-    type Point = (&'static str, Option<usize>, usize);
-    const POINTS: [Point; 5] = [
-        ("single_mutex", None, 1),
-        ("sharded_n1_b1", Some(1), 1),
-        ("sharded_n1_b32", Some(1), 32),
-        ("sharded_n4_b1", Some(4), 1),
-        ("sharded_n4_b32", Some(4), 32),
+    const POINTS: [(&str, Option<usize>); 3] = [
+        ("single_mutex", None),
+        ("sharded_n1", Some(1)),
+        ("sharded_n4", Some(4)),
     ];
 
-    // best[rate][point] = fastest ns per access.
-    let mut best = vec![vec![f64::INFINITY; POINTS.len()]; RATES.len()];
+    // samples[rate][point] = ns per access, one entry per round.
+    let mut samples = vec![vec![Vec::new(); POINTS.len()]; RATES.len()];
     for round in 0..rounds {
         eprintln!("access-cost round {}/{rounds}…", round + 1);
         for (r, &(_, rate)) in RATES.iter().enumerate() {
-            for (p, &(_, shards, batch)) in POINTS.iter().enumerate() {
+            for (p, &(_, shards)) in POINTS.iter().enumerate() {
                 let sampler = BernoulliSampler::new(rate, 7);
-                let ns = access_cost_point(DjitDetector::new(sampler), shards, batch);
-                best[r][p] = best[r][p].min(ns);
+                samples[r][p].push(access_cost_point(DjitDetector::new(sampler), shards));
             }
         }
     }
@@ -1214,12 +1206,17 @@ fn run_access_cost(out_path: Option<String>, rounds_override: Option<u32>) {
     let mut sections = Vec::new();
     for (r, &(rate_key, rate)) in RATES.iter().enumerate() {
         let mut lines = Vec::new();
-        for (p, &(name, _, _)) in POINTS.iter().enumerate() {
-            let hoisted_ns = best[r][p];
-            eprintln!("rate {rate:<6} {name:<16} hoisted {hoisted_ns:>7.1} ns");
+        for (p, &(name, _)) in POINTS.iter().enumerate() {
+            let ns = &mut samples[r][p];
+            ns.sort_by(f64::total_cmp);
+            let hoisted_ns = ns[0];
+            let median_ns = ns[ns.len() / 2];
+            eprintln!(
+                "rate {rate:<6} {name:<13} hoisted {hoisted_ns:>7.1} ns  median {median_ns:>7.1} ns"
+            );
             let comma = if p + 1 == POINTS.len() { "" } else { "," };
             lines.push(format!(
-                "      \"{name}\": {{\"hoisted_ns\": {hoisted_ns:.1}}}{comma}"
+                "      \"{name}\": {{\"hoisted_ns\": {hoisted_ns:.1}, \"median_ns\": {median_ns:.1}}}{comma}"
             ));
         }
         let comma = if r + 1 == RATES.len() { "" } else { "," };
@@ -1230,14 +1227,15 @@ fn run_access_cost(out_path: Option<String>, rounds_override: Option<u32>) {
     }
 
     let json = format!(
-        "{{\n  \"schema\": \"freshtrack/access-cost/v2\",\n  \"benchmark\": \"access_cost\",\n  \
+        "{{\n  \"schema\": \"freshtrack/access-cost/v3\",\n  \"benchmark\": \"access_cost\",\n  \
          \"engine\": \"Djit+(bernoulli)\",\n  \"threads\": {},\n  \"vars\": {},\n  \
          \"accesses_per_round\": {ACCESS_COST_ACCESSES},\n  \"sync_every\": {},\n  \"rounds\": {rounds},\n  \
-         \"note\": \"ns per access event, single-threaded feed; hoisted_ns is the lock-free skip path \
+         \"note\": \"ns per access event, single-threaded feed, on the lock-free skip path \
          (pure decision before any lock; sampled-out accesses return after two relaxed atomic \
          bumps — ARCHITECTURE.md invariant 10); rates are Bernoulli sampling probabilities, so \
-         rate 0 is the pure skip path and rate 1 the pure analysis path; every point is the \
-         fastest of its rounds, all interleaved in one sitting\",\n  \
+         rate 0 is the pure skip path and rate 1 the pure analysis path; hoisted_ns is each \
+         point's fastest round and median_ns its median round, all rounds interleaved in one \
+         sitting\",\n  \
          \"rates\": {{\n{}\n  }}\n}}\n",
         access_stream::THREADS,
         access_stream::VARS,

@@ -12,7 +12,6 @@
 //! | `FT_SCALE` | offline trace scale (1.0 = corpus default) | 0.2 |
 //! | `FT_SEED` | base seed | 42 |
 //! | `FT_SHARDS` | ingestion shards (≤1 = paper-faithful single mutex) | 1 |
-//! | `FT_BATCH` | per-shard access batch capacity (1 = unbatched) | 1 |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -129,12 +128,6 @@ impl IngestMode {
             IngestMode::Sharded(n) => format!("+shards={n}"),
         }
     }
-}
-
-/// The per-shard access-batch capacity selected by `FT_BATCH` (default
-/// 1 = unbatched); applies to the sharded ingestion modes only.
-pub fn batch_from_env() -> usize {
-    env_or("FT_BATCH", 1usize).max(1)
 }
 
 /// The outcome of one online run.
@@ -291,20 +284,14 @@ fn finish<D: freshtrack_core::SplitDetector + 'static>(
     mode: IngestMode,
 ) -> OnlineRun {
     detector.reserve_threads(clock_width());
-    let batch = batch_from_env();
     let (stats, reports, counters) = match mode {
         IngestMode::SingleMutex => {
             let (stats, detector, reports) = run_detector(workload, options, detector);
             (stats, reports, *detector.counters())
         }
-        IngestMode::Sharded(shards) => run_sharded(
-            workload,
-            options,
-            detector,
-            shards,
-            SyncMode::Seqlock,
-            batch,
-        ),
+        IngestMode::Sharded(shards) => {
+            run_sharded(workload, options, detector, shards, SyncMode::Seqlock, 1)
+        }
     };
     OnlineRun {
         label,
@@ -398,16 +385,9 @@ pub mod sync_stream {
         /// Builds the façade for one sweep point: `None` is the
         /// single-mutex baseline, `Some(n)` a detector with `n` shards.
         pub fn new(detector: D, shards: Option<usize>) -> Self {
-            Facade::new_batched(detector, shards, 1)
-        }
-
-        /// Like [`Facade::new`], but sharded points buffer up to `batch`
-        /// accesses per shard-lock acquisition (the single-mutex
-        /// baseline has no batching; `batch` is ignored there).
-        pub fn new_batched(detector: D, shards: Option<usize>, batch: usize) -> Self {
             match shards {
                 None => Facade::Mutex(OnlineDetector::new(detector)),
-                Some(n) => Facade::Sharded(ShardedOnlineDetector::with_batch(detector, n, batch)),
+                Some(n) => Facade::Sharded(ShardedOnlineDetector::new(detector, n)),
             }
         }
     }
@@ -471,10 +451,9 @@ pub mod access_stream {
     /// Variables touched round-robin; enough to spread across shards.
     pub const VARS: u32 = 64;
     /// An acquire/release pair is interleaved every this many accesses,
-    /// so batched façades flush on the same cadence a real workload
-    /// would force and `RelAfter_S` maintenance stays on the measured
-    /// path. Small enough to matter, large enough (2/512 ≈ 0.4% of
-    /// events) not to dominate the per-access quotient.
+    /// so `RelAfter_S` maintenance stays on the measured path. Small
+    /// enough to matter, large enough (2/512 ≈ 0.4% of events) not to
+    /// dominate the per-access quotient.
     pub const SYNC_EVERY: u32 = 512;
 
     /// Warm-up: one lock-protected read/write pair per thread, so

@@ -91,9 +91,7 @@ const CORPUS: Vocabulary = Vocabulary {
 };
 const DBSIM: Vocabulary = Vocabulary {
     flags: &[],
-    options: &[
-        "mix", "engine", "rate", "workers", "txns", "seed", "shards", "batch",
-    ],
+    options: &["mix", "engine", "rate", "workers", "txns", "seed", "shards"],
 };
 
 fn dispatch<W: std::io::Write>(raw: &[String], out: &mut W) -> Result<(), ArgError> {
@@ -789,54 +787,29 @@ fn dbsim_cmd<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgE
     if shards == 0 {
         return Err(ArgError("--shards must be at least 1".into()));
     }
-    let batch: usize = args.get_or("batch", 1usize)?;
-    if batch == 0 {
-        return Err(ArgError("--batch must be at least 1".into()));
-    }
-    // Batching is a property of the access shards; the single mutex
-    // would silently ignore it.
-    if batch > 1 && shards < 2 {
-        return Err(ArgError(format!(
-            "--batch {batch} needs --shards N with N >= 2 (the single mutex does not batch)"
-        )));
-    }
     let sampler = BernoulliSampler::new(rate, options.seed);
 
     // Monomorphized per engine; the run/report plumbing is shared.
     // `--shards 1` (the default) is the paper-faithful single analysis
     // mutex; `--shards N` routes ingestion through N access shards
-    // with per-thread and per-lock sync state, buffering `--batch B`
-    // accesses per shard-lock acquisition.
+    // with per-thread and per-lock sync state.
     fn go<D: SplitDetector + 'static, W: std::io::Write>(
         detector: D,
         workload: &freshtrack_workloads::DbWorkload,
         options: &RunOptions,
         shards: usize,
-        batch: usize,
         out: &mut W,
     ) {
         let name = detector.name();
         let (stats, reports, counters) = if shards >= 2 {
-            run_sharded(
-                workload,
-                options,
-                detector,
-                shards,
-                SyncMode::Seqlock,
-                batch,
-            )
+            run_sharded(workload, options, detector, shards, SyncMode::Seqlock, 1)
         } else {
             let (stats, detector, reports) = run_detector(workload, options, detector);
             let counters = *detector.counters();
             (stats, reports, counters)
         };
         let suffix = if shards >= 2 {
-            let batch_tag = if batch > 1 {
-                format!(", batch={batch}")
-            } else {
-                String::new()
-            };
-            format!(" (shards={shards}{batch_tag})")
+            format!(" (shards={shards})")
         } else {
             String::new()
         };
@@ -867,23 +840,14 @@ fn dbsim_cmd<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgE
             &workload,
             &options,
             shards,
-            batch,
             out,
         ),
-        "st" => go(
-            DjitDetector::new(sampler),
-            &workload,
-            &options,
-            shards,
-            batch,
-            out,
-        ),
+        "st" => go(DjitDetector::new(sampler), &workload, &options, shards, out),
         "su" => go(
             FreshnessDetector::new(sampler),
             &workload,
             &options,
             shards,
-            batch,
             out,
         ),
         "so" => go(
@@ -891,7 +855,6 @@ fn dbsim_cmd<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgE
             &workload,
             &options,
             shards,
-            batch,
             out,
         ),
         other => return Err(ArgError(format!("unknown engine `{other}`"))),
@@ -1401,38 +1364,6 @@ mod tests {
     }
 
     #[test]
-    fn dbsim_batch_requires_shards() {
-        // The single mutex does not batch: `--batch B > 1` without
-        // `--shards N >= 2` is an error, not a silently ignored option.
-        for shards in [None, Some("1")] {
-            let mut argv = vec![
-                "dbsim",
-                "--mix",
-                "tpcc",
-                "--workers",
-                "2",
-                "--txns",
-                "5",
-                "--batch",
-                "16",
-            ];
-            if let Some(n) = shards {
-                argv.extend(["--shards", n]);
-            }
-            let (code, out) = run_cli(&argv);
-            assert_eq!(code, 1, "{argv:?}: {out}");
-            assert!(out.contains("--shards"), "{argv:?}: {out}");
-            assert!(
-                !out.contains("mean latency"),
-                "{argv:?} must not run: {out}"
-            );
-        }
-        // `--batch 1` is the default and stays valid everywhere.
-        let (code, out) = run_cli(&["dbsim", "--workers", "1", "--txns", "5", "--batch", "1"]);
-        assert_eq!(code, 0, "{out}");
-    }
-
-    #[test]
     fn dbsim_sync_mode_flag() {
         // There is one sync construction; the retired `--sync` option
         // is rejected rather than silently ignored.
@@ -1527,27 +1458,11 @@ mod tests {
 
     #[test]
     fn dbsim_batch_flag() {
-        let (code, out) = run_cli(&[
-            "dbsim",
-            "--mix",
-            "sibench",
-            "--workers",
-            "2",
-            "--txns",
-            "20",
-            "--engine",
-            "st",
-            "--shards",
-            "2",
-            "--batch",
-            "16",
-        ]);
-        assert_eq!(code, 0, "{out}");
-        assert!(out.contains("(shards=2, batch=16)"), "{out}");
-
-        let (code, out) = run_cli(&["dbsim", "--batch", "0"]);
-        assert_eq!(code, 1);
-        assert!(out.contains("--batch"), "{out}");
+        // Batched shard ingestion was removed; the retired `--batch`
+        // option is rejected rather than silently ignored.
+        let (code, out) = run_cli(&["dbsim", "--batch", "16"]);
+        assert_eq!(code, 1, "{out}");
+        assert!(out.contains("error: unknown option --batch"), "{out}");
     }
 
     #[test]

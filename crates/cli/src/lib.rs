@@ -112,8 +112,5 @@ COMMANDS:
                       single analysis mutex; N>=2 shards access
                       analysis by variable and keeps sync state per
                       thread and per lock, same verdicts)
-                      --batch <n>  accesses buffered per shard-lock
-                      acquisition (default 1 = unbatched; >1 needs
-                      --shards >= 2)
     help              show this message
 ";

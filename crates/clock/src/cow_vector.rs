@@ -7,7 +7,7 @@ use crate::{ThreadId, Time, VectorClock};
 /// [`SharedClock`](crate::SharedClock), for engines whose thread clocks
 /// are plain vectors (Djit+, FastTrack, SU).
 ///
-/// The sync/access split (offline replay, batched sharded ingestion)
+/// The sync/access split (offline replay and its parallel pipeline)
 /// needs to *publish* a thread's clock across the plane boundary
 /// without copying it: the access plane only ever reads the view, and
 /// the sync plane is the only mutator. This type makes that hand-off

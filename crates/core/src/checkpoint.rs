@@ -89,64 +89,6 @@ pub trait CheckpointState {
     fn import_state(&mut self, bytes: &[u8]) -> Result<(), CheckpointError>;
 }
 
-/// The bound an access engine's checkpoint once needed on top of
-/// [`CheckpointState`], when a checkpoint could carry only the variables
-/// that changed. Resume state is now always a whole export, so this is
-/// the same trait under its former name.
-pub use self::CheckpointState as AccessCheckpoint;
-
-/// Encodes `curr` as a delta against `prev`:
-/// `[common-prefix len][common-suffix len][middle len][middle bytes]`,
-/// all varints. Two checkpoints of one engine taken close together
-/// share most of their bytes, which the prefix and suffix swallow.
-///
-/// The inverse is [`apply_delta`]; `apply_delta(prev, &encode_delta(prev,
-/// curr)) == curr` for all byte strings (the checkpoint suite pins
-/// this, including the degenerate empty/identical cases).
-pub fn encode_delta(prev: &[u8], curr: &[u8]) -> Vec<u8> {
-    let prefix = prev.iter().zip(curr).take_while(|(a, b)| a == b).count();
-    let suffix = prev[prefix..]
-        .iter()
-        .rev()
-        .zip(curr[prefix..].iter().rev())
-        .take_while(|(a, b)| a == b)
-        .count();
-    let middle = &curr[prefix..curr.len() - suffix];
-    let mut out = Vec::with_capacity(middle.len() + 15);
-    wire::put_varint(&mut out, prefix as u64);
-    wire::put_varint(&mut out, suffix as u64);
-    wire::put_varint(&mut out, middle.len() as u64);
-    out.extend_from_slice(middle);
-    out
-}
-
-/// Reconstructs the checkpoint [`encode_delta`] compressed:
-/// `prev[..prefix] ++ middle ++ prev[len-suffix..]`.
-///
-/// # Errors
-///
-/// [`CheckpointError`] if the delta is truncated, carries trailing
-/// bytes, or names a prefix/suffix longer than `prev` — a delta is only
-/// meaningful against the exact bytes it was encoded from.
-pub fn apply_delta(prev: &[u8], delta: &[u8]) -> Result<Vec<u8>, CheckpointError> {
-    let mut r = WireReader::new(delta);
-    let prefix = r.get_usize()?;
-    let suffix = r.get_usize()?;
-    let middle_len = r.get_usize()?;
-    let middle = r.get_bytes(middle_len)?;
-    r.finish()?;
-    if prefix.checked_add(suffix).map_or(true, |n| n > prev.len()) {
-        return Err(CheckpointError(WireError::Invalid(
-            "delta prefix+suffix exceed the base checkpoint",
-        )));
-    }
-    let mut out = Vec::with_capacity(prefix + middle.len() + suffix);
-    out.extend_from_slice(&prev[..prefix]);
-    out.extend_from_slice(middle);
-    out.extend_from_slice(&prev[prev.len() - suffix..]);
-    Ok(out)
-}
-
 // ---------------------------------------------------------------------
 // Shared wire helpers for the impls in the engine modules.
 // ---------------------------------------------------------------------
@@ -323,56 +265,5 @@ mod tests {
         for cut in 0..buf.len() {
             assert!(get_bools(&mut WireReader::new(&buf[..cut])).is_err());
         }
-    }
-
-    #[test]
-    fn delta_round_trips_every_shape() {
-        let cases: &[(&[u8], &[u8])] = &[
-            (b"", b""),
-            (b"", b"abc"),
-            (b"abc", b""),
-            (b"abcdef", b"abcdef"),
-            (b"abcdef", b"abcXdef"), // insertion
-            (b"abcXdef", b"abcdef"), // deletion
-            (b"abcdef", b"abcYef"),  // substitution
-            (b"aa", b"a"),           // overlap-prone shrink
-            (b"a", b"aa"),           // overlap-prone grow
-            (b"xyz", b"pqr"),        // nothing shared
-            (b"prefix-mid-suffix", b"prefix-OTHER-suffix"),
-        ];
-        for (prev, curr) in cases {
-            let delta = encode_delta(prev, curr);
-            assert_eq!(
-                apply_delta(prev, &delta).unwrap(),
-                *curr,
-                "prev={prev:?} curr={curr:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn identical_checkpoints_make_tiny_deltas() {
-        let bytes = vec![7u8; 10_000];
-        let delta = encode_delta(&bytes, &bytes);
-        assert!(delta.len() <= 5, "{} bytes", delta.len());
-        assert_eq!(apply_delta(&bytes, &delta).unwrap(), bytes);
-    }
-
-    #[test]
-    fn malformed_deltas_are_clean_errors() {
-        let prev = b"abcdef";
-        let good = encode_delta(prev, b"abcXdef");
-        for cut in 0..good.len() {
-            assert!(apply_delta(prev, &good[..cut]).is_err(), "cut={cut}");
-        }
-        let mut trailing = good.clone();
-        trailing.push(0);
-        assert!(apply_delta(prev, &trailing).is_err());
-        // A delta claiming more shared bytes than the base holds.
-        let mut oversized = Vec::new();
-        wire::put_varint(&mut oversized, 5);
-        wire::put_varint(&mut oversized, 5);
-        wire::put_varint(&mut oversized, 0);
-        assert!(apply_delta(prev, &oversized).is_err());
     }
 }

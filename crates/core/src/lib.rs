@@ -76,9 +76,7 @@ mod stream_oracle;
 mod sync_ops;
 
 pub use access_history::AccessHistories;
-pub use checkpoint::{
-    apply_delta, encode_delta, AccessCheckpoint, CheckpointError, CheckpointState,
-};
+pub use checkpoint::{CheckpointError, CheckpointState};
 pub use composed::{Composed, EngineName};
 pub use counters::Counters;
 pub use detector::{Detector, HoistedDecider};

@@ -12,8 +12,8 @@
 
 use freshtrack_clock::wire;
 use freshtrack_core::{
-    apply_delta, encode_delta, CheckpointState, Counters, Detector, DjitDetector,
-    FastTrackDetector, FreshnessDetector, OrderedListDetector, OrderedSyncEngine, SplitDetector,
+    CheckpointState, Counters, Detector, DjitDetector, FastTrackDetector, FreshnessDetector,
+    OrderedListDetector, OrderedSyncEngine, SplitDetector,
 };
 use freshtrack_sampling::{AlwaysSampler, BernoulliSampler};
 use freshtrack_testutil::{trace_from_fuel, workload_matrix};
@@ -54,7 +54,6 @@ where
     let expected_counters = *full.counters();
 
     let n = trace.len();
-    let mut chain_prev: Option<Vec<u8>> = None;
     for cut in [0, n / 3, n / 2, 2 * n / 3, n] {
         let mut first = make();
         let mut reports = Vec::new();
@@ -64,27 +63,9 @@ where
         let mut blob = Vec::new();
         first.export_state(&mut blob);
 
-        // Delta form: reconstruct this cut's checkpoint from the
-        // previous cut's bytes through the varint-delta codec (the
-        // encoding `analyze_segments` ships between segments),
-        // and resume from the *reconstruction* so the whole resume
-        // path below also certifies the delta round-trip.
-        let reconstructed = match &chain_prev {
-            None => blob.clone(),
-            Some(prev) => {
-                let delta = encode_delta(prev, &blob);
-                apply_delta(prev, &delta).expect("chain delta must apply to its own base")
-            }
-        };
-        assert_eq!(
-            reconstructed, blob,
-            "[{label}] cut={cut}: delta chain drifted from the direct export"
-        );
-        chain_prev = Some(blob.clone());
-
         let mut resumed = make();
         resumed
-            .import_state(&reconstructed)
+            .import_state(&blob)
             .expect("a just-exported checkpoint must import");
 
         // Export is deterministic: export → import → export is
@@ -338,16 +319,12 @@ proptest! {
 }
 
 #[test]
-fn sync_plane_delta_chain_matches_direct_exports() {
-    // Exactly what `analyze_segments` ships along a worker's segment
-    // chain: the first boundary as a full sync-plane export, every later
-    // boundary as a varint delta against the previous one. Walking the
-    // chain must reconstruct each boundary byte-identically, and an
-    // engine seeded from a reconstruction must re-export those same
-    // bytes (idempotence through the delta form).
+fn sync_plane_exports_reimport_at_every_boundary() {
+    // A sync-plane export taken at any segment boundary must import
+    // into a fresh engine, and that engine must re-export the same
+    // bytes (idempotence at every boundary, not only the first).
     let (_, trace) = workload_matrix(240, &[5]).remove(0);
     let mut det = OrderedListDetector::new(BernoulliSampler::new(0.5, 17));
-    let mut chain: Option<Vec<u8>> = None;
     let mut boundaries = 0usize;
     for (i, (id, event)) in trace.iter().enumerate() {
         det.process(id, event);
@@ -357,31 +334,22 @@ fn sync_plane_delta_chain_matches_direct_exports() {
         boundaries += 1;
         let mut direct = Vec::new();
         det.split_sync().export_state(&mut direct);
-        let reconstructed = match &chain {
-            None => direct.clone(),
-            Some(prev) => {
-                let delta = encode_delta(prev, &direct);
-                apply_delta(prev, &delta).expect("chain delta must apply to its own base")
-            }
-        };
-        assert_eq!(
-            reconstructed, direct,
-            "boundary after event {i}: chain drifted"
-        );
 
         let mut seeded = OrderedSyncEngine::new(true);
         seeded
-            .import_state(&reconstructed)
-            .expect("a reconstructed sync export must import");
+            .import_state(&direct)
+            .expect("a sync export must import");
         let mut re = Vec::new();
         seeded.export_state(&mut re);
         assert_eq!(
             re, direct,
             "boundary after event {i}: seeded re-export drifted"
         );
-        chain = Some(direct);
     }
-    assert!(boundaries >= 5, "workload too short to exercise the chain");
+    assert!(
+        boundaries >= 5,
+        "workload too short to reach five boundaries"
+    );
 }
 
 #[test]

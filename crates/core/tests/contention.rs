@@ -5,15 +5,16 @@
 //! share a small set of application locks under locking discipline —
 //! each reports `acquire` right after taking a lock and `release` right
 //! before dropping it, as an instrumented program does — so lock slots,
-//! thread slots, shards and batches are exercised under true
-//! contention. Run it with `RUST_TEST_THREADS` unset so the harness does
-//! not serialize the stress threads.
+//! thread slots and shards are exercised under true contention. Run it
+//! with `RUST_TEST_THREADS` unset so the harness does not serialize the
+//! stress threads.
 //!
-//! For Djit+, FastTrack and SO at rates 0.03 and 1.0, unbatched and
-//! batched, every run must:
+//! For Djit+, FastTrack and SO at rates 0.03 and 1.0, every run must:
 //!
 //! * draw exactly one ticket per issued event (`events_processed`);
 //! * count exactly the reads, writes, acquires and releases issued;
+//! * return each access's verdict from its own `read`/`write` call: the
+//!   `true` returns equal the merged reports and `Counters::races`;
 //! * report nothing when every access is lock-protected;
 //! * with one deliberately unprotected variable, report races only on
 //!   it — and under FastTrack at rate 1.0, report it.
@@ -36,13 +37,15 @@ const VARS_PER_LOCK: u32 = 4;
 const RACY_VAR: u32 = LOCKS * VARS_PER_LOCK;
 const SHARDS: usize = 2;
 
-/// Events one run issued, by kind.
+/// Events one run issued, by kind, and the accesses whose own call
+/// returned a race verdict.
 #[derive(Debug, Default, PartialEq, Eq, Clone, Copy)]
 struct Issued {
     reads: u64,
     writes: u64,
     acquires: u64,
     releases: u64,
+    races: u64,
 }
 
 impl Issued {
@@ -56,6 +59,7 @@ impl Issued {
             writes: c.writes,
             acquires: c.acquires,
             releases: c.releases,
+            races: c.races,
         }
     }
 }
@@ -64,10 +68,9 @@ impl Issued {
 /// merged reports, counters, tickets drawn and the issued tally.
 fn stress<D: SplitDetector + 'static>(
     detector: D,
-    batch: usize,
     racy: bool,
 ) -> (Vec<RaceReport>, Counters, u64, Issued) {
-    let sharded = Arc::new(ShardedOnlineDetector::with_batch(detector, SHARDS, batch));
+    let sharded = Arc::new(ShardedOnlineDetector::new(detector, SHARDS));
     let app_locks: Arc<Vec<Mutex<()>>> = Arc::new((0..LOCKS).map(|_| Mutex::new(())).collect());
     let start = Arc::new(Barrier::new(THREADS as usize));
     let handles: Vec<_> = (0..THREADS)
@@ -81,7 +84,7 @@ fn stress<D: SplitDetector + 'static>(
                 if racy {
                     // Before any sync event: the threads' writes are
                     // unordered by happens-before whatever the schedule.
-                    sharded.write(t, RACY_VAR);
+                    issued.races += u64::from(sharded.write(t, RACY_VAR));
                     issued.writes += 1;
                 }
                 for i in 0..ITERS {
@@ -90,8 +93,8 @@ fn stress<D: SplitDetector + 'static>(
                     sharded.acquire(t, l);
                     issued.acquires += 1;
                     let var = l * VARS_PER_LOCK + i % VARS_PER_LOCK;
-                    sharded.read(t, var);
-                    sharded.write(t, var);
+                    issued.races += u64::from(sharded.read(t, var));
+                    issued.races += u64::from(sharded.write(t, var));
                     issued.reads += 1;
                     issued.writes += 1;
                     // Every few iterations nest a second lock, in
@@ -100,7 +103,8 @@ fn stress<D: SplitDetector + 'static>(
                         let m = l + 1;
                         let inner = app_locks[m as usize].lock().unwrap();
                         sharded.acquire(t, m);
-                        sharded.write(t, m * VARS_PER_LOCK + t % VARS_PER_LOCK);
+                        issued.races +=
+                            u64::from(sharded.write(t, m * VARS_PER_LOCK + t % VARS_PER_LOCK));
                         sharded.release(t, m);
                         drop(inner);
                         issued.acquires += 1;
@@ -122,49 +126,64 @@ fn stress<D: SplitDetector + 'static>(
         issued.writes += one.writes;
         issued.acquires += one.acquires;
         issued.releases += one.releases;
+        issued.races += one.races;
     }
     let tickets = sharded.events_processed();
     let (reports, counters) = Arc::try_unwrap(sharded).ok().unwrap().finish_merged();
     (reports, counters, tickets, issued)
 }
 
-/// Runs both programs for one engine at one rate, both batch sizes.
+/// Runs both programs for one engine at one rate.
 fn check<D, F>(label: &str, rate: f64, make: F)
 where
     D: SplitDetector + 'static,
     F: Fn(BernoulliSampler) -> D,
 {
-    for batch in [1usize, 16] {
-        for racy in [false, true] {
-            let cell = format!("{label} rate={rate} B={batch} racy={racy}");
-            let (reports, counters, tickets, issued) =
-                stress(make(BernoulliSampler::new(rate, 17)), batch, racy);
-            assert_eq!(
-                tickets,
-                issued.total(),
-                "[{cell}] tickets lost or duplicated"
-            );
-            assert_eq!(counters.events, issued.total(), "[{cell}] events");
-            assert_eq!(Issued::of(&counters), issued, "[{cell}] per-kind counts");
-            assert_eq!(
-                counters.sampled_accesses + counters.skipped_accesses(),
-                issued.reads + issued.writes,
-                "[{cell}] every access analyzed or tallied"
-            );
+    for racy in [false, true] {
+        let cell = format!("{label} rate={rate} racy={racy}");
+        let (reports, counters, tickets, issued) =
+            stress(make(BernoulliSampler::new(rate, 17)), racy);
+        assert_eq!(
+            tickets,
+            issued.total(),
+            "[{cell}] tickets lost or duplicated"
+        );
+        assert_eq!(counters.events, issued.total(), "[{cell}] events");
+        assert_inline_verdicts(&cell, &reports, &counters, issued);
+        assert_eq!(Issued::of(&counters), issued, "[{cell}] per-kind counts");
+        assert_eq!(
+            counters.sampled_accesses + counters.skipped_accesses(),
+            issued.reads + issued.writes,
+            "[{cell}] every access analyzed or tallied"
+        );
+        assert!(
+            reports.windows(2).all(|w| w[0].event < w[1].event),
+            "[{cell}] merged reports must be strictly sorted"
+        );
+        if racy {
             assert!(
-                reports.windows(2).all(|w| w[0].event < w[1].event),
-                "[{cell}] merged reports must be strictly sorted"
+                reports.iter().all(|r| r.var == VarId::new(RACY_VAR)),
+                "[{cell}] only the unprotected variable may race: {reports:?}"
             );
-            if racy {
-                assert!(
-                    reports.iter().all(|r| r.var == VarId::new(RACY_VAR)),
-                    "[{cell}] only the unprotected variable may race: {reports:?}"
-                );
-            } else {
-                assert!(reports.is_empty(), "[{cell}] {reports:?}");
-            }
+        } else {
+            assert!(reports.is_empty(), "[{cell}] {reports:?}");
         }
     }
+}
+
+/// Every racing access reported its verdict from its own call: the
+/// `true` returns of `read`/`write` equal the merged reports and the
+/// merged race counter.
+fn assert_inline_verdicts(cell: &str, reports: &[RaceReport], counters: &Counters, issued: Issued) {
+    assert_eq!(
+        issued.races,
+        reports.len() as u64,
+        "[{cell}] inline verdicts vs merged reports"
+    );
+    assert_eq!(
+        issued.races, counters.races,
+        "[{cell}] inline verdicts vs counters"
+    );
 }
 
 #[test]
@@ -193,17 +212,10 @@ fn so_under_contention() {
 /// concurrent under any schedule.
 #[test]
 fn fasttrack_reports_the_unprotected_variable() {
-    for batch in [1usize, 16] {
-        let (reports, counters, _, _) = stress(
-            FastTrackDetector::new(BernoulliSampler::new(1.0, 17)),
-            batch,
-            true,
-        );
-        assert!(
-            !reports.is_empty(),
-            "B={batch}: the unprotected race was missed"
-        );
-        assert!(reports.iter().all(|r| r.var == VarId::new(RACY_VAR)));
-        assert_eq!(counters.races as usize, reports.len(), "B={batch}");
-    }
+    let (reports, counters, _, issued) =
+        stress(FastTrackDetector::new(BernoulliSampler::new(1.0, 17)), true);
+    assert!(!reports.is_empty(), "the unprotected race was missed");
+    assert!(reports.iter().all(|r| r.var == VarId::new(RACY_VAR)));
+    assert_eq!(counters.races as usize, reports.len());
+    assert_inline_verdicts("fasttrack rate=1 racy=true", &reports, &counters, issued);
 }

@@ -11,8 +11,8 @@
 //! computed, never *what* the detector does with it.
 //!
 //! Coverage: all five engines × sampler families {always, never,
-//! Bernoulli, periodic, targeted} × batch capacities {1, 8} × shard
-//! counts {1, 2, 4, 7}, over fuzzed (proptest) and structured traces.
+//! Bernoulli, periodic, targeted} × shard counts {1, 2, 4, 7}, over
+//! fuzzed (proptest) and structured traces.
 //!
 //! Two regressions ride along:
 //! * a fully sampled-out stream must acquire **zero** shard locks
@@ -31,7 +31,7 @@ use freshtrack_sampling::{
     AlwaysSampler, BernoulliSampler, NeverSampler, PeriodicSampler, Sampler, TargetedSampler,
 };
 use freshtrack_testutil::{
-    assert_shard_equivalence, run_online_trace, trace_from_fuel, workload_matrix, SHARD_BATCHES,
+    assert_shard_equivalence, run_online_trace, trace_from_fuel, workload_matrix,
 };
 use freshtrack_trace::{Trace, VarId};
 use proptest::prelude::*;
@@ -121,37 +121,34 @@ proptest! {
     }
 }
 
-/// A fully sampled-out stream must never touch a shard (or batch)
-/// lock: the skip path is two relaxed RMWs, full stop. Debug builds
-/// only — the acquisition counter does not exist in release.
+/// A fully sampled-out stream must never touch a shard lock: the skip
+/// path is two relaxed RMWs, full stop. Debug builds only — the
+/// acquisition counter does not exist in release.
 #[cfg(debug_assertions)]
 #[test]
 fn never_sampler_takes_zero_shard_locks() {
-    for batch in SHARD_BATCHES {
-        let sharded =
-            ShardedOnlineDetector::with_batch(DjitDetector::new(NeverSampler::new()), 4, batch);
-        for i in 0..200u32 {
-            let t = i % 3;
-            sharded.acquire(t, 0);
-            sharded.write(t, i % 17);
-            sharded.read(t, (i + 1) % 17);
-            sharded.release(t, 0);
-        }
-        assert_eq!(
-            sharded.debug_shard_lock_acquisitions(),
-            0,
-            "B={batch}: sampled-out accesses must stay lock-free"
-        );
-        let (reports, merged) = sharded.finish_merged();
-        assert!(reports.is_empty());
-        assert_eq!(merged.events, 800);
-        assert_eq!(merged.skipped_accesses(), 400);
-        assert_eq!(merged.sampled_accesses, 0);
+    let sharded = ShardedOnlineDetector::new(DjitDetector::new(NeverSampler::new()), 4);
+    for i in 0..200u32 {
+        let t = i % 3;
+        sharded.acquire(t, 0);
+        sharded.write(t, i % 17);
+        sharded.read(t, (i + 1) % 17);
+        sharded.release(t, 0);
     }
+    assert_eq!(
+        sharded.debug_shard_lock_acquisitions(),
+        0,
+        "sampled-out accesses must stay lock-free"
+    );
+    let (reports, merged) = sharded.finish_merged();
+    assert!(reports.is_empty());
+    assert_eq!(merged.events, 800);
+    assert_eq!(merged.skipped_accesses(), 400);
+    assert_eq!(merged.sampled_accesses, 0);
 }
 
-/// With an always-true decider every access takes its shard (or batch)
-/// lock — the counter counts, it does not just stay zero.
+/// With an always-true decider every access takes its shard lock — the
+/// counter counts, it does not just stay zero.
 #[cfg(debug_assertions)]
 #[test]
 fn always_sampler_accounts_for_its_shard_locks() {
@@ -173,50 +170,47 @@ fn always_sampler_accounts_for_its_shard_locks() {
 fn concurrent_ticket_draws_lose_nothing() {
     const THREADS: u32 = 4;
     const OPS: u32 = 2000;
-    for batch in SHARD_BATCHES {
-        let sharded = Arc::new(ShardedOnlineDetector::with_batch(
-            DjitDetector::new(BernoulliSampler::new(0.05, 42)),
-            4,
-            batch,
-        ));
-        sharded.reserve_threads(THREADS as usize);
-        let handles: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let sharded = Arc::clone(&sharded);
-                std::thread::spawn(move || {
-                    for i in 0..OPS {
-                        if i % 64 == 63 {
-                            sharded.acquire(t, t);
-                            sharded.release(t, t);
-                        } else if i % 2 == 0 {
-                            sharded.write(t, i % 31);
-                        } else {
-                            sharded.read(t, i % 31);
-                        }
+    let sharded = Arc::new(ShardedOnlineDetector::new(
+        DjitDetector::new(BernoulliSampler::new(0.05, 42)),
+        4,
+    ));
+    sharded.reserve_threads(THREADS as usize);
+    let handles: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let sharded = Arc::clone(&sharded);
+            std::thread::spawn(move || {
+                for i in 0..OPS {
+                    if i % 64 == 63 {
+                        sharded.acquire(t, t);
+                        sharded.release(t, t);
+                    } else if i % 2 == 0 {
+                        sharded.write(t, i % 31);
+                    } else {
+                        sharded.read(t, i % 31);
                     }
-                })
+                }
             })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        // Each sync iteration issues two events (acquire+release),
-        // each access iteration one.
-        let sync_events = u64::from(THREADS) * 2 * u64::from(OPS / 64);
-        let accesses = u64::from(THREADS) * u64::from(OPS - OPS / 64);
-        let total = accesses + sync_events;
-        assert_eq!(sharded.events_processed(), total, "B={batch}");
-        let (reports, merged) = Arc::try_unwrap(sharded).ok().unwrap().finish_merged();
-        assert_eq!(merged.events, total, "B={batch}");
-        assert_eq!(
-            merged.sampled_accesses + merged.skipped_accesses(),
-            accesses,
-            "B={batch}: every access is either analyzed or tallied"
-        );
-        assert_eq!(merged.reads + merged.writes, accesses);
-        assert!(
-            reports.windows(2).all(|w| w[0].event < w[1].event),
-            "B={batch}: merged reports must be strictly sorted"
-        );
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
     }
+    // Each sync iteration issues two events (acquire+release),
+    // each access iteration one.
+    let sync_events = u64::from(THREADS) * 2 * u64::from(OPS / 64);
+    let accesses = u64::from(THREADS) * u64::from(OPS - OPS / 64);
+    let total = accesses + sync_events;
+    assert_eq!(sharded.events_processed(), total);
+    let (reports, merged) = Arc::try_unwrap(sharded).ok().unwrap().finish_merged();
+    assert_eq!(merged.events, total);
+    assert_eq!(
+        merged.sampled_accesses + merged.skipped_accesses(),
+        accesses,
+        "every access is either analyzed or tallied"
+    );
+    assert_eq!(merged.reads + merged.writes, accesses);
+    assert!(
+        reports.windows(2).all(|w| w[0].event < w[1].event),
+        "merged reports must be strictly sorted"
+    );
 }

@@ -11,8 +11,7 @@
 use std::io::Cursor;
 
 use freshtrack_core::{
-    analyze_segments, AccessCheckpoint, CheckpointState, FastTrackDetector, OrderedListDetector,
-    SplitDetector,
+    analyze_segments, CheckpointState, FastTrackDetector, OrderedListDetector, SplitDetector,
 };
 use freshtrack_sampling::BernoulliSampler;
 use freshtrack_trace::{
@@ -78,7 +77,7 @@ fn assert_analyzes_like_text<D>(engine: &str, detector: &D, sampler: &BernoulliS
 where
     D: SplitDetector,
     D::Sync: CheckpointState,
-    D::Access: AccessCheckpoint,
+    D::Access: CheckpointState,
 {
     let mut sequential = detector.clone();
     let reports = sequential.run(&text_trace());

@@ -11,7 +11,7 @@
 use std::io::Cursor;
 
 use freshtrack_core::{
-    analyze_segments, AccessCheckpoint, CheckpointState, Detector, DjitDetector, FastTrackDetector,
+    analyze_segments, CheckpointState, Detector, DjitDetector, FastTrackDetector,
     FreshnessDetector, OrderedListDetector, SplitDetector,
 };
 use freshtrack_sampling::{
@@ -40,7 +40,7 @@ fn assert_parallel_matches_sequential<D, S>(label: &str, trace: &Trace, detector
 where
     D: SplitDetector,
     D::Sync: CheckpointState,
-    D::Access: AccessCheckpoint,
+    D::Access: CheckpointState,
     S: Sampler + Clone + Send,
 {
     let sizes = [1, 7, 64, trace.len().max(1)];
@@ -57,7 +57,7 @@ fn assert_parallel_matches_sequential_at<D, S>(
 ) where
     D: SplitDetector,
     D::Sync: CheckpointState,
-    D::Access: AccessCheckpoint,
+    D::Access: CheckpointState,
     S: Sampler + Clone + Send,
 {
     let mut seq = detector.clone();

@@ -1,6 +1,5 @@
 //! Sharded-ingestion differential suite: the executable form of the
-//! verdict-preservation invariant, for every shard count and batch
-//! capacity.
+//! verdict-preservation invariant, for every shard count.
 //!
 //! [`ShardedOnlineDetector`] routes access events to `hash(var) % N`
 //! shards; the happens-before skeleton is held in per-thread and
@@ -12,8 +11,6 @@
 //!
 //! * **shard counts** `N ∈ {1, 2, 4, 7}` (including a prime, so routing
 //!   has no accidental alignment with the variable-id space),
-//! * **batch capacities** — `B ∈ {1, 8}` in every equivalence check,
-//!   and `B ∈ {1, 7, 64}` in the batched-vs-unbatched differential,
 //! * **engines** Djit+ (ST), FastTrack, and the ordered-list engine
 //!   (SO) — per-variable vector-clock, lossy-epoch, and lazy-copy
 //!   histories respectively,
@@ -39,19 +36,13 @@ use freshtrack_core::{
 };
 use freshtrack_sampling::{AlwaysSampler, BernoulliSampler, NeverSampler, PeriodicSampler};
 use freshtrack_testutil::{
-    assert_shard_equivalence, run_sharded_trace, run_sharded_trace_batched, trace_from_fuel,
-    workload_matrix,
+    assert_shard_equivalence, run_sharded_trace, trace_from_fuel, workload_matrix,
 };
 use freshtrack_trace::Trace;
 use proptest::prelude::*;
 
 /// Shard counts under test: identity, powers of two, and a prime.
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 7];
-
-/// Batch capacities for the batched-vs-unbatched differential: the
-/// unbatched reference, a capacity that forces mid-stream flushes, and
-/// one that usually defers everything to the next sync event / finish.
-const BATCH_SIZES: [usize; 3] = [1, 7, 64];
 
 /// Seeds for the structured workload matrix.
 const SEEDS: [u64; 3] = [11, 4242, 987_654_321];
@@ -182,49 +173,6 @@ proptest! {
         let trace = trace_from_fuel(&fuel, 8, 4, 6);
         prop_assume!(trace.validate().is_ok());
         check_all_engines("fuzz-wide", &trace, AlwaysSampler::new());
-    }
-
-    /// Batched vs unbatched ingestion over fuzzed traces: for every
-    /// engine and B ∈ {1, 7, 64}, buffering access
-    /// events in per-shard batches changes neither the merged report
-    /// list nor any `Counters` field — the flush-before-any-sync rule
-    /// makes draw-time and flush-time views coincide, and ticket order
-    /// restricted to a shard is preserved through the FIFO.
-    #[test]
-    fn fuzzed_traces_batched_matches_unbatched(
-        fuel in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 0..150),
-        seed in any::<u64>(),
-        rate in 0.05f64..1.0,
-        shards_idx in 0usize..SHARD_COUNTS.len(),
-    ) {
-        let shards = SHARD_COUNTS[shards_idx];
-        let trace = trace_from_fuel(&fuel, 5, 3, 4);
-        prop_assume!(trace.validate().is_ok());
-        let samplers = (BernoulliSampler::new(rate, seed), AlwaysSampler::new());
-        macro_rules! check_batched {
-            ($label:expr, $mk:expr) => {{
-                let (base_reports, base_counters) =
-                    run_sharded_trace_batched(&trace, $mk, shards, 1);
-                for batch in &BATCH_SIZES[1..] {
-                    let (reports, counters) =
-                        run_sharded_trace_batched(&trace, $mk, shards, *batch);
-                    prop_assert_eq!(
-                        &reports, &base_reports,
-                        "[{}] N={} B={}", $label, shards, batch
-                    );
-                    prop_assert_eq!(
-                        counters, base_counters,
-                        "[{}] N={} B={}", $label, shards, batch
-                    );
-                }
-            }};
-        }
-        check_batched!("djit/bernoulli", DjitDetector::new(samplers.0));
-        check_batched!("fasttrack/bernoulli", FastTrackDetector::new(samplers.0));
-        check_batched!("so/bernoulli", OrderedListDetector::new(samplers.0));
-        check_batched!("djit/always", DjitDetector::new(samplers.1));
-        check_batched!("fasttrack/always", FastTrackDetector::new(samplers.1));
-        check_batched!("so/always", OrderedListDetector::new(samplers.1));
     }
 
     /// Report-order regression (the invariant the shard merge builds

@@ -150,10 +150,7 @@ impl<D: Detector + Send> Instrument for DetectorInstrument<D> {
 /// Routes instrumentation callbacks into a
 /// [`ShardedOnlineDetector`]: per-variable access shards plus
 /// per-thread and per-lock sync state, instead of one global analysis
-/// mutex.
-/// [`with_options`](ShardedInstrument::with_options) additionally
-/// enables per-shard access batching so one shard-lock acquisition
-/// amortizes over many events.
+/// mutex. Every sampled access is analyzed inside its own callback.
 ///
 /// This is the scale-oriented ingestion path. It deliberately does
 /// *not* reproduce the paper's single-lock contention model —
@@ -165,9 +162,9 @@ pub struct ShardedInstrument<D: SplitDetector> {
 }
 
 impl<D: SplitDetector + 'static> ShardedInstrument<D> {
-    /// Builds an instrument with `shards` access shards and unbatched
-    /// (capacity-1) ingestion; `detector` (which must be in its initial
-    /// state) seeds the engine configuration.
+    /// Builds an instrument with `shards` access shards; `detector`
+    /// (which must be in its initial state) seeds the engine
+    /// configuration.
     ///
     /// # Panics
     ///
@@ -176,28 +173,30 @@ impl<D: SplitDetector + 'static> ShardedInstrument<D> {
         Self::with_options(detector, shards, SyncMode::Seqlock, 1)
     }
 
-    /// Builds an instrument with a per-shard batch capacity (`batch`
-    /// accesses buffered per shard-lock acquisition; `1` disables
-    /// batching). [`SyncMode`] has a single variant; the parameter
-    /// keeps callers that name it compiling.
+    /// [`new`](ShardedInstrument::new) under the signature of older
+    /// callers. [`SyncMode`] has a single variant, and `batch` is the
+    /// legacy per-shard access-batch capacity: batched ingestion was
+    /// removed, so the only accepted value is `1`. Both parameters
+    /// remain so that callers which name them keep compiling.
     ///
     /// # Panics
     ///
-    /// Panics if `shards` or `batch` is zero.
+    /// Panics if `shards` is zero, or if `batch` is not `1` — a caller
+    /// still asking for batching fails loudly instead of silently
+    /// running unbatched.
     pub fn with_options(detector: D, shards: usize, _mode: SyncMode, batch: usize) -> Self {
+        assert!(
+            batch == 1,
+            "batched ingestion was removed: batch must be 1, got {batch}"
+        );
         ShardedInstrument {
-            online: Arc::new(ShardedOnlineDetector::with_batch(detector, shards, batch)),
+            online: Arc::new(ShardedOnlineDetector::new(detector, shards)),
         }
     }
 
     /// Number of detector shards.
     pub fn shard_count(&self) -> usize {
         self.online.shard_count()
-    }
-
-    /// Per-shard access batch capacity (`1` means unbatched).
-    pub fn batch_capacity(&self) -> usize {
-        self.online.batch_capacity()
     }
 
     /// Pre-sizes every shard's clock state for `n` worker threads.
@@ -325,27 +324,31 @@ mod tests {
         feed(&reference);
         let (detector, want_reports) = reference.finish();
         for shards in [1usize, 2, 4, 7] {
-            for batch in [1usize, 8] {
-                let inst = ShardedInstrument::with_options(
-                    DjitDetector::new(AlwaysSampler::new()),
-                    shards,
-                    SyncMode::Seqlock,
-                    batch,
-                );
-                assert_eq!(inst.shard_count(), shards);
-                assert_eq!(inst.batch_capacity(), batch);
-                feed(&inst);
-                let (reports, counters) = inst.finish();
-                assert_eq!(reports, want_reports, "shards={shards} batch={batch}");
-                assert_eq!(
-                    counters,
-                    *detector.counters(),
-                    "shards={shards} batch={batch}"
-                );
-                assert_eq!(counters.events, 5);
-                assert_eq!(counters.races, 1);
-            }
+            let inst = ShardedInstrument::with_options(
+                DjitDetector::new(AlwaysSampler::new()),
+                shards,
+                SyncMode::Seqlock,
+                1,
+            );
+            assert_eq!(inst.shard_count(), shards);
+            feed(&inst);
+            let (reports, counters) = inst.finish();
+            assert_eq!(reports, want_reports, "shards={shards}");
+            assert_eq!(counters, *detector.counters(), "shards={shards}");
+            assert_eq!(counters.events, 5);
+            assert_eq!(counters.races, 1);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "batched ingestion was removed")]
+    fn batch_above_one_is_rejected() {
+        let _ = ShardedInstrument::with_options(
+            DjitDetector::new(AlwaysSampler::new()),
+            2,
+            SyncMode::Seqlock,
+            2,
+        );
     }
 
     #[test]

@@ -152,11 +152,13 @@ pub fn run_detector<D: Detector + Send + 'static>(
 }
 
 /// Runs a workload through the sharded ingestion path
-/// ([`ShardedInstrument`] with `shards` access shards and per-shard
-/// batch capacity `batch`) and shuts it down, returning latency
-/// statistics, the merged (EventId-sorted) reports, and the aggregated
-/// [`Counters`]. [`SyncMode`] has a single variant; the parameter keeps
-/// callers that name it compiling.
+/// ([`ShardedInstrument`] with `shards` access shards) and shuts it
+/// down, returning latency statistics, the merged (EventId-sorted)
+/// reports, and the aggregated [`Counters`]. [`SyncMode`] has a single
+/// variant, and `batch` is the legacy per-shard access-batch capacity,
+/// which must be `1` since batched ingestion was removed (see
+/// [`ShardedInstrument::with_options`]); both parameters keep callers
+/// that name them compiling.
 ///
 /// Same lifecycle as [`run_detector`]; all ingestion paths report
 /// identical races for the same event stream (the verdict-preservation
@@ -165,7 +167,7 @@ pub fn run_detector<D: Detector + Send + 'static>(
 ///
 /// # Panics
 ///
-/// Panics if `shards` or `batch` is zero.
+/// Panics if `shards` is zero or `batch` is not `1`.
 pub fn run_sharded<D: SplitDetector + 'static>(
     workload: &DbWorkload,
     options: &RunOptions,
@@ -360,43 +362,38 @@ mod tests {
     fn sharded_run_finds_seeded_races_with_sorted_merged_reports() {
         let mut w = benchbase::by_name("ycsb").unwrap();
         w.unprotected_fraction = 0.2; // make the seeded race frequent
-        for batch in [1, 64] {
-            let (stats, reports, counters) = run_sharded(
-                &w,
-                &small_opts(),
-                FastTrackDetector::new(AlwaysSampler::new()),
-                4,
-                SyncMode::Seqlock,
-                batch,
-            );
-            assert_eq!(stats.transactions, 400);
-            assert!(!reports.is_empty(), "batch={batch}: seeded race not found");
-            assert!(reports.windows(2).all(|w| w[0].event < w[1].event));
-            assert_eq!(counters.races as usize, reports.len());
-            assert_eq!(
-                counters.events,
-                counters.reads + counters.writes + counters.acquires + counters.releases
-            );
-        }
+        let (stats, reports, counters) = run_sharded(
+            &w,
+            &small_opts(),
+            FastTrackDetector::new(AlwaysSampler::new()),
+            4,
+            SyncMode::Seqlock,
+            1,
+        );
+        assert_eq!(stats.transactions, 400);
+        assert!(!reports.is_empty(), "seeded race not found");
+        assert!(reports.windows(2).all(|w| w[0].event < w[1].event));
+        assert_eq!(counters.races as usize, reports.len());
+        assert_eq!(
+            counters.events,
+            counters.reads + counters.writes + counters.acquires + counters.releases
+        );
     }
 
     #[test]
     fn sharded_lock_protected_rows_do_not_race() {
         let mut w = benchbase::by_name("smallbank").unwrap();
         w.unprotected_fraction = 0.0;
-        for (shards, batch) in [(1usize, 1usize), (8, 1), (8, 16)] {
+        for shards in [1usize, 8] {
             let (_, reports, _) = run_sharded(
                 &w,
                 &small_opts(),
                 OrderedListDetector::new(AlwaysSampler::new()),
                 shards,
                 SyncMode::Seqlock,
-                batch,
+                1,
             );
-            assert!(
-                reports.is_empty(),
-                "{shards} shards batch={batch}: {reports:?}"
-            );
+            assert!(reports.is_empty(), "{shards} shards: {reports:?}");
         }
     }
 

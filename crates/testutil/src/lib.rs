@@ -30,9 +30,9 @@
 //! * [`wide_workload`] — a trace whose thread ids and operands outgrow
 //!   the short record encodings, for the segment decoder's fast path.
 //! * [`run_online_trace`] / [`run_sharded_trace`] /
-//!   [`run_sharded_trace_batched`] / [`assert_shard_equivalence`] —
-//!   online ingestion (the single-mutex [`OnlineDetector`] and the
-//!   [`ShardedOnlineDetector`], batched or not) vs a sequential
+//!   [`assert_shard_equivalence`] — online ingestion (the
+//!   single-mutex [`OnlineDetector`] and the
+//!   [`ShardedOnlineDetector`]) vs a sequential
 //!   [`Detector::run`]: identical reports and full [`Counters`]
 //!   equality, for any shard count. Used by
 //!   `crates/core/tests/{sharding,hoisted}.rs`.
@@ -361,10 +361,6 @@ pub fn trace_from_fuel(fuel: &[(u8, u8, u8)], threads: u8, locks: u8, vars: u8) 
     b.build()
 }
 
-/// Batch capacities every [`assert_shard_equivalence`] run covers: the
-/// unbatched reference and a capacity that forces mid-stream flushes.
-pub const SHARD_BATCHES: [usize; 2] = [1, 8];
-
 /// Feeds `trace` event by event through the single-mutex
 /// [`OnlineDetector`] wrapping `detector`, returning its
 /// (EventId-sorted) reports and the detector's counters.
@@ -377,8 +373,8 @@ pub fn run_online_trace<D: Detector>(trace: &Trace, detector: D) -> (Vec<RaceRep
     (reports, *detector.counters())
 }
 
-/// Feeds `trace` event by event through an unbatched
-/// [`ShardedOnlineDetector`] built from `detector`, returning the
+/// Feeds `trace` event by event through a [`ShardedOnlineDetector`]
+/// with `shards` access shards built from `detector`, returning the
 /// merged (EventId-sorted) reports and the aggregated counters.
 ///
 /// The sequential feed assigns ticket ids in trace order, so the
@@ -389,20 +385,7 @@ pub fn run_sharded_trace<D: SplitDetector>(
     detector: D,
     shards: usize,
 ) -> (Vec<RaceReport>, Counters) {
-    run_sharded_trace_batched(trace, detector, shards, 1)
-}
-
-/// [`run_sharded_trace`] with an explicit per-shard access-batch
-/// capacity (`1` = unbatched; larger capacities amortize shard-lock
-/// acquisitions without changing reports or counters, which the
-/// batched-vs-unbatched differential suites pin).
-pub fn run_sharded_trace_batched<D: SplitDetector>(
-    trace: &Trace,
-    detector: D,
-    shards: usize,
-    batch: usize,
-) -> (Vec<RaceReport>, Counters) {
-    let sharded = ShardedOnlineDetector::with_batch(detector, shards, batch);
+    let sharded = ShardedOnlineDetector::new(detector, shards);
     for (_, event) in trace.iter() {
         sharded.on_event(event.tid.as_u32(), event.kind);
     }
@@ -411,8 +394,8 @@ pub fn run_sharded_trace_batched<D: SplitDetector>(
 
 /// Asserts that online ingestion is verdict-preserving for one
 /// `(trace, detector)` pair: the single-mutex [`OnlineDetector`] and,
-/// for every shard count in `shard_counts` and every batch capacity in
-/// [`SHARD_BATCHES`], the [`ShardedOnlineDetector`] report exactly the
+/// for every shard count in `shard_counts`, the
+/// [`ShardedOnlineDetector`] report exactly the
 /// races of a sequential [`Detector::run`] (same order — all are
 /// EventId-sorted) with **full** [`Counters`] equality. The sync plane
 /// performs the monolith's clock work exactly once and the access
@@ -432,18 +415,12 @@ pub fn assert_shard_equivalence<D: SplitDetector>(
     assert_eq!(reports, baseline_reports, "[{label}] single-mutex reports");
     assert_eq!(counters, expected, "[{label}] single-mutex counters");
     for &shards in shard_counts {
-        for batch in SHARD_BATCHES {
-            let (reports, merged) =
-                run_sharded_trace_batched(trace, detector.clone(), shards, batch);
-            assert_eq!(
-                reports, baseline_reports,
-                "[{label}] sharded(N={shards}, B={batch}) reports"
-            );
-            assert_eq!(
-                merged, expected,
-                "[{label}] sharded(N={shards}, B={batch}) counters"
-            );
-        }
+        let (reports, merged) = run_sharded_trace(trace, detector.clone(), shards);
+        assert_eq!(
+            reports, baseline_reports,
+            "[{label}] sharded(N={shards}) reports"
+        );
+        assert_eq!(merged, expected, "[{label}] sharded(N={shards}) counters");
     }
     baseline_reports
 }
