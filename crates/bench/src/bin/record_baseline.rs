@@ -37,8 +37,10 @@
 //!
 //! A third mode, `--sync-cost`, isolates **per-sync-event ingestion
 //! cost** (single-threaded feed, no contention) for the single-mutex
-//! baseline and sharded ingestion at `N ∈ {1, 2, 4, 8}`, interleaved in
-//! one invocation so all points come from one sitting:
+//! baseline, sharded ingestion by `on_event` at `N ∈ {1, 2, 4, 8}` and
+//! sharded ingestion through thread handles at `N ∈ {1, 4}`
+//! (`sharded_handle_nN`), interleaved in one invocation so all points
+//! come from one sitting:
 //!
 //! ```text
 //! record_baseline --sync-cost --out BENCH_sync_cost.json
@@ -84,8 +86,9 @@
 //! path (ARCHITECTURE.md invariant 10): `hoisted_ns`, where the pure
 //! `(seed, EventId)` decision runs before any lock and a sampled-out
 //! access returns after two relaxed atomic bumps. Points:
-//! rates {0, 0.003, 0.03, 1} × {single_mutex, sharded N ∈ {1, 4}}, each
-//! with its fastest (`hoisted_ns`) and median (`median_ns`) round:
+//! rates {0, 0.003, 0.03, 1} × {single_mutex, sharded N ∈ {1, 4} by
+//! `on_event`, sharded N ∈ {1, 4} through thread handles}, each with
+//! its fastest (`hoisted_ns`) and median (`median_ns`) round:
 //!
 //! ```text
 //! record_baseline --access-cost --out BENCH_access_cost.json
@@ -102,7 +105,9 @@ use freshtrack_bench::{
 use freshtrack_clock::{
     ClockSnapshot, FreshnessClock, OrderedList, SharedClock, ThreadId, VectorClock,
 };
-use freshtrack_core::{Detector, DjitDetector, OrderedListDetector, SplitDetector};
+use freshtrack_core::{
+    Detector, DjitDetector, OrderedListDetector, ShardedOnlineDetector, SplitDetector,
+};
 use freshtrack_sampling::{AlwaysSampler, BernoulliSampler};
 use freshtrack_trace::{
     read_trace, read_trace_binary, write_trace, write_trace_binary, BinaryEventReader, EventReader,
@@ -615,37 +620,68 @@ fn run_dbsim_scaling(mix: &str, out_path: Option<String>) {
     }
 }
 
-/// One sync-cost sweep point: builds the façade, warms up, and times
-/// the shared sync-heavy stream ([`freshtrack_bench::sync_stream`]) —
-/// the same mix the `sync_cost` criterion bench drives, so the
-/// recorded JSON and the interactive bench stay comparable. Returns ns
-/// per sync event.
 /// Acquire/release pairs per `--sync-cost` measurement round.
 const SYNC_COST_PAIRS: u32 = 20_000;
 
-fn sync_cost_point<D: SplitDetector + 'static>(detector: D, shards: Option<usize>) -> f64 {
-    let facade = sync_stream::Facade::new(detector, shards);
-    if let sync_stream::Facade::Sharded(f) = &facade {
-        f.reserve_threads(freshtrack_bench::clock_width());
-    }
-    sync_stream::warm_up(&facade);
-    let start = Instant::now();
-    sync_stream::drive_pairs(&facade, SYNC_COST_PAIRS);
-    let elapsed = start.elapsed();
+/// Where a cost point feeds its stream.
+#[derive(Clone, Copy)]
+enum Path {
+    /// A façade by `on_event`: `None` is the single mutex, `Some(n)` the
+    /// sharded detector with `n` shards.
+    OnEvent(Option<usize>),
+    /// The sharded detector with `n` shards, each virtual thread through
+    /// its own `ThreadHandle`.
+    Handle(usize),
+}
+
+/// The handle points of `--sync-cost` and `--access-cost`.
+const HANDLE_SWEEP: [(&str, usize); 2] = [("sharded_handle_n1", 1), ("sharded_handle_n4", 4)];
+
+/// One sync-cost sweep point: builds the façade (or the handles),
+/// warms up, and times the shared sync-heavy stream
+/// ([`freshtrack_bench::sync_stream`]) — the same mix the `sync_cost`
+/// criterion bench drives, so the recorded JSON and the interactive
+/// bench stay comparable. Returns ns per sync event.
+fn sync_cost_point<D: SplitDetector + 'static>(detector: D, path: Path) -> f64 {
+    let width = freshtrack_bench::clock_width();
+    let elapsed = match path {
+        Path::OnEvent(shards) => {
+            let facade = sync_stream::Facade::new(detector, shards);
+            if let sync_stream::Facade::Sharded(f) = &facade {
+                f.reserve_threads(width);
+            }
+            sync_stream::warm_up(&facade);
+            let start = Instant::now();
+            sync_stream::drive_pairs(&facade, SYNC_COST_PAIRS);
+            start.elapsed()
+        }
+        Path::Handle(shards) => {
+            let sharded = ShardedOnlineDetector::new(detector, shards);
+            sharded.reserve_threads(width);
+            let mut handles = sync_stream::Handles::new(&sharded, sync_stream::THREADS);
+            sync_stream::warm_up(&mut handles);
+            let start = Instant::now();
+            sync_stream::drive_pairs(&mut handles, SYNC_COST_PAIRS);
+            start.elapsed()
+        }
+    };
     elapsed.as_nanos() as f64 / (2 * SYNC_COST_PAIRS) as f64
 }
 
 /// The `--sync-cost` mode: isolated per-sync-event ingestion cost of
-/// the single-mutex baseline vs sharded ingestion at `N ∈ {1, 2, 4, 8}`,
-/// measured in interleaved rounds in one invocation — one sitting by
-/// construction. The claim this records: the sharded sync cost is flat
-/// in `N`.
+/// the single-mutex baseline vs sharded ingestion at `N ∈ {1, 2, 4, 8}`
+/// by `on_event` and at `N ∈ {1, 4}` through thread handles, measured
+/// in interleaved rounds in one invocation — one sitting by
+/// construction. The claims this records: the sharded sync cost is
+/// flat in `N`, and a handle's sync event, which takes no thread
+/// mutex, is cheaper than an `on_event` one.
 fn run_sync_cost(out_path: Option<String>) {
     let rounds = env_or("FT_ROUNDS", 7u32).max(1);
     let width = freshtrack_bench::clock_width();
 
-    let points: Vec<Option<usize>> = std::iter::once(None)
-        .chain(SHARD_SWEEP.iter().map(|&n| Some(n)))
+    let points: Vec<Path> = std::iter::once(Path::OnEvent(None))
+        .chain(SHARD_SWEEP.iter().map(|&n| Path::OnEvent(Some(n))))
+        .chain(HANDLE_SWEEP.iter().map(|&(_, n)| Path::Handle(n)))
         .collect();
 
     let configs: [&str; 2] = ["FT", "SO-3%"];
@@ -683,19 +719,28 @@ fn run_sync_cost(out_path: Option<String>) {
             })
             .collect::<Vec<_>>()
             .join(",\n");
+        let handles = HANDLE_SWEEP
+            .iter()
+            .zip(&best[c][1 + SHARD_SWEEP.len()..])
+            .map(|((key, _), ns)| {
+                eprintln!("[{name}] {key} {ns:>8.1} ns/sync-event");
+                format!(",\n      \"{key}\": {ns:.1}")
+            })
+            .collect::<String>();
         sections.push(format!(
-            "    \"{}\": {{\n      \"single_mutex\": {:.1},\n      \"sharded\": {{\n{}\n      }}\n    }}",
+            "    \"{}\": {{\n      \"single_mutex\": {:.1},\n      \"sharded\": {{\n{}\n      }}{}\n    }}",
             json_escape(name),
             best[c][0],
-            sharded
+            sharded,
+            handles
         ));
     }
 
     let json = format!(
-        "{{\n  \"schema\": \"freshtrack/sync-cost/v4\",\n  \"benchmark\": \"sync_cost\",\n  \
+        "{{\n  \"schema\": \"freshtrack/sync-cost/v5\",\n  \"benchmark\": \"sync_cost\",\n  \
          \"threads\": {},\n  \"locks\": {},\n  \"clock_width\": {width},\n  \
          \"sync_events_per_round\": {},\n  \"rounds\": {rounds},\n  \
-         \"note\": \"ns per sync event, single-threaded feed (isolation, no contention); sharded.N is the ShardedOnlineDetector with N access shards, whose sync event runs the engine handler on one per-thread and one per-lock slot (flat in N); every point is the fastest of FT_ROUNDS interleaved rounds, all in one sitting\",\n  \
+         \"note\": \"ns per sync event, single-threaded feed (isolation, no contention); sharded.N is the ShardedOnlineDetector with N access shards fed by on_event, whose sync event runs the engine handler on one per-thread and one per-lock slot (flat in N); sharded_handle_nN is the same detector fed through one ThreadHandle per thread, whose sync event takes only the lock slot; every point is the fastest of FT_ROUNDS interleaved rounds, all in one sitting\",\n  \
          \"configs\": {{\n{}\n  }}\n}}\n",
         sync_stream::THREADS,
         sync_stream::LOCKS,
@@ -1157,21 +1202,34 @@ fn run_segments(out_path: Option<String>) {
 /// Accesses driven per `--access-cost` measurement round.
 const ACCESS_COST_ACCESSES: u32 = 200_000;
 
-/// One access-cost point: builds the façade, warms up, and times the
-/// shared access-heavy stream ([`freshtrack_bench::access_stream`]).
+/// One access-cost point: builds the façade (or the handles), warms
+/// up, and times the shared access-heavy stream ([`freshtrack_bench::access_stream`]).
 /// Returns ns per access event — the quotient's denominator excludes
 /// the interleaved sync events (0.4% of the stream), whose cost is
 /// treated as part of feeding a realistic mix rather than subtracted
 /// out.
-fn access_cost_point<D: SplitDetector + 'static>(detector: D, shards: Option<usize>) -> f64 {
-    let facade = sync_stream::Facade::new(detector, shards);
-    if let sync_stream::Facade::Sharded(f) = &facade {
-        f.reserve_threads(access_stream::THREADS as usize);
-    }
-    access_stream::warm_up(&facade);
-    let start = Instant::now();
-    access_stream::drive_accesses(&facade, ACCESS_COST_ACCESSES);
-    let elapsed = start.elapsed();
+fn access_cost_point<D: SplitDetector + 'static>(detector: D, path: Path) -> f64 {
+    let elapsed = match path {
+        Path::OnEvent(shards) => {
+            let facade = sync_stream::Facade::new(detector, shards);
+            if let sync_stream::Facade::Sharded(f) = &facade {
+                f.reserve_threads(access_stream::THREADS as usize);
+            }
+            access_stream::warm_up(&facade);
+            let start = Instant::now();
+            access_stream::drive_accesses(&facade, ACCESS_COST_ACCESSES);
+            start.elapsed()
+        }
+        Path::Handle(shards) => {
+            let sharded = ShardedOnlineDetector::new(detector, shards);
+            sharded.reserve_threads(access_stream::THREADS as usize);
+            let mut handles = sync_stream::Handles::new(&sharded, access_stream::THREADS);
+            access_stream::warm_up(&mut handles);
+            let start = Instant::now();
+            access_stream::drive_accesses(&mut handles, ACCESS_COST_ACCESSES);
+            start.elapsed()
+        }
+    };
     elapsed.as_nanos() as f64 / f64::from(ACCESS_COST_ACCESSES)
 }
 
@@ -1185,10 +1243,12 @@ fn run_access_cost(out_path: Option<String>, rounds_override: Option<u32>) {
         .max(1);
 
     const RATES: [(&str, f64); 4] = [("0", 0.0), ("0.003", 0.003), ("0.03", 0.03), ("1", 1.0)];
-    const POINTS: [(&str, Option<usize>); 3] = [
-        ("single_mutex", None),
-        ("sharded_n1", Some(1)),
-        ("sharded_n4", Some(4)),
+    const POINTS: [(&str, Path); 5] = [
+        ("single_mutex", Path::OnEvent(None)),
+        ("sharded_n1", Path::OnEvent(Some(1))),
+        ("sharded_n4", Path::OnEvent(Some(4))),
+        (HANDLE_SWEEP[0].0, Path::Handle(HANDLE_SWEEP[0].1)),
+        (HANDLE_SWEEP[1].0, Path::Handle(HANDLE_SWEEP[1].1)),
     ];
 
     // samples[rate][point] = ns per access, one entry per round.
@@ -1196,9 +1256,9 @@ fn run_access_cost(out_path: Option<String>, rounds_override: Option<u32>) {
     for round in 0..rounds {
         eprintln!("access-cost round {}/{rounds}…", round + 1);
         for (r, &(_, rate)) in RATES.iter().enumerate() {
-            for (p, &(_, shards)) in POINTS.iter().enumerate() {
+            for (p, &(_, path)) in POINTS.iter().enumerate() {
                 let sampler = BernoulliSampler::new(rate, 7);
-                samples[r][p].push(access_cost_point(DjitDetector::new(sampler), shards));
+                samples[r][p].push(access_cost_point(DjitDetector::new(sampler), path));
             }
         }
     }
@@ -1212,7 +1272,7 @@ fn run_access_cost(out_path: Option<String>, rounds_override: Option<u32>) {
             let hoisted_ns = ns[0];
             let median_ns = ns[ns.len() / 2];
             eprintln!(
-                "rate {rate:<6} {name:<13} hoisted {hoisted_ns:>7.1} ns  median {median_ns:>7.1} ns"
+                "rate {rate:<6} {name:<17} hoisted {hoisted_ns:>7.1} ns  median {median_ns:>7.1} ns"
             );
             let comma = if p + 1 == POINTS.len() { "" } else { "," };
             lines.push(format!(
@@ -1227,12 +1287,14 @@ fn run_access_cost(out_path: Option<String>, rounds_override: Option<u32>) {
     }
 
     let json = format!(
-        "{{\n  \"schema\": \"freshtrack/access-cost/v3\",\n  \"benchmark\": \"access_cost\",\n  \
+        "{{\n  \"schema\": \"freshtrack/access-cost/v4\",\n  \"benchmark\": \"access_cost\",\n  \
          \"engine\": \"Djit+(bernoulli)\",\n  \"threads\": {},\n  \"vars\": {},\n  \
          \"accesses_per_round\": {ACCESS_COST_ACCESSES},\n  \"sync_every\": {},\n  \"rounds\": {rounds},\n  \
          \"note\": \"ns per access event, single-threaded feed, on the lock-free skip path \
          (pure decision before any lock; sampled-out accesses return after two relaxed atomic \
-         bumps — ARCHITECTURE.md invariant 10); rates are Bernoulli sampling probabilities, so \
+         bumps, or one through a ThreadHandle — ARCHITECTURE.md invariant 10); sharded_nN feeds \
+         the ShardedOnlineDetector by on_event, sharded_handle_nN through one ThreadHandle per \
+         thread; rates are Bernoulli sampling probabilities, so \
          rate 0 is the pure skip path and rate 1 the pure analysis path; hoisted_ns is each \
          point's fastest round and median_ns its median round, all rounds interleaved in one \
          sitting\",\n  \

@@ -319,7 +319,9 @@ pub fn racy_locations(reports: &[RaceReport]) -> usize {
 /// and the recorded `BENCH_sync_cost.json` always measure the same
 /// workload.
 pub mod sync_stream {
-    use freshtrack_core::{Detector, OnlineDetector, ShardedOnlineDetector, SplitDetector};
+    use freshtrack_core::{
+        Detector, OnlineDetector, ShardedOnlineDetector, SplitDetector, ThreadHandle,
+    };
 
     /// Virtual application threads issuing the stream.
     pub const THREADS: u32 = 8;
@@ -419,9 +421,64 @@ pub mod sync_stream {
         }
     }
 
+    /// What the stream drivers feed: a façade by shared reference
+    /// (every [`Ingest`]), or a [`Handles`] set by exclusive reference.
+    pub trait Sink {
+        /// Feeds a read of `var` by `tid`.
+        fn read(&mut self, tid: u32, var: u32);
+        /// Feeds a write of `var` by `tid`.
+        fn write(&mut self, tid: u32, var: u32);
+        /// Feeds an acquire of `lock` by `tid`.
+        fn acquire(&mut self, tid: u32, lock: u32);
+        /// Feeds a release of `lock` by `tid`.
+        fn release(&mut self, tid: u32, lock: u32);
+    }
+
+    impl<I: Ingest> Sink for &I {
+        fn read(&mut self, tid: u32, var: u32) {
+            Ingest::read(*self, tid, var);
+        }
+        fn write(&mut self, tid: u32, var: u32) {
+            Ingest::write(*self, tid, var);
+        }
+        fn acquire(&mut self, tid: u32, lock: u32) {
+            Ingest::acquire(*self, tid, lock);
+        }
+        fn release(&mut self, tid: u32, lock: u32) {
+            Ingest::release(*self, tid, lock);
+        }
+    }
+
+    /// One [`ThreadHandle`] per virtual thread of a
+    /// [`ShardedOnlineDetector`]: the handle path, driven from one OS
+    /// thread.
+    pub struct Handles<'a, D: SplitDetector>(Vec<ThreadHandle<'a, D>>);
+
+    impl<'a, D: SplitDetector> Handles<'a, D> {
+        /// Handles for threads `0..threads` of `sharded`.
+        pub fn new(sharded: &'a ShardedOnlineDetector<D>, threads: u32) -> Self {
+            Handles((0..threads).map(|t| sharded.thread(t)).collect())
+        }
+    }
+
+    impl<D: SplitDetector> Sink for &mut Handles<'_, D> {
+        fn read(&mut self, tid: u32, var: u32) {
+            self.0[tid as usize].read(var);
+        }
+        fn write(&mut self, tid: u32, var: u32) {
+            self.0[tid as usize].write(var);
+        }
+        fn acquire(&mut self, tid: u32, lock: u32) {
+            self.0[tid as usize].acquire(lock);
+        }
+        fn release(&mut self, tid: u32, lock: u32) {
+            self.0[tid as usize].release(lock);
+        }
+    }
+
     /// Warm-up: one lock-protected write per thread, so `RelAfter_S`
     /// releases exist and clocks are non-trivial before measurement.
-    pub fn warm_up<I: Ingest>(online: &I) {
+    pub fn warm_up(mut online: impl Sink) {
         for t in 0..THREADS {
             online.acquire(t, t % LOCKS);
             online.write(t, t);
@@ -433,7 +490,7 @@ pub mod sync_stream {
     /// cross-thread lock hand-off (thread `i % THREADS` takes lock
     /// `i % LOCKS`, so consecutive holders of a lock differ and
     /// acquires do real join work).
-    pub fn drive_pairs<I: Ingest>(online: &I, pairs: u32) {
+    pub fn drive_pairs(mut online: impl Sink, pairs: u32) {
         for i in 0..pairs {
             online.acquire(i % THREADS, i % LOCKS);
             online.release(i % THREADS, i % LOCKS);
@@ -444,7 +501,7 @@ pub mod sync_stream {
 /// The shared access-cost isolation driver: one single-threaded,
 /// access-heavy event mix used by `record_baseline --access-cost`.
 pub mod access_stream {
-    use super::sync_stream::Ingest;
+    use super::sync_stream::Sink;
 
     /// Virtual application threads issuing the stream.
     pub const THREADS: u32 = 4;
@@ -459,7 +516,7 @@ pub mod access_stream {
     /// Warm-up: one lock-protected read/write pair per thread, so
     /// clocks are non-trivial, shard state is allocated, and the branch
     /// predictor settles before measurement.
-    pub fn warm_up<I: Ingest>(online: &I) {
+    pub fn warm_up(mut online: impl Sink) {
         for t in 0..THREADS {
             online.acquire(t, 0);
             online.write(t, t % VARS);
@@ -473,7 +530,7 @@ pub mod access_stream {
     /// every [`SYNC_EVERY`] accesses. Returns the number of sync events
     /// issued, so callers can separate the access quotient's
     /// denominator from the event total.
-    pub fn drive_accesses<I: Ingest>(online: &I, accesses: u32) -> u32 {
+    pub fn drive_accesses(mut online: impl Sink, accesses: u32) -> u32 {
         let mut syncs = 0;
         for i in 0..accesses {
             let t = i % THREADS;

@@ -189,6 +189,14 @@ impl SkipCells {
         self.stripe(tid).writes.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Tallies `reads` skipped reads and `writes` skipped writes by
+    /// `tid` at once: the fold of a thread handle's private tallies.
+    pub(crate) fn add(&self, tid: u32, reads: u64, writes: u64) {
+        let stripe = self.stripe(tid);
+        stripe.reads.fetch_add(reads, Ordering::Relaxed);
+        stripe.writes.fetch_add(writes, Ordering::Relaxed);
+    }
+
     /// Drains the `(reads, writes)` totals. Callers fold them exactly
     /// once, after all feeding threads have quiesced.
     pub(crate) fn totals(&self) -> (u64, u64) {

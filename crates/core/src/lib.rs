@@ -96,6 +96,6 @@ pub use plane::{
     SyncEngine,
 };
 pub use report::{AccessKind, RaceReport};
-pub use shard::{ShardedOnlineDetector, SyncMode};
+pub use shard::{ShardedOnlineDetector, SyncMode, ThreadHandle};
 pub use stream_oracle::{OracleConfig, OracleOutcome, OracleStats, StreamingOracle};
 pub use sync_ops::{SyncClock, SyncOps};

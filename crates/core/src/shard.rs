@@ -1,5 +1,5 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 use freshtrack_clock::ThreadId;
 use freshtrack_trace::{Event, EventId, EventKind, LockId, VarId};
@@ -36,24 +36,40 @@ pub enum SyncMode {
 /// access shards), a clock per thread kept with the thread, and a clock
 /// per sync object kept with the object. No lock is global.
 ///
+/// # Two ways in
+///
+/// * **[`on_event`](ShardedOnlineDetector::on_event)** (and
+///   `read`/`write`/`acquire`/`release`) takes a thread id with every
+///   event. The thread's state stays in its slot, behind a mutex that
+///   only that thread's own events take.
+/// * **[`thread`](ShardedOnlineDetector::thread)** returns a
+///   [`ThreadHandle`] that takes the thread's state out of its slot and
+///   holds it by value until it drops. Its events touch no thread
+///   mutex. Both paths run the same handler bodies and may be mixed
+///   across threads (not for one thread while its handle is live).
+///
 /// # Routing rule
 ///
 /// * **Access events** (`Read`/`Write` of variable `v`) draw their
 ///   ticket and their sampling verdict *before any lock* (see the skip
 ///   path below). A sampled-out access returns immediately; a sampled
-///   access takes its own thread's slot (which nobody else contends
-///   for), raises the thread's `RelAfter_S` bit, and is analyzed in
+///   access raises its thread's `RelAfter_S` bit and is analyzed in
 ///   exactly one shard, `hash(v) mod N`, against a view borrowed from
-///   the thread's state. The verdict is returned from that same call.
+///   the thread's state. Through `on_event` it first takes its own
+///   thread's slot (which nobody else contends for); through a handle
+///   the state is already at hand. The verdict is returned from that
+///   same call.
 /// * **Sync events** (`Acquire`/`Release` of lock `ℓ` by thread `t`)
-///   take `ℓ`'s slot, draw their ticket inside it, take `t`'s slot and
-///   run the engine's handler
-///   ([`SyncEngine::acquire_at`] / [`SyncEngine::release_at`]) on the
-///   two states. The application already holds `ℓ` when it reports the
-///   event, so `ℓ`'s slot is uncontended in a lock-disciplined program.
+///   take `ℓ`'s slot, draw their ticket inside it and run the engine's
+///   handler ([`SyncEngine::acquire_at`] /
+///   [`SyncEngine::release_at`]) on `t`'s and `ℓ`'s states. Through
+///   `on_event`, `t`'s slot is taken first. The application already
+///   holds `ℓ` when it reports the event, so `ℓ`'s slot is uncontended
+///   in a lock-disciplined program.
 ///
-/// Lock order: lock slot → thread slot for sync events, thread slot →
-/// shard for accesses. Nothing holding a shard takes a slot, so the
+/// Lock order: thread slot → lock slot for sync events, thread slot →
+/// shard for accesses. A thread slot is only ever taken first, and
+/// nothing holding a lock slot or a shard takes another lock, so the
 /// order is acyclic.
 ///
 /// # The lock-free skip path
@@ -66,19 +82,20 @@ pub enum SyncMode {
 ///
 /// 1. draw a ticket from the atomic event counter (`fetch_add`),
 /// 2. evaluate the decider on `(ticket, event)`,
-/// 3. if sampled out: bump a cache-line-striped thread-local skip cell
-///    and return — no slot, no shard lock, no view.
+/// 3. if sampled out: tally the skip and return — no slot, no shard
+///    lock, no view. Through `on_event` the tally is a bump of a
+///    cache-line-striped skip cell; through a handle it is a plain
+///    `u64` in the handle, folded into the cells when the handle drops.
 ///
 /// At a sampling rate `r` the expected locked work per access is
-/// `O(r)`; the skip path itself is two relaxed atomic RMWs. The skipped
-/// tallies are folded into the merged [`Counters`] bit-exactly at
+/// `O(r)`. The skipped tallies are folded into the merged [`Counters`]
+/// bit-exactly at
 /// [`finish_merged`](ShardedOnlineDetector::finish_merged).
 ///
 /// # Why verdicts are preserved (invariant 10)
 ///
 /// Event ids come from one atomic ticket. Accesses draw it at the top
-/// of [`on_event`](ShardedOnlineDetector::on_event), sync events inside
-/// their lock's slot.
+/// of their call, sync events inside their lock's slot.
 ///
 /// * **Sampled-out accesses mutate nothing.** They commute with every
 ///   other event; only their ticket (which feeds the pure sampler)
@@ -107,20 +124,33 @@ pub enum SyncMode {
 /// which changes only at that thread's own sync events, and (b) its
 /// variable's history inside one shard. Samplers are deterministic in
 /// `(seed, EventId)` (invariant 4), so the sample set is identical too.
-/// The one access→sync feedback, the `RelAfter_S` bit, lives in the
-/// thread's slot: raised by the thread's sampled accesses, consumed by
+/// The one access→sync feedback, the `RelAfter_S` bit, lives with the
+/// thread's state: raised by the thread's sampled accesses, consumed by
 /// its next release.
 ///
-/// Callers must issue each thread id's events from one thread at a time
-/// (which every real instrumentation source does — a thread's events
-/// *are* its program order).
+/// Per-thread program order is what the argument needs from callers.
+/// Through a handle the type system enforces it: there is one handle
+/// per thread id, and every event takes it by `&mut`. Through
+/// `on_event` it is the caller's obligation to issue each thread id's
+/// events from one thread at a time (which every real instrumentation
+/// source does — a thread's events *are* its program order).
+///
+/// # Misuse
+///
+/// These panic with a message naming the thread id: a second
+/// [`thread`](ShardedOnlineDetector::thread) for a thread whose handle
+/// is live, an `on_event` for such a thread that reaches its state
+/// (any event but a sampled-out access, which touches no thread state
+/// and stays lock-free), and
+/// [`reserve_threads`](ShardedOnlineDetector::reserve_threads) while any
+/// handle is live.
 ///
 /// # Counters
 ///
 /// For a sequential feed the merged [`Counters`] equal the single
-/// mutex's and [`Detector::run`](crate::Detector::run)'s, every field.
-/// Concurrent runs keep that for every field but two, which read state
-/// beyond `t` and `ℓ`:
+/// mutex's and [`Detector::run`](crate::Detector::run)'s, every field,
+/// through either path. Concurrent runs keep that for every field but
+/// two, which read state beyond `t` and `ℓ`:
 ///
 /// * `entries_traversed` and `entries_saved` add the registered thread
 ///   count, which a concurrent first event of a new thread may raise
@@ -135,41 +165,37 @@ pub enum SyncMode {
 ///
 /// # Cost model
 ///
-/// A sampled-out access pays two relaxed atomic RMWs and nothing else
-/// (measured in `BENCH_access_cost.json`). A sampled access pays its
-/// own, uncontended thread slot plus one `1/N`-contended shard lock. A
-/// sync event pays two uncontended mutexes (its lock's slot and its
-/// thread's slot) plus the engine's handler; handlers for different
-/// threads and locks run in parallel.
-/// Thread slots are cache-line aligned, so a thread's state stays on
-/// its own core.
+/// | Event | Through `on_event` | Through a [`ThreadHandle`] |
+/// |---|---|---|
+/// | sampled-out access | ticket RMW + striped-cell RMW | ticket RMW |
+/// | sampled access | thread slot + shard lock | shard lock |
+/// | sync event | thread slot + lock slot + handler | lock slot + handler |
+///
+/// Every mutex but the shard lock is uncontended by construction; a
+/// shard lock is `1/N`-contended. Handlers for different threads and
+/// locks run in parallel. Measured in `BENCH_access_cost.json` and
+/// `BENCH_sync_cost.json`. Thread slots are cache-line aligned, so a
+/// thread's state stays on its own core.
 ///
 /// # Example
 ///
 /// ```
 /// use freshtrack_core::{DjitDetector, ShardedOnlineDetector};
 /// use freshtrack_sampling::AlwaysSampler;
-/// use std::sync::Arc;
 ///
-/// let sharded = Arc::new(ShardedOnlineDetector::new(
-///     DjitDetector::new(AlwaysSampler::new()),
-///     4,
-/// ));
-/// let handles: Vec<_> = (0..2)
-///     .map(|t| {
-///         let sharded = Arc::clone(&sharded);
-///         std::thread::spawn(move || sharded.write(t, 0))
-///     })
-///     .collect();
-/// for h in handles {
-///     h.join().unwrap();
-/// }
-/// let races = Arc::try_unwrap(sharded).ok().unwrap().finish();
+/// let sharded = ShardedOnlineDetector::new(DjitDetector::new(AlwaysSampler::new()), 4);
+/// std::thread::scope(|s| {
+///     // Thread 0 feeds through its handle, thread 1 through `on_event`.
+///     s.spawn(|| sharded.thread(0).write(0));
+///     s.spawn(|| sharded.write(1, 0));
+/// });
+/// let races = sharded.finish();
 /// assert_eq!(races.len(), 1); // the two writes race
 /// ```
 pub struct ShardedOnlineDetector<D: SplitDetector> {
-    /// One slot per thread id, taken by that thread's own events.
-    threads: Slots<Padded<Mutex<ThreadData<D::Sync>>>>,
+    /// One slot per thread id, taken by that thread's own events. Empty
+    /// while the thread's [`ThreadHandle`] holds its state.
+    threads: Slots<Padded<ThreadSlot<D::Sync>>>,
     /// One slot per lock id, taken by acquires and releases of it.
     locks: Slots<Padded<Mutex<<D::Sync as SyncEngine>::Lock>>>,
     /// One past the highest thread id admitted so far (by a sync event,
@@ -199,7 +225,7 @@ pub struct ShardedOnlineDetector<D: SplitDetector> {
 #[repr(align(128))]
 struct Padded<T>(T);
 
-/// One thread's slot: its engine state, its `RelAfter_S` bit and the
+/// One thread's state: its engine state, its `RelAfter_S` bit and the
 /// counters of its sync events.
 struct ThreadData<E: SyncEngine> {
     state: E::Thread,
@@ -208,6 +234,10 @@ struct ThreadData<E: SyncEngine> {
     sampled: bool,
     counters: Counters,
 }
+
+/// A thread's slot: its state, or `None` while its [`ThreadHandle`]
+/// holds it.
+type ThreadSlot<E> = Mutex<Option<ThreadData<E>>>;
 
 struct AccessShard<A> {
     engine: A,
@@ -245,12 +275,28 @@ impl<T> Slots<T> {
         &chunk[index - base]
     }
 
-    /// Every slot built so far.
-    fn into_built(self) -> impl Iterator<Item = T> {
+    /// Every slot built so far, with its id.
+    fn built(&self) -> impl Iterator<Item = (usize, &T)> {
+        self.chunks
+            .iter()
+            .enumerate()
+            .filter_map(|(c, chunk)| Some((SLOT_CHUNK0 * ((1usize << c) - 1), chunk.get()?)))
+            .flat_map(|(base, chunk)| chunk.iter().enumerate().map(move |(i, t)| (base + i, t)))
+    }
+
+    /// Every slot built so far, with its id, by value.
+    fn into_built(self) -> impl Iterator<Item = (usize, T)> {
         self.chunks
             .into_iter()
-            .filter_map(OnceLock::into_inner)
-            .flat_map(|chunk| chunk.into_vec())
+            .enumerate()
+            .filter_map(|(c, chunk)| Some((SLOT_CHUNK0 * ((1usize << c) - 1), chunk.into_inner()?)))
+            .flat_map(|(base, chunk)| {
+                chunk
+                    .into_vec()
+                    .into_iter()
+                    .enumerate()
+                    .map(move |(i, t)| (base + i, t))
+            })
     }
 }
 
@@ -265,6 +311,12 @@ impl<D: SplitDetector> std::fmt::Debug for ShardedOnlineDetector<D> {
 
 fn lock<'a, T>(mutex: &'a Mutex<T>) -> MutexGuard<'a, T> {
     mutex.lock().expect("detector mutex poisoned")
+}
+
+/// The panic of an event, reservation or second handle for a thread
+/// whose [`ThreadHandle`] is live.
+fn handle_is_live(what: &str, tid: impl std::fmt::Display) -> ! {
+    panic!("{what} for thread {tid} while its ThreadHandle is live")
 }
 
 impl<D: SplitDetector> ShardedOnlineDetector<D> {
@@ -311,14 +363,31 @@ impl<D: SplitDetector> ShardedOnlineDetector<D> {
     /// (see [`Detector::reserve_threads`](crate::Detector::reserve_threads)).
     /// Call once before the workers start so the event hot path never
     /// grows a clock.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the thread, if any [`ThreadHandle`] is live: its
+    /// state is out of reach and would miss the reservation.
     pub fn reserve_threads(&self, n: usize) {
         if n == 0 {
             return;
         }
         let registered = self.registered.fetch_max(n, Ordering::Relaxed).max(n);
         for idx in 0..registered {
-            let mut thread = lock(self.thread_slot(ThreadId::new(idx as u32)));
-            <D::Sync as SyncEngine>::reserve_at(&mut thread.state, n);
+            self.thread_slot(ThreadId::new(idx as u32));
+        }
+        for (idx, slot) in self.threads.built() {
+            let mut slot = lock(&slot.0);
+            match slot.as_mut() {
+                Some(thread) if idx < registered => {
+                    <D::Sync as SyncEngine>::reserve_at(&mut thread.state, n);
+                }
+                Some(_) => {}
+                None => {
+                    drop(slot);
+                    handle_is_live("reserve_threads", idx);
+                }
+            }
         }
     }
 
@@ -339,6 +408,15 @@ impl<D: SplitDetector> ShardedOnlineDetector<D> {
     #[inline]
     fn take_ticket(&self) -> EventId {
         EventId::new(self.next_id.0.fetch_add(1, Ordering::Relaxed))
+    }
+
+    /// The hoisted ticket and decision of an access, with no lock held
+    /// (invariant 10): its ticket if it is sampled, `None` if it takes
+    /// the skip path.
+    #[inline]
+    fn sampled(&self, event: Event) -> Option<EventId> {
+        let id = self.take_ticket();
+        (self.decider)(id, event).then_some(id)
     }
 
     /// Counts one access-plane shard-lock acquisition (debug builds
@@ -376,15 +454,28 @@ impl<D: SplitDetector> ShardedOnlineDetector<D> {
 
     /// Thread `tid`'s slot, built in its initial state on first use.
     #[inline]
-    fn thread_slot(&self, tid: ThreadId) -> &Mutex<ThreadData<D::Sync>> {
+    fn thread_slot(&self, tid: ThreadId) -> &ThreadSlot<D::Sync> {
         let slot = self.threads.get(tid.index(), |id| {
-            Padded(Mutex::new(ThreadData {
+            Padded(Mutex::new(Some(ThreadData {
                 state: <D::Sync as SyncEngine>::new_thread(ThreadId::new(id as u32)),
                 sampled: false,
                 counters: Counters::new(),
-            }))
+            })))
         });
         &slot.0
+    }
+
+    /// Runs `f` on thread `tid`'s state inside its slot.
+    #[inline]
+    fn with_thread<R>(&self, tid: ThreadId, f: impl FnOnce(&mut ThreadData<D::Sync>) -> R) -> R {
+        let mut slot = lock(self.thread_slot(tid));
+        match slot.as_mut() {
+            Some(thread) => f(thread),
+            None => {
+                drop(slot);
+                handle_is_live("on_event", tid.as_u32())
+            }
+        }
     }
 
     /// Lock `lock_id`'s slot, built in its initial state on first use.
@@ -396,43 +487,75 @@ impl<D: SplitDetector> ShardedOnlineDetector<D> {
             .0
     }
 
+    /// Takes thread `tid`'s state out of its slot: until the returned
+    /// handle drops, that thread's events go through it and take no
+    /// thread mutex (see the type-level cost model). Dropping the
+    /// handle, also while unwinding, puts the state back and folds its
+    /// skip tallies into the merged counters.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the thread, if a handle for `tid` is already live.
+    pub fn thread(&self, tid: u32) -> ThreadHandle<'_, D> {
+        let tid = ThreadId::new(tid);
+        let Some(data) = lock(self.thread_slot(tid)).take() else {
+            handle_is_live("thread()", tid.as_u32())
+        };
+        ThreadHandle {
+            detector: self,
+            tid,
+            data: Some(data),
+            skipped_reads: 0,
+            skipped_writes: 0,
+        }
+    }
+
     /// Feeds one event; returns `true` if it was reported as racing.
     ///
     /// Every access first draws its ticket from the atomic counter, with
     /// no lock held, and is decided by the hoisted sampler: sampled-out
     /// accesses return after a striped counter bump (the lock-free skip
     /// path); sampled ones take their thread's slot and one shard, and
-    /// return their verdict. Sync events take their lock's slot and
-    /// their thread's slot; a sync event never races, so it returns
+    /// return their verdict. Sync events take their thread's slot and
+    /// their lock's slot; a sync event never races, so it returns
     /// `false`.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the thread, if an event other than a sampled-out
+    /// access arrives for a thread whose [`ThreadHandle`] is live.
     pub fn on_event(&self, tid: u32, kind: EventKind) -> bool {
         let event = Event::new(ThreadId::new(tid), kind);
-        match event.kind {
+        match kind {
             EventKind::Read(var) | EventKind::Write(var) => {
-                // Hoisted ticket + decision: no lock held (invariant 10).
-                let id = self.take_ticket();
-                if !(self.decider)(id, event) {
-                    match event.kind {
+                let Some(id) = self.sampled(event) else {
+                    match kind {
                         EventKind::Read(_) => self.skip.bump_read(tid),
                         _ => self.skip.bump_write(tid),
                     }
                     return false;
-                }
-                self.access(id, event, var)
+                };
+                self.with_thread(event.tid, |thread| self.access_with(thread, id, event, var))
             }
             EventKind::Acquire(lock_id) | EventKind::Release(lock_id) => {
-                self.sync_event(event, lock_id);
+                self.with_thread(event.tid, |thread| self.sync_with(thread, event, lock_id));
                 false
             }
         }
     }
 
     /// Analyzes one already sampled access against its thread's clock,
-    /// raising the thread's `RelAfter_S` bit.
-    fn access(&self, id: EventId, event: Event, var: VarId) -> bool {
+    /// raising the thread's `RelAfter_S` bit. Both paths' access
+    /// handler.
+    fn access_with(
+        &self,
+        thread: &mut ThreadData<D::Sync>,
+        id: EventId,
+        event: Event,
+        var: VarId,
+    ) -> bool {
         let tid = event.tid;
         self.admit(tid);
-        let mut thread = lock(self.thread_slot(tid));
         thread.sampled = true;
         let view = <D::Sync as SyncEngine>::thread_view(tid, &thread.state);
         let mut shard = lock(&self.shards[self.shard_of(var)].0);
@@ -452,20 +575,21 @@ impl<D: SplitDetector> ShardedOnlineDetector<D> {
         }
     }
 
-    /// Runs one sync event's handler on its thread's and lock's states.
-    fn sync_event(&self, event: Event, lock_id: LockId) {
+    /// Runs one sync event's handler on its thread's state and its
+    /// lock's slot, drawing the event's ticket inside that slot. Both
+    /// paths' sync handler.
+    fn sync_with(&self, thread: &mut ThreadData<D::Sync>, event: Event, lock_id: LockId) {
         let tid = event.tid;
         let threads = self.admit(tid);
         let mut lock_state = lock(self.lock_slot(lock_id));
         // Inside the lock's slot: same-lock events draw their tickets in
         // the order their handlers run.
         self.take_ticket();
-        let mut thread = lock(self.thread_slot(tid));
         let ThreadData {
             state,
             sampled,
             counters,
-        } = &mut *thread;
+        } = thread;
         counters.events += 1;
         let mut ctx = SyncCtx {
             options: self.options,
@@ -480,7 +604,7 @@ impl<D: SplitDetector> ShardedOnlineDetector<D> {
                 let sampled = std::mem::take(sampled);
                 <D::Sync as SyncEngine>::release_at(tid, state, &mut lock_state, sampled, &mut ctx);
             }
-            _ => unreachable!("on_event routes only sync events here"),
+            _ => unreachable!("only sync events reach the sync handler"),
         }
     }
 
@@ -535,11 +659,19 @@ impl<D: SplitDetector> ShardedOnlineDetector<D> {
     /// Thread slots count sync events, shards count sampled accesses
     /// and the skip cells count the rest: they partition the event
     /// space, so counters sum directly.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the thread, if a [`ThreadHandle`] was leaked
+    /// (`std::mem::forget`) instead of dropped: its counts are lost.
     pub fn finish_merged(self) -> (Vec<RaceReport>, Counters) {
         let (skipped_reads, skipped_writes) = self.skip.totals();
         let mut counters = Counters::new();
-        for slot in self.threads.into_built() {
-            counters += slot.0.into_inner().expect("thread slot poisoned").counters;
+        for (idx, slot) in self.threads.into_built() {
+            match slot.0.into_inner().expect("thread slot poisoned") {
+                Some(thread) => counters += thread.counters,
+                None => handle_is_live("finish_merged", idx),
+            }
         }
         // Per-shard report lists are *not* ticket-sorted in general —
         // concurrent analyzed events may invert ticket order under the
@@ -560,6 +692,100 @@ impl<D: SplitDetector> ShardedOnlineDetector<D> {
             "merged reports must be strictly sorted by EventId"
         );
         (reports, counters)
+    }
+}
+
+/// One thread's way into a [`ShardedOnlineDetector`], from
+/// [`ShardedOnlineDetector::thread`]: it holds the thread's sync state
+/// by value, so the thread's events take no thread mutex.
+///
+/// A sync event takes only its lock's slot, a sampled access only its
+/// shard, and a sampled-out access draws its ticket and bumps a plain
+/// counter in the handle. Events take the handle by `&mut`, and there
+/// is one handle per thread id, so the thread's program order is the
+/// handle's call order. Dropping the handle (also while unwinding)
+/// puts the state back and folds the skip tallies into the façade's
+/// counters.
+pub struct ThreadHandle<'a, D: SplitDetector> {
+    detector: &'a ShardedOnlineDetector<D>,
+    tid: ThreadId,
+    /// The thread's state, taken out of its slot; `None` only inside
+    /// `drop`.
+    data: Option<ThreadData<D::Sync>>,
+    skipped_reads: u64,
+    skipped_writes: u64,
+}
+
+impl<D: SplitDetector> ThreadHandle<'_, D> {
+    /// Feeds one event of this handle's thread; returns `true` if it
+    /// was reported as racing. Same verdicts, tickets and counters as
+    /// [`ShardedOnlineDetector::on_event`].
+    pub fn on_event(&mut self, kind: EventKind) -> bool {
+        let detector = self.detector;
+        let event = Event::new(self.tid, kind);
+        let thread = self
+            .data
+            .as_mut()
+            .expect("a live handle holds its thread's state");
+        match kind {
+            EventKind::Read(var) | EventKind::Write(var) => {
+                let Some(id) = detector.sampled(event) else {
+                    match kind {
+                        EventKind::Read(_) => self.skipped_reads += 1,
+                        _ => self.skipped_writes += 1,
+                    }
+                    return false;
+                };
+                detector.access_with(thread, id, event, var)
+            }
+            EventKind::Acquire(lock_id) | EventKind::Release(lock_id) => {
+                detector.sync_with(thread, event, lock_id);
+                false
+            }
+        }
+    }
+
+    /// Records a read of variable `var`.
+    pub fn read(&mut self, var: u32) -> bool {
+        self.on_event(EventKind::Read(VarId::new(var)))
+    }
+
+    /// Records a write of variable `var`.
+    pub fn write(&mut self, var: u32) -> bool {
+        self.on_event(EventKind::Write(VarId::new(var)))
+    }
+
+    /// Records an acquire of lock `lock`.
+    pub fn acquire(&mut self, lock: u32) {
+        self.on_event(EventKind::Acquire(LockId::new(lock)));
+    }
+
+    /// Records a release of lock `lock`.
+    pub fn release(&mut self, lock: u32) {
+        self.on_event(EventKind::Release(LockId::new(lock)));
+    }
+}
+
+impl<D: SplitDetector> Drop for ThreadHandle<'_, D> {
+    fn drop(&mut self) {
+        let detector = self.detector;
+        let tid = self.tid.as_u32();
+        detector
+            .skip
+            .add(tid, self.skipped_reads, self.skipped_writes);
+        // Never panic here: this also runs while unwinding.
+        *detector
+            .thread_slot(self.tid)
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = self.data.take();
+    }
+}
+
+impl<D: SplitDetector> std::fmt::Debug for ThreadHandle<'_, D> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ThreadHandle")
+            .field("tid", &self.tid)
+            .finish_non_exhaustive()
     }
 }
 
@@ -726,6 +952,95 @@ mod tests {
         let (reports, merged) = sharded.finish_merged();
         assert_eq!(reports.len(), 1);
         assert_eq!(merged.writes, 2);
+    }
+
+    #[test]
+    fn handle_feed_matches_on_event_feed() {
+        // Sync events, sampled and sampled-out accesses of two threads,
+        // one fed through a handle: same reports and counters as the
+        // same stream through `on_event` alone.
+        let feed = |handle_for: Option<u32>| {
+            let sharded =
+                ShardedOnlineDetector::new(DjitDetector::new(BernoulliSampler::new(0.5, 3)), 2);
+            let mut handle = handle_for.map(|t| (t, sharded.thread(t)));
+            let mut event = |t: u32, kind: EventKind| match handle.as_mut() {
+                Some((h, handle)) if *h == t => handle.on_event(kind),
+                _ => sharded.on_event(t, kind),
+            };
+            for i in 0..60u32 {
+                let t = i % 2;
+                event(t, EventKind::Acquire(LockId::new(i % 3)));
+                event(t, EventKind::Write(VarId::new(i % 5)));
+                event(t, EventKind::Release(LockId::new(i % 3)));
+                event(t, EventKind::Read(VarId::new(i % 7)));
+            }
+            drop(handle);
+            sharded.finish_merged()
+        };
+        let (want_reports, want) = feed(None);
+        assert!(want.skipped_accesses() > 0 && want.sampled_accesses > 0);
+        assert!(!want_reports.is_empty());
+        for t in [0, 1] {
+            let (reports, counters) = feed(Some(t));
+            assert_eq!(reports, want_reports, "handle for thread {t}");
+            assert_eq!(counters, want, "handle for thread {t}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "thread() for thread 3 while its ThreadHandle is live")]
+    fn second_handle_for_a_thread_is_rejected() {
+        let sharded = ShardedOnlineDetector::new(DjitDetector::new(AlwaysSampler::new()), 2);
+        let _first = sharded.thread(3);
+        let _second = sharded.thread(3);
+    }
+
+    #[test]
+    #[should_panic(expected = "on_event for thread 2 while its ThreadHandle is live")]
+    fn on_event_for_a_handled_thread_is_rejected() {
+        let sharded = ShardedOnlineDetector::new(DjitDetector::new(AlwaysSampler::new()), 2);
+        let mut handle = sharded.thread(2);
+        handle.acquire(0);
+        sharded.release(2, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "reserve_threads for thread 9 while its ThreadHandle is live")]
+    fn reserve_threads_with_a_live_handle_is_rejected() {
+        let sharded = ShardedOnlineDetector::new(DjitDetector::new(AlwaysSampler::new()), 2);
+        // Thread 9 has issued nothing yet: beyond the reservation, but
+        // its handle must still be found.
+        let _handle = sharded.thread(9);
+        sharded.reserve_threads(4);
+    }
+
+    #[test]
+    fn a_handle_dropped_by_a_panic_keeps_its_counts() {
+        // Rate 0.5: the handle holds skip tallies, sync counters and
+        // sampled accesses when the panic unwinds through it.
+        let sharded =
+            ShardedOnlineDetector::new(DjitDetector::new(BernoulliSampler::new(0.5, 11)), 2);
+        let fed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut handle = sharded.thread(1);
+            for v in 0..40 {
+                handle.acquire(0);
+                handle.write(v);
+                handle.release(0);
+                handle.read(v);
+            }
+            panic!("worker fails mid-run");
+        }));
+        assert!(fed.is_err());
+        // The state is back: the thread feeds on through `on_event`.
+        sharded.write(1, 99);
+        let (_, merged) = sharded.finish_merged();
+        assert_eq!(merged.events, 161);
+        assert_eq!(merged.acquires, 40);
+        assert_eq!(merged.releases, 40);
+        assert_eq!(merged.writes, 41);
+        assert_eq!(merged.reads, 40);
+        assert!(merged.skipped_accesses() > 0, "{merged:?}");
+        assert_eq!(merged.sampled_accesses + merged.skipped_accesses(), 81);
     }
 
     #[test]

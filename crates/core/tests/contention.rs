@@ -9,23 +9,28 @@
 //! with `RUST_TEST_THREADS` unset so the harness does not serialize the
 //! stress threads.
 //!
-//! For Djit+, FastTrack and SO at rates 0.03 and 1.0, every run must:
+//! Every cell runs three times: every thread through `on_event`, every
+//! thread through its own `ThreadHandle`, and the two mixed
+//! ([`Feed`]). For Djit+, FastTrack and SO at rates 0.03 and 1.0, every
+//! run must:
 //!
 //! * draw exactly one ticket per issued event (`events_processed`);
-//! * count exactly the reads, writes, acquires and releases issued;
+//! * count exactly the reads, writes, acquires and releases issued
+//!   (so no handle's skip tally is lost when it drops);
 //! * return each access's verdict from its own `read`/`write` call: the
 //!   `true` returns equal the merged reports and `Counters::races`;
 //! * report nothing when every access is lock-protected;
 //! * with one deliberately unprotected variable, report races only on
 //!   it — and under FastTrack at rate 1.0, report it.
 
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Barrier, Mutex};
 
 use freshtrack_core::{
     Counters, DjitDetector, FastTrackDetector, OrderedListDetector, RaceReport,
     ShardedOnlineDetector, SplitDetector,
 };
 use freshtrack_sampling::BernoulliSampler;
+use freshtrack_testutil::{Feed, ThreadFeed};
 use freshtrack_trace::VarId;
 
 const THREADS: u32 = 4;
@@ -64,72 +69,75 @@ impl Issued {
     }
 }
 
-/// Runs the stress program on `THREADS` OS threads and returns the
-/// merged reports, counters, tickets drawn and the issued tally.
+/// Runs the stress program on `THREADS` OS threads, fed by `feed`, and
+/// returns the merged reports, counters, tickets drawn and the issued
+/// tally.
 fn stress<D: SplitDetector + 'static>(
     detector: D,
     racy: bool,
+    feed: Feed,
 ) -> (Vec<RaceReport>, Counters, u64, Issued) {
-    let sharded = Arc::new(ShardedOnlineDetector::new(detector, SHARDS));
-    let app_locks: Arc<Vec<Mutex<()>>> = Arc::new((0..LOCKS).map(|_| Mutex::new(())).collect());
-    let start = Arc::new(Barrier::new(THREADS as usize));
-    let handles: Vec<_> = (0..THREADS)
-        .map(|t| {
-            let sharded = Arc::clone(&sharded);
-            let app_locks = Arc::clone(&app_locks);
-            let start = Arc::clone(&start);
-            std::thread::spawn(move || {
-                let mut issued = Issued::default();
-                start.wait();
-                if racy {
-                    // Before any sync event: the threads' writes are
-                    // unordered by happens-before whatever the schedule.
-                    issued.races += u64::from(sharded.write(t, RACY_VAR));
-                    issued.writes += 1;
-                }
-                for i in 0..ITERS {
-                    let l = (i + t) % LOCKS;
-                    let guard = app_locks[l as usize].lock().unwrap();
-                    sharded.acquire(t, l);
-                    issued.acquires += 1;
-                    let var = l * VARS_PER_LOCK + i % VARS_PER_LOCK;
-                    issued.races += u64::from(sharded.read(t, var));
-                    issued.races += u64::from(sharded.write(t, var));
-                    issued.reads += 1;
-                    issued.writes += 1;
-                    // Every few iterations nest a second lock, in
-                    // ascending order so the program cannot deadlock.
-                    if i % 5 == 0 && l + 1 < LOCKS {
-                        let m = l + 1;
-                        let inner = app_locks[m as usize].lock().unwrap();
-                        sharded.acquire(t, m);
-                        issued.races +=
-                            u64::from(sharded.write(t, m * VARS_PER_LOCK + t % VARS_PER_LOCK));
-                        sharded.release(t, m);
-                        drop(inner);
-                        issued.acquires += 1;
-                        issued.writes += 1;
-                        issued.releases += 1;
-                    }
-                    sharded.release(t, l);
-                    issued.releases += 1;
-                    drop(guard);
-                }
-                issued
-            })
-        })
-        .collect();
+    let sharded = ShardedOnlineDetector::new(detector, SHARDS);
+    let app_locks: Vec<Mutex<()>> = (0..LOCKS).map(|_| Mutex::new(())).collect();
+    let start = Barrier::new(THREADS as usize);
     let mut issued = Issued::default();
-    for h in handles {
-        let one = h.join().unwrap();
-        issued.reads += one.reads;
-        issued.writes += one.writes;
-        issued.acquires += one.acquires;
-        issued.releases += one.releases;
-        issued.races += one.races;
-    }
+    std::thread::scope(|s| {
+        let workers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (sharded, app_locks, start) = (&sharded, &app_locks, &start);
+                s.spawn(move || {
+                    let mut me = ThreadFeed::new(sharded, t, feed);
+                    let mut issued = Issued::default();
+                    start.wait();
+                    if racy {
+                        // Before any sync event: the threads' writes are
+                        // unordered by happens-before whatever the schedule.
+                        issued.races += u64::from(me.write(RACY_VAR));
+                        issued.writes += 1;
+                    }
+                    for i in 0..ITERS {
+                        let l = (i + t) % LOCKS;
+                        let guard = app_locks[l as usize].lock().unwrap();
+                        me.acquire(l);
+                        issued.acquires += 1;
+                        let var = l * VARS_PER_LOCK + i % VARS_PER_LOCK;
+                        issued.races += u64::from(me.read(var));
+                        issued.races += u64::from(me.write(var));
+                        issued.reads += 1;
+                        issued.writes += 1;
+                        // Every few iterations nest a second lock, in
+                        // ascending order so the program cannot deadlock.
+                        if i % 5 == 0 && l + 1 < LOCKS {
+                            let m = l + 1;
+                            let inner = app_locks[m as usize].lock().unwrap();
+                            me.acquire(m);
+                            issued.races +=
+                                u64::from(me.write(m * VARS_PER_LOCK + t % VARS_PER_LOCK));
+                            me.release(m);
+                            drop(inner);
+                            issued.acquires += 1;
+                            issued.writes += 1;
+                            issued.releases += 1;
+                        }
+                        me.release(l);
+                        issued.releases += 1;
+                        drop(guard);
+                    }
+                    issued
+                })
+            })
+            .collect();
+        for w in workers {
+            let one = w.join().unwrap();
+            issued.reads += one.reads;
+            issued.writes += one.writes;
+            issued.acquires += one.acquires;
+            issued.releases += one.releases;
+            issued.races += one.races;
+        }
+    });
     let tickets = sharded.events_processed();
-    let (reports, counters) = Arc::try_unwrap(sharded).ok().unwrap().finish_merged();
+    let (reports, counters) = sharded.finish_merged();
     (reports, counters, tickets, issued)
 }
 
@@ -139,10 +147,13 @@ where
     D: SplitDetector + 'static,
     F: Fn(BernoulliSampler) -> D,
 {
-    for racy in [false, true] {
-        let cell = format!("{label} rate={rate} racy={racy}");
+    for (racy, feed) in [false, true]
+        .into_iter()
+        .flat_map(|r| Feed::ALL.map(|f| (r, f)))
+    {
+        let cell = format!("{label} rate={rate} racy={racy} {feed:?}");
         let (reports, counters, tickets, issued) =
-            stress(make(BernoulliSampler::new(rate, 17)), racy);
+            stress(make(BernoulliSampler::new(rate, 17)), racy, feed);
         assert_eq!(
             tickets,
             issued.total(),
@@ -212,10 +223,19 @@ fn so_under_contention() {
 /// concurrent under any schedule.
 #[test]
 fn fasttrack_reports_the_unprotected_variable() {
-    let (reports, counters, _, issued) =
-        stress(FastTrackDetector::new(BernoulliSampler::new(1.0, 17)), true);
-    assert!(!reports.is_empty(), "the unprotected race was missed");
-    assert!(reports.iter().all(|r| r.var == VarId::new(RACY_VAR)));
-    assert_eq!(counters.races as usize, reports.len());
-    assert_inline_verdicts("fasttrack rate=1 racy=true", &reports, &counters, issued);
+    for feed in Feed::ALL {
+        let (reports, counters, _, issued) = stress(
+            FastTrackDetector::new(BernoulliSampler::new(1.0, 17)),
+            true,
+            feed,
+        );
+        assert!(
+            !reports.is_empty(),
+            "[{feed:?}] the unprotected race was missed"
+        );
+        assert!(reports.iter().all(|r| r.var == VarId::new(RACY_VAR)));
+        assert_eq!(counters.races as usize, reports.len());
+        let cell = format!("fasttrack rate=1 racy=true {feed:?}");
+        assert_inline_verdicts(&cell, &reports, &counters, issued);
+    }
 }

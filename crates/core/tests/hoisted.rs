@@ -12,7 +12,9 @@
 //!
 //! Coverage: all five engines × sampler families {always, never,
 //! Bernoulli, periodic, targeted} × shard counts {1, 2, 4, 7}, over
-//! fuzzed (proptest) and structured traces.
+//! fuzzed (proptest) and structured traces. Every sharded cell is fed
+//! through `on_event`, through thread handles and through both mixed
+//! ([`Feed`]).
 //!
 //! Two regressions ride along:
 //! * a fully sampled-out stream must acquire **zero** shard locks
@@ -20,8 +22,6 @@
 //! * concurrent lock-free ticket draws must neither lose nor duplicate
 //!   events (the multi-threaded stress below; `contention.rs` adds
 //!   application locks and checks verdicts).
-
-use std::sync::Arc;
 
 use freshtrack_core::{
     Detector, DjitDetector, FastTrackDetector, FreshnessDetector, NaiveSamplingDetector,
@@ -31,9 +31,10 @@ use freshtrack_sampling::{
     AlwaysSampler, BernoulliSampler, NeverSampler, PeriodicSampler, Sampler, TargetedSampler,
 };
 use freshtrack_testutil::{
-    assert_shard_equivalence, run_online_trace, trace_from_fuel, workload_matrix,
+    assert_shard_equivalence, feed_sharded, run_online_trace, trace_from_fuel, workload_matrix,
+    Feed, ThreadFeed,
 };
-use freshtrack_trace::{Trace, VarId};
+use freshtrack_trace::{EventKind, LockId, Trace, VarId};
 use proptest::prelude::*;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 7];
@@ -122,29 +123,37 @@ proptest! {
 }
 
 /// A fully sampled-out stream must never touch a shard lock: the skip
-/// path is two relaxed RMWs, full stop. Debug builds only — the
-/// acquisition counter does not exist in release.
+/// path is two relaxed RMWs, full stop — through a handle, one. Debug
+/// builds only — the acquisition counter does not exist in release.
 #[cfg(debug_assertions)]
 #[test]
 fn never_sampler_takes_zero_shard_locks() {
-    let sharded = ShardedOnlineDetector::new(DjitDetector::new(NeverSampler::new()), 4);
-    for i in 0..200u32 {
-        let t = i % 3;
-        sharded.acquire(t, 0);
-        sharded.write(t, i % 17);
-        sharded.read(t, (i + 1) % 17);
-        sharded.release(t, 0);
+    for feed in Feed::ALL {
+        let sharded = ShardedOnlineDetector::new(DjitDetector::new(NeverSampler::new()), 4);
+        feed_sharded(
+            &sharded,
+            feed,
+            (0..200u32).flat_map(|i| {
+                let t = i % 3;
+                [
+                    (t, EventKind::Acquire(LockId::new(0))),
+                    (t, EventKind::Write(VarId::new(i % 17))),
+                    (t, EventKind::Read(VarId::new((i + 1) % 17))),
+                    (t, EventKind::Release(LockId::new(0))),
+                ]
+            }),
+        );
+        assert_eq!(
+            sharded.debug_shard_lock_acquisitions(),
+            0,
+            "[{feed:?}] sampled-out accesses must stay lock-free"
+        );
+        let (reports, merged) = sharded.finish_merged();
+        assert!(reports.is_empty());
+        assert_eq!(merged.events, 800, "{feed:?}");
+        assert_eq!(merged.skipped_accesses(), 400, "{feed:?}");
+        assert_eq!(merged.sampled_accesses, 0, "{feed:?}");
     }
-    assert_eq!(
-        sharded.debug_shard_lock_acquisitions(),
-        0,
-        "sampled-out accesses must stay lock-free"
-    );
-    let (reports, merged) = sharded.finish_merged();
-    assert!(reports.is_empty());
-    assert_eq!(merged.events, 800);
-    assert_eq!(merged.skipped_accesses(), 400);
-    assert_eq!(merged.sampled_accesses, 0);
 }
 
 /// With an always-true decider every access takes its shard lock — the
@@ -152,11 +161,15 @@ fn never_sampler_takes_zero_shard_locks() {
 #[cfg(debug_assertions)]
 #[test]
 fn always_sampler_accounts_for_its_shard_locks() {
-    let sharded = ShardedOnlineDetector::new(DjitDetector::new(AlwaysSampler::new()), 2);
-    for v in 0..10 {
-        sharded.write(0, v);
+    for feed in Feed::ALL {
+        let sharded = ShardedOnlineDetector::new(DjitDetector::new(AlwaysSampler::new()), 2);
+        feed_sharded(
+            &sharded,
+            feed,
+            (0..10).map(|v| (0, EventKind::Write(VarId::new(v)))),
+        );
+        assert_eq!(sharded.debug_shard_lock_acquisitions(), 10, "{feed:?}");
     }
-    assert_eq!(sharded.debug_shard_lock_acquisitions(), 10);
 }
 
 /// Multi-threaded stress for the hoisted ticket draw: many threads
@@ -170,47 +183,45 @@ fn always_sampler_accounts_for_its_shard_locks() {
 fn concurrent_ticket_draws_lose_nothing() {
     const THREADS: u32 = 4;
     const OPS: u32 = 2000;
-    let sharded = Arc::new(ShardedOnlineDetector::new(
-        DjitDetector::new(BernoulliSampler::new(0.05, 42)),
-        4,
-    ));
-    sharded.reserve_threads(THREADS as usize);
-    let handles: Vec<_> = (0..THREADS)
-        .map(|t| {
-            let sharded = Arc::clone(&sharded);
-            std::thread::spawn(move || {
-                for i in 0..OPS {
-                    if i % 64 == 63 {
-                        sharded.acquire(t, t);
-                        sharded.release(t, t);
-                    } else if i % 2 == 0 {
-                        sharded.write(t, i % 31);
-                    } else {
-                        sharded.read(t, i % 31);
+    for feed in Feed::ALL {
+        let sharded =
+            ShardedOnlineDetector::new(DjitDetector::new(BernoulliSampler::new(0.05, 42)), 4);
+        sharded.reserve_threads(THREADS as usize);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let sharded = &sharded;
+                s.spawn(move || {
+                    let mut me = ThreadFeed::new(sharded, t, feed);
+                    for i in 0..OPS {
+                        if i % 64 == 63 {
+                            me.acquire(t);
+                            me.release(t);
+                        } else if i % 2 == 0 {
+                            me.write(i % 31);
+                        } else {
+                            me.read(i % 31);
+                        }
                     }
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
+                });
+            }
+        });
+        // Each sync iteration issues two events (acquire+release),
+        // each access iteration one.
+        let sync_events = u64::from(THREADS) * 2 * u64::from(OPS / 64);
+        let accesses = u64::from(THREADS) * u64::from(OPS - OPS / 64);
+        let total = accesses + sync_events;
+        assert_eq!(sharded.events_processed(), total, "{feed:?}");
+        let (reports, merged) = sharded.finish_merged();
+        assert_eq!(merged.events, total, "{feed:?}");
+        assert_eq!(
+            merged.sampled_accesses + merged.skipped_accesses(),
+            accesses,
+            "[{feed:?}] every access is either analyzed or tallied"
+        );
+        assert_eq!(merged.reads + merged.writes, accesses, "{feed:?}");
+        assert!(
+            reports.windows(2).all(|w| w[0].event < w[1].event),
+            "[{feed:?}] merged reports must be strictly sorted"
+        );
     }
-    // Each sync iteration issues two events (acquire+release),
-    // each access iteration one.
-    let sync_events = u64::from(THREADS) * 2 * u64::from(OPS / 64);
-    let accesses = u64::from(THREADS) * u64::from(OPS - OPS / 64);
-    let total = accesses + sync_events;
-    assert_eq!(sharded.events_processed(), total);
-    let (reports, merged) = Arc::try_unwrap(sharded).ok().unwrap().finish_merged();
-    assert_eq!(merged.events, total);
-    assert_eq!(
-        merged.sampled_accesses + merged.skipped_accesses(),
-        accesses,
-        "every access is either analyzed or tallied"
-    );
-    assert_eq!(merged.reads + merged.writes, accesses);
-    assert!(
-        reports.windows(2).all(|w| w[0].event < w[1].event),
-        "merged reports must be strictly sorted"
-    );
 }

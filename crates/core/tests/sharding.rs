@@ -15,6 +15,9 @@
 //!   (SO) — per-variable vector-clock, lossy-epoch, and lazy-copy
 //!   histories respectively,
 //! * **sampler families** — always, Bernoulli, periodic, never,
+//! * **feeds** — every thread through `on_event`, every thread through
+//!   its own `ThreadHandle`, and the two mixed in one run
+//!   ([`Feed`](freshtrack_testutil::Feed)),
 //!
 //! over fuzzed traces (proptest; scale with `PROPTEST_CASES` — CI runs
 //! a hardened pass) and the 6 structured workload patterns × 3 seeds.
@@ -32,11 +35,10 @@
 
 use freshtrack_core::{
     Detector, DjitDetector, FastTrackDetector, OnlineDetector, OrderedListDetector, RaceReport,
-    ShardedOnlineDetector,
 };
 use freshtrack_sampling::{AlwaysSampler, BernoulliSampler, NeverSampler, PeriodicSampler};
 use freshtrack_testutil::{
-    assert_shard_equivalence, run_sharded_trace, trace_from_fuel, workload_matrix,
+    assert_shard_equivalence, run_sharded_trace, trace_from_fuel, workload_matrix, Feed,
 };
 use freshtrack_trace::Trace;
 use proptest::prelude::*;
@@ -216,17 +218,20 @@ proptest! {
         // finish_merged at N > 1: the merge itself must restore strict
         // EventId order from the per-shard partitions.
         for shards in [2usize, 4, 7] {
-            let (reports, merged) = run_sharded_trace(
-                &trace,
-                DjitDetector::new(AlwaysSampler::new()),
-                shards,
-            );
-            assert_sorted(&format!("finish_merged/{shards}"), &reports);
-            assert_eq!(
-                reports, baseline,
-                "finish_merged({shards}) must reproduce the baseline"
-            );
-            assert_eq!(reports.len() as u64, merged.races);
+            for feed in Feed::ALL {
+                let (reports, merged) = run_sharded_trace(
+                    &trace,
+                    DjitDetector::new(AlwaysSampler::new()),
+                    shards,
+                    feed,
+                );
+                assert_sorted(&format!("finish_merged/{shards}/{feed:?}"), &reports);
+                assert_eq!(
+                    reports, baseline,
+                    "finish_merged({shards}, {feed:?}) must reproduce the baseline"
+                );
+                assert_eq!(reports.len() as u64, merged.races);
+            }
         }
     }
 }
@@ -250,11 +255,10 @@ fn regression_sorted_merge_on_racy_cell() {
     assert!(reports.len() >= 2, "[{label}] want a multi-report cell");
     assert!(reports.windows(2).all(|w| w[0].event < w[1].event));
 
-    let sharded = ShardedOnlineDetector::new(DjitDetector::new(AlwaysSampler::new()), 4);
-    for (_, event) in trace.iter() {
-        sharded.on_event(event.tid.as_u32(), event.kind);
+    for feed in Feed::ALL {
+        let (merged_reports, counters) =
+            run_sharded_trace(&trace, DjitDetector::new(AlwaysSampler::new()), 4, feed);
+        assert_eq!(merged_reports, reports, "{feed:?}");
+        assert_eq!(counters.races as usize, reports.len(), "{feed:?}");
     }
-    let (merged_reports, counters) = sharded.finish_merged();
-    assert_eq!(merged_reports, reports);
-    assert_eq!(counters.races as usize, reports.len());
 }

@@ -2,7 +2,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
-use crate::Instrument;
+use crate::Worker;
 
 /// One table: a fixed array of row cells plus a table latch (protecting
 /// "metadata", modelled as one shared cell per table).
@@ -112,12 +112,13 @@ impl Database {
 
     /// Executes a transaction over the given `(table, row, is_write)`
     /// operations under two-phase locking of the rows' stripes, invoking
-    /// `inst` for every lock operation and row access. Stripes are
+    /// the calling worker's `inst` for every lock operation and row
+    /// access. Stripes are
     /// locked in canonical (sorted, deduplicated) order, so transactions
     /// never deadlock.
     ///
     /// Returns the number of shared accesses performed.
-    pub fn transaction(&self, tid: u32, ops: &[(u32, u32, bool)], inst: &dyn Instrument) -> usize {
+    pub fn transaction(&self, ops: &[(u32, u32, bool)], inst: &mut dyn Worker) -> usize {
         // Growing phase: lock the stripes of all touched rows.
         let mut stripe_ids: Vec<u32> = ops.iter().map(|&(t, r, _)| self.stripe_of(t, r)).collect();
         stripe_ids.sort_unstable();
@@ -125,7 +126,7 @@ impl Database {
         let mut guards = Vec::with_capacity(stripe_ids.len());
         for &s in &stripe_ids {
             let guard = self.stripes[s as usize].lock();
-            inst.acquire(tid, s);
+            inst.acquire(s);
             guards.push((s, guard));
         }
 
@@ -139,10 +140,10 @@ impl Database {
         for &(t, r, is_write) in ops {
             let table = &self.tables[t as usize];
             let g = table.latch.lock();
-            inst.acquire(tid, self.table_latch_id(t));
-            inst.read(tid, self.table_meta_id(t));
+            inst.acquire(self.table_latch_id(t));
+            inst.read(self.table_meta_id(t));
             let _ = table.meta.load(Ordering::Relaxed);
-            inst.release(tid, self.table_latch_id(t));
+            inst.release(self.table_latch_id(t));
             drop(g);
             accesses += 1;
 
@@ -151,13 +152,13 @@ impl Database {
             // access events outnumber lock events, as in real binaries.
             let cell = &table.rows[r as usize];
             let var = self.row_id(t, r);
-            inst.read(tid, var);
+            inst.read(var);
             let _ = cell.load(Ordering::Relaxed);
-            inst.read(tid, var);
+            inst.read(var);
             let _ = cell.load(Ordering::Relaxed);
             accesses += 2;
             if is_write {
-                inst.write(tid, var);
+                inst.write(var);
                 cell.fetch_add(1, Ordering::Relaxed);
                 accesses += 1;
             }
@@ -165,7 +166,7 @@ impl Database {
 
         // Shrinking phase: release in reverse canonical order.
         while let Some((s, guard)) = guards.pop() {
-            inst.release(tid, s);
+            inst.release(s);
             drop(guard);
         }
         accesses
@@ -174,31 +175,31 @@ impl Database {
     /// Reads a table's metadata cell under its latch (index lookups,
     /// statistics pages — the short critical sections real servers are
     /// full of).
-    pub fn latched_meta_read(&self, tid: u32, table: u32, inst: &dyn Instrument) {
+    pub fn latched_meta_read(&self, table: u32, inst: &mut dyn Worker) {
         let t = &self.tables[table as usize];
         let guard = t.latch.lock();
-        inst.acquire(tid, self.table_latch_id(table));
-        inst.read(tid, self.table_meta_id(table));
+        inst.acquire(self.table_latch_id(table));
+        inst.read(self.table_meta_id(table));
         let _ = t.meta.load(Ordering::Relaxed);
-        inst.release(tid, self.table_latch_id(table));
+        inst.release(self.table_latch_id(table));
         drop(guard);
     }
 
     /// Updates a table's metadata cell under its latch.
-    pub fn latched_meta_write(&self, tid: u32, table: u32, inst: &dyn Instrument) {
+    pub fn latched_meta_write(&self, table: u32, inst: &mut dyn Worker) {
         let t = &self.tables[table as usize];
         let guard = t.latch.lock();
-        inst.acquire(tid, self.table_latch_id(table));
-        inst.write(tid, self.table_meta_id(table));
+        inst.acquire(self.table_latch_id(table));
+        inst.write(self.table_meta_id(table));
         t.meta.fetch_add(1, Ordering::Relaxed);
-        inst.release(tid, self.table_latch_id(table));
+        inst.release(self.table_latch_id(table));
         drop(guard);
     }
 
     /// The deliberately unsynchronized statistics bump: a genuine data
     /// race in the event stream (well-defined in Rust via the atomic).
-    pub fn unprotected_stats_bump(&self, tid: u32, inst: &dyn Instrument) {
-        inst.write(tid, self.stats_id());
+    pub fn unprotected_stats_bump(&self, inst: &mut dyn Worker) {
+        inst.write(self.stats_id());
         self.stats.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -208,19 +209,18 @@ impl Database {
     /// stream).
     pub fn unprotected_row_touch(
         &self,
-        tid: u32,
         table: u32,
         row: u32,
         is_write: bool,
-        inst: &dyn Instrument,
+        inst: &mut dyn Worker,
     ) {
         let cell = &self.tables[table as usize].rows[row as usize];
         let var = self.row_id(table, row);
         if is_write {
-            inst.write(tid, var);
+            inst.write(var);
             cell.fetch_add(1, Ordering::Relaxed);
         } else {
-            inst.read(tid, var);
+            inst.read(var);
             let _ = cell.load(Ordering::Relaxed);
         }
     }
@@ -234,7 +234,7 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::NoInstrument;
+    use crate::{Instrument, NoInstrument};
 
     #[test]
     fn ids_are_dense_and_disjoint() {
@@ -265,9 +265,8 @@ mod tests {
         let db = Database::new(1, 10, 2);
         // With 2 stripes several rows collide; must not self-deadlock.
         let n = db.transaction(
-            0,
             &[(0, 1, true), (0, 3, false), (0, 5, true), (0, 1, false)],
-            &NoInstrument,
+            NoInstrument.worker(0).as_mut(),
         );
         // 4 index lookups + 4 ops x (2 reads + write-if-update): 2 writes here
         assert_eq!(n, 4 + 4 * 2 + 2);
@@ -281,14 +280,14 @@ mod tests {
             .map(|w| {
                 let db = Arc::clone(&db);
                 std::thread::spawn(move || {
+                    let mut inst = NoInstrument.worker(w);
                     for i in 0..200u32 {
                         // Overlapping row sets in clashing orders.
                         let a = (w + i) % 8;
                         let b = (w * 3 + i) % 8;
                         db.transaction(
-                            w,
                             &[(0, a, true), (1, b, true), (0, b % 8, false)],
-                            &NoInstrument,
+                            inst.as_mut(),
                         );
                     }
                 })
@@ -302,8 +301,8 @@ mod tests {
     #[test]
     fn stats_counter_accumulates() {
         let db = Database::new(1, 1, 1);
-        db.unprotected_stats_bump(0, &NoInstrument);
-        db.unprotected_stats_bump(1, &NoInstrument);
+        db.unprotected_stats_bump(NoInstrument.worker(0).as_mut());
+        db.unprotected_stats_bump(NoInstrument.worker(1).as_mut());
         assert_eq!(db.stats_value(), 2);
     }
 }

@@ -3,6 +3,7 @@ use std::sync::Arc;
 
 use freshtrack_core::{
     Counters, Detector, OnlineDetector, RaceReport, ShardedOnlineDetector, SplitDetector, SyncMode,
+    ThreadHandle,
 };
 
 /// The callback surface of an instrumented binary.
@@ -11,6 +12,10 @@ use freshtrack_core::{
 /// and mutex hooks. The database calls them inline from its worker
 /// threads; implementations must therefore be cheap to share
 /// (`Send + Sync`).
+///
+/// A worker thread does not call these directly: it asks once for its
+/// own [`Worker`] ([`worker`](Instrument::worker)) and sends every
+/// callback through that.
 pub trait Instrument: Send + Sync {
     /// A read of shared location `var` by worker `tid`.
     fn read(&self, tid: u32, var: u32);
@@ -21,6 +26,75 @@ pub trait Instrument: Send + Sync {
     /// Lock `lock` about to be released by worker `tid` (called while
     /// still held).
     fn release(&self, tid: u32, lock: u32);
+
+    /// The callbacks of worker `tid`, for that worker's thread to call
+    /// for as long as it runs.
+    ///
+    /// The default forwards each callback to the methods above with
+    /// `tid` filled in. It is generic over the implementing type, so a
+    /// worker's callback costs one dynamic call, as calling through
+    /// `&dyn Instrument` does. An instrument with per-thread state
+    /// overrides this to hand the worker that state
+    /// ([`ShardedInstrument`] returns its detector's
+    /// [`ThreadHandle`](freshtrack_core::ThreadHandle)).
+    fn worker(&self, tid: u32) -> Box<dyn Worker + '_> {
+        Box::new(Forward { inst: self, tid })
+    }
+}
+
+/// One worker thread's callbacks: [`Instrument`]'s, with the thread id
+/// bound and exclusive (`&mut`) access, so an implementation may keep
+/// the thread's state by value. The database calls them in the
+/// worker's program order.
+pub trait Worker {
+    /// A read of shared location `var`.
+    fn read(&mut self, var: u32);
+    /// A write of shared location `var`.
+    fn write(&mut self, var: u32);
+    /// Lock `lock` acquired (called while actually held).
+    fn acquire(&mut self, lock: u32);
+    /// Lock `lock` about to be released (called while still held).
+    fn release(&mut self, lock: u32);
+}
+
+/// [`Instrument::worker`]'s default: forwards to the instrument.
+struct Forward<'a, I: ?Sized> {
+    inst: &'a I,
+    tid: u32,
+}
+
+impl<I: Instrument + ?Sized> Worker for Forward<'_, I> {
+    #[inline]
+    fn read(&mut self, var: u32) {
+        self.inst.read(self.tid, var);
+    }
+    #[inline]
+    fn write(&mut self, var: u32) {
+        self.inst.write(self.tid, var);
+    }
+    #[inline]
+    fn acquire(&mut self, lock: u32) {
+        self.inst.acquire(self.tid, lock);
+    }
+    #[inline]
+    fn release(&mut self, lock: u32) {
+        self.inst.release(self.tid, lock);
+    }
+}
+
+impl<D: SplitDetector> Worker for ThreadHandle<'_, D> {
+    fn read(&mut self, var: u32) {
+        ThreadHandle::read(self, var);
+    }
+    fn write(&mut self, var: u32) {
+        ThreadHandle::write(self, var);
+    }
+    fn acquire(&mut self, lock: u32) {
+        ThreadHandle::acquire(self, lock);
+    }
+    fn release(&mut self, lock: u32) {
+        ThreadHandle::release(self, lock);
+    }
 }
 
 /// The uninstrumented baseline (the paper's **NT**): every callback is a
@@ -152,6 +226,14 @@ impl<D: Detector + Send> Instrument for DetectorInstrument<D> {
 /// per-thread and per-lock sync state, instead of one global analysis
 /// mutex. Every sampled access is analyzed inside its own callback.
 ///
+/// Each worker ([`worker`](Instrument::worker)) gets its thread's
+/// [`ThreadHandle`], so its callbacks take no thread mutex; the
+/// `&self` callbacks (`read`, …) feed the detector by
+/// [`on_event`](ShardedOnlineDetector::on_event). While worker `tid`
+/// lives, a second worker for `tid` panics, and so does a `&self`
+/// callback for `tid` that reaches the thread's state (any but a
+/// sampled-out access).
+///
 /// This is the scale-oriented ingestion path. It deliberately does
 /// *not* reproduce the paper's single-lock contention model —
 /// [`DetectorInstrument`] remains the paper-faithful baseline — but it
@@ -260,6 +342,11 @@ impl<D: SplitDetector + 'static> Instrument for ShardedInstrument<D> {
     fn release(&self, tid: u32, lock: u32) {
         self.online.release(tid, lock);
     }
+
+    /// The worker's [`ThreadHandle`]: its events take no thread mutex.
+    fn worker(&self, tid: u32) -> Box<dyn Worker + '_> {
+        Box::new(self.online.thread(tid))
+    }
 }
 
 #[cfg(test)]
@@ -338,6 +425,42 @@ mod tests {
             assert_eq!(counters.events, 5);
             assert_eq!(counters.races, 1);
         }
+    }
+
+    #[test]
+    fn workers_feed_like_direct_callbacks() {
+        // The stream of the test above, fed per worker: through the
+        // default forwarding worker of the single mutex, and through
+        // the sharded instrument's thread handles.
+        fn feed(inst: &dyn Instrument) {
+            let mut t0 = inst.worker(0);
+            t0.acquire(0);
+            t0.write(3);
+            t0.release(0);
+            drop(t0);
+            let mut t1 = inst.worker(1);
+            t1.write(3);
+            t1.write(9);
+        }
+        let reference = DetectorInstrument::new(DjitDetector::new(AlwaysSampler::new()));
+        feed(&reference);
+        let (detector, want_reports) = reference.finish();
+        assert_eq!(want_reports.len(), 1);
+        for shards in [1usize, 4] {
+            let inst = ShardedInstrument::new(DjitDetector::new(AlwaysSampler::new()), shards);
+            feed(&inst);
+            let (reports, counters) = inst.finish();
+            assert_eq!(reports, want_reports, "shards={shards}");
+            assert_eq!(counters, *detector.counters(), "shards={shards}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "thread() for thread 0 while its ThreadHandle is live")]
+    fn a_second_sharded_worker_for_a_thread_is_rejected() {
+        let inst = ShardedInstrument::new(EmptyDetector::new(), 2);
+        let _first = inst.worker(0);
+        let _second = inst.worker(0);
     }
 
     #[test]

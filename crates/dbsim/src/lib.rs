@@ -12,11 +12,13 @@
 //!   have: one call per row access and per lock operation, invoked
 //!   *while the application actually holds the corresponding lock*, so
 //!   the emitted event stream always satisfies the locking discipline.
-//!   Two detector-backed implementations exist: [`DetectorInstrument`]
-//!   (the paper-faithful single analysis mutex) and
-//!   [`ShardedInstrument`] (per-variable access shards plus per-thread
-//!   and per-lock sync state, no global lock — same verdicts, higher
-//!   throughput).
+//!   Each worker thread calls it through its own [`Worker`]
+//!   ([`Instrument::worker`]), which may hold the thread's analysis
+//!   state by value. Two detector-backed implementations exist:
+//!   [`DetectorInstrument`] (the paper-faithful single analysis mutex)
+//!   and [`ShardedInstrument`] (per-variable access shards plus
+//!   per-thread and per-lock sync state, no global lock; each worker
+//!   gets its thread's handle — same verdicts, higher throughput).
 //! * [`run_benchmark`] — a worker pool executing a
 //!   [`DbWorkload`](freshtrack_workloads::DbWorkload) mix, measuring
 //!   per-transaction latency, exactly the metric of the paper's Fig. 5;
@@ -51,6 +53,6 @@ mod server;
 
 pub use db::Database;
 pub use instrument::{
-    DetectorInstrument, Instrument, NoInstrument, ShardedInstrument, StillShared,
+    DetectorInstrument, Instrument, NoInstrument, ShardedInstrument, StillShared, Worker,
 };
 pub use server::{run_benchmark, run_detector, run_sharded, LatencyStats, RunOptions};

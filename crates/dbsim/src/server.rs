@@ -7,7 +7,7 @@ use rand::{Rng, SeedableRng};
 use freshtrack_core::{Counters, Detector, RaceReport, SplitDetector, SyncMode};
 use freshtrack_workloads::DbWorkload;
 
-use crate::{Database, DetectorInstrument, Instrument, ShardedInstrument};
+use crate::{Database, DetectorInstrument, Instrument, ShardedInstrument, Worker};
 
 /// Options for a benchmark run.
 #[derive(Clone, Copy, Debug)]
@@ -115,7 +115,9 @@ pub fn run_benchmark(
             let workload = workload.clone();
             let seed = options.seed ^ (0x9e37_79b9 * (w as u64 + 1));
             let txns = options.txns_per_worker;
-            std::thread::spawn(move || worker_loop(&db, w, &workload, seed, txns, inst.as_ref()))
+            std::thread::spawn(move || {
+                worker_loop(&db, &workload, seed, txns, inst.worker(w).as_mut())
+            })
         })
         .collect();
 
@@ -192,11 +194,10 @@ pub fn run_sharded<D: SplitDetector + 'static>(
 
 fn worker_loop(
     db: &Database,
-    tid: u32,
     workload: &DbWorkload,
     seed: u64,
     txns: u32,
-    inst: &dyn Instrument,
+    inst: &mut dyn Worker,
 ) -> Vec<u64> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut latencies = Vec::with_capacity(txns as usize);
@@ -216,13 +217,13 @@ fn worker_loop(
 
         // Index/metadata lookup before the transaction body.
         let table = ops.first().map_or(0, |&(t, _, _)| t);
-        db.latched_meta_read(tid, table, inst);
+        db.latched_meta_read(table, inst);
 
-        db.transaction(tid, &ops, inst);
+        db.transaction(&ops, inst);
 
         // Occasional metadata update and the seeded unprotected race.
         if rng.gen_bool(0.05) {
-            db.latched_meta_write(tid, table, inst);
+            db.latched_meta_write(table, inst);
         }
         if workload.unprotected_fraction > 0.0 {
             // The seeded bug class. The benign-looking per-request
@@ -231,11 +232,11 @@ fn worker_loop(
             // as in real servers); additionally, a fraction of requests
             // touch a small hot row set while bypassing its stripe
             // latch (missing-lock bugs spread over several locations).
-            db.unprotected_stats_bump(tid, inst);
+            db.unprotected_stats_bump(inst);
             if rng.gen_bool(workload.unprotected_fraction) {
                 let table = rng.gen_range(0..workload.tables);
                 let row = pick_row(&mut rng, workload) % workload.rows_per_table.min(8);
-                db.unprotected_row_touch(tid, table, row, true, inst);
+                db.unprotected_row_touch(table, row, true, inst);
             }
         }
 
@@ -395,6 +396,44 @@ mod tests {
             );
             assert!(reports.is_empty(), "{shards} shards: {reports:?}");
         }
+    }
+
+    #[test]
+    fn sharded_workers_issue_the_single_mutex_events() {
+        // Two workers, each through its thread handle: the per-kind
+        // event counts are seeded, so they match the single mutex's
+        // whatever the interleaving.
+        let w = benchbase::by_name("tpcc").unwrap();
+        let opts = RunOptions {
+            workers: 2,
+            txns_per_worker: 100,
+            seed: 9,
+        };
+        let make = || OrderedListDetector::new(BernoulliSampler::new(0.03, 9));
+        let (_, detector, _) = run_detector(&w, &opts, make());
+        let want = detector.counters();
+        let (stats, _, got) = run_sharded(&w, &opts, make(), 4, SyncMode::Seqlock, 1);
+        assert_eq!(stats.transactions, 200);
+        assert_eq!(
+            (
+                got.events,
+                got.reads,
+                got.writes,
+                got.acquires,
+                got.releases
+            ),
+            (
+                want.events,
+                want.reads,
+                want.writes,
+                want.acquires,
+                want.releases
+            )
+        );
+        assert_eq!(
+            got.sampled_accesses + got.skipped_accesses(),
+            got.reads + got.writes
+        );
     }
 
     #[test]

@@ -32,7 +32,8 @@
 //! * [`run_online_trace`] / [`run_sharded_trace`] /
 //!   [`assert_shard_equivalence`] — online ingestion (the
 //!   single-mutex [`OnlineDetector`] and the
-//!   [`ShardedOnlineDetector`]) vs a sequential
+//!   [`ShardedOnlineDetector`], through `on_event`, through thread
+//!   handles and both mixed — see [`Feed`]) vs a sequential
 //!   [`Detector::run`]: identical reports and full [`Counters`]
 //!   equality, for any shard count. Used by
 //!   `crates/core/tests/{sharding,hoisted}.rs`.
@@ -46,10 +47,10 @@
 use freshtrack_core::{
     Counters, Detector, DjitDetector, FastTrackDetector, FreshnessDetector, HbOracle,
     NaiveSamplingDetector, OnlineDetector, OracleConfig, OracleOutcome, OrderedListDetector,
-    RaceReport, ShardedOnlineDetector, SplitDetector, StreamingOracle,
+    RaceReport, ShardedOnlineDetector, SplitDetector, StreamingOracle, ThreadHandle,
 };
 use freshtrack_sampling::Sampler;
-use freshtrack_trace::{Trace, TraceBuilder, VarId};
+use freshtrack_trace::{EventKind, LockId, Trace, TraceBuilder, VarId};
 use freshtrack_workloads::{generate, Pattern, WorkloadConfig};
 
 /// Every structural workload pattern, in a stable order.
@@ -373,9 +374,104 @@ pub fn run_online_trace<D: Detector>(trace: &Trace, detector: D) -> (Vec<RaceRep
     (reports, *detector.counters())
 }
 
+/// How a feed reaches a [`ShardedOnlineDetector`]: each ingestion
+/// path alone, and both at once.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Feed {
+    /// Every thread through [`ShardedOnlineDetector::on_event`].
+    OnEvent,
+    /// Every thread through its own [`ThreadHandle`].
+    Handles,
+    /// Even thread ids through handles, odd ones through `on_event`.
+    Mixed,
+}
+
+impl Feed {
+    /// Every feed, in a stable order.
+    pub const ALL: [Feed; 3] = [Feed::OnEvent, Feed::Handles, Feed::Mixed];
+
+    /// Whether thread `tid` feeds through a handle.
+    pub fn uses_handle(self, tid: u32) -> bool {
+        match self {
+            Feed::OnEvent => false,
+            Feed::Handles => true,
+            Feed::Mixed => tid % 2 == 0,
+        }
+    }
+}
+
+/// One thread's events into a [`ShardedOnlineDetector`], by the path
+/// its [`Feed`] picks for it: its own [`ThreadHandle`] (taken here and
+/// put back when this drops) or `on_event`.
+pub struct ThreadFeed<'a, D: SplitDetector> {
+    sharded: &'a ShardedOnlineDetector<D>,
+    tid: u32,
+    handle: Option<ThreadHandle<'a, D>>,
+}
+
+impl<'a, D: SplitDetector> ThreadFeed<'a, D> {
+    /// Thread `tid`'s feed into `sharded`.
+    pub fn new(sharded: &'a ShardedOnlineDetector<D>, tid: u32, feed: Feed) -> Self {
+        ThreadFeed {
+            sharded,
+            tid,
+            handle: feed.uses_handle(tid).then(|| sharded.thread(tid)),
+        }
+    }
+
+    /// Feeds one event; returns the façade's race verdict.
+    pub fn on_event(&mut self, kind: EventKind) -> bool {
+        match &mut self.handle {
+            Some(handle) => handle.on_event(kind),
+            None => self.sharded.on_event(self.tid, kind),
+        }
+    }
+
+    /// Feeds a read of `var`; returns the race verdict.
+    pub fn read(&mut self, var: u32) -> bool {
+        self.on_event(EventKind::Read(VarId::new(var)))
+    }
+
+    /// Feeds a write of `var`; returns the race verdict.
+    pub fn write(&mut self, var: u32) -> bool {
+        self.on_event(EventKind::Write(VarId::new(var)))
+    }
+
+    /// Feeds an acquire of `lock`.
+    pub fn acquire(&mut self, lock: u32) {
+        self.on_event(EventKind::Acquire(LockId::new(lock)));
+    }
+
+    /// Feeds a release of `lock`.
+    pub fn release(&mut self, lock: u32) {
+        self.on_event(EventKind::Release(LockId::new(lock)));
+    }
+}
+
+/// Feeds `events` in order into `sharded` by `feed`, from this one OS
+/// thread. A thread's handle is taken at its first event, and every
+/// handle is dropped before this returns.
+pub fn feed_sharded<D: SplitDetector>(
+    sharded: &ShardedOnlineDetector<D>,
+    feed: Feed,
+    events: impl IntoIterator<Item = (u32, EventKind)>,
+) {
+    let mut threads: Vec<Option<ThreadFeed<'_, D>>> = Vec::new();
+    for (tid, kind) in events {
+        let t = tid as usize;
+        if threads.len() <= t {
+            threads.resize_with(t + 1, || None);
+        }
+        threads[t]
+            .get_or_insert_with(|| ThreadFeed::new(sharded, tid, feed))
+            .on_event(kind);
+    }
+}
+
 /// Feeds `trace` event by event through a [`ShardedOnlineDetector`]
-/// with `shards` access shards built from `detector`, returning the
-/// merged (EventId-sorted) reports and the aggregated counters.
+/// with `shards` access shards built from `detector`, by `feed`,
+/// returning the merged (EventId-sorted) reports and the aggregated
+/// counters.
 ///
 /// The sequential feed assigns ticket ids in trace order, so the
 /// sharded run analyzes exactly the given trace — the deterministic
@@ -384,17 +480,20 @@ pub fn run_sharded_trace<D: SplitDetector>(
     trace: &Trace,
     detector: D,
     shards: usize,
+    feed: Feed,
 ) -> (Vec<RaceReport>, Counters) {
     let sharded = ShardedOnlineDetector::new(detector, shards);
-    for (_, event) in trace.iter() {
-        sharded.on_event(event.tid.as_u32(), event.kind);
-    }
+    feed_sharded(
+        &sharded,
+        feed,
+        trace.iter().map(|(_, e)| (e.tid.as_u32(), e.kind)),
+    );
     sharded.finish_merged()
 }
 
 /// Asserts that online ingestion is verdict-preserving for one
 /// `(trace, detector)` pair: the single-mutex [`OnlineDetector`] and,
-/// for every shard count in `shard_counts`, the
+/// for every shard count in `shard_counts` and every [`Feed`], the
 /// [`ShardedOnlineDetector`] report exactly the
 /// races of a sequential [`Detector::run`] (same order — all are
 /// EventId-sorted) with **full** [`Counters`] equality. The sync plane
@@ -415,12 +514,17 @@ pub fn assert_shard_equivalence<D: SplitDetector>(
     assert_eq!(reports, baseline_reports, "[{label}] single-mutex reports");
     assert_eq!(counters, expected, "[{label}] single-mutex counters");
     for &shards in shard_counts {
-        let (reports, merged) = run_sharded_trace(trace, detector.clone(), shards);
-        assert_eq!(
-            reports, baseline_reports,
-            "[{label}] sharded(N={shards}) reports"
-        );
-        assert_eq!(merged, expected, "[{label}] sharded(N={shards}) counters");
+        for feed in Feed::ALL {
+            let (reports, merged) = run_sharded_trace(trace, detector.clone(), shards, feed);
+            assert_eq!(
+                reports, baseline_reports,
+                "[{label}] sharded(N={shards}, {feed:?}) reports"
+            );
+            assert_eq!(
+                merged, expected,
+                "[{label}] sharded(N={shards}, {feed:?}) counters"
+            );
+        }
     }
     baseline_reports
 }
