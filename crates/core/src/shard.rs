@@ -284,19 +284,12 @@ impl<T> Slots<T> {
             .flat_map(|(base, chunk)| chunk.iter().enumerate().map(move |(i, t)| (base + i, t)))
     }
 
-    /// Every slot built so far, with its id, by value.
-    fn into_built(self) -> impl Iterator<Item = (usize, T)> {
+    /// Every slot built so far.
+    fn into_built(self) -> impl Iterator<Item = T> {
         self.chunks
             .into_iter()
-            .enumerate()
-            .filter_map(|(c, chunk)| Some((SLOT_CHUNK0 * ((1usize << c) - 1), chunk.into_inner()?)))
-            .flat_map(|(base, chunk)| {
-                chunk
-                    .into_vec()
-                    .into_iter()
-                    .enumerate()
-                    .map(move |(i, t)| (base + i, t))
-            })
+            .filter_map(OnceLock::into_inner)
+            .flat_map(|chunk| chunk.into_vec())
     }
 }
 
@@ -662,16 +655,16 @@ impl<D: SplitDetector> ShardedOnlineDetector<D> {
     ///
     /// # Panics
     ///
-    /// Panics, naming the thread, if a [`ThreadHandle`] was leaked
-    /// (`std::mem::forget`) instead of dropped: its counts are lost.
+    /// Panics if a [`ThreadHandle`] was leaked (`std::mem::forget`)
+    /// instead of dropped: its thread's counts are lost.
     pub fn finish_merged(self) -> (Vec<RaceReport>, Counters) {
         let (skipped_reads, skipped_writes) = self.skip.totals();
         let mut counters = Counters::new();
-        for (idx, slot) in self.threads.into_built() {
-            match slot.0.into_inner().expect("thread slot poisoned") {
-                Some(thread) => counters += thread.counters,
-                None => handle_is_live("finish_merged", idx),
-            }
+        for slot in self.threads.into_built() {
+            let thread = slot.0.into_inner().expect("thread slot poisoned");
+            counters += thread
+                .expect("a ThreadHandle was leaked: its thread's counts are lost")
+                .counters;
         }
         // Per-shard report lists are *not* ticket-sorted in general —
         // concurrent analyzed events may invert ticket order under the
