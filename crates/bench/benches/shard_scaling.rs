@@ -1,8 +1,8 @@
 //! Multi-threaded ingestion throughput: the single-mutex
 //! [`OnlineDetector`] against [`ShardedOnlineDetector`] at shard counts
-//! {1, 2, 4, 8}. The per-sync-event cost in isolation is the
-//! `sync_cost` bench's job; this one measures the whole contended
-//! pipeline.
+//! {1, 2, 4, 8}. The per-sync-event cost in isolation is
+//! `record_baseline --sync-cost`'s job; this one measures the whole
+//! contended pipeline.
 //!
 //! Four producer threads hammer the façade with a dbsim-shaped event
 //! mix (accesses dominating, one short critical section every 8

@@ -92,7 +92,22 @@
 //!
 //! ```text
 //! record_baseline --access-cost --out BENCH_access_cost.json
-//! record_baseline --access-cost --rounds 1     # CI smoke
+//! FT_ROUNDS=1 record_baseline --access-cost    # CI smoke
+//! ```
+//!
+//! Every mode reads its round count from `FT_ROUNDS`. The modes that
+//! keep the best of several rounds (`--dbsim`, `--segments` and the
+//! rest) interleave their points inside one process, so a best-of-rounds
+//! result is evidence only within one sitting: it does not survive host
+//! load, and it does not compare two builds. A comparison across builds
+//! alternates `FT_ROUNDS=1` processes of both builds, as the committed
+//! cost files do:
+//!
+//! ```text
+//! for i in $(seq 21); do
+//!   FT_ROUNDS=1 ./parent/record_baseline --sync-cost --out parent.$i.json
+//!   FT_ROUNDS=1 ./change/record_baseline --sync-cost --out change.$i.json
+//! done
 //! ```
 
 use std::hint::black_box;
@@ -638,10 +653,8 @@ enum Path {
 const HANDLE_SWEEP: [(&str, usize); 2] = [("sharded_handle_n1", 1), ("sharded_handle_n4", 4)];
 
 /// One sync-cost sweep point: builds the façade (or the handles),
-/// warms up, and times the shared sync-heavy stream
-/// ([`freshtrack_bench::sync_stream`]) — the same mix the `sync_cost`
-/// criterion bench drives, so the recorded JSON and the interactive
-/// bench stay comparable. Returns ns per sync event.
+/// warms up, and times the sync-heavy stream
+/// ([`freshtrack_bench::sync_stream`]). Returns ns per sync event.
 fn sync_cost_point<D: SplitDetector + 'static>(detector: D, path: Path) -> f64 {
     let width = freshtrack_bench::clock_width();
     let elapsed = match path {
@@ -1237,10 +1250,8 @@ fn access_cost_point<D: SplitDetector + 'static>(detector: D, path: Path) -> f64
 /// rates on the lock-free skip path, every point measured in
 /// interleaved rounds — one sitting by construction — and recorded as
 /// its fastest and its median round.
-fn run_access_cost(out_path: Option<String>, rounds_override: Option<u32>) {
-    let rounds = rounds_override
-        .unwrap_or_else(|| env_or("FT_ROUNDS", 5u32))
-        .max(1);
+fn run_access_cost(out_path: Option<String>) {
+    let rounds = env_or("FT_ROUNDS", 5u32).max(1);
 
     const RATES: [(&str, f64); 4] = [("0", 0.0), ("0.003", 0.003), ("0.03", 0.03), ("1", 1.0)];
     const POINTS: [(&str, Path); 5] = [
@@ -1464,7 +1475,6 @@ fn main() {
     let mut segments = false;
     let mut oracle = false;
     let mut access_cost = false;
-    let mut rounds_override: Option<u32> = None;
     let mut mix = String::from("ycsb");
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -1478,14 +1488,6 @@ fn main() {
             "--segments" => segments = true,
             "--oracle" => oracle = true,
             "--access-cost" => access_cost = true,
-            "--rounds" => {
-                rounds_override = Some(
-                    args.next()
-                        .expect("--rounds needs a value")
-                        .parse()
-                        .expect("--rounds must be an integer"),
-                )
-            }
             "--mix" => mix = args.next().expect("--mix needs a value"),
             "--samples" => {
                 samples = args
@@ -1502,7 +1504,10 @@ fn main() {
                      record_baseline --trace-io [--out FILE]             (env: FT_ROUNDS/FT_TRACE_BENCH/FT_TRACE_SCALE)\n\
                      record_baseline --segments [--out FILE]             (env: FT_ROUNDS/FT_TRACE_BENCH/FT_TRACE_SCALE)\n\
                      record_baseline --oracle [--out FILE]               (env: FT_ROUNDS/FT_TRACE_BENCH/FT_TRACE_SCALE)\n\
-                     record_baseline --access-cost [--rounds N] [--out FILE]  (env: FT_ROUNDS)"
+                     record_baseline --access-cost [--out FILE]          (env: FT_ROUNDS)\n\
+                     \n\
+                     A best-of-FT_ROUNDS result is evidence only within one sitting; to\n\
+                     compare two builds, alternate FT_ROUNDS=1 processes of both."
                 );
                 return;
             }
@@ -1511,7 +1516,7 @@ fn main() {
     }
 
     if access_cost {
-        run_access_cost(out_path, rounds_override);
+        run_access_cost(out_path);
         return;
     }
     if oracle {

@@ -313,11 +313,9 @@ pub fn racy_locations(reports: &[RaceReport]) -> usize {
     vars.len()
 }
 
-/// The shared sync-cost isolation driver: one single-threaded,
-/// sync-heavy event mix used by **both** the `sync_cost` criterion
-/// bench and `record_baseline --sync-cost`, so the interactive numbers
-/// and the recorded `BENCH_sync_cost.json` always measure the same
-/// workload.
+/// The sync-cost isolation driver: one single-threaded, sync-heavy
+/// event mix, which `record_baseline --sync-cost` times and records as
+/// `BENCH_sync_cost.json`.
 pub mod sync_stream {
     use freshtrack_core::{
         Detector, OnlineDetector, ShardedOnlineDetector, SplitDetector, ThreadHandle,

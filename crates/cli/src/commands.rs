@@ -1,14 +1,14 @@
 use std::io::{Read, Write};
 
 use freshtrack_core::{
-    analyze_segments, analyze_segments_cached, CheckpointState, Counters, Detector, DjitDetector,
-    FastTrackDetector, FreshnessDetector, HbOracle, NaiveSamplingDetector, OracleConfig,
-    OrderedListDetector, RaceReport, SegmentedAnalysis, SplitDetector, StreamingOracle, SyncMode,
+    analyze_segments, analyze_segments_cached, CheckpointState, Counters, HbOracle,
+    NaiveSamplingDetector, OracleConfig, RaceReport, SplitDetector, StreamingOracle, SyncMode,
     CACHE_STATE_VERSION,
 };
 use freshtrack_dbsim::{run_detector, run_sharded, RunOptions};
 use freshtrack_rapid::report::{pct, Table};
-use freshtrack_sampling::{BernoulliSampler, Sampler};
+use freshtrack_rapid::{run_engine_source, EngineConfig, EngineKind, EngineVisitor};
+use freshtrack_sampling::BernoulliSampler;
 use freshtrack_trace::{
     is_binary_trace, write_source, write_source_binary, write_source_binary_v2, write_trace,
     AnalysisCache, BinaryEventReader, CacheConfig, EventReader, EventSource, SegmentOptions,
@@ -174,9 +174,17 @@ fn sampling_rate(args: &Args, default: f64) -> Result<f64, ArgError> {
     Ok(rate)
 }
 
+/// The `--engine` option (`default` when absent), parsed by the engine
+/// table before any input is opened.
+fn engine_kind(args: &Args, default: EngineKind) -> Result<EngineKind, ArgError> {
+    args.get("engine")
+        .map_or(Ok(default), EngineKind::from_cli_name)
+        .map_err(ArgError)
+}
+
 fn analyze<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgError> {
     let args = ANALYZE.parse(rest)?;
-    let engine: String = args.get_or("engine", "so".to_owned())?;
+    let engine = engine_kind(&args, EngineKind::So)?;
     let rate = sampling_rate(&args, 0.03)?;
     let seed: u64 = args.get_or("seed", 0)?;
     let jobs: usize = args.get_or("jobs", 1)?;
@@ -194,7 +202,7 @@ fn analyze<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgErr
             )));
         }
         Some(open_segmented(path)?)
-    } else if path != "-" && engine != "sam" {
+    } else if path != "-" && engine.has_split() {
         // A segmented file decodes ahead on the pipeline, which also
         // checks every segment's CRC; anything else (stdin, text, v1, a
         // file whose footer does not open, `sam`) streams below.
@@ -202,38 +210,56 @@ fn analyze<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgErr
     } else {
         None
     };
-    if let Some(seg) = segmented {
-        return analyze_segmented(&args, &engine, rate, seed, jobs, cached, seg, out);
+    if let Some(mut seg) = segmented {
+        let sidecar = cached.then(|| {
+            let path = cache_path_for(&args, path);
+            let prior = std::fs::read(&path)
+                .ok()
+                .and_then(|bytes| AnalysisCache::decode(&bytes).ok());
+            Sidecar { path, prior }
+        });
+        let run = Segmented {
+            seg: &mut seg,
+            out,
+            path,
+            engine,
+            jobs,
+            counters: args.flag("counters"),
+            sidecar,
+        };
+        return engine.visit(rate, seed, run);
     }
-    let (mut source, path) = open_validated(&args)?;
-    let sampler = BernoulliSampler::new(rate, seed);
 
     // The trace streams through the engine in constant memory; event
     // ids are stream positions, so text, binary, and stdin inputs all
     // produce byte-identical reports.
-    fn drive<D: Detector>(
-        mut d: D,
-        source: &mut dyn EventSource,
-        path: &str,
-    ) -> Result<(&'static str, Vec<RaceReport>, Counters), ArgError> {
-        let reports = d
-            .run_source(source)
-            .map_err(|e| ArgError(format!("{path}: {e}")))?;
-        Ok((d.name(), reports, *d.counters()))
-    }
-    let (name, reports, counters) = match engine.as_str() {
-        "ft" => drive(
-            FastTrackDetector::new(BernoulliSampler::new(1.0, seed)),
-            &mut source,
-            path,
-        )?,
-        "st" => drive(DjitDetector::new(sampler), &mut source, path)?,
-        "sam" => drive(NaiveSamplingDetector::new(sampler), &mut source, path)?,
-        "su" => drive(FreshnessDetector::new(sampler), &mut source, path)?,
-        "so" => drive(OrderedListDetector::new(sampler), &mut source, path)?,
-        other => return Err(ArgError(format!("unknown engine `{other}`"))),
-    };
+    let (mut source, path) = open_validated(&args)?;
+    let run = run_engine_source(&mut source, &EngineConfig::new(engine, rate, seed))
+        .map_err(|e| ArgError(format!("{path}: {e}")))?;
+    print_analysis(
+        run.name,
+        &run.counters,
+        &run.reports,
+        |v| source.var_name(v),
+        args.flag("counters"),
+        out,
+    );
+    Ok(())
+}
 
+/// Prints an `analyze` result: the summary line, one line per report
+/// and, with `--counters`, the counters. The streaming, parallel and
+/// cached routes all print through here, so for the same analysis they
+/// print the same bytes (the parallel and cached modes are
+/// optimizations, never different results).
+fn print_analysis<'a, W: std::io::Write>(
+    name: &str,
+    counters: &Counters,
+    reports: &[RaceReport],
+    var_name: impl Fn(usize) -> &'a str,
+    counters_flag: bool,
+    out: &mut W,
+) {
     let _ = writeln!(
         out,
         "{name} over {} events ({} sampled, {} skipped, skip {:.1}%): {} race report(s)",
@@ -243,35 +269,23 @@ fn analyze<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgErr
         100.0 * counters.skip_ratio(),
         reports.len()
     );
-    print_reports(|v| source.var_name(v), &reports, out);
-    if args.flag("counters") {
-        let _ = writeln!(out, "{counters}");
+    for report in reports {
+        let _ = writeln!(
+            out,
+            "  {} at event {}: {} of `{}` unordered with earlier {}",
+            report.tid,
+            report.event,
+            report.access,
+            var_name(report.var.index()),
+            match (report.with_write, report.with_read) {
+                (true, true) => "write and read",
+                (true, false) => "write",
+                _ => "read",
+            }
+        );
     }
-    Ok(())
-}
-
-/// The shared `analyze` output body for segmented runs; byte-identical
-/// to the sequential path's output for the same analysis (the cached
-/// and parallel modes are optimizations, never different results).
-fn print_analysis<W: std::io::Write>(
-    name: &str,
-    analysis: &SegmentedAnalysis,
-    counters_flag: bool,
-    out: &mut W,
-) {
-    let _ = writeln!(
-        out,
-        "{} over {} events ({} sampled, {} skipped, skip {:.1}%): {} race report(s)",
-        name,
-        analysis.counters.events,
-        analysis.counters.sampled_accesses,
-        analysis.counters.skipped_accesses(),
-        100.0 * analysis.counters.skip_ratio(),
-        analysis.reports.len()
-    );
-    print_reports(|v| analysis.var_names[v].as_str(), &analysis.reports, out);
     if counters_flag {
-        let _ = writeln!(out, "{}", analysis.counters);
+        let _ = writeln!(out, "{counters}");
     }
 }
 
@@ -288,14 +302,9 @@ fn cache_path_for(args: &Args, trace_path: &str) -> String {
 }
 
 /// The sampler identity string for the cache fingerprint. Samplers are
-/// pure in (seed, event id), so rate + seed pin every decision; `ft`
-/// runs its sampler at rate 1.0 regardless of `--rate`.
-fn sampler_identity(engine: &str, rate: f64, seed: u64) -> String {
-    if engine == "ft" {
-        format!("bernoulli:1:{seed}")
-    } else {
-        format!("bernoulli:{rate}:{seed}")
-    }
+/// pure in (seed, event id), so rate + seed pin every decision.
+fn sampler_identity(sampler: &BernoulliSampler) -> String {
+    format!("bernoulli:{}:{}", sampler.rate(), sampler.seed())
 }
 
 /// Opens `path` as a segmented `.ftb` v2 file via its footer index.
@@ -305,71 +314,67 @@ fn open_segmented(path: &str) -> Result<SegmentedTraceFile<std::fs::File>, ArgEr
     SegmentedTraceFile::open(file).map_err(|e| ArgError(format!("{path}: {e}")))
 }
 
-/// Runs `analyze` over a segmented `.ftb` v2 file with `jobs` decoder
-/// threads, and with `--cache` against its `.ftc` sidecar (incremental
-/// re-analysis; the rewritten sidecar covering the whole file is saved
-/// back). Stdout is byte-identical to the streaming path at every job
-/// count, cached or not (cache status goes to stderr).
-#[allow(clippy::too_many_arguments)]
-fn analyze_segmented<W: std::io::Write>(
-    args: &Args,
-    engine: &str,
-    rate: f64,
-    seed: u64,
+/// The sidecar a cached run reads and rewrites.
+struct Sidecar {
+    path: String,
+    /// The advisory prior sidecar: unreadable or malformed means a cold
+    /// run.
+    prior: Option<AnalysisCache>,
+}
+
+/// `analyze` over a segmented `.ftb` v2 file with `jobs` decoder
+/// threads, and with a sidecar, incremental re-analysis against it (the
+/// rewritten sidecar covering the whole file is saved back). Stdout is
+/// byte-identical to the streaming path at every job count, cached or
+/// not (cache status goes to stderr).
+struct Segmented<'a, W> {
+    seg: &'a mut SegmentedTraceFile<std::fs::File>,
+    out: &'a mut W,
+    path: &'a str,
+    engine: EngineKind,
     jobs: usize,
-    cached: bool,
-    mut seg: SegmentedTraceFile<std::fs::File>,
-    out: &mut W,
-) -> Result<(), ArgError> {
-    let path = input_path(args)?;
+    counters: bool,
+    sidecar: Option<Sidecar>,
+}
 
-    /// The sidecar a cached run reads and rewrites.
-    struct Sidecar {
-        path: String,
-        /// The advisory prior sidecar: unreadable or malformed means a
-        /// cold run.
-        prior: Option<AnalysisCache>,
-        config: CacheConfig,
-    }
+impl<W: std::io::Write> EngineVisitor for Segmented<'_, W> {
+    type Output = Result<(), ArgError>;
 
-    /// Everything `drive` needs besides the engine-specific halves.
-    struct Ctx<'a> {
-        path: &'a str,
-        jobs: usize,
-        counters: bool,
-        sidecar: Option<Sidecar>,
-    }
-
-    fn drive<D, S, R, W>(
-        detector: D,
-        sampler: S,
-        seg: &mut SegmentedTraceFile<R>,
-        ctx: &Ctx<'_>,
-        out: &mut W,
-    ) -> Result<(), ArgError>
+    fn split<D>(self, detector: D, sampler: BernoulliSampler) -> Self::Output
     where
-        D: SplitDetector,
+        D: SplitDetector + 'static,
         D::Sync: CheckpointState,
         D::Access: CheckpointState,
-        S: Sampler + Clone + Send,
-        R: Read + std::io::Seek + Send,
-        W: std::io::Write,
     {
-        let failed = |e| ArgError(format!("{}: {e}", ctx.path));
-        let analysis = match &ctx.sidecar {
-            None => analyze_segments(seg, &detector, &sampler, ctx.jobs).map_err(failed)?,
+        let failed = |e| ArgError(format!("{}: {e}", self.path));
+        let analysis = match &self.sidecar {
+            None => analyze_segments(self.seg, &detector, &sampler, self.jobs).map_err(failed)?,
             Some(sidecar) => {
+                // The analysis state is the same at every job count,
+                // so the fingerprint pins `jobs` to 1 and any
+                // `--jobs` reuses it.
+                let config = CacheConfig {
+                    engine: self
+                        .engine
+                        .cli_name()
+                        .expect("parsed from its CLI name")
+                        .into(),
+                    sampler: sampler_identity(&sampler),
+                    options: String::new(),
+                    state_version: CACHE_STATE_VERSION,
+                    jobs: 1,
+                };
                 let run = analyze_segments_cached(
-                    seg,
+                    self.seg,
                     &detector,
                     &sampler,
-                    ctx.jobs,
-                    &sidecar.config,
+                    self.jobs,
+                    &config,
                     sidecar.prior.as_ref(),
                 )
                 .map_err(failed)?;
-                // Status on stderr so stdout stays byte-identical to the
-                // uncached path (the CI smoke step diffs the two).
+                // Status on stderr so stdout stays byte-identical to
+                // the uncached path (the CI smoke step diffs the two).
                 eprintln!(
                     "cache: reused {}/{} segment(s) via {}",
                     run.reused_segments, run.total_segments, sidecar.path
@@ -380,66 +385,27 @@ fn analyze_segmented<W: std::io::Write>(
                 run.analysis
             }
         };
-        print_analysis(detector.name(), &analysis, ctx.counters, out);
+        print_analysis(
+            detector.name(),
+            &analysis.counters,
+            &analysis.reports,
+            |v| analysis.var_names[v].as_str(),
+            self.counters,
+            self.out,
+        );
         Ok(())
     }
 
-    let sampler = BernoulliSampler::new(rate, seed);
-    let sidecar = cached.then(|| {
-        let path = cache_path_for(args, path);
-        let prior = std::fs::read(&path)
-            .ok()
-            .and_then(|bytes| AnalysisCache::decode(&bytes).ok());
-        Sidecar {
-            path,
-            prior,
-            // The analysis state is the same at every job count, so the
-            // fingerprint pins `jobs` to 1 and any `--jobs` reuses it.
-            config: CacheConfig {
-                engine: engine.to_owned(),
-                sampler: sampler_identity(engine, rate, seed),
-                options: String::new(),
-                state_version: CACHE_STATE_VERSION,
-                jobs: 1,
-            },
-        }
-    });
-    let ctx = Ctx {
-        path,
-        jobs,
-        counters: args.flag("counters"),
-        sidecar,
-    };
-    match engine {
-        "ft" => {
-            let full = BernoulliSampler::new(1.0, seed);
-            drive(FastTrackDetector::new(full), full, &mut seg, &ctx, out)
-        }
-        "st" => drive(DjitDetector::new(sampler), sampler, &mut seg, &ctx, out),
-        "su" => drive(
-            FreshnessDetector::new(sampler),
-            sampler,
-            &mut seg,
-            &ctx,
-            out,
-        ),
-        "so" => drive(
-            OrderedListDetector::new(sampler),
-            sampler,
-            &mut seg,
-            &ctx,
-            out,
-        ),
-        "sam" => Err(ArgError(
-            if cached {
+    fn sam(self, _: NaiveSamplingDetector<BernoulliSampler>) -> Self::Output {
+        Err(ArgError(
+            if self.sidecar.is_some() {
                 "engine `sam` has no sync/access split and cannot use the segmented \
                  analysis cache"
             } else {
                 "engine `sam` has no sync/access split and cannot run with --jobs >= 2"
             }
             .into(),
-        )),
-        other => Err(ArgError(format!("unknown engine `{other}`"))),
+        ))
     }
 }
 
@@ -466,27 +432,6 @@ fn write_atomically(path: &str, bytes: &[u8]) -> std::io::Result<()> {
         let _ = std::fs::remove_file(&tmp);
     }
     result
-}
-
-fn print_reports<'a, W>(var_name: impl Fn(usize) -> &'a str, reports: &[RaceReport], out: &mut W)
-where
-    W: std::io::Write,
-{
-    for report in reports {
-        let _ = writeln!(
-            out,
-            "  {} at event {}: {} of `{}` unordered with earlier {}",
-            report.tid,
-            report.event,
-            report.access,
-            var_name(report.var.index()),
-            match (report.with_write, report.with_read) {
-                (true, true) => "write and read",
-                (true, false) => "write",
-                _ => "read",
-            }
-        );
-    }
 }
 
 fn convert<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgError> {
@@ -781,85 +726,92 @@ fn dbsim_cmd<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgE
         txns_per_worker: args.get_or("txns", 300u32)?,
         seed: args.get_or("seed", 0u64)?,
     };
-    let engine: String = args.get_or("engine", "so".to_owned())?;
+    let engine = engine_kind(&args, EngineKind::So)?;
     let rate = sampling_rate(&args, 0.03)?;
     let shards: usize = args.get_or("shards", 1usize)?;
     if shards == 0 {
         return Err(ArgError("--shards must be at least 1".into()));
     }
-    let sampler = BernoulliSampler::new(rate, options.seed);
 
-    // Monomorphized per engine; the run/report plumbing is shared.
-    // `--shards 1` (the default) is the paper-faithful single analysis
-    // mutex; `--shards N` routes ingestion through N access shards
-    // with per-thread and per-lock sync state.
-    fn go<D: SplitDetector + 'static, W: std::io::Write>(
-        detector: D,
-        workload: &freshtrack_workloads::DbWorkload,
-        options: &RunOptions,
+    /// Runs the workload under the engine's detector; the run/report
+    /// plumbing is shared. `--shards 1` (the default) is the
+    /// paper-faithful single analysis mutex; `--shards N` routes
+    /// ingestion through N access shards with per-thread and per-lock
+    /// sync state.
+    struct Dbsim<'a, W> {
+        workload: &'a freshtrack_workloads::DbWorkload,
+        options: &'a RunOptions,
         shards: usize,
-        out: &mut W,
-    ) {
-        let name = detector.name();
-        let (stats, reports, counters) = if shards >= 2 {
-            run_sharded(workload, options, detector, shards, SyncMode::Seqlock, 1)
-        } else {
-            let (stats, detector, reports) = run_detector(workload, options, detector);
-            let counters = *detector.counters();
-            (stats, reports, counters)
-        };
-        let suffix = if shards >= 2 {
-            format!(" (shards={shards})")
-        } else {
-            String::new()
-        };
-        let _ = writeln!(
-            out,
-            "{name}{suffix}: {} txns, mean latency {:.1} µs, p95 {} µs",
-            stats.transactions,
-            stats.mean_us(),
-            stats.percentile_us(95.0)
-        );
-        // The skip-path hit rate is the headline number for the hoisted
-        // fast path (invariant 10).
-        let _ = writeln!(
-            out,
-            "events={} sampled={} skipped={} (skip {:.1}%) races={} acquires skipped={}",
-            counters.events,
-            counters.sampled_accesses,
-            counters.skipped_accesses(),
-            100.0 * counters.skip_ratio(),
-            reports.len(),
-            pct(counters.acquire_skip_ratio())
-        );
+        out: &'a mut W,
     }
 
-    match engine.as_str() {
-        "ft" => go(
-            FastTrackDetector::new(BernoulliSampler::new(1.0, options.seed)),
-            &workload,
-            &options,
-            shards,
-            out,
-        ),
-        "st" => go(DjitDetector::new(sampler), &workload, &options, shards, out),
-        "su" => go(
-            FreshnessDetector::new(sampler),
-            &workload,
-            &options,
-            shards,
-            out,
-        ),
-        "so" => go(
-            OrderedListDetector::new(sampler),
-            &workload,
-            &options,
-            shards,
-            out,
-        ),
-        other => return Err(ArgError(format!("unknown engine `{other}`"))),
+    impl<W: std::io::Write> EngineVisitor for Dbsim<'_, W> {
+        type Output = Result<(), ArgError>;
+
+        fn split<D>(self, detector: D, _: BernoulliSampler) -> Self::Output
+        where
+            D: SplitDetector + 'static,
+            D::Sync: CheckpointState,
+            D::Access: CheckpointState,
+        {
+            let Dbsim {
+                workload,
+                options,
+                shards,
+                out,
+            } = self;
+            let name = detector.name();
+            let (stats, reports, counters) = if shards >= 2 {
+                run_sharded(workload, options, detector, shards, SyncMode::Seqlock, 1)
+            } else {
+                let (stats, detector, reports) = run_detector(workload, options, detector);
+                let counters = *detector.counters();
+                (stats, reports, counters)
+            };
+            let suffix = if shards >= 2 {
+                format!(" (shards={shards})")
+            } else {
+                String::new()
+            };
+            let _ = writeln!(
+                out,
+                "{name}{suffix}: {} txns, mean latency {:.1} µs, p95 {} µs",
+                stats.transactions,
+                stats.mean_us(),
+                stats.percentile_us(95.0)
+            );
+            // The skip-path hit rate is the headline number for the
+            // hoisted fast path (invariant 10).
+            let _ = writeln!(
+                out,
+                "events={} sampled={} skipped={} (skip {:.1}%) races={} acquires skipped={}",
+                counters.events,
+                counters.sampled_accesses,
+                counters.skipped_accesses(),
+                100.0 * counters.skip_ratio(),
+                reports.len(),
+                pct(counters.acquire_skip_ratio())
+            );
+            Ok(())
+        }
+
+        fn sam(self, _: NaiveSamplingDetector<BernoulliSampler>) -> Self::Output {
+            Err(ArgError(
+                "engine `sam` has no sync/access split and cannot run in dbsim".into(),
+            ))
+        }
     }
-    Ok(())
+
+    engine.visit(
+        rate,
+        options.seed,
+        Dbsim {
+            workload: &workload,
+            options: &options,
+            shards,
+            out,
+        },
+    )
 }
 
 #[cfg(test)]

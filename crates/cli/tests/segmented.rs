@@ -5,6 +5,8 @@
 //! A seekable `.ftb` v2 file runs on the segment pipeline (which checks
 //! every segment's CRC); stdin, text, v1, a v2 file whose footer does not
 //! open, and engine `sam` stream. Both paths must print the same bytes.
+//! An engine name is checked before any input is read, and `sam`, which
+//! has no sync/access split, is refused by name where a split is needed.
 //! A `.ftc` sidecar an earlier build wrote is pinned here too, through
 //! the same binary.
 
@@ -515,4 +517,58 @@ fn segments_and_analyze_agree_on_the_reusable_prefix() {
             "{case}: the rewritten sidecar must equal a cold run's"
         );
     }
+}
+
+/// Asserts that a run exited 1 with exactly one error line, `message`.
+fn assert_fails_with((code, out): (i32, Vec<u8>), message: &str, case: &str) {
+    let out = String::from_utf8_lossy(&out);
+    assert_eq!(code, 1, "{case}: {out}");
+    let errors: Vec<&str> = out.lines().filter(|l| l.starts_with("error:")).collect();
+    assert_eq!(errors, [format!("error: {message}")], "{case}: {out}");
+}
+
+#[test]
+fn an_unknown_engine_fails_on_every_route_before_any_input_is_read() {
+    let dir = TempDir::new("unknown-engine");
+    let [text, _, v2] = generated(&dir);
+    let tail = ["--engine", "xx"];
+    let (by_text, by_stdin) = file_and_stdin(&text, &tail);
+    let by_v2 = freshtrack(&["analyze", &v2, "--engine", "xx"], None);
+    let by_dbsim = freshtrack(&["dbsim", "--engine", "xx"], None);
+    for (case, run) in [
+        ("text file", by_text),
+        ("stdin", by_stdin),
+        ("v2 file", by_v2),
+        ("dbsim", by_dbsim),
+    ] {
+        assert_fails_with(run, "unknown engine `xx`", case);
+    }
+}
+
+#[test]
+fn sam_names_its_missing_split_where_one_is_needed() {
+    let dir = TempDir::new("sam-split");
+    let [_, _, v2] = generated(&dir);
+    let sidecar = format!("--cache={}", dir.path("t.ftc"));
+    let no_split = "engine `sam` has no sync/access split and cannot";
+    for (case, args, reason) in [
+        ("dbsim", &["dbsim", "--engine", "sam"][..], "run in dbsim"),
+        (
+            "--jobs 2",
+            &["analyze", &v2, "--jobs", "2", "--engine", "sam"],
+            "run with --jobs >= 2",
+        ),
+        (
+            "--cache",
+            &["analyze", &v2, &sidecar, "--engine", "sam"],
+            "use the segmented analysis cache",
+        ),
+    ] {
+        assert_fails_with(
+            freshtrack(args, None),
+            &format!("{no_split} {reason}"),
+            case,
+        );
+    }
+    assert!(!std::path::Path::new(&dir.path("t.ftc")).exists());
 }

@@ -18,8 +18,8 @@ use freshtrack_sampling::Sampler;
 use freshtrack_trace::{Event, EventId, EventKind, LockId};
 
 use crate::checkpoint::{self, CheckpointError, CheckpointState};
-use crate::plane::{self, AccessEngine, ClockView, SplitDetector, SyncEngine};
-use crate::{Counters, Detector, HoistedDecider, RaceReport};
+use crate::plane::{self, AccessEngine, ClockView, SplitDetector, SyncCtx, SyncEngine};
+use crate::{Counters, Detector, HoistedDecider, RaceReport, SyncOps};
 
 /// A streaming detector built from one sync engine and one access
 /// engine: accesses are decided first and analyzed against a borrowed
@@ -87,21 +87,46 @@ impl<Sy: SyncEngine, Ac> Composed<Sy, Ac> {
     }
 
     /// Handles an acquire of `lock` by `tid`.
-    pub(crate) fn acquire(&mut self, tid: ThreadId, lock: LockId) {
+    fn acquire(&mut self, tid: ThreadId, lock: LockId) {
         self.ensure_thread(tid);
         self.sync.acquire(tid, lock, &mut self.counters);
     }
 
-    /// Runs a release-side handler of `tid` with its `RelAfter_S` bit,
-    /// which is taken (reset).
-    pub(crate) fn release_with(
+    /// Runs the release-side `handler` of `tid` on `lock` with `tid`'s
+    /// `RelAfter_S` bit, which is taken (reset).
+    #[inline]
+    fn release_by(
         &mut self,
+        handler: impl FnOnce(
+            ThreadId,
+            &mut Sy::Thread,
+            &mut Sy::Lock,
+            bool,
+            &mut SyncCtx<'_, Sy::Options>,
+        ),
         tid: ThreadId,
-        handler: impl FnOnce(&mut Sy, bool, &mut Counters),
+        lock: LockId,
     ) {
         self.ensure_thread(tid);
         let sampled = Sy::READS_REL_AFTER_S && std::mem::take(&mut self.sampled[tid.index()]);
-        handler(&mut self.sync, sampled, &mut self.counters);
+        self.sync
+            .release_by(handler, tid, lock, sampled, &mut self.counters);
+    }
+}
+
+/// The Appendix A.2 handlers, written once over the sync engine's
+/// per-object ones.
+impl<Sy: SyncEngine, Ac> SyncOps for Composed<Sy, Ac> {
+    fn release_store(&mut self, tid: u32, sync: LockId) {
+        self.release_by(Sy::release_store_at, ThreadId::new(tid), sync);
+    }
+
+    fn release_join(&mut self, tid: u32, sync: LockId) {
+        self.release_by(Sy::release_join_at, ThreadId::new(tid), sync);
+    }
+
+    fn acquire_sync(&mut self, tid: u32, sync: LockId) {
+        self.acquire(ThreadId::new(tid), sync);
     }
 }
 
@@ -147,9 +172,7 @@ where
                 None
             }
             EventKind::Release(lock) => {
-                self.release_with(tid, |sync, sampled, counters| {
-                    sync.release(tid, lock, sampled, counters);
-                });
+                self.release_by(Sy::release_at, tid, lock);
                 None
             }
         }

@@ -3,12 +3,10 @@ use freshtrack_clock::{
     SharedVectorClock, ThreadId, VectorClock, VectorClockSnapshot,
 };
 use freshtrack_sampling::Sampler;
-use freshtrack_trace::LockId;
 
 use crate::checkpoint::{self, CheckpointError, CheckpointState};
 use crate::composed::{Composed, EngineName};
 use crate::plane::{BorrowedView, ClockView, HistoryAccessEngine, SyncCtx, SyncEngine};
-use crate::Counters;
 
 /// The sync-plane half shared by the engines whose synchronization
 /// handlers are the classical Djit+ ones: every thread clock and lock
@@ -27,31 +25,6 @@ use crate::Counters;
 pub struct VectorSyncEngine {
     threads: Vec<SharedVectorClock>,
     locks: Vec<VectorClock>,
-}
-
-impl VectorSyncEngine {
-    fn ensure_lock(&mut self, lock: LockId) {
-        if self.locks.len() <= lock.index() {
-            self.locks.resize_with(lock.index() + 1, VectorClock::new);
-        }
-    }
-
-    /// `Release` (join) semantics for non-mutex sync objects
-    /// (Appendix A.2): the object's clock *accumulates* the thread's.
-    pub(crate) fn release_join(&mut self, tid: ThreadId, lock: LockId, counters: &mut Counters) {
-        self.ensure_lock(lock);
-        counters.releases += 1;
-        counters.releases_processed += 1;
-        let (clock, deep) = self.threads[tid.index()].make_mut();
-        if deep {
-            counters.deep_copies += 1;
-        }
-        self.locks[lock.index()].join(clock);
-        clock.increment(tid);
-        counters.local_increments += 1;
-        counters.vc_ops += 1;
-        counters.entries_traversed += self.threads.len() as u64;
-    }
 }
 
 impl CheckpointState for VectorSyncEngine {
@@ -155,6 +128,27 @@ impl SyncEngine for VectorSyncEngine {
         counters.local_increments += 1;
     }
 
+    fn release_join_at(
+        tid: ThreadId,
+        thread: &mut SharedVectorClock,
+        lock: &mut VectorClock,
+        _sampled_since_release: bool,
+        ctx: &mut SyncCtx<'_, ()>,
+    ) {
+        let counters = &mut *ctx.counters;
+        counters.releases += 1;
+        counters.releases_processed += 1;
+        let (clock, deep) = thread.make_mut();
+        if deep {
+            counters.deep_copies += 1;
+        }
+        lock.join(clock);
+        clock.increment(tid);
+        counters.local_increments += 1;
+        counters.vc_ops += 1;
+        counters.entries_traversed += ctx.threads as u64;
+    }
+
     fn thread_view(_tid: ThreadId, thread: &SharedVectorClock) -> impl ClockView + '_ {
         // `C_t[t] = e_t` already holds in a raw vector clock.
         let clock = thread.clock();
@@ -221,26 +215,6 @@ impl<S: Sampler> DjitDetector<S> {
 
 impl<S> EngineName for DjitDetector<S> {
     const NAME: &'static str = "Djit+";
-}
-
-impl<S> crate::SyncOps for DjitDetector<S> {
-    fn release_store(&mut self, tid: u32, sync: LockId) {
-        let tid = ThreadId::new(tid);
-        self.release_with(tid, |engine, sampled, counters| {
-            engine.release(tid, sync, sampled, counters);
-        });
-    }
-
-    fn release_join(&mut self, tid: u32, sync: LockId) {
-        let tid = ThreadId::new(tid);
-        self.release_with(tid, |engine, _, counters| {
-            engine.release_join(tid, sync, counters);
-        });
-    }
-
-    fn acquire_sync(&mut self, tid: u32, sync: LockId) {
-        self.acquire(ThreadId::new(tid), sync);
-    }
 }
 
 #[cfg(test)]

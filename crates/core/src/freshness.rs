@@ -3,7 +3,6 @@ use freshtrack_clock::{
     FreshnessClock, SharedVectorClock, ThreadId, Time, VectorClock, VectorClockSnapshot,
 };
 use freshtrack_sampling::Sampler;
-use freshtrack_trace::LockId;
 
 use crate::checkpoint::{self, CheckpointError, CheckpointState};
 use crate::composed::{Composed, EngineName};
@@ -121,61 +120,6 @@ pub struct LockState {
 pub struct FreshnessSyncEngine {
     threads: Vec<ThreadState>,
     locks: Vec<LockState>,
-}
-
-impl FreshnessSyncEngine {
-    fn ensure_lock(&mut self, lock: LockId) {
-        if self.locks.len() <= lock.index() {
-            self.locks.resize_with(lock.index() + 1, LockState::default);
-        }
-    }
-
-    /// `ReleaseStore` semantics for non-mutex sync objects: always copy
-    /// (the store need not follow an acquire by the same thread, so the
-    /// release skip of Algorithm 3 would be unsound — Appendix A.2).
-    pub(crate) fn release_store(
-        &mut self,
-        tid: ThreadId,
-        sync: LockId,
-        sampled: bool,
-        counters: &mut Counters,
-    ) {
-        self.ensure_lock(sync);
-        counters.releases += 1;
-        self.threads[tid.index()].flush_local_epoch(tid, sampled, counters);
-        let thread = &self.threads[tid.index()];
-        let lock_state = &mut self.locks[sync.index()];
-        lock_state.clock.assign_from(thread.clock.clock());
-        lock_state.fresh.assign_from(&thread.fresh);
-        lock_state.last_releaser = Some(tid);
-        lock_state.mixed = false;
-        counters.releases_processed += 1;
-        counters.vc_ops += 2;
-        counters.entries_traversed += self.threads.len() as u64;
-    }
-
-    /// `Release` (join) semantics for non-mutex sync objects
-    /// (Appendix A.2): the object accumulates multiple threads' clocks.
-    pub(crate) fn release_join(
-        &mut self,
-        tid: ThreadId,
-        sync: LockId,
-        sampled: bool,
-        counters: &mut Counters,
-    ) {
-        self.ensure_lock(sync);
-        counters.releases += 1;
-        self.threads[tid.index()].flush_local_epoch(tid, sampled, counters);
-        let thread = &self.threads[tid.index()];
-        let lock_state = &mut self.locks[sync.index()];
-        lock_state.clock.join(thread.clock.clock());
-        lock_state.fresh.join(&thread.fresh);
-        lock_state.last_releaser = None;
-        lock_state.mixed = true;
-        counters.releases_processed += 1;
-        counters.vc_ops += 2;
-        counters.entries_traversed += self.threads.len() as u64;
-    }
 }
 
 impl CheckpointState for FreshnessSyncEngine {
@@ -317,6 +261,47 @@ impl SyncEngine for FreshnessSyncEngine {
         }
     }
 
+    /// Always copies: the store need not follow an acquire by the same
+    /// thread, so the release skip of Algorithm 3 would be unsound
+    /// (Appendix A.2).
+    fn release_store_at(
+        tid: ThreadId,
+        thread: &mut ThreadState,
+        lock: &mut LockState,
+        sampled_since_release: bool,
+        ctx: &mut SyncCtx<'_, ()>,
+    ) {
+        let counters = &mut *ctx.counters;
+        counters.releases += 1;
+        thread.flush_local_epoch(tid, sampled_since_release, counters);
+        lock.clock.assign_from(thread.clock.clock());
+        lock.fresh.assign_from(&thread.fresh);
+        lock.last_releaser = Some(tid);
+        lock.mixed = false;
+        counters.releases_processed += 1;
+        counters.vc_ops += 2;
+        counters.entries_traversed += ctx.threads as u64;
+    }
+
+    fn release_join_at(
+        tid: ThreadId,
+        thread: &mut ThreadState,
+        lock: &mut LockState,
+        sampled_since_release: bool,
+        ctx: &mut SyncCtx<'_, ()>,
+    ) {
+        let counters = &mut *ctx.counters;
+        counters.releases += 1;
+        thread.flush_local_epoch(tid, sampled_since_release, counters);
+        lock.clock.join(thread.clock.clock());
+        lock.fresh.join(&thread.fresh);
+        lock.last_releaser = None;
+        lock.mixed = true;
+        counters.releases_processed += 1;
+        counters.vc_ops += 2;
+        counters.entries_traversed += ctx.threads as u64;
+    }
+
     fn thread_view(tid: ThreadId, thread: &ThreadState) -> impl ClockView + '_ {
         let (clock, epoch) = (thread.clock.clock(), thread.epoch);
         BorrowedView {
@@ -338,28 +323,6 @@ impl SyncEngine for FreshnessSyncEngine {
         let (clock, _) = thread.clock.make_mut();
         let pad = clock.get(last);
         clock.set(last, pad);
-    }
-}
-
-impl<S> crate::SyncOps for FreshnessDetector<S> {
-    fn release_store(&mut self, tid: u32, sync: LockId) {
-        let tid = ThreadId::new(tid);
-        self.release_with(tid, |engine, sampled, counters| {
-            engine.release_store(tid, sync, sampled, counters);
-        });
-    }
-
-    fn release_join(&mut self, tid: u32, sync: LockId) {
-        let tid = ThreadId::new(tid);
-        self.release_with(tid, |engine, sampled, counters| {
-            engine.release_join(tid, sync, sampled, counters);
-        });
-    }
-
-    fn acquire_sync(&mut self, tid: u32, sync: LockId) {
-        // `acquire` already falls back to a full join for mixed objects
-        // and uses the freshness skip after stores.
-        self.acquire(ThreadId::new(tid), sync);
     }
 }
 

@@ -311,6 +311,16 @@ impl SyncEngine for EmptySyncEngine {
         ctx.counters.releases += 1;
     }
 
+    fn release_join_at(
+        _tid: ThreadId,
+        _: &mut (),
+        _: &mut (),
+        _sampled_since_release: bool,
+        ctx: &mut SyncCtx<'_, ()>,
+    ) {
+        ctx.counters.releases += 1;
+    }
+
     fn thread_view(_tid: ThreadId, _: &()) -> impl ClockView {}
 
     fn publish_at(_tid: ThreadId, _: &mut ()) {}

@@ -3,7 +3,6 @@ use freshtrack_clock::{
     ClockSnapshot, FreshnessClock, SharedClock, ThreadId, Time,
 };
 use freshtrack_sampling::Sampler;
-use freshtrack_trace::LockId;
 
 use crate::checkpoint::{self, CheckpointError, CheckpointState};
 use crate::composed::{Composed, EngineName};
@@ -186,62 +185,6 @@ impl OrderedSyncEngine {
             locks: Vec::new(),
             local_epoch_opt,
         }
-    }
-
-    fn ensure_lock(&mut self, lock: LockId) {
-        if self.locks.len() <= lock.index() {
-            self.locks.resize_with(lock.index() + 1, LockState::default);
-        }
-    }
-
-    /// `Release` (join) semantics for non-mutex sync objects
-    /// (Appendix A.2).
-    pub(crate) fn release_join(
-        &mut self,
-        tid: ThreadId,
-        sync: LockId,
-        sampled: bool,
-        counters: &mut Counters,
-    ) {
-        self.ensure_lock(sync);
-        counters.releases += 1;
-        let opt = self.local_epoch_opt;
-        self.threads[tid.index()].flush_local_epoch(tid, sampled, opt, counters);
-
-        // Materialize the thread's communicated clock (own entry is the
-        // flushed time, possibly kept out of the list by the epoch opt).
-        let thread = &self.threads[tid.index()];
-        let mut view = thread.list.list().clone();
-        if thread.flushed > view.get(tid) {
-            view.set(tid, thread.flushed);
-        }
-
-        let lock_state = &mut self.locks[sync.index()];
-        let mut acc = match lock_state.joined.take() {
-            Some(acc) => acc,
-            None => match (&lock_state.list, lock_state.last_releaser) {
-                (Some(shared), lr) => {
-                    // Convert the store snapshot into an owned list,
-                    // folding in the releaser's scalar flushed time.
-                    let mut l = shared.list().clone();
-                    if let Some(lr) = lr {
-                        if lock_state.releaser_flushed > l.get(lr) {
-                            l.set(lr, lock_state.releaser_flushed);
-                        }
-                    }
-                    l
-                }
-                (None, _) => freshtrack_clock::OrderedList::new(),
-            },
-        };
-        let traversed = view.len() as u64;
-        acc.join(&view);
-        lock_state.joined = Some(acc);
-        lock_state.list = None;
-        lock_state.last_releaser = None;
-        lock_state.fresh = 0;
-        counters.vc_ops += 1;
-        counters.entries_traversed += traversed;
     }
 }
 
@@ -480,6 +423,51 @@ impl SyncEngine for OrderedSyncEngine {
         counters.shallow_copies += 1;
     }
 
+    fn release_join_at(
+        tid: ThreadId,
+        thread: &mut ThreadState,
+        lock: &mut LockState,
+        sampled_since_release: bool,
+        ctx: &mut SyncCtx<'_, bool>,
+    ) {
+        let counters = &mut *ctx.counters;
+        counters.releases += 1;
+        thread.flush_local_epoch(tid, sampled_since_release, ctx.options, counters);
+
+        // Materialize the thread's communicated clock (own entry is the
+        // flushed time, possibly kept out of the list by the epoch opt).
+        let mut view = thread.list.list().clone();
+        if thread.flushed > view.get(tid) {
+            view.set(tid, thread.flushed);
+        }
+
+        let mut acc = match lock.joined.take() {
+            Some(acc) => acc,
+            None => match (&lock.list, lock.last_releaser) {
+                (Some(shared), lr) => {
+                    // Convert the store snapshot into an owned list,
+                    // folding in the releaser's scalar flushed time.
+                    let mut l = shared.list().clone();
+                    if let Some(lr) = lr {
+                        if lock.releaser_flushed > l.get(lr) {
+                            l.set(lr, lock.releaser_flushed);
+                        }
+                    }
+                    l
+                }
+                (None, _) => freshtrack_clock::OrderedList::new(),
+            },
+        };
+        let traversed = view.len() as u64;
+        acc.join(&view);
+        lock.joined = Some(acc);
+        lock.list = None;
+        lock.last_releaser = None;
+        lock.fresh = 0;
+        counters.vc_ops += 1;
+        counters.entries_traversed += traversed;
+    }
+
     fn thread_view(tid: ThreadId, thread: &ThreadState) -> impl ClockView + '_ {
         let (list, epoch) = (thread.list.list(), thread.epoch);
         BorrowedView {
@@ -499,28 +487,6 @@ impl SyncEngine for OrderedSyncEngine {
     fn reserve_at(thread: &mut ThreadState, n: usize) {
         let (list, _) = thread.list.make_mut();
         list.ensure_thread_count(n);
-    }
-}
-
-impl<S> crate::SyncOps for OrderedListDetector<S> {
-    fn release_store(&mut self, tid: u32, sync: LockId) {
-        // Identical to the mutex release: a store overwrites the object
-        // with the thread's snapshot (and resets any join mode).
-        let tid = ThreadId::new(tid);
-        self.release_with(tid, |engine, sampled, counters| {
-            engine.release(tid, sync, sampled, counters);
-        });
-    }
-
-    fn release_join(&mut self, tid: u32, sync: LockId) {
-        let tid = ThreadId::new(tid);
-        self.release_with(tid, |engine, sampled, counters| {
-            engine.release_join(tid, sync, sampled, counters);
-        });
-    }
-
-    fn acquire_sync(&mut self, tid: u32, sync: LockId) {
-        self.acquire(ThreadId::new(tid), sync);
     }
 }
 

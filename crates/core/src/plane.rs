@@ -175,6 +175,32 @@ pub trait SyncEngine: Send {
         ctx: &mut SyncCtx<'_, Self::Options>,
     );
 
+    /// `ReleaseStore` on a non-mutex sync object (Appendix A.2): the
+    /// object's clock becomes a copy of `tid`'s. A mutex release is one
+    /// already, unless the engine's release may skip the copy.
+    #[inline]
+    fn release_store_at(
+        tid: ThreadId,
+        thread: &mut Self::Thread,
+        lock: &mut Self::Lock,
+        sampled_since_release: bool,
+        ctx: &mut SyncCtx<'_, Self::Options>,
+    ) {
+        Self::release_at(tid, thread, lock, sampled_since_release, ctx);
+    }
+
+    /// `Release` (join) on a non-mutex sync object (Appendix A.2): the
+    /// object's clock accumulates `tid`'s, so it is no one thread's
+    /// snapshot and acquires of it take no freshness skip until the
+    /// next `ReleaseStore`.
+    fn release_join_at(
+        tid: ThreadId,
+        thread: &mut Self::Thread,
+        lock: &mut Self::Lock,
+        sampled_since_release: bool,
+        ctx: &mut SyncCtx<'_, Self::Options>,
+    );
+
     /// A borrowed race-check view of `tid`'s clock (`C_t[t ↦ e_t]`),
     /// read in place: no snapshot, no reference-count traffic.
     fn thread_view(tid: ThreadId, thread: &Self::Thread) -> impl ClockView + '_;
@@ -228,6 +254,28 @@ pub trait SyncEngine: Send {
         sampled_since_release: bool,
         counters: &mut Counters,
     ) {
+        self.release_by(Self::release_at, tid, lock, sampled_since_release, counters);
+    }
+
+    /// Runs the release-side `handler` ([`release_at`](SyncEngine::release_at),
+    /// [`release_store_at`](SyncEngine::release_store_at) or
+    /// [`release_join_at`](SyncEngine::release_join_at)) of `tid` (which
+    /// must exist) on the table entries.
+    #[inline]
+    fn release_by(
+        &mut self,
+        handler: impl FnOnce(
+            ThreadId,
+            &mut Self::Thread,
+            &mut Self::Lock,
+            bool,
+            &mut SyncCtx<'_, Self::Options>,
+        ),
+        tid: ThreadId,
+        lock: LockId,
+        sampled_since_release: bool,
+        counters: &mut Counters,
+    ) {
         let options = self.options();
         let (threads, locks) = self.tables();
         let mut ctx = SyncCtx {
@@ -235,7 +283,7 @@ pub trait SyncEngine: Send {
             threads: threads.len(),
             counters,
         };
-        Self::release_at(
+        handler(
             tid,
             &mut threads[tid.index()],
             lock_entry(locks, lock),

@@ -17,8 +17,12 @@
 //!   freshness/ordered-list fast path only when the object's last update
 //!   was a ReleaseStore.
 //!
-//! [`SyncOps`] exposes these handlers on the detectors that support
-//! them; [`SyncClock`] is the reusable per-object state machine.
+//! [`SyncOps`] exposes these handlers on every
+//! [`Composed`](crate::Composed) detector, written once over the sync
+//! engine's per-object handlers
+//! ([`SyncEngine::release_store_at`](crate::SyncEngine::release_store_at),
+//! [`SyncEngine::release_join_at`](crate::SyncEngine::release_join_at));
+//! [`SyncClock`] is the reusable per-object state machine.
 
 use freshtrack_clock::OrderedList;
 use freshtrack_trace::LockId;

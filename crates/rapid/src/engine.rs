@@ -2,13 +2,14 @@ use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 use freshtrack_core::{
-    Counters, Detector, DjitDetector, FastTrackDetector, FreshnessDetector, NaiveSamplingDetector,
-    OrderedListDetector, RaceReport,
+    CheckpointState, Counters, Detector, DjitDetector, FastTrackDetector, FreshnessDetector,
+    NaiveSamplingDetector, OrderedListDetector, RaceReport, SplitDetector,
 };
 use freshtrack_sampling::BernoulliSampler;
 use freshtrack_trace::{EventSource, SourceError, Trace};
 
-/// The detector engines of the evaluation.
+/// The detector engines of the evaluation — the one table that maps an
+/// engine to its name, its sampler and its detector.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum EngineKind {
     /// FastTrack with full detection (the paper's **FT**; the rate is
@@ -28,6 +29,36 @@ pub enum EngineKind {
     SoPlain,
 }
 
+/// The engines the CLI's `--engine` takes, by the name it parses and
+/// the `.ftc` sidecar fingerprint stores.
+const CLI_NAMES: [(&str, EngineKind); 5] = [
+    ("ft", EngineKind::FastTrack),
+    ("st", EngineKind::St),
+    ("sam", EngineKind::Sam),
+    ("su", EngineKind::Su),
+    ("so", EngineKind::So),
+];
+
+/// What to do with an engine's detector, per detector type — the
+/// argument of [`EngineKind::visit`].
+pub trait EngineVisitor {
+    /// What the visit returns.
+    type Output;
+
+    /// A split engine (FT, ST, SU, SO and the SO ablation), with the
+    /// sampler it was built over: it runs offline, on the segment
+    /// pipeline, under the sharded façade and from a `.ftc` checkpoint.
+    fn split<D>(self, detector: D, sampler: BernoulliSampler) -> Self::Output
+    where
+        D: SplitDetector + 'static,
+        D::Sync: CheckpointState,
+        D::Access: CheckpointState;
+
+    /// The `sam` reference ([`NaiveSamplingDetector`]), which has no
+    /// sync/access split and so only streams.
+    fn sam(self, detector: NaiveSamplingDetector<BernoulliSampler>) -> Self::Output;
+}
+
 impl EngineKind {
     /// The engine's short name as used in the paper.
     pub fn short_name(self) -> &'static str {
@@ -38,6 +69,63 @@ impl EngineKind {
             EngineKind::Su => "SU",
             EngineKind::So => "SO",
             EngineKind::SoPlain => "SO-noepoch",
+        }
+    }
+
+    /// The engine named `name` on the command line (`ft`, `st`, `sam`,
+    /// `su`, `so`).
+    ///
+    /// # Errors
+    ///
+    /// Any other name: ``unknown engine `name` ``.
+    pub fn from_cli_name(name: &str) -> Result<Self, String> {
+        CLI_NAMES
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|&(_, kind)| kind)
+            .ok_or_else(|| format!("unknown engine `{name}`"))
+    }
+
+    /// The command-line name [`from_cli_name`](Self::from_cli_name)
+    /// parses, which the `.ftc` sidecar stores; `None` for the
+    /// library-only SO ablation.
+    pub fn cli_name(self) -> Option<&'static str> {
+        CLI_NAMES
+            .iter()
+            .find(|&&(_, kind)| kind == self)
+            .map(|&(name, _)| name)
+    }
+
+    /// Whether the engine splits along the sync/access seam — every
+    /// engine but the `sam` reference.
+    pub fn has_split(self) -> bool {
+        self != EngineKind::Sam
+    }
+
+    /// The sampler this engine runs at `rate`: FT ignores the rate and
+    /// samples every access.
+    pub fn sampler(self, rate: f64, seed: u64) -> BernoulliSampler {
+        let rate = if self == EngineKind::FastTrack {
+            1.0
+        } else {
+            rate
+        };
+        BernoulliSampler::new(rate, seed)
+    }
+
+    /// Builds this engine's detector over [`sampler`](Self::sampler)
+    /// and hands it to `visitor`.
+    pub fn visit<V: EngineVisitor>(self, rate: f64, seed: u64, visitor: V) -> V::Output {
+        let sampler = self.sampler(rate, seed);
+        match self {
+            EngineKind::FastTrack => visitor.split(FastTrackDetector::new(sampler), sampler),
+            EngineKind::St => visitor.split(DjitDetector::new(sampler), sampler),
+            EngineKind::Sam => visitor.sam(NaiveSamplingDetector::new(sampler)),
+            EngineKind::Su => visitor.split(FreshnessDetector::new(sampler), sampler),
+            EngineKind::So => visitor.split(OrderedListDetector::new(sampler), sampler),
+            EngineKind::SoPlain => {
+                visitor.split(OrderedListDetector::with_options(sampler, false), sampler)
+            }
         }
     }
 }
@@ -86,6 +174,8 @@ impl EngineConfig {
 pub struct EngineRun {
     /// Display label (`SO-(3%)` etc.).
     pub label: String,
+    /// The detector's [`Detector::name`] (`"SO"`, `"Djit+"`, …).
+    pub name: &'static str,
     /// All race reports, in trace order.
     pub reports: Vec<RaceReport>,
     /// The detector's work counters.
@@ -122,36 +212,47 @@ pub fn run_engine_source(
     source: &mut dyn EventSource,
     config: &EngineConfig,
 ) -> Result<EngineRun, SourceError> {
-    let sampler = BernoulliSampler::new(
-        if matches!(config.kind, EngineKind::FastTrack) {
-            1.0
-        } else {
-            config.rate
-        },
-        config.seed,
-    );
-    fn drive<D: Detector>(
-        mut d: D,
-        source: &mut dyn EventSource,
-    ) -> Result<(Vec<RaceReport>, Counters), SourceError> {
-        let reports = d.run_source(source)?;
-        Ok((reports, *d.counters()))
+    /// Streams the source through whichever detector the engine builds.
+    struct Drive<'a> {
+        source: &'a mut dyn EventSource,
+        label: String,
     }
-    let start = Instant::now();
-    let (reports, counters) = match config.kind {
-        EngineKind::FastTrack => drive(FastTrackDetector::new(sampler), source)?,
-        EngineKind::St => drive(DjitDetector::new(sampler), source)?,
-        EngineKind::Sam => drive(NaiveSamplingDetector::new(sampler), source)?,
-        EngineKind::Su => drive(FreshnessDetector::new(sampler), source)?,
-        EngineKind::So => drive(OrderedListDetector::new(sampler), source)?,
-        EngineKind::SoPlain => drive(OrderedListDetector::with_options(sampler, false), source)?,
-    };
-    Ok(EngineRun {
-        label: config.label(),
-        reports,
-        counters,
-        elapsed: start.elapsed(),
-    })
+
+    impl Drive<'_> {
+        fn run<D: Detector>(self, mut d: D) -> Result<EngineRun, SourceError> {
+            let start = Instant::now();
+            let reports = d.run_source(self.source)?;
+            Ok(EngineRun {
+                label: self.label,
+                name: d.name(),
+                reports,
+                counters: *d.counters(),
+                elapsed: start.elapsed(),
+            })
+        }
+    }
+
+    impl EngineVisitor for Drive<'_> {
+        type Output = Result<EngineRun, SourceError>;
+
+        fn split<D>(self, detector: D, _: BernoulliSampler) -> Self::Output
+        where
+            D: SplitDetector + 'static,
+            D::Sync: CheckpointState,
+            D::Access: CheckpointState,
+        {
+            self.run(detector)
+        }
+
+        fn sam(self, detector: NaiveSamplingDetector<BernoulliSampler>) -> Self::Output {
+            self.run(detector)
+        }
+    }
+
+    let label = config.label();
+    config
+        .kind
+        .visit(config.rate, config.seed, Drive { source, label })
 }
 
 /// Runs one engine configuration over a materialized trace — a thin
@@ -188,6 +289,65 @@ mod tests {
             EngineConfig::new(EngineKind::St, 0.1, 0).label(),
             "ST-(10%)"
         );
+    }
+
+    #[test]
+    fn cli_names_round_trip_through_parse_and_print() {
+        for name in ["ft", "st", "sam", "su", "so"] {
+            let kind = EngineKind::from_cli_name(name).unwrap();
+            assert_eq!(kind.cli_name(), Some(name));
+        }
+        assert_eq!(
+            EngineKind::from_cli_name("xx").unwrap_err(),
+            "unknown engine `xx`"
+        );
+        assert_eq!(EngineKind::SoPlain.cli_name(), None);
+    }
+
+    #[test]
+    fn ft_samples_everything_at_any_rate() {
+        for rate in [0.0, 0.03, 0.5, 1.0] {
+            assert_eq!(
+                EngineKind::FastTrack.sampler(rate, 7),
+                BernoulliSampler::new(1.0, 7)
+            );
+            assert_eq!(
+                EngineKind::Su.sampler(rate, 7),
+                BernoulliSampler::new(rate, 7)
+            );
+        }
+    }
+
+    #[test]
+    fn sam_is_the_only_kind_without_a_split() {
+        /// Whether the table built a split engine.
+        struct IsSplit;
+        impl EngineVisitor for IsSplit {
+            type Output = bool;
+            fn split<D>(self, _: D, _: BernoulliSampler) -> bool
+            where
+                D: SplitDetector + 'static,
+                D::Sync: CheckpointState,
+                D::Access: CheckpointState,
+            {
+                true
+            }
+            fn sam(self, _: NaiveSamplingDetector<BernoulliSampler>) -> bool {
+                false
+            }
+        }
+        for kind in [
+            EngineKind::FastTrack,
+            EngineKind::St,
+            EngineKind::Sam,
+            EngineKind::Su,
+            EngineKind::So,
+            EngineKind::SoPlain,
+        ] {
+            let split = kind != EngineKind::Sam;
+            assert_eq!(kind.visit(0.5, 1, IsSplit), split, "{kind:?}");
+            assert_eq!(kind.has_split(), split, "{kind:?}");
+        }
     }
 
     #[test]

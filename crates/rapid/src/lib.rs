@@ -5,6 +5,9 @@
 //! sequences, and reports fine-grained operation counts. This crate
 //! provides that harness:
 //!
+//! * [`EngineKind`] — the one engine table: each engine's CLI name, its
+//!   sampler (FT samples everything) and, through
+//!   [`EngineKind::visit`], its detector.
 //! * [`EngineConfig`] — a detector engine × sampling-rate configuration
 //!   with the paper's naming (`SU-(3%)`, `SO-(100%)`, …).
 //! * [`run_engine`] — run one engine over one trace, returning reports,
@@ -34,5 +37,7 @@ mod engine;
 pub mod report;
 mod runner;
 
-pub use engine::{run_engine, run_engine_source, EngineConfig, EngineKind, EngineRun};
+pub use engine::{
+    run_engine, run_engine_source, EngineConfig, EngineKind, EngineRun, EngineVisitor,
+};
 pub use runner::{run_offline, BenchmarkSummary};
