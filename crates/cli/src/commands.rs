@@ -163,15 +163,15 @@ fn open_validated(args: &Args) -> Result<(ValidatedInput, &str), ArgError> {
     Ok((Validated::new(open_input(path)?), path))
 }
 
-/// The `--rate` sampling probability (`default` when absent), checked
-/// to lie in `[0, 1]` — NaN and out-of-range values are errors, not a
-/// sampler panic.
-fn sampling_rate(args: &Args, default: f64) -> Result<f64, ArgError> {
-    let rate: f64 = args.get_or("rate", default)?;
-    if !(0.0..=1.0).contains(&rate) {
-        return Err(ArgError(format!("--rate must be in [0,1], got {rate}")));
+/// The probability option `--name` (`default` when absent), checked to
+/// lie in `[0, 1]` — NaN and out-of-range values are errors, not a
+/// sampler panic or a silent clamp.
+fn fraction(args: &Args, name: &str, default: f64) -> Result<f64, ArgError> {
+    let value: f64 = args.get_or(name, default)?;
+    if !(0.0..=1.0).contains(&value) {
+        return Err(ArgError(format!("--{name} must be in [0,1], got {value}")));
     }
-    Ok(rate)
+    Ok(value)
 }
 
 /// The `--engine` option (`default` when absent), parsed by the engine
@@ -185,7 +185,7 @@ fn engine_kind(args: &Args, default: EngineKind) -> Result<EngineKind, ArgError>
 fn analyze<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgError> {
     let args = ANALYZE.parse(rest)?;
     let engine = engine_kind(&args, EngineKind::So)?;
-    let rate = sampling_rate(&args, 0.03)?;
+    let rate = fraction(&args, "rate", 0.03)?;
     let seed: u64 = args.get_or("seed", 0)?;
     let jobs: usize = args.get_or("jobs", 1)?;
     if jobs == 0 {
@@ -576,7 +576,7 @@ const ORACLE_EVENT_CAP: usize = 200_000;
 
 fn oracle<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgError> {
     let args = ORACLE.parse(rest)?;
-    let rate = sampling_rate(&args, 1.0)?;
+    let rate = fraction(&args, "rate", 1.0)?;
     let seed: u64 = args.get_or("seed", 0)?;
     // `--window`/`--reservoir`/`--stream` select the bounded-memory
     // streaming oracle; otherwise the exact materializing oracle runs
@@ -682,8 +682,8 @@ fn generate_cmd<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), A
         .threads(args.get_or("threads", 4u32)?)
         .locks(args.get_or("locks", 8u32)?)
         .vars(args.get_or("vars", 64u32)?)
-        .sync_ratio(args.get_or("sync-ratio", 0.3f64)?)
-        .unprotected(args.get_or("unprotected", 0.02f64)?)
+        .sync_ratio(fraction(&args, "sync-ratio", 0.3)?)
+        .unprotected(fraction(&args, "unprotected", 0.02)?)
         .seed(args.get_or("seed", 0u64)?);
     let trace = generate(&config);
     let _ = write!(out, "{}", write_trace(&trace));
@@ -710,6 +710,11 @@ fn corpus_cmd<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), Arg
     let bench = corpus::by_name(&name)
         .ok_or_else(|| ArgError(format!("unknown corpus benchmark `{name}`")))?;
     let scale: f64 = args.get_or("scale", 1.0)?;
+    if !(scale.is_finite() && scale > 0.0) {
+        return Err(ArgError(format!(
+            "--scale must be finite and > 0, got {scale}"
+        )));
+    }
     let seed: u64 = args.get_or("seed", 0)?;
     let trace = bench.trace(scale, seed);
     let _ = write!(out, "{}", write_trace(&trace));
@@ -727,7 +732,7 @@ fn dbsim_cmd<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgE
         seed: args.get_or("seed", 0u64)?,
     };
     let engine = engine_kind(&args, EngineKind::So)?;
-    let rate = sampling_rate(&args, 0.03)?;
+    let rate = fraction(&args, "rate", 0.03)?;
     let shards: usize = args.get_or("shards", 1usize)?;
     if shards == 0 {
         return Err(ArgError("--shards must be at least 1".into()));

@@ -102,9 +102,10 @@ COMMANDS:
     generate          generate a workload trace to stdout
                       --pattern mixed|pc|pipeline|forkjoin|barrier|ladder
                       --events <n> --threads <n> --locks <n> --vars <n>
-                      --sync-ratio <f> --unprotected <f> --seed <n>
+                      --sync-ratio <0..1> --unprotected <0..1> --seed <n>
     corpus            --list, or --bench <name> [--scale <f>] [--seed <n>]
-                      to emit a corpus trace to stdout
+                      to emit a corpus trace to stdout (--scale > 0
+                      multiplies the benchmark's event count)
     dbsim             run the online database benchmark
                       --mix <name> (default ycsb) --engine ft|st|su|so
                       --rate <f> --workers <n> --txns <n> --seed <n>

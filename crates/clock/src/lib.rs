@@ -19,11 +19,9 @@
 //!   exclusive mutation free of reference-count traffic; locks hold the
 //!   pointer-sized read-only [`ClockSnapshot`], and batch joins
 //!   ([`SharedClock::join_prefix`]) resolve the sharing state once per
-//!   synchronization, not per entry.
-//! * [`SharedVectorClock`] — the same lazy-copy protocol for plain
-//!   vector clocks, used by the sync/access split to *publish* a
-//!   thread's clock across the plane boundary as a pointer-sized
-//!   read-only [`VectorClockSnapshot`] without copying.
+//!   synchronization, not per entry. Only SO (Algorithm 4) shares
+//!   clocks between threads and locks; the Djit+, FastTrack and SU
+//!   engines hold plain [`VectorClock`]s.
 //!
 //! All clocks treat missing entries as `0` (the `⊥` timestamp), matching
 //! the paper's convention `max ∅ = 0`, so they can grow lazily as threads
@@ -58,7 +56,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cow_vector;
 mod epoch;
 mod freshness;
 mod ordered_list;
@@ -68,7 +65,6 @@ mod tree_clock;
 mod vector_clock;
 pub mod wire;
 
-pub use cow_vector::{SharedVectorClock, VectorClockSnapshot};
 pub use epoch::Epoch;
 pub use freshness::FreshnessClock;
 pub use ordered_list::{OrderedList, RecentEntries};

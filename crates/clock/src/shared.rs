@@ -313,9 +313,8 @@ impl SharedClock {
     /// `Arc` — no unwrap, no move of the inline arena, no reallocation
     /// on the next [`snapshot`](SharedClock::snapshot) — so a
     /// snapshot/drop/mutate cycle (every release whose previous lock
-    /// slot was overwritten, and a published view dropped before the
-    /// next mutation)
-    /// costs one reference-count round trip after the first share.
+    /// slot was overwritten) costs one reference-count round trip after
+    /// the first share.
     ///
     /// Prefer the dedicated mutators where possible; this is the escape
     /// hatch for multi-step updates.

@@ -1,10 +1,9 @@
 //! Engine-state checkpointing on the sync/access plane seam.
 //!
 //! A checkpoint is a *serialized* copy of an engine's state —
-//! deliberately never a `Clone`. The lazy-copy clock types
-//! ([`SharedClock`](freshtrack_clock::SharedClock),
-//! [`SharedVectorClock`](freshtrack_clock::SharedVectorClock)) share
-//! their backing storage on clone, so a cloned engine would see
+//! deliberately never a `Clone`. The lazy-copy clock type
+//! ([`SharedClock`](freshtrack_clock::SharedClock)) shares its
+//! backing storage on clone, so a cloned engine would see
 //! spurious deep-copy events the moment either copy mutates — breaking
 //! the work-counter parity the differential suites pin. Round-tripping
 //! through bytes gives the imported engine exclusive ownership of its
@@ -70,7 +69,7 @@ impl From<WireError> for CheckpointError {
 /// The contract: for any reachable state `s`,
 /// `fresh.import_state(&export(s))` yields an engine that is
 /// *verdict-equivalent* to `s` — every subsequent event sequence
-/// produces the same race reports (and, for sync engines, publishes
+/// produces the same race reports (and, for sync engines, yields
 /// value-identical clock views). Export is deterministic, so
 /// export → import → export is byte-idempotent; the checkpoint suite
 /// pins both properties.

@@ -212,7 +212,6 @@ where
 {
     type Sync = Sy;
     type Access = Ac;
-    type View = Sy::View;
 
     fn split_sync(&self) -> Sy {
         Sy::from_options(self.sync.options())

@@ -1,6 +1,6 @@
 use freshtrack_clock::{
     wire::{self, WireReader},
-    SharedVectorClock, ThreadId, VectorClock, VectorClockSnapshot,
+    ThreadId, VectorClock,
 };
 use freshtrack_sampling::Sampler;
 
@@ -16,14 +16,9 @@ use crate::plane::{BorrowedView, ClockView, HistoryAccessEngine, SyncCtx, SyncEn
 /// this type (FastTrack's epoch optimization only changes *access*
 /// handling). A [`ShardedOnlineDetector`](crate::ShardedOnlineDetector)
 /// keeps the same per-thread and per-lock clocks in per-object slots.
-///
-/// Thread clocks live in [`SharedVectorClock`]s so a published
-/// [`VectorClockSnapshot`] view is an `O(1)` hand-off; a clock nobody
-/// has published stays exclusively owned and every mutation is as cheap
-/// as a plain `VectorClock`.
 #[derive(Clone, Debug, Default)]
 pub struct VectorSyncEngine {
-    threads: Vec<SharedVectorClock>,
+    threads: Vec<VectorClock>,
     locks: Vec<VectorClock>,
 }
 
@@ -31,7 +26,7 @@ impl CheckpointState for VectorSyncEngine {
     fn export_state(&self, out: &mut Vec<u8>) {
         wire::put_varint(out, self.threads.len() as u64);
         for thread in &self.threads {
-            wire::put_clock(out, thread.clock());
+            wire::put_clock(out, thread);
         }
         wire::put_varint(out, self.locks.len() as u64);
         for lock in &self.locks {
@@ -44,7 +39,7 @@ impl CheckpointState for VectorSyncEngine {
         let n = checkpoint::get_count(&mut r)?;
         let mut threads = Vec::with_capacity(n);
         for _ in 0..n {
-            threads.push(SharedVectorClock::from_clock(r.get_clock()?));
+            threads.push(r.get_clock()?);
         }
         let n = checkpoint::get_count(&mut r)?;
         let mut locks = Vec::with_capacity(n);
@@ -59,8 +54,7 @@ impl CheckpointState for VectorSyncEngine {
 }
 
 impl SyncEngine for VectorSyncEngine {
-    type View = VectorClockSnapshot;
-    type Thread = SharedVectorClock;
+    type Thread = VectorClock;
     type Lock = VectorClock;
     type Options = ();
 
@@ -72,19 +66,19 @@ impl SyncEngine for VectorSyncEngine {
 
     fn options(&self) {}
 
-    fn tables(&mut self) -> (&mut Vec<SharedVectorClock>, &mut Vec<VectorClock>) {
+    fn tables(&mut self) -> (&mut Vec<VectorClock>, &mut Vec<VectorClock>) {
         (&mut self.threads, &mut self.locks)
     }
 
-    fn new_thread(tid: ThreadId) -> SharedVectorClock {
+    fn new_thread(tid: ThreadId) -> VectorClock {
         // C_t ← ⊥[t ↦ 1]
-        SharedVectorClock::from_clock(VectorClock::bottom_with(tid, 1))
+        VectorClock::bottom_with(tid, 1)
     }
 
     #[inline]
     fn acquire_at(
         _tid: ThreadId,
-        thread: &mut SharedVectorClock,
+        thread: &mut VectorClock,
         lock: &mut VectorClock,
         ctx: &mut SyncCtx<'_, ()>,
     ) {
@@ -94,11 +88,7 @@ impl SyncEngine for VectorSyncEngine {
         // Bottom fast path: a never-released lock carries ⊥ and cannot
         // teach the thread anything.
         if !lock.is_empty() {
-            let (clock, deep) = thread.make_mut();
-            if deep {
-                counters.deep_copies += 1;
-            }
-            clock.join(lock);
+            thread.join(lock);
         }
         counters.vc_ops += 1;
         counters.entries_traversed += ctx.threads as u64;
@@ -107,7 +97,7 @@ impl SyncEngine for VectorSyncEngine {
     #[inline]
     fn release_at(
         tid: ThreadId,
-        thread: &mut SharedVectorClock,
+        thread: &mut VectorClock,
         lock: &mut VectorClock,
         _sampled_since_release: bool,
         ctx: &mut SyncCtx<'_, ()>,
@@ -117,12 +107,8 @@ impl SyncEngine for VectorSyncEngine {
         counters.releases_processed += 1;
         // Cℓ ← C_t (straight memcpy; the change count is not needed),
         // then bump the local component.
-        let (clock, deep) = thread.make_mut();
-        if deep {
-            counters.deep_copies += 1;
-        }
-        lock.assign_from(clock);
-        clock.increment(tid);
+        lock.assign_from(thread);
+        thread.increment(tid);
         counters.vc_ops += 1;
         counters.entries_traversed += ctx.threads as u64;
         counters.local_increments += 1;
@@ -130,7 +116,7 @@ impl SyncEngine for VectorSyncEngine {
 
     fn release_join_at(
         tid: ThreadId,
-        thread: &mut SharedVectorClock,
+        thread: &mut VectorClock,
         lock: &mut VectorClock,
         _sampled_since_release: bool,
         ctx: &mut SyncCtx<'_, ()>,
@@ -138,35 +124,25 @@ impl SyncEngine for VectorSyncEngine {
         let counters = &mut *ctx.counters;
         counters.releases += 1;
         counters.releases_processed += 1;
-        let (clock, deep) = thread.make_mut();
-        if deep {
-            counters.deep_copies += 1;
-        }
-        lock.join(clock);
-        clock.increment(tid);
+        lock.join(thread);
+        thread.increment(tid);
         counters.local_increments += 1;
         counters.vc_ops += 1;
         counters.entries_traversed += ctx.threads as u64;
     }
 
-    fn thread_view(_tid: ThreadId, thread: &SharedVectorClock) -> impl ClockView + '_ {
+    fn thread_view(_tid: ThreadId, thread: &VectorClock) -> impl ClockView + '_ {
         // `C_t[t] = e_t` already holds in a raw vector clock.
-        let clock = thread.clock();
         BorrowedView {
-            lookup: move |u| clock.get(u),
-            width: clock.len(),
+            lookup: move |u| thread.get(u),
+            width: thread.len(),
         }
     }
 
-    fn publish_at(_tid: ThreadId, thread: &mut SharedVectorClock) -> VectorClockSnapshot {
-        thread.snapshot()
-    }
-
-    fn reserve_at(thread: &mut SharedVectorClock, n: usize) {
+    fn reserve_at(thread: &mut VectorClock, n: usize) {
         let last = ThreadId::new(n as u32 - 1);
-        let (clock, _) = thread.make_mut();
-        let pad = clock.get(last);
-        clock.set(last, pad);
+        let pad = thread.get(last);
+        thread.set(last, pad);
     }
 }
 

@@ -1,12 +1,12 @@
 use freshtrack_clock::{
     wire::{self, WireReader},
-    FreshnessClock, SharedVectorClock, ThreadId, Time, VectorClock, VectorClockSnapshot,
+    FreshnessClock, ThreadId, Time, VectorClock,
 };
 use freshtrack_sampling::Sampler;
 
 use crate::checkpoint::{self, CheckpointError, CheckpointState};
 use crate::composed::{Composed, EngineName};
-use crate::plane::{BorrowedView, ClockView, EpochView, HistoryAccessEngine, SyncCtx, SyncEngine};
+use crate::plane::{BorrowedView, ClockView, HistoryAccessEngine, SyncCtx, SyncEngine};
 use crate::Counters;
 
 /// Algorithm 3 of the paper (**SU**): sampling timestamps plus
@@ -69,7 +69,7 @@ impl<S> EngineName for FreshnessDetector<S> {
 /// `U_t` and local epoch `e_t`.
 #[derive(Clone, Debug)]
 pub struct ThreadState {
-    clock: SharedVectorClock,
+    clock: VectorClock,
     fresh: FreshnessClock,
     epoch: Time,
 }
@@ -78,11 +78,7 @@ impl ThreadState {
     /// Flushes the local epoch if this release is in `RelAfter_S`.
     fn flush_local_epoch(&mut self, tid: ThreadId, sampled: bool, counters: &mut Counters) {
         if sampled {
-            let (clock, deep) = self.clock.make_mut();
-            if deep {
-                counters.deep_copies += 1;
-            }
-            clock.set(tid, self.epoch);
+            self.clock.set(tid, self.epoch);
             self.fresh.bump(tid);
             self.epoch += 1;
             counters.local_increments += 1;
@@ -93,7 +89,7 @@ impl ThreadState {
 impl Default for ThreadState {
     fn default() -> Self {
         ThreadState {
-            clock: SharedVectorClock::new(),
+            clock: VectorClock::new(),
             fresh: FreshnessClock::new(),
             epoch: 1,
         }
@@ -126,7 +122,7 @@ impl CheckpointState for FreshnessSyncEngine {
     fn export_state(&self, out: &mut Vec<u8>) {
         wire::put_varint(out, self.threads.len() as u64);
         for thread in &self.threads {
-            wire::put_clock(out, thread.clock.clock());
+            wire::put_clock(out, &thread.clock);
             wire::put_fresh(out, &thread.fresh);
             wire::put_varint(out, thread.epoch);
         }
@@ -148,7 +144,7 @@ impl CheckpointState for FreshnessSyncEngine {
         let mut threads = Vec::with_capacity(n);
         for _ in 0..n {
             threads.push(ThreadState {
-                clock: SharedVectorClock::from_clock(r.get_clock()?),
+                clock: r.get_clock()?,
                 fresh: r.get_fresh()?,
                 epoch: r.get_varint()?,
             });
@@ -175,7 +171,6 @@ impl CheckpointState for FreshnessSyncEngine {
 }
 
 impl SyncEngine for FreshnessSyncEngine {
-    type View = EpochView<VectorClockSnapshot>;
     type Thread = ThreadState;
     type Lock = LockState;
     type Options = ();
@@ -223,11 +218,7 @@ impl SyncEngine for FreshnessSyncEngine {
         thread.fresh.join(&lock.fresh);
         // Entry-wise join of the C clock, counting changed entries so the
         // own freshness component stays an exact change count (VT).
-        let (clock, deep) = thread.clock.make_mut();
-        if deep {
-            counters.deep_copies += 1;
-        }
-        let changed = clock.join(&lock.clock);
+        let changed = thread.clock.join(&lock.clock);
         if changed > 0 {
             thread.fresh.bump_by(tid, changed as Time);
         }
@@ -250,7 +241,7 @@ impl SyncEngine for FreshnessSyncEngine {
         lock.mixed = false;
         if thread.fresh.get(tid) != lock.fresh.get(tid) {
             // The release copy never needs the change count: memcpy.
-            lock.clock.assign_from(thread.clock.clock());
+            lock.clock.assign_from(&thread.clock);
             lock.fresh.assign_from(&thread.fresh);
             counters.releases_processed += 1;
             counters.vc_ops += 2;
@@ -274,7 +265,7 @@ impl SyncEngine for FreshnessSyncEngine {
         let counters = &mut *ctx.counters;
         counters.releases += 1;
         thread.flush_local_epoch(tid, sampled_since_release, counters);
-        lock.clock.assign_from(thread.clock.clock());
+        lock.clock.assign_from(&thread.clock);
         lock.fresh.assign_from(&thread.fresh);
         lock.last_releaser = Some(tid);
         lock.mixed = false;
@@ -293,7 +284,7 @@ impl SyncEngine for FreshnessSyncEngine {
         let counters = &mut *ctx.counters;
         counters.releases += 1;
         thread.flush_local_epoch(tid, sampled_since_release, counters);
-        lock.clock.join(thread.clock.clock());
+        lock.clock.join(&thread.clock);
         lock.fresh.join(&thread.fresh);
         lock.last_releaser = None;
         lock.mixed = true;
@@ -303,26 +294,17 @@ impl SyncEngine for FreshnessSyncEngine {
     }
 
     fn thread_view(tid: ThreadId, thread: &ThreadState) -> impl ClockView + '_ {
-        let (clock, epoch) = (thread.clock.clock(), thread.epoch);
+        let (clock, epoch) = (&thread.clock, thread.epoch);
         BorrowedView {
             lookup: move |u| if u == tid { epoch } else { clock.get(u) },
             width: clock.len(),
         }
     }
 
-    fn publish_at(tid: ThreadId, thread: &mut ThreadState) -> EpochView<VectorClockSnapshot> {
-        EpochView {
-            snap: thread.clock.snapshot(),
-            epoch: thread.epoch,
-            tid,
-        }
-    }
-
     fn reserve_at(thread: &mut ThreadState, n: usize) {
         let last = ThreadId::new(n as u32 - 1);
-        let (clock, _) = thread.clock.make_mut();
-        let pad = clock.get(last);
-        clock.set(last, pad);
+        let pad = thread.clock.get(last);
+        thread.clock.set(last, pad);
     }
 }
 
@@ -331,7 +313,33 @@ mod tests {
     use super::*;
     use crate::{Detector, NaiveSamplingDetector};
     use freshtrack_sampling::{AlwaysSampler, BernoulliSampler, NeverSampler};
-    use freshtrack_trace::{Event, EventId, TraceBuilder};
+    use freshtrack_trace::{Event, EventId, LockId, TraceBuilder};
+
+    #[test]
+    fn publish_splices_the_local_epoch_into_the_clock() {
+        let (t0, t1) = (ThreadId::new(0), ThreadId::new(1));
+        let (l, m) = (LockId::new(0), LockId::new(1));
+        let mut sync = FreshnessSyncEngine::default();
+        let mut counters = Counters::default();
+        sync.ensure_thread(t1);
+        // t1 samples, releases l (flushing e_t1 = 1); t0 learns it
+        // through l, then samples and releases m itself.
+        sync.acquire(t1, l, &mut counters);
+        sync.release(t1, l, true, &mut counters);
+        sync.acquire(t0, l, &mut counters);
+        sync.acquire(t0, m, &mut counters);
+        sync.release(t0, m, true, &mut counters);
+        let thread = sync.threads[0].clone();
+        let view = sync.publish(t0);
+        assert_eq!(view.time_of(t0), thread.epoch);
+        assert_eq!((thread.epoch, thread.clock.get(t0)), (2, 1));
+        assert_eq!(view.time_of(t1), 1);
+        let others = (0..=thread.clock.len() as u32).map(ThreadId::new);
+        for u in others.filter(|&u| u != t0) {
+            assert_eq!(view.time_of(u), thread.clock.get(u), "{u:?}");
+        }
+        assert_eq!(view.width(), thread.clock.len());
+    }
 
     #[test]
     fn matches_algorithm2_reports_on_contended_trace() {

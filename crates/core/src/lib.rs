@@ -92,8 +92,7 @@ pub use parallel::{
     CACHE_STATE_VERSION,
 };
 pub use plane::{
-    AccessEngine, AccessOutcome, ClockView, EpochView, HistoryAccessEngine, SplitDetector, SyncCtx,
-    SyncEngine,
+    AccessEngine, AccessOutcome, ClockView, HistoryAccessEngine, SplitDetector, SyncCtx, SyncEngine,
 };
 pub use report::{AccessKind, RaceReport};
 pub use shard::{ShardedOnlineDetector, SyncMode, ThreadHandle};

@@ -278,7 +278,6 @@ pub struct EmptySyncEngine {
 }
 
 impl SyncEngine for EmptySyncEngine {
-    type View = ();
     type Thread = ();
     type Lock = ();
     type Options = ();
@@ -322,8 +321,6 @@ impl SyncEngine for EmptySyncEngine {
     }
 
     fn thread_view(_tid: ThreadId, _: &()) -> impl ClockView {}
-
-    fn publish_at(_tid: ThreadId, _: &mut ()) {}
 
     fn reserve_at(_: &mut (), _n: usize) {}
 }

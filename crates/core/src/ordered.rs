@@ -6,7 +6,7 @@ use freshtrack_sampling::Sampler;
 
 use crate::checkpoint::{self, CheckpointError, CheckpointState};
 use crate::composed::{Composed, EngineName};
-use crate::plane::{BorrowedView, ClockView, EpochView, HistoryAccessEngine, SyncCtx, SyncEngine};
+use crate::plane::{BorrowedView, ClockView, HistoryAccessEngine, SyncCtx, SyncEngine};
 use crate::Counters;
 
 /// Algorithm 4 of the paper (**SO**): ordered lists plus lazy copies.
@@ -314,7 +314,6 @@ impl CheckpointState for OrderedSyncEngine {
 }
 
 impl SyncEngine for OrderedSyncEngine {
-    type View = EpochView<ClockSnapshot>;
     type Thread = ThreadState;
     type Lock = LockState;
     /// The local-epoch optimization switch.
@@ -476,14 +475,6 @@ impl SyncEngine for OrderedSyncEngine {
         }
     }
 
-    fn publish_at(tid: ThreadId, thread: &mut ThreadState) -> EpochView<ClockSnapshot> {
-        EpochView {
-            snap: thread.list.snapshot(),
-            epoch: thread.epoch,
-            tid,
-        }
-    }
-
     fn reserve_at(thread: &mut ThreadState, n: usize) {
         let (list, _) = thread.list.make_mut();
         list.ensure_thread_count(n);
@@ -495,7 +486,37 @@ mod tests {
     use super::*;
     use crate::{Detector, NaiveSamplingDetector};
     use freshtrack_sampling::{AlwaysSampler, BernoulliSampler, NeverSampler};
-    use freshtrack_trace::{Trace, TraceBuilder};
+    use freshtrack_trace::{LockId, Trace, TraceBuilder};
+
+    #[test]
+    fn publish_splices_the_local_epoch_into_the_clock() {
+        let (t0, t1) = (ThreadId::new(0), ThreadId::new(1));
+        let (l, m) = (LockId::new(0), LockId::new(1));
+        for local_epoch_opt in [false, true] {
+            let mut sync = OrderedSyncEngine::new(local_epoch_opt);
+            let mut counters = Counters::default();
+            sync.ensure_thread(t1);
+            // t1 samples, releases l (flushing e_t1 = 1); t0 learns it
+            // through l, then samples and releases m itself.
+            sync.acquire(t1, l, &mut counters);
+            sync.release(t1, l, true, &mut counters);
+            sync.acquire(t0, l, &mut counters);
+            sync.acquire(t0, m, &mut counters);
+            sync.release(t0, m, true, &mut counters);
+            let epoch = sync.threads[0].epoch;
+            let list = sync.threads[0].list.list().clone();
+            let view = sync.publish(t0);
+            assert_eq!(view.time_of(t0), epoch);
+            assert_eq!(epoch, 2);
+            assert_ne!(list.get(t0), epoch, "opt={local_epoch_opt}");
+            assert_eq!(view.time_of(t1), 1, "opt={local_epoch_opt}");
+            let others = (0..=list.len() as u32).map(ThreadId::new);
+            for u in others.filter(|&u| u != t0) {
+                assert_eq!(view.time_of(u), list.get(u), "{u:?}");
+            }
+            assert_eq!(view.width(), list.len());
+        }
+    }
 
     fn ladder_trace(rounds: u32, threads: u32) -> Trace {
         let mut b = TraceBuilder::new();

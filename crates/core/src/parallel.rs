@@ -31,10 +31,9 @@
 //!   sync events) and through the sync and access halves of one engine
 //!   pair ([`SplitDetector`]). A sampled-out access changes nothing but
 //!   its counter, so the walk's cost follows the sync events and the
-//!   sample `S`, not the trace length. Published views are taken per
-//!   sampled access and dropped before the owner's next sync mutation,
-//!   so lazy-copy counters stay identical to the monolith's
-//!   (take-before-mutate, see [`SyncEngine::publish`]).
+//!   sample `S`, not the trace length. Each sampled access reads its
+//!   thread's clock in place ([`SyncEngine::publish`]), as the monolith
+//!   does, so every counter stays identical to the monolith's.
 //!
 //! `jobs` is the number of decoder threads and nothing else: the
 //! analysis state, the output and the sidecar bytes are the same at
@@ -546,10 +545,6 @@ where
                             pending.resize(tid.index() + 1, false);
                         }
                         pending[tid.index()] = true;
-                        // Take-before-mutate: the view dies inside this
-                        // arm, before `tid`'s next sync mutation, so it
-                        // never forces a deep copy the monolith would
-                        // not pay.
                         let view = sync.publish(tid);
                         let outcome = access.access_sampled(id, event, &view, &mut counters);
                         debug_assert!(outcome.sampled, "hoisted decision admitted this");

@@ -16,8 +16,8 @@
 //! thread and per sync object, per-location shadow state):
 //!
 //! * [`SyncEngine`] — per-thread and per-lock states plus the
-//!   acquire/release handlers over one of each, and a cheap per-thread
-//!   [`ClockView`] for race checks.
+//!   acquire/release handlers over one of each, and a per-thread
+//!   [`ClockView`] for race checks, read in place.
 //! * [`AccessEngine`] — owns only access histories (and the sampler),
 //!   and analyzes access events against a view of the accessing
 //!   thread's clock.
@@ -47,7 +47,7 @@
 //! slot; [`Composed`](crate::Composed) keeps it as a plain per-thread
 //! bool.
 
-use freshtrack_clock::{ClockSnapshot, ThreadId, Time, VectorClock, VectorClockSnapshot};
+use freshtrack_clock::{ThreadId, Time, VectorClock};
 use freshtrack_sampling::Sampler;
 use freshtrack_trace::{Event, EventId, EventKind, LockId};
 
@@ -124,10 +124,6 @@ pub struct SyncCtx<'a, O> {
 /// same fields the monolithic engine would touch, so merged counters
 /// stay comparable).
 pub trait SyncEngine: Send {
-    /// The per-thread clock view handed to the access plane. Must be
-    /// `O(1)` to produce and pointer-sized to clone — see
-    /// [`publish`](SyncEngine::publish).
-    type View: ClockView + Clone + Send + 'static;
     /// One thread's state: touched only by that thread's own events.
     type Thread: Send;
     /// One lock's state: touched only by acquires and releases of it.
@@ -201,19 +197,10 @@ pub trait SyncEngine: Send {
         ctx: &mut SyncCtx<'_, Self::Options>,
     );
 
-    /// A borrowed race-check view of `tid`'s clock (`C_t[t ↦ e_t]`),
-    /// read in place: no snapshot, no reference-count traffic.
+    /// The race-check view of `tid`'s clock (`C_t[t ↦ e_t]`), read in
+    /// place: no snapshot, no reference-count traffic. Its width is the
+    /// clock's length.
     fn thread_view(tid: ThreadId, thread: &Self::Thread) -> impl ClockView + '_;
-
-    /// An owned `O(1)` view of `tid`'s clock: the clock moves behind a
-    /// shared reference
-    /// ([`SharedClock::snapshot`](freshtrack_clock::SharedClock::snapshot)
-    /// /
-    /// [`SharedVectorClock::snapshot`](freshtrack_clock::SharedVectorClock::snapshot)),
-    /// not copied. Callers that later mutate `tid`'s state should drop
-    /// the view *first* (take-before-mutate), so it never forces a lazy
-    /// deep copy beyond the ones the engine's own lock aliases cause.
-    fn publish_at(tid: ThreadId, thread: &mut Self::Thread) -> Self::View;
 
     /// Pre-sizes one thread's clock for `n` threads.
     fn reserve_at(thread: &mut Self::Thread, n: usize);
@@ -292,10 +279,14 @@ pub trait SyncEngine: Send {
         );
     }
 
-    /// Publishes the current view of `tid`'s clock (which must exist):
-    /// [`publish_at`](SyncEngine::publish_at) on its table entry.
-    fn publish(&mut self, tid: ThreadId) -> Self::View {
-        Self::publish_at(tid, &mut self.tables().0[tid.index()])
+    /// The race-check view of `tid`'s clock (which must exist):
+    /// [`thread_view`](SyncEngine::thread_view) on its table entry. The
+    /// view borrows the engine, so it cannot outlive `tid`'s next sync
+    /// event. The name stays for the repository benchmark's split
+    /// replay loop (`perfbench/src/replay.rs`), which calls it.
+    fn publish(&mut self, tid: ThreadId) -> impl ClockView + '_ {
+        let threads: &Vec<Self::Thread> = self.tables().0;
+        Self::thread_view(tid, &threads[tid.index()])
     }
 
     /// Pre-sizes per-thread clock state for `n` threads.
@@ -324,9 +315,8 @@ fn lock_entry<L: Default>(locks: &mut Vec<L>, lock: LockId) -> &mut L {
 ///
 /// `access_sampled` is generic over the [`ClockView`] it consults — the race
 /// check only ever *reads* the view through `time_of`/`width`, so one
-/// access engine serves every sync engine's view representation
-/// (owned snapshot, epoch-spliced snapshot, or a view borrowed from the
-/// thread's state).
+/// access engine serves every sync engine's view of the thread's state
+/// (the raw clock, or the clock with the local epoch spliced in).
 pub trait AccessEngine: Send {
     /// The sampler that picks the sample set `S`.
     type Sampler: Sampler;
@@ -380,11 +370,9 @@ pub(crate) fn tally_access(event: &Event, counters: &mut Counters) {
 /// of one run must come from the same detector so their samplers agree.
 pub trait SplitDetector: Detector + Clone + Send {
     /// The sync-plane half.
-    type Sync: SyncEngine<View = Self::View>;
+    type Sync: SyncEngine;
     /// The access-plane half (view-agnostic; see [`AccessEngine`]).
     type Access: AccessEngine;
-    /// The published per-thread clock view.
-    type View: ClockView + Clone + Send + 'static;
 
     /// Builds the sync engine (fresh state, this detector's config).
     fn split_sync(&self) -> Self::Sync;
@@ -397,69 +385,8 @@ pub trait SplitDetector: Detector + Clone + Send {
 // View implementations shared by the engines.
 // ---------------------------------------------------------------------
 
-/// Published view for engines whose race checks read the raw thread
-/// clock (Djit+, FastTrack): a pointer-sized vector-clock snapshot.
-impl ClockView for VectorClockSnapshot {
-    #[inline]
-    fn time_of(&self, u: ThreadId) -> Time {
-        self.get(u)
-    }
-
-    #[inline]
-    fn width(&self) -> usize {
-        self.len()
-    }
-}
-
-/// Published view for the epoch-keeping engines (SU, SO): the snapshot
-/// of the communicated clock plus the local epoch spliced in at the
-/// owner's own entry (`C_t[t ↦ e_t]`, the race-check view of
-/// Algorithms 2–4).
-#[derive(Clone, Debug)]
-pub struct EpochView<Snap> {
-    /// Snapshot of the communicated clock `C_t` / `O_t`.
-    pub snap: Snap,
-    /// The local epoch `e_t`.
-    pub epoch: Time,
-    /// The owning thread.
-    pub tid: ThreadId,
-}
-
-impl ClockView for EpochView<ClockSnapshot> {
-    #[inline]
-    fn time_of(&self, u: ThreadId) -> Time {
-        if u == self.tid {
-            self.epoch
-        } else {
-            self.snap.get(u)
-        }
-    }
-
-    #[inline]
-    fn width(&self) -> usize {
-        self.snap.list().len()
-    }
-}
-
-impl ClockView for EpochView<VectorClockSnapshot> {
-    #[inline]
-    fn time_of(&self, u: ThreadId) -> Time {
-        if u == self.tid {
-            self.epoch
-        } else {
-            self.snap.get(u)
-        }
-    }
-
-    #[inline]
-    fn width(&self) -> usize {
-        self.snap.len()
-    }
-}
-
 /// A borrowed view over a raw clock lookup closure — what the
-/// engines' [`SyncEngine::thread_view`] returns: read in place, without
-/// the `O(1)` publication machinery.
+/// engines' [`SyncEngine::thread_view`] returns: read in place.
 pub(crate) struct BorrowedView<F> {
     pub(crate) lookup: F,
     pub(crate) width: usize,
@@ -505,7 +432,7 @@ pub(crate) fn history_leq_view<V: ClockView>(history: &VectorClock, view: &V) ->
 /// The access-plane half shared by every engine whose per-variable
 /// histories are full clocks ([`AccessHistories`](crate::AccessHistories)):
 /// Djit+ (ST), SU and SO. The engines differ only in their *sync*
-/// handlers and in the view they publish (raw clock vs epoch-spliced),
+/// handlers and in the view they hand over (raw clock vs epoch-spliced),
 /// which is exactly the seam this type sits on: it is generic over the
 /// view and knows nothing about synchronization.
 ///
@@ -628,20 +555,6 @@ impl<S: std::fmt::Debug> std::fmt::Debug for HistoryAccessEngine<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn epoch_view_splices_own_entry() {
-        let mut clock = freshtrack_clock::SharedVectorClock::new();
-        clock.make_mut().0.set(ThreadId::new(1), 7);
-        let view = EpochView {
-            snap: clock.snapshot(),
-            epoch: 42,
-            tid: ThreadId::new(0),
-        };
-        assert_eq!(view.time_of(ThreadId::new(0)), 42);
-        assert_eq!(view.time_of(ThreadId::new(1)), 7);
-        assert_eq!(view.width(), 2);
-    }
 
     #[test]
     fn borrowed_view_delegates_to_lookup() {
