@@ -1246,10 +1246,69 @@ fn access_cost_point<D: SplitDetector + 'static>(detector: D, path: Path) -> f64
     elapsed.as_nanos() as f64 / f64::from(ACCESS_COST_ACCESSES)
 }
 
+/// OS threads of the `--access-cost` cross-core point.
+const CROSS_CORE_THREADS: u32 = 2;
+/// The cross-core point's key, and the rates it is measured at.
+const CROSS_CORE_POINT: &str = "cross_core_handle_n4";
+const CROSS_CORE_RATES: [&str; 2] = ["0.03", "1"];
+
+/// The cross-core point of `--access-cost`: [`CROSS_CORE_THREADS`] OS
+/// threads, each feeding its own `ThreadHandle` of one 4-shard detector
+/// over variables no other thread touches, with an acquire/release pair
+/// of its own lock every [`access_stream::SYNC_EVERY`] accesses (the
+/// single-threaded stream's cadence). Each thread issues
+/// `ACCESS_COST_ACCESSES / CROSS_CORE_THREADS` accesses after a common
+/// start; returns the slower thread's ns per access, which equals the
+/// single-threaded handle cost when nothing the threads share slows
+/// them down.
+fn cross_core_point<D: SplitDetector + 'static>(detector: D) -> f64 {
+    let per_thread = ACCESS_COST_ACCESSES / CROSS_CORE_THREADS;
+    let sharded = ShardedOnlineDetector::new(detector, 4);
+    sharded.reserve_threads(CROSS_CORE_THREADS as usize);
+    let start = std::sync::Barrier::new(CROSS_CORE_THREADS as usize);
+    let slowest = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..CROSS_CORE_THREADS)
+            .map(|t| {
+                let (sharded, start) = (&sharded, &start);
+                s.spawn(move || {
+                    let mut handle = sharded.thread(t);
+                    let first_var = t * access_stream::VARS;
+                    handle.acquire(t);
+                    handle.write(first_var);
+                    handle.read(first_var + 1);
+                    handle.release(t);
+                    start.wait();
+                    let began = Instant::now();
+                    for i in 0..per_thread {
+                        let var = first_var + i % access_stream::VARS;
+                        if i % 2 == 0 {
+                            handle.write(var);
+                        } else {
+                            handle.read(var);
+                        }
+                        if i % access_stream::SYNC_EVERY == access_stream::SYNC_EVERY - 1 {
+                            handle.acquire(t);
+                            handle.release(t);
+                        }
+                    }
+                    began.elapsed()
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("cross-core worker panicked"))
+            .max()
+            .expect("at least one worker")
+    });
+    slowest.as_nanos() as f64 / f64::from(per_thread)
+}
+
 /// The `--access-cost` mode: per-access ingestion cost across sampling
 /// rates on the lock-free skip path, every point measured in
 /// interleaved rounds — one sitting by construction — and recorded as
-/// its fastest and its median round.
+/// its fastest and its median round. At rates 0.03 and 1 it adds the
+/// cross-core point ([`cross_core_point`]).
 fn run_access_cost(out_path: Option<String>) {
     let rounds = env_or("FT_ROUNDS", 5u32).max(1);
 
@@ -1262,30 +1321,41 @@ fn run_access_cost(out_path: Option<String>) {
         (HANDLE_SWEEP[1].0, Path::Handle(HANDLE_SWEEP[1].1)),
     ];
 
-    // samples[rate][point] = ns per access, one entry per round.
-    let mut samples = vec![vec![Vec::new(); POINTS.len()]; RATES.len()];
+    // samples[rate][point] = ns per access, one entry per round; the
+    // last column is the cross-core point, empty at rates without it.
+    let mut samples = vec![vec![Vec::new(); POINTS.len() + 1]; RATES.len()];
     for round in 0..rounds {
         eprintln!("access-cost round {}/{rounds}…", round + 1);
-        for (r, &(_, rate)) in RATES.iter().enumerate() {
+        for (r, &(rate_key, rate)) in RATES.iter().enumerate() {
             for (p, &(_, path)) in POINTS.iter().enumerate() {
                 let sampler = BernoulliSampler::new(rate, 7);
                 samples[r][p].push(access_cost_point(DjitDetector::new(sampler), path));
+            }
+            if CROSS_CORE_RATES.contains(&rate_key) {
+                let sampler = BernoulliSampler::new(rate, 7);
+                samples[r][POINTS.len()].push(cross_core_point(DjitDetector::new(sampler)));
             }
         }
     }
 
     let mut sections = Vec::new();
     for (r, &(rate_key, rate)) in RATES.iter().enumerate() {
+        let names = POINTS.iter().map(|&(name, _)| name);
+        let measured: Vec<_> = names
+            .chain([CROSS_CORE_POINT])
+            .zip(&mut samples[r])
+            .filter(|(_, ns)| !ns.is_empty())
+            .collect();
         let mut lines = Vec::new();
-        for (p, &(name, _)) in POINTS.iter().enumerate() {
-            let ns = &mut samples[r][p];
+        let last = measured.len() - 1;
+        for (p, (name, ns)) in measured.into_iter().enumerate() {
             ns.sort_by(f64::total_cmp);
             let hoisted_ns = ns[0];
             let median_ns = ns[ns.len() / 2];
             eprintln!(
-                "rate {rate:<6} {name:<17} hoisted {hoisted_ns:>7.1} ns  median {median_ns:>7.1} ns"
+                "rate {rate:<6} {name:<20} hoisted {hoisted_ns:>7.1} ns  median {median_ns:>7.1} ns"
             );
-            let comma = if p + 1 == POINTS.len() { "" } else { "," };
+            let comma = if p == last { "" } else { "," };
             lines.push(format!(
                 "      \"{name}\": {{\"hoisted_ns\": {hoisted_ns:.1}, \"median_ns\": {median_ns:.1}}}{comma}"
             ));
@@ -1298,14 +1368,17 @@ fn run_access_cost(out_path: Option<String>) {
     }
 
     let json = format!(
-        "{{\n  \"schema\": \"freshtrack/access-cost/v4\",\n  \"benchmark\": \"access_cost\",\n  \
+        "{{\n  \"schema\": \"freshtrack/access-cost/v5\",\n  \"benchmark\": \"access_cost\",\n  \
          \"engine\": \"Djit+(bernoulli)\",\n  \"threads\": {},\n  \"vars\": {},\n  \
          \"accesses_per_round\": {ACCESS_COST_ACCESSES},\n  \"sync_every\": {},\n  \"rounds\": {rounds},\n  \
          \"note\": \"ns per access event, single-threaded feed, on the lock-free skip path \
          (pure decision before any lock; sampled-out accesses return after two relaxed atomic \
          bumps, or one through a ThreadHandle — ARCHITECTURE.md invariant 10); sharded_nN feeds \
          the ShardedOnlineDetector by on_event, sharded_handle_nN through one ThreadHandle per \
-         thread; rates are Bernoulli sampling probabilities, so \
+         thread; cross_core_handle_n4 (rates 0.03 and 1 only) runs two OS threads at once, \
+         each feeding its own ThreadHandle of one 4-shard detector over disjoint variables and \
+         its own lock, and reports the slower thread's ns per access; rates are Bernoulli \
+         sampling probabilities, so \
          rate 0 is the pure skip path and rate 1 the pure analysis path; hoisted_ns is each \
          point's fastest round and median_ns its median round, all rounds interleaved in one \
          sitting\",\n  \
