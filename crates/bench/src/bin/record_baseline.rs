@@ -753,7 +753,7 @@ fn run_sync_cost(out_path: Option<String>) {
         "{{\n  \"schema\": \"freshtrack/sync-cost/v5\",\n  \"benchmark\": \"sync_cost\",\n  \
          \"threads\": {},\n  \"locks\": {},\n  \"clock_width\": {width},\n  \
          \"sync_events_per_round\": {},\n  \"rounds\": {rounds},\n  \
-         \"note\": \"ns per sync event, single-threaded feed (isolation, no contention); sharded.N is the ShardedOnlineDetector with N access shards fed by on_event, whose sync event runs the engine handler on one per-thread and one per-lock slot (flat in N); sharded_handle_nN is the same detector fed through one ThreadHandle per thread, whose sync event takes only the lock slot; every point is the fastest of FT_ROUNDS interleaved rounds, all in one sitting\",\n  \
+         \"note\": \"ns per sync event, single-threaded feed (isolation, no contention); a sync event draws no id ticket on any path; sharded.N is the ShardedOnlineDetector with N access shards fed by on_event, whose sync event runs the engine handler on one per-thread and one per-lock slot (flat in N); sharded_handle_nN is the same detector fed through one ThreadHandle per thread, whose sync event takes only the lock slot; every point is the fastest of FT_ROUNDS interleaved rounds, all in one sitting\",\n  \
          \"configs\": {{\n{}\n  }}\n}}\n",
         sync_stream::THREADS,
         sync_stream::LOCKS,
@@ -1372,8 +1372,10 @@ fn run_access_cost(out_path: Option<String>) {
          \"engine\": \"Djit+(bernoulli)\",\n  \"threads\": {},\n  \"vars\": {},\n  \
          \"accesses_per_round\": {ACCESS_COST_ACCESSES},\n  \"sync_every\": {},\n  \"rounds\": {rounds},\n  \
          \"note\": \"ns per access event, single-threaded feed, on the lock-free skip path \
-         (pure decision before any lock; sampled-out accesses return after two relaxed atomic \
-         bumps, or one through a ThreadHandle — ARCHITECTURE.md invariant 10); sharded_nN feeds \
+         (pure per-thread decision before any lock; a sampled-out access writes only its own \
+         thread's access cell, a relaxed load and store per count, or plain fields of its \
+         ThreadHandle, and draws no id; only a sampled access does an atomic read-modify-write, \
+         the id ticket — ARCHITECTURE.md invariant 10); sharded_nN feeds \
          the ShardedOnlineDetector by on_event, sharded_handle_nN through one ThreadHandle per \
          thread; cross_core_handle_n4 (rates 0.03 and 1 only) runs two OS threads at once, \
          each feeding its own ThreadHandle of one 4-shard detector over disjoint variables and \

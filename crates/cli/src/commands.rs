@@ -14,7 +14,7 @@ use freshtrack_trace::{
     AnalysisCache, BinaryEventReader, CacheConfig, EventReader, EventSource, SegmentOptions,
     SegmentedTraceFile, Trace, TraceStats, Validated,
 };
-use freshtrack_workloads::{benchbase, corpus, generate, Pattern, WorkloadConfig};
+use freshtrack_workloads::{benchbase, corpus, generate, Pattern, WorkloadConfig, MAX_SYNC_RATIO};
 
 use crate::{ArgError, Args, USAGE};
 
@@ -673,16 +673,32 @@ fn parse_pattern(name: &str) -> Result<Pattern, ArgError> {
     })
 }
 
+/// The count option `--name` (`default` when absent), checked to be at
+/// least 1: the generator cannot honour 0.
+fn at_least_one(args: &Args, name: &str, default: u32) -> Result<u32, ArgError> {
+    let value: u32 = args.get_or(name, default)?;
+    if value == 0 {
+        return Err(ArgError(format!("--{name} must be at least 1, got 0")));
+    }
+    Ok(value)
+}
+
 fn generate_cmd<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgError> {
     let args = GENERATE.parse(rest)?;
     let pattern = parse_pattern(&args.get_or("pattern", "mixed".to_owned())?)?;
+    let sync_ratio = fraction(&args, "sync-ratio", 0.3)?;
+    if sync_ratio > MAX_SYNC_RATIO {
+        return Err(ArgError(format!(
+            "--sync-ratio must be at most {MAX_SYNC_RATIO}, got {sync_ratio}"
+        )));
+    }
     let config = WorkloadConfig::named("cli")
         .pattern(pattern)
         .events(args.get_or("events", 10_000usize)?)
-        .threads(args.get_or("threads", 4u32)?)
-        .locks(args.get_or("locks", 8u32)?)
-        .vars(args.get_or("vars", 64u32)?)
-        .sync_ratio(fraction(&args, "sync-ratio", 0.3)?)
+        .threads(at_least_one(&args, "threads", 4)?)
+        .locks(at_least_one(&args, "locks", 8)?)
+        .vars(at_least_one(&args, "vars", 64)?)
+        .sync_ratio(sync_ratio)
         .unprotected(fraction(&args, "unprotected", 0.02)?)
         .seed(args.get_or("seed", 0u64)?);
     let trace = generate(&config);

@@ -102,7 +102,9 @@ COMMANDS:
     generate          generate a workload trace to stdout
                       --pattern mixed|pc|pipeline|forkjoin|barrier|ladder
                       --events <n> --threads <n> --locks <n> --vars <n>
-                      --sync-ratio <0..1> --unprotected <0..1> --seed <n>
+                      (counts >= 1) --sync-ratio <0..0.95> (the
+                      generator leaves room for accesses)
+                      --unprotected <0..1> --seed <n>
     corpus            --list, or --bench <name> [--scale <f>] [--seed <n>]
                       to emit a corpus trace to stdout (--scale > 0
                       multiplies the benchmark's event count)

@@ -44,6 +44,42 @@ fn generate_rejects_ratios_outside_the_unit_interval() {
 }
 
 #[test]
+fn generate_rejects_what_the_generator_cannot_honour() {
+    // The generator caps the sync ratio at 0.95 and needs at least one
+    // thread, lock and variable; the CLI must say so instead of
+    // generating some other trace.
+    for (option, value, message) in [
+        (
+            "--sync-ratio",
+            "1",
+            "--sync-ratio must be at most 0.95, got 1",
+        ),
+        (
+            "--sync-ratio",
+            "0.96",
+            "--sync-ratio must be at most 0.95, got 0.96",
+        ),
+        ("--threads", "0", "--threads must be at least 1, got 0"),
+        ("--locks", "0", "--locks must be at least 1, got 0"),
+        ("--vars", "0", "--vars must be at least 1, got 0"),
+    ] {
+        assert_rejected(
+            &["generate", "--events", "2000", "--seed", "3", option, value],
+            message,
+        );
+    }
+    for (option, value) in [
+        ("--sync-ratio", "0.95"),
+        ("--threads", "1"),
+        ("--locks", "1"),
+        ("--vars", "1"),
+    ] {
+        let (code, out) = freshtrack(&["generate", "--events", "20", option, value]);
+        assert_eq!(code, 0, "{option} {value}: {out}");
+    }
+}
+
+#[test]
 fn generate_accepts_the_interval_bounds() {
     for (option, value) in [
         ("--unprotected", "0"),

@@ -135,7 +135,7 @@ where
     Self: EngineName,
 {
     fn process(&mut self, id: EventId, event: Event) -> Option<RaceReport> {
-        // Hoisted-first: the sampling decision is pure in `(id, event)`,
+        // Decide first: the sampling decision is pure in `(id, event)`,
         // so a skipped access is a tally and nothing else — no thread
         // admission, no clock reads (invariant 10).
         if let EventKind::Read(_) | EventKind::Write(_) = event.kind {
@@ -196,7 +196,7 @@ where
 
     fn hoisted_decider(&self) -> HoistedDecider {
         let sampler = self.access.sampler().clone();
-        Box::new(move |id, event| sampler.decide(id, event))
+        Box::new(move |ordinal, event| sampler.decide_in_thread(ordinal, event))
     }
 
     fn record_skipped_accesses(&mut self, reads: u64, writes: u64) {

@@ -1,6 +1,5 @@
 use std::fmt;
 use std::ops::AddAssign;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Deterministic work counters maintained by every detector.
 ///
@@ -137,75 +136,6 @@ impl Counters {
             self.acquires_processed + self.releases_processed,
             self.syncs(),
         )
-    }
-}
-
-/// One cache line of skip tallies. Padding to 64 bytes keeps stripes on
-/// distinct lines, so concurrent bumps from different threads do not
-/// false-share.
-#[derive(Debug, Default)]
-#[repr(align(64))]
-struct SkipStripe {
-    reads: AtomicU64,
-    writes: AtomicU64,
-}
-
-/// Striped atomic tallies for accesses rejected on the lock-free skip
-/// path — the *only* shared state a sampled-out access touches
-/// (invariant 10). Stripes are indexed by accessor thread id, so the
-/// common case is an uncontended `fetch_add` on a thread-private cache
-/// line; totals are folded into [`Counters`] once, at `finish()`, via
-/// [`Counters::fold_skipped_accesses`] — bit-exact with having tallied
-/// inline.
-#[derive(Debug)]
-pub(crate) struct SkipCells {
-    stripes: Box<[SkipStripe]>,
-}
-
-impl SkipCells {
-    /// Stripe count; power of two so the index is a mask.
-    const STRIPES: usize = 16;
-
-    pub(crate) fn new() -> Self {
-        SkipCells {
-            stripes: (0..Self::STRIPES).map(|_| SkipStripe::default()).collect(),
-        }
-    }
-
-    #[inline]
-    fn stripe(&self, tid: u32) -> &SkipStripe {
-        &self.stripes[tid as usize & (Self::STRIPES - 1)]
-    }
-
-    /// Tallies one skipped read by `tid`.
-    #[inline]
-    pub(crate) fn bump_read(&self, tid: u32) {
-        self.stripe(tid).reads.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Tallies one skipped write by `tid`.
-    #[inline]
-    pub(crate) fn bump_write(&self, tid: u32) {
-        self.stripe(tid).writes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Tallies `reads` skipped reads and `writes` skipped writes by
-    /// `tid` at once: the fold of a thread handle's private tallies.
-    pub(crate) fn add(&self, tid: u32, reads: u64, writes: u64) {
-        let stripe = self.stripe(tid);
-        stripe.reads.fetch_add(reads, Ordering::Relaxed);
-        stripe.writes.fetch_add(writes, Ordering::Relaxed);
-    }
-
-    /// Drains the `(reads, writes)` totals. Callers fold them exactly
-    /// once, after all feeding threads have quiesced.
-    pub(crate) fn totals(&self) -> (u64, u64) {
-        self.stripes.iter().fold((0, 0), |(r, w), s| {
-            (
-                r + s.reads.load(Ordering::Relaxed),
-                w + s.writes.load(Ordering::Relaxed),
-            )
-        })
     }
 }
 

@@ -4,8 +4,9 @@ use crate::{Counters, RaceReport};
 
 /// A sampling decision extracted from a detector, callable from any
 /// thread without holding the detector's lock — see
-/// [`Detector::hoisted_decider`].
-pub type HoistedDecider = Box<dyn Fn(EventId, Event) -> bool + Send + Sync>;
+/// [`Detector::hoisted_decider`]. Its arguments are the access's
+/// ordinal among its thread's accesses and the access.
+pub type HoistedDecider = Box<dyn Fn(u64, Event) -> bool + Send + Sync>;
 
 /// A streaming happens-before race detector.
 ///
@@ -34,24 +35,17 @@ pub trait Detector {
     fn process(&mut self, id: EventId, event: Event) -> Option<RaceReport>;
 
     /// Like [`process`](Detector::process), but for an **access event
-    /// the caller has already admitted** through this detector's
-    /// [`hoisted_decider`](Detector::hoisted_decider) (with the same
-    /// `id`). The façades call this on the sampled side of the lock-free
-    /// skip path so the pure `(seed, EventId)` decision is computed
-    /// exactly once per access — outside the lock — instead of again
-    /// inside `process`.
+    /// the caller has already admitted** into the sample set — the
+    /// online façades admit by this detector's
+    /// [`hoisted_decider`](Detector::hoisted_decider), outside their
+    /// locks, and number each admitted access by its rank among the
+    /// sampled ones. The engine analyzes the access without deciding
+    /// again and uses `id` only as its report's id.
     ///
-    /// The default forwards to [`process`](Detector::process), which
-    /// re-decides: correct for every detector (the decision is pure, so
-    /// it re-derives the same verdict — invariant 4), just redundant.
-    /// [`Composed`](crate::Composed) and
-    /// [`NaiveSamplingDetector`](crate::NaiveSamplingDetector) override
-    /// it with the post-decision body of `process`. Sync events must go
-    /// through [`process`](Detector::process); behavior is unspecified
-    /// for an access the decider would have rejected.
-    fn process_admitted(&mut self, id: EventId, event: Event) -> Option<RaceReport> {
-        self.process(id, event)
-    }
+    /// Every detector implements it with the post-decision body of
+    /// [`process`](Detector::process). Sync events must go through
+    /// [`process`](Detector::process).
+    fn process_admitted(&mut self, id: EventId, event: Event) -> Option<RaceReport>;
 
     /// The work counters accumulated so far.
     fn counters(&self) -> &Counters;
@@ -68,16 +62,21 @@ pub trait Detector {
     /// the sanitizer's configured width; it never changes verdicts.
     fn reserve_threads(&mut self, _n: usize) {}
 
-    /// Extracts this detector's sampling decision as a standalone pure
-    /// function of `(id, event)`.
+    /// Extracts this detector's *online* sampling decision: its
+    /// sampler's per-thread rule
+    /// ([`Sampler::decide_in_thread`](freshtrack_sampling::Sampler::decide_in_thread)),
+    /// a pure function of the access's ordinal within its thread and
+    /// the access.
     ///
-    /// The online façades use the extracted decider to reject
-    /// sampled-out accesses *before* taking the analysis lock — the
-    /// lock-free skip path (ARCHITECTURE.md invariant 10). The decider
-    /// must agree with what [`process`](Detector::process) would decide
-    /// for the same access, and [`process`](Detector::process) must
-    /// treat a skipped access as a pure tally (no clock or history
-    /// mutation), so running either path yields identical state.
+    /// The online façades use it to reject sampled-out accesses
+    /// *before* taking any lock — the skip path (ARCHITECTURE.md
+    /// invariant 10) — and analyze the admitted ones through
+    /// [`process_admitted`](Detector::process_admitted). A skipped
+    /// access mutates no clock or history, so the façade's run equals
+    /// [`run`](Detector::run) over the same events with a sampler that
+    /// picks the same accesses by position (the differential suites'
+    /// reference). [`process`](Detector::process) itself decides by
+    /// trace position, the offline rule.
     fn hoisted_decider(&self) -> HoistedDecider;
 
     /// Folds accesses that a façade skipped without calling

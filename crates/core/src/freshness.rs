@@ -415,6 +415,9 @@ mod tests {
             fn decide(&self, id: EventId, _event: Event) -> bool {
                 matches!(id.index(), 4 | 14 | 15)
             }
+            fn decide_in_thread(&self, _ordinal: u64, _event: Event) -> bool {
+                unreachable!("offline-only test sampler")
+            }
             fn nominal_rate(&self) -> f64 {
                 f64::NAN
             }

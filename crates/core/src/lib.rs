@@ -72,6 +72,7 @@ mod parallel;
 mod plane;
 mod report;
 mod shard;
+mod slots;
 mod stream_oracle;
 mod sync_ops;
 

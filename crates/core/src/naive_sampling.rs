@@ -201,7 +201,7 @@ impl<S: Sampler> Detector for NaiveSamplingDetector<S> {
 
     fn hoisted_decider(&self) -> crate::HoistedDecider {
         let sampler = self.sampler.clone();
-        Box::new(move |id, event| sampler.decide(id, event))
+        Box::new(move |ordinal, event| sampler.decide_in_thread(ordinal, event))
     }
 
     fn record_skipped_accesses(&mut self, reads: u64, writes: u64) {
@@ -289,6 +289,9 @@ mod tests {
         impl Sampler for MarkSampler {
             fn decide(&self, id: EventId, _event: Event) -> bool {
                 matches!(id.index(), 4 | 14 | 15)
+            }
+            fn decide_in_thread(&self, _ordinal: u64, _event: Event) -> bool {
+                unreachable!("offline-only test sampler")
             }
             fn nominal_rate(&self) -> f64 {
                 f64::NAN

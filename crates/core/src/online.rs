@@ -1,4 +1,3 @@
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use freshtrack_clock::ThreadId;
@@ -6,19 +5,19 @@ use freshtrack_sampling::NeverSampler;
 use freshtrack_trace::{Event, EventId, EventKind, LockId, VarId};
 
 use crate::composed::{Composed, EngineName};
-use crate::counters::SkipCells;
 use crate::plane::{AccessEngine, AccessOutcome, ClockView, SyncCtx, SyncEngine};
+use crate::slots::{AccessCell, Padded, Slots};
 use crate::{Counters, Detector, HoistedDecider, RaceReport};
 
 /// A thread-safe façade that lets concurrently running application
 /// threads feed events to a streaming [`Detector`] — the role
 /// ThreadSanitizer's runtime plays for an instrumented process.
 ///
-/// Events are globally ordered by their arrival at the internal mutex;
-/// that order *is* the analyzed trace order, exactly as TSan's shadow
-/// memory serializes the analysis of racing accesses. The mutex also
-/// models the analysis serialization cost that the paper's Fig. 5
-/// measures: the longer an engine's handlers run, the more the
+/// Analyzed events are globally ordered by their arrival at the
+/// internal mutex; that order *is* the analyzed trace order, exactly as
+/// TSan's shadow memory serializes the analysis of racing accesses. The
+/// mutex also models the analysis serialization cost that the paper's
+/// Fig. 5 measures: the longer an engine's handlers run, the more the
 /// application's own lock contention is amplified.
 ///
 /// Callers use the operation shorthands ([`read`](OnlineDetector::read),
@@ -26,22 +25,34 @@ use crate::{Counters, Detector, HoistedDecider, RaceReport};
 /// [`finish`](OnlineDetector::finish) to retrieve the detector and
 /// reports.
 ///
-/// # The lock-free skip path
+/// # The sample set and the skip path
 ///
-/// Every detector exposes a
-/// [`hoisted_decider`](Detector::hoisted_decider), so access events draw
-/// their ticket from a plain atomic `fetch_add` *outside* the mutex,
-/// the (pure) sampling decision is computed immediately, and
-/// sampled-out accesses return after a striped atomic counter bump —
-/// they never contend on the analysis mutex at all. This is sound
-/// because a skipped access mutates no detector state: processing it in
-/// any order relative to other events yields the same verdicts and, via
-/// [`Detector::record_skipped_accesses`] at
-/// [`finish`](OnlineDetector::finish), the same [`Counters`]. Events
-/// that *are* analyzed still serialize through the mutex; causally
-/// ordered events keep both ticket order and processing order, since a
-/// later instrumentation call draws its ticket after the earlier call
+/// An access is decided by the detector's
+/// [`hoisted_decider`](Detector::hoisted_decider) — the sampler's
+/// per-thread rule ([`Sampler::decide_in_thread`]) on the access's
+/// *ordinal*, the number of accesses its thread issued before it — so
+/// the sample set depends on each thread's program, not on how the
+/// threads interleave. The ordinal lives in the thread's own access
+/// cell, which only that thread's events write (a relaxed load and
+/// store). A sampled-out access tallies itself in the same cell and
+/// returns: it takes no mutex and writes no line another thread writes.
+/// Its tallies are folded into the detector's [`Counters`] at
+/// [`finish`](OnlineDetector::finish)
+/// ([`Detector::record_skipped_accesses`]), bit-exactly with inline
+/// processing.
+///
+/// A sampled access takes the mutex and is numbered there: its
+/// [`EventId`] is its rank among the sampled accesses, in mutex order,
+/// and is the id its report carries. Sync events take the mutex and
+/// draw no number. Causally ordered sampled accesses keep their order,
+/// since a later instrumentation call starts after the earlier call
 /// returned (ARCHITECTURE.md invariant 10).
+///
+/// Each thread id's events must come from one thread at a time, as
+/// every real instrumentation source issues them: a thread's events
+/// *are* its program order, and the ordinal counts it.
+///
+/// [`Sampler::decide_in_thread`]: freshtrack_sampling::Sampler::decide_in_thread
 ///
 /// # Example
 ///
@@ -65,19 +76,16 @@ use crate::{Counters, Detector, HoistedDecider, RaceReport};
 /// ```
 pub struct OnlineDetector<D> {
     inner: Mutex<Inner<D>>,
-    /// Ticket counter, drawn outside any lock (invariant 10).
-    next_id: AtomicU64,
     /// The hoisted sampling decision, extracted once at construction.
     decider: HoistedDecider,
-    /// Tallies for accesses the skip path rejected without locking.
-    skip: SkipCells,
+    /// One access cell per thread id (see the skip-path docs).
+    cells: Slots<Padded<AccessCell>>,
 }
 
 impl<D: std::fmt::Debug> std::fmt::Debug for OnlineDetector<D> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("OnlineDetector")
             .field("inner", &self.inner)
-            .field("next_id", &self.next_id)
             .finish_non_exhaustive()
     }
 }
@@ -86,6 +94,8 @@ impl<D: std::fmt::Debug> std::fmt::Debug for OnlineDetector<D> {
 struct Inner<D> {
     detector: D,
     reports: Vec<RaceReport>,
+    /// Ids drawn so far: one per sampled access.
+    tickets: u64,
 }
 
 impl<D: Detector> OnlineDetector<D> {
@@ -96,10 +106,10 @@ impl<D: Detector> OnlineDetector<D> {
             inner: Mutex::new(Inner {
                 detector,
                 reports: Vec::new(),
+                tickets: 0,
             }),
-            next_id: AtomicU64::new(0),
             decider,
-            skip: SkipCells::new(),
+            cells: Slots::new(),
         }
     }
 
@@ -117,25 +127,24 @@ impl<D: Detector> OnlineDetector<D> {
 
     /// Feeds one event; returns `true` if it was reported as racing.
     ///
-    /// Sampled-out accesses take the lock-free skip path: ticket,
-    /// decision, one striped counter bump — no mutex.
+    /// Sampled-out accesses take the skip path: ordinal, decision, one
+    /// tally in the thread's own cell — no mutex.
     pub fn on_event(&self, tid: u32, kind: EventKind) -> bool {
-        let id = EventId::new(self.next_id.fetch_add(1, Ordering::Relaxed));
         let event = Event::new(ThreadId::new(tid), kind);
         // Accesses are decided here — once, outside the lock — and
         // admitted ones go through `process_admitted` so the detector
         // never re-derives the verdict under the mutex.
         let admitted = match kind {
-            EventKind::Read(_) => {
-                if !(self.decider)(id, event) {
-                    self.skip.bump_read(tid);
-                    return false;
-                }
-                true
-            }
-            EventKind::Write(_) => {
-                if !(self.decider)(id, event) {
-                    self.skip.bump_write(tid);
+            EventKind::Read(_) | EventKind::Write(_) => {
+                let cell = &self
+                    .cells
+                    .get(tid as usize, |_| Padded(AccessCell::default()))
+                    .0;
+                let ordinal = cell
+                    .next_ordinal()
+                    .expect("OnlineDetector never lends a cell");
+                if !(self.decider)(ordinal, event) {
+                    cell.skip(kind);
                     return false;
                 }
                 true
@@ -143,7 +152,11 @@ impl<D: Detector> OnlineDetector<D> {
             EventKind::Acquire(_) | EventKind::Release(_) => false,
         };
         let mut inner = self.inner.lock().expect("detector mutex poisoned");
+        // A sync event is numbered like the next sampled access but
+        // consumes no number: the engines never read a sync event's id.
+        let id = EventId::new(inner.tickets);
         let report = if admitted {
+            inner.tickets += 1;
             inner.detector.process_admitted(id, event)
         } else {
             inner.detector.process(id, event)
@@ -177,19 +190,19 @@ impl<D: Detector> OnlineDetector<D> {
     }
 
     /// Drains a streaming [`EventSource`](freshtrack_trace::EventSource)
-    /// through the façade, one event per mutex acquisition, returning
-    /// the number of events fed — the façade twin of
-    /// [`Detector::run_source`], for replaying a recorded trace into a
-    /// *live* online detector (e.g. warming one up with a corpus
-    /// prefix before application threads attach) without
-    /// materializing it.
+    /// through the façade, one event per call, returning the number of
+    /// events fed — the façade twin of [`Detector::run_source`], for
+    /// replaying a recorded trace into a *live* online detector (e.g.
+    /// warming one up with a corpus prefix before application threads
+    /// attach) without materializing it.
     ///
-    /// Ticket order equals stream order when a single feeder drains
-    /// the source, so the reports accumulated by
-    /// [`finish`](OnlineDetector::finish) match what
-    /// [`Detector::run_source`] would produce over the same stream
-    /// (`feed_source_matches_run_source` pins this). Offline
-    /// consumers that own their detector — the CLI `analyze` path,
+    /// The façade samples by the per-thread rule, so the reports
+    /// accumulated by [`finish`](OnlineDetector::finish) match what
+    /// [`Detector::run_source`] produces over the same stream when its
+    /// sampler picks the same accesses, with each report's id mapped
+    /// from its trace position to its rank among the sampled accesses
+    /// (`feed_source_matches_run_source` pins this). Offline consumers
+    /// that own their detector — the CLI `analyze` path,
     /// `rapid::run_engine_source` — use `run_source` directly.
     ///
     /// # Errors
@@ -208,9 +221,10 @@ impl<D: Detector> OnlineDetector<D> {
         Ok(fed)
     }
 
-    /// Number of events ticketed so far (skip-path accesses included).
-    pub fn events_processed(&self) -> u64 {
-        self.next_id.load(Ordering::Relaxed)
+    /// Ids drawn so far: one per sampled access, none for a sampled-out
+    /// access or a sync event.
+    pub fn tickets_drawn(&self) -> u64 {
+        self.inner.lock().expect("detector mutex poisoned").tickets
     }
 
     /// Races reported so far.
@@ -224,10 +238,8 @@ impl<D: Detector> OnlineDetector<D> {
 
     /// Consumes the façade, returning the detector and all reports.
     ///
-    /// Reports are **strictly sorted by racing [`EventId`]**. Tickets
-    /// are drawn outside the mutex, so two *concurrent* analyzed events
-    /// can reach the mutex out of ticket order (causally ordered ones
-    /// cannot — see invariant 10); the final sort restores the
+    /// Reports are **strictly sorted by racing [`EventId`]**: ids are
+    /// drawn under the mutex in the order accesses are analyzed, the
     /// deterministic order
     /// [`ShardedOnlineDetector::finish`](crate::ShardedOnlineDetector::finish)
     /// produces by merging, which keeps the two ingestion paths
@@ -236,9 +248,12 @@ impl<D: Detector> OnlineDetector<D> {
     /// processing.
     pub fn finish(self) -> (D, Vec<RaceReport>) {
         let mut inner = self.inner.into_inner().expect("detector mutex poisoned");
-        let (reads, writes) = self.skip.totals();
+        let (reads, writes) = self
+            .cells
+            .into_built()
+            .map(|cell| cell.0.skipped())
+            .fold((0, 0), |(r, w), (cr, cw)| (r + cr, w + cw));
         inner.detector.record_skipped_accesses(reads, writes);
-        inner.reports.sort_unstable_by_key(|r| r.event);
         debug_assert!(
             inner.reports.windows(2).all(|w| w[0].event < w[1].event),
             "reports must stay strictly sorted by EventId"
@@ -382,11 +397,13 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(online.events_processed(), 4 * 100 * 3);
+        // One id per sampled access; sync events draw none.
+        assert_eq!(online.tickets_drawn(), 4 * 100);
         let (detector, races) = Arc::try_unwrap(online).ok().unwrap().finish();
         // All accesses are lock-protected: no races.
         assert!(races.is_empty());
         assert_eq!(detector.counters().events, 1200);
+        assert_eq!(detector.counters().sampled_accesses, 400);
     }
 
     #[test]
@@ -404,10 +421,30 @@ mod tests {
         let (detector, online_reports) = online.finish();
         assert_eq!(detector.counters().events, 5);
 
-        let batch_reports = DjitDetector::new(AlwaysSampler::new())
+        // The reference: the same engine over the same stream with the
+        // same sample set (every access, under either rule), each
+        // report's trace position mapped to its rank among the sampled
+        // accesses — the number the façade gives it.
+        let mut reference = DjitDetector::new(AlwaysSampler::new());
+        let batch_reports = reference
             .run_source(&mut EventReader::new(good.as_bytes()))
             .unwrap();
+        let events: Vec<_> = EventReader::new(good.as_bytes())
+            .map(|e| e.unwrap())
+            .collect();
+        let rank = |position: EventId| {
+            let earlier = &events[..position.index()];
+            EventId::new(earlier.iter().filter(|e| e.kind.var().is_some()).count() as u64)
+        };
+        let batch_reports: Vec<_> = batch_reports
+            .into_iter()
+            .map(|r| RaceReport {
+                event: rank(r.event),
+                ..r
+            })
+            .collect();
         assert_eq!(online_reports, batch_reports);
+        assert_eq!(detector.counters(), reference.counters());
         assert!(!online_reports.is_empty());
 
         // Errors propagate; events before the error stay processed.
@@ -416,7 +453,7 @@ mod tests {
             .feed_source(&mut EventReader::new(text.as_bytes()))
             .unwrap_err();
         assert!(err.to_string().contains("line 6"), "{err}");
-        assert_eq!(online.events_processed(), 5);
+        assert_eq!(online.tickets_drawn(), 3);
     }
 
     #[test]

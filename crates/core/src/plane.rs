@@ -35,8 +35,10 @@
 //! `t`'s sync events is therefore exactly the clock a monolithic
 //! detector would consult, and the history lives wholly inside one
 //! access shard. The sampling decision depends only on `(seed,
-//! EventId)` (invariant 4 in `ARCHITECTURE.md`), so the sample set is
-//! unchanged too.
+//! EventId)` offline and on `(seed, t, k)` online, `k` being the
+//! access's ordinal within its thread (invariant 4 in
+//! `ARCHITECTURE.md`); neither depends on the shard, so the sample set
+//! is unchanged too.
 //!
 //! The only information that flows *back* across the seam is the
 //! `RelAfter_S` bit of Algorithms 2–4 — "has this thread sampled an
@@ -321,14 +323,14 @@ pub trait AccessEngine: Send {
     /// The sampler that picks the sample set `S`.
     type Sampler: Sampler;
 
-    /// The configured sampler (cloned out for hoisted deciders).
+    /// The configured sampler (cloned out for the online façades'
+    /// hoisted deciders, which apply its per-thread rule).
     fn sampler(&self) -> &Self::Sampler;
 
-    /// The hoisted sampling decision: whether the access `event` at
-    /// position `id` belongs to the sample set. Pure in `(id, event)`
-    /// and callable without any lock — this is the decision the
-    /// lock-free skip path takes before touching any shared state
-    /// (invariant 10 in `ARCHITECTURE.md`).
+    /// The offline sampling decision: whether the access `event` at
+    /// trace position `id` belongs to the sample set. Pure in
+    /// `(id, event)` and callable without any lock — the segment
+    /// decoders filter with it before the replay loop sees an event.
     fn decide(&self, id: EventId, event: Event) -> bool {
         self.sampler().decide(id, event)
     }

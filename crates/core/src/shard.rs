@@ -1,11 +1,11 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use freshtrack_clock::ThreadId;
 use freshtrack_trace::{Event, EventId, EventKind, LockId, VarId};
 
-use crate::counters::SkipCells;
 use crate::plane::{AccessEngine, SplitDetector, SyncCtx, SyncEngine};
+use crate::slots::{AccessCell, Padded, Slots};
 use crate::{Counters, HoistedDecider, RaceReport};
 
 /// The sync construction of a [`ShardedOnlineDetector`].
@@ -40,80 +40,88 @@ pub enum SyncMode {
 ///
 /// * **[`on_event`](ShardedOnlineDetector::on_event)** (and
 ///   `read`/`write`/`acquire`/`release`) takes a thread id with every
-///   event. The thread's state stays in its slot, behind a mutex that
-///   only that thread's own events take.
+///   event. The thread's state stays in its slot: its sync state behind
+///   a mutex that only that thread's own events take, and its access
+///   cell (access ordinal and skip tallies), which only they write.
 /// * **[`thread`](ShardedOnlineDetector::thread)** returns a
-///   [`ThreadHandle`] that takes the thread's state out of its slot and
-///   holds it by value until it drops. Its events touch no thread
-///   mutex. Both paths run the same handler bodies and may be mixed
-///   across threads (not for one thread while its handle is live).
+///   [`ThreadHandle`] that takes the thread's sync state and access
+///   count out of its slot and holds them by value until it drops. Its
+///   events touch no thread mutex. Both paths run the same handler
+///   bodies and may be mixed across threads (not for one thread while
+///   its handle is live).
 ///
 /// # Routing rule
 ///
-/// * **Access events** (`Read`/`Write` of variable `v`) draw their
-///   ticket and their sampling verdict *before any lock* (see the skip
-///   path below). A sampled-out access returns immediately; a sampled
-///   access raises its thread's `RelAfter_S` bit and is analyzed in
-///   exactly one shard, `hash(v) mod N`, against a view borrowed from
-///   the thread's state. Through `on_event` it first takes its own
-///   thread's slot (which nobody else contends for); through a handle
-///   the state is already at hand. The verdict is returned from that
-///   same call.
+/// * **Access events** (`Read`/`Write` of variable `v`) are decided
+///   *before any lock* on their thread's access ordinal (see the skip
+///   path below). A sampled-out access returns after a tally; a sampled
+///   access draws its id (its rank among the sampled accesses) from the
+///   one atomic ticket, raises its thread's `RelAfter_S` bit and is
+///   analyzed in exactly one shard, `hash(v) mod N`, against a view
+///   borrowed from the thread's state. Through `on_event` it first
+///   takes its own thread's slot (which nobody else contends for);
+///   through a handle the state is already at hand. The verdict is
+///   returned from that same call.
 /// * **Sync events** (`Acquire`/`Release` of lock `ℓ` by thread `t`)
-///   take `ℓ`'s slot, draw their ticket inside it and run the engine's
-///   handler ([`SyncEngine::acquire_at`] /
-///   [`SyncEngine::release_at`]) on `t`'s and `ℓ`'s states. Through
-///   `on_event`, `t`'s slot is taken first. The application already
-///   holds `ℓ` when it reports the event, so `ℓ`'s slot is uncontended
-///   in a lock-disciplined program.
+///   take `ℓ`'s slot and run the engine's handler
+///   ([`SyncEngine::acquire_at`] / [`SyncEngine::release_at`]) on `t`'s
+///   and `ℓ`'s states. They draw no id. Through `on_event`, `t`'s slot
+///   is taken first. The application already holds `ℓ` when it reports
+///   the event, so `ℓ`'s slot is uncontended in a lock-disciplined
+///   program.
 ///
 /// Lock order: thread slot → lock slot for sync events, thread slot →
 /// shard for accesses. A thread slot is only ever taken first, and
 /// nothing holding a lock slot or a shard takes another lock, so the
 /// order is acyclic.
 ///
-/// # The lock-free skip path
+/// # The sample set and the skip path
 ///
 /// Every detector exposes a
-/// [`hoisted_decider`](crate::Detector::hoisted_decider) — a pure
-/// function of `(EventId, Event)` (invariant 4 in `ARCHITECTURE.md`) —
-/// so an access event touches **no lock at all** until it is known to
-/// be sampled:
+/// [`hoisted_decider`](crate::Detector::hoisted_decider): the sampler's
+/// per-thread rule ([`Sampler::decide_in_thread`]), a pure function of
+/// `(seed, t, k, event)` where `k` is the access's ordinal among thread
+/// `t`'s accesses (invariant 4 in `ARCHITECTURE.md`). An access event
+/// therefore takes **no lock and writes no line another thread writes**
+/// until it is known to be sampled:
 ///
-/// 1. draw a ticket from the atomic event counter (`fetch_add`),
-/// 2. evaluate the decider on `(ticket, event)`,
-/// 3. if sampled out: tally the skip and return — no slot, no shard
-///    lock, no view. Through `on_event` the tally is a bump of a
-///    cache-line-striped skip cell; through a handle it is a plain
-///    `u64` in the handle, folded into the cells when the handle drops.
+/// 1. take the thread's next ordinal `k` — a relaxed load and store of
+///    its access cell, or a plain field of its handle;
+/// 2. evaluate the decider on `(k, event)`;
+/// 3. if sampled out: tally the skip in the same place and return — no
+///    id, no thread mutex, no shard lock, no view.
 ///
 /// At a sampling rate `r` the expected locked work per access is
-/// `O(r)`. The skipped tallies are folded into the merged [`Counters`]
-/// bit-exactly at
+/// `O(r)`, and so is the traffic on the ticket line. The sample set
+/// depends only on each thread's program, so it is the same whatever
+/// the interleaving, the shard count or the path. The skipped tallies
+/// are folded into the merged [`Counters`] bit-exactly at
 /// [`finish_merged`](ShardedOnlineDetector::finish_merged).
+///
+/// [`Sampler::decide_in_thread`]: freshtrack_sampling::Sampler::decide_in_thread
 ///
 /// # Why verdicts are preserved (invariant 10)
 ///
-/// Event ids come from one atomic ticket. Accesses draw it at the top
-/// of their call, sync events inside their lock's slot.
+/// Report ids come from one atomic ticket that only sampled accesses
+/// draw, at the top of their call: an id is the access's rank among
+/// the sampled accesses in ticket order.
 ///
-/// * **Sampled-out accesses mutate nothing.** They commute with every
-///   other event; only their ticket (which feeds the pure sampler)
-///   matters, and that is fixed at draw time.
+/// * **Sampled-out accesses mutate nothing** but their own thread's
+///   cell. They commute with every other event; the decision depends on
+///   the thread's ordinal, which is fixed by its program order.
 /// * **Sync events on disjoint pairs commute.** `acquire(t,ℓ)` and
 ///   `release(t,ℓ)` read and write only `t`'s and `ℓ`'s states. Two sync
-///   events of one thread run in program order, which is their ticket
-///   order. Two sync events of one lock run in the order of `ℓ`'s slot
-///   mutex, and they drew their tickets inside it — and inside the
-///   application's own lock — so that order is their ticket order too.
-///   Any execution therefore ends in the state the sequential replay in
-///   ticket order reaches.
-/// * **Causally ordered events keep ticket order.** An instrumentation
-///   call returns before the same thread issues its next event, and
-///   cross-thread ordering is only established through the
-///   application's own synchronization, which likewise orders the
-///   calls in real time. A thread's accesses therefore draw tickets
-///   after its past sync events and before its future ones.
+///   events of one thread run in program order. Two sync events of one
+///   lock run in the order of `ℓ`'s slot mutex, which is the order the
+///   application's own lock admits them. Any execution therefore ends
+///   in the state of a sequential replay of one interleaving of the
+///   threads' programs: the one real time produced.
+/// * **Causally ordered sampled accesses keep ticket order.** An
+///   instrumentation call returns before the same thread issues its
+///   next event, and cross-thread ordering is only established through
+///   the application's own synchronization, which likewise orders the
+///   calls in real time. So if `a` happens before `b`, `a` drew its
+///   ticket first.
 /// * **Concurrent analyzed accesses may invert ticket order** inside a
 ///   shard. Such events are unordered by happens-before, so either
 ///   analysis order is a valid linearization. Per-shard report lists
@@ -122,11 +130,9 @@ pub enum SyncMode {
 ///
 /// An access's verdict depends only on (a) the issuing thread's clock,
 /// which changes only at that thread's own sync events, and (b) its
-/// variable's history inside one shard. Samplers are deterministic in
-/// `(seed, EventId)` (invariant 4), so the sample set is identical too.
-/// The one access→sync feedback, the `RelAfter_S` bit, lives with the
-/// thread's state: raised by the thread's sampled accesses, consumed by
-/// its next release.
+/// variable's history inside one shard. The one access→sync feedback,
+/// the `RelAfter_S` bit, lives with the thread's state: raised by the
+/// thread's sampled accesses, consumed by its next release.
 ///
 /// Per-thread program order is what the argument needs from callers.
 /// Through a handle the type system enforces it: there is one handle
@@ -139,43 +145,46 @@ pub enum SyncMode {
 ///
 /// These panic with a message naming the thread id: a second
 /// [`thread`](ShardedOnlineDetector::thread) for a thread whose handle
-/// is live, an `on_event` for such a thread that reaches its state
-/// (any event but a sampled-out access, which touches no thread state
-/// and stays lock-free), and
+/// is live, any `on_event` for such a thread (its access count and its
+/// state are in the handle), and
 /// [`reserve_threads`](ShardedOnlineDetector::reserve_threads) while any
 /// handle is live.
 ///
 /// # Counters
 ///
 /// For a sequential feed the merged [`Counters`] equal the single
-/// mutex's and [`Detector::run`](crate::Detector::run)'s, every field,
-/// through either path. Concurrent runs keep that for every field but
-/// two, which read state beyond `t` and `ℓ`:
+/// mutex's, every field, through either path, and equal
+/// [`Detector::run`](crate::Detector::run)'s over the same events with
+/// a sampler that picks the same accesses by position. Concurrent runs
+/// keep that for every field but two, which read state beyond `t` and
+/// `ℓ`:
 ///
 /// * `entries_traversed` and `entries_saved` add the registered thread
 ///   count, which a concurrent first event of a new thread may raise
-///   between two events' ticket draws and their handlers.
+///   while another thread's event is between its call and its handler.
 /// * `deep_copies` of the SO engine. Lock `ℓ`'s snapshot aliases the
 ///   list of its last releaser `u`. A release of `ℓ` by another thread
 ///   drops that alias, while `u` may be mutating its list at its own
 ///   event on a different lock. Whether `u` pays the deep copy depends
 ///   on which of the two reaches the `Arc` reference count first in
-///   real time, not on their tickets. The other engines' lock states
+///   real time, not on any program order. The other engines' lock states
 ///   hold copies, never aliases.
 ///
 /// # Cost model
 ///
 /// | Event | Through `on_event` | Through a [`ThreadHandle`] |
 /// |---|---|---|
-/// | sampled-out access | ticket RMW + striped-cell RMW | ticket RMW |
-/// | sampled access | thread slot + shard lock | shard lock |
+/// | sampled-out access | two load/store pairs on its own cell | plain fields |
+/// | sampled access | cell + ticket RMW + thread slot + shard lock | ticket RMW + shard lock |
 /// | sync event | thread slot + lock slot + handler | lock slot + handler |
 ///
 /// Every mutex but the shard lock is uncontended by construction; a
-/// shard lock is `1/N`-contended. Handlers for different threads and
-/// locks run in parallel. Measured in `BENCH_access_cost.json` and
-/// `BENCH_sync_cost.json`. Thread slots are cache-line aligned, so a
-/// thread's state stays on its own core.
+/// shard lock is `1/N`-contended. The ticket is the one line every
+/// thread writes, and only sampled accesses write it. Handlers for
+/// different threads and locks run in parallel. Measured in
+/// `BENCH_access_cost.json` and `BENCH_sync_cost.json`. Thread slots
+/// are cache-line aligned, so a thread's state and access cell stay on
+/// its own core.
 ///
 /// # Example
 ///
@@ -193,8 +202,7 @@ pub enum SyncMode {
 /// assert_eq!(races.len(), 1); // the two writes race
 /// ```
 pub struct ShardedOnlineDetector<D: SplitDetector> {
-    /// One slot per thread id, taken by that thread's own events. Empty
-    /// while the thread's [`ThreadHandle`] holds its state.
+    /// One slot per thread id, used by that thread's own events.
     threads: Slots<Padded<ThreadSlot<D::Sync>>>,
     /// One slot per lock id, taken by acquires and releases of it.
     locks: Slots<Padded<Mutex<<D::Sync as SyncEngine>::Lock>>>,
@@ -205,25 +213,17 @@ pub struct ShardedOnlineDetector<D: SplitDetector> {
     options: <D::Sync as SyncEngine>::Options,
     /// The access plane: per-variable histories, sharded.
     shards: Vec<Padded<Mutex<AccessShard<D::Access>>>>,
-    /// The ticket counter, on a line of its own: every event writes it,
-    /// and the fields read on every event must not share its line.
+    /// The ticket counter, on a line of its own: every sampled access
+    /// writes it, and the fields read on every event must not share its
+    /// line.
     next_id: Padded<AtomicU64>,
     /// The hoisted sampling decision (see the skip-path docs).
     decider: HoistedDecider,
-    /// Striped skip tallies for the lock-free path, folded into the
-    /// merged counters at `finish_merged`.
-    skip: SkipCells,
     /// Access-plane shard-lock acquisitions, for regression tests that
     /// pin the skip path lock-free (debug builds only).
     #[cfg(debug_assertions)]
     shard_locks: AtomicU64,
 }
-
-/// Aligns a slot to its own cache lines (128 bytes covers adjacent-line
-/// prefetch), so two threads' slots — or two locks', or two shards' —
-/// never share one.
-#[repr(align(128))]
-struct Padded<T>(T);
 
 /// One thread's state: its engine state, its `RelAfter_S` bit and the
 /// counters of its sync events.
@@ -235,9 +235,15 @@ struct ThreadData<E: SyncEngine> {
     counters: Counters,
 }
 
-/// A thread's slot: its state, or `None` while its [`ThreadHandle`]
-/// holds it.
-type ThreadSlot<E> = Mutex<Option<ThreadData<E>>>;
+/// A thread's slot.
+struct ThreadSlot<E: SyncEngine> {
+    /// The thread's sync state, or `None` while its [`ThreadHandle`]
+    /// holds it.
+    data: Mutex<Option<ThreadData<E>>>,
+    /// The thread's access ordinal and skip tallies, lent to its
+    /// [`ThreadHandle`] while one is live.
+    accesses: AccessCell,
+}
 
 struct AccessShard<A> {
     engine: A,
@@ -245,59 +251,11 @@ struct AccessShard<A> {
     reports: Vec<RaceReport>,
 }
 
-/// Slots in chunk 0; chunk `c` holds `SLOT_CHUNK0 << c` slots.
-const SLOT_CHUNK0: usize = 8;
-/// Chunk count; capacity `SLOT_CHUNK0 * (2^SLOT_CHUNKS - 1)` ids.
-const SLOT_CHUNKS: usize = 24;
-
-/// A grow-only slot table indexed by a dense id: doubling chunks
-/// behind `OnceLock`, so slots never move and a lookup is one atomic
-/// load plus a chunk index. A chunk's slots are all built when its
-/// first id is looked up.
-struct Slots<T> {
-    chunks: [OnceLock<Box<[T]>>; SLOT_CHUNKS],
-}
-
-impl<T> Slots<T> {
-    fn new() -> Self {
-        Slots {
-            chunks: std::array::from_fn(|_| OnceLock::new()),
-        }
-    }
-
-    /// Slot `index`, building its chunk with `init(id)` on first use.
-    #[inline]
-    fn get(&self, index: usize, init: impl Fn(usize) -> T) -> &T {
-        let c = (index / SLOT_CHUNK0 + 1).ilog2() as usize;
-        let base = SLOT_CHUNK0 * ((1usize << c) - 1);
-        let chunk =
-            self.chunks[c].get_or_init(|| (base..base + (SLOT_CHUNK0 << c)).map(init).collect());
-        &chunk[index - base]
-    }
-
-    /// Every slot built so far, with its id.
-    fn built(&self) -> impl Iterator<Item = (usize, &T)> {
-        self.chunks
-            .iter()
-            .enumerate()
-            .filter_map(|(c, chunk)| Some((SLOT_CHUNK0 * ((1usize << c) - 1), chunk.get()?)))
-            .flat_map(|(base, chunk)| chunk.iter().enumerate().map(move |(i, t)| (base + i, t)))
-    }
-
-    /// Every slot built so far.
-    fn into_built(self) -> impl Iterator<Item = T> {
-        self.chunks
-            .into_iter()
-            .filter_map(OnceLock::into_inner)
-            .flat_map(|chunk| chunk.into_vec())
-    }
-}
-
 impl<D: SplitDetector> std::fmt::Debug for ShardedOnlineDetector<D> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedOnlineDetector")
             .field("shards", &self.shard_count())
-            .field("events", &self.events_processed())
+            .field("tickets", &self.tickets_drawn())
             .finish_non_exhaustive()
     }
 }
@@ -341,7 +299,6 @@ impl<D: SplitDetector> ShardedOnlineDetector<D> {
                 .collect(),
             next_id: Padded(AtomicU64::new(0)),
             decider: detector.hoisted_decider(),
-            skip: SkipCells::new(),
             #[cfg(debug_assertions)]
             shard_locks: AtomicU64::new(0),
         }
@@ -370,7 +327,7 @@ impl<D: SplitDetector> ShardedOnlineDetector<D> {
             self.thread_slot(ThreadId::new(idx as u32));
         }
         for (idx, slot) in self.threads.built() {
-            let mut slot = lock(&slot.0);
+            let mut slot = lock(&slot.0.data);
             match slot.as_mut() {
                 Some(thread) if idx < registered => {
                     <D::Sync as SyncEngine>::reserve_at(&mut thread.state, n);
@@ -394,22 +351,11 @@ impl<D: SplitDetector> ShardedOnlineDetector<D> {
         ((h >> 32) as usize) % self.shard_count()
     }
 
-    /// Draws the event's globally unique, totally ordered ticket id
-    /// (invariant 10 in `ARCHITECTURE.md`; see the type-level docs for
-    /// where each event kind draws it and why no global lock is
-    /// needed).
+    /// Draws a sampled access's id, its rank among the sampled
+    /// accesses in ticket order (invariant 10 in `ARCHITECTURE.md`).
     #[inline]
     fn take_ticket(&self) -> EventId {
         EventId::new(self.next_id.0.fetch_add(1, Ordering::Relaxed))
-    }
-
-    /// The hoisted ticket and decision of an access, with no lock held
-    /// (invariant 10): its ticket if it is sampled, `None` if it takes
-    /// the skip path.
-    #[inline]
-    fn sampled(&self, event: Event) -> Option<EventId> {
-        let id = self.take_ticket();
-        (self.decider)(id, event).then_some(id)
     }
 
     /// Counts one access-plane shard-lock acquisition (debug builds
@@ -449,11 +395,14 @@ impl<D: SplitDetector> ShardedOnlineDetector<D> {
     #[inline]
     fn thread_slot(&self, tid: ThreadId) -> &ThreadSlot<D::Sync> {
         let slot = self.threads.get(tid.index(), |id| {
-            Padded(Mutex::new(Some(ThreadData {
-                state: <D::Sync as SyncEngine>::new_thread(ThreadId::new(id as u32)),
-                sampled: false,
-                counters: Counters::new(),
-            })))
+            Padded(ThreadSlot {
+                data: Mutex::new(Some(ThreadData {
+                    state: <D::Sync as SyncEngine>::new_thread(ThreadId::new(id as u32)),
+                    sampled: false,
+                    counters: Counters::new(),
+                })),
+                accesses: AccessCell::default(),
+            })
         });
         &slot.0
     }
@@ -461,7 +410,7 @@ impl<D: SplitDetector> ShardedOnlineDetector<D> {
     /// Runs `f` on thread `tid`'s state inside its slot.
     #[inline]
     fn with_thread<R>(&self, tid: ThreadId, f: impl FnOnce(&mut ThreadData<D::Sync>) -> R) -> R {
-        let mut slot = lock(self.thread_slot(tid));
+        let mut slot = lock(&self.thread_slot(tid).data);
         match slot.as_mut() {
             Some(thread) => f(thread),
             None => {
@@ -480,24 +429,26 @@ impl<D: SplitDetector> ShardedOnlineDetector<D> {
             .0
     }
 
-    /// Takes thread `tid`'s state out of its slot: until the returned
-    /// handle drops, that thread's events go through it and take no
-    /// thread mutex (see the type-level cost model). Dropping the
-    /// handle, also while unwinding, puts the state back and folds its
-    /// skip tallies into the merged counters.
+    /// Takes thread `tid`'s state and access count out of its slot:
+    /// until the returned handle drops, that thread's events go through
+    /// it and take no thread mutex (see the type-level cost model).
+    /// Dropping the handle, also while unwinding, puts both back and
+    /// folds its skip tallies into the thread's cell.
     ///
     /// # Panics
     ///
     /// Panics, naming the thread, if a handle for `tid` is already live.
     pub fn thread(&self, tid: u32) -> ThreadHandle<'_, D> {
         let tid = ThreadId::new(tid);
-        let Some(data) = lock(self.thread_slot(tid)).take() else {
+        let slot = self.thread_slot(tid);
+        let Some(data) = lock(&slot.data).take() else {
             handle_is_live("thread()", tid.as_u32())
         };
         ThreadHandle {
             detector: self,
             tid,
             data: Some(data),
+            ordinal: slot.accesses.lend(),
             skipped_reads: 0,
             skipped_writes: 0,
         }
@@ -505,29 +456,31 @@ impl<D: SplitDetector> ShardedOnlineDetector<D> {
 
     /// Feeds one event; returns `true` if it was reported as racing.
     ///
-    /// Every access first draws its ticket from the atomic counter, with
-    /// no lock held, and is decided by the hoisted sampler: sampled-out
-    /// accesses return after a striped counter bump (the lock-free skip
-    /// path); sampled ones take their thread's slot and one shard, and
-    /// return their verdict. Sync events take their thread's slot and
-    /// their lock's slot; a sync event never races, so it returns
-    /// `false`.
+    /// Every access is first decided by the hoisted sampler on its
+    /// thread's next ordinal, with no lock held: sampled-out accesses
+    /// return after a tally in the thread's own cell (the skip path);
+    /// sampled ones draw their id, take their thread's slot and one
+    /// shard, and return their verdict. Sync events take their thread's
+    /// slot and their lock's slot; a sync event never races, so it
+    /// returns `false`.
     ///
     /// # Panics
     ///
-    /// Panics, naming the thread, if an event other than a sampled-out
-    /// access arrives for a thread whose [`ThreadHandle`] is live.
+    /// Panics, naming the thread, if any event arrives for a thread
+    /// whose [`ThreadHandle`] is live.
     pub fn on_event(&self, tid: u32, kind: EventKind) -> bool {
         let event = Event::new(ThreadId::new(tid), kind);
         match kind {
             EventKind::Read(var) | EventKind::Write(var) => {
-                let Some(id) = self.sampled(event) else {
-                    match kind {
-                        EventKind::Read(_) => self.skip.bump_read(tid),
-                        _ => self.skip.bump_write(tid),
-                    }
-                    return false;
+                let cell = &self.thread_slot(event.tid).accesses;
+                let Some(ordinal) = cell.next_ordinal() else {
+                    handle_is_live("on_event", tid)
                 };
+                if !(self.decider)(ordinal, event) {
+                    cell.skip(kind);
+                    return false;
+                }
+                let id = self.take_ticket();
                 self.with_thread(event.tid, |thread| self.access_with(thread, id, event, var))
             }
             EventKind::Acquire(lock_id) | EventKind::Release(lock_id) => {
@@ -569,15 +522,11 @@ impl<D: SplitDetector> ShardedOnlineDetector<D> {
     }
 
     /// Runs one sync event's handler on its thread's state and its
-    /// lock's slot, drawing the event's ticket inside that slot. Both
-    /// paths' sync handler.
+    /// lock's slot. Both paths' sync handler.
     fn sync_with(&self, thread: &mut ThreadData<D::Sync>, event: Event, lock_id: LockId) {
         let tid = event.tid;
         let threads = self.admit(tid);
         let mut lock_state = lock(self.lock_slot(lock_id));
-        // Inside the lock's slot: same-lock events draw their tickets in
-        // the order their handlers run.
-        self.take_ticket();
         let ThreadData {
             state,
             sampled,
@@ -621,11 +570,10 @@ impl<D: SplitDetector> ShardedOnlineDetector<D> {
         self.on_event(tid, EventKind::Release(LockId::new(lock)));
     }
 
-    /// Number of event tickets drawn so far. Every event — including a
-    /// sampled-out access, whose processing is just its skip tally —
-    /// draws exactly one ticket, so after all workers quiesce this
-    /// equals events observed.
-    pub fn events_processed(&self) -> u64 {
+    /// Ids drawn so far: one per sampled access, none for a sampled-out
+    /// access or a sync event. After all workers quiesce this equals the
+    /// merged `sampled_accesses`.
+    pub fn tickets_drawn(&self) -> u64 {
         self.next_id.0.load(Ordering::Relaxed)
     }
 
@@ -650,18 +598,21 @@ impl<D: SplitDetector> ShardedOnlineDetector<D> {
     /// [`Counters`].
     ///
     /// Thread slots count sync events, shards count sampled accesses
-    /// and the skip cells count the rest: they partition the event
-    /// space, so counters sum directly.
+    /// and the threads' access cells count the rest: they partition the
+    /// event space, so counters sum directly.
     ///
     /// # Panics
     ///
     /// Panics if a [`ThreadHandle`] was leaked (`std::mem::forget`)
     /// instead of dropped: its thread's counts are lost.
     pub fn finish_merged(self) -> (Vec<RaceReport>, Counters) {
-        let (skipped_reads, skipped_writes) = self.skip.totals();
         let mut counters = Counters::new();
+        let (mut skipped_reads, mut skipped_writes) = (0, 0);
         for slot in self.threads.into_built() {
-            let thread = slot.0.into_inner().expect("thread slot poisoned");
+            let (reads, writes) = slot.0.accesses.skipped();
+            skipped_reads += reads;
+            skipped_writes += writes;
+            let thread = slot.0.data.into_inner().expect("thread slot poisoned");
             counters += thread
                 .expect("a ThreadHandle was leaked: its thread's counts are lost")
                 .counters;
@@ -690,29 +641,32 @@ impl<D: SplitDetector> ShardedOnlineDetector<D> {
 
 /// One thread's way into a [`ShardedOnlineDetector`], from
 /// [`ShardedOnlineDetector::thread`]: it holds the thread's sync state
-/// by value, so the thread's events take no thread mutex.
+/// and access ordinal by value, so the thread's events take no thread
+/// mutex.
 ///
-/// A sync event takes only its lock's slot, a sampled access only its
-/// shard, and a sampled-out access draws its ticket and bumps a plain
-/// counter in the handle. Events take the handle by `&mut`, and there
-/// is one handle per thread id, so the thread's program order is the
-/// handle's call order. Dropping the handle (also while unwinding)
-/// puts the state back and folds the skip tallies into the façade's
-/// counters.
+/// A sync event takes only its lock's slot, a sampled access draws its
+/// id and takes only its shard, and a sampled-out access bumps plain
+/// fields in the handle and writes nothing shared. Events take the
+/// handle by `&mut`, and there is one handle per thread id, so the
+/// thread's program order is the handle's call order. Dropping the
+/// handle (also while unwinding) puts the state and the ordinal back
+/// and folds the skip tallies into the thread's cell.
 pub struct ThreadHandle<'a, D: SplitDetector> {
     detector: &'a ShardedOnlineDetector<D>,
     tid: ThreadId,
     /// The thread's state, taken out of its slot; `None` only inside
     /// `drop`.
     data: Option<ThreadData<D::Sync>>,
+    /// The thread's next access ordinal, lent by its slot's cell.
+    ordinal: u64,
     skipped_reads: u64,
     skipped_writes: u64,
 }
 
 impl<D: SplitDetector> ThreadHandle<'_, D> {
     /// Feeds one event of this handle's thread; returns `true` if it
-    /// was reported as racing. Same verdicts, tickets and counters as
-    /// [`ShardedOnlineDetector::on_event`].
+    /// was reported as racing. Same sample set, verdicts and counters
+    /// as [`ShardedOnlineDetector::on_event`].
     pub fn on_event(&mut self, kind: EventKind) -> bool {
         let detector = self.detector;
         let event = Event::new(self.tid, kind);
@@ -722,14 +676,16 @@ impl<D: SplitDetector> ThreadHandle<'_, D> {
             .expect("a live handle holds its thread's state");
         match kind {
             EventKind::Read(var) | EventKind::Write(var) => {
-                let Some(id) = detector.sampled(event) else {
+                let ordinal = self.ordinal;
+                self.ordinal += 1;
+                if !(detector.decider)(ordinal, event) {
                     match kind {
                         EventKind::Read(_) => self.skipped_reads += 1,
                         _ => self.skipped_writes += 1,
                     }
                     return false;
-                };
-                detector.access_with(thread, id, event, var)
+                }
+                detector.access_with(thread, detector.take_ticket(), event, var)
             }
             EventKind::Acquire(lock_id) | EventKind::Release(lock_id) => {
                 detector.sync_with(thread, event, lock_id);
@@ -761,16 +717,11 @@ impl<D: SplitDetector> ThreadHandle<'_, D> {
 
 impl<D: SplitDetector> Drop for ThreadHandle<'_, D> {
     fn drop(&mut self) {
-        let detector = self.detector;
-        let tid = self.tid.as_u32();
-        detector
-            .skip
-            .add(tid, self.skipped_reads, self.skipped_writes);
+        let slot = self.detector.thread_slot(self.tid);
+        slot.accesses
+            .give_back(self.ordinal, self.skipped_reads, self.skipped_writes);
         // Never panic here: this also runs while unwinding.
-        *detector
-            .thread_slot(self.tid)
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = self.data.take();
+        *slot.data.lock().unwrap_or_else(PoisonError::into_inner) = self.data.take();
     }
 }
 
@@ -786,7 +737,7 @@ impl<D: SplitDetector> std::fmt::Debug for ThreadHandle<'_, D> {
 mod tests {
     use super::*;
     use crate::{Detector, DjitDetector, OnlineDetector, OrderedListDetector};
-    use freshtrack_sampling::{AlwaysSampler, BernoulliSampler};
+    use freshtrack_sampling::{AlwaysSampler, BernoulliSampler, NeverSampler};
     use std::sync::Arc;
 
     #[test]
@@ -901,7 +852,8 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(sharded.events_processed(), 4 * 100 * 3);
+        // One id per sampled access; sync events draw none.
+        assert_eq!(sharded.tickets_drawn(), 4 * 100);
         let (reports, merged) = Arc::try_unwrap(sharded).ok().unwrap().finish_merged();
         // All accesses are lock-protected: no races, on any shard.
         assert!(reports.is_empty(), "{reports:?}");
@@ -995,6 +947,16 @@ mod tests {
         let mut handle = sharded.thread(2);
         handle.acquire(0);
         sharded.release(2, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "on_event for thread 2 while its ThreadHandle is live")]
+    fn a_sampled_out_access_for_a_handled_thread_is_rejected() {
+        // The access count is in the handle, so even an access the
+        // sampler rejects cannot be decided without it.
+        let sharded = ShardedOnlineDetector::new(DjitDetector::new(NeverSampler::new()), 2);
+        let _handle = sharded.thread(2);
+        sharded.write(2, 0);
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //! ([`Feed`]). For Djit+, FastTrack and SO at rates 0.03 and 1.0, every
 //! run must:
 //!
-//! * draw exactly one ticket per issued event (`events_processed`);
+//! * draw exactly one id per sampled access (`tickets_drawn`), and
+//!   sample exactly the accesses the per-thread rule picks from each
+//!   thread's issued program, whatever the interleaving;
 //! * count exactly the reads, writes, acquires and releases issued
 //!   (so no handle's skip tally is lost when it drops);
 //! * return each access's verdict from its own `read`/`write` call: the
@@ -30,8 +32,8 @@ use freshtrack_core::{
     ShardedOnlineDetector, SplitDetector,
 };
 use freshtrack_sampling::BernoulliSampler;
-use freshtrack_testutil::{Feed, ThreadFeed};
-use freshtrack_trace::VarId;
+use freshtrack_testutil::{online_sample_count, Feed, ThreadFeed};
+use freshtrack_trace::{Event, EventKind, ThreadId, VarId};
 
 const THREADS: u32 = 4;
 const ITERS: u32 = 1500;
@@ -69,24 +71,64 @@ impl Issued {
     }
 }
 
-/// Runs the stress program on `THREADS` OS threads, fed by `feed`, and
-/// returns the merged reports, counters, tickets drawn and the issued
-/// tally.
-fn stress<D: SplitDetector + 'static>(
-    detector: D,
-    racy: bool,
-    feed: Feed,
-) -> (Vec<RaceReport>, Counters, u64, Issued) {
+/// One stress run's results: the merged reports and counters, the ids
+/// drawn, the issued tally and each thread's issued accesses in program
+/// order.
+struct Run {
+    reports: Vec<RaceReport>,
+    counters: Counters,
+    tickets: u64,
+    issued: Issued,
+    programs: Vec<Vec<Event>>,
+}
+
+/// One thread's feed, recording the accesses it issues.
+struct Recorder<'a, D: SplitDetector> {
+    feed: ThreadFeed<'a, D>,
+    tid: ThreadId,
+    program: Vec<Event>,
+}
+
+impl<D: SplitDetector> Recorder<'_, D> {
+    fn access(&mut self, kind: EventKind) -> bool {
+        self.program.push(Event::new(self.tid, kind));
+        self.feed.on_event(kind)
+    }
+
+    fn read(&mut self, var: u32) -> bool {
+        self.access(EventKind::Read(VarId::new(var)))
+    }
+
+    fn write(&mut self, var: u32) -> bool {
+        self.access(EventKind::Write(VarId::new(var)))
+    }
+
+    fn acquire(&mut self, lock: u32) {
+        self.feed.acquire(lock);
+    }
+
+    fn release(&mut self, lock: u32) {
+        self.feed.release(lock);
+    }
+}
+
+/// Runs the stress program on `THREADS` OS threads, fed by `feed`.
+fn stress<D: SplitDetector + 'static>(detector: D, racy: bool, feed: Feed) -> Run {
     let sharded = ShardedOnlineDetector::new(detector, SHARDS);
     let app_locks: Vec<Mutex<()>> = (0..LOCKS).map(|_| Mutex::new(())).collect();
     let start = Barrier::new(THREADS as usize);
     let mut issued = Issued::default();
+    let mut programs = Vec::new();
     std::thread::scope(|s| {
         let workers: Vec<_> = (0..THREADS)
             .map(|t| {
                 let (sharded, app_locks, start) = (&sharded, &app_locks, &start);
                 s.spawn(move || {
-                    let mut me = ThreadFeed::new(sharded, t, feed);
+                    let mut me = Recorder {
+                        feed: ThreadFeed::new(sharded, t, feed),
+                        tid: ThreadId::new(t),
+                        program: Vec::new(),
+                    };
                     let mut issued = Issued::default();
                     start.wait();
                     if racy {
@@ -123,12 +165,13 @@ fn stress<D: SplitDetector + 'static>(
                         issued.releases += 1;
                         drop(guard);
                     }
-                    issued
+                    (issued, me.program)
                 })
             })
             .collect();
         for w in workers {
-            let one = w.join().unwrap();
+            let (one, program) = w.join().unwrap();
+            programs.push(program);
             issued.reads += one.reads;
             issued.writes += one.writes;
             issued.acquires += one.acquires;
@@ -136,9 +179,15 @@ fn stress<D: SplitDetector + 'static>(
             issued.races += one.races;
         }
     });
-    let tickets = sharded.events_processed();
+    let tickets = sharded.tickets_drawn();
     let (reports, counters) = sharded.finish_merged();
-    (reports, counters, tickets, issued)
+    Run {
+        reports,
+        counters,
+        tickets,
+        issued,
+        programs,
+    }
 }
 
 /// Runs both programs for one engine at one rate.
@@ -152,12 +201,22 @@ where
         .flat_map(|r| Feed::ALL.map(|f| (r, f)))
     {
         let cell = format!("{label} rate={rate} racy={racy} {feed:?}");
-        let (reports, counters, tickets, issued) =
-            stress(make(BernoulliSampler::new(rate, 17)), racy, feed);
-        assert_eq!(
+        let sampler = BernoulliSampler::new(rate, 17);
+        let Run {
+            reports,
+            counters,
             tickets,
-            issued.total(),
-            "[{cell}] tickets lost or duplicated"
+            issued,
+            programs,
+        } = stress(make(sampler), racy, feed);
+        assert_eq!(
+            tickets, counters.sampled_accesses,
+            "[{cell}] ids lost or duplicated"
+        );
+        assert_eq!(
+            counters.sampled_accesses,
+            online_sample_count(&sampler, &programs),
+            "[{cell}] the per-thread rule's sample set"
         );
         assert_eq!(counters.events, issued.total(), "[{cell}] events");
         assert_inline_verdicts(&cell, &reports, &counters, issued);
@@ -224,7 +283,12 @@ fn so_under_contention() {
 #[test]
 fn fasttrack_reports_the_unprotected_variable() {
     for feed in Feed::ALL {
-        let (reports, counters, _, issued) = stress(
+        let Run {
+            reports,
+            counters,
+            issued,
+            ..
+        } = stress(
             FastTrackDetector::new(BernoulliSampler::new(1.0, 17)),
             true,
             feed,

@@ -1,14 +1,16 @@
 //! Hoisted-vs-inline differential suite for the lock-free skip path
 //! (invariant 10 in `ARCHITECTURE.md`).
 //!
-//! The online façades evaluate the sampler *before* any lock — via
-//! [`Detector::hoisted_decider`] — and sampled-out accesses never
-//! reach an engine; a sequential [`Detector::run`] decides inline, in
-//! the middle of `process`. Both must be indistinguishable: identical
-//! (EventId-sorted) race reports and **full** [`Counters`] equality —
-//! every field, including the work counters — because the hoisted
-//! decision changes *where* the pure `(seed, EventId)` verdict is
-//! computed, never *what* the detector does with it.
+//! The online façades evaluate the sampler's per-thread rule *before*
+//! any lock — via [`Detector::hoisted_decider`], on each access's
+//! ordinal within its thread — and sampled-out accesses never reach an
+//! engine; a sequential [`Detector::run`] decides inline, in the middle
+//! of `process`. Given the same sample set (the online reference,
+//! [`online_reference`](freshtrack_testutil::online_reference)), both
+//! must be indistinguishable: identical (EventId-sorted) race reports
+//! and **full** [`Counters`] equality — every field, including the work
+//! counters — because the hoisted decision changes *where* the verdict
+//! is computed, never *what* the detector does with it.
 //!
 //! Coverage: all five engines × sampler families {always, never,
 //! Bernoulli, periodic, targeted} × shard counts {1, 2, 4, 7}, over
@@ -19,69 +21,45 @@
 //! Two regressions ride along:
 //! * a fully sampled-out stream must acquire **zero** shard locks
 //!   (pinned through the debug-only acquisition counter), and
-//! * concurrent lock-free ticket draws must neither lose nor duplicate
-//!   events (the multi-threaded stress below; `contention.rs` adds
-//!   application locks and checks verdicts).
+//! * concurrent lock-free id draws must neither lose nor duplicate
+//!   one, and the sample set must not depend on the interleaving (the
+//!   multi-threaded stress below; `contention.rs` adds application
+//!   locks and checks verdicts).
 
-use freshtrack_core::{
-    Detector, DjitDetector, FastTrackDetector, FreshnessDetector, NaiveSamplingDetector,
-    OrderedListDetector, ShardedOnlineDetector,
-};
+use freshtrack_core::{DjitDetector, ShardedOnlineDetector};
 use freshtrack_sampling::{
     AlwaysSampler, BernoulliSampler, NeverSampler, PeriodicSampler, Sampler, TargetedSampler,
 };
 use freshtrack_testutil::{
-    assert_shard_equivalence, feed_sharded, run_online_trace, trace_from_fuel, workload_matrix,
-    Feed, ThreadFeed,
+    assert_online_matches_reference, assert_shard_equivalence, feed_sharded, online_sample_count,
+    trace_from_fuel, workload_matrix, Djit, FastTrack, Feed, Naive, So, Su, ThreadFeed,
 };
-use freshtrack_trace::{EventKind, LockId, Trace, VarId};
+use freshtrack_trace::{Event, EventKind, LockId, ThreadId, Trace, VarId};
 use proptest::prelude::*;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 7];
 
-/// Online-only variant for engines that are not [`SplitDetector`]s
-/// (the naive baseline cannot shard, but its hoisted skip path must
-/// still match its inline one exactly).
-fn assert_online_matches_inline<D: Detector + Clone>(label: &str, trace: &Trace, detector: D) {
-    let mut inline = detector.clone();
-    let expected_reports = inline.run(trace);
-    let expected = *inline.counters();
-    let (reports, counters) = run_online_trace(trace, detector);
-    assert_eq!(reports, expected_reports, "[{label}] online reports");
-    assert_eq!(counters, expected, "[{label}] online counters");
-}
-
-/// One `(trace, sampler)` cell across all five engines.
-fn check_all_engines<S: Sampler + Clone + Send>(label: &str, trace: &Trace, s: S) {
+/// One `(trace, sampler)` cell across all five engines. The naive
+/// baseline cannot shard, but its single-mutex run must still match
+/// the reference exactly.
+fn check_all_engines<S: Sampler>(label: &str, trace: &Trace, s: S) {
     assert_shard_equivalence(
         &format!("{label}/djit"),
         trace,
-        DjitDetector::new(s.clone()),
+        Djit,
+        s.clone(),
         &SHARD_COUNTS,
     );
     assert_shard_equivalence(
         &format!("{label}/fasttrack"),
         trace,
-        FastTrackDetector::new(s.clone()),
+        FastTrack,
+        s.clone(),
         &SHARD_COUNTS,
     );
-    assert_online_matches_inline(
-        &format!("{label}/naive"),
-        trace,
-        NaiveSamplingDetector::new(s.clone()),
-    );
-    assert_shard_equivalence(
-        &format!("{label}/su"),
-        trace,
-        FreshnessDetector::new(s.clone()),
-        &SHARD_COUNTS,
-    );
-    assert_shard_equivalence(
-        &format!("{label}/so"),
-        trace,
-        OrderedListDetector::new(s),
-        &SHARD_COUNTS,
-    );
+    assert_online_matches_reference(&format!("{label}/naive"), trace, Naive, &s);
+    assert_shard_equivalence(&format!("{label}/su"), trace, Su, s.clone(), &SHARD_COUNTS);
+    assert_shard_equivalence(&format!("{label}/so"), trace, So, s, &SHARD_COUNTS);
 }
 
 #[test]
@@ -123,8 +101,9 @@ proptest! {
 }
 
 /// A fully sampled-out stream must never touch a shard lock: the skip
-/// path is two relaxed RMWs, full stop — through a handle, one. Debug
-/// builds only — the acquisition counter does not exist in release.
+/// path writes only the thread's own cell (or its handle), full stop.
+/// Debug builds only — the acquisition counter does not exist in
+/// release.
 #[cfg(debug_assertions)]
 #[test]
 fn never_sampler_takes_zero_shard_locks() {
@@ -172,20 +151,36 @@ fn always_sampler_accounts_for_its_shard_locks() {
     }
 }
 
-/// Multi-threaded stress for the hoisted ticket draw: many threads
-/// hammer accesses with no application lock, so tickets are drawn
-/// concurrently and shard processing can invert ticket order. Nothing
-/// may be lost or duplicated: every ticket is drawn exactly once
-/// (`events_processed`), every access is tallied exactly once
-/// (sampled + skipped = issued), and the merged report list is
-/// strictly sorted.
+/// Multi-threaded stress for the hoisted id draw: many threads hammer
+/// accesses with no application lock, so ids are drawn concurrently and
+/// shard processing can invert ticket order. Nothing may be lost or
+/// duplicated: exactly one id is drawn per sampled access
+/// (`tickets_drawn`), every access is tallied exactly once (sampled +
+/// skipped = issued), the sampled count is the one the per-thread rule
+/// gives for the threads' programs whatever the interleaving, and the
+/// merged report list is strictly sorted.
 #[test]
 fn concurrent_ticket_draws_lose_nothing() {
     const THREADS: u32 = 4;
     const OPS: u32 = 2000;
+    /// Thread `t`'s `i`-th operation: `None` is an acquire/release pair.
+    fn op(t: u32, i: u32) -> Option<Event> {
+        let kind = if i % 64 == 63 {
+            return None;
+        } else if i % 2 == 0 {
+            EventKind::Write(VarId::new(i % 31))
+        } else {
+            EventKind::Read(VarId::new(i % 31))
+        };
+        Some(Event::new(ThreadId::new(t), kind))
+    }
+    let sampler = BernoulliSampler::new(0.05, 42);
+    let programs: Vec<Vec<Event>> = (0..THREADS)
+        .map(|t| (0..OPS).filter_map(|i| op(t, i)).collect())
+        .collect();
+    let want_sampled = online_sample_count(&sampler, &programs);
     for feed in Feed::ALL {
-        let sharded =
-            ShardedOnlineDetector::new(DjitDetector::new(BernoulliSampler::new(0.05, 42)), 4);
+        let sharded = ShardedOnlineDetector::new(DjitDetector::new(sampler), 4);
         sharded.reserve_threads(THREADS as usize);
         std::thread::scope(|s| {
             for t in 0..THREADS {
@@ -193,13 +188,14 @@ fn concurrent_ticket_draws_lose_nothing() {
                 s.spawn(move || {
                     let mut me = ThreadFeed::new(sharded, t, feed);
                     for i in 0..OPS {
-                        if i % 64 == 63 {
-                            me.acquire(t);
-                            me.release(t);
-                        } else if i % 2 == 0 {
-                            me.write(i % 31);
-                        } else {
-                            me.read(i % 31);
+                        match op(t, i) {
+                            None => {
+                                me.acquire(t);
+                                me.release(t);
+                            }
+                            Some(event) => {
+                                me.on_event(event.kind);
+                            }
                         }
                     }
                 });
@@ -210,9 +206,17 @@ fn concurrent_ticket_draws_lose_nothing() {
         let sync_events = u64::from(THREADS) * 2 * u64::from(OPS / 64);
         let accesses = u64::from(THREADS) * u64::from(OPS - OPS / 64);
         let total = accesses + sync_events;
-        assert_eq!(sharded.events_processed(), total, "{feed:?}");
+        let tickets = sharded.tickets_drawn();
         let (reports, merged) = sharded.finish_merged();
         assert_eq!(merged.events, total, "{feed:?}");
+        assert_eq!(
+            tickets, merged.sampled_accesses,
+            "[{feed:?}] one id per sampled access"
+        );
+        assert_eq!(
+            merged.sampled_accesses, want_sampled,
+            "[{feed:?}] the per-thread rule's sample set"
+        );
         assert_eq!(
             merged.sampled_accesses + merged.skipped_accesses(),
             accesses,

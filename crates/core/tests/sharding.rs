@@ -5,7 +5,9 @@
 //! shards; the happens-before skeleton is held in per-thread and
 //! per-lock sync slots, and accesses check against their own thread's
 //! slot. It claims the merged result is indistinguishable from the
-//! single-mutex [`OnlineDetector`] and a sequential [`Detector::run`]:
+//! single-mutex [`OnlineDetector`] and from the online reference — a
+//! sequential [`Detector::run`] with the same sample set
+//! ([`online_reference`](freshtrack_testutil::online_reference)):
 //! identical (EventId-sorted) race reports and identical [`Counters`].
 //! This suite checks that claim for
 //!
@@ -38,7 +40,8 @@ use freshtrack_core::{
 };
 use freshtrack_sampling::{AlwaysSampler, BernoulliSampler, NeverSampler, PeriodicSampler};
 use freshtrack_testutil::{
-    assert_shard_equivalence, run_sharded_trace, trace_from_fuel, workload_matrix, Feed,
+    assert_shard_equivalence, online_reference, run_sharded_trace, trace_from_fuel,
+    workload_matrix, Djit, FastTrack, Feed, So,
 };
 use freshtrack_trace::Trace;
 use proptest::prelude::*;
@@ -54,31 +57,18 @@ const SEEDS: [u64; 3] = [11, 4242, 987_654_321];
 const EVENTS: usize = 600;
 
 /// Runs the shard-equivalence contract (sharded and single-mutex
-/// ingestion vs `Detector::run`) for all three engines over one
+/// ingestion vs the online reference) for all three engines over one
 /// `(trace, sampler)` cell.
-fn check_all_engines<S: freshtrack_sampling::Sampler + Copy + Send>(
-    label: &str,
-    trace: &Trace,
-    s: S,
-) {
-    assert_shard_equivalence(
-        &format!("{label}/djit"),
-        trace,
-        DjitDetector::new(s),
-        &SHARD_COUNTS,
-    );
+fn check_all_engines<S: freshtrack_sampling::Sampler + Copy>(label: &str, trace: &Trace, s: S) {
+    assert_shard_equivalence(&format!("{label}/djit"), trace, Djit, s, &SHARD_COUNTS);
     assert_shard_equivalence(
         &format!("{label}/fasttrack"),
         trace,
-        FastTrackDetector::new(s),
+        FastTrack,
+        s,
         &SHARD_COUNTS,
     );
-    assert_shard_equivalence(
-        &format!("{label}/so"),
-        trace,
-        OrderedListDetector::new(s),
-        &SHARD_COUNTS,
-    );
+    assert_shard_equivalence(&format!("{label}/so"), trace, So, s, &SHARD_COUNTS);
 }
 
 #[test]
@@ -88,20 +78,23 @@ fn structured_patterns_at_full_sampling() {
         let reports = assert_shard_equivalence(
             &format!("{label}/djit"),
             &trace,
-            DjitDetector::new(AlwaysSampler::new()),
+            Djit,
+            AlwaysSampler::new(),
             &SHARD_COUNTS,
         );
         racy_cells += usize::from(!reports.is_empty());
         assert_shard_equivalence(
             &format!("{label}/fasttrack"),
             &trace,
-            FastTrackDetector::new(AlwaysSampler::new()),
+            FastTrack,
+            AlwaysSampler::new(),
             &SHARD_COUNTS,
         );
         assert_shard_equivalence(
             &format!("{label}/so"),
             &trace,
-            OrderedListDetector::new(AlwaysSampler::new()),
+            So,
+            AlwaysSampler::new(),
             &SHARD_COUNTS,
         );
     }
@@ -140,7 +133,8 @@ fn structured_patterns_under_periodic_and_never_sampling() {
         let reports = assert_shard_equivalence(
             &format!("{label}@never/djit"),
             &trace,
-            DjitDetector::new(NeverSampler::new()),
+            Djit,
+            NeverSampler::new(),
             &SHARD_COUNTS,
         );
         assert!(
@@ -182,6 +176,8 @@ proptest! {
     /// racing EventId, the single-mutex online façade preserves that
     /// through `finish`, and — the multi-shard cases —
     /// `ShardedOnlineDetector::finish_merged` preserves it at `N > 1`.
+    /// Both façades reproduce the online reference, whose ids are
+    /// sample ranks.
     #[test]
     fn reports_are_sorted_by_event_id(
         fuel in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 0..150),
@@ -202,7 +198,8 @@ proptest! {
         );
         assert_sorted("so", &OrderedListDetector::new(AlwaysSampler::new()).run(&trace));
 
-        let baseline = DjitDetector::new(AlwaysSampler::new()).run(&trace);
+        let (baseline, _) = online_reference(&trace, Djit, &AlwaysSampler::new());
+        assert_sorted("reference", &baseline);
 
         let online = OnlineDetector::new(DjitDetector::new(AlwaysSampler::new()));
         for (_, event) in trace.iter() {
@@ -212,7 +209,7 @@ proptest! {
         assert_sorted("online", &reports);
         assert_eq!(
             reports, baseline,
-            "online façade must replay the trace verbatim"
+            "online façade must reproduce the online reference"
         );
 
         // finish_merged at N > 1: the merge itself must restore strict
@@ -246,12 +243,8 @@ fn regression_sorted_merge_on_racy_cell() {
         .into_iter()
         .next()
         .expect("matrix is non-empty");
-    let reports = assert_shard_equivalence(
-        &label,
-        &trace,
-        DjitDetector::new(AlwaysSampler::new()),
-        &SHARD_COUNTS,
-    );
+    let reports =
+        assert_shard_equivalence(&label, &trace, Djit, AlwaysSampler::new(), &SHARD_COUNTS);
     assert!(reports.len() >= 2, "[{label}] want a multi-report cell");
     assert!(reports.windows(2).all(|w| w[0].event < w[1].event));
 

@@ -401,8 +401,9 @@ mod tests {
     #[test]
     fn sharded_workers_issue_the_single_mutex_events() {
         // Two workers, each through its thread handle: the per-kind
-        // event counts are seeded, so they match the single mutex's
-        // whatever the interleaving.
+        // event counts are seeded, and the sample set depends only on
+        // each worker's program (the per-thread rule), so both match
+        // the single mutex's whatever the interleaving.
         let w = benchbase::by_name("tpcc").unwrap();
         let opts = RunOptions {
             workers: 2,
@@ -420,14 +421,16 @@ mod tests {
                 got.reads,
                 got.writes,
                 got.acquires,
-                got.releases
+                got.releases,
+                got.sampled_accesses
             ),
             (
                 want.events,
                 want.reads,
                 want.writes,
                 want.acquires,
-                want.releases
+                want.releases,
+                want.sampled_accesses
             )
         );
         assert_eq!(

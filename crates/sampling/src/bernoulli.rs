@@ -1,15 +1,16 @@
 use freshtrack_trace::{Event, EventId};
 
-use crate::{mix64, Sampler};
+use crate::{mix64, thread_position, Sampler};
 
 /// LiteRace-style independent sampling: each access event is in `S` with
 /// a fixed probability.
 ///
 /// This is the strategy the paper's evaluation uses ("each read or write
 /// access event is sampled independently with a fixed probability",
-/// Section 6.1). Decisions depend only on `(seed, event position)`, so
-/// every engine analyzing the same trace with the same seed sees the same
-/// sample set regardless of what other work it does.
+/// Section 6.1). Offline decisions depend only on `(seed, event
+/// position)`, so every engine analyzing the same trace with the same
+/// seed sees the same sample set regardless of what other work it does;
+/// online ones on `(seed, thread, access ordinal)`.
 ///
 /// # Example
 ///
@@ -71,9 +72,23 @@ impl BernoulliSampler {
     }
 }
 
+impl BernoulliSampler {
+    /// The decision at a position of the hashed space.
+    #[inline]
+    fn at(&self, position: u64) -> bool {
+        mix64(self.seed ^ mix64(position)) >> 11 < self.threshold
+    }
+}
+
 impl Sampler for BernoulliSampler {
     fn decide(&self, id: EventId, _event: Event) -> bool {
-        mix64(self.seed ^ mix64(id.as_u64())) >> 11 < self.threshold
+        self.at(id.as_u64())
+    }
+
+    /// Each access of each thread independently, with probability
+    /// `rate`: the offline formula at the access's per-thread position.
+    fn decide_in_thread(&self, ordinal: u64, event: Event) -> bool {
+        self.at(thread_position(event.tid, ordinal))
     }
 
     fn nominal_rate(&self) -> f64 {
@@ -120,6 +135,31 @@ mod tests {
             .collect();
         bwd.reverse();
         assert_eq!(fwd, bwd);
+    }
+
+    #[test]
+    fn per_thread_rate_tracks_nominal_on_every_thread() {
+        for &rate in &[0.03, 0.5] {
+            let s = BernoulliSampler::new(rate, 99);
+            for t in 0..4u32 {
+                let n = 100_000;
+                let hits = (0..n).filter(|&k| s.decide_in_thread(k, access(t))).count();
+                let empirical = hits as f64 / n as f64;
+                assert!(
+                    (empirical - rate).abs() < rate * 0.2 + 0.001,
+                    "rate {rate} thread {t}: empirical {empirical}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn threads_draw_different_sequences() {
+        let s = BernoulliSampler::new(0.5, 3);
+        let of =
+            |t: u32| -> Vec<bool> { (0..256).map(|k| s.decide_in_thread(k, access(t))).collect() };
+        assert_ne!(of(0), of(1));
+        assert_eq!(of(1), of(5), "access(i) is thread i % 4");
     }
 
     #[test]

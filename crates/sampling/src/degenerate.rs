@@ -24,6 +24,10 @@ impl Sampler for AlwaysSampler {
         true
     }
 
+    fn decide_in_thread(&self, _ordinal: u64, _event: Event) -> bool {
+        true
+    }
+
     fn nominal_rate(&self) -> f64 {
         1.0
     }
@@ -49,6 +53,10 @@ impl Sampler for NeverSampler {
         false
     }
 
+    fn decide_in_thread(&self, _ordinal: u64, _event: Event) -> bool {
+        false
+    }
+
     fn nominal_rate(&self) -> f64 {
         0.0
     }
@@ -64,6 +72,8 @@ mod tests {
         let e = Event::new(ThreadId::new(0), EventKind::Read(VarId::new(0)));
         assert!(AlwaysSampler::new().sample(EventId::new(0), e));
         assert!(!NeverSampler::new().sample(EventId::new(0), e));
+        assert!(AlwaysSampler::new().decide_in_thread(5, e));
+        assert!(!NeverSampler::new().decide_in_thread(5, e));
         assert_eq!(AlwaysSampler::new().nominal_rate(), 1.0);
         assert_eq!(NeverSampler::new().nominal_rate(), 0.0);
     }

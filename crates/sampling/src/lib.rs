@@ -20,10 +20,20 @@
 //!   strategies (useful as the FT-equivalent and instrumentation-only
 //!   baselines).
 //!
-//! All randomized strategies are **deterministic functions of
-//! `(seed, event position)`**, so different analysis engines observing the
-//! same trace with the same seed see *exactly* the same sample set — the
-//! apples-to-apples property the paper's offline evaluation relies on.
+//! Every strategy answers two questions, one per ingestion side:
+//!
+//! * **Offline** ([`Sampler::decide`]): is the access at trace position
+//!   `id` sampled? The randomized strategies are **deterministic
+//!   functions of `(seed, event position)`**, so different analysis
+//!   engines observing the same trace with the same seed see *exactly*
+//!   the same sample set — the apples-to-apples property the paper's
+//!   offline evaluation relies on. The segmented replay filters segments
+//!   in parallel, and a trace position is all a segment decoder knows.
+//! * **Online** ([`Sampler::decide_in_thread`]): is thread `t`'s `k`-th
+//!   access sampled? A per-thread decision in the LiteRace/Pacer
+//!   lineage: a deterministic function of `(seed, t, k, event)`, so a
+//!   live program's sample set depends on what each thread does, not on
+//!   how the threads interleave, and deciding needs no shared counter.
 //!
 //! # Example
 //!
@@ -36,6 +46,8 @@
 //! let first = s.sample(EventId::new(0), e);
 //! // Same position, same seed → same decision.
 //! assert_eq!(first, BernoulliSampler::new(0.5, 42).sample(EventId::new(0), e));
+//! // Online: thread 0's access number 9, wherever it lands in the trace.
+//! assert_eq!(s.decide_in_thread(9, e), BernoulliSampler::new(0.5, 42).decide_in_thread(9, e));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -51,7 +63,7 @@ pub use degenerate::{AlwaysSampler, NeverSampler};
 pub use periodic::PeriodicSampler;
 pub use targeted::TargetedSampler;
 
-use freshtrack_trace::{Event, EventId};
+use freshtrack_trace::{Event, EventId, ThreadId};
 
 /// An online decider for membership of access events in the sample set
 /// `S`.
@@ -62,18 +74,25 @@ use freshtrack_trace::{Event, EventId};
 /// whose decision depends only on `(seed, id)` additionally guarantee
 /// identical sample sets across different engines.
 ///
-/// Decisions are **pure**: [`Sampler::decide`] takes `&self` and must
-/// return the same answer for the same `(id, event)` no matter when, how
-/// often, or from which thread it is asked. This is what lets the online
-/// detectors hoist the decision out of their analysis locks — a skipped
-/// access can be rejected before any shared state is touched, and a
-/// re-query on the locked path agrees with the hoisted answer. The `Clone + Send + Sync` supertraits exist for the
-/// same reason: hoisted deciders are cloned out of the detector and
-/// consulted concurrently.
+/// Decisions are **pure**: [`Sampler::decide`] and
+/// [`Sampler::decide_in_thread`] take `&self` and must return the same
+/// answer for the same inputs no matter when, how often, or from which
+/// thread they are asked. This is what lets the online detectors hoist
+/// the decision out of their analysis locks — a skipped access is
+/// rejected before any shared state is touched. The
+/// `Clone + Send + Sync` supertraits exist for the same reason: hoisted
+/// deciders are cloned out of the detector and consulted concurrently.
 pub trait Sampler: Clone + Send + Sync + 'static {
     /// Decides whether the access event `event` at trace position `id`
-    /// belongs to the sample set. Pure: same inputs, same answer.
+    /// belongs to the sample set — the offline rule. Pure: same inputs,
+    /// same answer.
     fn decide(&self, id: EventId, event: Event) -> bool;
+
+    /// Decides whether `event`, the `ordinal`-th access (counting from
+    /// 0) of its thread `event.tid`, belongs to the sample set — the
+    /// online rule, which needs only the thread's own access count.
+    /// Pure: same inputs, same answer.
+    fn decide_in_thread(&self, ordinal: u64, event: Event) -> bool;
 
     /// Decides membership through a mutable handle.
     ///
@@ -92,6 +111,10 @@ impl<T: Sampler> Sampler for Box<T> {
         (**self).decide(id, event)
     }
 
+    fn decide_in_thread(&self, ordinal: u64, event: Event) -> bool {
+        (**self).decide_in_thread(ordinal, event)
+    }
+
     fn nominal_rate(&self) -> f64 {
         (**self).nominal_rate()
     }
@@ -104,6 +127,14 @@ pub(crate) fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
+}
+
+/// Where thread `tid`'s `ordinal`-th access sits in the 2⁶⁴-position
+/// space the position-keyed formulas hash: each thread's accesses are
+/// consecutive positions from a pseudo-random start, so the online rule
+/// is the offline formula applied to that position.
+pub(crate) fn thread_position(tid: ThreadId, ordinal: u64) -> u64 {
+    mix64(u64::from(tid.as_u32())).wrapping_add(ordinal)
 }
 
 /// Maps a hash to a uniform `f64` in `[0, 1)`.

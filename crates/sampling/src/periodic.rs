@@ -1,6 +1,6 @@
 use freshtrack_trace::{Event, EventId};
 
-use crate::{mix64, to_unit, Sampler};
+use crate::{mix64, thread_position, to_unit, Sampler};
 
 /// Pacer-style alternating sampling periods.
 ///
@@ -12,8 +12,12 @@ use crate::{mix64, to_unit, Sampler};
 /// how much redundant synchronization the freshness timestamp can skip —
 /// an interesting contrast the paper's related-work section discusses.
 ///
-/// Periods are measured in trace positions, so decisions remain pure
-/// functions of `(seed, position)`.
+/// Offline, periods are measured in trace positions, so decisions remain
+/// pure functions of `(seed, position)`. Online
+/// ([`Sampler::decide_in_thread`]), each thread has its own periods,
+/// measured in its own accesses: thread `t`'s `k`-th access lies in its
+/// window `k / period`, and each `(t, window)` is a sampling period with
+/// probability `rate`.
 ///
 /// # Example
 ///
@@ -55,12 +59,20 @@ impl PeriodicSampler {
     pub fn period(&self) -> u64 {
         self.period
     }
+
+    /// Whether the period keyed `window` is a sampling period.
+    fn in_sampling_period(&self, window: u64) -> bool {
+        to_unit(mix64(self.seed ^ mix64(window))) < self.rate
+    }
 }
 
 impl Sampler for PeriodicSampler {
     fn decide(&self, id: EventId, _event: Event) -> bool {
-        let window = id.as_u64() / self.period;
-        to_unit(mix64(self.seed ^ mix64(window))) < self.rate
+        self.in_sampling_period(id.as_u64() / self.period)
+    }
+
+    fn decide_in_thread(&self, ordinal: u64, event: Event) -> bool {
+        self.in_sampling_period(thread_position(event.tid, ordinal / self.period))
     }
 
     fn nominal_rate(&self) -> f64 {
@@ -89,6 +101,24 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn each_thread_has_its_own_periods() {
+        let s = PeriodicSampler::new(0.5, 100, 3);
+        let of = |t: u32| Event::new(ThreadId::new(t), EventKind::Write(VarId::new(0)));
+        for window in 0..20u64 {
+            let first = s.decide_in_thread(window * 100, of(1));
+            for offset in 1..100 {
+                assert_eq!(first, s.decide_in_thread(window * 100 + offset, of(1)));
+            }
+        }
+        let windows = |t: u32| -> Vec<bool> {
+            (0..64)
+                .map(|w| s.decide_in_thread(w * 100, of(t)))
+                .collect()
+        };
+        assert_ne!(windows(0), windows(1));
     }
 
     #[test]

@@ -47,11 +47,19 @@ impl TargetedSampler {
     pub fn target_count(&self) -> usize {
         self.targets.len()
     }
+
+    fn is_target(&self, event: Event) -> bool {
+        event.kind.var().is_some_and(|v| self.targets.contains(&v))
+    }
 }
 
 impl Sampler for TargetedSampler {
     fn decide(&self, _id: EventId, event: Event) -> bool {
-        event.kind.var().is_some_and(|v| self.targets.contains(&v))
+        self.is_target(event)
+    }
+
+    fn decide_in_thread(&self, _ordinal: u64, event: Event) -> bool {
+        self.is_target(event)
     }
 
     fn nominal_rate(&self) -> f64 {
@@ -74,5 +82,7 @@ mod tests {
         assert!(s.sample(EventId::new(0), mk(2)));
         assert!(s.sample(EventId::new(1), mk(5)));
         assert!(!s.sample(EventId::new(2), mk(3)));
+        assert!(s.decide_in_thread(7, mk(5)));
+        assert!(!s.decide_in_thread(7, mk(3)));
     }
 }

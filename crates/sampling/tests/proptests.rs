@@ -4,8 +4,9 @@
 //! "same sample set ⇒ same races" theorems as exercised by the
 //! differential harness) rests on one property: every sampler is a
 //! **deterministic function of its construction parameters**, and the
-//! randomized ones depend only on `(seed, event position)` — not on query
-//! order, not on the event payload, not on global state. These tests pin
+//! randomized ones depend only on `(seed, event position)` offline and on
+//! `(seed, thread, access ordinal)` online — not on query order, not on
+//! the event payload, not on global state. These tests pin
 //! that contract down, extending the model-based style of
 //! `crates/clock/tests/proptests.rs` to the sampling crate.
 
@@ -156,5 +157,41 @@ proptest! {
         }
         prop_assert_eq!(always.nominal_rate(), 1.0);
         prop_assert_eq!(never.nominal_rate(), 0.0);
+    }
+
+    /// The online rule is a function of `(seed, thread, ordinal)`: the
+    /// access's payload and the order of queries do not move it, so a
+    /// thread's sample set is fixed by its program alone.
+    #[test]
+    fn per_thread_rule_depends_on_thread_and_ordinal_only(
+        ordinals in prop::collection::vec(any::<u64>(), 1..100),
+        tid in 0u32..64,
+        seed in any::<u64>(),
+        rate in 0.0f64..1.0,
+        period in 1u64..64,
+    ) {
+        let bernoulli = BernoulliSampler::new(rate, seed);
+        let periodic = PeriodicSampler::new(rate, period, seed);
+        for &k in &ordinals {
+            let a = access(tid, 0, true);
+            let b = access(tid, 9, false);
+            prop_assert_eq!(bernoulli.decide_in_thread(k, a), bernoulli.decide_in_thread(k, b));
+            prop_assert_eq!(periodic.decide_in_thread(k, a), periodic.decide_in_thread(k, b));
+            prop_assert_eq!(
+                periodic.decide_in_thread(k, a),
+                periodic.decide_in_thread(k / period * period, b)
+            );
+        }
+        let forward: Vec<bool> = ordinals
+            .iter()
+            .map(|&k| bernoulli.decide_in_thread(k, access(tid, 1, true)))
+            .collect();
+        let mut backward: Vec<bool> = ordinals
+            .iter()
+            .rev()
+            .map(|&k| bernoulli.decide_in_thread(k, access(tid, 1, true)))
+            .collect();
+        backward.reverse();
+        prop_assert_eq!(forward, backward);
     }
 }

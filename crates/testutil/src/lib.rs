@@ -29,14 +29,20 @@
 //!   stays affordable.
 //! * [`wide_workload`] — a trace whose thread ids and operands outgrow
 //!   the short record encodings, for the segment decoder's fast path.
+//! * [`online_reference`] — the reference for online ingestion: the
+//!   online façades sample each thread's `k`-th access by the
+//!   sampler's per-thread rule, so the reference is [`Detector::run`] of
+//!   the same [`Engine`] over the same trace with a [`PositionSet`]
+//!   sampler that picks exactly those accesses ([`online_sample`]),
+//!   each report's trace position mapped to its rank among the sampled
+//!   accesses — the id the façades give it.
 //! * [`run_online_trace`] / [`run_sharded_trace`] /
 //!   [`assert_shard_equivalence`] — online ingestion (the
 //!   single-mutex [`OnlineDetector`] and the
 //!   [`ShardedOnlineDetector`], through `on_event`, through thread
-//!   handles and both mixed — see [`Feed`]) vs a sequential
-//!   [`Detector::run`]: identical reports and full [`Counters`]
-//!   equality, for any shard count. Used by
-//!   `crates/core/tests/{sharding,hoisted}.rs`.
+//!   handles and both mixed — see [`Feed`]) vs that reference:
+//!   identical reports and full [`Counters`] equality, for any shard
+//!   count. Used by `crates/core/tests/{sharding,hoisted}.rs`.
 //! * [`trace_from_fuel`] — the shared fuzz-trace interpreter: raw
 //!   `(thread, action, operand)` fuel into a trace obeying the locking
 //!   discipline (used by the proptest suites).
@@ -44,13 +50,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::sync::Arc;
+
 use freshtrack_core::{
     Counters, Detector, DjitDetector, FastTrackDetector, FreshnessDetector, HbOracle,
     NaiveSamplingDetector, OnlineDetector, OracleConfig, OracleOutcome, OrderedListDetector,
     RaceReport, ShardedOnlineDetector, SplitDetector, StreamingOracle, ThreadHandle,
 };
 use freshtrack_sampling::Sampler;
-use freshtrack_trace::{EventKind, LockId, Trace, TraceBuilder, VarId};
+use freshtrack_trace::{Event, EventId, EventKind, LockId, Trace, TraceBuilder, VarId};
 use freshtrack_workloads::{generate, Pattern, WorkloadConfig};
 
 /// Every structural workload pattern, in a stable order.
@@ -362,6 +370,141 @@ pub fn trace_from_fuel(fuel: &[(u8, u8, u8)], threads: u8, locks: u8, vars: u8) 
     b.build()
 }
 
+/// An engine, generic in its sampler: the façades under test run it
+/// with the sampler under test, the online reference with a
+/// [`PositionSet`].
+pub trait Engine: Copy + std::fmt::Debug {
+    /// The engine's detector over sampler `S`.
+    type With<S: Sampler>: Detector + Clone;
+
+    /// The engine's detector in its initial state, sampling by
+    /// `sampler`.
+    fn with<S: Sampler>(self, sampler: S) -> Self::With<S>;
+}
+
+/// Declares a unit [`Engine`] per detector constructor.
+macro_rules! engines {
+    ($($(#[$doc:meta])* $name:ident => $detector:ident;)*) => {$(
+        $(#[$doc])*
+        #[derive(Clone, Copy, Debug)]
+        pub struct $name;
+
+        impl Engine for $name {
+            type With<S: Sampler> = $detector<S>;
+
+            fn with<S: Sampler>(self, sampler: S) -> $detector<S> {
+                $detector::new(sampler)
+            }
+        }
+    )*};
+}
+
+engines! {
+    /// Djit+ ([`DjitDetector`]; ST when sampling).
+    Djit => DjitDetector;
+    /// [`FastTrackDetector`].
+    FastTrack => FastTrackDetector;
+    /// SU ([`FreshnessDetector`]).
+    Su => FreshnessDetector;
+    /// SO ([`OrderedListDetector`]).
+    So => OrderedListDetector;
+    /// Algorithm 2 ([`NaiveSamplingDetector`]), which does not shard.
+    Naive => NaiveSamplingDetector;
+}
+
+/// A test-only sampler over an explicit set of trace positions: the
+/// access at position `id` is sampled iff `mask[id]`. It has no
+/// per-thread rule; it exists to replay, offline, the sample set an
+/// online run picked.
+#[derive(Clone, Debug)]
+pub struct PositionSet(Arc<[bool]>);
+
+impl PositionSet {
+    /// The sampler picking the positions `mask` marks.
+    pub fn new(mask: Vec<bool>) -> Self {
+        PositionSet(mask.into())
+    }
+}
+
+impl Sampler for PositionSet {
+    fn decide(&self, id: EventId, _event: Event) -> bool {
+        self.0.get(id.index()).copied().unwrap_or(false)
+    }
+
+    fn decide_in_thread(&self, _ordinal: u64, _event: Event) -> bool {
+        panic!("PositionSet is an offline reference sampler")
+    }
+
+    fn nominal_rate(&self) -> f64 {
+        f64::NAN
+    }
+}
+
+/// The sample set the online rule picks in `trace`, as a mask by trace
+/// position: each thread's `k`-th access is sampled iff
+/// [`Sampler::decide_in_thread`] says so for `k`; sync events never are.
+pub fn online_sample<S: Sampler>(trace: &Trace, sampler: &S) -> Vec<bool> {
+    let mut ordinals: Vec<u64> = Vec::new();
+    trace
+        .iter()
+        .map(|(_, event)| {
+            event.kind.var().is_some() && {
+                let t = event.tid.index();
+                if ordinals.len() <= t {
+                    ordinals.resize(t + 1, 0);
+                }
+                ordinals[t] += 1;
+                sampler.decide_in_thread(ordinals[t] - 1, event)
+            }
+        })
+        .collect()
+}
+
+/// How many accesses the online rule samples among per-thread access
+/// programs: `programs[t]` is thread `t`'s accesses in its program
+/// order. Independent of any interleaving.
+pub fn online_sample_count<S: Sampler>(sampler: &S, programs: &[Vec<Event>]) -> u64 {
+    programs
+        .iter()
+        .flat_map(|program| {
+            (0u64..)
+                .zip(program)
+                .filter(|&(k, &event)| sampler.decide_in_thread(k, event))
+        })
+        .count() as u64
+}
+
+/// The reference for online ingestion of `trace` by `engine` sampling
+/// with `sampler`: [`Detector::run`] of the same engine with a
+/// [`PositionSet`] over [`online_sample`], returning its reports —
+/// each id mapped from its trace position to its rank among the
+/// sampled accesses, the id the façades draw — and its counters.
+pub fn online_reference<E: Engine, S: Sampler>(
+    trace: &Trace,
+    engine: E,
+    sampler: &S,
+) -> (Vec<RaceReport>, Counters) {
+    let mask = online_sample(trace, sampler);
+    let ranks: Vec<u64> = mask
+        .iter()
+        .scan(0u64, |sampled, &s| {
+            let rank = *sampled;
+            *sampled += u64::from(s);
+            Some(rank)
+        })
+        .collect();
+    let mut reference = engine.with(PositionSet::new(mask));
+    let reports = reference
+        .run(trace)
+        .into_iter()
+        .map(|r| RaceReport {
+            event: EventId::new(ranks[r.event.index()]),
+            ..r
+        })
+        .collect();
+    (reports, *reference.counters())
+}
+
 /// Feeds `trace` event by event through the single-mutex
 /// [`OnlineDetector`] wrapping `detector`, returning its
 /// (EventId-sorted) reports and the detector's counters.
@@ -473,9 +616,9 @@ pub fn feed_sharded<D: SplitDetector>(
 /// returning the merged (EventId-sorted) reports and the aggregated
 /// counters.
 ///
-/// The sequential feed assigns ticket ids in trace order, so the
-/// sharded run analyzes exactly the given trace — the deterministic
-/// setting the equivalence assertions need.
+/// The sequential feed draws ids in trace order, so the sharded run
+/// analyzes exactly the given trace — the deterministic setting the
+/// equivalence assertions need.
 pub fn run_sharded_trace<D: SplitDetector>(
     trace: &Trace,
     detector: D,
@@ -492,30 +635,31 @@ pub fn run_sharded_trace<D: SplitDetector>(
 }
 
 /// Asserts that online ingestion is verdict-preserving for one
-/// `(trace, detector)` pair: the single-mutex [`OnlineDetector`] and,
-/// for every shard count in `shard_counts` and every [`Feed`], the
-/// [`ShardedOnlineDetector`] report exactly the
-/// races of a sequential [`Detector::run`] (same order — all are
-/// EventId-sorted) with **full** [`Counters`] equality. The sync plane
-/// performs the monolith's clock work exactly once and the access
-/// shards partition the per-variable work, so no field is exempt.
+/// `(trace, engine, sampler)` cell: the single-mutex [`OnlineDetector`]
+/// and, for every shard count in `shard_counts` and every [`Feed`], the
+/// [`ShardedOnlineDetector`] report exactly the races of the
+/// [`online_reference`] (same order — all are EventId-sorted) with
+/// **full** [`Counters`] equality. The sync plane performs the
+/// monolith's clock work exactly once and the access shards partition
+/// the per-variable work, so no field is exempt.
 ///
 /// Returns the common report list.
-pub fn assert_shard_equivalence<D: SplitDetector>(
+pub fn assert_shard_equivalence<E: Engine, S: Sampler>(
     label: &str,
     trace: &Trace,
-    detector: D,
+    engine: E,
+    sampler: S,
     shard_counts: &[usize],
-) -> Vec<RaceReport> {
-    let mut baseline = detector.clone();
-    let baseline_reports = baseline.run(trace);
-    let expected = *baseline.counters();
-    let (reports, counters) = run_online_trace(trace, detector.clone());
-    assert_eq!(reports, baseline_reports, "[{label}] single-mutex reports");
-    assert_eq!(counters, expected, "[{label}] single-mutex counters");
+) -> Vec<RaceReport>
+where
+    E::With<S>: SplitDetector,
+{
+    let (baseline_reports, expected) =
+        assert_online_matches_reference(label, trace, engine, &sampler);
     for &shards in shard_counts {
         for feed in Feed::ALL {
-            let (reports, merged) = run_sharded_trace(trace, detector.clone(), shards, feed);
+            let (reports, merged) =
+                run_sharded_trace(trace, engine.with(sampler.clone()), shards, feed);
             assert_eq!(
                 reports, baseline_reports,
                 "[{label}] sharded(N={shards}, {feed:?}) reports"
@@ -527,6 +671,23 @@ pub fn assert_shard_equivalence<D: SplitDetector>(
         }
     }
     baseline_reports
+}
+
+/// Asserts that the single-mutex [`OnlineDetector`] over `trace` equals
+/// the [`online_reference`]: identical reports and full [`Counters`]
+/// equality. For engines that do not shard, this is the whole online
+/// contract. Returns the reference.
+pub fn assert_online_matches_reference<E: Engine, S: Sampler>(
+    label: &str,
+    trace: &Trace,
+    engine: E,
+    sampler: &S,
+) -> (Vec<RaceReport>, Counters) {
+    let (want_reports, want) = online_reference(trace, engine, sampler);
+    let (reports, counters) = run_online_trace(trace, engine.with(sampler.clone()));
+    assert_eq!(reports, want_reports, "[{label}] single-mutex reports");
+    assert_eq!(counters, want, "[{label}] single-mutex counters");
+    (want_reports, want)
 }
 
 #[cfg(test)]
@@ -568,13 +729,27 @@ mod tests {
     #[test]
     fn shard_equivalence_holds_on_a_structured_cell() {
         let trace = conformance_workload(Pattern::Mixed, 5, 400);
-        let reports = assert_shard_equivalence(
-            "unit",
-            &trace,
-            DjitDetector::new(AlwaysSampler::new()),
-            &[1, 3],
-        );
+        let reports = assert_shard_equivalence("unit", &trace, Djit, AlwaysSampler::new(), &[1, 3]);
         assert!(!reports.is_empty(), "mixed/5 should contain races");
+    }
+
+    #[test]
+    fn online_reference_renumbers_reports_by_sample_rank() {
+        use freshtrack_trace::TraceBuilder;
+        let mut b = TraceBuilder::new();
+        let x = b.var("x");
+        let l = b.lock("l");
+        b.acquire(0, l).write(0, x).release(0, l);
+        b.write(1, x); // position 3, the second sampled access
+        let trace = b.build();
+        assert_eq!(
+            online_sample(&trace, &AlwaysSampler::new()),
+            [false, true, false, true]
+        );
+        let (reports, counters) = online_reference(&trace, Djit, &AlwaysSampler::new());
+        assert_eq!(reports.len(), 1);
+        assert_eq!(reports[0].event, EventId::new(1));
+        assert_eq!(counters.sampled_accesses, 2);
     }
 
     #[test]

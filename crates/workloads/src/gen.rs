@@ -24,6 +24,10 @@ pub enum Pattern {
     LockLadder,
 }
 
+/// The largest sync-event fraction the generator produces: it always
+/// leaves room for accesses.
+pub const MAX_SYNC_RATIO: f64 = 0.95;
+
 /// Parameters of a synthetic workload.
 ///
 /// Build one fluently from [`WorkloadConfig::named`]; every knob has a
@@ -80,19 +84,19 @@ impl WorkloadConfig {
         }
     }
 
-    /// Sets the thread count.
+    /// Sets the thread count (at least 1; 0 becomes 1).
     pub fn threads(mut self, n: u32) -> Self {
         self.n_threads = n.max(1);
         self
     }
 
-    /// Sets the lock count.
+    /// Sets the lock count (at least 1; 0 becomes 1).
     pub fn locks(mut self, n: u32) -> Self {
         self.n_locks = n.max(1);
         self
     }
 
-    /// Sets the shared-location count.
+    /// Sets the shared-location count (at least 1; 0 becomes 1).
     pub fn vars(mut self, n: u32) -> Self {
         self.n_vars = n.max(1);
         self
@@ -104,9 +108,10 @@ impl WorkloadConfig {
         self
     }
 
-    /// Sets the sync-event fraction.
+    /// Sets the sync-event fraction, clamped to
+    /// `[0, `[`MAX_SYNC_RATIO`]`]`.
     pub fn sync_ratio(mut self, r: f64) -> Self {
-        self.sync_ratio = r.clamp(0.0, 0.95);
+        self.sync_ratio = r.clamp(0.0, MAX_SYNC_RATIO);
         self
     }
 

@@ -45,5 +45,5 @@ mod stream;
 
 pub use benchbase::DbWorkload;
 pub use corpus::CorpusBenchmark;
-pub use gen::{generate, Pattern, WorkloadConfig};
+pub use gen::{generate, Pattern, WorkloadConfig, MAX_SYNC_RATIO};
 pub use stream::{stream, MixedSource, WorkloadSource};

@@ -76,6 +76,9 @@ fn fig1_example_runs_through_all_engines() {
         fn decide(&self, id: freshtrack::trace::EventId, _e: freshtrack::trace::Event) -> bool {
             self.0.contains(&id.index())
         }
+        fn decide_in_thread(&self, _ordinal: u64, _e: freshtrack::trace::Event) -> bool {
+            unreachable!("offline-only test sampler")
+        }
         fn nominal_rate(&self) -> f64 {
             f64::NAN
         }
