@@ -342,9 +342,7 @@ impl<W: std::io::Write> EngineVisitor for Segmented<'_, W> {
 
     fn split<D>(self, detector: D, sampler: BernoulliSampler) -> Self::Output
     where
-        D: SplitDetector + 'static,
-        D::Sync: CheckpointState,
-        D::Access: CheckpointState,
+        D: SplitDetector + CheckpointState + 'static,
     {
         let failed = |e| ArgError(format!("{}: {e}", self.path));
         let analysis = match &self.sidecar {
@@ -771,9 +769,7 @@ fn dbsim_cmd<W: std::io::Write>(rest: &[String], out: &mut W) -> Result<(), ArgE
 
         fn split<D>(self, detector: D, _: BernoulliSampler) -> Self::Output
         where
-            D: SplitDetector + 'static,
-            D::Sync: CheckpointState,
-            D::Access: CheckpointState,
+            D: SplitDetector + CheckpointState + 'static,
         {
             let Dbsim {
                 workload,

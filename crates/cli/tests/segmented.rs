@@ -7,8 +7,8 @@
 //! open, and engine `sam` stream. Both paths must print the same bytes.
 //! An engine name is checked before any input is read, and `sam`, which
 //! has no sync/access split, is refused by name where a split is needed.
-//! A `.ftc` sidecar an earlier build wrote is pinned here too, through
-//! the same binary.
+//! The `.ftc` sidecars earlier builds wrote, in container formats 1 and
+//! 2, are pinned here too, through the same binary.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -29,6 +29,12 @@ const OLD_V2: &str = concat!(
 const FORMAT1_SIDECAR: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/../trace/tests/fixtures/sidecar_format1.ftc"
+);
+
+/// The sidecar container format 2 wrote for the same command.
+const FORMAT2_SIDECAR: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../trace/tests/fixtures/sidecar_format2.ftc"
 );
 
 /// A temporary directory removed when dropped.
@@ -369,13 +375,11 @@ fn a_footer_range_that_wraps_fails_every_command() {
     );
 }
 
+/// Sidecars of the older container formats fail the version check and
+/// are rebuilt cold.
 #[test]
 fn the_format_one_sidecar_fixture_is_rebuilt_cold() {
     let dir = TempDir::new("format1");
-    let fixture = std::fs::read(FORMAT1_SIDECAR).expect("read the sidecar fixture");
-    let err = AnalysisCache::decode(&fixture).expect_err("format 1 must not decode");
-    assert!(err.to_string().contains("format version 1"), "{err}");
-
     let tail = ["--engine", "so", "--rate", "0.5", "--seed", "3"];
     let (code, plain) = freshtrack(&[&["analyze", OLD_V2][..], &tail].concat(), None);
     assert_eq!(code, 0);
@@ -385,19 +389,29 @@ fn the_format_one_sidecar_fixture_is_rebuilt_cold() {
         freshtrack_with_stderr(&[&["analyze", OLD_V2, &cold_arg][..], &tail].concat());
     assert_eq!((code, &cold), (0, &plain));
 
-    let warm_path = dir.path("warm.ftc");
-    std::fs::write(&warm_path, &fixture).unwrap();
-    let warm_arg = format!("--cache={warm_path}");
-    let (code, warm, status) =
-        freshtrack_with_stderr(&[&["analyze", OLD_V2, &warm_arg][..], &tail].concat());
-    assert_eq!(code, 0, "{status}");
-    assert_eq!(warm, plain);
-    assert!(status.contains("reused 0/5"), "{status}");
-    assert_eq!(
-        std::fs::read(&warm_path).unwrap(),
-        std::fs::read(&cold_path).unwrap(),
-        "the rewritten sidecar must equal a cold run's"
-    );
+    for (version, path) in [(1, FORMAT1_SIDECAR), (2, FORMAT2_SIDECAR)] {
+        let fixture = std::fs::read(path).expect("read the sidecar fixture");
+        let err = AnalysisCache::decode(&fixture).expect_err("an old format must not decode");
+        assert!(
+            err.to_string()
+                .contains(&format!("format version {version}")),
+            "{err}"
+        );
+
+        let warm_path = dir.path(&format!("format{version}.ftc"));
+        std::fs::write(&warm_path, &fixture).unwrap();
+        let warm_arg = format!("--cache={warm_path}");
+        let (code, warm, status) =
+            freshtrack_with_stderr(&[&["analyze", OLD_V2, &warm_arg][..], &tail].concat());
+        assert_eq!(code, 0, "{status}");
+        assert_eq!(warm, plain, "format {version}");
+        assert!(status.contains("reused 0/5"), "format {version}: {status}");
+        assert_eq!(
+            std::fs::read(&warm_path).unwrap(),
+            std::fs::read(&cold_path).unwrap(),
+            "format {version}: the rewritten sidecar must equal a cold run's"
+        );
+    }
 }
 
 /// The first `events` event lines of a text trace, with its directives.

@@ -23,21 +23,20 @@
 //! * **Sync engines** ([`VectorSyncEngine`](crate::VectorSyncEngine),
 //!   [`FreshnessSyncEngine`](crate::FreshnessSyncEngine),
 //!   [`OrderedSyncEngine`](crate::OrderedSyncEngine)) and the access
-//!   engines — what the incremental analyzer
-//!   ([`crate::analyze_segments_cached`]) exports at the last two
-//!   segment boundaries into the `.ftc` sidecar and imports to resume.
+//!   engines — the sections a detector's checkpoint is made of.
 //! * **Whole detectors** (Djit+/FT/SU/SO, one impl on
-//!   [`Composed`](crate::Composed)) — sync plane + access plane +
-//!   `RelAfter_S` bits + counters, so an interrupted sequential
-//!   analysis can resume at a segment boundary and continue
+//!   [`Composed`](crate::Composed)) — sync section + access section +
+//!   `RelAfter_S` bits + counters. This is the one checkpoint the
+//!   incremental analyzer ([`crate::analyze_segments_cached`]) exports
+//!   at the last two segment boundaries into the `.ftc` sidecar and
+//!   imports to resume, so an interrupted analysis continues
 //!   byte-identically.
 //!
 //! Configuration (sampler seed, SO's local-epoch option) is *not* part
-//! of a checkpoint: import targets a fresh engine built from the same
-//! configuration (e.g. via
-//! [`SplitDetector::split_sync`](crate::SplitDetector::split_sync)),
-//! mirroring how the trace-file checkpoints of `.ftb` v2 carry only
-//! sampler-independent canonical state.
+//! of a checkpoint: import targets a fresh instance built from the same
+//! configuration (the analyzer clones the initial detector it was
+//! given), mirroring how the trace-file checkpoints of `.ftb` v2 carry
+//! only sampler-independent canonical state.
 
 use std::fmt;
 

@@ -27,10 +27,11 @@ use crate::{Counters, Detector, HoistedDecider, RaceReport, SyncOps};
 /// handlers, and the `RelAfter_S` bit crosses back at release when the
 /// sync engine reads it ([`SyncEngine::READS_REL_AFTER_S`]).
 ///
-/// The same halves serve the
-/// [`ShardedOnlineDetector`](crate::ShardedOnlineDetector) and the
-/// offline replay ([`SplitDetector`]), so the three ingestion paths
-/// cannot drift apart.
+/// The offline segment pipeline
+/// ([`analyze_segments`](crate::analyze_segments)) feeds this detector
+/// itself, and the same halves serve the
+/// [`ShardedOnlineDetector`](crate::ShardedOnlineDetector)
+/// ([`SplitDetector`]), so the ingestion paths cannot drift apart.
 #[derive(Clone, Debug, Default)]
 pub struct Composed<Sy, Ac> {
     pub(crate) sync: Sy,

@@ -39,8 +39,11 @@ pub trait Detector {
     /// online façades admit by this detector's
     /// [`hoisted_decider`](Detector::hoisted_decider), outside their
     /// locks, and number each admitted access by its rank among the
-    /// sampled ones. The engine analyzes the access without deciding
-    /// again and uses `id` only as its report's id.
+    /// sampled ones; the offline segment pipeline
+    /// ([`analyze_segments`](crate::analyze_segments)) admits on its
+    /// decoder threads by stream position. The engine analyzes the
+    /// access without deciding again and uses `id` only as its report's
+    /// id.
     ///
     /// Every detector implements it with the post-decision body of
     /// [`process`](Detector::process). Sync events must go through
@@ -108,27 +111,8 @@ pub trait Detector {
     /// up to that point are dropped with it — a partial analysis of a
     /// malformed input is not a verdict).
     fn run_source(&mut self, source: &mut dyn EventSource) -> Result<Vec<RaceReport>, SourceError> {
-        self.run_source_from(source, 0)
-    }
-
-    /// Like [`run_source`](Detector::run_source), but numbers the
-    /// source's first event `first_id` instead of `0` — the resume entry
-    /// point for checkpointed analysis: restore detector state with
-    /// [`CheckpointState::import_state`](crate::CheckpointState::import_state),
-    /// then continue from a segment's event range as if the stream had
-    /// never been interrupted.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first error the source reports, exactly as
-    /// [`run_source`](Detector::run_source) does.
-    fn run_source_from(
-        &mut self,
-        source: &mut dyn EventSource,
-        first_id: u64,
-    ) -> Result<Vec<RaceReport>, SourceError> {
         let mut reports: Vec<RaceReport> = Vec::new();
-        let mut next_id: u64 = first_id;
+        let mut next_id: u64 = 0;
         while let Some(event) = source.next_event()? {
             let id = EventId::new(next_id);
             next_id += 1;

@@ -2,15 +2,15 @@
 //! `.ftb` v2 trace files.
 //!
 //! [`analyze_segments`] replays a [`SegmentedTraceFile`] through one
-//! sync engine and one access engine — the monolith's event loop — with
-//! segment *decoding and sampling* fanned out to `jobs` threads,
-//! producing reports and counters **byte-identical** to a sequential
-//! [`Detector::run_source`](crate::Detector::run_source) pass over the
-//! same stream (the differential suite in `tests/parallel.rs` pins
-//! this). Decoding (checksum, varint records, name deltas) is a pure
-//! function of one segment's bytes ([`decode_segment_indexed`]), and so
-//! is the sampling decision ([`Sampler::decide`] is pure in the event's
-//! stream position), so both run ahead of the analysis:
+//! detector — the monolith itself, fed event by event — with segment
+//! *decoding and sampling* fanned out to `jobs` threads, producing
+//! reports and counters **byte-identical** to a sequential
+//! [`Detector::run_source`] pass over the same stream (the differential
+//! suite in `tests/parallel.rs` pins this). Decoding (checksum, varint
+//! records, name deltas) is a pure function of one segment's bytes
+//! ([`decode_segment_indexed`]), and so is the sampling decision
+//! ([`Sampler::decide`] is pure in the event's stream position), so
+//! both run ahead of the analysis:
 //!
 //! * A **reader** thread reads segment bytes off the file in order —
 //!   cheap, sequential I/O — and hands segment `k` to decoder
@@ -24,16 +24,16 @@
 //!   decoder `k % jobs`, so segments arrive in stream order and the
 //!   first error in stream order wins, with no reorder buffer. Per
 //!   segment it runs the cross-segment watermark and duplicate-name
-//!   checks, adds the segment's event and skipped-access counts, then
-//!   walks the sync events and sampled accesses through the
-//!   locking-discipline check the sequential path gets from
-//!   [`Validated`](freshtrack_trace::Validated) (it only ever reads
-//!   sync events) and through the sync and access halves of one engine
-//!   pair ([`SplitDetector`]). A sampled-out access changes nothing but
-//!   its counter, so the walk's cost follows the sync events and the
-//!   sample `S`, not the trace length. Each sampled access reads its
-//!   thread's clock in place ([`SyncEngine::publish`]), as the monolith
-//!   does, so every counter stays identical to the monolith's.
+//!   checks, then feeds the walked events to the detector it was given:
+//!   each sync event passes the locking-discipline check the sequential
+//!   path gets from [`Validated`](freshtrack_trace::Validated) and goes
+//!   to [`Detector::process`], each sampled access to
+//!   [`Detector::process_admitted`] (the decoder already admitted it, as
+//!   an online façade does), and the segment's sampled-out reads and
+//!   writes to [`Detector::record_skipped_accesses`]. A sampled-out
+//!   access changes nothing but its counter, so the walk's cost follows
+//!   the sync events and the sample `S`, not the trace length, and the
+//!   handlers that run are the monolith's own, so every counter is too.
 //!
 //! `jobs` is the number of decoder threads and nothing else: the
 //! analysis state, the output and the sidecar bytes are the same at
@@ -49,9 +49,8 @@
 //! [`AnalysisCache`] sidecar (the `.ftc` format of `freshtrack-trace`)
 //! with, per segment, the segment's byte identity, the names it defines
 //! and its reports, and — at the file's last two segment boundaries
-//! only — the complete analysis state: both engines' `export_state`
-//! checkpoints ([`CheckpointState`]), the thread count, the pending
-//! `RelAfter_S` bits, the discipline table and the cumulative counters.
+//! only — a [`ResumePoint`]: the thread count, the discipline table and
+//! the detector's one checkpoint ([`CheckpointState::export_state`]).
 //! The v2 writer cuts segments by event count, so an append changes at
 //! most the file's last, partial segment, and the next run finds its
 //! state at one of those two boundaries. On that run the sidecar is
@@ -59,10 +58,10 @@
 //! [`AnalysisCache::reusable_prefix`] after an exact fingerprint
 //! comparison: footer identity, then a CRC-32 re-hash of every reused
 //! segment's bytes (corruption demotes the cache, it is never silently
-//! trusted), then "resume only at the last two boundaries". The engines
-//! are rebuilt by importing the one resume point, the prefix's names and
-//! reports are concatenated from its entries, and only the segments past
-//! the prefix are replayed. Because the imported state is
+//! trusted), then "resume only at the last two boundaries". The
+//! detector is rebuilt by importing the one resume point, the prefix's
+//! names and reports are concatenated from its entries, and only the
+//! segments past the prefix are replayed. Because the imported state is
 //! checkpoint-exact — including the sharing-topology alias marks of
 //! [`OrderedSyncEngine`](crate::OrderedSyncEngine) — the resumed run's
 //! reports *and counters* are byte-identical to a cold run over the
@@ -86,9 +85,8 @@ use freshtrack_trace::{
     SegmentedTraceFile, SourceError, ThreadId, VarId,
 };
 
-use crate::checkpoint::{self, CheckpointError, CheckpointState};
-use crate::plane::{AccessEngine, SplitDetector, SyncEngine};
-use crate::{AccessKind, Counters, RaceReport};
+use crate::checkpoint::{CheckpointError, CheckpointState};
+use crate::{AccessKind, Counters, Detector, RaceReport};
 
 /// Version of the opaque checkpoint/counter/report payloads this crate
 /// writes into `.ftc` sidecars ([`CacheConfig::state_version`]). Bump
@@ -140,39 +138,33 @@ pub struct CachedAnalysis {
 
 /// Everything a run starts from; [`Resume::cold`] is the empty initial
 /// state a full replay uses.
-struct Resume<D: SplitDetector> {
+struct Resume<D> {
     /// First segment to replay.
     start: usize,
-    lock_names: Vec<String>,
-    var_names: Vec<String>,
+    names: Names,
     threads: u32,
-    pending: Vec<bool>,
     checker: DisciplineChecker,
-    /// Cumulative counters at the boundary.
-    counters: Counters,
-    sync: D::Sync,
-    access: D::Access,
+    /// The detector at the boundary, counters included.
+    detector: D,
     /// Reports for segments `0..start`.
     reports: Vec<RaceReport>,
 }
 
-impl<D> Resume<D>
-where
-    D: SplitDetector,
-    D::Sync: CheckpointState,
-    D::Access: CheckpointState,
-{
+/// The merged lock and variable name tables.
+#[derive(Default)]
+struct Names {
+    locks: Vec<String>,
+    vars: Vec<String>,
+}
+
+impl<D: Detector + CheckpointState + Clone> Resume<D> {
     fn cold(detector: &D) -> Self {
         Resume {
             start: 0,
-            lock_names: Vec::new(),
-            var_names: Vec::new(),
+            names: Names::default(),
             threads: 0,
-            pending: Vec::new(),
             checker: DisciplineChecker::new(),
-            counters: Counters::new(),
-            sync: detector.split_sync(),
-            access: detector.split_access(),
+            detector: detector.clone(),
             reports: Vec::new(),
         }
     }
@@ -192,32 +184,22 @@ where
         let point = prior
             .resume_point(start)
             .ok_or(WireError::Invalid("no resume point at the reusable prefix"))?;
-        let mut lock_names = Vec::new();
-        let mut var_names = Vec::new();
+        let mut names = Names::default();
         let mut reports = Vec::new();
         for entry in &prior.entries[..start] {
-            lock_names.extend(entry.new_locks.iter().cloned());
-            var_names.extend(entry.new_vars.iter().cloned());
+            names.locks.extend(entry.new_locks.iter().cloned());
+            names.vars.extend(entry.new_vars.iter().cloned());
             reports.extend(decode_reports(&entry.reports)?);
         }
         let checker = DisciplineChecker::import_wire(&point.discipline)?;
-        let mut r = WireReader::new(&point.counters);
-        let counters = checkpoint::get_counters(&mut r)?;
-        r.finish()?;
-        let mut sync = detector.split_sync();
-        sync.import_state(&point.sync)?;
-        let mut access = detector.split_access();
-        access.import_state(&point.access)?;
+        let mut detector = detector.clone();
+        detector.import_state(&point.state)?;
         Ok(Resume {
             start,
-            lock_names,
-            var_names,
+            names,
             threads: point.threads,
-            pending: point.pending.clone(),
             checker,
-            counters,
-            sync,
-            access,
+            detector,
             reports,
         })
     }
@@ -236,13 +218,12 @@ struct PipelineOutput {
 /// Replays a segmented trace file on the decode-ahead pipeline; see the
 /// module docs for the architecture and the equivalence argument.
 ///
-/// `detector` must be in its initial state (it supplies configuration —
-/// engine options and sampler seed — via [`SplitDetector`], never
-/// accumulated state), and `sampler` must make the same decisions as
-/// the detector's own sampler (same seed); the CLI constructs both from
-/// one `--seed`. `jobs` is the number of decoder threads, clamped to at
-/// least 1 and at most the number of segments; the output is the same
-/// at every value.
+/// `detector` must be in its initial state: the run feeds a clone of
+/// it. `sampler` must make the same decisions as the detector's own
+/// sampler (same seed); the CLI constructs both from one `--seed`.
+/// `jobs` is the number of decoder threads, clamped to at least 1 and
+/// at most the number of segments; the output is the same at every
+/// value.
 ///
 /// # Errors
 ///
@@ -253,7 +234,7 @@ struct PipelineOutput {
 /// segment's offset), or locking-discipline violations
 /// ([`SourceError::Discipline`]). The first error in stream order wins.
 /// Reports gathered before the error are dropped with it, exactly like
-/// [`Detector::run_source`](crate::Detector::run_source).
+/// [`Detector::run_source`].
 ///
 /// # Panics
 ///
@@ -268,9 +249,7 @@ pub fn analyze_segments<D, S, R>(
     jobs: usize,
 ) -> Result<SegmentedAnalysis, SourceError>
 where
-    D: SplitDetector,
-    D::Sync: CheckpointState,
-    D::Access: CheckpointState,
+    D: Detector + CheckpointState + Clone,
     S: Sampler,
     R: Read + Seek + Send,
 {
@@ -312,9 +291,7 @@ pub fn analyze_segments_cached<D, S, R>(
     prior: Option<&AnalysisCache>,
 ) -> Result<CachedAnalysis, SourceError>
 where
-    D: SplitDetector,
-    D::Sync: CheckpointState,
-    D::Access: CheckpointState,
+    D: Detector + CheckpointState + Clone,
     S: Sampler,
     R: Read + Seek + Send,
 {
@@ -459,22 +436,16 @@ fn run_pipeline<D, S, R>(
     record: bool,
 ) -> Result<PipelineOutput, SourceError>
 where
-    D: SplitDetector,
-    D::Sync: CheckpointState,
-    D::Access: CheckpointState,
+    D: Detector + CheckpointState + Clone,
     S: Sampler,
     R: Read + Seek + Send,
 {
     let Resume {
         start,
-        mut lock_names,
-        mut var_names,
+        mut names,
         mut threads,
-        mut pending,
         mut checker,
-        mut counters,
-        mut sync,
-        mut access,
+        mut detector,
         mut reports,
     } = resume;
     let mut entries: Vec<CacheEntry> = Vec::new();
@@ -507,53 +478,25 @@ where
                 skipped_reads,
                 skipped_writes,
             } = item?;
-            check_watermarks(&lock_names, &var_names, &meta)?;
-            merge_names(&mut lock_names, &data.new_locks, "lock", meta.offset)?;
-            merge_names(&mut var_names, &data.new_vars, "var", meta.offset)?;
+            check_watermarks(&names, &meta)?;
+            merge_names(&mut names.locks, &data.new_locks, "lock", meta.offset)?;
+            merge_names(&mut names.vars, &data.new_vars, "var", meta.offset)?;
             threads = threads
                 .max(data.declared_threads)
                 .max(data.observed_threads);
-            counters.events += meta.event_count;
-            counters.reads += skipped_reads;
-            counters.writes += skipped_writes;
 
             let seg_report_start = reports.len();
             for (&id, &event) in ids.iter().zip(&data.events) {
-                let tid = event.tid;
-                // Deferred admission, mirroring the monolithic engines:
-                // only sync events and *sampled* accesses widen the
-                // sync plane (invariant 10).
-                match event.kind {
-                    EventKind::Acquire(lock) => {
-                        checker.check(id, event)?;
-                        sync.ensure_thread(tid);
-                        sync.acquire(tid, lock, &mut counters);
-                    }
-                    EventKind::Release(lock) => {
-                        checker.check(id, event)?;
-                        sync.ensure_thread(tid);
-                        if pending.len() <= tid.index() {
-                            pending.resize(tid.index() + 1, false);
-                        }
-                        let sampled = std::mem::take(&mut pending[tid.index()]);
-                        sync.release(tid, lock, sampled, &mut counters);
-                    }
-                    EventKind::Read(_) | EventKind::Write(_) => {
-                        // The decoder sampled this access.
-                        sync.ensure_thread(tid);
-                        if pending.len() <= tid.index() {
-                            pending.resize(tid.index() + 1, false);
-                        }
-                        pending[tid.index()] = true;
-                        let view = sync.publish(tid);
-                        let outcome = access.access_sampled(id, event, &view, &mut counters);
-                        debug_assert!(outcome.sampled, "hoisted decision admitted this");
-                        if let Some(report) = outcome.report {
-                            reports.push(report);
-                        }
-                    }
-                }
+                let report = if event.kind.is_access() {
+                    // The decoder sampled this access.
+                    detector.process_admitted(id, event)
+                } else {
+                    checker.check(id, event)?;
+                    detector.process(id, event)
+                };
+                reports.extend(report);
             }
+            detector.record_skipped_accesses(skipped_reads, skipped_writes);
 
             if record {
                 let mut report_bytes = Vec::new();
@@ -576,13 +519,10 @@ where
                 if k + 2 >= segment_count {
                     let mut point = ResumePoint {
                         threads,
-                        pending: pending.clone(),
                         ..ResumePoint::default()
                     };
                     checker.export_wire(&mut point.discipline);
-                    checkpoint::put_counters(&mut point.counters, &counters);
-                    sync.export_state(&mut point.sync);
-                    access.export_state(&mut point.access);
+                    detector.export_state(&mut point.state);
                     resume_points.push(point);
                 }
             }
@@ -593,10 +533,10 @@ where
     Ok(PipelineOutput {
         analysis: SegmentedAnalysis {
             reports,
-            counters,
+            counters: *detector.counters(),
             threads,
-            lock_names,
-            var_names,
+            lock_names: names.locks,
+            var_names: names.vars,
         },
         entries,
         resume: resume_points,
@@ -605,12 +545,8 @@ where
 
 /// Rejects a segment whose name-table watermarks disagree with the
 /// segments already walked.
-fn check_watermarks(
-    lock_names: &[String],
-    var_names: &[String],
-    meta: &SegmentMeta,
-) -> Result<(), SourceError> {
-    if lock_names.len() != meta.locks_before || var_names.len() != meta.vars_before {
+fn check_watermarks(names: &Names, meta: &SegmentMeta) -> Result<(), SourceError> {
+    if names.locks.len() != meta.locks_before || names.vars.len() != meta.vars_before {
         return Err(BinaryTraceError::new(
             meta.offset,
             "segment name-table watermark disagrees with the preceding segments",

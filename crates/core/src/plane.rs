@@ -284,8 +284,10 @@ pub trait SyncEngine: Send {
     /// The race-check view of `tid`'s clock (which must exist):
     /// [`thread_view`](SyncEngine::thread_view) on its table entry. The
     /// view borrows the engine, so it cannot outlive `tid`'s next sync
-    /// event. The name stays for the repository benchmark's split
-    /// replay loop (`perfbench/src/replay.rs`), which calls it.
+    /// event. No analysis path calls it: the composed detector and the
+    /// sharded façade read [`thread_view`](SyncEngine::thread_view)
+    /// directly. It stays for the repository benchmark's split replay
+    /// loop (`perfbench/src/replay.rs`) and for tests.
     fn publish(&mut self, tid: ThreadId) -> impl ClockView + '_ {
         let threads: &Vec<Self::Thread> = self.tables().0;
         Self::thread_view(tid, &threads[tid.index()])

@@ -17,9 +17,8 @@ use std::io::Cursor;
 
 use freshtrack_clock::wire;
 use freshtrack_core::{
-    analyze_segments, analyze_segments_cached, AccessEngine, CachedAnalysis, CheckpointState,
-    Counters, DjitDetector, FastTrackDetector, FreshnessDetector, OrderedListDetector,
-    SplitDetector, SyncEngine, CACHE_STATE_VERSION,
+    analyze_segments, analyze_segments_cached, CachedAnalysis, CheckpointState, DjitDetector,
+    FastTrackDetector, FreshnessDetector, OrderedListDetector, SplitDetector, CACHE_STATE_VERSION,
 };
 use freshtrack_sampling::{AlwaysSampler, BernoulliSampler, NeverSampler, Sampler};
 use freshtrack_testutil::{wide_workload, workload_matrix};
@@ -66,9 +65,7 @@ fn prior_for<D, S>(
     cfg: &CacheConfig,
 ) -> AnalysisCache
 where
-    D: SplitDetector,
-    D::Sync: CheckpointState,
-    D::Access: CheckpointState,
+    D: SplitDetector + CheckpointState,
     S: Sampler + Clone + Send,
 {
     let bytes = v2_bytes(&prefix_of(trace, events), events_per_segment);
@@ -107,9 +104,7 @@ fn assert_incremental_matches_cold<D, S>(
     engine: &str,
     sampler_name: &str,
 ) where
-    D: SplitDetector,
-    D::Sync: CheckpointState,
-    D::Access: CheckpointState,
+    D: SplitDetector + CheckpointState,
     S: Sampler + Clone + Send,
 {
     let bytes = v2_bytes(trace, EVENTS_PER_SEGMENT);
@@ -240,9 +235,7 @@ fn assert_sidecar_bytes_match_at_every_job_count<D, S>(
     sampler: &S,
     cfg: &CacheConfig,
 ) where
-    D: SplitDetector,
-    D::Sync: CheckpointState,
-    D::Access: CheckpointState,
+    D: SplitDetector + CheckpointState,
     S: Sampler + Clone + Send,
 {
     let bytes = v2_bytes(trace, events_per_segment);
@@ -687,9 +680,7 @@ fn assert_falls_back<D>(
     cold: &CachedAnalysis,
     prior: &AnalysisCache,
 ) where
-    D: SplitDetector,
-    D::Sync: CheckpointState,
-    D::Access: CheckpointState,
+    D: SplitDetector + CheckpointState,
 {
     // The payloads are opaque to the container: the prior still decodes.
     let prior = AnalysisCache::decode(&prior.encode()).expect("CRC-valid sidecars decode");
@@ -709,9 +700,9 @@ fn assert_falls_back<D>(
 }
 
 /// Every truncation of each opaque payload of the resume point a warm
-/// run would import — sync checkpoint, discipline table, counters — and
-/// a trailing byte after it, under valid CRCs, demote the run to a cold
-/// one. (The access checkpoint has its own test below.)
+/// run would import — discipline table, detector checkpoint — and a
+/// trailing byte after it, under valid CRCs, demote the run to a cold
+/// one. (Crafted access sections have their own test below.)
 #[test]
 fn malformed_resume_payloads_fall_back_to_a_cold_run() {
     let trace = emitted(120);
@@ -729,10 +720,9 @@ fn malformed_resume_payloads_fall_back_to_a_cold_run() {
     .unwrap();
     let last = cold.cache.resume.len() - 1;
     type Field = fn(&mut freshtrack_trace::ResumePoint) -> &mut Vec<u8>;
-    let fields: [(&str, Field); 3] = [
-        ("sync", |p| &mut p.sync),
+    let fields: [(&str, Field); 2] = [
         ("discipline", |p| &mut p.discipline),
-        ("counters", |p| &mut p.counters),
+        ("state", |p| &mut p.state),
     ];
     for (name, field) in fields {
         let payload = field(&mut cold.cache.resume[last].clone()).clone();
@@ -853,69 +843,41 @@ fn corrupt_segment_is_never_reused() {
     }
 }
 
-/// The live access engine's `export_state` at every segment boundary of
-/// `trace`: the split halves of `detector`, driven the way the pipeline
-/// drives them.
-fn live_access_exports<D>(trace: &Trace, detector: &D) -> Vec<Vec<u8>>
-where
-    D: SplitDetector,
-    D::Access: CheckpointState,
-{
-    let mut sync = detector.split_sync();
-    let mut access = detector.split_access();
-    let mut pending: Vec<bool> = Vec::new();
-    let mut counters = Counters::new();
+/// The monolithic detector's whole `export_state` at every segment
+/// boundary of `trace`, after [`Detector::process`] over the events
+/// before it.
+fn monolith_exports<D: SplitDetector + CheckpointState>(
+    trace: &Trace,
+    detector: &D,
+) -> Vec<Vec<u8>> {
+    let mut monolith = detector.clone();
     let mut exports = Vec::new();
     for (i, (id, event)) in trace.iter().enumerate() {
-        let tid = event.tid;
-        if pending.len() <= tid.index() {
-            pending.resize(tid.index() + 1, false);
-        }
-        match event.kind {
-            EventKind::Acquire(lock) => {
-                sync.ensure_thread(tid);
-                sync.acquire(tid, lock, &mut counters);
-            }
-            EventKind::Release(lock) => {
-                sync.ensure_thread(tid);
-                let sampled = std::mem::take(&mut pending[tid.index()]);
-                sync.release(tid, lock, sampled, &mut counters);
-            }
-            EventKind::Read(_) | EventKind::Write(_) => {
-                if access.decide(id, event) {
-                    sync.ensure_thread(tid);
-                    pending[tid.index()] = true;
-                    let view = sync.publish(tid);
-                    access.access_sampled(id, event, &view, &mut counters);
-                }
-            }
-        }
+        monolith.process(id, event);
         if (i + 1) % EVENTS_PER_SEGMENT == 0 || i + 1 == trace.len() {
             let mut bytes = Vec::new();
-            access.export_state(&mut bytes);
+            monolith.export_state(&mut bytes);
             exports.push(bytes);
         }
     }
     exports
 }
 
-/// Asserts that a cold sidecar's resume points hold exactly the live
-/// access engine's export after the trace's last two segments.
+/// Asserts that a cold sidecar's resume points hold exactly the
+/// monolithic detector's checkpoint after the trace's last two segments.
 fn assert_resume_points_hold_live_exports<D>(label: &str, trace: &Trace, detector: &D, rate: f64)
 where
-    D: SplitDetector,
-    D::Sync: CheckpointState,
-    D::Access: CheckpointState,
+    D: SplitDetector + CheckpointState,
 {
     let bytes = v2_bytes(trace, EVENTS_PER_SEGMENT);
     let sampler = BernoulliSampler::new(rate, 23);
     let cfg = config(label, &format!("bernoulli:{rate}:23"), 1);
     let cold = analyze_segments_cached(&mut open(&bytes), detector, &sampler, 1, &cfg, None)
         .expect("well-formed traces must analyze");
-    let live = live_access_exports(trace, detector);
+    let live = monolith_exports(trace, detector);
     assert_eq!(live.len(), cold.cache.entries.len(), "[{label}]");
     assert_eq!(cold.cache.resume.len(), live.len().min(2), "[{label}]");
-    let stored: Vec<&Vec<u8>> = cold.cache.resume.iter().map(|p| &p.access).collect();
+    let stored: Vec<&Vec<u8>> = cold.cache.resume.iter().map(|p| &p.state).collect();
     let expected: Vec<&Vec<u8>> = live[live.len() - stored.len()..].iter().collect();
     assert_eq!(stored, expected, "[{label}]");
 }
@@ -975,18 +937,40 @@ fn version_one_sidecar_rebuilds_cold() {
     assert_eq!(run.cache.encode(), cold.cache.encode());
 }
 
-/// Malformed access checkpoints in the resume point a warm run imports
-/// — a record count that is not the variable count, a nonzero gap
-/// before a record, a variable count past the bytes left, and every
-/// truncation of the real checkpoint, plus a trailing byte — demote the
-/// run to a cold one. `header` is the engine's header before the
-/// variable table (`width` for the clock-history engines, nothing for
-/// FastTrack's).
+/// A detector checkpoint's sync section, access section, and the bytes
+/// after them (`RelAfter_S` bits and counters).
+fn sections(state: &[u8]) -> (&[u8], &[u8], &[u8]) {
+    let mut r = wire::WireReader::new(state);
+    let mut section = || {
+        let len = r.get_usize().expect("a section length");
+        r.get_bytes(len).expect("a whole section")
+    };
+    let (sync, access) = (section(), section());
+    (sync, access, &state[state.len() - r.remaining()..])
+}
+
+/// `state` with its access section replaced by `access`.
+fn with_access_section(state: &[u8], access: &[u8]) -> Vec<u8> {
+    let (sync, _, rest) = sections(state);
+    let mut out = Vec::new();
+    for section in [sync, access] {
+        wire::put_varint(&mut out, section.len() as u64);
+        out.extend_from_slice(section);
+    }
+    out.extend_from_slice(rest);
+    out
+}
+
+/// Malformed access sections spliced into the detector checkpoint a warm
+/// run imports — a record count that is not the variable count, a
+/// nonzero gap before a record, a variable count past the bytes left,
+/// and every truncation of the real section, plus a trailing byte —
+/// demote the run to a cold one. `header` is the engine's header before
+/// the variable table (`width` for the clock-history engines, nothing
+/// for FastTrack's).
 fn assert_malformed_records_fall_back<D>(label: &str, detector: &D, engine: &str, header: &[u8])
 where
-    D: SplitDetector,
-    D::Sync: CheckpointState,
-    D::Access: CheckpointState,
+    D: SplitDetector + CheckpointState,
 {
     let trace = emitted(120);
     let bytes = v2_bytes(&trace, EVENTS_PER_SEGMENT);
@@ -1001,28 +985,29 @@ where
         }
         out
     };
-    let real = cold.cache.resume.last().unwrap().access.clone();
+    // The prior covers the whole file, so the run would import its
+    // last resume point.
+    let last = cold.cache.resume.len() - 1;
+    let state = &cold.cache.resume[last].state;
+    let (_, real, _) = sections(state);
     let mut mutants = vec![
         // [var count, record count, gap]: fewer records than variables.
         ("record count", crafted(&[1, 0])),
         ("nonzero gap", crafted(&[1, 1, 1])),
         ("count past the bytes", crafted(&[1000, 1000])),
-        ("trailing byte", [&real[..], &[0]].concat()),
+        ("trailing byte", [real, &[0]].concat()),
     ];
     for cut in 0..real.len() {
         mutants.push(("truncation", real[..cut].to_vec()));
     }
-    // The prior covers the whole file, so the run would import its
-    // last resume point.
-    let last = cold.cache.resume.len() - 1;
     for (what, access) in &mutants {
-        let mut engine = detector.split_access();
+        let spliced = with_access_section(state, access);
         assert!(
-            engine.import_state(access).is_err(),
+            detector.clone().import_state(&spliced).is_err(),
             "[{label}] {what} imported"
         );
         let mut prior = cold.cache.clone();
-        prior.resume[last].access = access.clone();
+        prior.resume[last].state = spliced;
         assert_falls_back(
             &format!("{label}: {what}"),
             &bytes,

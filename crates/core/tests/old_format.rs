@@ -75,9 +75,7 @@ fn the_fixture_converts_to_the_text_twins_v1_bytes() {
 /// reports and counters of `Detector::run` over the text twin.
 fn assert_analyzes_like_text<D>(engine: &str, detector: &D, sampler: &BernoulliSampler)
 where
-    D: SplitDetector,
-    D::Sync: CheckpointState,
-    D::Access: CheckpointState,
+    D: SplitDetector + CheckpointState,
 {
     let mut sequential = detector.clone();
     let reports = sequential.run(&text_trace());

@@ -38,9 +38,7 @@ const JOBS: [usize; 4] = [1, 2, 3, 8];
 /// sampler) cell across segment sizes and job counts.
 fn assert_parallel_matches_sequential<D, S>(label: &str, trace: &Trace, detector: &D, sampler: &S)
 where
-    D: SplitDetector,
-    D::Sync: CheckpointState,
-    D::Access: CheckpointState,
+    D: SplitDetector + CheckpointState,
     S: Sampler + Clone + Send,
 {
     let sizes = [1, 7, 64, trace.len().max(1)];
@@ -55,9 +53,7 @@ fn assert_parallel_matches_sequential_at<D, S>(
     sampler: &S,
     segment_sizes: &[usize],
 ) where
-    D: SplitDetector,
-    D::Sync: CheckpointState,
-    D::Access: CheckpointState,
+    D: SplitDetector + CheckpointState,
     S: Sampler + Clone + Send,
 {
     let mut seq = detector.clone();

@@ -230,9 +230,10 @@ impl<D: Detector + Send> Instrument for DetectorInstrument<D> {
 /// [`ThreadHandle`], so its callbacks take no thread mutex; the
 /// `&self` callbacks (`read`, …) feed the detector by
 /// [`on_event`](ShardedOnlineDetector::on_event). While worker `tid`
-/// lives, a second worker for `tid` panics, and so does a `&self`
-/// callback for `tid` that reaches the thread's state (any but a
-/// sampled-out access).
+/// lives, a second worker for `tid` panics, and so does every `&self`
+/// callback for `tid`, a sampled-out access included: the thread's
+/// access ordinal, which the sampling decision reads, lives in its
+/// handle.
 ///
 /// This is the scale-oriented ingestion path. It deliberately does
 /// *not* reproduce the paper's single-lock contention model —

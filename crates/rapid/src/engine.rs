@@ -50,9 +50,7 @@ pub trait EngineVisitor {
     /// pipeline, under the sharded façade and from a `.ftc` checkpoint.
     fn split<D>(self, detector: D, sampler: BernoulliSampler) -> Self::Output
     where
-        D: SplitDetector + 'static,
-        D::Sync: CheckpointState,
-        D::Access: CheckpointState;
+        D: SplitDetector + CheckpointState + 'static;
 
     /// The `sam` reference ([`NaiveSamplingDetector`]), which has no
     /// sync/access split and so only streams.
@@ -237,9 +235,7 @@ pub fn run_engine_source(
 
         fn split<D>(self, detector: D, _: BernoulliSampler) -> Self::Output
         where
-            D: SplitDetector + 'static,
-            D::Sync: CheckpointState,
-            D::Access: CheckpointState,
+            D: SplitDetector + CheckpointState + 'static,
         {
             self.run(detector)
         }
@@ -326,9 +322,7 @@ mod tests {
             type Output = bool;
             fn split<D>(self, _: D, _: BernoulliSampler) -> bool
             where
-                D: SplitDetector + 'static,
-                D::Sync: CheckpointState,
-                D::Access: CheckpointState,
+                D: SplitDetector + CheckpointState + 'static,
             {
                 true
             }

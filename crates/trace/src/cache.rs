@@ -7,14 +7,13 @@
 //! (CRC-32, offset, length, event range, name-table watermarks), the
 //! names it defines, and its race reports. The analysis state itself is
 //! kept only at the last two segment boundaries, after segments
-//! `len − 1` and `len` ([`ResumePoint`]): thread count, pending
-//! `RelAfter_S` bits, the discipline table, cumulative counters, and
-//! the sync and access engines' checkpoints. An append can change only
+//! `len − 1` and `len` ([`ResumePoint`]): the thread count, the
+//! discipline table and the detector's checkpoint. An append can change only
 //! the file's last, partial segment, so a warm run resumes from one of
 //! those two; a prefix that ends anywhere earlier runs cold
 //! ([`AnalysisCache::reusable_prefix`]).
 //!
-//! The checkpoint, counter and report payloads are **opaque bytes**
+//! The checkpoint and report payloads are **opaque bytes**
 //! here — `freshtrack-core` owns those encodings; this module owns only
 //! the container, exactly like
 //! [`SegmentedTraceFile`] owns segment blocks without knowing what an
@@ -29,8 +28,7 @@
 //!  jobs, entry count][u32 LE CRC-32 of the header body]
 //! entry × count: [identity, new names, reports][u32 LE CRC-32]
 //! resume point × min(count, 2), oldest first:
-//!     [threads, pending bits, discipline, counters, sync, access]
-//!     [u32 LE CRC-32]
+//!     [threads, discipline, detector checkpoint][u32 LE CRC-32]
 //! ```
 //!
 //! Every block is CRC-framed with the same slice-by-8 CRC-32 the v2
@@ -39,7 +37,11 @@
 //! and rewrites the file. A cache is *advisory*: decoding failure is
 //! never an analysis failure. Format 1 stored the whole analysis state
 //! at every boundary (a sync-plane delta and the changed access
-//! records per entry); it fails the version check and is rebuilt cold.
+//! records per entry); format 2 split a resume point into pending bits,
+//! counters and separate sync and access checkpoints, and sized the
+//! access checkpoint by the accessing thread's clock rather than the
+//! thread table. Format 3 stores the detector's own checkpoint. Older
+//! formats fail the version check and are rebuilt cold.
 
 use freshtrack_clock::wire::{self, WireError, WireReader};
 
@@ -53,7 +55,7 @@ use crate::{BinaryTraceError, SegmentMeta, SegmentedTraceFile};
 pub const CACHE_MAGIC: [u8; 8] = *b"FTC1\r\n\x1a\n";
 
 /// Container format version; bump on any layout change.
-const CACHE_FORMAT_VERSION: u64 = 2;
+const CACHE_FORMAT_VERSION: u64 = 3;
 
 /// A malformed, truncated, or corrupted sidecar.
 ///
@@ -135,19 +137,12 @@ pub struct CacheEntry {
 pub struct ResumePoint {
     /// Thread count (declared or observed) at the boundary.
     pub threads: u32,
-    /// Pending `RelAfter_S` bits at the boundary.
-    pub pending: Vec<bool>,
     /// Lock-discipline holder table at the boundary
     /// ([`DisciplineChecker::export_wire`](crate::DisciplineChecker::export_wire)).
     pub discipline: Vec<u8>,
-    /// Cumulative merged counters at the boundary (opaque; core's
-    /// counter encoding).
-    pub counters: Vec<u8>,
-    /// The sync engine's checkpoint (opaque; core's `CheckpointState`).
-    pub sync: Vec<u8>,
-    /// The access engine's checkpoint (opaque; core's
+    /// The detector's checkpoint, counters included (opaque; core's
     /// `CheckpointState`).
-    pub access: Vec<u8>,
+    pub state: Vec<u8>,
 }
 
 impl CacheEntry {
@@ -287,14 +282,8 @@ impl AnalysisCache {
         for point in &self.resume {
             body.clear();
             wire::put_varint(&mut body, u64::from(point.threads));
-            wire::put_varint(&mut body, point.pending.len() as u64);
-            for &bit in &point.pending {
-                wire::put_bool(&mut body, bit);
-            }
             put_payload(&mut body, &point.discipline);
-            put_payload(&mut body, &point.counters);
-            put_payload(&mut body, &point.sync);
-            put_payload(&mut body, &point.access);
+            put_payload(&mut body, &point.state);
             put_block(&mut out, &body);
         }
         out
@@ -394,16 +383,10 @@ fn decode_entry(r: &mut WireReader<'_>) -> Result<CacheEntry, WireError> {
 }
 
 fn decode_resume_point(r: &mut WireReader<'_>) -> Result<ResumePoint, WireError> {
-    let threads = r.get_u32()?;
-    let n = guarded_count(r)?;
-    let pending = (0..n).map(|_| r.get_bool()).collect::<Result<_, _>>()?;
     Ok(ResumePoint {
-        threads,
-        pending,
+        threads: r.get_u32()?,
         discipline: get_payload(r)?,
-        counters: get_payload(r)?,
-        sync: get_payload(r)?,
-        access: get_payload(r)?,
+        state: get_payload(r)?,
     })
 }
 
@@ -519,11 +502,8 @@ mod tests {
             resume: vec![
                 ResumePoint {
                     threads: 3,
-                    pending: vec![true, false, true],
                     discipline: vec![1, 2, 3],
-                    counters: vec![9; 18],
-                    sync: vec![0xAA; 40],
-                    access: vec![1; 10],
+                    state: vec![0xAA; 40],
                 },
                 ResumePoint::default(),
             ],

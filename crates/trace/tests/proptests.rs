@@ -112,22 +112,13 @@ fn arb_entry() -> impl Strategy<Value = CacheEntry> {
 }
 
 fn arb_resume_point() -> impl Strategy<Value = ResumePoint> {
-    (
-        any::<u32>(),
-        prop::collection::vec(any::<bool>(), 0..8),
-        (arb_payload(), arb_payload(), arb_payload(), arb_payload()),
-    )
-        .prop_map(|(threads, pending, payloads)| {
-            let (discipline, counters, sync, access) = payloads;
-            ResumePoint {
-                threads,
-                pending,
-                discipline,
-                counters,
-                sync,
-                access,
-            }
-        })
+    (any::<u32>(), arb_payload(), arb_payload()).prop_map(|(threads, discipline, state)| {
+        ResumePoint {
+            threads,
+            discipline,
+            state,
+        }
+    })
 }
 
 fn arb_cache() -> impl Strategy<Value = AnalysisCache> {
